@@ -105,7 +105,7 @@ func run(pass *analysis.Pass) (any, error) {
 			// receiver's mutexes for the duration of the call.
 			addReceiverMutexes(recv, receiverName(fd), held)
 		}
-		c.walkStmts(fd.Body.List, held)
+		c.walkFunc(fd.Body, held)
 	})
 	return nil, nil
 }
@@ -273,6 +273,59 @@ type checker struct {
 	pass    *analysis.Pass
 	sup     *allow.Suppressor
 	guarded map[types.Object]*guardSpec
+
+	// targets is the stack of enclosing statements a break or continue
+	// can leave, innermost last.
+	targets []*branchTarget
+	// gotos holds the lock sets at forward gotos to labels not yet
+	// reached in this pass; labelIn the entry set of each label reached.
+	gotos   map[string][]map[string]*heldLock
+	labelIn map[string]map[string]*heldLock
+	// narrow carries, across passes, each label's entry set as weakened
+	// by backward gotos; redo marks a pass that weakened one, and quiet
+	// suppresses reports until a pass leaves every entry set unchanged.
+	narrow map[string]map[string]*heldLock
+	redo   bool
+	quiet  bool
+}
+
+// branchTarget is a loop, switch or select that break (and, for loops,
+// continue) can leave, with the lock sets of the paths that left it.
+type branchTarget struct {
+	label  string
+	loop   bool
+	breaks []map[string]*heldLock
+	conts  []map[string]*heldLock
+}
+
+// walkFunc analyzes a function body. A backward goto can weaken the
+// entry set of a label whose code was already checked, so bodies with a
+// goto are walked silently until the label entry sets stop changing,
+// then once more to report.
+func (c *checker) walkFunc(body *ast.BlockStmt, held map[string]*heldLock) {
+	c.narrow = map[string]map[string]*heldLock{}
+	c.quiet = hasGoto(body)
+	for {
+		c.gotos = map[string][]map[string]*heldLock{}
+		c.labelIn = map[string]map[string]*heldLock{}
+		c.redo = false
+		c.walkStmts(body.List, cloneHeld(held))
+		if !c.quiet {
+			return
+		}
+		c.quiet = c.redo
+	}
+}
+
+func hasGoto(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if b, ok := n.(*ast.BranchStmt); ok && b.Tok == token.GOTO {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 func cloneHeld(held map[string]*heldLock) map[string]*heldLock {
@@ -281,6 +334,26 @@ func cloneHeld(held map[string]*heldLock) map[string]*heldLock {
 		out[k] = v
 	}
 	return out
+}
+
+// intersectAll intersects a non-empty list of lock sets.
+func intersectAll(sets []map[string]*heldLock) map[string]*heldLock {
+	acc := sets[0]
+	for _, s := range sets[1:] {
+		acc = intersectHeld(acc, s)
+	}
+	return acc
+}
+
+// covers reports whether a holds every lock in b, at least as strongly.
+func covers(a, b map[string]*heldLock) bool {
+	for k, vb := range b {
+		va, ok := a[k]
+		if !ok || vb.write && !va.write {
+			return false
+		}
+	}
+	return true
 }
 
 func intersectHeld(a, b map[string]*heldLock) map[string]*heldLock {
@@ -297,13 +370,21 @@ func intersectHeld(a, b map[string]*heldLock) map[string]*heldLock {
 
 // walkStmts analyzes a statement list, mutating held in place, and
 // reports whether the list always terminates (return/panic/branch).
+// Past a terminating statement only a label with pending forward gotos
+// is reachable; the walk resumes there from the gotos' lock sets.
 func (c *checker) walkStmts(stmts []ast.Stmt, held map[string]*heldLock) bool {
+	dead := false
 	for _, s := range stmts {
-		if c.walkStmt(s, held) {
-			return true
+		if dead {
+			ls, ok := s.(*ast.LabeledStmt)
+			if !ok || len(c.gotos[ls.Label.Name]) == 0 {
+				continue
+			}
+			replace(held, c.gotos[ls.Label.Name][0])
 		}
+		dead = c.walkStmt(s, held)
 	}
-	return false
+	return dead
 }
 
 func (c *checker) walkStmt(s ast.Stmt, held map[string]*heldLock) bool {
@@ -349,45 +430,16 @@ func (c *checker) walkStmt(s ast.Stmt, held map[string]*heldLock) bool {
 		}
 		return true
 	case *ast.BranchStmt:
-		// break/continue/goto leave this path; treat as terminating for
-		// merge purposes (conservative for lock-state propagation).
+		// The path ends here and resumes where the branch lands, so
+		// the lock set travels to the target's merge point.
+		c.branch(s, held)
 		return true
 	case *ast.BlockStmt:
 		return c.walkStmts(s.List, held)
 	case *ast.IfStmt:
 		return c.walkIf(s, held)
-	case *ast.ForStmt:
-		c.walkStmt(s.Init, held)
-		if s.Cond != nil {
-			c.checkExpr(s.Cond, held, false)
-		}
-		body := cloneHeld(held)
-		c.walkStmts(s.Body.List, body)
-		if s.Post != nil {
-			c.walkStmt(s.Post, body)
-		}
-		// The body may run zero times, so only locks surviving both the
-		// pre-state and a full iteration are held afterwards.
-		merge(held, intersectHeld(held, body))
-		return false
-	case *ast.RangeStmt:
-		c.checkExpr(s.X, held, false)
-		body := cloneHeld(held)
-		c.walkStmts(s.Body.List, body)
-		merge(held, intersectHeld(held, body))
-		return false
-	case *ast.SwitchStmt:
-		c.walkStmt(s.Init, held)
-		if s.Tag != nil {
-			c.checkExpr(s.Tag, held, false)
-		}
-		return c.walkCases(s.Body, held, hasDefaultCase(s.Body))
-	case *ast.TypeSwitchStmt:
-		c.walkStmt(s.Init, held)
-		c.walkStmt(s.Assign, held)
-		return c.walkCases(s.Body, held, hasDefaultCase(s.Body))
-	case *ast.SelectStmt:
-		return c.walkCases(s.Body, held, true)
+	case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+		return c.walkTarget(s, "", held)
 	case *ast.GoStmt:
 		for _, a := range s.Call.Args {
 			c.checkExpr(a, held, false)
@@ -396,6 +448,11 @@ func (c *checker) walkStmt(s ast.Stmt, held map[string]*heldLock) bool {
 			c.walkStmts(lit.Body.List, map[string]*heldLock{})
 		}
 	case *ast.LabeledStmt:
+		c.enterLabel(s.Label.Name, held)
+		switch s.Stmt.(type) {
+		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+			return c.walkTarget(s.Stmt, s.Label.Name, held)
+		}
 		return c.walkStmt(s.Stmt, held)
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
@@ -412,6 +469,121 @@ func (c *checker) walkStmt(s ast.Stmt, held map[string]*heldLock) bool {
 		c.checkExpr(s.Value, held, false)
 	}
 	return false
+}
+
+// walkTarget analyzes a loop, switch or select (labeled label, or "")
+// as a target for the break and continue statements inside it.
+func (c *checker) walkTarget(s ast.Stmt, label string, held map[string]*heldLock) bool {
+	switch s := s.(type) {
+	case *ast.ForStmt:
+		c.walkStmt(s.Init, held)
+		if s.Cond != nil {
+			c.checkExpr(s.Cond, held, false)
+		}
+		return c.walkLoop(s.Body, s.Post, s.Cond == nil, label, held)
+	case *ast.RangeStmt:
+		c.checkExpr(s.X, held, false)
+		return c.walkLoop(s.Body, nil, false, label, held)
+	case *ast.SwitchStmt:
+		c.walkStmt(s.Init, held)
+		if s.Tag != nil {
+			c.checkExpr(s.Tag, held, false)
+		}
+		return c.walkCases(s.Body, label, held, hasDefaultCase(s.Body))
+	case *ast.TypeSwitchStmt:
+		c.walkStmt(s.Init, held)
+		c.walkStmt(s.Assign, held)
+		return c.walkCases(s.Body, label, held, hasDefaultCase(s.Body))
+	case *ast.SelectStmt:
+		return c.walkCases(s.Body, label, held, true)
+	}
+	return false
+}
+
+func (c *checker) pushTarget(label string, loop bool) *branchTarget {
+	t := &branchTarget{label: label, loop: loop}
+	c.targets = append(c.targets, t)
+	return t
+}
+
+func (c *checker) popTarget() { c.targets = c.targets[:len(c.targets)-1] }
+
+// walkLoop analyzes a loop body. An iteration ends at the body's end or
+// at a continue; the loop exits before any iteration or after one
+// (unless it has no condition) and at every break. The lock set after
+// the loop is the intersection over its exits; a loop without one
+// terminates the path.
+func (c *checker) walkLoop(body *ast.BlockStmt, post ast.Stmt, forever bool, label string, held map[string]*heldLock) bool {
+	t := c.pushTarget(label, true)
+	h := cloneHeld(held)
+	if !c.walkStmts(body.List, h) {
+		t.conts = append(t.conts, h)
+	}
+	c.popTarget()
+	exits := t.breaks
+	if !forever {
+		exits = append(exits, cloneHeld(held))
+	}
+	if len(t.conts) > 0 {
+		end := intersectAll(t.conts)
+		c.walkStmt(post, end)
+		if !forever {
+			exits = append(exits, end)
+		}
+	}
+	if len(exits) == 0 {
+		return true
+	}
+	replace(held, intersectAll(exits))
+	return false
+}
+
+// branch sends the lock set at a break, continue or goto to where the
+// branch lands: the exit or next iteration of its target statement, or
+// the entry of its label. A fallthrough is handled by walkCases.
+func (c *checker) branch(s *ast.BranchStmt, held map[string]*heldLock) {
+	label := ""
+	if s.Label != nil {
+		label = s.Label.Name
+	}
+	switch s.Tok {
+	case token.GOTO:
+		in, seen := c.labelIn[label]
+		if !seen {
+			c.gotos[label] = append(c.gotos[label], cloneHeld(held))
+		} else if !covers(held, in) {
+			// Backward: the label's code was checked under a stronger
+			// entry set than this path brings.
+			c.narrow[label] = intersectHeld(in, held)
+			c.redo = true
+		}
+	case token.BREAK, token.CONTINUE:
+		for i := len(c.targets) - 1; i >= 0; i-- {
+			t := c.targets[i]
+			if label != "" && t.label != label || s.Tok == token.CONTINUE && !t.loop {
+				continue
+			}
+			if s.Tok == token.BREAK {
+				t.breaks = append(t.breaks, cloneHeld(held))
+			} else {
+				t.conts = append(t.conts, cloneHeld(held))
+			}
+			return
+		}
+	}
+}
+
+// enterLabel merges the lock sets of forward gotos (and, from earlier
+// passes, backward ones) into the entry set of a label.
+func (c *checker) enterLabel(label string, held map[string]*heldLock) {
+	for _, g := range c.gotos[label] {
+		replace(held, intersectHeld(held, g))
+	}
+	delete(c.gotos, label)
+	if n, ok := c.narrow[label]; ok {
+		replace(held, intersectHeld(held, n))
+	}
+	c.labelIn[label] = cloneHeld(held)
 }
 
 // walkIf handles branch-aware lock state, including the TryLock idiom:
@@ -479,8 +651,6 @@ func (c *checker) tryLockCond(s *ast.IfStmt, held map[string]*heldLock) (*heldLo
 	return nil, false, false
 }
 
-func merge(dst, src map[string]*heldLock) { replace(dst, src) }
-
 func replace(dst, src map[string]*heldLock) {
 	for k := range dst {
 		delete(dst, k)
@@ -507,15 +677,23 @@ func hasDefaultCase(body *ast.BlockStmt) bool {
 }
 
 // walkCases analyzes switch/select bodies: each case starts from the
-// pre-state; the post-state is the intersection of every non-terminating
-// case end (and the pre-state, when no default guarantees entry).
-func (c *checker) walkCases(body *ast.BlockStmt, held map[string]*heldLock, exhaustive bool) bool {
+// pre-state (narrowed by a fallthrough into it); the post-state is the
+// intersection of every case end and break (and the pre-state, when no
+// default guarantees entry). Only if every path ends elsewhere does
+// the statement terminate.
+func (c *checker) walkCases(body *ast.BlockStmt, label string, held map[string]*heldLock, exhaustive bool) bool {
+	t := c.pushTarget(label, false)
 	post := []map[string]*heldLock{}
 	if !exhaustive {
 		post = append(post, cloneHeld(held))
 	}
-	allTerm := len(body.List) > 0
+	var through map[string]*heldLock
 	for _, s := range body.List {
+		h := cloneHeld(held)
+		if through != nil {
+			h = intersectHeld(h, through)
+			through = nil
+		}
 		var stmts []ast.Stmt
 		switch cc := s.(type) {
 		case *ast.CaseClause:
@@ -524,32 +702,25 @@ func (c *checker) walkCases(body *ast.BlockStmt, held map[string]*heldLock, exha
 			}
 			stmts = cc.Body
 		case *ast.CommClause:
-			h := cloneHeld(held)
 			c.walkStmt(cc.Comm, h)
-			if !c.walkStmts(cc.Body, h) {
-				post = append(post, h)
-				allTerm = false
-			}
-			continue
+			stmts = cc.Body
 		default:
 			continue
 		}
-		h := cloneHeld(held)
 		if !c.walkStmts(stmts, h) {
 			post = append(post, h)
-			allTerm = false
+		} else if n := len(stmts); n > 0 {
+			if b, ok := stmts[n-1].(*ast.BranchStmt); ok && b.Tok == token.FALLTHROUGH {
+				through = h
+			}
 		}
 	}
-	if exhaustive && allTerm {
-		return true
+	c.popTarget()
+	post = append(post, t.breaks...)
+	if len(post) == 0 {
+		return exhaustive && len(body.List) > 0
 	}
-	if len(post) > 0 {
-		acc := post[0]
-		for _, p := range post[1:] {
-			acc = intersectHeld(acc, p)
-		}
-		replace(held, acc)
-	}
+	replace(held, intersectAll(post))
 	return false
 }
 
@@ -742,6 +913,9 @@ func (c *checker) checkSelector(sel *ast.SelectorExpr, held map[string]*heldLock
 	}
 	g, ok := c.guarded[obj]
 	if !ok {
+		return
+	}
+	if c.quiet {
 		return
 	}
 	if lk := c.satisfies(g, sel, held); lk != nil {

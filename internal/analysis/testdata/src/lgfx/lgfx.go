@@ -160,3 +160,96 @@ func newCounter() *counter {
 func (c *counter) allowed() int {
 	return c.n //howsim:allow lockguard -- snapshot read; staleness is acceptable here
 }
+
+// Branches: an unlabeled break ends its case, not the path, so the code
+// after a switch whose every arm breaks is still checked.
+func (c *counter) badAfterBreakingSwitch(b bool) {
+	switch {
+	case b:
+		break
+	default:
+		break
+	}
+	c.n++ // want `c\.n written without holding mu`
+}
+
+// A break carries its lock set out of the loop it leaves.
+func (c *counter) badBreakOutOfLoop(xs []int) {
+	c.mu.Lock()
+	for _, x := range xs {
+		if x < 0 {
+			c.mu.Unlock()
+			break
+		}
+	}
+	c.n++ // want `c\.n written without holding mu`
+}
+
+// A labeled continue ends an iteration of the outer loop.
+func (c *counter) badLabeledContinue(rows [][]int) {
+	c.mu.Lock()
+outer:
+	for _, r := range rows {
+		for _, x := range r {
+			if x < 0 {
+				c.mu.Unlock()
+				continue outer
+			}
+		}
+	}
+	c.n++ // want `c\.n written without holding mu`
+}
+
+// A labeled break out of a select leaves the enclosing loop; a `for {}`
+// is left only by its breaks.
+func (c *counter) okLabeledBreak(ch chan int) {
+loop:
+	for {
+		select {
+		case <-ch:
+			c.mu.Lock()
+			break loop
+		default:
+		}
+	}
+	c.n++ // ok: the only exit holds mu
+	c.mu.Unlock()
+}
+
+// A forward goto brings its lock set to the label.
+func (c *counter) badForwardGoto(b bool) {
+	c.mu.Lock()
+	if b {
+		c.mu.Unlock()
+		goto out
+	}
+	c.n++ // ok: the unlocking branch jumped past
+out:
+	c.n++ // want `c\.n written without holding mu`
+}
+
+// A backward goto weakens the entry set of code already walked.
+func (c *counter) badBackwardGoto(again func() bool) {
+	c.mu.Lock()
+retry:
+	c.n++ // want `c\.n written without holding mu`
+	c.mu.Unlock()
+	if again() {
+		goto retry
+	}
+}
+
+// A fallthrough enters the next case with its lock set.
+func (c *counter) badFallthrough(k int) {
+	c.mu.Lock()
+	switch k {
+	case 0:
+		c.mu.Unlock()
+		fallthrough
+	case 1:
+		c.n++ // want `c\.n written without holding mu`
+		return
+	}
+	c.n++ // ok: every case that reaches here holds mu
+	c.mu.Unlock()
+}
