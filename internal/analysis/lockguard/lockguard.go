@@ -14,7 +14,8 @@
 // lock held to every return, `if mu.TryLock() { … }` holds inside the
 // branch, and branches that terminate (return/panic) discard their lock
 // effects — so the early-unlock-and-return idiom does not poison the
-// fall-through path. `sync.Cond.Wait` is lock-neutral (it reacquires
+// fall-through path. break, continue, goto and fallthrough carry their
+// lock set to where they land. `sync.Cond.Wait` is lock-neutral (it reacquires
 // before returning). A method whose name ends in "Locked" is, by the
 // repo's naming convention, documented to be called with its receiver's
 // mutexes held and is analyzed that way.

@@ -1,14 +1,17 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 
 	"howsim/internal/probe"
 )
 
 // event is a scheduled occurrence: either a kernel-context callback (fn)
-// or the wake-up of a parked task (tk) — resuming a goroutine process or
+// or the wake-up of a parked task (tk) — resuming a process coroutine or
 // dispatching a callback-mode continuation. Events at equal times fire
 // in the order they were scheduled (seq breaks ties), which keeps the
 // simulation deterministic. Events are stored by value in the kernel's
@@ -43,14 +46,15 @@ type lineage [7]Time
 
 // Kernel is a discrete-event simulation scheduler. Create one with
 // NewKernel, spawn processes with Spawn, and advance virtual time with
-// Run (or RunUntil). A Kernel must not be shared across OS threads: all
+// Run (or RunUntil). A Kernel is not safe for concurrent use: all
 // interaction happens from the goroutine that calls Run and from the
-// process goroutines it schedules, exactly one of which is ever active.
+// process coroutines it resumes. Resuming a coroutine suspends the
+// caller until the process parks, so exactly one of {kernel, one
+// process} is ever running.
 type Kernel struct {
 	now     Time
 	events  eventQueue
 	seq     uint64
-	yield   chan struct{}
 	live    int // processes spawned and not yet finished
 	blocked int // processes and tasks parked without a pending wake event
 	limit   Time
@@ -85,9 +89,9 @@ type Kernel struct {
 	publish func(Time)
 	procSeq int
 	procs   []*Proc // every spawned process, for deadlock reporting
-	// procFree holds finished processes whose worker goroutines are
-	// parked on their resume channel awaiting reuse; Spawn pops from it
-	// so steady-state spawning allocates nothing. Close releases them.
+	// procFree holds finished processes whose coroutines are suspended
+	// between bodies awaiting reuse; Spawn pops from it so steady-state
+	// spawning allocates nothing. Close stops them.
 	procFree  []*Proc
 	tasks     []*Task // every bare callback task, for deadlock reporting
 	taskFree  []*Task
@@ -104,7 +108,7 @@ type Kernel struct {
 // NewKernel returns an empty simulation kernel at time zero, executing
 // in DefaultExecMode.
 func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{}), mode: DefaultExecMode}
+	return &Kernel{mode: DefaultExecMode}
 }
 
 // Now returns the current virtual time.
@@ -374,8 +378,8 @@ type procKilled struct{}
 
 // Shutdown aborts a run in progress: every live process — parked on a
 // timer, a waiter queue, an Await, or not yet started — is resumed into
-// a panic that unwinds its body, returning its worker goroutine to the
-// free pool, and parked callback tasks are marked finished; then the
+// a panic that unwinds its body, returning its coroutine to the free
+// pool, and parked callback tasks are marked finished; then the
 // pool is released via Close. Afterwards Blocked() is zero and
 // DeadlockReport returns "": a cancelled simulation leaves no parked
 // procs and leaks no goroutines. Like Close, Shutdown must only be
@@ -408,25 +412,28 @@ func (k *Kernel) Shutdown() {
 	k.Close()
 }
 
-// Close releases the pooled worker goroutines of finished processes.
-// Call it once after the final Run on kernels that spawned processes;
-// without it the pooled workers stay parked on their resume channels
-// for the life of the OS process. The kernel remains usable afterwards
-// (Spawn simply creates fresh workers). Close is idempotent and must
-// not be called while the kernel is running.
+// Close stops the pooled coroutines of finished processes; each one's
+// goroutine has exited when Close returns. Call it once after the final
+// Run on kernels that spawned processes; without it the pooled
+// coroutines stay suspended for the life of the OS process. The kernel
+// remains usable afterwards (Spawn simply creates fresh coroutines).
+// Close is idempotent and must not be called while the kernel is
+// running.
 func (k *Kernel) Close() {
 	for i, p := range k.procFree {
-		close(p.resume)
+		p.stop()
 		k.procFree[i] = nil
 	}
 	k.procFree = k.procFree[:0]
 }
 
-// activate hands control to p and waits until p parks or finishes.
+// activate hands control to p and returns once p parks or finishes. The
+// switch goes straight to p's coroutine and back without entering the
+// Go scheduler. A panic in p's body (other than the Shutdown sentinel)
+// surfaces here, on the kernel's goroutine.
 func (k *Kernel) activate(p *Proc) {
 	k.running = p
-	p.resume <- struct{}{}
-	<-k.yield
+	p.next()
 	k.running = nil
 }
 
@@ -448,7 +455,7 @@ func (k *Kernel) Handoff(p *Proc) {
 	k.activate(p)
 }
 
-// Proc is a simulation process: a goroutine whose execution is
+// Proc is a simulation process: a coroutine whose execution is
 // interleaved with virtual time. Process bodies call the blocking
 // methods (Delay, Resource.Acquire, Mailbox.Get, ...) to advance the
 // clock; between those calls they execute instantaneously in simulation
@@ -456,8 +463,12 @@ func (k *Kernel) Handoff(p *Proc) {
 // so processes and callback tasks share the same waiter queues.
 type Proc struct {
 	Task
-	resume chan struct{}
-	body   func(*Proc)
+	// next resumes the coroutine (kernel side), yield suspends it
+	// (process side) and stop ends a pooled one; see run.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+	body  func(*Proc)
 	// xrank is the delivery rank of the cross-shard rendezvous that most
 	// recently resumed this process (ShardGroup.respond): the tie-break
 	// that orders same-position requests from processes running in
@@ -470,9 +481,9 @@ type Proc struct {
 
 // Spawn creates a process running body and schedules it to start at the
 // current virtual time. It may be called before Run or from inside any
-// process or event callback. Finished processes park their worker
-// goroutine in a free pool and Spawn reuses them — steady-state
-// spawning performs no allocation and creates no goroutine.
+// process or event callback. Finished processes park their coroutine
+// in a free pool and Spawn reuses them — steady-state spawning performs
+// no allocation and creates no goroutine.
 func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 	p := k.newProc(name, body)
 	k.scheduleProc(p, k.now)
@@ -490,7 +501,7 @@ func (k *Kernel) spawnInline(name string, body func(*Proc)) {
 	k.activate(k.newProc(name, body))
 }
 
-// newProc prepares a process (reusing a pooled worker when possible)
+// newProc prepares a process (reusing a pooled coroutine when possible)
 // without scheduling or running it.
 func (k *Kernel) newProc(name string, body func(*Proc)) *Proc {
 	k.procSeq++
@@ -501,10 +512,10 @@ func (k *Kernel) newProc(name string, body func(*Proc)) *Proc {
 		k.procFree = k.procFree[:n-1]
 		p.finished = false
 	} else {
-		p = &Proc{resume: make(chan struct{})}
+		p = &Proc{}
 		p.k = k
 		p.proc = p
-		go p.run()
+		p.next, p.stop = iter.Pull(p.run)
 	}
 	p.name, p.id = name, k.procSeq
 	p.body = body
@@ -532,24 +543,24 @@ func (k *Kernel) newProc(name string, body func(*Proc)) *Proc {
 	return p
 }
 
-// run is the worker goroutine behind a process. After a body returns
-// the worker parks itself in the kernel's free pool and blocks on its
-// resume channel until Spawn reuses it with a new body — or Close
-// closes the channel to let it exit. The pool mutations are safe
-// without locks: they happen strictly between receiving resume and
-// sending yield, while the kernel goroutine is blocked in activate.
-func (p *Proc) run() {
+// run is the coroutine behind a process; the first activate starts it.
+// After a body returns the coroutine puts itself in the kernel's free
+// pool and suspends until Spawn reuses it with a new body — or Close
+// stops it, which makes yield report false and lets it return. The pool
+// mutations are safe without locks: they happen while the kernel is
+// suspended in activate.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
 	k := p.k
 	for {
-		if _, ok := <-p.resume; !ok {
-			return
-		}
 		p.runBody()
 		p.body = nil
 		p.finished = true
 		k.live--
 		k.procFree = append(k.procFree, p)
-		k.yield <- struct{}{}
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
@@ -579,15 +590,14 @@ func (p *Proc) runBody() {
 // responsible for having arranged a wake-up (a timer or registration in
 // a waiter queue); parking with neither deadlocks that process.
 //
-// The handoff is two operations on unbuffered channels of empty structs:
-// neither direction allocates, and the channels must stay unbuffered so
-// that exactly one of {kernel, one process} is ever runnable.
+// The switch back to the kernel is a direct coroutine switch: it does
+// not allocate, does not enter the Go scheduler, and leaves exactly one
+// of {kernel, one process} running.
 func (p *Proc) park() {
 	if p.k.dying {
 		panic(procKilled{})
 	}
-	p.k.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	if p.k.dying {
 		panic(procKilled{})
 	}

@@ -66,7 +66,7 @@ func BenchmarkKernelSameTimeFanout(b *testing.B) {
 }
 
 // BenchmarkKernelParkResume measures the full process context-switch
-// round trip: schedule a wake, park the goroutine, hand control to the
+// round trip: schedule a wake, park the coroutine, hand control to the
 // kernel and back.
 func BenchmarkKernelParkResume(b *testing.B) {
 	k := NewKernel()
@@ -126,7 +126,7 @@ func BenchmarkKernelMailboxPingPong(b *testing.B) {
 // BenchmarkKernelCallbackPingPong is BenchmarkKernelMailboxPingPong on
 // the callback API: the same two-mailbox bounce driven by bare tasks
 // with pre-bound continuations, so each hop is a dispatch in kernel
-// context instead of a goroutine park/resume round trip. The ratio
+// context instead of a process park/resume round trip. The ratio
 // between the two benchmarks is the payoff of the event-driven fast
 // path.
 func BenchmarkKernelCallbackPingPong(b *testing.B) {

@@ -787,7 +787,7 @@ func (g *ShardGroup) Run() Time {
 	return final
 }
 
-// Close releases the pooled worker goroutines of every kernel in the
+// Close stops the pooled process coroutines of every kernel in the
 // group. Call once after Run.
 func (g *ShardGroup) Close() {
 	g.hub.Close()

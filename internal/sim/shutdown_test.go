@@ -7,7 +7,7 @@ import (
 )
 
 // drainGoroutines polls until the goroutine count settles back to at
-// most base (worker goroutines exit asynchronously after Close).
+// most base.
 func drainGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -26,8 +26,8 @@ func drainGoroutines(t *testing.T, base int) {
 // TestShutdownFreesParkedProcs parks processes on every flavor of wait —
 // a mailbox, a resource, a timer, and never-started — abandons the run
 // mid-flight, and checks Shutdown unwinds all of them: no parked procs
-// in the deadlock report, blocked count zero, and every worker goroutine
-// gone.
+// in the deadlock report, blocked count zero, and every process
+// coroutine gone.
 func TestShutdownFreesParkedProcs(t *testing.T) {
 	base := runtime.NumGoroutine()
 	k := NewKernel()
@@ -106,4 +106,48 @@ func TestShutdownAfterCleanRunIsNoop(t *testing.T) {
 	}
 	k.Shutdown()
 	drainGoroutines(t, base)
+}
+
+// TestCloseStopsPooledCoroutines checks Close ends every pooled
+// process coroutine before it returns: the goroutine count is back at
+// its baseline at once, with no polling.
+func TestCloseStopsPooledCoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	for i := 0; i < 8; i++ {
+		k.Spawn("worker", func(p *Proc) { p.Delay(Time(i) * Millisecond) })
+	}
+	k.Run()
+	if n := runtime.NumGoroutine(); n < base+8 {
+		t.Fatalf("test setup: %d goroutines after the run, want >= %d pooled", n, base+8)
+	}
+	k.Close()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines live after Close, want <= %d", n, base)
+	}
+}
+
+// TestProcPanicSurfacesFromRun checks a process body that panics with
+// its own value unwinds into the goroutine that called Run, where the
+// caller can recover it, and leaves no goroutine behind.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	k.Spawn("bystander", func(p *Proc) { p.Delay(Second) })
+	k.Spawn("boom", func(p *Proc) {
+		p.Delay(Millisecond)
+		panic("boom")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		k.Run()
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("Run recovered %v, want the body's panic value %q", got, "boom")
+	}
+	k.Shutdown()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines live after Shutdown, want <= %d", n, base)
+	}
 }

@@ -71,12 +71,12 @@ const (
 	taskWaitSignal
 )
 
-// Task is an execution identity for model code. Every goroutine process
+// Task is an execution identity for model code. Every process
 // owns one (Proc embeds Task), and callback-mode state machines use a
 // bare Task from Kernel.NewTask: a handle that can park in the same
 // waiter queues as processes — carrying a name, ID and wait site for
 // deadlock reporting — but resumes by running a stored continuation in
-// kernel context instead of unparking a goroutine. Bare tasks are
+// kernel context instead of resuming a process coroutine. Bare tasks are
 // pooled (NewTask after Finish reuses storage) and parking/waking one
 // never allocates, which is what makes the event-driven fast path
 // allocation-free in steady state.
@@ -84,7 +84,7 @@ type Task struct {
 	name string
 	id   int
 	k    *Kernel
-	proc *Proc // non-nil when this task is the identity of a goroutine process
+	proc *Proc // non-nil when this task is the identity of a process
 
 	finished bool
 	inReg    bool // present in the kernel's registry (procs or tasks slice)
@@ -190,8 +190,7 @@ func (k *Kernel) NewTask(name string) *Task {
 // Finish retires a bare task, returning it to the kernel's pool. It
 // panics if the task is still parked (a parked task has a pending wake
 // that would otherwise resume recycled state) or if it is the identity
-// of a goroutine process (processes finish by returning from their
-// body).
+// of a process (processes finish by returning from their body).
 func (t *Task) Finish() {
 	if t.proc != nil {
 		panic(fmt.Sprintf("sim: Finish on process task %q", t.name))
@@ -212,7 +211,7 @@ func (t *Task) Finish() {
 }
 
 // wake schedules the task's resumption at the current virtual time (via
-// the same-timestamp fast lane): a goroutine handoff for processes, a
+// the same-timestamp fast lane): a coroutine switch for processes, a
 // continuation dispatch for bare tasks.
 func (t *Task) wake() {
 	t.k.sched.Count(probe.KindWakes, 1)

@@ -1,12 +1,12 @@
 // Package sim provides a deterministic, process-oriented discrete-event
 // simulation kernel. It is the foundation of Howsim: disks, interconnects,
 // networks, processors and operating-system models are all expressed as
-// processes (cooperatively scheduled goroutines) that exchange messages
+// processes (cooperatively scheduled coroutines) that exchange messages
 // through mailboxes and contend for resources.
 //
 // The kernel is strictly single-threaded from the simulation's point of
 // view: exactly one process runs at any instant, and control is handed
-// between the scheduler and processes over unbuffered channels. Together
+// between the scheduler and processes by direct coroutine switches. Together
 // with FIFO waiter queues and a monotonically increasing event sequence
 // number this makes every simulation run bit-for-bit deterministic.
 package sim

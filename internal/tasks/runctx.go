@@ -58,11 +58,14 @@ func (rc *runCtl) run(k *sim.Kernel) sim.Time {
 	}
 }
 
-// abort tears down an abandoned kernel: every parked process is unwound
-// and its worker goroutine released, so a cancelled request frees its
-// simulation resources immediately. Probe recording is suppressed for
-// the teardown so unwinding defers cannot emit into the caller's sink.
-func (rc *runCtl) abort(k *sim.Kernel) {
+// release tears down a kernel once its run is over, completed or
+// cancelled: every process still parked (a cluster's MPI dispatchers
+// after a completed run, any process of an abandoned one) is unwound
+// and its coroutine released, so a run frees its simulation resources
+// as it returns. Probe recording is suppressed for the teardown so
+// unwinding defers cannot emit into the caller's sink: a completed
+// run's trace is the same as without it.
+func release(k *sim.Kernel) {
 	if s := k.Probe(); s.Enabled() {
 		s.SetEnabled(false)
 		defer s.SetEnabled(true)
@@ -75,8 +78,8 @@ func (rc *runCtl) abort(k *sim.Kernel) {
 // global state is consulted, so concurrent callers may run different
 // -procmode settings side by side) and honors ctx cancellation and
 // deadlines mid-run. On cancellation it returns ctx.Err() after
-// unwinding the partial simulation — no parked processes or worker
-// goroutines survive an abandoned run.
+// unwinding the partial simulation. No parked process or its goroutine
+// survives a run, completed or abandoned.
 //
 // A completed run is byte-identical to the same run through the plain
 // entry points: Details, Elapsed, fault reports and probe emissions do

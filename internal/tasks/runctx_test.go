@@ -99,3 +99,23 @@ func TestRunCtxCancelMidRunFreesWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestRunCtxCompletedRunLeavesNoGoroutines runs every task on every
+// architecture to completion and checks the goroutine count returns to
+// its baseline: processes still parked when the run ends (a cluster's
+// MPI dispatchers, for instance) are unwound, not abandoned.
+func TestRunCtxCompletedRunLeavesNoGoroutines(t *testing.T) {
+	for _, mode := range []sim.ExecMode{sim.ModeEvent, sim.ModeGoroutine, sim.ModeParallel} {
+		for _, task := range workload.AllTasks() {
+			for _, cfg := range []arch.Config{arch.ActiveDisks(4), arch.Cluster(4), arch.SMP(4)} {
+				base := runtime.NumGoroutine()
+				if _, err := RunCtx(context.Background(), cfg, task, scaled(task, 16<<20), nil, nil, mode); err != nil {
+					t.Fatalf("%v/%s/%v: %v", task, cfg.Name(), mode, err)
+				}
+				if n := runtime.NumGoroutine(); n > base {
+					t.Errorf("%v/%s/%v: %d goroutines live after the run, want <= %d", task, cfg.Name(), mode, n, base)
+				}
+			}
+		}
+	}
+}

@@ -19,7 +19,7 @@ func runSMP(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *Res
 	plan *fault.Plan, sink *probe.Sink, rc *runCtl) {
 	k := sim.NewKernel()
 	k.SetExecMode(rc.mode)
-	defer k.Close()
+	defer release(k)
 	k.SetProbe(sink)
 	m := cfg.BuildSMP(k)
 	m.InstallFaults(plan)
@@ -47,7 +47,6 @@ func runSMP(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *Res
 	}
 	res.Elapsed = rc.run(k)
 	if rc.cancelled {
-		rc.abort(k)
 		return
 	}
 	completed := done.Fired()
