@@ -101,11 +101,12 @@ func TestRunCtxCancelMidRunFreesWorkers(t *testing.T) {
 }
 
 // TestRunCtxCompletedRunLeavesNoGoroutines runs every task on every
-// architecture to completion and checks the goroutine count returns to
-// its baseline: processes still parked when the run ends (a cluster's
-// MPI dispatchers, for instance) are unwound, not abandoned.
+// architecture to completion in both single-kernel modes and checks the
+// goroutine count returns to its baseline: processes still parked when
+// the run ends (a cluster's MPI dispatchers, for instance) are unwound,
+// not abandoned.
 func TestRunCtxCompletedRunLeavesNoGoroutines(t *testing.T) {
-	for _, mode := range []sim.ExecMode{sim.ModeEvent, sim.ModeGoroutine, sim.ModeParallel} {
+	for _, mode := range []sim.ExecMode{sim.ModeEvent, sim.ModeGoroutine} {
 		for _, task := range workload.AllTasks() {
 			for _, cfg := range []arch.Config{arch.ActiveDisks(4), arch.Cluster(4), arch.SMP(4)} {
 				base := runtime.NumGoroutine()
