@@ -34,7 +34,8 @@ type Request struct {
 	// request completed (successfully or not).
 	Retries int
 
-	done     *sim.Signal
+	// done is held by value, so a request's completion allocates nothing.
+	done     sim.Signal
 	Queued   sim.Time // when the request entered the disk queue
 	Started  sim.Time // when the disk began servicing it
 	Finished sim.Time // when data was in the buffer (read) or on media (write)
@@ -289,7 +290,7 @@ func (d *Disk) Submit(req *Request) *Request {
 	if end > d.geom.totalSectors {
 		panic(fmt.Sprintf("disk %s: request beyond capacity (%d > %d sectors)", d.name, end, d.geom.totalSectors))
 	}
-	req.done = sim.NewSignal()
+	req.done = sim.Signal{}
 	req.Queued = d.k.Now()
 	if d.pr.On() {
 		d.pr.Sample(probe.KindQueue, int64(d.QueueLen()))

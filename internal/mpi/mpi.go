@@ -120,7 +120,7 @@ func (ep *Endpoint) Send(p *sim.Proc, dst, tag int, bytes int64, payload any) {
 
 // Handle tracks an asynchronous operation.
 type Handle struct {
-	done *sim.Signal
+	done sim.Signal
 	msg  *netsim.Message
 }
 
@@ -142,7 +142,7 @@ func (ep *Endpoint) Isend(p *sim.Proc, dst, tag int, bytes int64, payload any) *
 	ep.chargeCPU(p, ep.w.cost.MessageSend)
 	ep.sent++
 	ep.bytesSent += bytes
-	h := &Handle{done: sim.NewSignal()}
+	h := &Handle{}
 	ep.w.net.Kernel().Spawn(fmt.Sprintf("isend%d->%d", ep.rank, dst), func(ip *sim.Proc) {
 		m := ep.w.net.Send(ip, ep.rank, dst, tag, bytes, payload)
 		m.Wait(ip)
@@ -158,7 +158,7 @@ func (ep *Endpoint) Isend(p *sim.Proc, dst, tag int, bytes int64, payload any) *
 // Message() then returns it. The receive cost is charged when the
 // posting rank waits on the handle.
 func (ep *Endpoint) Irecv(src, tag int) *Handle {
-	h := &Handle{done: sim.NewSignal()}
+	h := &Handle{}
 	for i, m := range ep.pending {
 		if matches(m, src, tag) {
 			ep.pending = append(ep.pending[:i], ep.pending[i+1:]...)
@@ -168,7 +168,7 @@ func (ep *Endpoint) Irecv(src, tag int) *Handle {
 			return h
 		}
 	}
-	w := &recvWaiter{src: src, tag: tag, done: h.done}
+	w := &recvWaiter{src: src, tag: tag, done: &h.done}
 	ep.waiters = append(ep.waiters, w)
 	// Bridge the waiter's message into the handle when it fires.
 	ep.w.net.Kernel().Spawn("irecv.bridge", func(bp *sim.Proc) {

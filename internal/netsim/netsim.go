@@ -38,7 +38,7 @@ type Message struct {
 	DeliveredAt sim.Time
 
 	framesLeft int
-	done       *sim.Signal
+	done       sim.Signal
 }
 
 // Wait blocks p until the message has been fully delivered.
@@ -341,7 +341,7 @@ func (n *Network) Send(p *sim.Proc, src, dst, tag int, bytes int64, payload any)
 	n.msgSeq++
 	m := &Message{
 		ID: n.msgSeq, Src: src, Dst: dst, Tag: tag, Bytes: bytes,
-		Payload: payload, SentAt: p.Now(), done: sim.NewSignal(),
+		Payload: payload, SentAt: p.Now(),
 	}
 	if src == dst {
 		m.framesLeft = 1

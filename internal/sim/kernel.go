@@ -14,8 +14,9 @@ import (
 // or the wake-up of a parked task (tk) — resuming a process coroutine or
 // dispatching a callback-mode continuation. Events at equal times fire
 // in the order they were scheduled (seq breaks ties), which keeps the
-// simulation deterministic. Events are stored by value in the kernel's
-// queue — scheduling one never allocates.
+// simulation deterministic. Each event lives in one slot of the
+// kernel's queue slab from schedule until it runs — scheduling one
+// never allocates, and only 24-byte keys move through the timer heap.
 type event struct {
 	t   Time
 	seq uint64
@@ -178,19 +179,17 @@ func (k *Kernel) DeadlockReport() string {
 	return sb.String()
 }
 
-// schedule enqueues an event at absolute time t. Events for the current
-// instant take the FIFO fast lane (no heap work); future events go into
-// the min-heap. Both paths are allocation-free in steady state.
+// schedule enqueues an event at absolute time t, filling a queue slot
+// in place. Events for the current instant take the FIFO fast lane (no
+// heap work); future events go into the min-heap. Both paths are
+// allocation-free in steady state.
 func (k *Kernel) schedule(t Time, fn func(), tk *Task) {
 	k.seq++
-	e := event{t: t, seq: k.seq, schedT: k.now, fn: fn, tk: tk}
+	s, e := k.events.alloc()
+	e.t, e.seq, e.schedT, e.fn, e.tk = t, k.seq, k.now, fn, tk
 	e.anc[0] = k.curSched
 	copy(e.anc[1:], k.curAnc[:len(e.anc)-1])
-	if t == k.now {
-		k.events.fast.push(e)
-	} else {
-		k.events.pushHeap(e)
-	}
+	k.events.push(s, k.now)
 }
 
 // At schedules fn to run in kernel context at absolute time t. Scheduling
@@ -235,19 +234,22 @@ func (k *Kernel) Run() Time {
 				}
 			}
 		}
+		// The popped slot is free again: copy the event out and clear
+		// its references before anything can schedule into it.
 		e := k.events.pop()
-		if k.publish != nil && e.t != k.now {
-			k.publish(e.t)
-		}
-		k.now = e.t
+		t, fn, tk := e.t, e.fn, e.tk
+		e.fn, e.tk = nil, nil
 		k.curSched = e.schedT
 		k.curAnc = e.anc
+		if k.publish != nil && t != k.now {
+			k.publish(t)
+		}
+		k.now = t
 		k.sched.Count(probe.KindEvents, 1)
-		if e.fn != nil {
-			e.fn()
+		if fn != nil {
+			fn()
 			continue
 		}
-		tk := e.tk
 		if tk.finished {
 			continue // stale wake for a process/task that already exited
 		}

@@ -6,11 +6,13 @@ package sim
 //     storage and zeroes popped slots, used for every waiter queue
 //     (mailbox getters/putters, resource waiters, barrier/signal/
 //     waitgroup parties) and for mailbox items;
-//   - eventRing: a power-of-two ring buffer holding the same-timestamp
-//     fast lane;
-//   - eventQueue: a hand-specialized binary min-heap of event values
-//     (no interface boxing, no per-event allocation) combined with the
-//     fast lane.
+//   - eventQueue: the kernel's pending events. Each event lives in one
+//     slot of a slab ([]event plus a free list of int32 slot indices)
+//     from schedule until pop; the orderings move only small keys — a
+//     binary min-heap of 24-byte heapKey{t, seq, slot} values for future
+//     timers, and slotRing, a power-of-two ring of int32 slots holding
+//     the same-timestamp fast lane. No event value is copied while it
+//     is queued.
 //
 // In steady state none of these allocate: slices and ring buffers grow
 // to a high-water mark once and are reused for the rest of the run,
@@ -61,36 +63,35 @@ func (q *fifo[T]) pop() T {
 // until the next push or pop.
 func (q *fifo[T]) peek() *T { return &q.s[q.head] }
 
-// eventRing is a power-of-two-sized ring buffer of events: the
+// slotRing is a power-of-two-sized ring buffer of event slots: the
 // same-timestamp fast lane. Events scheduled for the current instant
 // are FIFO by construction (sequence numbers are monotonic), so a ring
 // preserves (t, seq) order without any heap work.
-type eventRing struct {
-	buf  []event
+type slotRing struct {
+	buf  []int32
 	head int
 	n    int
 }
 
-func (r *eventRing) push(e event) {
+func (r *slotRing) push(s int32) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = e
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = s
 	r.n++
 }
 
-func (r *eventRing) pop() event {
-	e := r.buf[r.head]
-	r.buf[r.head] = event{}
+func (r *slotRing) pop() int32 {
+	s := r.buf[r.head]
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
-	return e
+	return s
 }
 
-func (r *eventRing) peek() *event { return &r.buf[r.head] }
+func (r *slotRing) peek() int32 { return r.buf[r.head] }
 
-func (r *eventRing) grow() {
-	next := make([]event, max(8, 2*len(r.buf)))
+func (r *slotRing) grow() {
+	next := make([]int32, max(8, 2*len(r.buf)))
 	for i := 0; i < r.n; i++ {
 		next[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
@@ -98,99 +99,146 @@ func (r *eventRing) grow() {
 	r.head = 0
 }
 
-// eventQueue orders events by (t, seq): a binary min-heap of event
-// values for future timers plus the fast-lane ring for events scheduled
-// at the current instant. Storing events by value subsumes a freelist —
-// there is no per-event allocation to recycle in the first place; the
-// heap slice and ring grow once to their high-water mark.
-type eventQueue struct {
-	heap []event
-	fast eventRing
+// heapKey is a timer-heap entry: the event's ordering key plus the slab
+// slot holding the event itself. Sifting moves these 24-byte keys, never
+// the event.
+type heapKey struct {
+	t    Time
+	seq  uint64
+	slot int32
 }
 
-func eventBefore(a, b *event) bool {
+func keyBefore(a, b *heapKey) bool {
 	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
+}
+
+// eventQueue orders events by (t, seq). Every pending event occupies
+// one slab slot from schedule until pop; a min-heap of heapKeys orders
+// future timers and the fast-lane ring holds events scheduled at the
+// current instant. Freed slots are reused LIFO, so the slab, heap, ring
+// and free list all grow once to their high-water mark and scheduling
+// never allocates after that.
+type eventQueue struct {
+	slab []event
+	free []int32
+	heap []heapKey
+	fast slotRing
 }
 
 func (q *eventQueue) empty() bool { return len(q.heap) == 0 && q.fast.n == 0 }
 
 func (q *eventQueue) len() int { return len(q.heap) + q.fast.n }
 
-// peekTime returns the time of the next event; the queue must be
-// non-empty. Fast-lane events never postdate the heap top (they are
-// scheduled at the instant the kernel is executing), so the fast head
-// wins whenever it exists and the timestamps differ.
-func (q *eventQueue) peekTime() Time {
+// alloc reserves a slot for a new event and returns it with a pointer
+// to its storage; the caller fills every field but fn/tk, which pop
+// leaves cleared. The pointer is only valid until the next alloc (the
+// slab may move when it grows).
+func (q *eventQueue) alloc() (int32, *event) {
+	if n := len(q.free); n > 0 {
+		s := q.free[n-1]
+		q.free = q.free[:n-1]
+		return s, &q.slab[s]
+	}
+	q.slab = append(q.slab, event{})
+	s := int32(len(q.slab) - 1)
+	return s, &q.slab[s]
+}
+
+// push enqueues the filled slot s: into the fast lane when its event is
+// due at the current instant now, into the timer heap otherwise.
+func (q *eventQueue) push(s int32, now Time) {
+	e := &q.slab[s]
+	if e.t == now {
+		q.fast.push(s)
+		return
+	}
+	q.pushHeap(heapKey{t: e.t, seq: e.seq, slot: s})
+}
+
+// heapFirst reports whether the next event is the heap top rather than
+// the fast-lane head; the queue must be non-empty. Fast-lane events
+// never postdate the heap top (they are scheduled at the instant the
+// kernel is executing), so the fast head wins whenever it exists and
+// the heap top does not sort strictly before it.
+func (q *eventQueue) heapFirst() bool {
 	if q.fast.n == 0 {
+		return true
+	}
+	if len(q.heap) == 0 {
+		return false
+	}
+	f := &q.slab[q.fast.peek()]
+	return keyBefore(&q.heap[0], &heapKey{t: f.t, seq: f.seq})
+}
+
+// peekTime returns the time of the next event; the queue must be
+// non-empty.
+func (q *eventQueue) peekTime() Time {
+	if q.heapFirst() {
 		return q.heap[0].t
 	}
-	f := q.fast.peek()
-	if len(q.heap) > 0 && eventBefore(&q.heap[0], f) {
-		return q.heap[0].t
-	}
-	return f.t
+	return q.slab[q.fast.peek()].t
 }
 
 // peekEvent returns the next event in (t, seq) order across both
 // lanes; the queue must be non-empty. The pointer is only valid until
-// the next push or pop.
+// the next alloc or pop.
 func (q *eventQueue) peekEvent() *event {
-	if q.fast.n == 0 {
-		return &q.heap[0]
+	if q.heapFirst() {
+		return &q.slab[q.heap[0].slot]
 	}
-	f := q.fast.peek()
-	if len(q.heap) > 0 && eventBefore(&q.heap[0], f) {
-		return &q.heap[0]
-	}
-	return f
+	return &q.slab[q.fast.peek()]
 }
 
-// pop removes and returns the (t, seq)-least event across both lanes.
-func (q *eventQueue) pop() event {
-	if q.fast.n == 0 {
-		return q.popHeap()
+// pop removes the (t, seq)-least event across both lanes, frees its
+// slot and returns a pointer to it. The caller must copy out what it
+// needs, and clear fn/tk, before anything can alloc again.
+func (q *eventQueue) pop() *event {
+	var s int32
+	if q.heapFirst() {
+		s = q.popHeap()
+	} else {
+		s = q.fast.pop()
 	}
-	if len(q.heap) > 0 && eventBefore(&q.heap[0], q.fast.peek()) {
-		return q.popHeap()
-	}
-	return q.fast.pop()
+	q.free = append(q.free, s)
+	return &q.slab[s]
 }
 
-func (q *eventQueue) pushHeap(e event) {
-	h := append(q.heap, event{})
+func (q *eventQueue) pushHeap(k heapKey) {
+	h := append(q.heap, heapKey{})
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventBefore(&e, &h[parent]) {
+		if !keyBefore(&k, &h[parent]) {
 			break
 		}
 		h[i] = h[parent]
 		i = parent
 	}
-	h[i] = e
+	h[i] = k
 	q.heap = h
 }
 
-func (q *eventQueue) popHeap() event {
+// popHeap removes the heap top and returns its slot.
+func (q *eventQueue) popHeap() int32 {
 	h := q.heap
-	top := h[0]
+	top := h[0].slot
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{}
 	h = h[:n]
 	q.heap = h
 	if n > 0 {
-		// Sift the former last element down from the root.
+		// Sift the former last key down from the root.
 		i := 0
 		for {
 			c := 2*i + 1
 			if c >= n {
 				break
 			}
-			if r := c + 1; r < n && eventBefore(&h[r], &h[c]) {
+			if r := c + 1; r < n && keyBefore(&h[r], &h[c]) {
 				c = r
 			}
-			if !eventBefore(&h[c], &last) {
+			if !keyBefore(&h[c], &last) {
 				break
 			}
 			h[i] = h[c]

@@ -31,58 +31,178 @@ func TestFastLaneHeapInterleaving(t *testing.T) {
 	}
 }
 
+// queueEvent files an event at t with sequence number seq the way
+// Kernel.schedule does, routing it by the current instant now.
+func queueEvent(q *eventQueue, t Time, seq uint64, now Time) {
+	s, e := q.alloc()
+	e.t, e.seq = t, seq
+	q.push(s, now)
+}
+
 // TestEventQueueRandomOrder pops a randomized mix of heap pushes in
 // strict (t, seq) order.
 func TestEventQueueRandomOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var q eventQueue
 	for i := 0; i < 5000; i++ {
-		q.pushHeap(event{t: Time(rng.Intn(200)), seq: uint64(i + 1)})
+		queueEvent(&q, Time(1+rng.Intn(200)), uint64(i+1), 0)
 	}
-	var last event
+	if q.fast.n != 0 || len(q.heap) != 5000 {
+		t.Fatalf("fast lane holds %d, heap %d; want every future event in the heap", q.fast.n, len(q.heap))
+	}
+	var lastT Time
+	var lastSeq uint64
 	for i := 0; i < 5000; i++ {
-		e := q.popHeap()
-		if i > 0 && eventBefore(&e, &last) {
+		e := q.pop()
+		if i > 0 && (e.t < lastT || (e.t == lastT && e.seq < lastSeq)) {
 			t.Fatalf("pop %d: event (t=%v seq=%d) after (t=%v seq=%d)",
-				i, e.t, e.seq, last.t, last.seq)
+				i, e.t, e.seq, lastT, lastSeq)
 		}
-		last = e
+		lastT, lastSeq = e.t, e.seq
 	}
 	if !q.empty() {
 		t.Fatal("queue should be empty")
 	}
 }
 
-// TestEventRingWraparound drives the ring through growth and many
-// wraparounds, checking FIFO order and that popped slots are cleared.
-func TestEventRingWraparound(t *testing.T) {
-	var r eventRing
-	next, expect := uint64(1), uint64(1)
+// TestSlotRingWraparound drives the fast-lane ring through growth and
+// many wraparounds, checking FIFO order.
+func TestSlotRingWraparound(t *testing.T) {
+	var r slotRing
+	next, expect := int32(1), int32(1)
 	for round := 0; round < 100; round++ {
 		for i := 0; i < 7; i++ {
-			r.push(event{seq: next})
+			r.push(next)
 			next++
 		}
 		for i := 0; i < 5; i++ {
-			if e := r.pop(); e.seq != expect {
-				t.Fatalf("pop = seq %d, want %d", e.seq, expect)
-			} else {
-				expect++
+			if s := r.pop(); s != expect {
+				t.Fatalf("pop = slot %d, want %d", s, expect)
 			}
-		}
-	}
-	for r.n > 0 {
-		if e := r.pop(); e.seq != expect {
-			t.Fatalf("drain pop = seq %d, want %d", e.seq, expect)
-		} else {
 			expect++
 		}
 	}
-	for i := range r.buf {
-		if e := &r.buf[i]; e.t != 0 || e.seq != 0 || e.fn != nil || e.tk != nil {
-			t.Errorf("ring slot %d not cleared after pop: %+v", i, *e)
+	for r.n > 0 {
+		if s := r.pop(); s != expect {
+			t.Fatalf("drain pop = slot %d, want %d", s, expect)
+		}
+		expect++
+	}
+	if expect != next {
+		t.Fatalf("drained through slot %d, pushed through %d", expect-1, next-1)
+	}
+	if len(r.buf)&(len(r.buf)-1) != 0 {
+		t.Fatalf("ring size %d is not a power of two", len(r.buf))
+	}
+}
+
+// TestEventSlabReleasesAndReuses checks the slab's lifetime rules: once
+// a run drains, every slot is free and none retains a callback or task
+// (a popped slot must not keep its closure alive), and a steady timer
+// loop reuses freed slots instead of growing the slab.
+func TestEventSlabReleasesAndReuses(t *testing.T) {
+	k := NewKernel()
+	var fn func()
+	n := 0
+	fn = func() {
+		if n++; n < 1000 {
+			k.After(Time(n%7), fn) // mix of fast-lane (0) and heap delays
 		}
 	}
+	for i := 0; i < 4; i++ {
+		k.After(Time(i+1), fn)
+	}
+	k.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < 50; i++ {
+			p.Delay(Time(i % 3))
+		}
+	})
+	k.Run()
+	q := &k.events
+	if len(q.free) != len(q.slab) {
+		t.Fatalf("%d of %d slots free after the run drained", len(q.free), len(q.slab))
+	}
+	for i := range q.slab {
+		if e := &q.slab[i]; e.fn != nil || e.tk != nil {
+			t.Errorf("slot %d retains fn/tk after the run drained", i)
+		}
+	}
+	high := len(q.slab)
+	for round := 0; round < 20; round++ {
+		n = 0
+		for i := 0; i < 4; i++ {
+			k.After(Time(i+1), fn)
+		}
+		k.Run()
+	}
+	if len(q.slab) != high {
+		t.Errorf("slab grew from %d to %d slots under a steady timer loop", high, len(q.slab))
+	}
+	k.Close()
+}
+
+// FuzzEventQueueOrder interleaves fast-lane pushes, heap pushes and pops
+// the way the kernel issues them and checks every pop against a
+// reference model: the popped event is the (t, seq)-least one pending.
+// Each input byte is one operation: b%4 == 3 pops; otherwise the byte
+// schedules an event b/4 time units after the current instant (0 takes
+// the fast lane), which is the time of the last popped event.
+func FuzzEventQueueOrder(f *testing.F) {
+	f.Add([]byte{0, 0, 3, 3, 3})
+	f.Add([]byte{8, 4, 0, 3, 0, 0, 3, 3, 3, 3})
+	f.Add([]byte{252, 4, 4, 8, 3, 0, 4, 3, 0, 3, 3, 3, 3})
+	f.Add([]byte("interleave heap and fast lane pushes with pops"))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		type key struct {
+			t   Time
+			seq uint64
+		}
+		var q eventQueue
+		var pending []key
+		var now Time
+		var seq uint64
+		pop := func() {
+			min := 0
+			for i, p := range pending[1:] {
+				if p.t < pending[min].t || (p.t == pending[min].t && p.seq < pending[min].seq) {
+					min = i + 1
+				}
+			}
+			want := pending[min]
+			pending = append(pending[:min], pending[min+1:]...)
+			if pt := q.peekTime(); pt != want.t {
+				t.Fatalf("peekTime = %v, want %v", pt, want.t)
+			}
+			if pe := q.peekEvent(); pe.t != want.t || pe.seq != want.seq {
+				t.Fatalf("peekEvent = (t=%v seq=%d), want (t=%v seq=%d)", pe.t, pe.seq, want.t, want.seq)
+			}
+			e := q.pop()
+			if e.t != want.t || e.seq != want.seq {
+				t.Fatalf("pop = (t=%v seq=%d), want (t=%v seq=%d)", e.t, e.seq, want.t, want.seq)
+			}
+			now = e.t
+		}
+		for _, b := range ops {
+			if b%4 == 3 {
+				if len(pending) > 0 {
+					pop()
+				}
+			} else {
+				seq++
+				queueEvent(&q, now+Time(b/4), seq, now)
+				pending = append(pending, key{now + Time(b/4), seq})
+			}
+			if q.len() != len(pending) {
+				t.Fatalf("len = %d, want %d", q.len(), len(pending))
+			}
+		}
+		for len(pending) > 0 {
+			pop()
+		}
+		if !q.empty() {
+			t.Fatal("queue not empty after draining the model")
+		}
+	})
 }
 
 // TestFifoClearsPoppedSlots guards the waiter-queue leak fix: a popped

@@ -651,10 +651,16 @@ func (g *ShardGroup) ownCapLocked(sh *Shard, at Time) (sched Time, anc lineage, 
 // though the earliest input time does not clear rq.at: every shard
 // whose horizon fails to clear it is parked with its earliest remaining
 // work keyed strictly after the request, so nothing any shard can still
-// send at that instant sorts before rq in single-kernel order.
+// send at that instant sorts before rq in single-kernel order. The
+// horizons read here are newer than the hub's peek at rq, so rq must
+// also still head the inbox: a leaf may have posted an earlier request
+// and parked in between.
 func (g *ShardGroup) clearFor(rq *xcall) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.inbox.peek() != rq {
+		return false
+	}
 	for _, sh := range g.shards {
 		h := Time(sh.horizon.Load())
 		if h > rq.at {
@@ -706,8 +712,16 @@ func (g *ShardGroup) Run() Time {
 
 	for {
 		l, okL := g.hub.NextEventTime()
+		// Read the horizons before the inbox. A leaf posts its requests
+		// before it raises its horizon past them, so any request below
+		// this eit is already in the inbox when it is peeked. Read the
+		// other way round, a leaf could post a request and raise its
+		// horizon between the two reads, and the hub would execute a
+		// later request ahead of it.
+		eit := g.eit()
 		g.mu.Lock()
 		rq := g.inbox.peek()
+		seen := g.inbox.len()
 		g.mu.Unlock()
 
 		target := maxTime
@@ -717,7 +731,6 @@ func (g *ShardGroup) Run() Time {
 		if rq != nil && rq.at < target {
 			target = rq.at
 		}
-		eit := g.eit()
 		if eit <= target && !(rq != nil && rq.at == target && g.clearFor(rq)) {
 			// An edge horizon blocks the next obligation. Drive parked
 			// shards' local events forward inside their conservative
@@ -732,7 +745,7 @@ func (g *ShardGroup) Run() Time {
 				}
 				continue
 			}
-			g.waitHorizon(target)
+			g.waitHorizon(target, seen)
 			continue
 		}
 		if rq == nil || (okL && l < rq.at) {
@@ -845,6 +858,12 @@ func (g *ShardGroup) drivableLocked(hubBound Time) bool {
 // bound even as the driven shards publish progress concurrently.
 func (g *ShardGroup) driveLeaves(hubBound Time) bool {
 	g.mu.Lock()
+	// A request posted since the hub chose hubBound also bounds every
+	// drive: its response may resume a caller on a driven shard at its
+	// own instant, and the shard must not have run past that instant.
+	if rq := g.inbox.peek(); rq != nil && rq.at < hubBound {
+		hubBound = rq.at
+	}
 	var drives []*Shard
 	var cmds []leafCmd
 	for i, sh := range g.shards {
@@ -1019,14 +1038,16 @@ func (g *ShardGroup) respond(sh *Shard, caller *Proc) *xcall {
 	}
 }
 
-// waitHorizon blocks until every shard's horizon clears target, a new
-// request arrives, or a parked shard becomes drivable — each of which
-// changes what the hub should do next.
-func (g *ShardGroup) waitHorizon(target Time) {
+// waitHorizon blocks until every shard's horizon clears target, the
+// inbox holds more than the seen requests the hub chose target from, or
+// a parked shard becomes drivable — each of which changes what the hub
+// should do next. Counting from the hub's peek rather than from entry
+// matters: a request posted in between may be the very one every
+// horizon is waiting on.
+func (g *ShardGroup) waitHorizon(target Time, seen int) {
 	g.mu.Lock()
 	g.want.Store(int64(target))
-	n0 := g.inbox.len()
-	for g.eit() <= target && g.inbox.len() == n0 && !g.drivableLocked(target) {
+	for g.eit() <= target && g.inbox.len() == seen && !g.drivableLocked(target) {
 		g.cond.Wait()
 	}
 	g.want.Store(horizonInfinity)

@@ -208,8 +208,8 @@ func (s *Stripe) rw(p *sim.Proc, c *cpu.CPU, offset, length int64, write bool) (
 	m := s.m
 	c.Busy(p, m.OS.ReadWriteCall)
 	nchunks := (length + s.chunk - 1) / s.chunk
-	reqs := make([]*disk.Request, 0, nchunks)
-	members := make([]int, 0, nchunks)
+	reqs := make([]disk.Request, nchunks)
+	members := make([]int, nchunks)
 	for i := int64(0); i < nchunks; i++ {
 		logical := offset + i*s.chunk
 		stripeRow := logical / (s.chunk * int64(len(s.disks)))
@@ -224,12 +224,12 @@ func (s *Stripe) rw(p *sim.Proc, c *cpu.CPU, offset, length int64, write bool) (
 			}
 		}
 		c.Busy(p, m.OS.DriverQueue)
-		reqs = append(reqs, m.Disks[s.disks[member]].Submit(&disk.Request{
-			Write: write, Offset: diskOff, Length: n,
-		}))
-		members = append(members, member)
+		reqs[i] = disk.Request{Write: write, Offset: diskOff, Length: n}
+		m.Disks[s.disks[member]].Submit(&reqs[i])
+		members[i] = member
 	}
-	for i, r := range reqs {
+	for i := range reqs {
+		r := &reqs[i]
 		r.Wait(p)
 		if r.Err == nil {
 			continue

@@ -62,32 +62,56 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	}
 }
 
+// pollCancelCtx is a context that cancels itself on its nth Done call.
+// runCtl.run polls Done once per cancelSlice of virtual time, so the
+// cancellation lands at a fixed point in the simulation however fast
+// the host runs it.
+type pollCancelCtx struct {
+	context.Context
+	polls, n int
+	done     chan struct{}
+}
+
+func newPollCancelCtx(n int) *pollCancelCtx {
+	return &pollCancelCtx{Context: context.Background(), n: n, done: make(chan struct{})}
+}
+
+func (c *pollCancelCtx) Done() <-chan struct{} {
+	if c.polls++; c.polls == c.n {
+		close(c.done)
+	}
+	return c.done
+}
+
+func (c *pollCancelCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
 // TestRunCtxCancelMidRunFreesWorkers cancels a simulation while it is
 // executing and checks (a) the cancellation error surfaces and (b) the
 // abandoned kernel's parked processes are unwound — no goroutines leak,
 // per kernel.Shutdown's contract. This is the worker-freeing guarantee
 // the service's admission control relies on.
 func TestRunCtxCancelMidRunFreesWorkers(t *testing.T) {
+	const polls = 20 // one cancellable check, then one poll per cancelSlice
 	for _, mode := range []sim.ExecMode{sim.ModeEvent, sim.ModeGoroutine} {
 		base := runtime.NumGoroutine()
-		ctx, cancel := context.WithCancel(context.Background())
-		started := make(chan struct{})
-		go func() {
-			<-started
-			cancel()
-		}()
-		// A sort is long enough (hundreds of thousands of events) that
-		// cancellation signalled at start reliably lands mid-run.
-		close(started)
+		ctx := newPollCancelCtx(polls)
 		_, err := RunCtx(ctx, arch.ActiveDisks(4), workload.Sort, scaled(workload.Sort, 96<<20),
 			nil, nil, mode)
 		if err == nil {
-			// The whole run beat the cancel — possible in principle on the
-			// smallest datasets, but worth knowing about.
-			t.Fatalf("mode %v: run completed before cancellation", mode)
+			t.Fatalf("mode %v: run completed within %d cancellation polls", mode, polls)
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("mode %v: err = %v, want context.Canceled", mode, err)
+		}
+		if ctx.polls != polls {
+			t.Fatalf("mode %v: Done polled %d times, want %d: the run must stop at the poll that cancels", mode, ctx.polls, polls)
 		}
 		deadline := time.Now().Add(2 * time.Second)
 		for runtime.NumGoroutine() > base {
