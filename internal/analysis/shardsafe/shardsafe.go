@@ -25,8 +25,15 @@
 // functions are not (they may be shared with single-kernel mode, where
 // direct access is legal).
 //
-// Rule C — Call literals run on the hub and must not touch leaf-owned
-// state: ActiveDisk.ReadLocal/WriteLocal/Compute inside a Call literal
+// The tasks package reaches the shard group through a placement seam (a
+// named type `placement`), and the rules know it: a literal spawned on
+// `pl.kernel(i)` is leaf context even though the kernel may be the
+// hub's in a single-kernel run, a `pl.cross(p, i, func(hp *sim.Proc)
+// { … })` literal is a rendezvous like a Call literal, and the seam's
+// other methods (its typed stream helpers) are sanctioned rendezvous.
+//
+// Rule C — Call (and cross) literals run on the hub and must not touch
+// leaf-owned state: ActiveDisk.ReadLocal/WriteLocal/Compute inside one
 // are findings (the disk, on-drive CPU and scratch live on the leaf
 // kernel; driving them from a hub proxy corrupts the partition).
 //
@@ -250,8 +257,8 @@ func localClosures(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]*a
 	return out
 }
 
-// leafKernelVars collects local variables assigned from a
-// `(*sim.Shard).Kernel()` call: `lk := sh.Kernel()`.
+// leafKernelVars collects local variables assigned from a leaf-kernel
+// expression: `lk := sh.Kernel()` or `lk := pl.kernel(i)`.
 func leafKernelVars(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]bool {
 	out := map[types.Object]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -267,7 +274,7 @@ func leafKernelVars(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]b
 			if !ok {
 				continue
 			}
-			if !isShardKernelCall(pass, as.Rhs[i]) {
+			if !isLeafKernelCall(pass, as.Rhs[i]) {
 				continue
 			}
 			if obj := pass.TypesInfo.Defs[id]; obj != nil {
@@ -279,23 +286,39 @@ func leafKernelVars(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]b
 	return out
 }
 
-// isShardKernelCall reports whether e is `X.Kernel()` with X a
-// *sim.Shard.
-func isShardKernelCall(pass *analysis.Pass, e ast.Expr) bool {
+// isLeafKernelCall reports whether e is `X.Kernel()` with X a
+// *sim.Shard, or `X.kernel(i)` with X a placement.
+func isLeafKernelCall(pass *analysis.Pass, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Kernel" {
+	if !ok {
 		return false
 	}
-	return isSimType(pass.TypesInfo.TypeOf(sel.X), "Shard")
+	switch sel.Sel.Name {
+	case "Kernel":
+		return isSimType(pass.TypesInfo.TypeOf(sel.X), "Shard")
+	case "kernel":
+		return isPlacement(pass.TypesInfo.TypeOf(sel.X))
+	}
+	return false
+}
+
+// isPlacement reports whether t is the tasks placement seam: a named
+// type `placement`, or a pointer to one.
+func isPlacement(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	name, _ := recvTypeAndPkg(t)
+	return name == "placement"
 }
 
 // leafSpawnLit returns the function literal passed to a Spawn on a leaf
-// kernel (`sh.Kernel().Spawn(…, lit)` or `lk.Spawn(…, lit)` with lk
-// assigned from Shard.Kernel()), if call is one.
+// kernel (`sh.Kernel().Spawn(…, lit)`, `pl.kernel(i).Spawn(…, lit)`, or
+// `lk.Spawn(…, lit)` with lk assigned from either), if call is one.
 func leafSpawnLit(pass *analysis.Pass, call *ast.CallExpr, leafKernels map[types.Object]bool) *ast.FuncLit {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Spawn" {
@@ -304,7 +327,7 @@ func leafSpawnLit(pass *analysis.Pass, call *ast.CallExpr, leafKernels map[types
 	leaf := false
 	switch x := ast.Unparen(sel.X).(type) {
 	case *ast.CallExpr:
-		leaf = isShardKernelCall(pass, x)
+		leaf = isLeafKernelCall(pass, x)
 	case *ast.Ident:
 		if obj := pass.TypesInfo.Uses[x]; obj != nil {
 			leaf = leafKernels[obj]
@@ -341,10 +364,10 @@ func (c *leafChecker) checkLeafBody(lit *ast.FuncLit) {
 		if !ok {
 			return true
 		}
-		// sh.Call(p, func(hp *sim.Proc) { … }): the literal runs on the
-		// hub — switch rules.
-		if hubLit := shardCallLit(c.pass, call); hubLit != nil {
-			c.checkHubLit(hubLit)
+		// sh.Call(p, func(hp *sim.Proc) { … }) or pl.cross(p, i, …): the
+		// literal runs on the hub — switch rules.
+		if hubLit, via := shardCallLit(c.pass, call); hubLit != nil {
+			c.checkHubLit(hubLit, via)
 			return false
 		}
 		// Follow locally defined closures called from leaf context.
@@ -358,15 +381,15 @@ func (c *leafChecker) checkLeafBody(lit *ast.FuncLit) {
 		if name, bad := c.hubOnlyCall(call); bad {
 			allow.Reportf(c.pass, c.sup, call.Pos(),
 				"%s touches hub-owned state from a leaf disklet; wrap it in a "+
-					"Shard.Call(p, func(hp *sim.Proc) { … }) rendezvous", name)
+					"Shard.Call(p, func(hp *sim.Proc) { … }) or placement.cross rendezvous", name)
 		}
 		return true
 	})
 }
 
-// checkHubLit walks a Call literal in hub context: leaf-owned
-// ActiveDisk operations are findings.
-func (c *leafChecker) checkHubLit(lit *ast.FuncLit) {
+// checkHubLit walks a Call or cross literal (named by via) in hub
+// context: leaf-owned ActiveDisk operations are findings.
+func (c *leafChecker) checkHubLit(lit *ast.FuncLit, via string) {
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		if inner, ok := n.(*ast.FuncLit); ok && inner != lit {
 			return false // nested literals: context unknown, stop
@@ -377,29 +400,36 @@ func (c *leafChecker) checkHubLit(lit *ast.FuncLit) {
 		}
 		if name, bad := c.leafOnlyCall(call); bad {
 			allow.Reportf(c.pass, c.sup, call.Pos(),
-				"%s runs a leaf-owned operation from a Shard.Call literal, which executes on "+
-					"the hub; only the leaf's own processes may drive its disk, CPU and scratch", name)
+				"%s runs a leaf-owned operation from a %s literal, which executes on "+
+					"the hub; only the leaf's own processes may drive its disk, CPU and scratch", name, via)
 		}
 		return true
 	})
 }
 
 // shardCallLit returns the literal passed to `X.Call(p, lit)` with X a
-// *sim.Shard.
-func shardCallLit(pass *analysis.Pass, call *ast.CallExpr) *ast.FuncLit {
+// *sim.Shard, or to `X.cross(p, i, lit)` with X a placement, and names
+// the rendezvous.
+func shardCallLit(pass *analysis.Pass, call *ast.CallExpr) (*ast.FuncLit, string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Call" {
-		return nil
+	if !ok {
+		return nil, ""
 	}
-	if !isSimType(pass.TypesInfo.TypeOf(sel.X), "Shard") {
-		return nil
+	var via string
+	switch x := pass.TypesInfo.TypeOf(sel.X); {
+	case sel.Sel.Name == "Call" && isSimType(x, "Shard"):
+		via = "Shard.Call"
+	case sel.Sel.Name == "cross" && isPlacement(x):
+		via = "placement.cross"
+	default:
+		return nil, ""
 	}
 	for _, a := range call.Args {
 		if lit, ok := a.(*ast.FuncLit); ok {
-			return lit
+			return lit, via
 		}
 	}
-	return nil
+	return nil, ""
 }
 
 // hubOnlyCall classifies a call in leaf context against the hub-owned

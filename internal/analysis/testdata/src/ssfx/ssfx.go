@@ -66,3 +66,40 @@ func allowedLeaf(sh *sim.Shard, ad *diskos.ActiveDisk) {
 		ad.Release(1) //howsim:allow shardsafe -- releasing a credit the hub never observes mid-run
 	})
 }
+
+// placement mirrors the tasks seam: kernel(i) is the kernel disk i's
+// disklets run on (a leaf when sharded), cross runs its literal on the
+// hub, and sendFE is one of the typed stream helpers.
+type placement struct {
+	g *sim.ShardGroup
+}
+
+func (pl *placement) kernel(i int) *sim.Kernel                     { return pl.g.Shard(i).Kernel() }
+func (pl *placement) hub() *sim.Kernel                             { return pl.g.Hub() }
+func (pl *placement) cross(p *sim.Proc, i int, fn func(*sim.Proc)) {}
+func (pl *placement) sendFE(p *sim.Proc, ad *diskos.ActiveDisk)    {}
+
+// A disklet spawned through the placement seam is leaf context: hub
+// touches outside a crossing are findings, cross literals are hub
+// context, and the typed helpers are sanctioned rendezvous.
+func placementBody(pl *placement, ad *diskos.ActiveDisk, wg *sim.WaitGroup, bar *sim.Barrier) {
+	pl.kernel(0).Spawn("disklet", func(p *sim.Proc) {
+		ad.ReadLocal(p, 0, 1)                // ok: leaf-owned, leaf context
+		pl.sendFE(p, ad)                     // ok: typed stream helper
+		ad.SendToFrontEnd(p, diskos.Chunk{}) // want `ActiveDisk\.SendToFrontEnd touches hub-owned state from a leaf disklet`
+		wg.Done()                            // want `WaitGroup\.Done touches hub-owned state from a leaf disklet`
+		pl.cross(p, 0, func(hp *sim.Proc) {
+			bar.Wait(hp)       // ok: hub context inside cross
+			wg.Done()          // ok
+			ad.Compute(hp, 10) // want `ActiveDisk\.Compute runs a leaf-owned operation from a placement\.cross literal`
+		})
+	})
+	k := pl.kernel(1)
+	k.Spawn("disklet", func(p *sim.Proc) {
+		c, ok := ad.Recv(p) // want `ActiveDisk\.Recv touches hub-owned state from a leaf disklet`
+		_, _ = c, ok
+	})
+	pl.hub().Spawn("coord", func(p *sim.Proc) {
+		wg.Wait(p) // ok: hub context
+	})
+}

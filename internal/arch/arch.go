@@ -198,21 +198,7 @@ func (c Config) Name() string {
 
 // BuildActive constructs the Active Disk system for this configuration.
 func (c Config) BuildActive(k *sim.Kernel) *diskos.System {
-	if c.Kind != KindActiveDisk {
-		panic("arch: BuildActive on a non-Active configuration")
-	}
-	cfg := diskos.DefaultConfig(c.Disks)
-	cfg.DiskSpec = c.spec()
-	cfg.LoopBytesPerSec = c.LoopBytesPerSec
-	cfg.DiskMemBytes = c.DiskMemBytes
-	cfg.DirectComm = c.DirectComm
-	cfg.FrontEndHz = c.FrontEndHz
-	cfg.SwitchedLoops = c.SwitchedLoops
-	if c.EmbeddedHz > 0 {
-		cfg.EmbeddedHz = c.EmbeddedHz
-	}
-	cfg.SpecFor = c.specFor()
-	return diskos.NewSystem(k, cfg)
+	return diskos.NewSystem(k, c.activeConfig())
 }
 
 // BuildActiveSharded constructs the Active Disk system for this
@@ -220,8 +206,14 @@ func (c Config) BuildActive(k *sim.Kernel) *diskos.System {
 // front-end on the hub, one disk per shard. The group must have
 // c.Disks shards.
 func (c Config) BuildActiveSharded(g *sim.ShardGroup) *diskos.System {
+	return diskos.NewSystemSharded(g, c.activeConfig())
+}
+
+// activeConfig translates this configuration into the diskos one that
+// both Active Disk builders use.
+func (c Config) activeConfig() diskos.Config {
 	if c.Kind != KindActiveDisk {
-		panic("arch: BuildActiveSharded on a non-Active configuration")
+		panic("arch: building an Active Disk system from a non-Active configuration")
 	}
 	cfg := diskos.DefaultConfig(c.Disks)
 	cfg.DiskSpec = c.spec()
@@ -234,7 +226,7 @@ func (c Config) BuildActiveSharded(g *sim.ShardGroup) *diskos.System {
 		cfg.EmbeddedHz = c.EmbeddedHz
 	}
 	cfg.SpecFor = c.specFor()
-	return diskos.NewSystemSharded(g, cfg)
+	return cfg
 }
 
 // BuildCluster constructs the cluster for this configuration.

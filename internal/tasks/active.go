@@ -14,52 +14,78 @@ import (
 	"howsim/internal/workload"
 )
 
-// runActive executes one task on an Active Disk configuration.
+// runActive executes one task on an Active Disk configuration: on one
+// kernel, or partitioned across a ShardGroup under ModeParallel when
+// the run is shardable. Both placements share the task bodies and the
+// epilogue.
 func runActive(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *Result,
 	plan *fault.Plan, sink *probe.Sink, rc *runCtl) {
-	if rc.mode == sim.ModeParallel && shardable(cfg, task, plan) {
-		runActiveSharded(cfg, task, ds, res, plan, sink)
-		return
+	var pl placement
+	var s *diskos.System
+	var leafSinks []*probe.Sink
+	if rc.mode == sim.ModeParallel && shardable(cfg, plan) {
+		g := sim.NewShardGroup(cfg.Disks)
+		defer g.Close()
+		g.Hub().SetProbe(sink)
+		// Each kernel records into its own sink (sinks are single-threaded);
+		// the leaves' recordings are merged into the hub's after the run.
+		if sink != nil {
+			leafSinks = make([]*probe.Sink, cfg.Disks)
+			for i := range leafSinks {
+				ls := probe.NewSinkCap(sink.RingCap())
+				ls.SetEnabled(sink.Enabled())
+				leafSinks[i] = ls
+				g.Shard(i).Kernel().SetProbe(ls)
+			}
+		}
+		pl.g, s = g, cfg.BuildActiveSharded(g)
+	} else {
+		k := sim.NewKernel()
+		k.SetExecMode(rc.mode)
+		defer release(k)
+		k.SetProbe(sink)
+		pl.k, s = k, cfg.BuildActive(k)
 	}
-	k := sim.NewKernel()
-	k.SetExecMode(rc.mode)
-	defer release(k)
-	k.SetProbe(sink)
-	s := cfg.BuildActive(k)
 	s.InstallFaults(plan)
 	deg := &degrade{}
 	rb := &rebuildState{}
-	spawnRebuild(k, s, ds, plan, rb)
+	spawnRebuild(pl.hub(), s, ds, plan, rb)
 	var done *sim.Signal
 	switch task {
 	case workload.Select:
-		done = activeScan(k, s, ds, res, SelectCycles,
+		done = activeScan(&pl, s, ds, SelectCycles,
 			func(n int64) int64 { return int64(float64(n) * ds.Selectivity) }, 0, plan, deg)
 	case workload.Aggregate:
-		done = activeScan(k, s, ds, res, AggregateCycles, func(int64) int64 { return 0 }, 512, plan, deg)
+		done = activeScan(&pl, s, ds, AggregateCycles, func(int64) int64 { return 0 }, 512, plan, deg)
 	case workload.GroupBy:
-		done = activeGroupBy(k, s, ds, res)
+		done = activeGroupBy(&pl, s, ds, res)
 	case workload.Sort:
-		done = activeSort(k, s, ds, res)
+		done = activeSort(&pl, s, ds, res)
 	case workload.DataCube:
-		done = activeCube(k, s, ds, res)
+		done = activeCube(&pl, s, ds, res)
 	case workload.Join:
-		done = activeJoin(k, s, ds, res)
+		done = activeJoin(&pl, s, ds, res)
 	case workload.DataMine:
-		done = activeMine(k, s, ds, res)
+		done = activeMine(&pl, s, ds, res)
 	case workload.MView:
-		done = activeMView(k, s, ds, res)
+		done = activeMView(&pl, s, ds, res)
 	default:
 		panic(fmt.Sprintf("tasks: unknown task %v", task))
 	}
-	res.Elapsed = rc.run(k)
+	res.Elapsed = pl.run(rc)
 	if rc.cancelled {
 		return
 	}
 	completed := done.Fired()
-	if !completed && plan == nil {
-		panic(fmt.Sprintf("tasks: %v on %s deadlocked at %v (%d blocked)\n%s",
-			task, cfg.Name(), res.Elapsed, k.Blocked(), k.DeadlockReport()))
+	var deadlock string
+	if !completed {
+		deadlock = pl.deadlockReport()
+		if plan == nil {
+			if pl.g != nil {
+				deadlock = pl.g.Stall() + "\n" + deadlock
+			}
+			panic(fmt.Sprintf("tasks: %v on %s deadlocked at %v\n%s", task, cfg.Name(), res.Elapsed, deadlock))
+		}
 	}
 	res.Details["loop_bytes"] = float64(s.LoopBytesMoved())
 	res.Details["loop_util"] = s.LoopUtilization()
@@ -81,12 +107,11 @@ func runActive(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *
 	}
 	res.Details["media_read_bytes"] = float64(mediaRead)
 	res.Details["media_write_bytes"] = float64(mediaWrite)
-	var deadlock string
-	if !completed {
-		deadlock = k.DeadlockReport()
-	}
 	faultEpilogue(res, plan, deg, completed, deadlock, disks, cpus, rb)
-	probeEpilogue(res, k)
+	for _, ls := range leafSinks {
+		sink.Merge(ls)
+	}
+	probeEpilogue(res, pl.hub())
 }
 
 // replicaRegionOf places each disk's replica copy of a peer's partition:
@@ -102,10 +127,12 @@ func replicaRegionOf(capEach int64) int64 { return alignSector(5 * capEach / 6) 
 // Recovery: a hard media error loses just that chunk; a failed drive
 // either hands the rest of the partition to the replica copy on the next
 // disk (when the plan declares replicas — that disklet then does double
-// duty) or abandons the remainder, which is reported as lost bytes. The
-// fault-free path issues exactly the same simulated events as before the
-// fault plumbing existed.
-func activeScan(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result,
+// duty; such plans never shard) or abandons the remainder, which is
+// reported as lost bytes. Lost and replica bytes accumulate proc-local
+// and fold into the degrade accumulator in the disklet's final
+// crossing. The fault-free path issues exactly the same simulated
+// events as before the fault plumbing existed.
+func activeScan(pl *placement, s *diskos.System, ds workload.Dataset,
 	cycles int64, emit func(chunkBytes int64) int64, finalBytes int64,
 	plan *fault.Plan, deg *degrade) *sim.Signal {
 	d := len(s.Disks)
@@ -114,19 +141,20 @@ func activeScan(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 	replicaRegion := replicaRegionOf(s.Disks[0].Disk.Capacity())
 	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(d)
-	// The recovery ref exists only under a plan so that fault-free traces
-	// stay byte-identical to runs built before the fault plumbing.
-	var skipRef probe.Ref
-	var skipKind probe.Kind
-	if plan != nil {
-		skipRef = k.Probe().Register("recovery", "scan")
-		skipKind = skipRef.KindNamed("degraded_skip")
-	}
 	for i := range s.Disks {
-		i := i
+		k := pl.kernel(i)
+		// The recovery ref lives on the disk's own kernel sink and exists
+		// only under a plan, so that fault-free traces stay byte-identical
+		// to runs built before the fault plumbing.
+		var skipRef probe.Ref
+		var skipKind probe.Kind
+		if plan != nil {
+			skipRef = k.Probe().Register("recovery", "scan")
+			skipKind = skipRef.KindNamed("degraded_skip")
+		}
 		k.Spawn(fmt.Sprintf("scan%d", i), func(p *sim.Proc) {
 			src, base := s.Disks[i], int64(0)
-			var pend int64
+			var pend, lost, replica int64
 			for off := int64(0); off < per; {
 				n := int64(ioChunk)
 				if per-off < n {
@@ -140,7 +168,7 @@ func activeScan(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 						src, base = s.Disks[(i+1)%d], replicaRegion
 						continue
 					}
-					deg.lost += per - off
+					lost += per - off
 					if skipRef.On() {
 						skipRef.SpanArg(skipKind, int64(p.Now()), int64(p.Now()), per-off)
 					}
@@ -149,34 +177,40 @@ func activeScan(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 				if err != nil {
 					// Unrecoverable sector: this chunk is lost, the scan
 					// continues.
-					deg.lost += n
+					lost += n
 					if skipRef.On() {
 						skipRef.SpanArg(skipKind, int64(p.Now()), int64(p.Now()), n)
 					}
 				} else {
 					if base != 0 {
-						deg.replica += n
+						replica += n
 					}
 					t := tuplesIn(n, ds.TupleBytes)
 					src.Compute(p, t*cycles)
 					pend += emit(n)
 					if pend >= flushBatch {
-						src.SendToFrontEnd(p, pend, nil)
+						pl.sendFE(p, src, pend)
 						pend = 0
 					}
 				}
 				off += n
 			}
-			if pend > 0 {
-				src.SendToFrontEnd(p, pend, nil)
-			}
-			if finalBytes > 0 {
-				src.SendToFrontEnd(p, finalBytes, nil)
-			}
-			wg.Done()
+			// The tail flushes, loss accounting and the completion mark are
+			// all hub work at one instant: one crossing.
+			pl.cross(p, i, func(hp *sim.Proc) {
+				if pend > 0 {
+					src.SendToFrontEnd(hp, pend, nil)
+				}
+				if finalBytes > 0 {
+					src.SendToFrontEnd(hp, finalBytes, nil)
+				}
+				deg.lost += lost
+				deg.replica += replica
+				wg.Done()
+			})
 		})
 	}
-	k.Spawn("coord", func(p *sim.Proc) {
+	pl.hub().Spawn("coord", func(p *sim.Proc) {
 		wg.Wait(p)
 		done.Fire()
 	})
@@ -212,7 +246,7 @@ func feMerger(k *sim.Kernel, s *diskos.System, entryBytes, cyclesPerEntry int64)
 // surfaces in several disks' partials), which is why group-by becomes
 // dominated by the transfer to the front-end at 64+ disks and extra
 // disk memory does not help (the paper's Figure 4 discussion).
-func activeGroupBy(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+func activeGroupBy(pl *placement, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(s.Disks)
 	per := perNodeBytes(ds.TotalBytes, d)
 	result := ds.DistinctGroups * GroupResultTupleBytes
@@ -222,10 +256,10 @@ func activeGroupBy(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Re
 
 	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(d)
-	merged := feMerger(k, s, GroupResultTupleBytes, GroupMergeCycles)
+	merged := feMerger(pl.hub(), s, GroupResultTupleBytes, GroupMergeCycles)
 	for i := range s.Disks {
 		ad := s.Disks[i]
-		k.Spawn(fmt.Sprintf("gby%d", i), func(p *sim.Proc) {
+		pl.kernel(i).Spawn(fmt.Sprintf("gby%d", i), func(p *sim.Proc) {
 			var pend float64
 			chunksOf(per, func(off, n int64) {
 				ad.ReadLocal(p, off, n)
@@ -233,17 +267,19 @@ func activeGroupBy(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Re
 				ad.Compute(p, t*GroupByCycles)
 				pend += float64(n) * ratio
 				if pend >= flushBatch {
-					ad.SendToFrontEnd(p, int64(pend), nil)
+					pl.sendFE(p, ad, int64(pend))
 					pend = 0
 				}
 			})
-			if pend >= 1 {
-				ad.SendToFrontEnd(p, int64(pend), nil)
-			}
-			wg.Done()
+			pl.cross(p, i, func(hp *sim.Proc) {
+				if pend >= 1 {
+					ad.SendToFrontEnd(hp, int64(pend), nil)
+				}
+				wg.Done()
+			})
 		})
 	}
-	k.Spawn("coord", func(p *sim.Proc) {
+	pl.hub().Spawn("coord", func(p *sim.Proc) {
 		wg.Wait(p)
 		s.FE.Inbox().Close()
 		merged.Wait(p)
@@ -256,8 +292,9 @@ func activeGroupBy(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Re
 // tuple to its destination disk (partitioner disklet), accumulates
 // arriving tuples into runs (sorter disklet), sorts and writes each run;
 // phase 2 merges the runs and writes the sorted output. The breakdown
-// buckets match Figure 3's legend.
-func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+// buckets match Figure 3's legend. The CPU counters accumulate per disk
+// and fold into the shared totals in each disklet's final crossing.
+func activeSort(pl *placement, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(s.Disks)
 	per := perNodeBytes(ds.TotalBytes, d)
 	capEach := s.Disks[0].Disk.Capacity()
@@ -276,23 +313,26 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 	res.Details["run_bytes"] = float64(runBytes)
 
 	hz := s.Disks[0].CPU.Hz()
-	var cPart, cAppend, cSort, cMerge int64
+	var cPart, cAppend, cSort, cMerge int64 // hub-owned: folded in crossings
 	var p1End sim.Time
 
 	type runState struct {
 		fill     int64
 		runSizes []int64
 		mu       *sim.Mutex // partitioner and sorter disklets share the run buffer
+		cAppend  int64      // disk-local until the sorter's final fold
+		cSort    int64
 	}
 	states := make([]*runState, d)
 	for i := range states {
-		states[i] = &runState{mu: sim.NewMutex(k, fmt.Sprintf("run%d", i))}
+		states[i] = &runState{mu: sim.NewMutex(pl.kernel(i), fmt.Sprintf("run%d", i))}
 	}
 
 	// absorb accumulates arriving bytes into the current run, sorting
 	// and writing whenever the run buffer fills. The run buffer is
 	// shared between the partitioner (local share) and sorter (remote
-	// tuples) disklets, so flushes are serialized.
+	// tuples) disklets, so flushes are serialized; both live on the
+	// disk's own kernel.
 	absorb := func(p *sim.Proc, i int, bytes int64) {
 		ad := s.Disks[i]
 		st := states[i]
@@ -300,12 +340,12 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 		defer st.mu.Unlock()
 		t := tuplesIn(bytes, ds.TupleBytes)
 		ad.Compute(p, t*AppendCycles)
-		cAppend += t * AppendCycles
+		st.cAppend += t * AppendCycles
 		st.fill += bytes
 		for st.fill >= runBytes {
 			rt := tuplesIn(runBytes, ds.TupleBytes)
 			ad.Compute(p, rt*RunSortCycles)
-			cSort += rt * RunSortCycles
+			st.cSort += rt * RunSortCycles
 			var written int64
 			for _, r := range st.runSizes {
 				written += r
@@ -316,53 +356,53 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 		}
 	}
 
-	barrier := sim.NewBarrier(k, "sort.p1", d)
+	barrier := sim.NewBarrier(pl.hub(), "sort.p1", d)
 	readers := sim.NewWaitGroup(d)
 	sorters := sim.NewWaitGroup(d)
 	done := sim.NewSignal()
 
 	for i := range s.Disks {
-		i := i
-		ad := s.Disks[i]
-		peers := make([]int, 0, d-1)
-		for j := 0; j < d; j++ {
-			if j != i {
-				peers = append(peers, j)
-			}
-		}
+		ad, k := s.Disks[i], pl.kernel(i)
+		peers := peersOf(i, d)
 		// Partitioner disklet: scan local input, keep the local share,
 		// stream the rest to peer disks in rotating batches.
 		k.Spawn(fmt.Sprintf("part%d", i), func(p *sim.Proc) {
+			var local int64
 			rot := 0
 			chunksOf(per, func(off, n int64) {
 				ad.ReadLocal(p, off, n)
 				t := tuplesIn(n, ds.TupleBytes)
 				ad.Compute(p, t*PartitionCycles)
-				cPart += t * PartitionCycles
+				local += t * PartitionCycles
 				remote := n * int64(d-1) / int64(d)
 				if remote > 0 && len(peers) > 0 {
-					ad.Send(p, peers[rot], remote, nil)
+					pl.send(p, ad, peers[rot], remote)
 					rot = (rot + 1) % len(peers)
 				}
 				absorb(p, i, n-remote)
 			})
-			readers.Done()
+			pl.cross(p, i, func(*sim.Proc) {
+				cPart += local
+				readers.Done()
+			})
 		})
 		// Sorter disklet: absorb arriving tuples into runs, then merge.
+		// Each chunk's credit release rides the next Recv.
 		k.Spawn(fmt.Sprintf("sort%d", i), func(p *sim.Proc) {
+			var rel int64
 			for {
-				c, ok := ad.Recv(p)
+				c, ok := pl.recv(p, ad, rel)
 				if !ok {
 					break
 				}
 				absorb(p, i, c.Bytes)
-				ad.Release(c.Bytes)
+				rel = c.Bytes
 			}
 			st := states[i]
 			if st.fill > 0 {
 				t := tuplesIn(st.fill, ds.TupleBytes)
 				ad.Compute(p, t*RunSortCycles)
-				cSort += t * RunSortCycles
+				st.cSort += t * RunSortCycles
 				var written int64
 				for _, r := range st.runSizes {
 					written += r
@@ -372,22 +412,31 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 				st.runSizes = append(st.runSizes, sz)
 				st.fill = 0
 			}
-			barrier.Wait(p)
-			if i == 0 {
-				p1End = p.Now()
-			}
-			activeMerge(p, ad, st.runSizes, runRegion, outRegion, ds.TupleBytes, &cMerge)
-			sorters.Done()
+			pl.cross(p, i, func(hp *sim.Proc) {
+				barrier.Wait(hp)
+				if i == 0 {
+					p1End = hp.Now()
+				}
+			})
+			var mergeC int64
+			activeMerge(p, ad, st.runSizes, runRegion, outRegion, ds.TupleBytes, &mergeC)
+			ca, cs := st.cAppend, st.cSort // the crossing reads no leaf state
+			pl.cross(p, i, func(*sim.Proc) {
+				cAppend += ca
+				cSort += cs
+				cMerge += mergeC
+				sorters.Done()
+			})
 		})
 	}
 	// Close inboxes once every partitioner has finished sending.
-	k.Spawn("closer", func(p *sim.Proc) {
+	pl.hub().Spawn("closer", func(p *sim.Proc) {
 		readers.Wait(p)
 		for _, ad := range s.Disks {
 			ad.CloseInbox()
 		}
 	})
-	k.Spawn("coord", func(p *sim.Proc) {
+	pl.hub().Spawn("coord", func(p *sim.Proc) {
 		sorters.Wait(p)
 		// Attribute CPU buckets (average per disk) and idle remainders,
 		// matching Figure 3's legend.
@@ -413,6 +462,18 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 		done.Fire()
 	})
 	return done
+}
+
+// peersOf lists every disk but i, in ascending order: the rotation a
+// repartitioning disklet streams its remote share through.
+func peersOf(i, d int) []int {
+	peers := make([]int, 0, d-1)
+	for j := 0; j < d; j++ {
+		if j != i {
+			peers = append(peers, j)
+		}
+	}
+	return peers
 }
 
 // activeMerge reads the sorted runs round-robin (512 KB per run visit,
@@ -468,7 +529,7 @@ func activeMerge(p *sim.Proc, ad *diskos.ActiveDisk, runSizes []int64,
 // partial hash tables to the front-end if the largest group-by's share
 // does not fit), later passes scan the smaller intermediate results, and
 // the finished group-by tables are written locally.
-func activeCube(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+func activeCube(pl *placement, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(s.Disks)
 	per := perNodeBytes(ds.TotalBytes, d)
 	shape := relational.PaperCubeShape()
@@ -498,11 +559,11 @@ func activeCube(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 	wg := sim.NewWaitGroup(d)
 	var merged *sim.Signal
 	if plan.SpillBytes > 0 {
-		merged = feMerger(k, s, 32, GroupMergeCycles)
+		merged = feMerger(pl.hub(), s, 32, GroupMergeCycles)
 	}
 	for i := range s.Disks {
 		ad := s.Disks[i]
-		k.Spawn(fmt.Sprintf("cube%d", i), func(p *sim.Proc) {
+		pl.kernel(i).Spawn(fmt.Sprintf("cube%d", i), func(p *sim.Proc) {
 			spillShare := plan.SpillBytes / int64(d)
 			spillRatio := float64(spillShare) / float64(per)
 			var pend float64
@@ -515,7 +576,7 @@ func activeCube(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 				if spillShare > 0 {
 					pend += float64(n) * spillRatio
 					if pend >= flushBatch {
-						ad.SendToFrontEnd(p, int64(pend), nil)
+						pl.sendFE(p, ad, int64(pend))
 						pend = 0
 					}
 				}
@@ -529,7 +590,7 @@ func activeCube(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 				}
 			})
 			if pend >= 1 {
-				ad.SendToFrontEnd(p, int64(pend), nil)
+				pl.sendFE(p, ad, int64(pend))
 			}
 			// Remaining passes over the intermediate results.
 			for pass := 1; pass < plan.Passes; pass++ {
@@ -543,10 +604,10 @@ func activeCube(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 			chunksOf(tablesPer, func(off, n int64) {
 				ad.WriteLocal(p, tableRegion+off, n)
 			})
-			wg.Done()
+			pl.cross(p, i, func(*sim.Proc) { wg.Done() })
 		})
 	}
-	k.Spawn("coord", func(p *sim.Proc) {
+	pl.hub().Spawn("coord", func(p *sim.Proc) {
 		wg.Wait(p)
 		s.FE.Inbox().Close()
 		if merged != nil {
@@ -561,7 +622,7 @@ func activeCube(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 // scanned, projected to 32-byte tuples and hash-repartitioned across the
 // disks; each disk then joins its partitions locally (build + probe per
 // Grace partition) and writes the output.
-func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+func activeJoin(pl *placement, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(s.Disks)
 	rBytes := ds.TotalBytes / 2
 	sBytes := ds.TotalBytes - rBytes
@@ -578,54 +639,49 @@ func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 
 	done := sim.NewSignal()
 	var phase [2]*sim.Barrier
-	phase[0] = sim.NewBarrier(k, "join.p1", d)
-	phase[1] = sim.NewBarrier(k, "join.p2", d)
+	phase[0] = sim.NewBarrier(pl.hub(), "join.p1", d)
+	phase[1] = sim.NewBarrier(pl.hub(), "join.p2", d)
 	readersR := sim.NewWaitGroup(d)
 	readersS := sim.NewWaitGroup(d)
 	workers := sim.NewWaitGroup(d)
 
-	// shuffle scans a local relation partition, projects it, streams the
-	// remote share to peers and returns the locally retained projected
-	// bytes (which the receiver disklet also accounts for peers).
-	shuffle := func(p *sim.Proc, i int, per int64, peers []int) {
-		ad := s.Disks[i]
-		rot := 0
-		chunksOf(per, func(off, n int64) {
-			ad.ReadLocal(p, off, n)
-			t := tuplesIn(n, ds.TupleBytes)
-			ad.Compute(p, t*ProjectCycles)
-			proj := int64(float64(n) * projFrac)
-			remote := proj * int64(d-1) / int64(d)
-			if remote > 0 && len(peers) > 0 {
-				ad.Send(p, peers[rot], remote, nil)
-				rot = (rot + 1) % len(peers)
-			}
-		})
-	}
-
 	for i := range s.Disks {
-		i := i
-		ad := s.Disks[i]
-		peers := make([]int, 0, d-1)
-		for j := 0; j < d; j++ {
-			if j != i {
-				peers = append(peers, j)
-			}
+		ad, k := s.Disks[i], pl.kernel(i)
+		peers := peersOf(i, d)
+		// shuffle scans a local relation partition, projects it and
+		// streams the remote share to peers.
+		shuffle := func(p *sim.Proc, per int64) {
+			rot := 0
+			chunksOf(per, func(off, n int64) {
+				ad.ReadLocal(p, off, n)
+				t := tuplesIn(n, ds.TupleBytes)
+				ad.Compute(p, t*ProjectCycles)
+				proj := int64(float64(n) * projFrac)
+				remote := proj * int64(d-1) / int64(d)
+				if remote > 0 && len(peers) > 0 {
+					pl.send(p, ad, peers[rot], remote)
+					rot = (rot + 1) % len(peers)
+				}
+			})
 		}
 		// Scanner disklet: project+shuffle R, barrier, then S.
 		k.Spawn(fmt.Sprintf("jscan%d", i), func(p *sim.Proc) {
-			shuffle(p, i, perR, peers)
-			readersR.Done()
-			phase[0].Wait(p)
-			if i == 0 {
-				res.Details["p1_seconds"] = p.Now().Seconds()
-			}
-			shuffle(p, i, perS, peers)
-			readersS.Done()
+			shuffle(p, perR)
+			pl.cross(p, i, func(hp *sim.Proc) {
+				readersR.Done()
+				phase[0].Wait(hp)
+				if i == 0 {
+					res.Details["p1_seconds"] = hp.Now().Seconds()
+				}
+			})
+			shuffle(p, perS)
+			pl.cross(p, i, func(*sim.Proc) { readersS.Done() })
 		})
 		// Writer disklet: receive projected tuples (both relations,
 		// locally retained share accounted analytically), write the
-		// partition files, then build+probe each Grace partition.
+		// partition files, then build+probe each Grace partition. The
+		// credit release is its own crossing: it follows the append
+		// compute but precedes the (possible) partition write.
 		k.Spawn(fmt.Sprintf("jwork%d", i), func(p *sim.Proc) {
 			var pend, written int64
 			flush := func(final bool) {
@@ -637,24 +693,26 @@ func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 				}
 			}
 			for {
-				c, ok := ad.Recv(p)
+				c, ok := pl.recv(p, ad, 0)
 				if !ok {
 					break
 				}
 				t := tuplesIn(c.Bytes, ds.ProjectedTupleBytes)
 				ad.Compute(p, t*AppendCycles/4)
 				pend += c.Bytes
-				ad.Release(c.Bytes)
+				pl.release(p, ad, c.Bytes)
 				flush(false)
 			}
 			// Locally retained projected share of both relations.
 			local := (projR + projS) / int64(d)
 			pend += local
 			flush(true)
-			phase[1].Wait(p)
-			if i == 0 {
-				res.Details["p2_seconds"] = p.Now().Seconds() - res.Details["p1_seconds"]
-			}
+			pl.cross(p, i, func(hp *sim.Proc) {
+				phase[1].Wait(hp)
+				if i == 0 {
+					res.Details["p2_seconds"] = hp.Now().Seconds() - res.Details["p1_seconds"]
+				}
+			})
 
 			// Local Grace join over the received partitions.
 			totalPart := written
@@ -676,17 +734,17 @@ func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 					outOff += alignSector(out)
 				}
 			})
-			workers.Done()
+			pl.cross(p, i, func(*sim.Proc) { workers.Done() })
 		})
 	}
-	k.Spawn("closer", func(p *sim.Proc) {
+	pl.hub().Spawn("closer", func(p *sim.Proc) {
 		readersR.Wait(p)
 		readersS.Wait(p)
 		for _, ad := range s.Disks {
 			ad.CloseInbox()
 		}
 	})
-	k.Spawn("coord", func(p *sim.Proc) {
+	pl.hub().Spawn("coord", func(p *sim.Proc) {
 		workers.Wait(p)
 		done.Fire()
 	})
@@ -698,7 +756,7 @@ func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 // front-end after every pass (each disk forwards its 5.4 MB of
 // candidate counters; the front-end merges them and broadcasts the next
 // level's candidates back).
-func activeMine(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+func activeMine(pl *placement, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(s.Disks)
 	per := perNodeBytes(ds.TotalBytes, d)
 	counters := int64(MineCounterBytes)
@@ -712,13 +770,14 @@ func activeMine(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 	res.Details["passes"] = float64(MinePasses)
 	res.Details["counter_bytes"] = float64(counters)
 
+	hub := pl.hub()
 	done := sim.NewSignal()
 	workers := sim.NewWaitGroup(d)
-	barrier := sim.NewBarrier(k, "mine.pass", d)
+	barrier := sim.NewBarrier(hub, "mine.pass", d)
 
 	// Front-end reduction server: every pass it consumes one counter
 	// chunk per disk, merges, then broadcasts candidates back.
-	k.Spawn("fe.reduce", func(p *sim.Proc) {
+	hub.Spawn("fe.reduce", func(p *sim.Proc) {
 		for pass := 0; pass < MinePasses; pass++ {
 			for i := 0; i < d; i++ {
 				v, ok := s.FE.Inbox().Get(p)
@@ -734,7 +793,7 @@ func activeMine(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 			bwg := sim.NewWaitGroup(d)
 			for i := 0; i < d; i++ {
 				i := i
-				k.Spawn(fmt.Sprintf("fe.bcast%d", i), func(bp *sim.Proc) {
+				hub.Spawn(fmt.Sprintf("fe.bcast%d", i), func(bp *sim.Proc) {
 					s.FrontEndSend(bp, i, counters, nil)
 					bwg.Done()
 				})
@@ -745,35 +804,37 @@ func activeMine(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 
 	for i := range s.Disks {
 		ad := s.Disks[i]
-		k.Spawn(fmt.Sprintf("mine%d", i), func(p *sim.Proc) {
+		pl.kernel(i).Spawn(fmt.Sprintf("mine%d", i), func(p *sim.Proc) {
 			for pass := 0; pass < MinePasses; pass++ {
 				chunksOf(per, func(off, n int64) {
 					ad.ReadLocal(p, off, n)
 					txns := tuplesIn(n, ds.TupleBytes)
 					ad.Compute(p, txns*MineCycles)
 				})
-				ad.SendToFrontEnd(p, counters, nil)
+				pl.sendFE(p, ad, counters)
 				if pass < MinePasses-1 {
 					// Wait for the next level's candidates.
 					got := int64(0)
 					for got < counters {
-						c, ok := ad.Recv(p)
+						c, ok := pl.recv(p, ad, 0)
 						if !ok {
 							break
 						}
 						got += c.Bytes
-						ad.Release(c.Bytes)
+						pl.release(p, ad, c.Bytes)
 					}
 				}
-				barrier.Wait(p)
-				if i == 0 {
-					res.Details[passKey(pass+1)] = p.Now().Seconds()
-				}
+				pl.cross(p, i, func(hp *sim.Proc) {
+					barrier.Wait(hp)
+					if i == 0 {
+						res.Details[passKey(pass+1)] = hp.Now().Seconds()
+					}
+				})
 			}
-			workers.Done()
+			pl.cross(p, i, func(*sim.Proc) { workers.Done() })
 		})
 	}
-	k.Spawn("coord", func(p *sim.Proc) {
+	hub.Spawn("coord", func(p *sim.Proc) {
 		workers.Wait(p)
 		s.FE.Inbox().Close()
 		for _, ad := range s.Disks {
@@ -790,7 +851,7 @@ func activeMine(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 // updates are repartitioned again to the disks owning the view
 // partitions, and the derived relations are read, updated and written
 // back.
-func activeMView(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+func activeMView(pl *placement, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(s.Disks)
 	base := perNodeBytes(baseBytes(ds), d)
 	deltas := perNodeBytes(ds.DeltaBytes, d)
@@ -804,17 +865,11 @@ func activeMView(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resu
 	done := sim.NewSignal()
 	senders := sim.NewWaitGroup(d)
 	workers := sim.NewWaitGroup(d)
-	applyPhase := sim.NewBarrier(k, "mview.apply", d)
+	applyPhase := sim.NewBarrier(pl.hub(), "mview.apply", d)
 
 	for i := range s.Disks {
-		i := i
-		ad := s.Disks[i]
-		peers := make([]int, 0, d-1)
-		for j := 0; j < d; j++ {
-			if j != i {
-				peers = append(peers, j)
-			}
-		}
+		ad, k := s.Disks[i], pl.kernel(i)
+		peers := peersOf(i, d)
 		// Producer disklet: shuffle deltas, scan base + join, shuffle
 		// the derived updates.
 		k.Spawn(fmt.Sprintf("mvprod%d", i), func(p *sim.Proc) {
@@ -825,7 +880,7 @@ func activeMView(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resu
 				ad.Compute(p, t*PartitionCycles/3)
 				remote := n * int64(d-1) / int64(d)
 				if remote > 0 && len(peers) > 0 {
-					ad.Send(p, peers[rot], remote, nil)
+					pl.send(p, ad, peers[rot], remote)
 					rot = (rot + 1) % len(peers)
 				}
 			})
@@ -842,32 +897,36 @@ func activeMView(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resu
 				pendUpd += float64(n) * perChunkUpd
 				if int64(pendUpd) >= flushBatch && len(peers) > 0 {
 					remote := int64(pendUpd) * int64(d-1) / int64(d)
-					ad.Send(p, peers[rot], remote, nil)
+					pl.send(p, ad, peers[rot], remote)
 					rot = (rot + 1) % len(peers)
 					pendUpd = 0
 				}
 			})
 			if int64(pendUpd) > 0 && len(peers) > 0 {
-				ad.Send(p, peers[rot], int64(pendUpd)*int64(d-1)/int64(d), nil)
+				pl.send(p, ad, peers[rot], int64(pendUpd)*int64(d-1)/int64(d))
 			}
-			senders.Done()
+			pl.cross(p, i, func(*sim.Proc) { senders.Done() })
 		})
 		// Consumer disklet: absorb shuffled deltas and updates, then
-		// apply updates to the local derived relations.
+		// apply updates to the local derived relations. Each chunk's
+		// credit release rides the next Recv.
 		k.Spawn(fmt.Sprintf("mvapply%d", i), func(p *sim.Proc) {
+			var rel int64
 			for {
-				c, ok := ad.Recv(p)
+				c, ok := pl.recv(p, ad, rel)
 				if !ok {
 					break
 				}
 				t := tuplesIn(c.Bytes, deltaTupB)
 				ad.Compute(p, t*AppendCycles/4)
-				ad.Release(c.Bytes)
+				rel = c.Bytes
 			}
-			applyPhase.Wait(p)
-			if i == 0 {
-				res.Details["shuffle_seconds"] = p.Now().Seconds()
-			}
+			pl.cross(p, i, func(hp *sim.Proc) {
+				applyPhase.Wait(hp)
+				if i == 0 {
+					res.Details["shuffle_seconds"] = hp.Now().Seconds()
+				}
+			})
 			// Read-modify-write the derived relations.
 			updPerByte := float64(updates) / float64(derived)
 			var outOff int64
@@ -879,16 +938,16 @@ func activeMView(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resu
 				ad.WriteLocal(p, stageRegion+outOff, n)
 				outOff += n
 			})
-			workers.Done()
+			pl.cross(p, i, func(*sim.Proc) { workers.Done() })
 		})
 	}
-	k.Spawn("closer", func(p *sim.Proc) {
+	pl.hub().Spawn("closer", func(p *sim.Proc) {
 		senders.Wait(p)
 		for _, ad := range s.Disks {
 			ad.CloseInbox()
 		}
 	})
-	k.Spawn("coord", func(p *sim.Proc) {
+	pl.hub().Spawn("coord", func(p *sim.Proc) {
 		workers.Wait(p)
 		done.Fire()
 	})

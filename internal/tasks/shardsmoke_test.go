@@ -20,16 +20,14 @@ func setMode(t *testing.T, mode sim.ExecMode) {
 }
 
 // TestShardedTasksMatchEvent is the in-package sharded smoke: every
-// shardable task runs under ModeParallel and must reproduce the
+// Active Disk task runs under ModeParallel and must reproduce the
 // single-kernel event run's elapsed time and details exactly. The CI
 // race job runs ./internal/... with -race, so this also exercises the
 // cross-shard rendezvous under the race detector (the root-package
 // equivalence tests, which additionally diff probe output, are not in
 // that job's package set).
 func TestShardedTasksMatchEvent(t *testing.T) {
-	for _, task := range []workload.TaskID{
-		workload.Select, workload.Aggregate, workload.GroupBy, workload.DataCube,
-	} {
+	for _, task := range workload.AllTasks() {
 		task := task
 		t.Run(task.String(), func(t *testing.T) {
 			ds := scaled(task, 48<<20)
@@ -75,15 +73,25 @@ func TestShardedProbeMerge(t *testing.T) {
 	}
 }
 
-// TestShardedFallbacks pins the fallback rule: non-shardable tasks and
-// faulted runs complete under ModeParallel via the single-kernel path.
+// TestShardedFallbacks pins the fallback rule: a replica-failover plan
+// on Active Disks (the scan reads a peer shard's disk) and the other
+// architectures complete under ModeParallel via the single-kernel path.
 func TestShardedFallbacks(t *testing.T) {
 	setMode(t, sim.ModeParallel)
-	res := RunDataset(arch.ActiveDisks(4), workload.Sort, scaled(workload.Sort, 48<<20))
-	if res.Elapsed <= 0 {
-		t.Fatalf("sort under ModeParallel: elapsed = %v", res.Elapsed)
+	plan := mustPlan(t, "seed=42,fail=1@5ms,replica")
+	cfg := arch.ActiveDisks(4)
+	if shardable(cfg, plan) {
+		t.Fatalf("shardable(%s, %s) = true, want false", cfg.Name(), plan)
 	}
-	res = RunDataset(arch.Cluster(4), workload.Select, scaled(workload.Select, 48<<20))
+	res := RunDatasetFaulted(cfg, workload.Select, scaled(workload.Select, 48<<20), plan)
+	if res.Elapsed <= 0 || res.Fault == nil || !res.Fault.Completed || res.Fault.ReplicaBytes == 0 {
+		t.Fatalf("replica failover under ModeParallel: elapsed = %v, fault = %+v", res.Elapsed, res.Fault)
+	}
+	cfg = arch.Cluster(4)
+	if shardable(cfg, nil) {
+		t.Fatalf("shardable(%s, nil) = true, want false", cfg.Name())
+	}
+	res = RunDataset(cfg, workload.Select, scaled(workload.Select, 48<<20))
 	if res.Elapsed <= 0 {
 		t.Fatalf("cluster select under ModeParallel: elapsed = %v", res.Elapsed)
 	}

@@ -77,7 +77,7 @@ func TestExecModeSortContentionEquivalence(t *testing.T) {
 func TestExecModeShardedTaskEquivalence(t *testing.T) {
 	for _, task := range []workload.TaskID{
 		workload.Select, workload.Aggregate, workload.GroupBy, workload.DataCube,
-		workload.Sort, workload.Join,
+		workload.Sort, workload.Join, workload.DataMine, workload.MView,
 	} {
 		task := task
 		modeCompare(t, "sharded "+task.String(), func() string {
@@ -138,7 +138,7 @@ func TestExecModeShardedFaultEquivalence(t *testing.T) {
 		}
 		for _, task := range []workload.TaskID{
 			workload.Select, workload.Aggregate, workload.GroupBy, workload.DataCube,
-			workload.Sort, workload.Join,
+			workload.Sort, workload.Join, workload.DataMine, workload.MView,
 		} {
 			task, plan := task, plan
 			modeCompare(t, fmt.Sprintf("sharded %s under %s", task, planStr), func() string {

@@ -49,7 +49,7 @@ func main() {
 	var (
 		out      = flag.String("out", "BENCH_parallel.json", "output file")
 		taskList = flag.String("tasks", "select,sort,join",
-			"comma-separated shardable tasks: select|aggregate|groupby|dcube|sort|join")
+			"comma-separated shardable tasks: select|aggregate|groupby|dcube|sort|join|dmine|mview")
 		disks = flag.Int("disks", 64, "Active Disk farm size (one shard per disk)")
 		scale = flag.Float64("scale", 0.25, "dataset scale factor")
 		count = flag.Int("count", 3, "repetitions per mode (best wall time wins)")

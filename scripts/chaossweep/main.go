@@ -109,7 +109,7 @@ func main() {
 	cfgs := []arch.Config{arch.ActiveDisks(disks), arch.Cluster(disks), arch.SMP(disks)}
 	pool := []workload.TaskID{
 		workload.Select, workload.Aggregate, workload.GroupBy, workload.DataCube,
-		workload.Sort, workload.Join,
+		workload.Sort, workload.Join, workload.DataMine, workload.MView,
 	}
 	modes := []struct {
 		name string
