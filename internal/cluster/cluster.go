@@ -175,14 +175,18 @@ func (n *Node) Endpoint() *mpi.Endpoint { return n.m.World.Rank(n.ID) }
 // interrupt; the disk's error is returned.
 func (n *Node) rw(p *sim.Proc, offset, length int64, write bool) error {
 	n.CPU.Busy(p, n.OS.ReadWriteCall+n.OS.DriverQueue)
-	req := n.Disk.Submit(&disk.Request{Write: write, Offset: offset, Length: length})
-	req.Wait(p)
-	if req.Err == nil {
+	var err error
+	if write {
+		err = n.Disk.Write(p, offset, length)
+	} else {
+		err = n.Disk.Read(p, offset, length)
+	}
+	if err == nil {
 		n.SCSI.Transfer(p, length)
 		n.PCI.Transfer(p, length)
 	}
 	n.CPU.Busy(p, n.OS.Interrupt)
-	return req.Err
+	return err
 }
 
 // ReadLocal reads from the node's own disk. The error is nil on

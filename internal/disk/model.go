@@ -161,6 +161,10 @@ type Disk struct {
 	retry  RetryPolicy
 	reqSeq int64
 	failed bool
+
+	// free holds the completed requests of synchronous Read/Write calls
+	// for reuse, so a steady-state I/O allocates nothing.
+	free []*Request
 }
 
 // SchedulingPolicy selects how queued requests are ordered for service.
@@ -278,7 +282,11 @@ func (d *Disk) fail() {
 }
 
 // Submit enqueues a request for asynchronous service and returns it;
-// call Wait on the result to block until completion.
+// call Wait on the result to block until completion. The caller sets
+// Write, Offset and Length; Submit clears the completion state (Err,
+// Retries, timestamps). A caller-owned request may be submitted again
+// once its Wait has returned: Submit resets the completion signal in
+// place, keeping its waiter storage.
 func (d *Disk) Submit(req *Request) *Request {
 	if req.Offset%SectorSize != 0 || req.Length%SectorSize != 0 {
 		panic(fmt.Sprintf("disk %s: request %d+%d not sector-aligned", d.name, req.Offset, req.Length))
@@ -290,8 +298,9 @@ func (d *Disk) Submit(req *Request) *Request {
 	if end > d.geom.totalSectors {
 		panic(fmt.Sprintf("disk %s: request beyond capacity (%d > %d sectors)", d.name, end, d.geom.totalSectors))
 	}
-	req.done = sim.Signal{}
-	req.Queued = d.k.Now()
+	req.done.Reset()
+	req.Err, req.Retries = nil, 0
+	req.Queued, req.Started, req.Finished = d.k.Now(), 0, 0
 	if d.pr.On() {
 		d.pr.Sample(probe.KindQueue, int64(d.QueueLen()))
 	}
@@ -313,17 +322,31 @@ func (d *Disk) Submit(req *Request) *Request {
 // ErrDiskFailed once the drive has died; fault-oblivious callers may
 // ignore it (the request always completes).
 func (d *Disk) Read(p *sim.Proc, offset, length int64) error {
-	req := d.Submit(&Request{Offset: offset, Length: length})
-	req.Wait(p)
-	return req.Err
+	return d.do(p, false, offset, length)
 }
 
 // Write performs a synchronous write of length bytes at offset; the
 // error contract matches Read.
 func (d *Disk) Write(p *sim.Proc, offset, length int64) error {
-	req := d.Submit(&Request{Write: true, Offset: offset, Length: length})
-	req.Wait(p)
-	return req.Err
+	return d.do(p, true, offset, length)
+}
+
+// do submits one request drawn from the free list, waits for it and
+// returns it to the list. Submit clears the completion state, so none
+// carries over from the request's previous use.
+func (d *Disk) do(p *sim.Proc, write bool, offset, length int64) error {
+	var req *Request
+	if n := len(d.free); n > 0 {
+		req = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		req = new(Request)
+	}
+	req.Write, req.Offset, req.Length = write, offset, length
+	d.Submit(req).Wait(p)
+	err := req.Err
+	d.free = append(d.free, req)
+	return err
 }
 
 // Capacity returns the disk's formatted capacity in bytes.

@@ -549,9 +549,13 @@ func NewShardGroup(n int) *ShardGroup {
 		}
 		sh.horizon.Store(horizonInfinity)
 		sh.k.setPublish(func(t Time) {
+			// Wake the hub only when this horizon crosses want. The hub
+			// stores want before reading horizons and the leaf swaps
+			// before loading want, so one side sees the other; a horizon
+			// already above want cannot be what the hub waits on.
 			h := satAdd(t, sh.lookahead)
-			sh.horizon.Store(h)
-			if h > g.want.Load() {
+			old := sh.horizon.Swap(h)
+			if want := g.want.Load(); old <= want && h > want {
 				g.mu.Lock()
 				g.cond.Broadcast()
 				g.mu.Unlock()

@@ -78,6 +78,25 @@ type Machine struct {
 
 	replica      bool  // each disk's data has a copy on the next disk
 	replicaBytes int64 // bytes re-read from replicas after failures
+
+	// stripeFree holds the chunk requests of finished striped requests
+	// for reuse, so steady-state striped I/O allocates nothing.
+	stripeFree [][]disk.Request
+}
+
+// chunkRequests returns n chunk requests, reusing a finished striped
+// request's slice when one is large enough. The slice is sized before
+// any chunk is submitted and never appended to: the disks hold
+// pointers into it until every Wait on it has returned.
+func (m *Machine) chunkRequests(n int) []disk.Request {
+	if k := len(m.stripeFree); k > 0 {
+		reqs := m.stripeFree[k-1]
+		m.stripeFree = m.stripeFree[:k-1]
+		if cap(reqs) >= n {
+			return reqs[:n]
+		}
+	}
+	return make([]disk.Request, n)
 }
 
 // InstallFaults applies a fault plan to the machine: per-disk injectors
@@ -197,6 +216,12 @@ func (m *Machine) NewStripe(diskIdx []int, baseOffset int64) *Stripe {
 // Disks returns the number of member disks.
 func (s *Stripe) Disks() int { return len(s.disks) }
 
+// member returns the index into the stripe's disks of the member that
+// holds the chunk at logical offset.
+func (s *Stripe) member(logical int64) int {
+	return int(logical / s.chunk % int64(len(s.disks)))
+}
+
 // rw performs one striped request of length bytes at logical offset,
 // fanning 64 KB chunks to the member disks and charging the shared I/O
 // path, the issuing processor's OS costs, and the device-driver queue.
@@ -208,12 +233,10 @@ func (s *Stripe) rw(p *sim.Proc, c *cpu.CPU, offset, length int64, write bool) (
 	m := s.m
 	c.Busy(p, m.OS.ReadWriteCall)
 	nchunks := (length + s.chunk - 1) / s.chunk
-	reqs := make([]disk.Request, nchunks)
-	members := make([]int, nchunks)
+	reqs := m.chunkRequests(int(nchunks))
 	for i := int64(0); i < nchunks; i++ {
 		logical := offset + i*s.chunk
 		stripeRow := logical / (s.chunk * int64(len(s.disks)))
-		member := int(logical / s.chunk % int64(len(s.disks)))
 		diskOff := s.baseOffset + stripeRow*s.chunk
 		n := s.chunk
 		if rem := length - i*s.chunk; rem < n {
@@ -224,9 +247,9 @@ func (s *Stripe) rw(p *sim.Proc, c *cpu.CPU, offset, length int64, write bool) (
 			}
 		}
 		c.Busy(p, m.OS.DriverQueue)
-		reqs[i] = disk.Request{Write: write, Offset: diskOff, Length: n}
-		m.Disks[s.disks[member]].Submit(&reqs[i])
-		members[i] = member
+		r := &reqs[i]
+		r.Write, r.Offset, r.Length = write, diskOff, n
+		m.Disks[s.disks[s.member(logical)]].Submit(r)
 	}
 	for i := range reqs {
 		r := &reqs[i]
@@ -235,16 +258,21 @@ func (s *Stripe) rw(p *sim.Proc, c *cpu.CPU, offset, length int64, write bool) (
 			continue
 		}
 		if m.replica && len(s.disks) > 1 {
-			rep := m.Disks[s.disks[(members[i]+1)%len(s.disks)]]
-			rr := rep.Submit(&disk.Request{Write: r.Write, Offset: r.Offset, Length: r.Length})
-			rr.Wait(p)
-			if rr.Err == nil {
+			rep := m.Disks[s.disks[(s.member(offset+int64(i)*s.chunk)+1)%len(s.disks)]]
+			var err error
+			if r.Write {
+				err = rep.Write(p, r.Offset, r.Length)
+			} else {
+				err = rep.Read(p, r.Offset, r.Length)
+			}
+			if err == nil {
 				m.replicaBytes += r.Length
 				continue
 			}
 		}
 		lost += r.Length
 	}
+	m.stripeFree = append(m.stripeFree, reqs)
 	// Payload crosses the shared FC loop and XIO once.
 	m.diskPath(p, length)
 	c.Busy(p, m.OS.Interrupt)

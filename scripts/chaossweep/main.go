@@ -49,7 +49,9 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // genPlan derives one fault plan from the stream. Roughly half the
 // clauses are present in any given plan, so sweeps cover both isolated
-// faults and pile-ups.
+// faults and pile-ups. A plan that drew no clause gets a media-error
+// clause: an empty plan is no plan, and the run would attach no
+// FaultReport.
 func genPlan(r *rng, disks int) *fault.Plan {
 	p := fault.NewPlan(r.next())
 	if r.float() < 0.6 {
@@ -87,6 +89,9 @@ func genPlan(r *rng, disks int) *fault.Plan {
 			Name:   names[r.intn(len(names))],
 			Window: fault.Window{Start: start, End: start + sim.Time(1+r.intn(50))*sim.Millisecond},
 		})
+	}
+	if p.Empty() {
+		p.MediaRate = 0.001 + r.float()*0.019
 	}
 	return p
 }
