@@ -31,6 +31,7 @@ func inMode(m sim.ExecMode, fn func() string) string {
 func modeCompare(t *testing.T, name string, fn func() string) {
 	t.Helper()
 	event := inMode(sim.ModeEvent, fn)
+	checkGolden(t, name, event)
 	for _, m := range []sim.ExecMode{sim.ModeGoroutine, sim.ModeParallel} {
 		got := inMode(m, fn)
 		if event != got {
