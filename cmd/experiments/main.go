@@ -34,33 +34,32 @@ import (
 	"howsim/internal/probe"
 	"howsim/internal/profiling"
 	"howsim/internal/runconfig"
-	"howsim/internal/sim"
 	"howsim/internal/tasks"
 	"howsim/internal/workload"
 )
 
 func main() {
 	var (
-		only     = flag.String("only", "all", "artifact: table1|table2|fig1|fig2|fig3|fig4|fig5|priceperf|fibreswitch|frontend|embedded|straggler|conclusions|all")
-		scale    = flag.Float64("scale", 1.0, "dataset scale factor")
-		sizesStr = flag.String("sizes", "16,32,64,128", "comma-separated configuration sizes")
-		parallel = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		faults   = flag.String("faults", "", "fault plan (media/slow/corrupt/straggler/fail/replica/spare/outage); runs the fault experiment instead of the figures")
-		ftask    = flag.String("faulttask", "select", "task for the -faults experiment")
+		only      = flag.String("only", "all", "artifact: table1|table2|fig1|fig2|fig3|fig4|fig5|priceperf|fibreswitch|frontend|embedded|straggler|conclusions|all")
+		scale     = flag.Float64("scale", 1.0, "dataset scale factor")
+		sizesStr  = flag.String("sizes", "16,32,64,128", "comma-separated configuration sizes")
+		parallel  = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		faults    = flag.String("faults", "", "fault plan (media/slow/corrupt/straggler/fail/replica/spare/outage); runs the fault experiment instead of the figures")
+		ftask     = flag.String("faulttask", "select", "task for the -faults experiment")
 		farch     = flag.String("faultarch", "all", "architecture for -faults: active|cluster|smp|all")
-		procmode  = flag.String("procmode", "event", "simulator execution mode: event|goroutine|parallel")
+		procmode  = flag.String("procmode", "event", "simulator execution mode: event|parallel (parallel shards Active Disk runs across cores)")
 		tracePath = flag.String("trace", "", "write Chrome trace JSON: with -only, one per figure run (suffixed per config and task); otherwise one -faulttask run per architecture")
 		breakdown = flag.Bool("breakdown", false, "print the utilization/phase breakdown: with -only, per figure run; otherwise one -faulttask run per architecture")
 		ringSpans = flag.Int("ring-spans", 1, "span-ring capacity multiplier for probed runs (x 256Ki spans)")
 	)
 	flag.Parse()
 
-	mode, err := sim.ParseExecMode(*procmode)
+	mode, err := tasks.ParseExecMode(*procmode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	sim.DefaultExecMode = mode
+	tasks.DefaultExecMode = mode
 
 	var sizes []int
 	for _, s := range strings.Split(*sizesStr, ",") {

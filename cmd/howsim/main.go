@@ -37,7 +37,7 @@ func main() {
 	flag.IntVar(&req.FibreSwitch, "fibreswitch", 0, "split the Active Disk farm across N switched loops (0 = single loop)")
 	flag.Float64Var(&req.Scale, "scale", runconfig.DefaultScale, "dataset scale factor (1.0 = full Table 2 size)")
 	flag.StringVar(&req.Faults, "faults", "", "fault plan, e.g. seed=42,media=0.001,corrupt=0.001,straggler=2@1s+500ms*4,fail=3@2s,replica,spare")
-	flag.StringVar(&req.ProcMode, "procmode", runconfig.DefaultProcMode, "simulator execution mode: event|goroutine|parallel")
+	flag.StringVar(&req.ProcMode, "procmode", runconfig.DefaultProcMode, "simulator execution mode: event|parallel (parallel shards Active Disk runs across cores)")
 	flag.IntVar(&req.RingSpans, "ring-spans", runconfig.DefaultRingSpans, "span-ring capacity multiplier for -trace/-breakdown (x 256Ki spans)")
 	var (
 		sweep     = flag.Bool("sweep", false, "run the task across 16/32/64/128 disks and print a scaling table")

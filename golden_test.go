@@ -20,7 +20,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -33,41 +32,42 @@ const goldenHeader = `# Golden digests: the SHA-256 of each byte-identity case's
 # "<sha256> <case>" line per case. Regenerate with: go test . -update
 `
 
-var golden struct {
-	once sync.Once
-	mu   sync.Mutex
-	sums map[string]string
-	err  error
-}
+// goldenSums maps case name to digest; loadGolden fills it on first use.
+// The root package's tests never run in parallel (inMode flips a
+// package global), so no locking is needed.
+var goldenSums map[string]string
 
-// loadGolden reads the digest file once per test binary.
 func loadGolden() (map[string]string, error) {
-	golden.once.Do(func() {
-		golden.sums = map[string]string{}
-		f, err := os.Open(goldenFile)
-		if err != nil {
-			if !*updateGolden || !os.IsNotExist(err) {
-				golden.err = err
-			}
-			return
+	if goldenSums != nil {
+		return goldenSums, nil
+	}
+	sums := map[string]string{}
+	f, err := os.Open(goldenFile)
+	if os.IsNotExist(err) && *updateGolden {
+		goldenSums = sums
+		return sums, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for n := 1; sc.Scan(); n++ {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
 		}
-		defer f.Close()
-		sc := bufio.NewScanner(f)
-		for n := 1; sc.Scan(); n++ {
-			line := sc.Text()
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			sum, name, ok := strings.Cut(line, " ")
-			if !ok || len(sum) != sha256.Size*2 {
-				golden.err = fmt.Errorf("%s:%d: want \"<sha256> <case>\"", goldenFile, n)
-				return
-			}
-			golden.sums[name] = sum
+		sum, name, ok := strings.Cut(line, " ")
+		if !ok || len(sum) != sha256.Size*2 {
+			return nil, fmt.Errorf("%s:%d: want \"<sha256> <case>\"", goldenFile, n)
 		}
-		golden.err = sc.Err()
-	})
-	return golden.sums, golden.err
+		sums[name] = sum
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	goldenSums = sums
+	return sums, nil
 }
 
 // checkGolden compares sha256(out) with the committed digest for name,
@@ -80,8 +80,6 @@ func checkGolden(t *testing.T, name, out string) {
 	}
 	h := sha256.Sum256([]byte(out))
 	got := hex.EncodeToString(h[:])
-	golden.mu.Lock()
-	defer golden.mu.Unlock()
 	if *updateGolden {
 		sums[name] = got
 		if err := writeGolden(sums); err != nil {

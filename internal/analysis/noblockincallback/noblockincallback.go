@@ -1,9 +1,9 @@
 // Package noblockincallback flags blocking simulator primitives called
 // from kernel/Task callback context.
 //
-// The event-driven fast path (sim.ModeEvent) runs continuation
-// callbacks inline in kernel context: there is no goroutine to park, so
-// a blocking call — anything that takes a *sim.Proc and may wait, such
+// The kernel runs continuation callbacks (the substrate service loops'
+// state machines) inline in kernel context: there is no process to
+// park, so a blocking call — anything that takes a *sim.Proc and may wait, such
 // as Mailbox.Get/Put, Resource.Acquire, Pipe.Transfer, Signal.Wait,
 // cpu.Busy or bus.Transfer — deadlocks the whole kernel instead of one
 // process. Callback code must use the *Func continuation forms.
@@ -59,8 +59,8 @@ func run(pass *analysis.Pass) (any, error) {
 	// Pass 1: index this package's function bodies and collect callback
 	// registrations.
 	decls := map[*types.Func]*ast.FuncDecl{} // declared funcs/methods with bodies
-	var cbRoots []*types.Func               // named funcs registered as continuations
-	var cbLits []*ast.FuncLit               // literals registered as continuations
+	var cbRoots []*types.Func                // named funcs registered as continuations
+	var cbLits []*ast.FuncLit                // literals registered as continuations
 
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fd := n.(*ast.FuncDecl)

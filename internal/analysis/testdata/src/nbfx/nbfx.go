@@ -42,8 +42,8 @@ func (s *server) step() {
 }
 
 // shared is registered as a continuation AND called directly from
-// process code, so it is not callback-only: clean (the goroutine-mode
-// path legitimately blocks in it).
+// process code, so it is not callback-only: clean (the process path
+// legitimately blocks in it).
 func (s *server) shared() {
 	s.p.Delay(1)
 }

@@ -108,8 +108,8 @@ func (b *Bus) Transfer(p *sim.Proc, bytes int64) {
 
 // busOp is the state of one in-flight TransferFunc: frame-granular
 // arbitration unrolled into a state machine. Ops are pooled per bus and
-// their step continuations bound once, so event-mode transfers perform
-// no allocation and no goroutine handoff.
+// their step continuations bound once, so transfers perform no
+// allocation and no process handoff.
 type busOp struct {
 	b         *Bus
 	t         *sim.Task

@@ -142,10 +142,9 @@ type Disk struct {
 	pending []*Request
 	sweepUp bool
 
-	// Event-mode service loop state: the callback task standing in for
-	// the server process, the request being serviced, and the two step
-	// continuations (bound once at construction so the loop never
-	// allocates).
+	// Service loop state: the callback task that runs the loop, the
+	// request being serviced, and the two step continuations (bound
+	// once at construction so the loop never allocates).
 	task       *sim.Task
 	cur        *Request
 	curService sim.Time
@@ -153,7 +152,7 @@ type Disk struct {
 	onDoneFn   func()
 
 	pr probe.Ref
-	// statsAt snapshots the counters when event-mode service began, so
+	// statsAt snapshots the counters when service began, so
 	// onServiced can emit per-request seek/rotate/transfer deltas.
 	statsAt Stats
 
@@ -186,8 +185,7 @@ const (
 // Call before issuing requests.
 func (d *Disk) SetScheduler(p SchedulingPolicy) { d.policy = p }
 
-// New creates a disk and starts its service loop on k: a goroutine
-// process in ModeGoroutine, an event-driven state machine otherwise.
+// New creates a disk and starts its event-driven service loop on k.
 func New(k *sim.Kernel, name string, spec *Spec) *Disk {
 	d := &Disk{
 		name:      name,
@@ -203,14 +201,10 @@ func New(k *sim.Kernel, name string, spec *Spec) *Disk {
 		rotPeriod: spec.RotationPeriod(),
 		pr:        k.Probe().Register("disk", name),
 	}
-	if k.ExecMode() == sim.ModeGoroutine {
-		k.Spawn(name+".server", d.serve)
-	} else {
-		d.task = k.NewTask(name + ".server")
-		d.onArriveFn = d.onArrive
-		d.onDoneFn = d.onServiced
-		d.serveStep()
-	}
+	d.task = k.NewTask(name + ".server")
+	d.onArriveFn = d.onArrive
+	d.onDoneFn = d.onServiced
+	d.serveStep()
 	return d
 }
 
@@ -352,57 +346,10 @@ func (d *Disk) do(p *sim.Proc, write bool, offset, length int64) error {
 // Capacity returns the disk's formatted capacity in bytes.
 func (d *Disk) Capacity() int64 { return d.geom.totalSectors * SectorSize }
 
-// serve is the drive's single service loop: it collects queued requests
-// and dispatches them under the configured scheduling policy.
-func (d *Disk) serve(p *sim.Proc) {
-	for {
-		if len(d.pending) == 0 {
-			v, ok := d.queue.Get(p)
-			if !ok {
-				return
-			}
-			d.pending = append(d.pending, v.(*Request))
-		}
-		// Drain everything else that has already arrived, so the
-		// scheduler sees the full queue.
-		for {
-			v, ok := d.queue.TryGet()
-			if !ok {
-				break
-			}
-			d.pending = append(d.pending, v.(*Request))
-		}
-		req := d.nextRequest()
-		d.accrueIdlePrefetch(p.Now())
-		req.Started = p.Now()
-		var before Stats
-		if d.pr.On() {
-			before = d.stats
-		}
-		service := d.serviceTime(req)
-		if d.inj != nil {
-			service += d.applyFaults(req)
-		}
-		p.Delay(service)
-		req.Finished = p.Now()
-		d.stats.BusyTime += service
-		d.stats.Requests++
-		if req.Write {
-			d.stats.BytesWritten += req.Length
-		} else {
-			d.stats.BytesRead += req.Length
-		}
-		d.idleSince = p.Now()
-		d.emitServed(req, before)
-		req.done.Fire()
-	}
-}
-
-// serveStep, onArrive and onServiced are the event-mode service loop:
-// the same schedule as serve, unrolled into a state machine driven by
-// mailbox and timer callbacks so no goroutine handoff happens per
-// request. The wake/grant ordering is identical step for step, which is
-// what keeps the two modes byte-equivalent.
+// serveStep, onArrive and onServiced are the drive's service loop: a
+// state machine driven by mailbox and timer callbacks that collects
+// queued requests and dispatches them under the configured scheduling
+// policy, so no process handoff happens per request.
 func (d *Disk) serveStep() {
 	if len(d.pending) == 0 {
 		d.queue.GetFunc(d.task, d.onArriveFn)
@@ -469,8 +416,7 @@ func (d *Disk) onServiced() {
 // counters. before is the counter snapshot taken when service began;
 // the deltas against it attribute this request's share. Sub-span layout
 // is a rendering approximation (controller overhead and fault delay
-// land in the tail), but it is the same deterministic function of the
-// deltas in both execution modes.
+// land in the tail), but it is a deterministic function of the deltas.
 func (d *Disk) emitServed(req *Request, before Stats) {
 	if !d.pr.On() {
 		return

@@ -7,35 +7,31 @@ import (
 )
 
 // TestSyncIOAllocatesNothing checks a steady-state synchronous Read or
-// Write allocates nothing in either single-kernel mode: the request
-// comes from the disk's free list and its completion signal keeps its
-// waiter storage across uses.
+// Write allocates nothing: the request comes from the disk's free list
+// and its completion signal keeps its waiter storage across uses.
 func TestSyncIOAllocatesNothing(t *testing.T) {
-	for _, mode := range []sim.ExecMode{sim.ModeEvent, sim.ModeGoroutine} {
-		k := sim.NewKernel()
-		k.SetExecMode(mode)
-		d := New(k, "d", Cheetah9LP())
-		const n = 64 << 10
-		var reads, writes float64
-		k.Spawn("io", func(p *sim.Proc) {
-			off := int64(0)
-			next := func() int64 {
-				off = (off + n) % (256 << 20)
-				return off
-			}
-			// Warm the free list, the disk queue and the event slab.
-			for i := 0; i < 4; i++ {
-				d.Read(p, next(), n)
-				d.Write(p, next(), n)
-			}
-			reads = testing.AllocsPerRun(100, func() { d.Read(p, next(), n) })
-			writes = testing.AllocsPerRun(100, func() { d.Write(p, next(), n) })
-		})
-		k.Run()
-		k.Close()
-		if reads != 0 || writes != 0 {
-			t.Errorf("mode %v: Read allocates %v and Write %v per call in steady state, want 0", mode, reads, writes)
+	k := sim.NewKernel()
+	defer k.Close()
+	d := New(k, "d", Cheetah9LP())
+	const n = 64 << 10
+	var reads, writes float64
+	k.Spawn("io", func(p *sim.Proc) {
+		off := int64(0)
+		next := func() int64 {
+			off = (off + n) % (256 << 20)
+			return off
 		}
+		// Warm the free list, the disk queue and the event slab.
+		for i := 0; i < 4; i++ {
+			d.Read(p, next(), n)
+			d.Write(p, next(), n)
+		}
+		reads = testing.AllocsPerRun(100, func() { d.Read(p, next(), n) })
+		writes = testing.AllocsPerRun(100, func() { d.Write(p, next(), n) })
+	})
+	k.Run()
+	if reads != 0 || writes != 0 {
+		t.Errorf("Read allocates %v and Write %v per call in steady state, want 0", reads, writes)
 	}
 }
 

@@ -158,7 +158,7 @@ type System struct {
 	loops    []*bus.Bus
 	perGroup int
 
-	pumpFree []*streamOp // recycled event-mode stream pumps
+	pumpFree []*streamOp // recycled stream pumps
 }
 
 // NewSystem builds an Active Disk system on k.
@@ -455,18 +455,13 @@ func (ad *ActiveDisk) Release(bytes int64) {
 // CloseInbox signals receivers that no more chunks will arrive.
 func (ad *ActiveDisk) CloseInbox() { ad.inbox.Close() }
 
-// stream moves bytes from disk src to disk dst chunk by chunk. In
-// event mode the chunk loop runs as a pooled state machine in kernel
-// context: the calling disklet parks once (Await) and the pump resumes
-// it inline (Handoff) after the last chunk, so the caller continues at
-// exactly the event position a blocking loop would have. In goroutine
-// mode the disklet's own process walks the hops.
+// stream moves bytes from disk src to disk dst chunk by chunk. The
+// chunk loop runs as a pooled state machine in kernel context: the
+// calling disklet parks once (Await) and the pump resumes it inline
+// (Handoff) after the last chunk, so the caller continues at exactly
+// the event position a blocking loop would have.
 func (s *System) stream(p *sim.Proc, src, dst int, bytes int64, payload any) {
 	if bytes <= 0 {
-		return
-	}
-	if s.K.ExecMode() == sim.ModeGoroutine {
-		s.streamProc(p, src, dst, bytes, payload)
 		return
 	}
 	var op *streamOp
@@ -487,41 +482,12 @@ func (s *System) stream(p *sim.Proc, src, dst int, bytes int64, payload any) {
 	s.pumpFree = append(s.pumpFree, op)
 }
 
-// streamProc is the goroutine-mode chunk loop.
-func (s *System) streamProc(p *sim.Proc, src, dst int, bytes int64, payload any) {
-	d := s.Disks[dst]
-	remaining := bytes
-	for remaining > 0 {
-		n := s.chunk
-		if remaining < n {
-			n = remaining
-		}
-		remaining -= n
-		d.commBuf.Acquire(p, n) // backpressure: wait for receive buffers
-		d.sampleBuf()
-		if s.Cfg.DirectComm {
-			s.diskToDisk(p, src, dst, n)
-		} else {
-			s.relayThroughFrontEnd(p, src, dst, n)
-		}
-		last := remaining == 0
-		var pl any
-		if last {
-			pl = payload
-		}
-		if !d.inbox.TryPut(Chunk{Src: src, Bytes: n, Payload: pl}) {
-			panic("diskos: disk inbox rejected chunk")
-		}
-		d.pr.Count(probe.KindChunk, 1)
-	}
-}
-
-// streamOp is one event-mode stream pump: the chunk loop of streamProc
-// unrolled into a state machine that acquires receive-buffer credit,
-// walks the chunk's bus hops, delivers it to the destination inbox and
-// loops, handing control back to the caller after the last chunk. Ops
-// are pooled per system and their continuations bound once, so the
-// direct-communication path performs no allocation per chunk.
+// streamOp is one stream pump: a state machine that acquires
+// receive-buffer credit (backpressure), walks the chunk's bus hops,
+// delivers it to the destination inbox and loops, handing control back
+// to the caller after the last chunk. Ops are pooled per system and
+// their continuations bound once, so the direct-communication path
+// performs no allocation per chunk.
 type streamOp struct {
 	s         *System
 	t         *sim.Task
@@ -539,11 +505,11 @@ type streamOp struct {
 // and wait for receive-buffer credit at the destination.
 //
 // The completion Handoff resumes the caller inline inside the final
-// hop's completion event — the same position a blocking streamProc
-// caller resumes at — which is what keeps the two modes' event order
-// identical. The caller may return this op to the pool (and even start
-// a new stream on it) before Handoff returns; nothing after the Handoff
-// may touch op's fields.
+// hop's completion event — the position a caller walking the hops
+// itself would resume at — which is the event order the golden digests
+// pin. The caller may return this op to the pool (and even start a new
+// stream on it) before Handoff returns; nothing after the Handoff may
+// touch op's fields.
 func (op *streamOp) step() {
 	if op.remaining <= 0 {
 		op.s.K.Handoff(op.caller)
@@ -565,8 +531,12 @@ func (op *streamOp) acquired() {
 	op.advance()
 }
 
-// advance walks the chunk through its hop sequence — the same order as
-// diskToDisk / relayThroughFrontEnd — delivering it after the last hop.
+// advance walks the chunk through its hop sequence, delivering it after
+// the last hop. Direct communication crosses the source loop, then the
+// destination loop when it differs (through the FibreSwitch). The
+// restricted path relays through the front-end: the chunk crosses the
+// loop to the front-end, enters host memory over PCI, is copied by the
+// host CPU, leaves over PCI and crosses the loop again.
 func (op *streamOp) advance() {
 	s := op.s
 	if s.Cfg.DirectComm {
@@ -623,19 +593,6 @@ func (op *streamOp) deliver() {
 	}
 	d.pr.Count(probe.KindChunk, 1)
 	op.step()
-}
-
-// relayThroughFrontEnd is the restricted communication path: the chunk
-// crosses the loop to the front-end, enters host memory over PCI, is
-// copied by the host CPU, leaves over PCI and crosses the loop again.
-func (s *System) relayThroughFrontEnd(p *sim.Proc, src, dst int, n int64) {
-	fe := s.FE
-	s.diskToFE(p, src, n)
-	fe.PCI.Transfer(p, n)
-	fe.CPU.Busy(p, fe.OS.Interrupt+sim.TransferTime(n, fe.OS.MemoryCopyBytesPerSec))
-	fe.PCI.Transfer(p, n)
-	s.feToDisk(p, dst, n)
-	fe.relayedBytes += n
 }
 
 // FrontEndSend streams bytes from the front-end host to a disk

@@ -355,3 +355,38 @@ func TestCorruptionFaultDeterminism(t *testing.T) {
 		t.Error("corruption schedule is identical to the media-error schedule")
 	}
 }
+
+// FuzzParsePlan feeds arbitrary text to the plan grammar: ParsePlan
+// must never panic, and every plan it accepts must reach a fixed point
+// in one parse→String→parse round trip, so a plan's canonical spelling
+// (the form runconfig folds cache keys to) is stable. The seeds are the
+// plans the execution-mode equivalence tests run.
+func FuzzParsePlan(f *testing.F) {
+	for _, s := range []string{
+		"",
+		"seed=42,media=0.002,slow=0.001,fail=3@50ms,replica",
+		"seed=7,media=0.004,slow=0.002,corrupt=0.003",
+		"seed=9,fail=2@10ms",
+		"seed=11,straggler=1@5ms+30ms*3,outage=fcal0@8ms+2ms",
+		"seed=42,media=0.001,slow=0.0005,slowby=50ms,fail=3@2s,replica,outage=fcal0@1s+200ms",
+		"seed=9,corrupt=0.004,fail=2@1s,replica,spare,straggler=1@5ms+30ms*3,straggler=0@1ms+2ms",
+		"seed=5,replica,spare,fail=2@1s,rebuild-rate=12.5",
+		"outage=l@2s+1s,outage=l@0s+500ms,outage=other@1s+1s",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		p, err := ParsePlan(in)
+		if err != nil {
+			return
+		}
+		canon := p.String()
+		q, err := ParsePlan(canon)
+		if err != nil {
+			t.Fatalf("ParsePlan(%q) accepted, but its canonical form %q does not re-parse: %v", in, canon, err)
+		}
+		if again := q.String(); again != canon {
+			t.Fatalf("ParsePlan(%q): canonical form is not a fixed point:\n  %s\n  %s", in, canon, again)
+		}
+	})
+}

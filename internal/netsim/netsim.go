@@ -99,11 +99,7 @@ func (n *Network) NewLink(name string, cfg LinkConfig) *Link {
 		pr:    n.k.Probe().Register("link", name),
 	}
 	for i := 0; i < cfg.Channels; i++ {
-		if n.k.ExecMode() == sim.ModeGoroutine {
-			n.k.Spawn(fmt.Sprintf("%s.tx%d", name, i), l.transmit)
-		} else {
-			l.newTx(fmt.Sprintf("%s.tx%d", name, i))
-		}
+		l.newTx(fmt.Sprintf("%s.tx%d", name, i))
 	}
 	return l
 }
@@ -136,61 +132,14 @@ func (l *Link) StallTime() sim.Time { return l.stallTime }
 // hop's queue had been closed (a downed endpoint).
 func (l *Link) DroppedFrames() int64 { return l.dropped }
 
-// stallForOutage blocks p until no outage window covers the current
-// instant.
-func (l *Link) stallForOutage(p *sim.Proc) {
-	for _, w := range l.outages {
-		now := p.Now()
-		if now < w.Start {
-			return // sorted; later windows can't cover now
-		}
-		if w.Contains(now) {
-			d := w.End - now
-			l.stallTime += d
-			l.pr.Span(probe.KindStall, int64(now), int64(w.End))
-			p.Delay(d)
-		}
-	}
-}
-
-// transmit is one channel's server loop: pull a frame, serialize it onto
-// the wire, then hand it to the next hop (blocking if that hop's queue
-// is full — backpressure) or deliver it. A frame bound for a closed
-// next-hop queue is dropped and counted, like a packet sent to a dead
-// port: the network stays up, the loss is observable.
-func (l *Link) transmit(p *sim.Proc) {
-	for {
-		v, ok := l.queue.Get(p)
-		if !ok {
-			return
-		}
-		f := v.(*frame)
-		if l.outages != nil {
-			l.stallForOutage(p)
-		}
-		l.pipe.Transfer(p, f.bytes)
-		l.bytesMoved += f.bytes
-		l.frames++
-		f.path = f.path[1:]
-		if len(f.path) > 0 {
-			next := f.path[0]
-			if next.pr.On() {
-				next.pr.Sample(probe.KindQueue, int64(next.queue.Len()))
-			}
-			if err := next.queue.Put(p, f); err != nil {
-				l.dropped++
-				l.pr.Count(probe.KindDrop, 1)
-			}
-			continue
-		}
-		l.net.deliver(f)
-	}
-}
-
-// linkTx is one transmit channel's event-mode server: the same loop as
-// transmit, unrolled into a state machine whose step continuations are
-// bound once at construction, so forwarding a frame performs no
-// goroutine handoff and no allocation.
+// linkTx is one transmit channel's server loop: pull a frame, serialize
+// it onto the wire, then hand it to the next hop (waiting if that hop's
+// queue is full — backpressure) or deliver it. A frame bound for a
+// closed next-hop queue is dropped and counted, like a packet sent to a
+// dead port: the network stays up, the loss is observable. The loop is
+// a state machine whose step continuations are bound once at
+// construction, so forwarding a frame performs no process handoff and
+// no allocation.
 type linkTx struct {
 	l       *Link
 	t       *sim.Task
@@ -201,7 +150,7 @@ type linkTx struct {
 	stallFn func()
 }
 
-// newTx creates one event-mode transmit server and starts it.
+// newTx creates one transmit server and starts it.
 func (l *Link) newTx(name string) {
 	tx := &linkTx{l: l, t: l.net.k.NewTask(name)}
 	tx.frameFn = tx.onFrame
@@ -223,8 +172,8 @@ func (tx *linkTx) onFrame(v any, ok bool) {
 }
 
 // send waits out any outage covering the current instant, then puts the
-// frame on the wire. Re-checking the windows from scratch after each
-// stall matches stallForOutage's loop.
+// frame on the wire. The windows are re-checked from scratch after each
+// stall, since a stall can end inside a later window.
 func (tx *linkTx) send() {
 	l := tx.l
 	if l.outages != nil {

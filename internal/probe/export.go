@@ -16,10 +16,11 @@ import (
 //
 // The output is bit-deterministic: spans are sorted by value before
 // emission, so two runs that recorded the same set of spans — the
-// guarantee the simulator makes across seeds-equal runs and `-procmode`
-// settings when the ring has not overflowed — serialize to identical
-// bytes. Scheduler diagnostics (component "sched") are excluded, since
-// their counters describe the execution mode, not the modeled system.
+// guarantee the simulator makes across seeds-equal runs and across
+// `-procmode event|parallel` when the ring has not overflowed —
+// serialize to identical bytes. Scheduler diagnostics (component
+// "sched") are excluded, since their counters describe how the host
+// executed the run (one kernel or sharded), not the modeled system.
 func (s *Sink) WriteTrace(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 

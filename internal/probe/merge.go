@@ -7,7 +7,7 @@ package probe
 // Register uses — so a sharded run whose components were constructed in
 // the single-kernel order reproduces the single-kernel instance
 // numbering exactly, which is what keeps exported traces and reports
-// byte-identical across -procmode settings.
+// byte-identical across -procmode event|parallel.
 
 // RingCap returns the span-ring capacity the sink was created with, so
 // auxiliary sinks (per-partition recorders) can be sized to match.

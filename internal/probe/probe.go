@@ -19,7 +19,8 @@
 //     context), instance registration order follows component
 //     construction order, and exporters sort spans by value — so two
 //     runs of the same simulation produce byte-identical output in
-//     either `-procmode`, as long as the ring did not overflow.
+//     `-procmode event` and `-procmode parallel`, as long as the ring
+//     did not overflow.
 //     Scheduler-level counters (event dispatches, parks, wakes) are the
 //     one exception: they describe the execution mode itself and are
 //     excluded from the deterministic exports by default.

@@ -17,7 +17,7 @@ type Report struct {
 	Elapsed Time
 	// IncludeScheduler adds the execution-mode-dependent scheduler
 	// counters. Off by default so reports stay byte-identical across
-	// `-procmode` settings.
+	// `-procmode event|parallel`.
 	IncludeScheduler bool
 
 	s *Sink

@@ -25,7 +25,7 @@ import (
 
 	"howsim/internal/arch"
 	"howsim/internal/fault"
-	"howsim/internal/sim"
+	"howsim/internal/tasks"
 	"howsim/internal/workload"
 )
 
@@ -45,6 +45,11 @@ const (
 // paper studies 16-128; the bound only exists so a hostile request
 // cannot ask a service to build a million-drive farm.
 const MaxDisks = 4096
+
+// MaxMemMB bounds the Active Disk per-drive memory a Request may ask
+// for (the paper studies 32-128 MB). Above it the byte count would
+// overflow.
+const MaxMemMB = 1 << 20
 
 // MaxRingSpans bounds the per-request span-ring multiplier. One unit is
 // probe.DefaultRingSpans (256Ki spans, 8 MB); the bound keeps a single
@@ -81,7 +86,7 @@ type Request struct {
 	Scale float64 `json:"scale,omitempty"`
 	// Faults is a deterministic fault plan in the internal/fault grammar.
 	Faults string `json:"faults,omitempty"`
-	// ProcMode is the simulator execution mode: event|goroutine|parallel.
+	// ProcMode is the simulator execution mode: event|parallel.
 	ProcMode string `json:"procmode,omitempty"`
 	// RingSpans multiplies the probe span-ring capacity for probed runs.
 	// Each request gets its own isolated sink sized by its own budget.
@@ -100,7 +105,7 @@ type Spec struct {
 	Config  arch.Config
 	Dataset workload.Dataset
 	Plan    *fault.Plan // nil when the plan is empty
-	Mode    sim.ExecMode
+	Mode    tasks.ExecMode
 }
 
 // Normalize validates the request, fills defaults, folds don't-care
@@ -134,17 +139,17 @@ func (r Request) Normalize() (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	mode, err := sim.ParseExecMode(r.ProcMode)
+	mode, err := tasks.ParseExecMode(r.ProcMode)
 	if err != nil {
 		return nil, err
 	}
 	if r.Disks < 1 || r.Disks > MaxDisks {
 		return nil, fmt.Errorf("runconfig: disks %d out of range [1, %d]", r.Disks, MaxDisks)
 	}
-	if r.MemMB < 1 {
-		return nil, fmt.Errorf("runconfig: mem_mb %d must be positive", r.MemMB)
+	if r.MemMB < 1 || r.MemMB > MaxMemMB {
+		return nil, fmt.Errorf("runconfig: mem_mb %d out of range [1, %d]", r.MemMB, MaxMemMB)
 	}
-	if r.Scale <= 0 || r.Scale > 1 {
+	if !(r.Scale > 0 && r.Scale <= 1) { // also rejects NaN
 		return nil, fmt.Errorf("runconfig: scale %g out of range (0, 1]", r.Scale)
 	}
 	if r.RingSpans < 1 || r.RingSpans > MaxRingSpans {

@@ -1,11 +1,12 @@
 package runconfig
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"howsim/internal/arch"
-	"howsim/internal/sim"
+	"howsim/internal/tasks"
 	"howsim/internal/workload"
 )
 
@@ -15,7 +16,7 @@ func TestNormalizeDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sp.TaskID != workload.Select || sp.Config.Kind != arch.KindActiveDisk ||
-		sp.Config.Disks != 16 || sp.Mode != sim.ModeEvent {
+		sp.Config.Disks != 16 || sp.Mode != tasks.ModeEvent {
 		t.Fatalf("unexpected defaults: %+v", sp)
 	}
 	if sp.Config.DiskMemBytes != 32<<20 {
@@ -88,9 +89,11 @@ func TestIgnoredKnobsFold(t *testing.T) {
 	}
 }
 
-func TestDistinctRequestsDistinctKeys(t *testing.T) {
-	base := Request{Task: "select", Arch: "active", Disks: 16}
-	variants := []Request{
+// distinctBase and distinctVariants are requests that must each get
+// their own cache key.
+var (
+	distinctBase     = Request{Task: "select", Arch: "active", Disks: 16}
+	distinctVariants = []Request{
 		{Task: "sort", Arch: "active", Disks: 16},
 		{Task: "select", Arch: "smp", Disks: 16},
 		{Task: "select", Arch: "active", Disks: 32},
@@ -104,12 +107,34 @@ func TestDistinctRequestsDistinctKeys(t *testing.T) {
 		{Task: "select", Arch: "active", Disks: 16, ProcMode: "parallel"},
 		{Task: "select", Arch: "active", Disks: 16, Breakdown: true},
 	}
-	bs, err := base.Normalize()
+)
+
+// rejectedRequests are invalid requests Normalize must refuse.
+var rejectedRequests = []Request{
+	{Task: "frobnicate"},
+	{Arch: "mainframe"},
+	{Disks: -1},
+	{Disks: MaxDisks + 1},
+	{Scale: 1.5},
+	{Scale: -0.1},
+	{MemMB: -4},
+	{MemMB: MaxMemMB + 1},
+	{Scale: math.NaN()},
+	{ProcMode: "quantum"},
+	{ProcMode: "goroutine"},
+	{RingSpans: MaxRingSpans + 1},
+	{RingSpans: -2},
+	{FibreSwitch: -1},
+	{Faults: "media=nonsense"},
+}
+
+func TestDistinctRequestsDistinctKeys(t *testing.T) {
+	bs, err := distinctBase.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]string{bs.Key(): bs.Canonical()}
-	for _, v := range variants {
+	for _, v := range distinctVariants {
 		sp, err := v.Normalize()
 		if err != nil {
 			t.Fatalf("%+v: %v", v, err)
@@ -122,24 +147,15 @@ func TestDistinctRequestsDistinctKeys(t *testing.T) {
 }
 
 func TestNormalizeRejects(t *testing.T) {
-	bad := []Request{
-		{Task: "frobnicate"},
-		{Arch: "mainframe"},
-		{Disks: -1},
-		{Disks: MaxDisks + 1},
-		{Scale: 1.5},
-		{Scale: -0.1},
-		{MemMB: -4},
-		{ProcMode: "quantum"},
-		{RingSpans: MaxRingSpans + 1},
-		{RingSpans: -2},
-		{FibreSwitch: -1},
-		{Faults: "media=nonsense"},
-	}
-	for _, r := range bad {
+	for _, r := range rejectedRequests {
 		if _, err := r.Normalize(); err == nil {
 			t.Errorf("Normalize(%+v) accepted an invalid request", r)
 		}
+	}
+	// The retired goroutine mode names the modes that remain.
+	_, err := Request{ProcMode: "goroutine"}.Normalize()
+	if err == nil || !strings.Contains(err.Error(), "event") || !strings.Contains(err.Error(), "parallel") {
+		t.Errorf("procmode goroutine: error %v does not name event and parallel", err)
 	}
 }
 
@@ -156,4 +172,44 @@ func TestScaledDataset(t *testing.T) {
 	if !strings.Contains(sp.Canonical(), "scale=0.01") {
 		t.Fatalf("canonical %q lacks the scale", sp.Canonical())
 	}
+}
+
+// FuzzNormalize checks the request boundary every CLI and howsimd share:
+// Normalize never panics, and a request it accepts normalizes to a
+// fixed point — normalizing Spec.Req again yields the same canonical
+// form, so one run never hashes to two cache keys. The seeds are the
+// requests the tests above accept and reject.
+func FuzzNormalize(f *testing.F) {
+	add := func(r Request) {
+		f.Add(r.Task, r.Arch, r.Disks, r.MemMB, r.FastIO, r.FastDisk, r.FrontEndOnly,
+			r.FibreSwitch, r.Scale, r.Faults, r.ProcMode, r.RingSpans, r.Breakdown)
+	}
+	add(Request{})
+	add(distinctBase)
+	for _, r := range distinctVariants {
+		add(r)
+	}
+	for _, r := range rejectedRequests {
+		add(r)
+	}
+	add(Request{Task: "sort", Arch: "cluster", Disks: 64, Scale: 0.05, Faults: " seed=42 , media=0.001 "})
+	add(Request{Arch: "cluster", MemMB: 128, FrontEndOnly: true, FibreSwitch: 4})
+	add(Request{FibreSwitch: 1})
+	f.Fuzz(func(t *testing.T, task, arch string, disks int, memMB int64, fastIO, fastDisk, feOnly bool,
+		fibreSwitch int, scale float64, faults, procMode string, ringSpans int, breakdown bool) {
+		r := Request{Task: task, Arch: arch, Disks: disks, MemMB: memMB, FastIO: fastIO,
+			FastDisk: fastDisk, FrontEndOnly: feOnly, FibreSwitch: fibreSwitch, Scale: scale,
+			Faults: faults, ProcMode: procMode, RingSpans: ringSpans, Breakdown: breakdown}
+		sp, err := r.Normalize()
+		if err != nil {
+			return
+		}
+		again, err := sp.Req.Normalize()
+		if err != nil {
+			t.Fatalf("Normalize(%+v) accepted, but its normalized form %+v is rejected: %v", r, sp.Req, err)
+		}
+		if sp.Canonical() != again.Canonical() {
+			t.Fatalf("Normalize(%+v) is not a fixed point:\n  %s\n  %s", r, sp.Canonical(), again.Canonical())
+		}
+	})
 }

@@ -324,21 +324,22 @@ func TestBadRequests(t *testing.T) {
 	defer ts.Close()
 
 	for _, tc := range []string{
-		`{"task":"select","arch":"warp"}`,     // unknown arch
-		`{"task":"levitate"}`,                 // unknown task
-		`{"task":"select","bogus":true}`,      // unknown field
-		`not json`,                            // malformed
-		`{"task":"select","ring_spans":4}`,    // over the server's span budget
-		`{"task":"select","scale":0.9}`,       // over the server's scale budget
-		`{"task":"select","disks":-1}`,        // invalid disks
+		`{"task":"select","arch":"warp"}`,          // unknown arch
+		`{"task":"levitate"}`,                      // unknown task
+		`{"task":"select","bogus":true}`,           // unknown field
+		`not json`,                                 // malformed
+		`{"task":"select","ring_spans":4}`,         // over the server's span budget
+		`{"task":"select","scale":0.9}`,            // over the server's scale budget
+		`{"task":"select","disks":-1}`,             // invalid disks
+		`{"task":"select","procmode":"goroutine"}`, // retired exec mode
 	} {
 		st, _, _ := postJSON(t, ts.Client(), ts.URL+"/v1/simulate", tc)
 		if st != http.StatusBadRequest {
 			t.Errorf("request %s: status %d, want 400", tc, st)
 		}
 	}
-	if got := s.metrics.BadRequests.Load(); got != 7 {
-		t.Fatalf("bad request counter = %d, want 7", got)
+	if got := s.metrics.BadRequests.Load(); got != 8 {
+		t.Fatalf("bad request counter = %d, want 8", got)
 	}
 }
 

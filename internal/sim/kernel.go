@@ -82,7 +82,6 @@ type Kernel struct {
 	// curAnc is the executing event's ancestor-lineage vector (event.anc).
 	curSched Time
 	curAnc   lineage
-	mode     ExecMode
 	// publish, when set, is called with the new virtual time just before
 	// the kernel advances to it — the clock-promise hook a ShardGroup
 	// uses for conservative synchronization. Nil outside sharded runs,
@@ -106,22 +105,13 @@ type Kernel struct {
 	sched probe.Ref
 }
 
-// NewKernel returns an empty simulation kernel at time zero, executing
-// in DefaultExecMode.
+// NewKernel returns an empty simulation kernel at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{mode: DefaultExecMode}
+	return &Kernel{}
 }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// ExecMode reports which execution mode model infrastructure should use.
-func (k *Kernel) ExecMode() ExecMode { return k.mode }
-
-// SetExecMode overrides the kernel's execution mode. Call it before
-// building any model components: they consult the mode at construction
-// time to decide between a service process and a callback state machine.
-func (k *Kernel) SetExecMode(m ExecMode) { k.mode = m }
 
 // SetProbe attaches an observability sink. Call it before building any
 // model components: they bind their emission handles at construction.
@@ -442,8 +432,8 @@ func (k *Kernel) activate(p *Proc) {
 // Handoff transfers control to a process parked in Await, resuming it
 // inline: p runs inside the *current* event until its next park, exactly
 // where a blocking call in p's own body would have resumed. This is the
-// synchronous-call bridge for event-mode state machines that service a
-// parked caller — scheduling a wake event instead would let other
+// synchronous-call bridge for state machines that service a parked
+// caller — scheduling a wake event instead would let other
 // already-queued same-time events run first, reordering resource grants
 // relative to the blocking API. Handoff must be called from kernel
 // context (an event callback or a task continuation); calling it while

@@ -6,59 +6,6 @@ import (
 	"howsim/internal/probe"
 )
 
-// ExecMode selects how a kernel's model infrastructure executes its hot
-// service loops.
-type ExecMode int
-
-const (
-	// ModeEvent runs infrastructure service loops (disk servicing, link
-	// forwarding, bus arbitration, stream pumps) as callback state
-	// machines in kernel context via the Task API — no goroutine
-	// handoffs on the hot path.
-	ModeEvent ExecMode = iota
-	// ModeGoroutine runs every model component as a goroutine process
-	// (the original execution model). Retained as a cross-check: both
-	// modes must render byte-identical figures.
-	ModeGoroutine
-	// ModeParallel is ModeEvent plus intra-simulation sharding: runs
-	// whose topology supports it are partitioned into per-disk subkernels
-	// driven by a ShardGroup, each subkernel executing the event-driven
-	// fast path on its own core. Model components treat it exactly like
-	// ModeEvent (they test for ModeGoroutine); the tasks layer decides
-	// whether a given (architecture, task) pair shards.
-	ModeParallel
-)
-
-func (m ExecMode) String() string {
-	switch m {
-	case ModeEvent:
-		return "event"
-	case ModeGoroutine:
-		return "goroutine"
-	case ModeParallel:
-		return "parallel"
-	}
-	return fmt.Sprintf("ExecMode(%d)", int(m))
-}
-
-// ParseExecMode converts a -procmode flag value to an ExecMode.
-func ParseExecMode(s string) (ExecMode, error) {
-	switch s {
-	case "event":
-		return ModeEvent, nil
-	case "goroutine":
-		return ModeGoroutine, nil
-	case "parallel":
-		return ModeParallel, nil
-	}
-	return ModeEvent, fmt.Errorf("sim: unknown exec mode %q (want event, goroutine or parallel)", s)
-}
-
-// DefaultExecMode is copied into every kernel built by NewKernel. The
-// event-driven fast path is the default; tests flip this to cross-check
-// the two modes against each other.
-var DefaultExecMode = ModeEvent
-
 // taskWait identifies which primitive a callback task is parked on, so
 // the kernel knows how to resume it when its wake event fires.
 type taskWait uint8

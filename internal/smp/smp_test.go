@@ -223,33 +223,30 @@ func TestRemoteQueue(t *testing.T) {
 }
 
 // TestStripeReadAllocatesNothing checks a steady-state striped read
-// allocates nothing in either single-kernel mode: its chunk requests
-// and member scratch come from the machine's free list.
+// allocates nothing: its chunk requests and member scratch come from
+// the machine's free list.
 func TestStripeReadAllocatesNothing(t *testing.T) {
-	for _, mode := range []sim.ExecMode{sim.ModeEvent, sim.ModeGoroutine} {
-		k := sim.NewKernel()
-		k.SetExecMode(mode)
-		m := New(k, DefaultConfig(4))
-		stripe := m.NewStripe(seq(4), 0)
-		const n = 256 << 10
-		var allocs float64
-		k.Spawn("reader", func(p *sim.Proc) {
-			off := int64(0)
-			read := func() {
-				stripe.Read(p, m.CPUs[0], off, n)
-				off = (off + n) % (64 << 20)
-			}
-			// Warm the free lists, the disk queues and the event slab.
-			for i := 0; i < 4; i++ {
-				read()
-			}
-			allocs = testing.AllocsPerRun(100, read)
-		})
-		k.Run()
-		k.Close()
-		if allocs != 0 {
-			t.Errorf("mode %v: Stripe.Read allocates %v per call in steady state, want 0", mode, allocs)
+	k := sim.NewKernel()
+	defer k.Close()
+	m := New(k, DefaultConfig(4))
+	stripe := m.NewStripe(seq(4), 0)
+	const n = 256 << 10
+	var allocs float64
+	k.Spawn("reader", func(p *sim.Proc) {
+		off := int64(0)
+		read := func() {
+			stripe.Read(p, m.CPUs[0], off, n)
+			off = (off + n) % (64 << 20)
 		}
+		// Warm the free lists, the disk queues and the event slab.
+		for i := 0; i < 4; i++ {
+			read()
+		}
+		allocs = testing.AllocsPerRun(100, read)
+	})
+	k.Run()
+	if allocs != 0 {
+		t.Errorf("Stripe.Read allocates %v per call in steady state, want 0", allocs)
 	}
 }
 

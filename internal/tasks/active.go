@@ -23,7 +23,7 @@ func runActive(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *
 	var pl placement
 	var s *diskos.System
 	var leafSinks []*probe.Sink
-	if rc.mode == sim.ModeParallel && shardable(cfg, plan) {
+	if rc.mode == ModeParallel && shardable(cfg, plan) {
 		g := sim.NewShardGroup(cfg.Disks)
 		defer g.Close()
 		g.Hub().SetProbe(sink)
@@ -41,7 +41,6 @@ func runActive(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *
 		pl.g, s = g, cfg.BuildActiveSharded(g)
 	} else {
 		k := sim.NewKernel()
-		k.SetExecMode(rc.mode)
 		defer release(k)
 		k.SetProbe(sink)
 		pl.k, s = k, cfg.BuildActive(k)

@@ -52,7 +52,6 @@ func (w *sendWindow) drain(p *sim.Proc) {
 func runCluster(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *Result,
 	plan *fault.Plan, sink *probe.Sink, rc *runCtl) {
 	k := sim.NewKernel()
-	k.SetExecMode(rc.mode)
 	defer release(k)
 	k.SetProbe(sink)
 	m := cfg.BuildCluster(k)

@@ -19,7 +19,6 @@ func TestPlacementInlineStreamTouchesDoNotAllocate(t *testing.T) {
 	const n = 64 << 10 // send size
 	const m = 512      // recv chunk size: every recv chunk fits disk 0's credit at once
 	k := sim.NewKernel()
-	k.SetExecMode(sim.ModeEvent)
 	defer release(k)
 	s := arch.ActiveDisks(2).BuildActive(k)
 	pl := &placement{k: k}

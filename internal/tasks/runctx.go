@@ -20,11 +20,11 @@ import (
 const cancelSlice = 10 * sim.Millisecond
 
 // runCtl carries one run's execution controls: the explicit mode (the
-// concurrency-safe replacement for consulting sim.DefaultExecMode
-// mid-run) and the optional cancellation context.
+// concurrency-safe replacement for consulting DefaultExecMode mid-run)
+// and the optional cancellation context.
 type runCtl struct {
 	ctx       context.Context
-	mode      sim.ExecMode
+	mode      ExecMode
 	cancelled bool
 }
 
@@ -87,10 +87,10 @@ func release(k *sim.Kernel) {
 //
 // One restriction: sharded execution (ModeParallel on a shardable
 // task) checks ctx only on entry; once its partitions are running the
-// run completes before cancellation is reported. The single-kernel
-// modes cancel mid-run with cancelSlice granularity.
+// run completes before cancellation is reported. Single-kernel runs
+// cancel mid-run with cancelSlice granularity.
 func RunCtx(ctx context.Context, cfg arch.Config, task workload.TaskID, ds workload.Dataset,
-	plan *fault.Plan, sink *probe.Sink, mode sim.ExecMode) (*Result, error) {
+	plan *fault.Plan, sink *probe.Sink, mode ExecMode) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

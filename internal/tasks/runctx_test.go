@@ -8,40 +8,36 @@ import (
 	"time"
 
 	"howsim/internal/arch"
-	"howsim/internal/sim"
 	"howsim/internal/workload"
 )
 
 // TestRunCtxMatchesPlainRun checks the sliced, cancellable execution
 // path is event-for-event identical to the plain entry point: same
-// elapsed virtual time, same details, on every architecture and in
-// every single-kernel mode.
+// elapsed virtual time, same details, on every architecture.
 func TestRunCtxMatchesPlainRun(t *testing.T) {
 	ds := scaled(workload.Sort, 48<<20)
 	for _, cfg := range []arch.Config{arch.ActiveDisks(4), arch.Cluster(4), arch.SMP(4)} {
-		for _, mode := range []sim.ExecMode{sim.ModeEvent, sim.ModeGoroutine} {
-			// A context with a deadline takes the sliced path but never
-			// actually cancels.
-			ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
-			got, err := RunCtx(ctx, cfg, workload.Sort, ds, nil, nil, mode)
-			cancel()
-			if err != nil {
-				t.Fatalf("%s/%v: %v", cfg.Name(), mode, err)
-			}
-			want, err := RunCtx(context.Background(), cfg, workload.Sort, ds, nil, nil, mode)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", cfg.Name(), mode, err)
-			}
-			if got.Elapsed != want.Elapsed {
-				t.Errorf("%s/%v: sliced elapsed %v != plain %v", cfg.Name(), mode, got.Elapsed, want.Elapsed)
-			}
-			if len(got.Details) != len(want.Details) {
-				t.Fatalf("%s/%v: details diverged: %v vs %v", cfg.Name(), mode, got.Details, want.Details)
-			}
-			for k, v := range want.Details {
-				if got.Details[k] != v {
-					t.Errorf("%s/%v: detail %s = %g, want %g", cfg.Name(), mode, k, got.Details[k], v)
-				}
+		// A context with a deadline takes the sliced path but never
+		// actually cancels.
+		ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+		got, err := RunCtx(ctx, cfg, workload.Sort, ds, nil, nil, ModeEvent)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name(), err)
+		}
+		want, err := RunCtx(context.Background(), cfg, workload.Sort, ds, nil, nil, ModeEvent)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name(), err)
+		}
+		if got.Elapsed != want.Elapsed {
+			t.Errorf("%s: sliced elapsed %v != plain %v", cfg.Name(), got.Elapsed, want.Elapsed)
+		}
+		if len(got.Details) != len(want.Details) {
+			t.Fatalf("%s: details diverged: %v vs %v", cfg.Name(), got.Details, want.Details)
+		}
+		for k, v := range want.Details {
+			if got.Details[k] != v {
+				t.Errorf("%s: detail %s = %g, want %g", cfg.Name(), k, got.Details[k], v)
 			}
 		}
 	}
@@ -53,7 +49,7 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := RunCtx(ctx, arch.ActiveDisks(4), workload.Select, scaled(workload.Select, 16<<20),
-		nil, nil, sim.ModeEvent)
+		nil, nil, ModeEvent)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -99,23 +95,21 @@ func (c *pollCancelCtx) Err() error {
 // the service's admission control relies on.
 func TestRunCtxCancelMidRunFreesWorkers(t *testing.T) {
 	const polls = 20 // one cancellable check, then one poll per cancelSlice
-	for _, mode := range []sim.ExecMode{sim.ModeEvent, sim.ModeGoroutine} {
-		base := runtime.NumGoroutine()
-		ctx := newPollCancelCtx(polls)
-		_, err := RunCtx(ctx, arch.ActiveDisks(4), workload.Sort, scaled(workload.Sort, 96<<20),
-			nil, nil, mode)
-		if err == nil {
-			t.Fatalf("mode %v: run completed within %d cancellation polls", mode, polls)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("mode %v: err = %v, want context.Canceled", mode, err)
-		}
-		if ctx.polls != polls {
-			t.Fatalf("mode %v: Done polled %d times, want %d: the run must stop at the poll that cancels", mode, ctx.polls, polls)
-		}
-		if n := settledGoroutines(base); n > base {
-			t.Fatalf("mode %v: goroutines leaked after cancellation: %d live, want <= %d", mode, n, base)
-		}
+	base := runtime.NumGoroutine()
+	ctx := newPollCancelCtx(polls)
+	_, err := RunCtx(ctx, arch.ActiveDisks(4), workload.Sort, scaled(workload.Sort, 96<<20),
+		nil, nil, ModeEvent)
+	if err == nil {
+		t.Fatalf("run completed within %d cancellation polls", polls)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ctx.polls != polls {
+		t.Fatalf("Done polled %d times, want %d: the run must stop at the poll that cancels", ctx.polls, polls)
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("goroutines leaked after cancellation: %d live, want <= %d", n, base)
 	}
 }
 
@@ -135,15 +129,15 @@ func settledGoroutines(base int) int {
 }
 
 // TestRunCtxCompletedRunLeavesNoGoroutines runs every task on every
-// architecture to completion in every execution mode and checks the
+// architecture to completion, on one kernel and sharded, and checks the
 // goroutine count returns to its baseline: processes still parked when
 // the run ends (a cluster's MPI dispatchers, for instance) are unwound,
-// not abandoned, and a sharded run's leaf goroutines have exited. The
-// single-kernel modes must be back at the baseline the moment RunCtx
+// not abandoned, and a sharded run's leaf goroutines have exited. A
+// single-kernel run must be back at the baseline the moment RunCtx
 // returns; a sharded run's leaf loops get settledGoroutines' grace to
 // return after signalling the group.
 func TestRunCtxCompletedRunLeavesNoGoroutines(t *testing.T) {
-	for _, mode := range []sim.ExecMode{sim.ModeEvent, sim.ModeGoroutine, sim.ModeParallel} {
+	for _, mode := range []ExecMode{ModeEvent, ModeParallel} {
 		for _, task := range workload.AllTasks() {
 			for _, cfg := range []arch.Config{arch.ActiveDisks(4), arch.Cluster(4), arch.SMP(4)} {
 				base := runtime.NumGoroutine()
@@ -151,7 +145,7 @@ func TestRunCtxCompletedRunLeavesNoGoroutines(t *testing.T) {
 					t.Fatalf("%v/%s/%v: %v", task, cfg.Name(), mode, err)
 				}
 				n := runtime.NumGoroutine()
-				if mode == sim.ModeParallel {
+				if mode == ModeParallel {
 					n = settledGoroutines(base)
 				}
 				if n > base {

@@ -6,17 +6,16 @@ import (
 
 	"howsim/internal/arch"
 	"howsim/internal/probe"
-	"howsim/internal/sim"
 	"howsim/internal/workload"
 )
 
 // setMode switches the package-level execution mode for one test. The
 // tasks tests never call t.Parallel, so the global is safe to flip.
-func setMode(t *testing.T, mode sim.ExecMode) {
+func setMode(t *testing.T, mode ExecMode) {
 	t.Helper()
-	prev := sim.DefaultExecMode
-	sim.DefaultExecMode = mode
-	t.Cleanup(func() { sim.DefaultExecMode = prev })
+	prev := DefaultExecMode
+	DefaultExecMode = mode
+	t.Cleanup(func() { DefaultExecMode = prev })
 }
 
 // TestShardedTasksMatchEvent is the in-package sharded smoke: every
@@ -32,9 +31,9 @@ func TestShardedTasksMatchEvent(t *testing.T) {
 		t.Run(task.String(), func(t *testing.T) {
 			ds := scaled(task, 48<<20)
 			cfg := arch.ActiveDisks(8)
-			setMode(t, sim.ModeEvent)
+			setMode(t, ModeEvent)
 			want := RunDataset(cfg, task, ds)
-			setMode(t, sim.ModeParallel)
+			setMode(t, ModeParallel)
 			got := RunDataset(cfg, task, ds)
 			if got.Elapsed != want.Elapsed {
 				t.Errorf("elapsed = %v, want %v", got.Elapsed, want.Elapsed)
@@ -50,7 +49,7 @@ func TestShardedTasksMatchEvent(t *testing.T) {
 // leaf sink into the caller's sink: the per-disk diskos instances must
 // be present and carry spans.
 func TestShardedProbeMerge(t *testing.T) {
-	setMode(t, sim.ModeParallel)
+	setMode(t, ModeParallel)
 	sink := probe.NewSink()
 	sink.SetEnabled(true)
 	res := RunDatasetProbed(arch.ActiveDisks(4), workload.Select, scaled(workload.Select, 48<<20), nil, sink)
@@ -77,7 +76,7 @@ func TestShardedProbeMerge(t *testing.T) {
 // on Active Disks (the scan reads a peer shard's disk) and the other
 // architectures complete under ModeParallel via the single-kernel path.
 func TestShardedFallbacks(t *testing.T) {
-	setMode(t, sim.ModeParallel)
+	setMode(t, ModeParallel)
 	plan := mustPlan(t, "seed=42,fail=1@5ms,replica")
 	cfg := arch.ActiveDisks(4)
 	if shardable(cfg, plan) {

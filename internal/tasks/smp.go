@@ -18,7 +18,6 @@ import (
 func runSMP(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *Result,
 	plan *fault.Plan, sink *probe.Sink, rc *runCtl) {
 	k := sim.NewKernel()
-	k.SetExecMode(rc.mode)
 	defer release(k)
 	k.SetProbe(sink)
 	m := cfg.BuildSMP(k)

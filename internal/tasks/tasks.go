@@ -75,12 +75,12 @@ func RunDatasetFaulted(cfg arch.Config, task workload.TaskID, ds workload.Datase
 // the sink is enabled, emits into) it, and the task's phase timeline is
 // recorded at completion. A nil sink selects the plain path; an
 // attached-but-disabled sink costs only registration. The execution
-// mode comes from sim.DefaultExecMode; RunCtx is the entry point for
+// mode comes from DefaultExecMode; RunCtx is the entry point for
 // callers that need an explicit per-run mode or cancellation.
 func RunDatasetProbed(cfg arch.Config, task workload.TaskID, ds workload.Dataset,
 	plan *fault.Plan, sink *probe.Sink) *Result {
 	// context.Background can never cancel, so RunCtx never errors here.
-	res, _ := RunCtx(context.Background(), cfg, task, ds, plan, sink, sim.DefaultExecMode)
+	res, _ := RunCtx(context.Background(), cfg, task, ds, plan, sink, DefaultExecMode)
 	return res
 }
 

@@ -1,8 +1,9 @@
 // Probe determinism: with an observability sink attached, the trace
 // JSON and the breakdown report must be byte-identical across repeated
-// runs and across `-procmode event|goroutine` — with or without an
-// injected fault plan — and the task phases must account for (almost)
-// all of each run's end-to-end virtual time.
+// runs, match their golden digests and agree across
+// `-procmode event|parallel` — with or without an injected fault
+// plan — and the task phases must account for (almost) all of each
+// run's end-to-end virtual time.
 package repro_test
 
 import (
@@ -42,15 +43,15 @@ func TestProbeTraceRepeatable(t *testing.T) {
 		out, _, _ := probedRun(arch.ActiveDisks(8), workload.Sort, 0.005, nil)
 		return out
 	}
-	a := inMode(sim.ModeEvent, run)
-	b := inMode(sim.ModeEvent, run)
+	a := inMode(tasks.ModeEvent, run)
+	b := inMode(tasks.ModeEvent, run)
 	if a != b {
 		t.Fatal("two identical probed runs produced different trace/report bytes")
 	}
 }
 
-// TestProbeTraceModeEquivalence requires the trace and report to be
-// byte-identical across the two execution modes, on all three
+// TestProbeTraceModeEquivalence requires the trace and report to match
+// their golden digests and the parallel-mode output, on all three
 // architectures.
 func TestProbeTraceModeEquivalence(t *testing.T) {
 	cases := []struct {
@@ -70,8 +71,8 @@ func TestProbeTraceModeEquivalence(t *testing.T) {
 	}
 }
 
-// TestProbeTraceFaultedEquivalence repeats the cross-mode comparison
-// under a deterministic fault plan, so degraded-run traces (retries,
+// TestProbeTraceFaultedEquivalence repeats the golden and cross-mode
+// comparison under a deterministic fault plan, so degraded-run traces (retries,
 // stall spans, recovery rebuilds) are held to the same standard.
 func TestProbeTraceFaultedEquivalence(t *testing.T) {
 	plan, err := fault.ParsePlan("seed=42,media=0.002,slow=0.001,fail=3@50ms,replica")

@@ -1,8 +1,10 @@
-// Execution-mode equivalence: the event-driven fast path, the goroutine
-// process model and the sharded parallel mode must be indistinguishable
+// Execution-mode equivalence: a run on one kernel and the same run
+// sharded across cores (-procmode parallel) must be indistinguishable
 // in simulated results — every rendered figure and fault report
-// byte-identical. These tests run the same experiments under all three
-// sim.ExecModes and compare the rendered output directly.
+// byte-identical — and the single-kernel output must match its
+// committed golden digest (golden_test.go). These tests run the same
+// experiments in both tasks.ExecModes, compare the rendered output
+// directly and check it against testdata/golden.
 package repro_test
 
 import (
@@ -14,35 +16,32 @@ import (
 	"howsim/internal/experiments"
 	"howsim/internal/fault"
 	"howsim/internal/probe"
-	"howsim/internal/sim"
 	"howsim/internal/tasks"
 	"howsim/internal/workload"
 )
 
-// inMode runs fn with sim.DefaultExecMode set to m, restoring the
+// inMode runs fn with tasks.DefaultExecMode set to m, restoring the
 // previous mode afterwards. Tests using it must not run in parallel.
-func inMode(m sim.ExecMode, fn func() string) string {
-	prev := sim.DefaultExecMode
-	sim.DefaultExecMode = m
-	defer func() { sim.DefaultExecMode = prev }()
+func inMode(m tasks.ExecMode, fn func() string) string {
+	prev := tasks.DefaultExecMode
+	tasks.DefaultExecMode = m
+	defer func() { tasks.DefaultExecMode = prev }()
 	return fn()
 }
 
+// modeCompare checks fn's single-kernel output against the golden
+// digest for name, then requires the parallel-mode output to match it.
 func modeCompare(t *testing.T, name string, fn func() string) {
 	t.Helper()
-	event := inMode(sim.ModeEvent, fn)
+	event := inMode(tasks.ModeEvent, fn)
 	checkGolden(t, name, event)
-	for _, m := range []sim.ExecMode{sim.ModeGoroutine, sim.ModeParallel} {
-		got := inMode(m, fn)
-		if event != got {
-			t.Errorf("%s: %v-mode output differs from event-mode output\n--- event ---\n%s\n--- %v ---\n%s",
-				name, m, event, m, got)
-		}
+	if got := inMode(tasks.ModeParallel, fn); event != got {
+		t.Errorf("%s: parallel-mode output differs from event-mode output\n--- event ---\n%s\n--- parallel ---\n%s",
+			name, event, got)
 	}
 }
 
-// TestExecModeFigureEquivalence renders figures at Quick scale in both
-// modes. Figure 1 exercises all three architectures (active disks,
+// TestExecModeFigureEquivalence renders figures at Quick scale. Figure 1 exercises all three architectures (active disks,
 // cluster with netsim links, SMP); Figure 5 adds the restricted
 // front-end relay path of the stream pump.
 func TestExecModeFigureEquivalence(t *testing.T) {
@@ -54,10 +53,10 @@ func TestExecModeFigureEquivalence(t *testing.T) {
 // TestExecModeSortContentionEquivalence pins a case the Quick-scale
 // figure runs are too small to catch: an active-disk sort whose merge
 // phase keeps many streams contending for loop bandwidth and receive
-// buffers at once. Same-time grant ordering differences between the
-// modes (e.g. a stream pump waking its caller through an extra event
-// instead of resuming it inline) show up here as a drifting elapsed
-// time long before they are visible in the rendered figures.
+// buffers at once. A change to same-time grant ordering (e.g. a stream
+// pump waking its caller through an extra event instead of resuming it
+// inline) shows up here as a drifting elapsed time, and so a golden
+// mismatch, long before it is visible in the rendered figures.
 func TestExecModeSortContentionEquivalence(t *testing.T) {
 	modeCompare(t, "sort on 8 active disks", func() string {
 		ds := workload.ForTask(workload.Sort)
@@ -98,9 +97,9 @@ func TestExecModeShardedTaskEquivalence(t *testing.T) {
 
 // TestExecModeFaultEquivalence runs tasks under a deterministic fault
 // plan — media retries, latency spikes, a permanent drive failure with
-// replica recovery — in both modes and compares the rendered fault
-// reports. This covers the disk retry/backoff path and the closed-queue
-// retirement of the event-mode service loops.
+// replica recovery — and compares the rendered fault reports with the
+// goldens. This covers the disk retry/backoff path and the closed-queue
+// retirement of the substrate service loops.
 func TestExecModeFaultEquivalence(t *testing.T) {
 	plan, err := fault.ParsePlan("seed=42,media=0.002,slow=0.001,fail=3@50ms,replica")
 	if err != nil {

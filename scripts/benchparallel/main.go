@@ -73,8 +73,8 @@ func main() {
 		}
 		cfg := arch.ActiveDisks(*disks)
 
-		singleWall, singleSim := measure(sim.ModeEvent, cfg, task, ds, *count)
-		parWall, parSim := measure(sim.ModeParallel, cfg, task, ds, *count)
+		singleWall, singleSim := measure(tasks.ModeEvent, cfg, task, ds, *count)
+		parWall, parSim := measure(tasks.ModeParallel, cfg, task, ds, *count)
 		if singleSim != parSim {
 			fmt.Fprintf(os.Stderr, "benchparallel: %s: simulated time diverged: event %v, parallel %v\n",
 				task, singleSim, parSim)
@@ -119,11 +119,11 @@ func main() {
 
 // measure runs the task count times in the given mode and returns the
 // best wall time plus the (mode-independent) simulated elapsed time.
-func measure(mode sim.ExecMode, cfg arch.Config, task workload.TaskID, ds workload.Dataset,
+func measure(mode tasks.ExecMode, cfg arch.Config, task workload.TaskID, ds workload.Dataset,
 	count int) (time.Duration, sim.Time) {
-	prev := sim.DefaultExecMode
-	sim.DefaultExecMode = mode
-	defer func() { sim.DefaultExecMode = prev }()
+	prev := tasks.DefaultExecMode
+	tasks.DefaultExecMode = mode
+	defer func() { tasks.DefaultExecMode = prev }()
 	var best time.Duration
 	var elapsed sim.Time
 	for i := 0; i < count; i++ {

@@ -3,9 +3,10 @@
 // fully seed-determined — fault plan (media errors, latency spikes,
 // silent corruption, stragglers, a drive failure with optional replica
 // and spare, interconnect outages), round-trips it through the plan
-// grammar, and runs it on every architecture under all three -procmode
-// settings, twice each. Every run must terminate — either completing
-// (possibly degraded) or attaching a deadlock report — and the rendered
+// grammar, and runs it on one architecture and task twice on one kernel
+// (-procmode event) and twice sharded where the run shards (-procmode
+// parallel). Every run must terminate — either completing (possibly
+// degraded) or attaching a deadlock report — and the rendered
 // FaultReport must be byte-identical across the repeat and across
 // execution modes. Any divergence, hang-turned-deadlock-report
 // mismatch, or grammar round-trip failure exits nonzero.
@@ -97,10 +98,10 @@ func genPlan(r *rng, disks int) *fault.Plan {
 }
 
 // inMode runs fn under the given execution mode.
-func inMode(m sim.ExecMode, fn func() string) string {
-	prev := sim.DefaultExecMode
-	sim.DefaultExecMode = m
-	defer func() { sim.DefaultExecMode = prev }()
+func inMode(m tasks.ExecMode, fn func() string) string {
+	prev := tasks.DefaultExecMode
+	tasks.DefaultExecMode = m
+	defer func() { tasks.DefaultExecMode = prev }()
 	return fn()
 }
 
@@ -116,14 +117,7 @@ func main() {
 		workload.Select, workload.Aggregate, workload.GroupBy, workload.DataCube,
 		workload.Sort, workload.Join, workload.DataMine, workload.MView,
 	}
-	modes := []struct {
-		name string
-		m    sim.ExecMode
-	}{
-		{"event", sim.ModeEvent},
-		{"goroutine", sim.ModeGoroutine},
-		{"parallel", sim.ModeParallel},
-	}
+	modes := []tasks.ExecMode{tasks.ModeEvent, tasks.ModeParallel}
 
 	failed := false
 	fail := func(format string, args ...any) {
@@ -169,20 +163,20 @@ func main() {
 			return res.Elapsed.String() + "\n" + fr.Render()
 		}
 
-		var base, baseMode string
+		var base string
 		for _, md := range modes {
-			first := inMode(md.m, one)
-			again := inMode(md.m, one)
+			first := inMode(md, one)
+			again := inMode(md, one)
 			if first != again {
-				fail("run %d: %s-mode repeat diverged (%s, %s, plan %s)\n--- first ---\n%s--- again ---\n%s",
-					i, md.name, cfg.Name(), task, plan.String(), first, again)
+				fail("run %d: %v-mode repeat diverged (%s, %s, plan %s)\n--- first ---\n%s--- again ---\n%s",
+					i, md, cfg.Name(), task, plan.String(), first, again)
 			}
-			if base == "" {
-				base, baseMode = first, md.name
+			if md == modes[0] {
+				base = first
 			} else if first != base {
-				fail("run %d: %s-mode output differs from %s mode (%s, %s, plan %s)\n--- %s ---\n%s--- %s ---\n%s",
-					i, md.name, baseMode, cfg.Name(), task, plan.String(),
-					baseMode, base, md.name, first)
+				fail("run %d: %v-mode output differs from %v mode (%s, %s, plan %s)\n--- %v ---\n%s--- %v ---\n%s",
+					i, md, modes[0], cfg.Name(), task, plan.String(),
+					modes[0], base, md, first)
 			}
 		}
 		status := "ok"
