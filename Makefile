@@ -54,12 +54,12 @@ benchfigures:
 	$(GO) run ./scripts/benchfigures -count 3 -out BENCH_figures.json
 
 # Refresh BENCH_parallel.json: wall-clock speedup of -procmode parallel
-# over the single-kernel event mode on 64-disk select, sort and join
-# (one JSON row per task). The recorded numbers are honest for the
-# machine that ran them (num_cpu is in the report); benchguard only
-# enforces the per-task speedup floor on >= 4 cores.
+# over the single-kernel event mode on 64-disk select, groupby, dmine,
+# sort and join (one JSON row per task). The recorded numbers are honest
+# for the machine that ran them (num_cpu is in the report); benchguard
+# only enforces the per-task speedup floor on >= 4 cores.
 bench-parallel:
-	$(GO) run ./scripts/benchparallel -out BENCH_parallel.json
+	$(GO) run ./scripts/benchparallel -tasks select,groupby,dmine,sort,join -out BENCH_parallel.json
 
 # Refresh BENCH_service.json: howsimd service-path benchmarks (cold
 # admission, warm cache hit, dedup fan-out) with an instant stub

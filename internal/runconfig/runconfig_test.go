@@ -120,6 +120,7 @@ var rejectedRequests = []Request{
 	{MemMB: -4},
 	{MemMB: MaxMemMB + 1},
 	{Scale: math.NaN()},
+	{Task: "sort", Disks: 4, Scale: 1e-300}, // scaled byte count rounds to 0
 	{ProcMode: "quantum"},
 	{ProcMode: "goroutine"},
 	{RingSpans: MaxRingSpans + 1},
@@ -177,8 +178,9 @@ func TestScaledDataset(t *testing.T) {
 // FuzzNormalize checks the request boundary every CLI and howsimd share:
 // Normalize never panics, and a request it accepts normalizes to a
 // fixed point — normalizing Spec.Req again yields the same canonical
-// form, so one run never hashes to two cache keys. The seeds are the
-// requests the tests above accept and reject.
+// form, so one run never hashes to two cache keys — and a scale below 1
+// really shrinks the dataset. The seeds are the requests the tests
+// above accept and reject.
 func FuzzNormalize(f *testing.F) {
 	add := func(r Request) {
 		f.Add(r.Task, r.Arch, r.Disks, r.MemMB, r.FastIO, r.FastDisk, r.FrontEndOnly,
@@ -195,6 +197,7 @@ func FuzzNormalize(f *testing.F) {
 	add(Request{Task: "sort", Arch: "cluster", Disks: 64, Scale: 0.05, Faults: " seed=42 , media=0.001 "})
 	add(Request{Arch: "cluster", MemMB: 128, FrontEndOnly: true, FibreSwitch: 4})
 	add(Request{FibreSwitch: 1})
+	add(Request{Task: "select", Scale: math.SmallestNonzeroFloat64})
 	f.Fuzz(func(t *testing.T, task, arch string, disks int, memMB int64, fastIO, fastDisk, feOnly bool,
 		fibreSwitch int, scale float64, faults, procMode string, ringSpans int, breakdown bool) {
 		r := Request{Task: task, Arch: arch, Disks: disks, MemMB: memMB, FastIO: fastIO,
@@ -210,6 +213,9 @@ func FuzzNormalize(f *testing.F) {
 		}
 		if sp.Canonical() != again.Canonical() {
 			t.Fatalf("Normalize(%+v) is not a fixed point:\n  %s\n  %s", r, sp.Canonical(), again.Canonical())
+		}
+		if full := workload.ForTask(sp.TaskID); sp.Req.Scale < 1 && sp.Dataset.TotalBytes >= full.TotalBytes {
+			t.Fatalf("Normalize(%+v): scale %g ran the full %d-byte dataset", r, sp.Req.Scale, full.TotalBytes)
 		}
 	})
 }

@@ -51,7 +51,10 @@ type lineage [7]Time
 // interaction happens from the goroutine that calls Run and from the
 // process coroutines it resumes. Resuming a coroutine suspends the
 // caller until the process parks, so exactly one of {kernel, one
-// process} is ever running.
+// process} is ever running. When a kernel has a single live process,
+// that process runs the kernel's callback events itself on its own
+// stack while it waits (see Proc.parkInline); the events, their order
+// and the kernel's bookkeeping are those Run would have produced.
 type Kernel struct {
 	now     Time
 	events  eventQueue
@@ -244,12 +247,65 @@ func (k *Kernel) Run() Time {
 			continue // stale wake for a process/task that already exited
 		}
 		if p := tk.proc; p != nil {
-			k.activate(p)
+			k.activate(p, true)
 			continue
 		}
 		tk.dispatch()
 	}
 	return k.now
+}
+
+// runInline is Run's event loop executed by p on its own coroutine
+// stack while p parks as its kernel's only live process: it runs the
+// queued callback events exactly as Run would — same bounds, clock
+// publishing, lineage, event counts and stale-wake skips — and returns
+// true when p's own wake comes up, leaving the kernel as Run's dispatch
+// would have and p free to continue its body with no coroutine switch.
+// It returns false, having consumed nothing it should not, wherever Run
+// itself must take over: the queue drains, Stop was called, a RunUntil
+// or RunUntilPos bound is reached, or the next event wakes another
+// process (one a callback spawned). p then yields and Run re-evaluates
+// the same head event. The pop sequence is Run's, duplicated so Run's
+// own loop stays inlined.
+func (k *Kernel) runInline(p *Proc) bool {
+	k.running = nil
+	for !k.events.empty() && !k.stopped {
+		e := k.events.peekEvent()
+		if k.limited {
+			if e.t > k.limit {
+				return false
+			}
+			if k.posLimited && e.t == k.posT && schedKeyAfter(e.schedT, &e.anc, k.posSched, &k.posAnc) {
+				return false
+			}
+		}
+		if tk := e.tk; tk != nil && tk.proc != nil && tk.proc != p && !tk.finished {
+			return false
+		}
+		e = k.events.pop()
+		t, fn, tk := e.t, e.fn, e.tk
+		e.fn, e.tk = nil, nil
+		k.curSched = e.schedT
+		k.curAnc = e.anc
+		if k.publish != nil && t != k.now {
+			k.publish(t)
+		}
+		k.now = t
+		k.sched.Count(probe.KindEvents, 1)
+		if fn != nil {
+			fn()
+			continue
+		}
+		if tk.finished {
+			continue
+		}
+		if tk.proc == p {
+			k.running = p
+			return true
+		}
+		tk.dispatch()
+	}
+	return false
 }
 
 // RunUntil executes events with virtual time capped at limit and returns
@@ -387,7 +443,7 @@ func (k *Kernel) Shutdown() {
 		if p == nil || p.finished {
 			continue
 		}
-		k.activate(p)
+		k.activate(p, false)
 	}
 	k.dying = false
 	for _, tk := range k.tasks {
@@ -421,10 +477,15 @@ func (k *Kernel) Close() {
 
 // activate hands control to p and returns once p parks or finishes. The
 // switch goes straight to p's coroutine and back without entering the
-// Go scheduler. A panic in p's body (other than the Shutdown sentinel)
-// surfaces here, on the kernel's goroutine.
-func (k *Kernel) activate(p *Proc) {
+// Go scheduler. A panic in p's body (other than the Shutdown sentinel),
+// or in a callback p runs inline, surfaces here, on the kernel's
+// goroutine. fromRun marks a resumption by Run's dispatch — the only
+// activation whose next park may run the event loop inline (parkInline);
+// Handoff, spawnInline, a shard drain and Shutdown pass false, so an
+// activation nested inside an inline callback never inlines itself.
+func (k *Kernel) activate(p *Proc, fromRun bool) {
 	k.running = p
+	p.fromRun = fromRun
 	p.next()
 	k.running = nil
 }
@@ -444,7 +505,7 @@ func (k *Kernel) Handoff(p *Proc) {
 		panic(fmt.Sprintf("sim: Handoff(%q) from process %q; Handoff is only valid in kernel context", p.name, k.running.name))
 	}
 	k.sched.Count(probe.KindHandoffs, 1)
-	k.activate(p)
+	k.activate(p, false)
 }
 
 // Proc is a simulation process: a coroutine whose execution is
@@ -469,6 +530,9 @@ type Proc struct {
 	// order their chains hold in a single kernel. Zero until first
 	// resumed.
 	xrank uint64
+	// fromRun is set while the current activation came from Run's
+	// dispatch: the precondition for parkInline.
+	fromRun bool
 }
 
 // Spawn creates a process running body and schedules it to start at the
@@ -490,7 +554,7 @@ func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 // that issued it: a start event scheduled at the current instant would
 // sort after every event already pending at this time.
 func (k *Kernel) spawnInline(name string, body func(*Proc)) {
-	k.activate(k.newProc(name, body))
+	k.activate(k.newProc(name, body), false)
 }
 
 // newProc prepares a process (reusing a pooled coroutine when possible)
@@ -584,7 +648,8 @@ func (p *Proc) runBody() {
 //
 // The switch back to the kernel is a direct coroutine switch: it does
 // not allocate, does not enter the Go scheduler, and leaves exactly one
-// of {kernel, one process} running.
+// of {kernel, one process} running. Delay and parkBlocked try
+// parkInline first, so park stays small enough to inline into them.
 func (p *Proc) park() {
 	if p.k.dying {
 		panic(procKilled{})
@@ -595,6 +660,20 @@ func (p *Proc) park() {
 	}
 }
 
+// parkInline is park without the switch, for a process that Run resumed
+// and that is its kernel's only live process: it runs the kernel's
+// callback events itself (runInline) and reports true once its own wake
+// has come up. It reports false — and the caller parks for real — when
+// the process is not eligible or something else needs Run: another
+// process's wake, a bound, Stop or an empty queue. Nothing but callback
+// events can run between an eligible process's park and its wake, and
+// runInline runs them in Run's order with Run's bookkeeping, so the
+// result is the same. Shutdown never resumes a process with fromRun
+// set, so a dying kernel always takes park's path.
+func (p *Proc) parkInline() bool {
+	return p.fromRun && p.k.live == 1 && p.k.runInline(p)
+}
+
 // parkBlocked is park for processes waiting on a condition rather than a
 // timer; it maintains the kernel's blocked count and records the wait
 // site (obj may be empty for unnamed primitives) for deadlock reporting.
@@ -602,7 +681,9 @@ func (p *Proc) parkBlocked(obj, op string) {
 	p.waitObj, p.waitOp = obj, op
 	p.k.sched.Count(probe.KindParks, 1)
 	p.k.blocked++
-	p.park()
+	if !p.parkInline() {
+		p.park()
+	}
 	p.k.blocked--
 	p.waitObj, p.waitOp = "", ""
 }
@@ -612,7 +693,14 @@ func (p *Proc) parkBlocked(obj, op string) {
 // blocking primitive. Unlike the waiter-queue primitives there is no
 // queue and no wake event: the matching Handoff resumes the process
 // inline, inside the event that completed the work on its behalf.
-func (p *Proc) Await(obj, op string) { p.parkBlocked(obj, op) }
+// Await always switches back to the kernel, even for a lone process
+// (see parkInline): there is no wake event for an inline loop to stop
+// at, and the Handoff must resume the process from kernel context, not
+// from a callback running on the process's own stack.
+func (p *Proc) Await(obj, op string) {
+	p.fromRun = false
+	p.parkBlocked(obj, op)
+}
 
 // Delay advances this process's virtual time by d. A non-positive d
 // yields to other events scheduled at the current time.
@@ -621,7 +709,9 @@ func (p *Proc) Delay(d Time) {
 		d = 0
 	}
 	p.k.scheduleProc(p, p.k.now+d)
-	p.park()
+	if !p.parkInline() {
+		p.park()
+	}
 }
 
 // Yield lets every other event already scheduled at the current time run

@@ -67,11 +67,40 @@ func BenchmarkKernelSameTimeFanout(b *testing.B) {
 
 // BenchmarkKernelParkResume measures the full process context-switch
 // round trip: schedule a wake, park the coroutine, hand control to the
-// kernel and back.
+// kernel and back. A second process parked for the whole run keeps the
+// sleeper from running the event loop inline (a lone process would
+// never switch; BenchmarkKernelSingleProcWait measures that path).
 func BenchmarkKernelParkResume(b *testing.B) {
 	k := NewKernel()
+	defer k.Shutdown()
+	k.Spawn("idle", func(p *Proc) { NewSignal().Wait(p) })
 	k.Spawn("p", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
+			p.Delay(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkKernelSingleProcWait is the disklet pattern of a sharded
+// Active Disk leaf: the kernel's only process submits a request and
+// waits on its completion signal while timer callbacks (seek, then
+// transfer) complete it. The lone process runs those callbacks inline
+// on its own stack, so each request costs three events and no
+// coroutine switch.
+func BenchmarkKernelSingleProcWait(b *testing.B) {
+	k := NewKernel()
+	defer k.Close()
+	var done Signal
+	xferDone := func() { done.Fire() }
+	seekDone := func() { k.After(3, xferDone) }
+	k.Spawn("disklet", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			done.Reset()
+			k.After(5, seekDone)
+			done.Wait(p)
 			p.Delay(1)
 		}
 	})

@@ -450,7 +450,7 @@ func (sh *Shard) drain(cmd *leafCmd) {
 		// The caller resumes inside the hub event that completed its
 		// call: the chain it continues carries that event's lineage.
 		sh.k.curSched, sh.k.curAnc = d.sched, d.anc
-		sh.k.activate(d.p)
+		sh.k.activate(d.p, false)
 		sh.k.stopped = false
 		if len(sh.pending) > 0 {
 			return

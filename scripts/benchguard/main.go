@@ -150,7 +150,8 @@ func main() {
 		names        = flag.String("guard", "BenchmarkKernelEventThroughput", "comma-separated benchmarks to gate")
 		tolerance    = flag.Float64("tolerance", 0.25, "allowed fractional ns/op regression")
 		zeroAlloc    = flag.String("zeroalloc",
-			"BenchmarkKernelEventThroughputProbeOff,BenchmarkKernelPipeTransferProbeOff,BenchmarkKernelPipeTransferProbeOn",
+			"BenchmarkKernelEventThroughputProbeOff,BenchmarkKernelPipeTransferProbeOff,BenchmarkKernelPipeTransferProbeOn,"+
+				"BenchmarkKernelSingleProcWait",
 			"comma-separated benchmarks that must report exactly 0 allocs/op in the current report")
 		parallelPath = flag.String("parallel", "", "benchparallel report to gate (empty = no speedup gate)")
 		minSpeedup   = flag.Float64("minspeedup", 2.0, "required parallel speedup when measured on >= -mincpu cores")
@@ -205,7 +206,9 @@ func main() {
 	}
 	// The zero-alloc gate is absolute, not baseline-relative: the probe
 	// layer's contract is that a sink attached to the kernel costs no
-	// allocation on the hot paths — disabled or (in steady state) enabled.
+	// allocation on the hot paths — disabled or (in steady state) enabled
+	// — and a lone process running its kernel's callbacks inline must
+	// not allocate either.
 	for _, name := range strings.Split(*zeroAlloc, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
