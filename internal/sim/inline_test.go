@@ -97,7 +97,7 @@ func inlineModel(t *testing.T, dormant bool) (trace []string, events int64, inli
 				rec("seek-done")
 				if i%10 == 3 {
 					// A callback starts a second process: the inline loop
-					// must hand its start event to Run.
+					// must resume it exactly where Run would.
 					spawnHelper(Time(i % 4))
 				}
 				k.After(Time(1+i%3), func() {
@@ -274,25 +274,49 @@ func TestInlineShutdownAfterStop(t *testing.T) {
 
 // TestInlineCallbackPanicSurfaces panics inside a callback that a lone
 // process runs inline: the panic must surface from Kernel.Run on the
-// caller's goroutine, as it does for a callback Run executes itself.
+// caller's goroutine, as it does for a callback Run executes itself,
+// without unwinding the process's body. The process stays parked on
+// its signal, its deferred calls unrun, and Shutdown then unwinds it
+// cleanly.
 func TestInlineCallbackPanicSurfaces(t *testing.T) {
+	base := runtime.NumGoroutine()
 	k := NewKernel()
+	sig := NewSignal()
+	unwound := false
 	k.Spawn("worker", func(p *Proc) {
+		defer func() { unwound = true }()
 		k.After(2, func() {
 			if !onInlineStack() {
 				t.Error("callback did not run inline")
 			}
 			panic("boom")
 		})
-		p.Delay(5)
+		k.After(5, sig.Fire)
+		sig.Wait(p)
 	})
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Fatalf("recovered %v, want boom", r)
-		}
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want boom", r)
+			}
+		}()
+		k.Run()
+		t.Fatal("Run returned without the callback's panic")
 	}()
-	k.Run()
-	t.Fatal("Run returned without the callback's panic")
+	if unwound {
+		t.Fatal("the callback's panic unwound the process body")
+	}
+	if k.Live() != 1 || k.Blocked() != 1 {
+		t.Fatalf("after the panic: Live %d, Blocked %d; want the process parked (1, 1)", k.Live(), k.Blocked())
+	}
+	k.Shutdown()
+	if !unwound {
+		t.Fatal("Shutdown did not unwind the parked process")
+	}
+	if k.Blocked() != 0 || k.Live() != 0 || k.DeadlockReport() != "" {
+		t.Fatalf("after Shutdown: Blocked %d, Live %d, report %q", k.Blocked(), k.Live(), k.DeadlockReport())
+	}
+	drainGoroutines(t, base)
 }
 
 // TestInlineSingleProcWaitAllocs pins the lone-process wait path that

@@ -100,6 +100,10 @@ type Kernel struct {
 	taskFree  []*Task
 	liveTasks int
 	running   *Proc // the process currently executing, nil in kernel context
+	// inlinePanic carries a panic raised by an event a lone process ran
+	// inline (runInline) back to the kernel's goroutine; Run's loop
+	// raises it again once the process has parked.
+	inlinePanic any
 
 	// probe is the attached observability sink (nil when unattached) and
 	// sched the kernel's own emission handle for scheduler diagnostics.
@@ -212,18 +216,32 @@ func (k *Kernel) Stop() { k.stopped = true }
 // (if RunUntil set a limit) the limit is reached. It returns the final
 // virtual time.
 func (k *Kernel) Run() Time {
+	k.loop(nil)
+	return k.now
+}
+
+// loop is the event loop. Run calls it with self nil: it pops each
+// event in order and runs its callback or resumes its process, until
+// the queue drains, Stop is called or a RunUntil/RunUntilPos bound is
+// reached. A lone process runs the same loop on its own stack while it
+// parks (runInline) with self set to itself; the loop then returns true
+// as soon as self's own wake comes up, leaving the kernel as Run's
+// dispatch would and self free to continue its body. Where Run would
+// stop it returns false without consuming the head event, and the
+// parked process yields so Run re-evaluates that event.
+func (k *Kernel) loop(self *Proc) bool {
 	for !k.events.empty() && !k.stopped {
 		if k.limited {
 			t := k.events.peekTime()
 			if t > k.limit {
 				k.now = k.limit
-				break
+				return false
 			}
 			if k.posLimited && t == k.posT {
 				e := k.events.peekEvent()
 				if schedKeyAfter(e.schedT, &e.anc, k.posSched, &k.posAnc) {
 					k.now = t
-					break
+					return false
 				}
 			}
 		}
@@ -247,65 +265,40 @@ func (k *Kernel) Run() Time {
 			continue // stale wake for a process/task that already exited
 		}
 		if p := tk.proc; p != nil {
+			if p == self {
+				k.running = p
+				return true
+			}
 			k.activate(p, true)
-			continue
-		}
-		tk.dispatch()
-	}
-	return k.now
-}
-
-// runInline is Run's event loop executed by p on its own coroutine
-// stack while p parks as its kernel's only live process: it runs the
-// queued callback events exactly as Run would — same bounds, clock
-// publishing, lineage, event counts and stale-wake skips — and returns
-// true when p's own wake comes up, leaving the kernel as Run's dispatch
-// would have and p free to continue its body with no coroutine switch.
-// It returns false, having consumed nothing it should not, wherever Run
-// itself must take over: the queue drains, Stop was called, a RunUntil
-// or RunUntilPos bound is reached, or the next event wakes another
-// process (one a callback spawned). p then yields and Run re-evaluates
-// the same head event. The pop sequence is Run's, duplicated so Run's
-// own loop stays inlined.
-func (k *Kernel) runInline(p *Proc) bool {
-	k.running = nil
-	for !k.events.empty() && !k.stopped {
-		e := k.events.peekEvent()
-		if k.limited {
-			if e.t > k.limit {
-				return false
+			if r := k.inlinePanic; r != nil {
+				k.inlinePanic = nil
+				panic(r)
 			}
-			if k.posLimited && e.t == k.posT && schedKeyAfter(e.schedT, &e.anc, k.posSched, &k.posAnc) {
-				return false
-			}
-		}
-		if tk := e.tk; tk != nil && tk.proc != nil && tk.proc != p && !tk.finished {
-			return false
-		}
-		e = k.events.pop()
-		t, fn, tk := e.t, e.fn, e.tk
-		e.fn, e.tk = nil, nil
-		k.curSched = e.schedT
-		k.curAnc = e.anc
-		if k.publish != nil && t != k.now {
-			k.publish(t)
-		}
-		k.now = t
-		k.sched.Count(probe.KindEvents, 1)
-		if fn != nil {
-			fn()
 			continue
-		}
-		if tk.finished {
-			continue
-		}
-		if tk.proc == p {
-			k.running = p
-			return true
 		}
 		tk.dispatch()
 	}
 	return false
+}
+
+// runInline runs the event loop on p's stack while p parks as its
+// kernel's only live process (see Proc.parkInline) and reports whether
+// p's own wake came up. A panic from an event run here must not unwind
+// p's body: p's deferred calls would run mid-wait, and p would die
+// without finishing, which a process parked under Run never does. The
+// panic is handed to the kernel instead: p parks for real and Run's
+// loop raises it again on the kernel's goroutine as soon as p's
+// activation returns, so it surfaces from Run with p parked, its wake
+// still queued, as if Run had run the event.
+func (k *Kernel) runInline(p *Proc) (woke bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			k.inlinePanic = r
+			woke = false
+		}
+	}()
+	k.running = nil
+	return k.loop(p)
 }
 
 // RunUntil executes events with virtual time capped at limit and returns
@@ -477,12 +470,13 @@ func (k *Kernel) Close() {
 
 // activate hands control to p and returns once p parks or finishes. The
 // switch goes straight to p's coroutine and back without entering the
-// Go scheduler. A panic in p's body (other than the Shutdown sentinel),
-// or in a callback p runs inline, surfaces here, on the kernel's
-// goroutine. fromRun marks a resumption by Run's dispatch — the only
-// activation whose next park may run the event loop inline (parkInline);
-// Handoff, spawnInline, a shard drain and Shutdown pass false, so an
-// activation nested inside an inline callback never inlines itself.
+// Go scheduler. A panic in p's body (other than the Shutdown sentinel)
+// surfaces here, on the kernel's goroutine; one from an event p ran
+// inline surfaces just after, from Run's loop. fromRun marks a resumption by the event loop's dispatch —
+// the only activation whose next park may run the loop inline
+// (parkInline); Handoff, spawnInline, a shard drain and Shutdown pass
+// false. A process the loop resumes while a lone process runs it inline
+// has that process as a second live one, so it never inlines itself.
 func (k *Kernel) activate(p *Proc, fromRun bool) {
 	k.running = p
 	p.fromRun = fromRun
@@ -662,14 +656,15 @@ func (p *Proc) park() {
 
 // parkInline is park without the switch, for a process that Run resumed
 // and that is its kernel's only live process: it runs the kernel's
-// callback events itself (runInline) and reports true once its own wake
-// has come up. It reports false — and the caller parks for real — when
-// the process is not eligible or something else needs Run: another
-// process's wake, a bound, Stop or an empty queue. Nothing but callback
-// events can run between an eligible process's park and its wake, and
-// runInline runs them in Run's order with Run's bookkeeping, so the
-// result is the same. Shutdown never resumes a process with fromRun
-// set, so a dying kernel always takes park's path.
+// event loop itself (runInline) and reports true once its own wake has
+// come up. It reports false — and the caller parks for real — when the
+// process is not eligible or the loop stops where Run would stop: a
+// bound, Stop, an empty queue, or a panicking event. The loop is Run's
+// own, so the events between the park and the wake run in Run's order
+// with Run's bookkeeping and the result is the same; a process that a
+// callback spawns meanwhile is resumed from the lone process's stack
+// exactly where Run would resume it. Shutdown never resumes a process
+// with fromRun set, so a dying kernel always takes park's path.
 func (p *Proc) parkInline() bool {
 	return p.fromRun && p.k.live == 1 && p.k.runInline(p)
 }
