@@ -171,9 +171,10 @@ func BenchmarkAblationLoopGranularity(b *testing.B) {
 		k := sim.NewKernel()
 		defer k.Close()
 		pipe := sim.NewPipe(k, "loop", 1, 100e6, 0)
+		pipe.Frame = frame
 		var smallDone sim.Time
 		k.Spawn("bulk", func(p *sim.Proc) {
-			pipe.TransferSegmented(p, 512<<20, frame)
+			pipe.TransferSegmented(p, 512<<20)
 		})
 		k.Spawn("ctl", func(p *sim.Proc) {
 			p.Delay(sim.Millisecond)

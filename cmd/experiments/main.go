@@ -71,6 +71,10 @@ func main() {
 		sizes = append(sizes, n)
 	}
 	opt := experiments.Options{Scale: *scale, Sizes: sizes, Parallel: *parallel, RingSpans: *ringSpans}
+	if err := opt.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	stop := profiling.Start()
 	defer stop()

@@ -21,9 +21,8 @@ import (
 
 // Bus is a shared transfer medium.
 type Bus struct {
-	k     *sim.Kernel
-	pipe  *sim.Pipe
-	Frame int64 // arbitration granularity in bytes
+	k    *sim.Kernel
+	pipe *sim.Pipe // its Frame is the arbitration granularity in bytes
 
 	outages   []fault.Window // sorted outage windows; nil on the fault-free path
 	stallTime sim.Time
@@ -41,8 +40,9 @@ type Bus struct {
 // at bytesPerSec, charging startup per arbitration and re-arbitrating
 // every frame bytes.
 func New(k *sim.Kernel, name string, channels int, bytesPerSec float64, startup sim.Time, frame int64) *Bus {
-	return &Bus{k: k, pipe: sim.NewPipe(k, name, channels, bytesPerSec, startup), Frame: frame,
-		pr: k.Probe().Register("link", name)}
+	pipe := sim.NewPipe(k, name, channels, bytesPerSec, startup)
+	pipe.Frame = frame
+	return &Bus{k: k, pipe: pipe, pr: k.Probe().Register("link", name)}
 }
 
 // SetOutages installs outage windows: intervals of virtual time during
@@ -83,20 +83,22 @@ func (b *Bus) stallForOutage(p *sim.Proc) {
 }
 
 // Transfer moves bytes across the bus on behalf of p, re-arbitrating at
-// frame granularity.
+// frame granularity. On the fault-free path it is one
+// Pipe.TransferSegmented: p parks once per transfer (plus once per
+// contended re-arbitration) while kernel callbacks end the middle
+// frames. With outages installed it loops over frames itself, so each
+// frame checks for a window before transmitting.
 func (b *Bus) Transfer(p *sim.Proc, bytes int64) {
 	if bytes <= 0 {
 		return
 	}
 	if b.outages == nil {
-		b.pipe.TransferSegmented(p, bytes, b.Frame)
+		b.pipe.TransferSegmented(p, bytes)
 		return
 	}
-	// With outages installed, segment here so each frame checks for a
-	// window before transmitting.
 	remaining := bytes
 	for remaining > 0 {
-		n := b.Frame
+		n := b.pipe.Frame
 		if n <= 0 || remaining < n {
 			n = remaining
 		}
@@ -170,7 +172,7 @@ func (op *busOp) step() {
 			}
 		}
 	}
-	n := b.Frame
+	n := b.pipe.Frame
 	if n <= 0 || op.remaining < n {
 		n = op.remaining
 	}

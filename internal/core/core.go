@@ -66,11 +66,13 @@ func New(cfg Config, task workload.TaskID) *Simulation {
 }
 
 // WithScale shrinks the dataset to the given fraction of its Table 2
-// size (useful for fast exploration; the shapes survive scaling).
+// size (useful for fast exploration; the shapes survive scaling); a
+// fraction of 1 or more keeps the full size. It panics on a fraction
+// that shrinks the dataset below one byte rather than run it unscaled.
 func (s *Simulation) WithScale(f float64) *Simulation {
-	ds := workload.ForTask(s.task)
-	if f > 0 && f < 1 {
-		ds = ds.Scaled(int64(float64(ds.TotalBytes) * f))
+	ds, err := workload.ForTaskScaled(s.task, f)
+	if err != nil {
+		panic(err)
 	}
 	s.ds = ds
 	return s

@@ -40,3 +40,15 @@ func TestDesignKnobsCompose(t *testing.T) {
 		t.Error("front-end-only knob not applied")
 	}
 }
+
+// TestWithScaleRejectsTinyScale: a fraction whose byte count rounds to
+// zero used to run the full Table 2 dataset; it must fail loudly.
+func TestWithScaleRejectsTinyScale(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("WithScale(1e-300) did not panic")
+		}
+	}()
+	s := New(ActiveDisks(4), Select).WithScale(1e-300)
+	t.Fatalf("WithScale(1e-300) returned a %d-byte dataset", s.Dataset().TotalBytes)
+}

@@ -23,7 +23,8 @@ import (
 // Options controls experiment scale, parallelism and observability.
 type Options struct {
 	// Scale multiplies the Table 2 dataset sizes (1.0 = full scale;
-	// tests use small fractions).
+	// tests use small fractions; 0 means full scale). Validate rejects
+	// a scale that shrinks some dataset below one byte.
 	Scale float64
 	// Sizes are the configuration sizes to sweep (default 16/32/64/128).
 	Sizes []int
@@ -68,11 +69,31 @@ func (o Options) parallel() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// dataset returns the (possibly scaled) dataset for a task.
+// Validate reports an error when Scale would shrink some task's
+// dataset below one byte. Drivers run the datasets unchecked, so call
+// it before running anything.
+func (o Options) Validate() error {
+	for _, task := range AllTasks() {
+		if _, err := o.scaled(task); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (o Options) scaled(task workload.TaskID) (workload.Dataset, error) {
+	if o.Scale == 0 {
+		return workload.ForTask(task), nil
+	}
+	return workload.ForTaskScaled(task, o.Scale)
+}
+
+// dataset returns the (possibly scaled) dataset for a task. It panics
+// on a scale Validate rejects rather than run the full dataset.
 func (o Options) dataset(task workload.TaskID) workload.Dataset {
-	ds := workload.ForTask(task)
-	if o.Scale > 0 && o.Scale < 1 {
-		ds = ds.Scaled(int64(float64(ds.TotalBytes) * o.Scale))
+	ds, err := o.scaled(task)
+	if err != nil {
+		panic(err)
 	}
 	return ds
 }

@@ -247,3 +247,24 @@ func TestParallelExecutionDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestTinyScaleRejected: a scale whose byte count rounds to zero used
+// to run the full Table 2 dataset; Validate must reject it and the
+// drivers must refuse to run it.
+func TestTinyScaleRejected(t *testing.T) {
+	for _, o := range []Options{Quick(), Default(), {}} {
+		if err := o.Validate(); err != nil {
+			t.Errorf("Options{Scale: %g}.Validate() = %v, want nil", o.Scale, err)
+		}
+	}
+	tiny := Options{Scale: 1e-300, Sizes: []int{4}}
+	if err := tiny.Validate(); err == nil {
+		t.Fatal("Validate accepted scale 1e-300")
+	}
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("dataset ran scale 1e-300 instead of panicking")
+		}
+	}()
+	tiny.dataset(workload.Select)
+}

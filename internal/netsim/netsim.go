@@ -216,6 +216,7 @@ func (tx *linkTx) onPut(err error) {
 	if err != nil {
 		tx.l.dropped++
 		tx.l.pr.Count(probe.KindDrop, 1)
+		tx.l.net.freeFrame(tx.f)
 	}
 	tx.f = nil
 	tx.next()
@@ -244,6 +245,8 @@ type Network struct {
 	msgSeq         int64
 	bytesDelivered int64
 	msgsDelivered  int64
+
+	frameFree []*frame // recycled frames: delivered or dropped
 }
 
 // New creates a network. Attach a topology with SetTopology before
@@ -319,7 +322,7 @@ func (n *Network) Send(p *sim.Proc, src, dst, tag int, bytes int64, payload any)
 			fb = remaining
 		}
 		remaining -= fb
-		f := &frame{bytes: fb, path: path, msg: m}
+		f := n.newFrame(fb, path, m)
 		if path[0].pr.On() {
 			path[0].pr.Sample(probe.KindQueue, int64(path[0].queue.Len()))
 		}
@@ -329,14 +332,38 @@ func (n *Network) Send(p *sim.Proc, src, dst, tag int, bytes int64, payload any)
 			// observe the loss.
 			path[0].dropped++
 			path[0].pr.Count(probe.KindDrop, 1)
+			n.freeFrame(f)
 		}
 	}
 	return m
 }
 
-// deliver finalizes a frame's arrival at its destination.
+// newFrame takes a frame from the network's free list, or allocates one.
+func (n *Network) newFrame(bytes int64, path []*Link, m *Message) *frame {
+	var f *frame
+	if i := len(n.frameFree) - 1; i >= 0 {
+		f = n.frameFree[i]
+		n.frameFree[i] = nil
+		n.frameFree = n.frameFree[:i]
+	} else {
+		f = new(frame)
+	}
+	f.bytes, f.path, f.msg = bytes, path, m
+	return f
+}
+
+// freeFrame returns a frame that left the network — delivered or
+// dropped — to the free list. Nothing may hold it afterwards.
+func (n *Network) freeFrame(f *frame) {
+	f.path, f.msg = nil, nil
+	n.frameFree = append(n.frameFree, f)
+}
+
+// deliver finalizes a frame's arrival at its destination and recycles
+// the frame.
 func (n *Network) deliver(f *frame) {
 	m := f.msg
+	n.freeFrame(f)
 	m.framesLeft--
 	if m.framesLeft > 0 {
 		return

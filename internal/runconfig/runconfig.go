@@ -207,16 +207,9 @@ func (r Request) Normalize() (*Spec, error) {
 		cfg = cfg.WithFastDisk()
 	}
 
-	ds := workload.ForTask(task)
-	if r.Scale < 1.0 {
-		// Dataset.Scaled treats a non-positive size as "unscaled", so a
-		// scale too small to keep one byte would silently run the full
-		// dataset.
-		n := int64(float64(ds.TotalBytes) * r.Scale)
-		if n < 1 {
-			return nil, fmt.Errorf("runconfig: scale %g shrinks the %s dataset below one byte", r.Scale, r.Task)
-		}
-		ds = ds.Scaled(n)
+	ds, err := workload.ForTaskScaled(task, r.Scale)
+	if err != nil {
+		return nil, fmt.Errorf("runconfig: %w", err)
 	}
 
 	return &Spec{Req: r, TaskID: task, Config: cfg, Dataset: ds, Plan: plan, Mode: mode}, nil

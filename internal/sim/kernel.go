@@ -673,12 +673,23 @@ func (p *Proc) parkInline() bool {
 // timer; it maintains the kernel's blocked count and records the wait
 // site (obj may be empty for unnamed primitives) for deadlock reporting.
 func (p *Proc) parkBlocked(obj, op string) {
-	p.waitObj, p.waitOp = obj, op
-	p.k.sched.Count(probe.KindParks, 1)
-	p.k.blocked++
+	p.block(obj, op)
 	if !p.parkInline() {
 		p.park()
 	}
+	p.unblock()
+}
+
+// block records that p waits on a blocking primitive: the wait site,
+// the park count and the kernel's blocked count. unblock undoes it once
+// p has been woken.
+func (p *Proc) block(obj, op string) {
+	p.waitObj, p.waitOp = obj, op
+	p.k.sched.Count(probe.KindParks, 1)
+	p.k.blocked++
+}
+
+func (p *Proc) unblock() {
 	p.k.blocked--
 	p.waitObj, p.waitOp = "", ""
 }

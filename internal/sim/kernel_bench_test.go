@@ -309,6 +309,44 @@ func BenchmarkKernelPipeTransferProbeOn(b *testing.B) {
 	benchPipeTransfers(b, probe.NewSinkCap(1<<12))
 }
 
+// BenchmarkKernelPipeTransferSegmented drives back-to-back 8-frame
+// TransferSegmented calls by one process against a callback task that
+// sends one frame every third frame time on the same single-channel
+// pipe, so some re-arbitrations are contended. An op is one 8-frame
+// transfer; it must stay at 0 allocs/op.
+func BenchmarkKernelPipeTransferSegmented(b *testing.B) {
+	k := NewKernel()
+	defer k.Close()
+	const frame = 64 << 10
+	pp := NewPipe(k, "loop", 1, 1e9, Microsecond)
+	pp.Frame = frame
+	remaining := 0
+	body := func(p *Proc) {
+		for ; remaining > 0; remaining-- {
+			pp.TransferSegmented(p, 8*frame)
+		}
+	}
+	competitor := k.NewTask("competitor")
+	gap := 3 * pp.TransferDuration(frame)
+	var send, sent func()
+	send = func() {
+		if remaining > 0 {
+			pp.TransferFunc(competitor, frame, sent)
+		}
+	}
+	sent = func() { k.After(gap, send) }
+	run := func(n int) {
+		remaining = n
+		k.Spawn("sender", body)
+		send()
+		k.Run()
+	}
+	run(1) // warm-up: binds the frame-end callback, grows the queue slab
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+}
+
 // BenchmarkKernelResourceContention hammers a capacity-1 resource with
 // four holders, exercising the waiter queue (park, FIFO admit, wake)
 // on nearly every acquisition.

@@ -1,6 +1,10 @@
 package sim
 
-import "howsim/internal/probe"
+import (
+	"fmt"
+
+	"howsim/internal/probe"
+)
 
 // Pipe models a bandwidth-limited channel with fixed per-transfer startup
 // latency — the paper's "simple queue-based model [with] parameters for
@@ -13,6 +17,10 @@ type Pipe struct {
 	res         *Resource
 	Startup     Time    // fixed cost paid by every transfer while holding a channel
 	BytesPerSec float64 // per-channel transfer rate
+	// Frame is TransferSegmented's arbitration granularity in bytes; 0
+	// transfers whole. Set it before any transfer starts: an in-flight
+	// segmented transfer reads it at every frame.
+	Frame int64
 
 	bytesMoved int64
 	transfers  int64
@@ -94,6 +102,10 @@ func (pp *Pipe) Transfer(p *Proc, bytes int64) {
 // may have only one transfer in flight at a time.
 func (pp *Pipe) TransferFunc(t *Task, bytes int64, fn func()) {
 	if t.xferAcqFn == nil {
+		if t.proc != nil {
+			// A process's xfer* fields carry its TransferSegmented state.
+			panic(fmt.Sprintf("sim: TransferFunc on process task %q (use Transfer)", t.name))
+		}
 		t.xferAcqFn = t.xferAcquired
 		t.xferEndFn = t.xferComplete
 	}
@@ -130,22 +142,93 @@ func (t *Task) xferComplete() {
 	fn()
 }
 
-// TransferSegmented moves bytes as a sequence of segments of at most
-// segment bytes, re-arbitrating for a channel between segments. This
-// models loop/bus arbitration at frame granularity: long transfers do
-// not starve short ones indefinitely.
-func (pp *Pipe) TransferSegmented(p *Proc, bytes, segment int64) {
-	if segment <= 0 || bytes <= segment {
+// TransferSegmented moves bytes as a sequence of frames of at most
+// Frame bytes, re-arbitrating for a channel between frames. This models
+// loop/bus arbitration at frame granularity: long transfers do not
+// starve short ones indefinitely. The result — event order, clock,
+// statistics, probe emissions and scheduler counters — is that of
+// calling Transfer once per frame.
+//
+// p itself arbitrates for the first frame and wakes at the end of the
+// last one. Every frame in between ends in a kernel callback
+// (segFrameEnd) that does what p's wake would have done at the same
+// queue position: release, book, arbitrate for the next frame. So p
+// parks once per transfer, plus once per contended re-arbitration,
+// instead of once per frame. The in-flight state lives in p's Task
+// xfer* fields, which TransferFunc uses only on bare tasks.
+func (pp *Pipe) TransferSegmented(p *Proc, bytes int64) {
+	if pp.Frame <= 0 || bytes <= pp.Frame {
 		pp.Transfer(p, bytes)
 		return
 	}
-	remaining := bytes
-	for remaining > 0 {
-		n := segment
-		if remaining < n {
-			n = remaining
-		}
-		pp.Transfer(p, n)
-		remaining -= n
+	if p.xferEndFn == nil {
+		p.xferEndFn = p.segFrameEnd
 	}
+	if pp.pr.On() {
+		pp.pr.Sample(probe.KindQueue, int64(pp.res.QueueLen()))
+	}
+	pp.res.Acquire(p, 1)
+	p.xferPipe, p.xferBytes = pp, bytes
+	p.segHold()
+	for {
+		if !p.parkInline() {
+			p.park()
+		}
+		if p.waitOp == "" {
+			break // p's own wake: the last frame's hold is over
+		}
+		// segFrameEnd queued p for a channel; a release granted it.
+		p.unblock()
+		p.segHold()
+	}
+	p.segRelease()
+	p.xferPipe = nil
+}
+
+// segHold starts the hold of the current frame on the channel p holds.
+// Its end is a segFrameEnd callback, or p's own wake for the last
+// frame; either takes the event slot Transfer's Delay would take.
+func (p *Proc) segHold() {
+	pp := p.xferPipe
+	n := min(pp.Frame, p.xferBytes)
+	p.xferDur = pp.TransferDuration(n)
+	if p.xferBytes > n {
+		p.k.After(p.xferDur, p.xferEndFn)
+	} else {
+		p.k.scheduleProc(p, p.k.now+p.xferDur)
+	}
+}
+
+// segRelease ends the hold of p's current frame: it releases the
+// channel and books the frame, as Transfer does after its Delay.
+func (p *Proc) segRelease() {
+	pp := p.xferPipe
+	n := min(pp.Frame, p.xferBytes)
+	pp.res.Release(1)
+	pp.bytesMoved += n
+	pp.transfers++
+	if pp.pr.On() {
+		end := p.k.now
+		pp.pr.SpanArg(probe.KindXfer, int64(end-p.xferDur), int64(end), n)
+		pp.pr.Count(probe.KindBytes, n)
+	}
+	p.xferBytes -= n
+}
+
+// segFrameEnd ends a middle frame of p's TransferSegmented in kernel
+// context and arbitrates for the next one, as p's next Transfer would.
+// When the channel is taken it queues p in the resource's FIFO and
+// marks p blocked, as Acquire would; the grant's wake resumes p.
+func (p *Proc) segFrameEnd() {
+	p.segRelease()
+	pp := p.xferPipe
+	if pp.pr.On() {
+		pp.pr.Sample(probe.KindQueue, int64(pp.res.QueueLen()))
+	}
+	if pp.res.TryAcquire(1) {
+		p.segHold()
+		return
+	}
+	pp.res.enqueue(&p.Task, 1)
+	p.block(pp.res.name, "acquire")
 }

@@ -91,8 +91,7 @@ func (r *Resource) Acquire(p *Proc, amount int64) {
 		r.grants++
 		return
 	}
-	p.granted = false
-	r.waiters.push(resWaiter{t: &p.Task, amount: amount, seq: p.waitSeq})
+	r.enqueue(&p.Task, amount)
 	for !p.granted {
 		p.parkBlocked(r.name, "acquire")
 	}
@@ -117,9 +116,15 @@ func (r *Resource) AcquireFunc(t *Task, amount int64, fn func()) {
 		fn()
 		return
 	}
-	t.granted = false
 	t.acqCont = fn
 	t.parkWait(taskWaitAcquire, r.name, "acquire")
+	r.enqueue(t, amount)
+}
+
+// enqueue queues t for amount units behind the current waiters; admit
+// sets t.granted and wakes t when they are claimed.
+func (r *Resource) enqueue(t *Task, amount int64) {
+	t.granted = false
 	r.waiters.push(resWaiter{t: t, amount: amount, seq: t.waitSeq})
 }
 

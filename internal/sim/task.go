@@ -75,7 +75,11 @@ type Task struct {
 	// bound method values created once per task and reused for every
 	// transfer, keeping the pipe fast path allocation-free. xferDur
 	// carries the transfer duration computed at acquisition so the
-	// completion path never recomputes TransferDuration.
+	// completion path never recomputes TransferDuration. A process's
+	// Task reuses xferPipe, xferBytes (bytes not yet booked), xferDur
+	// (the current frame's) and xferEndFn (its bound segFrameEnd) for
+	// its Pipe.TransferSegmented in flight; TransferFunc runs only on
+	// bare tasks.
 	xferPipe  *Pipe
 	xferBytes int64
 	xferDur   Time

@@ -133,6 +133,27 @@ func ForTask(t TaskID) Dataset {
 	}
 }
 
+// ForTaskScaled returns t's Table 2 dataset shrunk to the fraction
+// scale of its size; a scale of 1 or more is the full dataset. Every
+// entry point that takes a scale factor turns it into a dataset here.
+// A scale whose byte count rounds to zero (zero, negative, NaN or just
+// tiny) is an error: Scaled treats a non-positive size as "unscaled",
+// so passing it on would silently run the full dataset.
+func ForTaskScaled(t TaskID, scale float64) (Dataset, error) {
+	ds := ForTask(t)
+	if scale >= 1 {
+		return ds, nil
+	}
+	n := int64(0)
+	if scale > 0 { // false for NaN
+		n = int64(float64(ds.TotalBytes) * scale)
+	}
+	if n < 1 {
+		return ds, fmt.Errorf("workload: scale %g shrinks the %s dataset below one byte", scale, t)
+	}
+	return ds.Scaled(n), nil
+}
+
 // Scaled returns a copy of d shrunk to approximately totalBytes, keeping
 // tuple widths and relative cardinalities. Used to produce megabyte-scale
 // instances that the executable relational engine can chew through in

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -279,6 +282,26 @@ func TestZipfDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("Zipf generator not deterministic")
+		}
+	}
+}
+
+func TestForTaskScaled(t *testing.T) {
+	full := ForTask(Sort)
+	for _, scale := range []float64{1, 1.5} {
+		if ds, err := ForTaskScaled(Sort, scale); err != nil || !reflect.DeepEqual(ds, full) {
+			t.Errorf("scale %g: got (%+v, %v), want the full dataset", scale, ds, err)
+		}
+	}
+	ds, err := ForTaskScaled(Sort, 0.25)
+	if err != nil || !reflect.DeepEqual(ds, full.Scaled(full.TotalBytes/4)) {
+		t.Errorf("scale 0.25: got (%+v, %v), want a quarter of the dataset", ds, err)
+	}
+	// Each of these rounds the byte count to zero; Scaled would treat
+	// that as "unscaled" and run the full dataset.
+	for _, scale := range []float64{1e-300, 0, -0.5, math.NaN()} {
+		if _, err := ForTaskScaled(Sort, scale); err == nil || !strings.Contains(err.Error(), "below one byte") {
+			t.Errorf("scale %g: err = %v, want a below-one-byte error", scale, err)
 		}
 	}
 }

@@ -151,7 +151,7 @@ func main() {
 		tolerance    = flag.Float64("tolerance", 0.25, "allowed fractional ns/op regression")
 		zeroAlloc    = flag.String("zeroalloc",
 			"BenchmarkKernelEventThroughputProbeOff,BenchmarkKernelPipeTransferProbeOff,BenchmarkKernelPipeTransferProbeOn,"+
-				"BenchmarkKernelSingleProcWait",
+				"BenchmarkKernelSingleProcWait,BenchmarkKernelPipeTransferSegmented",
 			"comma-separated benchmarks that must report exactly 0 allocs/op in the current report")
 		parallelPath = flag.String("parallel", "", "benchparallel report to gate (empty = no speedup gate)")
 		minSpeedup   = flag.Float64("minspeedup", 2.0, "required parallel speedup when measured on >= -mincpu cores")

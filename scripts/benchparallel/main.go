@@ -56,21 +56,14 @@ func main() {
 	)
 	flag.Parse()
 
+	datasets, err := scaledDatasets(*taskList, *scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchparallel:", err)
+		os.Exit(2)
+	}
 	var rows []report
-	for _, name := range strings.Split(*taskList, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		task, err := workload.ParseTask(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchparallel:", err)
-			os.Exit(2)
-		}
-		ds := workload.ForTask(task)
-		if *scale < 1.0 {
-			ds = ds.Scaled(int64(float64(ds.TotalBytes) * *scale))
-		}
+	for _, ds := range datasets {
+		task := ds.Task
 		cfg := arch.ActiveDisks(*disks)
 
 		singleWall, singleSim := measure(tasks.ModeEvent, cfg, task, ds, *count)
@@ -115,6 +108,29 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s (%d tasks)\n", *out, len(rows))
+}
+
+// scaledDatasets parses the comma-separated task list and scales each
+// task's dataset, so a bad task name or a scale too small for some
+// dataset fails before anything is measured.
+func scaledDatasets(taskList string, scale float64) ([]workload.Dataset, error) {
+	var out []workload.Dataset
+	for _, name := range strings.Split(taskList, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		task, err := workload.ParseTask(name)
+		if err != nil {
+			return nil, err
+		}
+		ds, err := workload.ForTaskScaled(task, scale)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ds)
+	}
+	return out, nil
 }
 
 // measure runs the task count times in the given mode and returns the
