@@ -1,11 +1,11 @@
-# Howsim build/test/bench entry points. The kernel microbenchmarks and
-# BENCH_kernel.json exist to track the DES hot path's perf trajectory
-# across PRs — run `make bench-kernel` after touching internal/sim and
-# commit the refreshed numbers.
+# Howsim build/test/bench entry points. The kernel and service-path
+# microbenchmarks and BENCH_kernel.json exist to track the hot paths'
+# perf trajectory across PRs — run `make bench-kernel` after touching
+# internal/sim or internal/service and commit the refreshed numbers.
 
 GO ?= go
 
-.PHONY: build vet lint vet-fixtures vet-allows test race bench-kernel bench-figures benchfigures bench-parallel bench-service bench-guard fault-smoke trace-smoke chaos-smoke service-smoke
+.PHONY: build vet lint vet-fixtures vet-allows test race bench-kernel bench-figures bench-parallel bench-guard fault-smoke trace-smoke chaos-smoke service-smoke
 
 build:
 	$(GO) build ./...
@@ -39,43 +39,33 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# Refresh BENCH_kernel.json from the internal/sim microbenchmarks
-# (3 repetitions, best run wins).
+# Refresh BENCH_kernel.json from the internal/sim kernel and the
+# internal/service service-path microbenchmarks (3 repetitions, best
+# run wins).
 bench-kernel:
-	$(GO) run ./scripts/benchkernel -count 3 -out BENCH_kernel.json
+	$(GO) run ./scripts/bench -count 3 -out BENCH_kernel.json
 
 # Quick pass over the paper's figure benchmarks at reduced scale.
 bench-figures:
 	HOWSIM_BENCH_SCALE=0.05 $(GO) test -bench=Figure -benchtime=1x .
 
-# Refresh BENCH_figures.json: figure benchmarks at reduced scale,
-# recorded in the same JSON shape as BENCH_kernel.json.
-benchfigures:
-	$(GO) run ./scripts/benchfigures -count 3 -out BENCH_figures.json
-
-# Refresh BENCH_parallel.json: wall-clock speedup of -procmode parallel
-# over the single-kernel event mode on 64-disk select, groupby, dmine,
-# sort and join (one JSON row per task). The recorded numbers are honest
-# for the machine that ran them (num_cpu is in the report); benchguard
-# only enforces the per-task speedup floor on >= 4 cores.
+# Refresh BENCH_parallel.json: BenchmarkParallelSpeedup, the wall-clock
+# speedup of -procmode parallel over the single-kernel event mode on
+# 64-disk select, groupby, dmine, mview, sort and join (one row per
+# task). The recorded numbers are honest for the machine that ran them
+# (num_cpu and gomaxprocs are in the report); benchguard only enforces
+# the per-task speedup floor on >= 4 cores.
 bench-parallel:
-	$(GO) run ./scripts/benchparallel -tasks select,groupby,dmine,sort,join -out BENCH_parallel.json
+	$(GO) run ./scripts/bench -pkg . -bench ParallelSpeedup -count 3 -out BENCH_parallel.json
 
-# Refresh BENCH_service.json: howsimd service-path benchmarks (cold
-# admission, warm cache hit, dedup fan-out) with an instant stub
-# runner, so the numbers isolate the service layer from simulation.
-bench-service:
-	$(GO) run ./scripts/benchservice -count 3 -out BENCH_service.json
-
-# Gate the kernel hot path against the committed baseline, the
-# sharded-execution speedup against its floor, and the service warm-hit
-# path against its baseline (what CI's bench-smoke job runs).
+# Gate the kernel hot path and the service warm hit against the
+# committed baseline, the probe-attached paths at 0 allocs/op, and the
+# sharded-execution speedup against its floor (what CI's bench-smoke
+# job runs).
 bench-guard:
-	$(GO) run ./scripts/benchkernel -count 1 -out /tmp/BENCH_kernel.json
-	$(GO) run ./scripts/benchparallel -out /tmp/BENCH_parallel.json
-	$(GO) run ./scripts/benchservice -count 1 -out /tmp/BENCH_service.json
-	$(GO) run ./scripts/benchguard -baseline BENCH_kernel.json -current /tmp/BENCH_kernel.json \
-		-parallel /tmp/BENCH_parallel.json -service /tmp/BENCH_service.json
+	$(GO) run ./scripts/bench -out /tmp/BENCH_kernel.json
+	$(GO) run ./scripts/bench -pkg . -bench 'ParallelSpeedup/(select|sort|join)$$' -out /tmp/BENCH_parallel.json
+	$(GO) run ./scripts/benchguard -current /tmp/BENCH_kernel.json -parallel /tmp/BENCH_parallel.json
 
 # Fault-injection smoke: one disk fails mid-scan on each architecture,
 # once recovering via replicas and once completing degraded. Every run

@@ -12,9 +12,11 @@
 package repro_test
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"testing"
+	"time"
 
 	"howsim/internal/arch"
 	"howsim/internal/cost"
@@ -339,6 +341,55 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		res = tasks.RunDataset(arch.ActiveDisks(128), workload.Select, ds)
 	}
 	b.ReportMetric(res.Elapsed.Seconds(), "simulated-s")
+}
+
+// BenchmarkParallelSpeedup measures the wall-clock speedup of sharded
+// execution (ModeParallel) over the single-kernel event mode, one
+// sub-benchmark per shardable task on a 64-disk Active Disk farm at
+// scale 0.25. Each iteration runs the task once per mode, and the two
+// runs must agree on the simulated elapsed time: the parallel mode is
+// byte-equivalent, not approximately equal. Record with
+//
+//	go run ./scripts/bench -pkg . -bench ParallelSpeedup -out BENCH_parallel.json
+//
+// scripts/benchguard gates the speedup metric on hosts with enough cores.
+func BenchmarkParallelSpeedup(b *testing.B) {
+	const (
+		disks = 64
+		scale = 0.25
+	)
+	cfg := arch.ActiveDisks(disks)
+	run := func(b *testing.B, task workload.TaskID, ds workload.Dataset, mode tasks.ExecMode) (sim.Time, time.Duration) {
+		start := time.Now()
+		res, err := tasks.RunCtx(context.Background(), cfg, task, ds, nil, nil, mode)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res.Elapsed, time.Since(start)
+	}
+	for _, task := range []workload.TaskID{workload.Select, workload.GroupBy, workload.DataMine,
+		workload.MView, workload.Sort, workload.Join} {
+		ds, err := workload.ForTaskScaled(task, scale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(task.String(), func(b *testing.B) {
+			var single, parallel time.Duration
+			for i := 0; i < b.N; i++ {
+				evSim, evWall := run(b, task, ds, tasks.ModeEvent)
+				parSim, parWall := run(b, task, ds, tasks.ModeParallel)
+				if evSim != parSim {
+					b.Fatalf("%s: simulated time diverged: event %v, parallel %v", task, evSim, parSim)
+				}
+				single += evWall
+				parallel += parWall
+			}
+			n := float64(b.N)
+			b.ReportMetric(single.Seconds()*1e3/n, "single_ms")
+			b.ReportMetric(parallel.Seconds()*1e3/n, "parallel_ms")
+			b.ReportMetric(single.Seconds()/parallel.Seconds(), "speedup")
+		})
+	}
 }
 
 // BenchmarkExtensionFibreSwitch runs the beyond-the-paper interconnect

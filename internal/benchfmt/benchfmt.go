@@ -1,13 +1,17 @@
-// Package benchfmt parses `go test -bench` output into the JSON report
-// shape shared by BENCH_kernel.json and BENCH_figures.json, so the perf
-// trajectory of both the DES hot path and the rendered figures can be
-// tracked (and regression-gated) across PRs.
+// Package benchfmt parses `go test -bench` output into the one JSON
+// report shape every committed BENCH_*.json uses (BENCH_kernel.json for
+// the kernel and service-path microbenchmarks, BENCH_parallel.json for
+// the per-task parallel/event speedup). Each report records the host it
+// was measured on — num_cpu, gomaxprocs and the git SHA — so a number
+// can always be traced to its machine and code, and scripts/benchguard
+// can gate any report it is handed.
 package benchfmt
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"runtime"
 	"strconv"
 	"strings"
@@ -30,22 +34,28 @@ type Report struct {
 	GoVersion  string      `json:"go_version"`
 	GOARCH     string      `json:"goarch"`
 	NumCPU     int         `json:"num_cpu"`
+	GoMaxProcs int         `json:"gomaxprocs"`
+	GitSHA     string      `json:"git_sha"`
 	Package    string      `json:"package"`
 	Pattern    string      `json:"pattern"`
 	Count      int         `json:"count"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
-// NewReport stamps a report header for the current toolchain and host.
+// NewReport stamps a report header for the current toolchain, host and
+// checkout. GitSHA is HEAD's commit, empty outside a git checkout.
 func NewReport(pkg, pattern string, count int) Report {
+	sha, _ := exec.Command("git", "rev-parse", "HEAD").Output()
 	return Report{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Package:   pkg,
-		Pattern:   pattern,
-		Count:     count,
+		Generated:  time.Now().UTC().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		GitSHA:     strings.TrimSpace(string(sha)),
+		Package:    pkg,
+		Pattern:    pattern,
+		Count:      count,
 	}
 }
 
@@ -53,8 +63,9 @@ func NewReport(pkg, pattern string, count int) Report {
 //
 //	BenchmarkKernelEventThroughput-8  10646050  114.6 ns/op  8726570 events/s  0 B/op  0 allocs/op
 //
-// The -GOMAXPROCS suffix is stripped from the name. Non-benchmark lines
-// return ok=false.
+// A numeric -GOMAXPROCS suffix is stripped from the name; any other
+// "-" is part of the name (go test prints no suffix at GOMAXPROCS=1).
+// Non-benchmark lines return ok=false.
 func ParseLine(line string) (Benchmark, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
@@ -62,7 +73,9 @@ func ParseLine(line string) (Benchmark, bool) {
 	}
 	name := f[0]
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		name = name[:i]
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			name = name[:i]
+		}
 	}
 	iters, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {

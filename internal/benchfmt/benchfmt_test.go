@@ -16,6 +16,16 @@ func TestParseLine(t *testing.T) {
 	if b.Metrics["events/s"] != 8726570 {
 		t.Errorf("Metrics = %v, want events/s recorded", b.Metrics)
 	}
+	// Only a numeric suffix is the GOMAXPROCS tag: at GOMAXPROCS=1 go
+	// test prints none, and a "-" inside the name must survive.
+	for line, want := range map[string]string{
+		"BenchmarkX/a-b  10  5.0 ns/op":   "BenchmarkX/a-b",
+		"BenchmarkX/a-b-4  10  5.0 ns/op": "BenchmarkX/a-b",
+	} {
+		if b, ok := ParseLine(line); !ok || b.Name != want {
+			t.Errorf("ParseLine(%q) name = %q (ok %v), want %q", line, b.Name, ok, want)
+		}
+	}
 }
 
 func TestParseLineRejectsNoise(t *testing.T) {

@@ -1,6 +1,6 @@
 // Conservative parallel execution: one simulation sharded across OS
 // threads as a group of kernels synchronized by per-edge clock promises
-// (a lookahead-widened null-message variant of Chandy-Misra-Bryant).
+// (a null-message variant of Chandy-Misra-Bryant).
 //
 // Partitioning model. A ShardGroup owns one hub kernel plus N leaf
 // kernels. Model state is split so that a leaf only ever touches its
@@ -16,24 +16,22 @@
 // the shard's remaining local events are executed under hub control in
 // bounded windows.
 //
-// Synchronization. Each shard's edge toward the group carries a
-// link-latency lookahead (ShardGroup.Link, zero by default): a call
-// issued at local time t arrives at t+lookahead. Each leaf continuously
-// publishes a per-edge horizon — "nothing will arrive over my edge
-// earlier than this" — which is its local clock plus lookahead while
-// free-running, its earliest remaining local event plus lookahead while
-// parked in Call, and +infinity only once it can never send again (the
-// null message that keeps empty links from deadlocking the group). The
-// hub only executes work strictly below the minimum published horizon
-// (its earliest input time), so a grant or arbitration decision can
-// never be reordered by a message still in flight. When a parked
-// shard's horizon is what blocks the hub, the hub drives that shard's
-// local events directly (cmdRun) up to the minimum of every other
-// shard's horizon and its own next obligation — the conservative window
-// in which those events provably cannot be affected by anything still
-// in flight. Leaves receive nothing unsolicited: free-running leaves
-// race ahead of the hub on their own cores, which is where the
-// parallelism comes from.
+// Synchronization. Edges are instantaneous: a call issued at local time
+// t executes on the hub at t. Each leaf continuously publishes a
+// per-edge horizon — "nothing will arrive over my edge earlier than
+// this" — which is its local clock while free-running, its earliest
+// remaining local event while parked in Call, and +infinity only once
+// it can never send again (the null message that keeps empty links
+// from deadlocking the group). The hub only executes work strictly
+// below the minimum published horizon (its earliest input time), so a
+// grant or arbitration decision can never be reordered by a message
+// still in flight. When a parked shard's horizon is what blocks the
+// hub, the hub drives that shard's local events directly (cmdRun) up to
+// the minimum of every other shard's horizon and its own next
+// obligation — the conservative window in which those events provably
+// cannot be affected by anything still in flight. Leaves receive
+// nothing unsolicited: free-running leaves race ahead of the hub on
+// their own cores, which is where the parallelism comes from.
 //
 // Exactness. Byte-equivalence with the single-kernel event mode needs
 // more than conservative order — it needs the *same-instant* order. In
@@ -77,20 +75,9 @@ const horizonInfinity = int64(math.MaxInt64)
 // maxTime is the "no obligation" sentinel in hub scheduling decisions.
 const maxTime = Time(math.MaxInt64)
 
-// satAdd returns t+la saturating at horizonInfinity, the arithmetic for
-// lookahead-widened horizons.
-func satAdd(t, la Time) int64 {
-	v := int64(t) + int64(la)
-	if v < int64(t) {
-		return horizonInfinity
-	}
-	return v
-}
-
 // xcall is one cross-shard request: fn runs on a hub proxy process at
-// virtual time at — the message's arrival time, the issuing event's
-// time plus the shard's link lookahead; caller is the leaf process
-// parked until it returns.
+// virtual time at — the issuing event's time; caller is the leaf
+// process parked until it returns.
 type xcall struct {
 	at Time
 	// sched is the scheduling time of the leaf event that issued the
@@ -191,7 +178,7 @@ type leafState int32
 
 const (
 	// leafRunning: the leaf goroutine is free-running local events; its
-	// horizon is its published clock plus lookahead.
+	// horizon is its published clock.
 	leafRunning leafState = iota
 	// leafParked: one or more leaf processes are parked in Call with
 	// their requests posted; the leaf goroutine is idle awaiting hub
@@ -253,17 +240,11 @@ type Shard struct {
 	k  *Kernel
 	g  *ShardGroup
 
-	// lookahead is the link-latency lookahead of this shard's edge
-	// toward the rest of the group (ShardGroup.Link): a call issued at
-	// local time t arrives at t+lookahead, so every published horizon is
-	// widened by this bound. Set before Run, immutable afterwards.
-	lookahead Time
-
 	// horizon is the shard's published per-edge promise: nothing will
-	// arrive from this shard earlier than this time (lookahead already
-	// applied; horizonInfinity once nothing can ever arrive). Written by
-	// the leaf's publish hook while free-running and by the hub while
-	// the leaf is parked; read by the hub's EIT scan.
+	// arrive from this shard earlier than this time (horizonInfinity
+	// once nothing can ever arrive). Written by the leaf's publish hook
+	// while free-running and by the hub while the leaf is parked; read
+	// by the hub's EIT scan.
 	horizon atomic.Int64
 	state   atomic.Int32
 
@@ -324,21 +305,20 @@ func (sh *Shard) Kernel() *Kernel { return sh.k }
 func (sh *Shard) ID() int { return int(sh.id) }
 
 // Call executes fn on the hub and blocks p until it completes. fn runs
-// on a hub proxy process at the current virtual time plus the shard's
-// link lookahead (the message's arrival time) and may use every
+// on a hub proxy process at the current virtual time and may use every
 // blocking primitive of the hub's model components; it must not touch
 // leaf state other than values it captured. p resumes at the virtual
-// time fn finished. With zero lookahead this is exactly an inline
-// execution — including follow-on Calls at the same instant, which run
-// at the same hub event position an inline continuation would have.
-// Any number of processes on the same shard may hold concurrent Calls.
+// time fn finished. This is exactly an inline execution — including
+// follow-on Calls at the same instant, which run at the same hub event
+// position an inline continuation would have. Any number of processes
+// on the same shard may hold concurrent Calls.
 func (sh *Shard) Call(p *Proc, fn func(*Proc)) {
 	if p.k != sh.k {
 		panic(fmt.Sprintf("sim: Call on shard %d from foreign process %q", sh.id, p.name))
 	}
 	sh.seq++
 	sh.pending = append(sh.pending, &xcall{
-		at: sh.k.now + sh.lookahead, sched: sh.k.curSched, anc: sh.k.curAnc,
+		at: sh.k.now, sched: sh.k.curSched, anc: sh.k.curAnc,
 		rank: p.xrank, src: sh.id, seq: sh.seq, fn: fn, caller: p,
 	})
 	// Stop the leaf's run the moment the caller parks: the resume time is
@@ -404,7 +384,7 @@ func (sh *Shard) runSlice() {
 	if t, sched, anc, ok := sh.k.NextEventKey(); ok {
 		sh.nextAt, sh.hasNext = t, true
 		sh.nextSched, sh.nextAnc = sched, anc
-		sh.horizon.Store(satAdd(t, sh.lookahead))
+		sh.horizon.Store(int64(t))
 	} else {
 		sh.hasNext = false
 		sh.horizon.Store(horizonInfinity)
@@ -529,9 +509,8 @@ type ShardGroup struct {
 
 // NewShardGroup creates a hub kernel and n leaf kernels wired for
 // conservative parallel execution. Build shared model state on Hub()'s
-// kernel and per-partition state on each Shard(i)'s kernel, declare any
-// link lookahead with Link, spawn the partition processes, then call
-// Run.
+// kernel and per-partition state on each Shard(i)'s kernel, spawn the
+// partition processes, then call Run.
 func NewShardGroup(n int) *ShardGroup {
 	if n < 1 {
 		panic("sim: ShardGroup needs at least one shard")
@@ -553,7 +532,7 @@ func NewShardGroup(n int) *ShardGroup {
 			// stores want before reading horizons and the leaf swaps
 			// before loading want, so one side sees the other; a horizon
 			// already above want cannot be what the hub waits on.
-			h := satAdd(t, sh.lookahead)
+			h := int64(t)
 			old := sh.horizon.Swap(h)
 			if want := g.want.Load(); old <= want && h > want {
 				g.mu.Lock()
@@ -574,23 +553,6 @@ func (g *ShardGroup) Shards() int { return len(g.shards) }
 
 // Shard returns leaf partition i.
 func (g *ShardGroup) Shard(i int) *Shard { return g.shards[i] }
-
-// Link declares the link-latency lookahead of shard i's edge toward the
-// rest of the group: a Call issued at local time t arrives at
-// t+lookahead, and every horizon the shard publishes is widened by the
-// same bound, so the hub's earliest input time from this edge is
-// peer_horizon + lookahead. Zero (the default) models an instantaneous
-// edge — Call executes at the issuing instant. Link must be called
-// before Run.
-func (g *ShardGroup) Link(i int, lookahead Time) {
-	if g.ran {
-		panic("sim: ShardGroup.Link after Run")
-	}
-	if lookahead < 0 {
-		panic(fmt.Sprintf("sim: negative link lookahead %v for shard %d", lookahead, i))
-	}
-	g.shards[i].lookahead = lookahead
-}
 
 // Stall describes why the group stopped with work still parked — the
 // sharded analogue of Kernel.DeadlockReport. Empty after a clean run.
@@ -626,7 +588,7 @@ func (g *ShardGroup) absorbNextLocked(sh *Shard, st *leafStatus) {
 	if st.hasNext {
 		sh.nextAt, sh.hasNext = st.next, true
 		sh.nextSched, sh.nextAnc = st.nextSched, st.nextAnc
-		sh.horizon.Store(satAdd(st.next, sh.lookahead))
+		sh.horizon.Store(int64(st.next))
 	} else {
 		sh.hasNext = false
 		sh.horizon.Store(horizonInfinity)
@@ -702,7 +664,7 @@ func (g *ShardGroup) Run() Time {
 	g.ran = true
 	for _, sh := range g.shards {
 		if t, ok := sh.k.NextEventTime(); ok {
-			sh.horizon.Store(satAdd(t, sh.lookahead))
+			sh.horizon.Store(int64(t))
 			sh.state.Store(int32(leafRunning))
 		} else {
 			sh.horizon.Store(horizonInfinity)
@@ -939,15 +901,14 @@ func (g *ShardGroup) runProxy(rq *xcall) {
 
 // respond completes a call: it resumes the shard's parked caller at the
 // hub's current time and converses with the leaf while it drains that
-// instant. A follow-on call arriving at the same instant is returned
-// for inline execution at the proxy's event position. A call arriving
-// later (lookahead, or another process parking) is queued as an
-// ordinary request — tightening the hub's current run window so no hub
-// event can slip ahead of it — and the drain continues. Once the
-// instant is drained the shard is either handed back to free running
-// (no calls left in flight), left parked with its remaining local
-// events hub-driven, or marked finished; in the first two cases the run
-// window is tightened below the shard's new horizon.
+// instant. A call issued during the drain — a follow-on by the resumed
+// process or a call by another process the drain woke — is at that same
+// instant, since edges carry no latency, and is returned for inline
+// execution at the proxy's event position. Once the instant is drained
+// the shard is either handed back to free running (no calls left in
+// flight), left parked with its remaining local events hub-driven, or
+// marked finished; in the first two cases the run window is tightened
+// below the shard's new horizon.
 func (g *ShardGroup) respond(sh *Shard, caller *Proc) *xcall {
 	at := g.hub.now
 	// Stamp the caller with this delivery's rank before it resumes: the
@@ -980,38 +941,15 @@ func (g *ShardGroup) respond(sh *Shard, caller *Proc) *xcall {
 			g.mu.Lock()
 			g.absorbNextLocked(sh, &st)
 			g.mu.Unlock()
-			if c.at == at {
-				// A call issued at this same instant — by the resumed
-				// process (a follow-on) or by another process the drain
-				// woke: execute it inline at the proxy's event position,
-				// exactly where the single-kernel instant would have run
-				// its closure. The chain then responds to that caller,
-				// which resumes it and keeps draining the instant. One
-				// call completed and one opened — outstanding unchanged.
-				return c
+			if c.at != at {
+				panic(fmt.Sprintf("sim: shard %d issued a call at %v while draining %v", sh.id, c.at, at))
 			}
-			// A call arriving after this instant (link lookahead): queue
-			// it for ordinary injection, keep the current window from
-			// overrunning it, and continue the drain.
-			g.mu.Lock()
-			g.inbox.push(c)
-			sh.outstanding++
-			g.mu.Unlock()
-			if g.hub.limited {
-				lim := c.at - 1
-				if lim < at {
-					lim = at
-				}
-				if lim < g.hub.limit {
-					g.hub.limit = lim
-				}
-			}
-			run := leafCmd{kind: cmdRun, at: at}
-			g.mu.Lock()
-			run.capSched, run.capAnc, run.capped = g.ownCapLocked(sh, at)
-			g.mu.Unlock()
-			sh.cmds <- run
-			continue
+			// Execute it inline at the proxy's event position, exactly
+			// where the single-kernel instant would have run its closure.
+			// The chain then responds to that caller, which resumes it and
+			// keeps draining the instant. One call completed and one
+			// opened — outstanding unchanged.
+			return c
 		}
 		// Instant drained. Absorb the shard's new state.
 		g.mu.Lock()
@@ -1029,9 +967,9 @@ func (g *ShardGroup) respond(sh *Shard, caller *Proc) *xcall {
 		g.mu.Unlock()
 		if st.hasNext {
 			// Whether parked (hub-driven) or freed, the shard may yet
-			// inject work at next+lookahead: the current run window must
-			// stop short of it.
-			if lim := Time(satAdd(st.next, sh.lookahead)) - 1; g.hub.limited && lim < g.hub.limit {
+			// inject work at next: the current run window must stop short
+			// of it.
+			if lim := st.next - 1; g.hub.limited && lim < g.hub.limit {
 				g.hub.limit = lim
 			}
 		}

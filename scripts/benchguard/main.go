@@ -1,237 +1,164 @@
-// Command benchguard compares a freshly measured benchmark report
-// against the committed baseline and fails if a guarded benchmark
-// regressed past the tolerance. CI runs it after the bench-smoke pass:
+// Command benchguard gates freshly measured benchfmt reports (written
+// by scripts/bench) and exits non-zero if any gate fails. CI runs it
+// after the bench-smoke pass:
 //
-//	go run ./scripts/benchkernel -count 1 -out /tmp/BENCH_kernel.json
-//	go run ./scripts/benchguard -baseline BENCH_kernel.json -current /tmp/BENCH_kernel.json
+//	go run ./scripts/bench -out /tmp/BENCH_kernel.json
+//	go run ./scripts/bench -pkg . -bench 'ParallelSpeedup/(select|sort|join)$' -out /tmp/BENCH_parallel.json
+//	go run ./scripts/benchguard -current /tmp/BENCH_kernel.json -parallel /tmp/BENCH_parallel.json
 //
-// Only ns/op is gated (with a generous default tolerance — CI runners
-// are noisy); allocs/op is gated exactly, because the kernel's hot
-// paths are designed to be allocation-free and any new allocation is a
-// real change, not noise.
-//
-// With -parallel, benchguard additionally gates the sharded-execution
-// speedup recorded by scripts/benchparallel. The gate engages only when
-// the report was measured on a machine with at least -mincpu cores
-// (both num_cpu and gomaxprocs): a speedup floor is meaningless on a
-// single-core runner, where the conservative sync protocol can at best
-// break even.
-//
-// With -service, benchguard additionally gates the howsimd service
-// path recorded by scripts/benchservice against -servicebaseline: the
-// warm cache hit's ns/op (with tolerance) and its allocs/op (exactly —
-// a cache hit is a map lookup plus a write of pre-rendered bytes, and
-// any new allocation on that path is a real change, not noise).
+// Three gates:
+//   - every -guard benchmark keeps its ns/op within -tolerance of the
+//     committed baseline (generous: CI runners are noisy) and does not
+//     grow its allocs/op (the kernel hot path and the service warm hit
+//     are allocation-budgeted, so a new allocation is a real change);
+//   - every -zeroalloc benchmark reports exactly 0 allocs/op;
+//   - with -parallel, every row carrying a speedup metric meets
+//     -minspeedup, but only when the report was measured with at least
+//     -mincpu cores (min of num_cpu and gomaxprocs): on fewer cores the
+//     conservative sync protocol can at best break even.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"howsim/internal/benchfmt"
 )
 
-// parallelReport mirrors the fields of scripts/benchparallel's output
-// that the speedup gate reads.
-type parallelReport struct {
-	NumCPU     int     `json:"num_cpu"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-	Task       string  `json:"task"`
-	Disks      int     `json:"disks"`
-	SingleMs   float64 `json:"single_ms"`
-	ParallelMs float64 `json:"parallel_ms"`
-	Speedup    float64 `json:"speedup"`
-}
+// Default gate lists: the kernel's event throughput and the service
+// warm cache hit are gated against the baseline; the probe-attached and
+// inline-callback kernel paths must not allocate at all.
+const (
+	guardDefault     = "BenchmarkKernelEventThroughput,BenchmarkServiceWarmHit"
+	zeroAllocDefault = "BenchmarkKernelEventThroughputProbeOff,BenchmarkKernelPipeTransferProbeOff," +
+		"BenchmarkKernelPipeTransferProbeOn,BenchmarkKernelSingleProcWait,BenchmarkKernelPipeTransferSegmented"
+)
 
-// gateParallel applies the speedup floor, per task, to a benchparallel
-// report — either the current array-of-rows shape or the legacy single
-// select-only object — and reports whether any task failed its gate.
-func gateParallel(path string, minSpeedup float64, minCPU int) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchguard:", err)
-		return true
-	}
-	var rows []parallelReport
-	if err := json.Unmarshal(data, &rows); err != nil {
-		var single parallelReport
-		if err2 := json.Unmarshal(data, &single); err2 != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %s: %v\n", path, err)
-			return true
-		}
-		rows = []parallelReport{single}
-	}
-	if len(rows) == 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: %s: no parallel rows\n", path)
-		return true
-	}
+// gateBaseline checks each named benchmark of cur against base: ns/op
+// within tolerance, allocs/op not growing. Reports whether any failed.
+func gateBaseline(w io.Writer, base, cur *benchfmt.Report, names []string, tolerance float64) bool {
 	failed := false
-	for _, rep := range rows {
-		if gateParallelRow(&rep, minSpeedup, minCPU) {
+	for _, name := range names {
+		b, okB := base.Find(name)
+		c, okC := cur.Find(name)
+		if !okB || !okC {
+			fmt.Fprintf(w, "%-40s missing (baseline %v, current %v)  REGRESSED\n", name, okB, okC)
+			failed = true
+			continue
+		}
+		limit := b.NsPerOp * (1 + tolerance)
+		verdict := "ok"
+		if c.NsPerOp > limit {
+			verdict = "REGRESSED"
+			failed = true
+		}
+		fmt.Fprintf(w, "%-40s baseline %.1f ns/op  current %.1f ns/op  limit %.1f  %s\n",
+			name, b.NsPerOp, c.NsPerOp, limit, verdict)
+		if c.AllocsPerOp > b.AllocsPerOp {
+			fmt.Fprintf(w, "%-40s allocs/op grew %.0f -> %.0f  REGRESSED\n", name, b.AllocsPerOp, c.AllocsPerOp)
 			failed = true
 		}
 	}
 	return failed
 }
 
-// gateParallelRow applies the speedup floor to one per-task row and
-// reports whether the gate failed.
-func gateParallelRow(rep *parallelReport, minSpeedup float64, minCPU int) bool {
-	cores := rep.NumCPU
-	if rep.GoMaxProcs < cores {
-		cores = rep.GoMaxProcs
-	}
-	if cores < minCPU {
-		fmt.Printf("%-40s %.2fx on %d core(s) — speedup gate skipped (needs >= %d cores)\n",
-			"parallel "+rep.Task, rep.Speedup, cores, minCPU)
-		return false
-	}
-	verdict := "ok"
+// gateZeroAlloc is absolute, not baseline-relative: the probe layer's
+// contract is that a sink attached to the kernel costs no allocation on
+// the hot paths — disabled or (in steady state) enabled — and a lone
+// process running its kernel's callbacks inline must not allocate
+// either. Reports whether any named benchmark failed.
+func gateZeroAlloc(w io.Writer, cur *benchfmt.Report, names []string) bool {
 	failed := false
-	if rep.Speedup < minSpeedup {
-		verdict = "REGRESSED"
-		failed = true
+	for _, name := range names {
+		c, ok := cur.Find(name)
+		if !ok {
+			fmt.Fprintf(w, "%-40s missing from current report  REGRESSED\n", name)
+			failed = true
+			continue
+		}
+		verdict := "ok"
+		if c.AllocsPerOp != 0 {
+			verdict = "REGRESSED"
+			failed = true
+		}
+		fmt.Fprintf(w, "%-40s allocs/op %.0f (must be 0)  %s\n", name, c.AllocsPerOp, verdict)
 	}
-	fmt.Printf("%-40s %.1f ms single / %.1f ms parallel = %.2fx on %d cores (floor %.1fx)  %s\n",
-		fmt.Sprintf("parallel %s x%d disks", rep.Task, rep.Disks),
-		rep.SingleMs, rep.ParallelMs, rep.Speedup, cores, minSpeedup, verdict)
 	return failed
 }
 
-// gateService compares the service-path report against its committed
-// baseline: warm-hit ns/op within tolerance, warm-hit allocs/op not
-// growing. Reports whether the gate failed.
-func gateService(baselinePath, currentPath string, tolerance float64) bool {
-	baseline, err := benchfmt.ReadFile(baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchguard:", err)
+// gateParallel applies the speedup floor to every row of rep that
+// carries a speedup metric, skipping the gate when the report was
+// measured on fewer than minCPU cores. A report with no speedup row
+// fails. Reports whether the gate failed.
+func gateParallel(w io.Writer, rep *benchfmt.Report, minSpeedup float64, minCPU int) bool {
+	cores := min(rep.NumCPU, rep.GoMaxProcs)
+	failed, rows := false, 0
+	for _, b := range rep.Benchmarks {
+		speedup, ok := b.Metrics["speedup"]
+		if !ok {
+			continue
+		}
+		rows++
+		verdict := "ok"
+		switch {
+		case cores < minCPU:
+			verdict = fmt.Sprintf("skipped (needs >= %d cores)", minCPU)
+		case speedup < minSpeedup:
+			verdict = "REGRESSED"
+			failed = true
+		}
+		fmt.Fprintf(w, "%-40s %.1f ms single / %.1f ms parallel = %.2fx on %d cores (floor %.1fx)  %s\n",
+			b.Name, b.Metrics["single_ms"], b.Metrics["parallel_ms"], speedup, cores, minSpeedup, verdict)
+	}
+	if rows == 0 {
+		fmt.Fprintln(w, "parallel report has no speedup rows  REGRESSED")
 		return true
-	}
-	current, err := benchfmt.ReadFile(currentPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchguard:", err)
-		return true
-	}
-	const name = "BenchmarkServiceWarmHit"
-	base, ok := baseline.Find(name)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "benchguard: %s missing from baseline %s\n", name, baselinePath)
-		return true
-	}
-	cur, ok := current.Find(name)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "benchguard: %s missing from current %s\n", name, currentPath)
-		return true
-	}
-	failed := false
-	limit := base.NsPerOp * (1 + tolerance)
-	verdict := "ok"
-	if cur.NsPerOp > limit {
-		verdict = "REGRESSED"
-		failed = true
-	}
-	fmt.Printf("%-40s baseline %.1f ns/op  current %.1f ns/op  limit %.1f  %s\n",
-		name, base.NsPerOp, cur.NsPerOp, limit, verdict)
-	if cur.AllocsPerOp > base.AllocsPerOp {
-		fmt.Printf("%-40s allocs/op grew %.0f -> %.0f  REGRESSED\n",
-			name, base.AllocsPerOp, cur.AllocsPerOp)
-		failed = true
 	}
 	return failed
+}
+
+// list splits a comma-separated flag value, dropping empty entries.
+func list(s string) []string {
+	var out []string
+	for _, f := range strings.Split(s, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+func read(path string) *benchfmt.Report {
+	r, err := benchfmt.ReadFile(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchguard:", err)
+		os.Exit(1)
+	}
+	return &r
 }
 
 func main() {
 	var (
 		baselinePath = flag.String("baseline", "BENCH_kernel.json", "committed baseline report")
 		currentPath  = flag.String("current", "/tmp/BENCH_kernel.json", "freshly measured report")
-		names        = flag.String("guard", "BenchmarkKernelEventThroughput", "comma-separated benchmarks to gate")
+		guard        = flag.String("guard", guardDefault, "comma-separated benchmarks gated against the baseline")
 		tolerance    = flag.Float64("tolerance", 0.25, "allowed fractional ns/op regression")
-		zeroAlloc    = flag.String("zeroalloc",
-			"BenchmarkKernelEventThroughputProbeOff,BenchmarkKernelPipeTransferProbeOff,BenchmarkKernelPipeTransferProbeOn,"+
-				"BenchmarkKernelSingleProcWait,BenchmarkKernelPipeTransferSegmented",
+		zeroAlloc    = flag.String("zeroalloc", zeroAllocDefault,
 			"comma-separated benchmarks that must report exactly 0 allocs/op in the current report")
-		parallelPath = flag.String("parallel", "", "benchparallel report to gate (empty = no speedup gate)")
+		parallelPath = flag.String("parallel", "", "parallel-speedup report to gate (empty = no speedup gate)")
 		minSpeedup   = flag.Float64("minspeedup", 2.0, "required parallel speedup when measured on >= -mincpu cores")
 		minCPU       = flag.Int("mincpu", 4, "minimum cores for the speedup gate to engage")
-		servicePath  = flag.String("service", "", "benchservice report to gate (empty = no service gate)")
-		serviceBase  = flag.String("servicebaseline", "BENCH_service.json", "committed service baseline report")
 	)
 	flag.Parse()
 
-	baseline, err := benchfmt.ReadFile(*baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchguard:", err)
-		os.Exit(1)
-	}
-	current, err := benchfmt.ReadFile(*currentPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchguard:", err)
-		os.Exit(1)
-	}
-
-	failed := false
-	for _, name := range strings.Split(*names, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		base, ok := baseline.Find(name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchguard: %s missing from baseline %s\n", name, *baselinePath)
-			failed = true
-			continue
-		}
-		cur, ok := current.Find(name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchguard: %s missing from current %s\n", name, *currentPath)
-			failed = true
-			continue
-		}
-		limit := base.NsPerOp * (1 + *tolerance)
-		verdict := "ok"
-		if cur.NsPerOp > limit {
-			verdict = "REGRESSED"
-			failed = true
-		}
-		fmt.Printf("%-40s baseline %.1f ns/op  current %.1f ns/op  limit %.1f  %s\n",
-			name, base.NsPerOp, cur.NsPerOp, limit, verdict)
-		if cur.AllocsPerOp > base.AllocsPerOp {
-			fmt.Printf("%-40s allocs/op grew %.0f -> %.0f  REGRESSED\n",
-				name, base.AllocsPerOp, cur.AllocsPerOp)
-			failed = true
-		}
-	}
-	// The zero-alloc gate is absolute, not baseline-relative: the probe
-	// layer's contract is that a sink attached to the kernel costs no
-	// allocation on the hot paths — disabled or (in steady state) enabled
-	// — and a lone process running its kernel's callbacks inline must
-	// not allocate either.
-	for _, name := range strings.Split(*zeroAlloc, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		cur, ok := current.Find(name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchguard: %s missing from current %s\n", name, *currentPath)
-			failed = true
-			continue
-		}
-		verdict := "ok"
-		if cur.AllocsPerOp != 0 {
-			verdict = "REGRESSED"
-			failed = true
-		}
-		fmt.Printf("%-40s allocs/op %.0f (must be 0)  %s\n", name, cur.AllocsPerOp, verdict)
-	}
-	if *parallelPath != "" && gateParallel(*parallelPath, *minSpeedup, *minCPU) {
-		failed = true
-	}
-	if *servicePath != "" && gateService(*serviceBase, *servicePath, *tolerance) {
-		failed = true
+	base, cur := read(*baselinePath), read(*currentPath)
+	failed := gateBaseline(os.Stdout, base, cur, list(*guard), *tolerance)
+	failed = gateZeroAlloc(os.Stdout, cur, list(*zeroAlloc)) || failed
+	if *parallelPath != "" {
+		failed = gateParallel(os.Stdout, read(*parallelPath), *minSpeedup, *minCPU) || failed
 	}
 	if failed {
 		os.Exit(1)
