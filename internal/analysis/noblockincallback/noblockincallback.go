@@ -10,9 +10,10 @@
 //
 // Callback context is inferred package-locally: a function is treated
 // as callback-only when it is registered as a continuation (passed to a
-// *Func primitive, to Kernel.At/After, or bound to a struct field whose
-// name ends in "Fn" — the repo's state-machine convention) and is never
-// also called directly from ordinary process code. Function literals
+// *Func primitive, to Kernel.At/After or Proc.Chain, or bound to a
+// struct field whose name ends in "Fn" — the repo's state-machine
+// convention) and is never also called directly from ordinary process
+// code. Function literals
 // passed as continuations are callback context unconditionally.
 package noblockincallback
 
@@ -41,8 +42,11 @@ var Analyzer = &analysis.Analyzer{
 // argument passed to one of these runs in kernel context.
 var registrars = map[string]bool{
 	"GetFunc": true, "PutFunc": true, "AcquireFunc": true,
-	"TransferFunc": true, "WaitFunc": true, "BusyFunc": true,
+	"TransferFunc": true, "TransferSegmentedFunc": true, "WaitFunc": true, "BusyFunc": true,
 	"At": true, "After": true,
+	// Proc.Chain runs its start step with the process asleep in a
+	// chain: the step must issue callback forms, never block.
+	"Chain": true,
 }
 
 // blockingProcMethods are methods on *sim.Proc that park the calling

@@ -52,6 +52,14 @@ func (s *server) registerShared() {
 	s.res.AcquireFunc(s.t, 1, s.shared)
 }
 
+// chained starts a chain whose first step blocks: the process is
+// asleep in the chain, so its steps must use the callback forms.
+func (s *server) chained(p *sim.Proc) {
+	p.Chain(func() {
+		s.res.Acquire(p, 1) // want `blocking Resource\.Acquire called from a continuation literal`
+	})
+}
+
 // processLoop is ordinary process code: blocking is the point.
 func (s *server) processLoop(p *sim.Proc) {
 	s.res.Acquire(p, 1)

@@ -11,6 +11,7 @@ type Proc struct{}
 func (p *Proc) Delay(d Time)  {}
 func (p *Proc) Now() Time     { return 0 }
 func (p *Proc) Await() (any, bool) { return nil, false }
+func (p *Proc) Chain(start func())  {}
 
 type Task struct{}
 

@@ -64,30 +64,12 @@ func (b *Bus) StallTime() sim.Time { return b.stallTime }
 // Stalls returns how many frame transmissions were stalled by outages.
 func (b *Bus) Stalls() int64 { return b.stalls }
 
-// stallForOutage blocks p until no outage window covers the current
-// instant, accumulating stall statistics.
-func (b *Bus) stallForOutage(p *sim.Proc) {
-	for _, w := range b.outages {
-		now := p.Now()
-		if now < w.Start {
-			return // windows are sorted; later ones can't cover now
-		}
-		if w.Contains(now) {
-			d := w.End - now
-			b.stallTime += d
-			b.stalls++
-			b.pr.Span(probe.KindStall, int64(now), int64(w.End))
-			p.Delay(d)
-		}
-	}
-}
-
 // Transfer moves bytes across the bus on behalf of p, re-arbitrating at
 // frame granularity. On the fault-free path it is one
-// Pipe.TransferSegmented: p parks once per transfer (plus once per
-// contended re-arbitration) while kernel callbacks end the middle
-// frames. With outages installed it loops over frames itself, so each
-// frame checks for a window before transmitting.
+// Pipe.TransferSegmented. With outages installed it runs TransferFunc
+// as a chain (sim.Proc.Chain), so each frame checks for a window before
+// transmitting while p parks once: the last frame's hold ends in p's
+// own wake.
 func (b *Bus) Transfer(p *sim.Proc, bytes int64) {
 	if bytes <= 0 {
 		return
@@ -96,21 +78,13 @@ func (b *Bus) Transfer(p *sim.Proc, bytes int64) {
 		b.pipe.TransferSegmented(p, bytes)
 		return
 	}
-	remaining := bytes
-	for remaining > 0 {
-		n := b.pipe.Frame
-		if n <= 0 || remaining < n {
-			n = remaining
-		}
-		b.stallForOutage(p)
-		b.pipe.Transfer(p, n)
-		remaining -= n
-	}
+	p.Chain(func() { b.TransferFunc(&p.Task, bytes, nil) })
 }
 
-// busOp is the state of one in-flight TransferFunc: frame-granular
-// arbitration unrolled into a state machine. Ops are pooled per bus and
-// their step continuations bound once, so transfers perform no
+// busOp is the state of one in-flight TransferFunc across outage
+// windows: frame-granular arbitration unrolled into a state machine
+// that checks for a window before each frame. Ops are pooled per bus
+// and their step continuations bound once, so transfers perform no
 // allocation and no process handoff.
 type busOp struct {
 	b         *Bus
@@ -124,10 +98,22 @@ type busOp struct {
 
 // TransferFunc is Transfer for callback tasks: it moves bytes across
 // the bus, re-arbitrating at frame granularity (and waiting out outage
-// windows), then runs fn.
+// windows), then runs fn in kernel context. t may be a process's Task
+// while the process sleeps in a chain (sim.Proc.Chain); with fn nil the
+// transfer is then the chain's last step. On the fault-free path it is
+// one Pipe.TransferSegmentedFunc; with outages installed a pooled busOp
+// checks for a window before every frame.
 func (b *Bus) TransferFunc(t *sim.Task, bytes int64, fn func()) {
 	if bytes <= 0 {
-		fn()
+		if fn == nil {
+			t.EndChain()
+		} else {
+			fn()
+		}
+		return
+	}
+	if b.outages == nil {
+		b.pipe.TransferSegmentedFunc(t, bytes, fn)
 		return
 	}
 	var op *busOp
@@ -145,8 +131,10 @@ func (b *Bus) TransferFunc(t *sim.Task, bytes int64, fn func()) {
 }
 
 // step transmits the next frame: it first waits out any outage covering
-// the current instant (re-checking from scratch after the stall, like
-// stallForOutage), and finishes the op once nothing remains.
+// the current instant, re-checking from scratch after the stall, and
+// finishes the op once nothing remains. The last frame of a
+// chain-ending transfer (done nil) ends the chain itself, so the op is
+// retired as that frame starts.
 func (op *busOp) step() {
 	b := op.b
 	if op.remaining <= 0 {
@@ -175,6 +163,13 @@ func (op *busOp) step() {
 	n := b.pipe.Frame
 	if n <= 0 || op.remaining < n {
 		n = op.remaining
+	}
+	if op.done == nil && n == op.remaining {
+		t := op.t
+		op.t = nil
+		b.opFree = append(b.opFree, op)
+		b.pipe.TransferFunc(t, n, nil)
+		return
 	}
 	op.frame = n
 	b.pipe.TransferFunc(op.t, n, op.sentFn)

@@ -79,6 +79,8 @@ type Machine struct {
 	Nodes  []*Node // workers; the front-end is FERank
 	FE     *Node
 	FERank int
+
+	opFree []*nodeOp // recycled node-local request state machines
 }
 
 // New builds a cluster on k. The network has Cfg.Nodes+1 endpoints; the
@@ -138,26 +140,31 @@ func (m *Machine) InstallFaults(plan *fault.Plan) {
 	if plan == nil {
 		return
 	}
-	policy := disk.DefaultRetryPolicy()
 	for i, n := range m.Nodes {
-		if inj := plan.DiskInjector(i); inj != nil {
-			n.Disk.SetFaultInjector(inj, policy)
-		}
-		// Straggler windows land on the node's host CPU: the cluster's
-		// drives are dumb, so a slow drive manifests as a slow node.
-		if ss := plan.StragglersFor(i); len(ss) != 0 {
-			sl := make([]cpu.Slowdown, len(ss))
-			for j, st := range ss {
-				sl[j] = cpu.Slowdown{Start: st.Window.Start, End: st.Window.End, Factor: st.Factor}
-			}
-			n.CPU.SetSlowdowns(sl)
-		}
-		n.SCSI.SetOutages(plan.OutagesFor(n.SCSI.Name()))
-		n.PCI.SetOutages(plan.OutagesFor(n.PCI.Name()))
+		n.installFaults(plan, i)
 	}
 	m.Tree.EachLink(func(l *netsim.Link) {
 		l.SetOutages(plan.OutagesFor(l.Name()))
 	})
+}
+
+// installFaults applies plan's faults for disk index i to the node:
+// the disk injector, straggler windows and local bus outages.
+func (n *Node) installFaults(plan *fault.Plan, i int) {
+	if inj := plan.DiskInjector(i); inj != nil {
+		n.Disk.SetFaultInjector(inj, disk.DefaultRetryPolicy())
+	}
+	// Straggler windows land on the node's host CPU: the cluster's
+	// drives are dumb, so a slow drive manifests as a slow node.
+	if ss := plan.StragglersFor(i); len(ss) != 0 {
+		sl := make([]cpu.Slowdown, len(ss))
+		for j, st := range ss {
+			sl[j] = cpu.Slowdown{Start: st.Window.Start, End: st.Window.End, Factor: st.Factor}
+		}
+		n.CPU.SetSlowdowns(sl)
+	}
+	n.SCSI.SetOutages(plan.OutagesFor(n.SCSI.Name()))
+	n.PCI.SetOutages(plan.OutagesFor(n.PCI.Name()))
 }
 
 // UsableMemoryBytes returns the per-node memory available to the
@@ -173,21 +180,88 @@ func (n *Node) Endpoint() *mpi.Endpoint { return n.m.World.Rank(n.ID) }
 // media, SCSI, PCI, completion interrupt. A failed request skips the
 // bus transfers (no data moved) but still pays the completion
 // interrupt; the disk's error is returned.
+//
+// The steps run as a chain (sim.Proc.Chain), so p parks once per call:
+// each step ends in a kernel callback on p's Task, and the completion
+// interrupt's end is p's own wake. The result is that of p running the
+// steps with the blocking primitives.
 func (n *Node) rw(p *sim.Proc, offset, length int64, write bool) error {
-	n.CPU.Busy(p, n.OS.ReadWriteCall+n.OS.DriverQueue)
-	var err error
-	if write {
-		err = n.Disk.Write(p, offset, length)
+	m := n.m
+	var op *nodeOp
+	if k := len(m.opFree); k > 0 {
+		op = m.opFree[k-1]
+		m.opFree[k-1] = nil
+		m.opFree = m.opFree[:k-1]
 	} else {
-		err = n.Disk.Read(p, offset, length)
+		op = &nodeOp{}
+		op.stepFn = op.step
 	}
-	if err == nil {
-		n.SCSI.Transfer(p, length)
-		n.PCI.Transfer(p, length)
-	}
-	n.CPU.Busy(p, n.OS.Interrupt)
+	op.n, op.t = n, &p.Task
+	op.req.Write, op.req.Offset, op.req.Length = write, offset, length
+	p.Chain(op.start)
+	err := op.req.Err
+	op.n, op.t = nil, nil
+	m.opFree = append(m.opFree, op)
 	return err
 }
+
+// nodeOp is one node-local request in flight: Node.rw's steps as kernel
+// callbacks on the issuing process's Task. Ops are pooled per Machine
+// and their step continuations bound once, so a local request
+// allocates nothing in steady state.
+type nodeOp struct {
+	n   *Node
+	t   *sim.Task
+	req disk.Request
+
+	// next is the step stepFn runs when the pending wait or hold ends;
+	// one bound continuation serves every step.
+	next   nodeStep
+	stepFn func()
+}
+
+// nodeStep names the step a nodeOp continues with.
+type nodeStep uint8
+
+const (
+	stepSubmit nodeStep = iota // the syscall and driver queue are charged
+	stepWaited                 // the disk request has completed
+	stepSCSI                   // the payload crossed SCSI
+	stepPCI                    // the payload crossed PCI
+)
+
+// then returns the continuation that runs step s.
+func (op *nodeOp) then(s nodeStep) func() {
+	op.next = s
+	return op.stepFn
+}
+
+func (op *nodeOp) step() {
+	n := op.n
+	switch op.next {
+	case stepSubmit:
+		n.Disk.Submit(&op.req).WaitFunc(op.t, op.then(stepWaited))
+	case stepWaited:
+		// A failed request moves no data: straight to the interrupt.
+		if op.req.Err != nil {
+			op.interrupt()
+			return
+		}
+		n.SCSI.TransferFunc(op.t, op.req.Length, op.then(stepSCSI))
+	case stepSCSI:
+		n.PCI.TransferFunc(op.t, op.req.Length, op.then(stepPCI))
+	case stepPCI:
+		op.interrupt()
+	}
+}
+
+// start charges the system call and the driver queue.
+func (op *nodeOp) start() {
+	op.n.CPU.BusyFunc(op.t, op.n.OS.ReadWriteCall+op.n.OS.DriverQueue, op.then(stepSubmit))
+}
+
+// interrupt charges the completion interrupt: the chain's last hold.
+func (op *nodeOp) interrupt() { op.n.CPU.BusyFunc(op.t, op.n.OS.Interrupt, nil) }
 
 // ReadLocal reads from the node's own disk. The error is nil on
 // success; fault-oblivious callers may ignore it.
@@ -198,33 +272,6 @@ func (n *Node) ReadLocal(p *sim.Proc, offset, length int64) error {
 // WriteLocal writes to the node's own disk.
 func (n *Node) WriteLocal(p *sim.Proc, offset, length int64) error {
 	return n.rw(p, offset, length, true)
-}
-
-// AsyncRead issues a local read without waiting for the media (the
-// lio_listio pattern); the returned request can be Waited on. The
-// bus/interrupt portion of the path is charged at completion by Finish.
-func (n *Node) AsyncRead(p *sim.Proc, offset, length int64) *disk.Request {
-	n.CPU.Busy(p, n.OS.ReadWriteCall+n.OS.DriverQueue)
-	return n.Disk.Submit(&disk.Request{Offset: offset, Length: length})
-}
-
-// AsyncWrite issues a local write without waiting.
-func (n *Node) AsyncWrite(p *sim.Proc, offset, length int64) *disk.Request {
-	n.CPU.Busy(p, n.OS.ReadWriteCall+n.OS.DriverQueue)
-	return n.Disk.Submit(&disk.Request{Write: true, Offset: offset, Length: length})
-}
-
-// Finish waits for an async request and charges the transfer path and
-// completion interrupt (the transfers are skipped when the request
-// failed, matching rw). It returns the request's completion error.
-func (n *Node) Finish(p *sim.Proc, req *disk.Request) error {
-	req.Wait(p)
-	if req.Err == nil {
-		n.SCSI.Transfer(p, req.Length)
-		n.PCI.Transfer(p, req.Length)
-	}
-	n.CPU.Busy(p, n.OS.Interrupt)
-	return req.Err
 }
 
 // Compute runs cycles on the node's processor.

@@ -3,7 +3,6 @@ package cluster
 import (
 	"testing"
 
-	"howsim/internal/disk"
 	"howsim/internal/mpi"
 	"howsim/internal/sim"
 )
@@ -64,33 +63,6 @@ func TestLocalDiskScalesWithNodes(t *testing.T) {
 	if ratio > 1.1 {
 		t.Errorf("8-node scan took %.2fx the 1-node scan; local I/O must scale", ratio)
 	}
-}
-
-func TestAsyncRequestsKeepQueueDeep(t *testing.T) {
-	// lio_listio-style issue: all four requests are queued at the drive
-	// before the first completes, so the device never goes idle between
-	// them.
-	k := sim.NewKernel()
-	m := New(k, DefaultConfig(1))
-	n := m.Nodes[0]
-	k.Spawn("async", func(p *sim.Proc) {
-		var reqs []*disk.Request
-		for i := int64(0); i < 4; i++ {
-			reqs = append(reqs, n.AsyncRead(p, i*(256<<10), 256<<10))
-		}
-		for _, r := range reqs {
-			n.Finish(p, r)
-		}
-		if reqs[3].Queued >= reqs[0].Finished {
-			t.Error("all requests should be queued before the first completes")
-		}
-		for i := 1; i < 4; i++ {
-			if reqs[i].Started < reqs[i-1].Finished {
-				t.Error("a single-arm drive must serialize media service")
-			}
-		}
-	})
-	k.Run()
 }
 
 func TestRepartitionIsNICBound(t *testing.T) {

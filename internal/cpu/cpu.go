@@ -25,6 +25,8 @@ type CPU struct {
 
 	slow     []Slowdown
 	slowTime sim.Time // extra execution time slowdown windows added
+
+	holdFree []*hold // recycled BusyFunc holds
 }
 
 // Slowdown is a window of degraded clock: between Start and End the
@@ -160,27 +162,75 @@ func (c *CPU) Busy(p *sim.Proc, d sim.Time) {
 }
 
 // BusyFunc is Busy for callback tasks: it holds the processor for d and
-// then runs fn. Unlike the bound-continuation state machines on the hot
-// paths this allocates two closures per call; it backs cold paths such
-// as the front-end relay in the restricted communication architecture.
+// then runs fn in kernel context. t may be a process's Task while the
+// process sleeps in a chain (sim.Proc.Chain); with fn nil the hold is
+// then the chain's last step: the process's own wake ends it, and the
+// process releases the processor and books the hold itself, as Busy
+// does after its Delay. The hold's state comes from a per-CPU pool with
+// its step continuations bound once, so BusyFunc allocates nothing in
+// steady state.
 func (c *CPU) BusyFunc(t *sim.Task, d sim.Time, fn func()) {
 	if d <= 0 {
-		fn()
+		if fn == nil {
+			t.EndChain()
+		} else {
+			fn()
+		}
 		return
 	}
-	c.res.AcquireFunc(t, 1, func() {
-		w := c.stretch(t.Now(), d)
-		t.Kernel().After(w, func() {
-			c.res.Release(1)
-			c.busy += w
-			c.slowTime += w - d
-			if c.pr.On() {
-				end := t.Now()
-				c.pr.Span(probe.KindCompute, int64(end-w), int64(end))
-			}
-			fn()
-		})
-	})
+	var h *hold
+	if n := len(c.holdFree); n > 0 {
+		h = c.holdFree[n-1]
+		c.holdFree[n-1] = nil
+		c.holdFree = c.holdFree[:n-1]
+	} else {
+		h = &hold{c: c}
+		h.acqFn = h.acquired
+		h.endFn = h.end
+	}
+	h.t, h.d, h.fn = t, d, fn
+	c.res.AcquireFunc(t, 1, h.acqFn)
+}
+
+// hold is one callback-mode busy period: acquire the processor, stretch
+// the duration under the slowdown windows, hold, release and book.
+type hold struct {
+	c     *CPU
+	t     *sim.Task
+	d, w  sim.Time // nominal and stretched duration
+	fn    func()   // continuation; nil ends the holder's chain
+	acqFn func()
+	endFn func()
+}
+
+// acquired runs once the task holds the processor: it schedules the
+// hold's end in the event slot Busy's Delay takes.
+func (h *hold) acquired() {
+	h.w = h.c.stretch(h.t.Now(), h.d)
+	if h.fn == nil {
+		h.t.EndChainAfter(h.w, h.endFn)
+		return
+	}
+	h.t.Kernel().After(h.w, h.endFn)
+}
+
+// end releases the processor, books the hold, returns it to the pool
+// and continues.
+func (h *hold) end() {
+	c := h.c
+	c.res.Release(1)
+	c.busy += h.w
+	c.slowTime += h.w - h.d
+	if c.pr.On() {
+		end := h.t.Now()
+		c.pr.Span(probe.KindCompute, int64(end-h.w), int64(end))
+	}
+	fn := h.fn
+	h.t, h.fn = nil, nil
+	c.holdFree = append(c.holdFree, h)
+	if fn != nil {
+		fn()
+	}
 }
 
 // ScaledBusy executes time that was measured at refHz, scaled to this

@@ -265,6 +265,53 @@ func TestAsyncRequestsOverlapQueueing(t *testing.T) {
 	}
 }
 
+// TestSubmitKeepsQueueDeep pins the lio_listio-style issue pattern:
+// requests submitted back to back are all queued at the drive before
+// the first completes, so the device never goes idle between them, and
+// the single arm still serializes their media service.
+func TestSubmitKeepsQueueDeep(t *testing.T) {
+	k := sim.NewKernel()
+	d := New(k, "d0", Cheetah9LP())
+	var reqs []*Request
+	k.Spawn("issuer", func(p *sim.Proc) {
+		for i := int64(0); i < 4; i++ {
+			reqs = append(reqs, d.Submit(&Request{Offset: i * (256 << 10), Length: 256 << 10}))
+		}
+		for _, r := range reqs {
+			r.Wait(p)
+		}
+	})
+	k.Run()
+	if reqs[3].Queued >= reqs[0].Finished {
+		t.Error("all requests should be queued before the first completes")
+	}
+	for i := 1; i < 4; i++ {
+		if reqs[i].Started < reqs[i-1].Finished {
+			t.Error("a single-arm drive must serialize media service")
+		}
+	}
+}
+
+// TestRequestWaitFunc checks the callback form of Wait: a pending
+// request runs the continuation at its completion, a completed one at
+// once.
+func TestRequestWaitFunc(t *testing.T) {
+	k := sim.NewKernel()
+	d := New(k, "d0", Cheetah9LP())
+	tk := k.NewTask("waiter")
+	r := d.Submit(&Request{Length: 64 << 10})
+	var at []sim.Time
+	r.WaitFunc(tk, func() {
+		at = append(at, k.Now())
+		r.WaitFunc(tk, func() { at = append(at, k.Now()) })
+	})
+	k.Run()
+	if len(at) != 2 || at[0] != r.Finished || at[1] != r.Finished {
+		t.Fatalf("continuations ran at %v, want twice at completion %v", at, r.Finished)
+	}
+	tk.Finish()
+}
+
 func TestUnalignedRequestPanics(t *testing.T) {
 	k := sim.NewKernel()
 	d := New(k, "d0", Cheetah9LP())

@@ -44,6 +44,11 @@ type Request struct {
 // Wait blocks p until the request completes.
 func (r *Request) Wait(p *sim.Proc) { r.done.Wait(p) }
 
+// WaitFunc is Wait for callback tasks: it runs fn once the request has
+// completed — at once if it already has, otherwise in kernel context
+// when the completion wakes t.
+func (r *Request) WaitFunc(t *sim.Task, fn func()) { r.done.WaitFunc(t, fn) }
+
 // Done reports whether the request has completed.
 func (r *Request) Done() bool { return r.done.Fired() }
 

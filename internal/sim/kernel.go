@@ -100,6 +100,7 @@ type Kernel struct {
 	taskFree  []*Task
 	liveTasks int
 	running   *Proc // the process currently executing, nil in kernel context
+	inline    *Proc // the lone process running the event loop on its stack, if any
 	// inlinePanic carries a panic raised by an event a lone process ran
 	// inline (runInline) back to the kernel's goroutine; Run's loop
 	// raises it again once the process has parked.
@@ -225,8 +226,9 @@ func (k *Kernel) Run() Time {
 // the queue drains, Stop is called or a RunUntil/RunUntilPos bound is
 // reached. A lone process runs the same loop on its own stack while it
 // parks (runInline) with self set to itself; the loop then returns true
-// as soon as self's own wake comes up, leaving the kernel as Run's
-// dispatch would and self free to continue its body. Where Run would
+// as soon as self's own wake comes up — or a callback ends self's chain
+// without one (Task.EndChain) — leaving the kernel as Run's dispatch
+// would and self free to continue its body. Where Run would
 // stop it returns false without consuming the head event, and the
 // parked process yields so Run re-evaluates that event.
 func (k *Kernel) loop(self *Proc) bool {
@@ -257,14 +259,13 @@ func (k *Kernel) loop(self *Proc) bool {
 		}
 		k.now = t
 		k.sched.Count(probe.KindEvents, 1)
-		if fn != nil {
+		switch {
+		case fn != nil:
 			fn()
-			continue
-		}
-		if tk.finished {
+		case tk.finished:
 			continue // stale wake for a process/task that already exited
-		}
-		if p := tk.proc; p != nil {
+		case tk.waitKind == taskWaitNone && tk.proc != nil:
+			p := tk.proc
 			if p == self {
 				k.running = p
 				return true
@@ -275,8 +276,16 @@ func (k *Kernel) loop(self *Proc) bool {
 				panic(r)
 			}
 			continue
+		default:
+			// A bare task's wake, or a step of a process sleeping in a
+			// chain (its Task parked in a *Func primitive).
+			tk.dispatch()
 		}
-		tk.dispatch()
+		if self != nil && self.chain == chainEnded {
+			// The callback ended self's chain without a wake (EndChain).
+			k.running = self
+			return true
+		}
 	}
 	return false
 }
@@ -292,12 +301,13 @@ func (k *Kernel) loop(self *Proc) bool {
 // still queued, as if Run had run the event.
 func (k *Kernel) runInline(p *Proc) (woke bool) {
 	defer func() {
+		k.inline = nil
 		if r := recover(); r != nil {
 			k.inlinePanic = r
 			woke = false
 		}
 	}()
-	k.running = nil
+	k.running, k.inline = nil, p
 	return k.loop(p)
 }
 
@@ -524,9 +534,6 @@ type Proc struct {
 	// order their chains hold in a single kernel. Zero until first
 	// resumed.
 	xrank uint64
-	// fromRun is set while the current activation came from Run's
-	// dispatch: the precondition for parkInline.
-	fromRun bool
 }
 
 // Spawn creates a process running body and schedules it to start at the
@@ -632,6 +639,9 @@ func (p *Proc) runBody() {
 			p.waitOp, p.waitObj = "", ""
 			p.k.blocked--
 		}
+		// A process killed mid-chain may have its Task parked in a
+		// *Func primitive; it is not in a chain any more.
+		p.waitKind, p.chain, p.chainFin = taskWaitNone, chainOff, nil
 	}()
 	p.body(p)
 }

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"howsim/internal/probe"
-)
+import "howsim/internal/probe"
 
 // Pipe models a bandwidth-limited channel with fixed per-transfer startup
 // latency — the paper's "simple queue-based model [with] parameters for
@@ -99,47 +95,93 @@ func (pp *Pipe) Transfer(p *Proc, bytes int64) {
 // kernel context. The state machine's step continuations are bound
 // method values created once per task and reused for every transfer, so
 // the whole round trip stays allocation-free in steady state. A task
-// may have only one transfer in flight at a time.
+// may have only one transfer in flight at a time. t may be a process's
+// Task while the process sleeps in a chain (Proc.Chain); with fn nil
+// the transfer is then the chain's last step, and the process's own
+// wake ends the hold.
 func (pp *Pipe) TransferFunc(t *Task, bytes int64, fn func()) {
+	pp.transferFunc(t, bytes, false, fn)
+}
+
+// TransferSegmentedFunc is TransferSegmented for callback tasks: it
+// moves bytes in frames of at most Frame bytes, re-arbitrating for a
+// channel between frames, then runs fn in kernel context. Like
+// TransferFunc it allocates nothing in steady state, and with fn nil on
+// a chained process's Task it ends the chain with the last frame.
+func (pp *Pipe) TransferSegmentedFunc(t *Task, bytes int64, fn func()) {
+	pp.transferFunc(t, bytes, true, fn)
+}
+
+// transferFunc starts a transfer of bytes on t's behalf, whole or (seg)
+// re-arbitrating every Frame bytes, that runs fn once the last frame is
+// booked — or, with fn nil, ends t's chain with the last frame's hold.
+func (pp *Pipe) transferFunc(t *Task, bytes int64, seg bool, fn func()) {
+	if t.proc != nil {
+		t.chained() // a process's Task transfers only while it sleeps in a chain
+	}
 	if t.xferAcqFn == nil {
-		if t.proc != nil {
-			// A process's xfer* fields carry its TransferSegmented state.
-			panic(fmt.Sprintf("sim: TransferFunc on process task %q (use Transfer)", t.name))
-		}
 		t.xferAcqFn = t.xferAcquired
 		t.xferEndFn = t.xferComplete
 	}
+	t.xferPipe, t.xferBytes, t.xferSeg, t.xferCont = pp, bytes, seg, fn
+	pp.arbitrate(t)
+}
+
+// arbitrate queues t for a channel for its next frame.
+func (pp *Pipe) arbitrate(t *Task) {
 	if pp.pr.On() {
 		pp.pr.Sample(probe.KindQueue, int64(pp.res.QueueLen()))
 	}
-	t.xferPipe, t.xferBytes, t.xferCont = pp, bytes, fn
 	pp.res.AcquireFunc(t, 1, t.xferAcqFn)
 }
 
+// frame returns the bytes of t's current frame: all that is left of a
+// whole transfer, at most Frame of a segmented one.
+func (t *Task) frame() int64 {
+	if n := t.xferPipe.Frame; t.xferSeg && n > 0 && t.xferBytes > n {
+		return n
+	}
+	return t.xferBytes
+}
+
 // xferAcquired runs when the task holds a pipe channel: it computes the
-// hold duration once, carries it in the in-flight op, and starts the
-// timer for the serialization delay.
+// frame's hold duration once, carries it in the in-flight op, and
+// schedules the hold's end — the chain's last wake for the last frame
+// of a chain-ending transfer, a kernel callback otherwise.
 func (t *Task) xferAcquired() {
-	t.xferDur = t.xferPipe.TransferDuration(t.xferBytes)
+	n := t.frame()
+	t.xferDur = t.xferPipe.TransferDuration(n)
+	if t.xferCont == nil && n == t.xferBytes {
+		t.EndChainAfter(t.xferDur, t.xferEndFn)
+		return
+	}
 	t.k.After(t.xferDur, t.xferEndFn)
 }
 
-// xferComplete releases the channel, books the transfer and continues.
-// The span uses the duration cached at acquisition — the completion
-// path does no float math when probing is on.
+// xferComplete releases the channel and books the frame, then
+// arbitrates for the next frame or continues. The span uses the
+// duration cached at acquisition — the completion path does no float
+// math when probing is on.
 func (t *Task) xferComplete() {
 	pp := t.xferPipe
+	n := t.frame()
 	pp.res.Release(1)
-	pp.bytesMoved += t.xferBytes
+	pp.bytesMoved += n
 	pp.transfers++
 	if pp.pr.On() {
 		end := t.k.now
-		pp.pr.SpanArg(probe.KindXfer, int64(end-t.xferDur), int64(end), t.xferBytes)
-		pp.pr.Count(probe.KindBytes, t.xferBytes)
+		pp.pr.SpanArg(probe.KindXfer, int64(end-t.xferDur), int64(end), n)
+		pp.pr.Count(probe.KindBytes, n)
+	}
+	if t.xferBytes -= n; t.xferBytes > 0 {
+		pp.arbitrate(t)
+		return
 	}
 	fn := t.xferCont
 	t.xferPipe, t.xferCont = nil, nil
-	fn()
+	if fn != nil {
+		fn()
+	}
 }
 
 // TransferSegmented moves bytes as a sequence of frames of at most
@@ -149,86 +191,17 @@ func (t *Task) xferComplete() {
 // statistics, probe emissions and scheduler counters — is that of
 // calling Transfer once per frame.
 //
-// p itself arbitrates for the first frame and wakes at the end of the
-// last one. Every frame in between ends in a kernel callback
-// (segFrameEnd) that does what p's wake would have done at the same
-// queue position: release, book, arbitrate for the next frame. So p
-// parks once per transfer, plus once per contended re-arbitration,
-// instead of once per frame. The in-flight state lives in p's Task
-// xfer* fields, which TransferFunc uses only on bare tasks.
+// The frames run as a chain (Proc.Chain): p arbitrates for the first
+// frame, every frame in between ends in a kernel callback that books
+// it and arbitrates for the next, and p wakes at the end of the last
+// one and books it itself. So p's coroutine switches once per transfer
+// instead of once per frame; a contended re-arbitration parks p's Task
+// in the channel's queue, as Acquire parks p, and the grant runs the
+// next frame as a callback.
 func (pp *Pipe) TransferSegmented(p *Proc, bytes int64) {
 	if pp.Frame <= 0 || bytes <= pp.Frame {
 		pp.Transfer(p, bytes)
 		return
 	}
-	if p.xferEndFn == nil {
-		p.xferEndFn = p.segFrameEnd
-	}
-	if pp.pr.On() {
-		pp.pr.Sample(probe.KindQueue, int64(pp.res.QueueLen()))
-	}
-	pp.res.Acquire(p, 1)
-	p.xferPipe, p.xferBytes = pp, bytes
-	p.segHold()
-	for {
-		if !p.parkInline() {
-			p.park()
-		}
-		if p.waitOp == "" {
-			break // p's own wake: the last frame's hold is over
-		}
-		// segFrameEnd queued p for a channel; a release granted it.
-		p.unblock()
-		p.segHold()
-	}
-	p.segRelease()
-	p.xferPipe = nil
-}
-
-// segHold starts the hold of the current frame on the channel p holds.
-// Its end is a segFrameEnd callback, or p's own wake for the last
-// frame; either takes the event slot Transfer's Delay would take.
-func (p *Proc) segHold() {
-	pp := p.xferPipe
-	n := min(pp.Frame, p.xferBytes)
-	p.xferDur = pp.TransferDuration(n)
-	if p.xferBytes > n {
-		p.k.After(p.xferDur, p.xferEndFn)
-	} else {
-		p.k.scheduleProc(p, p.k.now+p.xferDur)
-	}
-}
-
-// segRelease ends the hold of p's current frame: it releases the
-// channel and books the frame, as Transfer does after its Delay.
-func (p *Proc) segRelease() {
-	pp := p.xferPipe
-	n := min(pp.Frame, p.xferBytes)
-	pp.res.Release(1)
-	pp.bytesMoved += n
-	pp.transfers++
-	if pp.pr.On() {
-		end := p.k.now
-		pp.pr.SpanArg(probe.KindXfer, int64(end-p.xferDur), int64(end), n)
-		pp.pr.Count(probe.KindBytes, n)
-	}
-	p.xferBytes -= n
-}
-
-// segFrameEnd ends a middle frame of p's TransferSegmented in kernel
-// context and arbitrates for the next one, as p's next Transfer would.
-// When the channel is taken it queues p in the resource's FIFO and
-// marks p blocked, as Acquire would; the grant's wake resumes p.
-func (p *Proc) segFrameEnd() {
-	p.segRelease()
-	pp := p.xferPipe
-	if pp.pr.On() {
-		pp.pr.Sample(probe.KindQueue, int64(pp.res.QueueLen()))
-	}
-	if pp.res.TryAcquire(1) {
-		p.segHold()
-		return
-	}
-	pp.res.enqueue(&p.Task, 1)
-	p.block(pp.res.name, "acquire")
+	p.Chain(func() { pp.TransferSegmentedFunc(&p.Task, bytes, nil) })
 }

@@ -775,21 +775,42 @@ func (g *ShardGroup) Close() {
 	}
 }
 
-// driveLimitLocked returns the conservative drive window for parked
-// shard i under the hub's next obligation: the minimum of hubBound and
-// every other shard's published horizon. Events of shard i at or below
-// this limit provably cannot be affected by anything still in flight.
-func (g *ShardGroup) driveLimitLocked(i int, hubBound Time) Time {
-	lim := hubBound
-	for j, sh := range g.shards {
-		if j == i {
-			continue
-		}
-		if h := Time(sh.horizon.Load()); h < lim {
-			lim = h
+// horizonFloor is a snapshot of the two smallest published horizons.
+// A parked shard's drive window is bounded by every other shard's
+// horizon, so one snapshot per pass yields every shard's limit in O(1):
+// the smallest horizon, except for the shard that published it, whose
+// limit is the second smallest.
+type horizonFloor struct {
+	low, second Time
+	owner       int // the shard whose horizon is low
+}
+
+// horizonFloorLocked snapshots the two smallest published horizons.
+// Horizons only rise, so limits taken from the snapshot stay valid
+// lower bounds while shards publish progress concurrently.
+func (g *ShardGroup) horizonFloorLocked() horizonFloor {
+	f := horizonFloor{low: maxTime, second: maxTime, owner: -1}
+	for i, sh := range g.shards {
+		h := Time(sh.horizon.Load())
+		if h < f.low {
+			f.second, f.low, f.owner = f.low, h, i
+		} else if h < f.second {
+			f.second = h
 		}
 	}
-	return lim
+	return f
+}
+
+// limit returns the conservative drive window for parked shard i under
+// the hub's next obligation: the minimum of hubBound and every other
+// shard's horizon in the snapshot. Events of shard i at or below it
+// provably cannot be affected by anything still in flight.
+func (f horizonFloor) limit(i int, hubBound Time) Time {
+	lim := f.low
+	if i == f.owner {
+		lim = f.second
+	}
+	return min(lim, hubBound)
 }
 
 // drivableLocked reports whether any parked shard has a local event
@@ -799,11 +820,12 @@ func (g *ShardGroup) driveLimitLocked(i int, hubBound Time) Time {
 // contributes nothing drivable: those events wait for the request's
 // injection and response.
 func (g *ShardGroup) drivableLocked(hubBound Time) bool {
+	floor := g.horizonFloorLocked()
 	for i, sh := range g.shards {
 		if leafState(sh.state.Load()) != leafParked || !sh.hasNext {
 			continue
 		}
-		lim := g.driveLimitLocked(i, hubBound)
+		lim := floor.limit(i, hubBound)
 		if sh.nextAt > lim {
 			continue
 		}
@@ -832,11 +854,12 @@ func (g *ShardGroup) driveLeaves(hubBound Time) bool {
 	}
 	var drives []*Shard
 	var cmds []leafCmd
+	floor := g.horizonFloorLocked()
 	for i, sh := range g.shards {
 		if leafState(sh.state.Load()) != leafParked || !sh.hasNext {
 			continue
 		}
-		lim := g.driveLimitLocked(i, hubBound)
+		lim := floor.limit(i, hubBound)
 		if sh.nextAt > lim {
 			continue
 		}

@@ -35,12 +35,28 @@ type Task struct {
 
 	finished bool
 	inReg    bool // present in the kernel's registry (procs or tasks slice)
-
 	// granted is scratch state for Resource acquisition: a parked task
 	// waits on at most one resource at a time, so keeping the flag here
 	// lets the waiter queue hold plain values instead of allocating a
 	// per-wait record.
 	granted bool
+	// timedOut is set by a timeout wake so the resumed process can tell
+	// expiry apart from a grant.
+	timedOut bool
+	// waitKind is the primitive a callback-mode wait is parked on (see
+	// dispatch); taskWaitNone while the task is not in one.
+	waitKind taskWait
+	// chain is a process's chain state (see Proc.Chain); always
+	// chainOff on a bare task.
+	chain chainState
+	// xferSeg marks the in-flight transfer as segmented at its pipe's
+	// Frame (TransferSegmented) rather than held whole (TransferFunc).
+	xferSeg bool
+	// fromRun is a process's: set while its current activation came
+	// from Run's dispatch, the precondition for Proc.parkInline. It sits
+	// with the other flags so Proc stays in a smaller size class.
+	fromRun bool
+
 	// waitSeq is the task's wait token. Entries in waiter queues carry
 	// the token current when they enqueued; any waker (a grant or a
 	// timeout) increments it before scheduling the wake, which both marks
@@ -48,9 +64,6 @@ type Task struct {
 	// one wake per wait — the arbitration that makes timed waits safe
 	// when a grant and an expiry land on the same timestamp.
 	waitSeq uint64
-	// timedOut is set by a timeout wake so the resumed process can tell
-	// expiry apart from a grant.
-	timedOut bool
 	// waitObj/waitOp describe the current blocking wait site (primitive
 	// name and operation) for deadlock reporting. Both are empty while
 	// the task is runnable or sleeping on a timer. Two fields instead
@@ -58,28 +71,27 @@ type Task struct {
 	waitObj string
 	waitOp  string
 
-	// Callback-mode park state: which primitive the task is parked on
-	// and the continuation to run when the wake arrives. waitMb is kept
-	// so a woken getter/putter can re-check the mailbox (the item may
-	// have been taken by an earlier waiter at the same timestamp) and
-	// re-park, exactly like the retry loop in the goroutine API.
-	waitKind taskWait
-	waitMb   *Mailbox
-	getCont  func(v any, ok bool)
-	putCont  func(error)
-	putVal   any
-	acqCont  func()
-	sigCont  func()
+	// Callback-mode park state: the continuation to run when the wake
+	// arrives. waitMb is kept so a woken getter/putter can re-check the
+	// mailbox (the item may have been taken by an earlier waiter at the
+	// same timestamp) and re-park, exactly like the retry loop in the
+	// blocking API.
+	waitMb  *Mailbox
+	getCont func(v any, ok bool)
+	putCont func(error)
+	putVal  any
+	acqCont func()
+	sigCont func()
+	// chainFin is what a chained process runs in its own body once the
+	// wake that ends its chain arrives (Task.EndChainAfter).
+	chainFin func()
 
-	// In-flight Pipe.TransferFunc state. The two step continuations are
-	// bound method values created once per task and reused for every
-	// transfer, keeping the pipe fast path allocation-free. xferDur
-	// carries the transfer duration computed at acquisition so the
-	// completion path never recomputes TransferDuration. A process's
-	// Task reuses xferPipe, xferBytes (bytes not yet booked), xferDur
-	// (the current frame's) and xferEndFn (its bound segFrameEnd) for
-	// its Pipe.TransferSegmented in flight; TransferFunc runs only on
-	// bare tasks.
+	// In-flight Pipe.TransferFunc / TransferSegmented state. The two
+	// step continuations are bound method values created once per task
+	// and reused for every transfer, keeping the pipe fast path
+	// allocation-free. xferBytes is the payload not yet booked and
+	// xferDur the current hold's duration, computed at acquisition so
+	// the completion path never recomputes TransferDuration.
 	xferPipe  *Pipe
 	xferBytes int64
 	xferDur   Time
@@ -169,11 +181,12 @@ func (t *Task) wake() {
 	t.k.schedule(t.k.now, nil, t)
 }
 
-// parkWait records that a bare task is blocked on a primitive. The
-// matching unpark happens in dispatch when the wake event fires.
+// parkWait records that a bare task, or a process sleeping in a chain,
+// is blocked on a primitive. The matching unpark happens in dispatch
+// when the wake event fires.
 func (t *Task) parkWait(kind taskWait, obj, op string) {
-	if t.proc != nil {
-		panic(fmt.Sprintf("sim: *Func primitive used with process task %q (use the blocking API)", t.name))
+	if t.proc != nil && t.chain != chainRunning {
+		panic(fmt.Sprintf("sim: *Func primitive used with process task %q outside a chain (use the blocking API)", t.name))
 	}
 	if t.waitKind != taskWaitNone {
 		panic(fmt.Sprintf("sim: task %q parked twice (already waiting in %s)", t.name, t.waitOp))
@@ -190,9 +203,10 @@ func (t *Task) unpark() {
 	t.k.blocked--
 }
 
-// dispatch resumes a woken bare task: it re-checks the primitive it was
-// parked on (mirroring the for-loop re-check in the goroutine API) and
-// either runs the stored continuation or re-parks.
+// dispatch resumes a woken bare task, or a step of a chained process:
+// it re-checks the primitive the task was parked on (mirroring the
+// for-loop re-check in the blocking API) and either runs the stored
+// continuation or re-parks.
 func (t *Task) dispatch() {
 	switch t.waitKind {
 	case taskWaitGet:

@@ -80,14 +80,16 @@ type Machine struct {
 	replicaBytes int64 // bytes re-read from replicas after failures
 
 	// stripeFree holds the chunk requests of finished striped requests
-	// for reuse, so steady-state striped I/O allocates nothing.
+	// and opFree their state machines for reuse, so steady-state striped
+	// I/O allocates nothing.
 	stripeFree [][]disk.Request
+	opFree     []*stripeOp
 }
 
 // chunkRequests returns n chunk requests, reusing a finished striped
 // request's slice when one is large enough. The slice is sized before
 // any chunk is submitted and never appended to: the disks hold
-// pointers into it until every Wait on it has returned.
+// pointers into it until every wait on it is over.
 func (m *Machine) chunkRequests(n int) []disk.Request {
 	if k := len(m.stripeFree); k > 0 {
 		reqs := m.stripeFree[k-1]
@@ -186,13 +188,6 @@ func (m *Machine) BlockTransfer(p *sim.Proc, bytes int64) {
 // BlockTransferred reports the total bytes moved by the engine.
 func (m *Machine) BlockTransferred() int64 { return m.blockXferBytes }
 
-// diskPath charges the full I/O data path for one request's payload:
-// the FC loop shared by all disks, then the XIO subsystem into memory.
-func (m *Machine) diskPath(p *sim.Proc, bytes int64) {
-	m.FC.Transfer(p, bytes)
-	m.XIO.Transfer(p, bytes)
-}
-
 // Stripe is a file striped over a group of disks with a fixed chunk per
 // disk, accessed through the raw-disk striping library.
 type Stripe struct {
@@ -229,54 +224,199 @@ func (s *Stripe) member(logical int64) int {
 // next stripe member when the machine has replicas declared — the
 // replica layout mirrors the primary at identical offsets on the peer —
 // and counts toward the returned lost-byte total otherwise.
+//
+// The steps run as a chain (sim.Proc.Chain), so p parks once per call:
+// the read/write call on c, then per chunk a driver-queue charge and
+// its submission, the completions in chunk order (with replica
+// re-reads), the payload over the shared FC loop and then XIO into
+// memory, and the completion interrupt, whose end is p's own wake. The
+// result is that of p running the steps with the blocking primitives.
 func (s *Stripe) rw(p *sim.Proc, c *cpu.CPU, offset, length int64, write bool) (lost int64) {
 	m := s.m
-	c.Busy(p, m.OS.ReadWriteCall)
-	nchunks := (length + s.chunk - 1) / s.chunk
-	reqs := m.chunkRequests(int(nchunks))
-	for i := int64(0); i < nchunks; i++ {
-		logical := offset + i*s.chunk
-		stripeRow := logical / (s.chunk * int64(len(s.disks)))
-		diskOff := s.baseOffset + stripeRow*s.chunk
-		n := s.chunk
-		if rem := length - i*s.chunk; rem < n {
-			n = rem
-			// Keep requests sector-aligned.
-			if n%disk.SectorSize != 0 {
-				n += disk.SectorSize - n%disk.SectorSize
-			}
-		}
-		c.Busy(p, m.OS.DriverQueue)
-		r := &reqs[i]
-		r.Write, r.Offset, r.Length = write, diskOff, n
-		m.Disks[s.disks[s.member(logical)]].Submit(r)
+	var op *stripeOp
+	if n := len(m.opFree); n > 0 {
+		op = m.opFree[n-1]
+		m.opFree[n-1] = nil
+		m.opFree = m.opFree[:n-1]
+	} else {
+		op = &stripeOp{}
+		op.stepFn = op.step
 	}
-	for i := range reqs {
-		r := &reqs[i]
-		r.Wait(p)
-		if r.Err == nil {
-			continue
-		}
-		if m.replica && len(s.disks) > 1 {
-			rep := m.Disks[s.disks[(s.member(offset+int64(i)*s.chunk)+1)%len(s.disks)]]
-			var err error
-			if r.Write {
-				err = rep.Write(p, r.Offset, r.Length)
-			} else {
-				err = rep.Read(p, r.Offset, r.Length)
-			}
-			if err == nil {
-				m.replicaBytes += r.Length
-				continue
-			}
-		}
-		lost += r.Length
-	}
-	m.stripeFree = append(m.stripeFree, reqs)
-	// Payload crosses the shared FC loop and XIO once.
-	m.diskPath(p, length)
-	c.Busy(p, m.OS.Interrupt)
+	op.s, op.c, op.t = s, c, &p.Task
+	op.offset, op.length, op.write, op.lost = offset, length, write, 0
+	p.Chain(op.start)
+	lost = op.lost
+	op.s, op.c, op.t = nil, nil, nil
+	m.opFree = append(m.opFree, op)
 	return lost
+}
+
+// stripeOp is one striped request in flight: Stripe.rw's steps as
+// kernel callbacks on the issuing process's Task. Ops are pooled per
+// Machine and their step continuations bound once, so a striped
+// request allocates nothing in steady state.
+type stripeOp struct {
+	s              *Stripe
+	c              *cpu.CPU
+	t              *sim.Task
+	offset, length int64
+	write          bool
+	reqs           []disk.Request // the chunk requests, from Machine.chunkRequests
+	i              int            // next chunk to queue, then the chunk waited for
+	lost           int64
+
+	// next is the step stepFn runs when the pending wait or hold ends;
+	// one bound continuation serves every step.
+	next   stripeStep
+	stepFn func()
+}
+
+// stripeStep names the step a stripeOp continues with.
+type stripeStep uint8
+
+const (
+	stepQueue   stripeStep = iota // the read/write call is charged: queue the chunks
+	stepSubmit                    // chunk i's driver-queue charge is over: submit it
+	stepWaited                    // chunk i has completed
+	stepReplica                   // chunk i's replica re-read has completed
+	stepFC                        // the payload crossed the FC loop
+	stepXIO                       // the payload crossed XIO
+)
+
+// then returns the continuation that runs step s.
+func (op *stripeOp) then(s stripeStep) func() {
+	op.next = s
+	return op.stepFn
+}
+
+func (op *stripeOp) step() {
+	switch op.next {
+	case stepQueue:
+		s := op.s
+		op.reqs, op.i = s.m.chunkRequests(int((op.length+s.chunk-1)/s.chunk)), 0
+		op.queue()
+	case stepSubmit:
+		op.submit()
+	case stepWaited:
+		op.waited()
+	case stepReplica:
+		op.replicaDone()
+	case stepFC:
+		op.s.m.XIO.TransferFunc(op.t, op.length, op.then(stepXIO))
+	case stepXIO:
+		// The completion interrupt: the chain's last hold.
+		op.c.BusyFunc(op.t, op.s.m.OS.Interrupt, nil)
+	}
+}
+
+// start charges the read/write system call.
+func (op *stripeOp) start() { op.c.BusyFunc(op.t, op.s.m.OS.ReadWriteCall, op.then(stepQueue)) }
+
+// queue charges the driver queue for the next chunk, or starts waiting
+// once every chunk is submitted.
+func (op *stripeOp) queue() {
+	if op.i < len(op.reqs) {
+		op.c.BusyFunc(op.t, op.s.m.OS.DriverQueue, op.then(stepSubmit))
+		return
+	}
+	op.i = 0
+	op.waitNext()
+}
+
+// submit hands chunk i to its member disk.
+func (op *stripeOp) submit() {
+	s := op.s
+	i := int64(op.i)
+	logical := op.offset + i*s.chunk
+	stripeRow := logical / (s.chunk * int64(len(s.disks)))
+	diskOff := s.baseOffset + stripeRow*s.chunk
+	n := s.chunk
+	if rem := op.length - i*s.chunk; rem < n {
+		n = rem
+		// Keep requests sector-aligned.
+		if n%disk.SectorSize != 0 {
+			n += disk.SectorSize - n%disk.SectorSize
+		}
+	}
+	r := &op.reqs[op.i]
+	r.Write, r.Offset, r.Length = op.write, diskOff, n
+	s.m.Disks[s.disks[s.member(logical)]].Submit(r)
+	op.i++
+	op.queue()
+}
+
+// waitNext checks the completed chunks in order from chunk i, parking
+// the Task on the first one still in flight, and moves the payload on
+// once all are in.
+func (op *stripeOp) waitNext() {
+	for ; op.i < len(op.reqs); op.i++ {
+		r := &op.reqs[op.i]
+		if !r.Done() {
+			r.WaitFunc(op.t, op.then(stepWaited))
+			return
+		}
+		if op.failed(r) {
+			return
+		}
+	}
+	op.transfer()
+}
+
+// waited resumes the scan once chunk i has completed.
+func (op *stripeOp) waited() {
+	if op.failed(&op.reqs[op.i]) {
+		return
+	}
+	op.i++
+	op.waitNext()
+}
+
+// failed books a completed chunk's error. With replicas declared it
+// re-issues the chunk to the next stripe member and reports true while
+// that re-read is in flight (replicaDone resumes the scan); otherwise
+// the chunk's bytes are lost.
+func (op *stripeOp) failed(r *disk.Request) bool {
+	if r.Err == nil {
+		return false
+	}
+	s := op.s
+	if s.m.replica && len(s.disks) > 1 {
+		rep := s.m.Disks[s.disks[(s.member(op.offset+int64(op.i)*s.chunk)+1)%len(s.disks)]]
+		rep.Submit(r)
+		if !r.Done() {
+			r.WaitFunc(op.t, op.then(stepReplica))
+			return true
+		}
+		op.replicaBooked(r)
+		return false
+	}
+	op.lost += r.Length
+	return false
+}
+
+// replicaDone resumes the scan once chunk i's replica re-read is in.
+func (op *stripeOp) replicaDone() {
+	op.replicaBooked(&op.reqs[op.i])
+	op.i++
+	op.waitNext()
+}
+
+// replicaBooked books a replica re-read: recovered bytes, or lost ones.
+func (op *stripeOp) replicaBooked(r *disk.Request) {
+	if r.Err == nil {
+		op.s.m.replicaBytes += r.Length
+	} else {
+		op.lost += r.Length
+	}
+}
+
+// transfer releases the chunk requests and moves the payload once
+// across the shared FC loop, then XIO into memory.
+func (op *stripeOp) transfer() {
+	m := op.s.m
+	m.stripeFree = append(m.stripeFree, op.reqs)
+	op.reqs = nil
+	m.FC.TransferFunc(op.t, op.length, op.then(stepFC))
 }
 
 // Read performs a striped read of length bytes at offset on behalf of

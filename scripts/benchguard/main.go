@@ -34,7 +34,8 @@ import (
 const (
 	guardDefault     = "BenchmarkKernelEventThroughput,BenchmarkServiceWarmHit"
 	zeroAllocDefault = "BenchmarkKernelEventThroughputProbeOff,BenchmarkKernelPipeTransferProbeOff," +
-		"BenchmarkKernelPipeTransferProbeOn,BenchmarkKernelSingleProcWait,BenchmarkKernelPipeTransferSegmented"
+		"BenchmarkKernelPipeTransferProbeOn,BenchmarkKernelSingleProcWait,BenchmarkKernelPipeTransferSegmented," +
+		"BenchmarkKernelStripeRead,BenchmarkKernelNodeRead"
 )
 
 // gateBaseline checks each named benchmark of cur against base: ns/op
