@@ -43,7 +43,7 @@ var Analyzer = &analysis.Analyzer{
 var registrars = map[string]bool{
 	"GetFunc": true, "PutFunc": true, "AcquireFunc": true,
 	"TransferFunc": true, "TransferSegmentedFunc": true, "WaitFunc": true, "BusyFunc": true,
-	"At": true, "After": true,
+	"SendFunc": true, "At": true, "After": true,
 	// Proc.Chain runs its start step with the process asleep in a
 	// chain: the step must issue callback forms, never block.
 	"Chain": true,

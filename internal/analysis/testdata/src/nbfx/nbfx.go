@@ -1,7 +1,10 @@
 // Fixture for the noblockincallback analyzer.
 package nbfx
 
-import "nbfx/sim"
+import (
+	"nbfx/netsim"
+	"nbfx/sim"
+)
 
 type server struct {
 	k   *sim.Kernel
@@ -57,6 +60,14 @@ func (s *server) registerShared() {
 func (s *server) chained(p *sim.Proc) {
 	p.Chain(func() {
 		s.res.Acquire(p, 1) // want `blocking Resource\.Acquire called from a continuation literal`
+	})
+}
+
+// send continues in kernel context once the message is injected: the
+// continuation must not block.
+func (s *server) send(n *netsim.Network) {
+	n.SendFunc(s.t, 0, 1, 0, 64, nil, func(*netsim.Message) {
+		s.p.Delay(1) // want `blocking Proc\.Delay called from a continuation literal`
 	})
 }
 

@@ -35,31 +35,67 @@ type Endpoint struct {
 	w       *World
 	rank    int
 	cpu     *cpu.CPU
-	pending []*netsim.Message
-	waiters []*recvWaiter
+	pending []*netsim.Message // arrived, not yet received (unexpected queue)
+	waiters []*recvWaiter     // posted receives, in posting order
+
+	// The rank's dispatcher: a bare task draining the network inbox,
+	// with its continuation bound once. pumping/got let a get that
+	// completes synchronously continue pump's loop in place.
+	inbox   *sim.Mailbox
+	t       *sim.Task
+	msgFn   func(any, bool)
+	pumping bool
+	got     bool
+
+	handleFree []*Handle
+	waiterFree []*recvWaiter
+	sendNames  []string // send task names by destination, made on first use
 
 	sent, received int64
 	bytesSent      int64
 }
 
+// recvWaiter is a receive posted before its message arrived. Waiters
+// are pooled per endpoint, their completion signal embedded.
 type recvWaiter struct {
 	src, tag int
 	msg      *netsim.Message
-	done     *sim.Signal
+	done     sim.Signal
+}
+
+// Envelope is a received message's header and payload, copied out of
+// the network message, which goes back to the network's pool.
+type Envelope struct {
+	Src     int
+	Tag     int
+	Bytes   int64
+	Payload any
 }
 
 // NewWorld creates a communicator over net. cpus[i] is the processor
 // charged for rank i's messaging overheads; a nil entry charges nothing
-// (used for infrastructure ranks).
+// (used for infrastructure ranks). Each rank's dispatcher starts at the
+// current time.
 func NewWorld(net *netsim.Network, cpus []*cpu.CPU, cost osmodel.Costs) *World {
+	w := newWorld(net, cpus, cost)
+	k := net.Kernel()
+	for _, ep := range w.eps {
+		ep.t = k.NewTask(fmt.Sprintf("mpi.dispatch%d", ep.rank))
+		ep.msgFn = ep.onMsg
+		k.At(k.Now(), ep.pump)
+	}
+	return w
+}
+
+// newWorld creates the communicator's endpoints without starting their
+// dispatchers.
+func newWorld(net *netsim.Network, cpus []*cpu.CPU, cost osmodel.Costs) *World {
 	if len(cpus) != net.Nodes() {
 		panic(fmt.Sprintf("mpi: %d cpus for %d nodes", len(cpus), net.Nodes()))
 	}
 	w := &World{net: net, cost: cost}
 	for i := 0; i < net.Nodes(); i++ {
-		ep := &Endpoint{w: w, rank: i, cpu: cpus[i]}
-		w.eps = append(w.eps, ep)
-		net.Kernel().Spawn(fmt.Sprintf("mpi.dispatch%d", i), ep.dispatch)
+		w.eps = append(w.eps, &Endpoint{w: w, rank: i, cpu: cpus[i], inbox: net.Inbox(i)})
 	}
 	return w
 }
@@ -73,38 +109,58 @@ func (w *World) Size() int { return len(w.eps) }
 // Network returns the underlying network.
 func (w *World) Network() *netsim.Network { return w.net }
 
-// dispatch drains the rank's network inbox, handing messages to matching
-// posted receives or queueing them as unexpected.
-func (ep *Endpoint) dispatch(p *sim.Proc) {
-	inbox := ep.w.net.Inbox(ep.rank)
+// pump drains the rank's network inbox, handing each message to
+// deliver, until the inbox is empty and the dispatcher parks on it;
+// onMsg resumes the loop when the next message arrives.
+func (ep *Endpoint) pump() {
 	for {
-		v, ok := inbox.Get(p)
-		if !ok {
+		ep.pumping, ep.got = true, false
+		ep.inbox.GetFunc(ep.t, ep.msgFn)
+		ep.pumping = false
+		if !ep.got {
 			return
-		}
-		m := v.(*netsim.Message)
-		if i := ep.matchWaiter(m); i >= 0 {
-			wtr := ep.waiters[i]
-			ep.waiters = append(ep.waiters[:i], ep.waiters[i+1:]...)
-			wtr.msg = m
-			wtr.done.Fire()
-		} else {
-			ep.pending = append(ep.pending, m)
 		}
 	}
 }
 
-func (ep *Endpoint) matchWaiter(m *netsim.Message) int {
-	for i, w := range ep.waiters {
-		if (w.src == AnySource || w.src == m.Src) && (w.tag == AnyTag || w.tag == m.Tag) {
-			return i
+// onMsg is the dispatcher's get continuation.
+func (ep *Endpoint) onMsg(v any, ok bool) {
+	if !ok {
+		ep.t.Finish() // inbox closed: the dispatcher retires
+		return
+	}
+	ep.deliver(v.(*netsim.Message))
+	if ep.pumping {
+		ep.got = true
+		return
+	}
+	ep.pump()
+}
+
+// deliver hands an arrived message to the oldest matching posted
+// receive, or queues it as unexpected.
+func (ep *Endpoint) deliver(m *netsim.Message) {
+	for i, wtr := range ep.waiters {
+		if matches(m, wtr.src, wtr.tag) {
+			ep.waiters = remove(ep.waiters, i)
+			wtr.msg = m
+			wtr.done.Fire()
+			return
 		}
 	}
-	return -1
+	ep.pending = append(ep.pending, m)
 }
 
 func matches(m *netsim.Message, src, tag int) bool {
 	return (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag)
+}
+
+// remove deletes s[i], keeping order and clearing the vacated slot.
+func remove[T any](s []T, i int) []T {
+	copy(s[i:], s[i+1:])
+	var zero T
+	s[len(s)-1] = zero
+	return s[:len(s)-1]
 }
 
 func (ep *Endpoint) chargeCPU(p *sim.Proc, d sim.Time) {
@@ -118,103 +174,170 @@ func (ep *Endpoint) Send(p *sim.Proc, dst, tag int, bytes int64, payload any) {
 	ep.Isend(p, dst, tag, bytes, payload).Wait(p)
 }
 
-// Handle tracks an asynchronous operation.
+// Handle tracks an asynchronous send. It is also the send's state
+// machine: a bare task injects the message and waits for its delivery
+// in kernel callbacks bound once per handle. Handles are pooled per
+// endpoint; Wait returns one to the pool.
 type Handle struct {
 	done sim.Signal
-	msg  *netsim.Message
+	ep   *Endpoint
+	t    *sim.Task
+	m    *netsim.Message
+
+	dst, tag int
+	bytes    int64
+	payload  any
+
+	startFn     func()
+	injectedFn  func(*netsim.Message)
+	deliveredFn func()
 }
 
-// Wait blocks p until the operation completes.
-func (h *Handle) Wait(p *sim.Proc) { h.done.Wait(p) }
-
-// Done reports completion without blocking.
-func (h *Handle) Done() bool { return h.done.Fired() }
-
-// Message returns the delivered message (receives only; nil for sends
-// until you have Waited).
-func (h *Handle) Message() *netsim.Message { return h.msg }
+// Wait blocks p until the send has been delivered, then recycles the
+// handle: wait on each handle exactly once, and not after.
+func (h *Handle) Wait(p *sim.Proc) {
+	h.done.Wait(p)
+	h.done.Reset()
+	h.ep.handleFree = append(h.ep.handleFree, h)
+}
 
 // Isend starts an asynchronous send and returns a handle that completes
 // on delivery. The host CPU cost of handing the message to the NIC is
 // charged synchronously; frame injection proceeds in the background so
-// up to the NIC queue depth of messages can be in flight.
+// up to the NIC queue depth of messages can be in flight. Injection
+// starts in an event at the current time, in the queue position a
+// spawned sender process would start in.
 func (ep *Endpoint) Isend(p *sim.Proc, dst, tag int, bytes int64, payload any) *Handle {
 	ep.chargeCPU(p, ep.w.cost.MessageSend)
 	ep.sent++
 	ep.bytesSent += bytes
-	h := &Handle{}
-	ep.w.net.Kernel().Spawn(fmt.Sprintf("isend%d->%d", ep.rank, dst), func(ip *sim.Proc) {
-		m := ep.w.net.Send(ip, ep.rank, dst, tag, bytes, payload)
-		m.Wait(ip)
-		h.msg = m
-		h.done.Fire()
-	})
+	var h *Handle
+	if n := len(ep.handleFree); n > 0 {
+		h = ep.handleFree[n-1]
+		ep.handleFree[n-1] = nil
+		ep.handleFree = ep.handleFree[:n-1]
+	} else {
+		h = &Handle{ep: ep}
+		h.startFn = h.start
+		h.injectedFn = h.injected
+		h.deliveredFn = h.delivered
+	}
+	h.dst, h.tag, h.bytes, h.payload = dst, tag, bytes, payload
+	k := ep.w.net.Kernel()
+	k.At(k.Now(), h.startFn)
 	return h
 }
 
-// Irecv posts an asynchronous receive for (src, tag) — the paper's
-// tasks "post up to 16 asynchronous receives for any message from any
-// peer". The returned handle completes when a matching message arrives;
-// Message() then returns it. The receive cost is charged when the
-// posting rank waits on the handle.
-func (ep *Endpoint) Irecv(src, tag int) *Handle {
-	h := &Handle{}
-	for i, m := range ep.pending {
-		if matches(m, src, tag) {
-			ep.pending = append(ep.pending[:i], ep.pending[i+1:]...)
-			ep.received++
-			h.msg = m
-			h.done.Fire()
-			return h
-		}
-	}
-	w := &recvWaiter{src: src, tag: tag, done: &h.done}
-	ep.waiters = append(ep.waiters, w)
-	// Bridge the waiter's message into the handle when it fires.
-	ep.w.net.Kernel().Spawn("irecv.bridge", func(bp *sim.Proc) {
-		w.done.Wait(bp)
-		h.msg = w.msg
-		ep.received++
-	})
-	return h
+// start, injected and delivered are the send's steps: inject the
+// frames, wait for delivery, complete the handle.
+func (h *Handle) start() {
+	ep := h.ep
+	h.t = ep.w.net.Kernel().NewTask(ep.sendName(h.dst))
+	ep.w.net.SendFunc(h.t, ep.rank, h.dst, h.tag, h.bytes, h.payload, h.injectedFn)
+	h.payload = nil
 }
 
-// WaitRecv blocks on a posted receive and returns the message, charging
-// the receive cost.
-func (ep *Endpoint) WaitRecv(p *sim.Proc, h *Handle) *netsim.Message {
-	h.Wait(p)
-	// The bridge process fires at the same instant; let it run so the
-	// message is attached.
-	for h.msg == nil {
-		p.Yield()
+func (h *Handle) injected(m *netsim.Message) {
+	h.m = m
+	m.WaitFunc(h.t, h.deliveredFn)
+}
+
+func (h *Handle) delivered() {
+	h.m.Release()
+	h.m = nil
+	h.t.Finish()
+	h.t = nil
+	h.done.Fire()
+}
+
+// sendName returns the name of the task sending to dst.
+func (ep *Endpoint) sendName(dst int) string {
+	if ep.sendNames == nil {
+		ep.sendNames = make([]string, ep.w.Size())
 	}
-	ep.chargeCPU(p, ep.w.cost.MessageRecv)
-	return h.msg
+	if ep.sendNames[dst] == "" {
+		ep.sendNames[dst] = fmt.Sprintf("isend%d->%d", ep.rank, dst)
+	}
+	return ep.sendNames[dst]
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns
-// it. Use AnySource/AnyTag as wildcards. The per-message receive cost
-// (including the completion interrupt) is charged to the rank's CPU.
-func (ep *Endpoint) Recv(p *sim.Proc, src, tag int) *netsim.Message {
-	for i, m := range ep.pending {
-		if matches(m, src, tag) {
-			ep.pending = append(ep.pending[:i], ep.pending[i+1:]...)
-			ep.received++
-			ep.chargeCPU(p, ep.w.cost.MessageRecv)
-			return m
+// its envelope. Use AnySource/AnyTag as wildcards. The per-message
+// receive cost (including the completion interrupt) is charged to the
+// rank's CPU.
+func (ep *Endpoint) Recv(p *sim.Proc, src, tag int) Envelope {
+	var m *netsim.Message
+	for i, pm := range ep.pending {
+		if matches(pm, src, tag) {
+			ep.pending = remove(ep.pending, i)
+			m = pm
+			break
 		}
 	}
-	w := &recvWaiter{src: src, tag: tag, done: sim.NewSignal()}
-	ep.waiters = append(ep.waiters, w)
-	w.done.Wait(p)
+	if m == nil {
+		var w *recvWaiter
+		if n := len(ep.waiterFree); n > 0 {
+			w = ep.waiterFree[n-1]
+			ep.waiterFree[n-1] = nil
+			ep.waiterFree = ep.waiterFree[:n-1]
+		} else {
+			w = &recvWaiter{}
+		}
+		w.src, w.tag = src, tag
+		ep.waiters = append(ep.waiters, w)
+		w.done.Wait(p)
+		m = w.msg
+		w.msg = nil
+		w.done.Reset()
+		ep.waiterFree = append(ep.waiterFree, w)
+	}
+	env := Envelope{Src: m.Src, Tag: m.Tag, Bytes: m.Bytes, Payload: m.Payload}
+	m.Release()
 	ep.received++
 	ep.chargeCPU(p, ep.w.cost.MessageRecv)
-	return w.msg
+	return env
 }
 
 // Stats returns (messages sent, messages received, bytes sent).
 func (ep *Endpoint) Stats() (sent, received, bytesSent int64) {
 	return ep.sent, ep.received, ep.bytesSent
+}
+
+// Window bounds the number of in-flight asynchronous sends of one
+// process, mirroring the paper's "up to 16 asynchronous receives"
+// pipelining without unbounded buffering. Its handles sit in a ring
+// that is reused for the life of the window.
+type Window struct {
+	hs      []*Handle // in flight, oldest at hs[head]
+	head, n int
+}
+
+// NewWindow returns a window of up to max sends in flight.
+func NewWindow(max int) *Window { return &Window{hs: make([]*Handle, max)} }
+
+// Add records a send. When the window is already full, p first waits
+// for the oldest send in it.
+func (w *Window) Add(p *sim.Proc, h *Handle) {
+	if w.n == len(w.hs) {
+		w.waitOldest(p)
+	}
+	w.hs[(w.head+w.n)%len(w.hs)] = h
+	w.n++
+}
+
+// Drain waits for every send in the window, oldest first.
+func (w *Window) Drain(p *sim.Proc) {
+	for w.n > 0 {
+		w.waitOldest(p)
+	}
+}
+
+func (w *Window) waitOldest(p *sim.Proc) {
+	h := w.hs[w.head]
+	w.hs[w.head] = nil
+	w.head = (w.head + 1) % len(w.hs)
+	w.n--
+	h.Wait(p)
 }
 
 // Group provides collectives over a subset of ranks (e.g. the worker

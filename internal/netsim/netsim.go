@@ -39,13 +39,57 @@ type Message struct {
 
 	framesLeft int
 	done       sim.Signal
+
+	net *Network
+	// refs counts the holders of a message from SendFunc: the sender,
+	// until its completion has run, and the receiver, until it has
+	// consumed the message from the inbox. The last Release returns the
+	// message to the network's free list. A message from Send holds no
+	// references and is never recycled: its caller may keep it.
+	refs int8
+
+	// SendFunc's injection state: the task injecting the frames, the
+	// path, the frames and bytes not yet injected, the frame whose put
+	// is in flight, and the continuation to run once the last frame is
+	// in. inPut/putDone guard against re-entry when a put completes
+	// synchronously, so the frame loop continues in place.
+	t         *sim.Task
+	path      []*Link
+	toInject  int
+	remaining int64
+	cur       *frame
+	injected  func(*Message)
+	inPut     bool
+	putDone   bool
+
+	// Continuations bound once per message allocation and reused with
+	// the message.
+	putFn      func(error)
+	loopbackFn func()
 }
 
 // Wait blocks p until the message has been fully delivered.
 func (m *Message) Wait(p *sim.Proc) { m.done.Wait(p) }
 
+// WaitFunc is Wait for callback tasks: fn runs once the message has been
+// fully delivered — at once if it already has.
+func (m *Message) WaitFunc(t *sim.Task, fn func()) { m.done.WaitFunc(t, fn) }
+
 // Delivered reports whether the message has fully arrived.
 func (m *Message) Delivered() bool { return m.done.Fired() }
+
+// Release drops one reference to a message from SendFunc (see refs).
+// It is a no-op for a message from Send. The message must not be used
+// after its last reference is released.
+func (m *Message) Release() {
+	if m.refs == 0 {
+		return
+	}
+	m.refs--
+	if m.refs == 0 {
+		m.net.freeMessage(m)
+	}
+}
 
 // frame is one store-and-forward unit of a message.
 type frame struct {
@@ -125,12 +169,29 @@ func (l *Link) SetOutages(ws []fault.Window) {
 	sort.Slice(l.outages, func(i, j int) bool { return l.outages[i].Start < l.outages[j].Start })
 }
 
+// Frames returns the number of frames this link has transmitted.
+func (l *Link) Frames() int64 { return l.frames }
+
 // StallTime returns the total channel-time spent stalled in outages.
 func (l *Link) StallTime() sim.Time { return l.stallTime }
 
 // DroppedFrames returns the frames this link discarded because the next
 // hop's queue had been closed (a downed endpoint).
 func (l *Link) DroppedFrames() int64 { return l.dropped }
+
+// Close takes the link down for good, like a dead port: its input
+// queue closes, so every frame bound for it is dropped and counted —
+// by the hop before it, or by the link itself when the sender injects
+// into it as a first hop — and its transmit servers retire once the
+// frames already queued are sent.
+func (l *Link) Close() { l.queue.Close() }
+
+// drop discards a frame that could not enter this link's closed queue.
+func (l *Link) drop(f *frame) {
+	l.dropped++
+	l.pr.Count(probe.KindDrop, 1)
+	l.net.freeFrame(f)
+}
 
 // linkTx is one transmit channel's server loop: pull a frame, serialize
 // it onto the wire, then hand it to the next hop (waiting if that hop's
@@ -214,9 +275,7 @@ func (tx *linkTx) onSent() {
 
 func (tx *linkTx) onPut(err error) {
 	if err != nil {
-		tx.l.dropped++
-		tx.l.pr.Count(probe.KindDrop, 1)
-		tx.l.net.freeFrame(tx.f)
+		tx.l.drop(tx.f)
 	}
 	tx.f = nil
 	tx.next()
@@ -246,7 +305,11 @@ type Network struct {
 	bytesDelivered int64
 	msgsDelivered  int64
 
-	frameFree []*frame // recycled frames: delivered or dropped
+	frameFree []*frame   // recycled frames: delivered or dropped
+	msgFree   []*Message // recycled SendFunc messages
+	// paths caches Topology.Path per (src, dst), filled on first use:
+	// paths[src][dst].
+	paths [][][]*Link
 }
 
 // New creates a network. Attach a topology with SetTopology before
@@ -264,6 +327,7 @@ func (n *Network) Kernel() *sim.Kernel { return n.k }
 // SetTopology installs the topology and creates one inbox per node.
 func (n *Network) SetTopology(t Topology) {
 	n.topo = t
+	n.paths = make([][][]*Link, t.Nodes())
 	n.inboxes = make([]*sim.Mailbox, t.Nodes())
 	for i := range n.inboxes {
 		n.inboxes[i] = sim.NewMailbox(n.k, fmt.Sprintf("node%d.inbox", i), 0)
@@ -287,40 +351,18 @@ func (n *Network) MessagesDelivered() int64 { return n.msgsDelivered }
 // is full (socket-buffer-style backpressure); it returns once the last
 // frame has been injected. Wait on the returned message for delivery.
 func (n *Network) Send(p *sim.Proc, src, dst, tag int, bytes int64, payload any) *Message {
-	if dst < 0 || dst >= n.Nodes() {
-		panic(fmt.Sprintf("netsim: destination %d out of range", dst))
-	}
-	n.msgSeq++
-	m := &Message{
-		ID: n.msgSeq, Src: src, Dst: dst, Tag: tag, Bytes: bytes,
-		Payload: payload, SentAt: p.Now(),
-	}
+	m := n.newMessage(src, dst, tag, bytes, payload)
 	if src == dst {
 		m.framesLeft = 1
-		n.k.After(n.LoopbackTime, func() {
-			m.DeliveredAt = n.k.Now()
-			m.done.Fire()
-			n.bytesDelivered += m.Bytes
-			n.msgsDelivered++
-			n.inboxes[dst].TryPut(m)
-		})
+		n.k.After(n.LoopbackTime, m.loopbackFn)
 		return m
 	}
-	path := n.topo.Path(src, dst)
-	if len(path) == 0 {
-		panic(fmt.Sprintf("netsim: no path from %d to %d", src, dst))
-	}
-	nframes := int((bytes + n.FrameBytes - 1) / n.FrameBytes)
-	if nframes == 0 {
-		nframes = 1 // zero-byte control message still occupies one frame slot
-	}
+	path := n.path(src, dst)
+	nframes := n.frames(bytes)
 	m.framesLeft = nframes
 	remaining := bytes
 	for i := 0; i < nframes; i++ {
-		fb := n.FrameBytes
-		if remaining < fb {
-			fb = remaining
-		}
+		fb := min(remaining, n.FrameBytes)
 		remaining -= fb
 		f := n.newFrame(fb, path, m)
 		if path[0].pr.On() {
@@ -330,12 +372,135 @@ func (n *Network) Send(p *sim.Proc, src, dst, tag int, bytes int64, payload any)
 			// First hop is down: the frame is lost at injection. The
 			// message will never be delivered; timeout-aware receivers
 			// observe the loss.
-			path[0].dropped++
-			path[0].pr.Count(probe.KindDrop, 1)
-			n.freeFrame(f)
+			path[0].drop(f)
 		}
 	}
 	return m
+}
+
+// SendFunc is Send for callback tasks: t injects the frames, parking
+// in the first hop's queue while it is full, and done runs with the
+// message once the last frame is in — at once when nothing had to
+// wait. The message is pooled and carries two references, the
+// sender's and the receiver's: each side calls Release when done with
+// it (the sender typically after WaitFunc's continuation, the receiver
+// once it has taken the message from the inbox).
+func (n *Network) SendFunc(t *sim.Task, src, dst, tag int, bytes int64, payload any, done func(*Message)) {
+	m := n.newMessage(src, dst, tag, bytes, payload)
+	m.refs = 2
+	if src == dst {
+		m.framesLeft = 1
+		n.k.After(n.LoopbackTime, m.loopbackFn)
+		done(m)
+		return
+	}
+	m.t, m.path, m.injected = t, n.path(src, dst), done
+	m.framesLeft = n.frames(bytes)
+	m.toInject, m.remaining = m.framesLeft, bytes
+	m.inject()
+}
+
+// inject puts SendFunc's remaining frames into the first hop, in the
+// order Send's loop does, and runs the injected continuation after the
+// last one. A put that completes synchronously continues the loop in
+// place; one that parks resumes it from onPut.
+func (m *Message) inject() {
+	n, first := m.net, m.path[0]
+	for m.toInject > 0 {
+		m.toInject--
+		fb := min(m.remaining, n.FrameBytes)
+		m.remaining -= fb
+		m.cur = n.newFrame(fb, m.path, m)
+		if first.pr.On() {
+			first.pr.Sample(probe.KindQueue, int64(first.queue.Len()))
+		}
+		m.inPut, m.putDone = true, false
+		first.queue.PutFunc(m.t, m.cur, m.putFn)
+		m.inPut = false
+		if !m.putDone {
+			return // parked on a full queue: onPut resumes the loop
+		}
+	}
+	done := m.injected
+	m.t, m.path, m.injected = nil, nil, nil
+	done(m)
+}
+
+// onPut is the put continuation of inject.
+func (m *Message) onPut(err error) {
+	if err != nil {
+		m.path[0].drop(m.cur) // first hop is down, as in Send
+	}
+	m.cur = nil
+	if m.inPut {
+		m.putDone = true
+		return
+	}
+	m.inject()
+}
+
+// deliverLoopback completes a self-addressed message.
+func (m *Message) deliverLoopback() {
+	n := m.net
+	m.DeliveredAt = n.k.Now()
+	m.done.Fire()
+	n.bytesDelivered += m.Bytes
+	n.msgsDelivered++
+	n.inboxes[m.Dst].TryPut(m)
+}
+
+// newMessage numbers a message from src to dst, stamped with the
+// current time, taking its storage from the free list when it can.
+func (n *Network) newMessage(src, dst, tag int, bytes int64, payload any) *Message {
+	if dst < 0 || dst >= n.Nodes() {
+		panic(fmt.Sprintf("netsim: destination %d out of range", dst))
+	}
+	n.msgSeq++
+	var m *Message
+	if i := len(n.msgFree) - 1; i >= 0 {
+		m = n.msgFree[i]
+		n.msgFree[i] = nil
+		n.msgFree = n.msgFree[:i]
+	} else {
+		m = &Message{net: n}
+		m.putFn = m.onPut
+		m.loopbackFn = m.deliverLoopback
+	}
+	m.ID, m.Src, m.Dst, m.Tag, m.Bytes, m.Payload = n.msgSeq, src, dst, tag, bytes, payload
+	m.SentAt = n.k.Now()
+	return m
+}
+
+// freeMessage returns a message whose last reference was released.
+func (n *Network) freeMessage(m *Message) {
+	m.Payload = nil
+	m.DeliveredAt = 0
+	m.done.Reset()
+	n.msgFree = append(n.msgFree, m)
+}
+
+// frames returns the number of frames a message of the given size
+// takes; a zero-byte control message still occupies one frame slot.
+func (n *Network) frames(bytes int64) int {
+	return max(1, int((bytes+n.FrameBytes-1)/n.FrameBytes))
+}
+
+// path returns the cached link path from src to dst.
+func (n *Network) path(src, dst int) []*Link {
+	row := n.paths[src]
+	if row == nil {
+		row = make([][]*Link, n.Nodes())
+		n.paths[src] = row
+	}
+	p := row[dst]
+	if p == nil {
+		p = n.topo.Path(src, dst)
+		if len(p) == 0 {
+			panic(fmt.Sprintf("netsim: no path from %d to %d", src, dst))
+		}
+		row[dst] = p
+	}
+	return p
 }
 
 // newFrame takes a frame from the network's free list, or allocates one.

@@ -86,19 +86,27 @@ type Machine struct {
 	opFree     []*stripeOp
 }
 
-// chunkRequests returns n chunk requests, reusing a finished striped
-// request's slice when one is large enough. The slice is sized before
-// any chunk is submitted and never appended to: the disks hold
-// pointers into it until every wait on it is over.
+// chunkRequests returns n chunk requests, reusing the smallest freed
+// slice that is large enough, so requests of mixed sizes never discard
+// a slice and keep the large ones for the requests that need them. The
+// slice is sized before any chunk is submitted and never appended to:
+// the disks hold pointers into it until every wait on it is over.
 func (m *Machine) chunkRequests(n int) []disk.Request {
-	if k := len(m.stripeFree); k > 0 {
-		reqs := m.stripeFree[k-1]
-		m.stripeFree = m.stripeFree[:k-1]
-		if cap(reqs) >= n {
-			return reqs[:n]
+	best := -1
+	for i, reqs := range m.stripeFree {
+		if cap(reqs) >= n && (best < 0 || cap(reqs) < cap(m.stripeFree[best])) {
+			best = i
 		}
 	}
-	return make([]disk.Request, n)
+	if best < 0 {
+		return make([]disk.Request, n)
+	}
+	reqs := m.stripeFree[best]
+	last := len(m.stripeFree) - 1
+	m.stripeFree[best] = m.stripeFree[last]
+	m.stripeFree[last] = nil
+	m.stripeFree = m.stripeFree[:last]
+	return reqs[:n]
 }
 
 // InstallFaults applies a fault plan to the machine: per-disk injectors

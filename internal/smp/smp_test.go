@@ -250,6 +250,43 @@ func TestStripeReadAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestMixedStripeSizesAllocateNothing checks that striped requests of
+// mixed sizes allocate nothing once each process has issued its first
+// request: three processes issue one-, eight- and three-chunk requests
+// on one stripe, so the slice freed last is often the wrong size for
+// the next request, which must reuse a fitting slice from further down
+// the free list.
+func TestMixedStripeSizesAllocateNothing(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Shutdown()
+	m := New(k, DefaultConfig(4))
+	stripe := m.NewStripe(seq(4), 0)
+	for r, n := range []int64{64 << 10, 512 << 10, 192 << 10} {
+		k.Spawn("io", func(p *sim.Proc) {
+			off := int64(r) * (16 << 20)
+			for i := 0; ; i++ {
+				if i%3 == 0 {
+					stripe.Write(p, m.CPUs[r], off, n)
+				} else {
+					stripe.Read(p, m.CPUs[r], off, n)
+				}
+				off = (off + n) % (64 << 20)
+			}
+		})
+	}
+	// Every process is past its first request, and the event slab and
+	// the disk queues are warm.
+	until := 40 * sim.Millisecond
+	k.RunUntil(until)
+	allocs := testing.AllocsPerRun(20, func() {
+		until += 10 * sim.Millisecond
+		k.RunUntil(until)
+	})
+	if allocs != 0 {
+		t.Errorf("mixed-size striped I/O allocates %v per 10 ms in steady state, want 0", allocs)
+	}
+}
+
 func seq(n int) []int {
 	out := make([]int, n)
 	for i := range out {

@@ -23,30 +23,9 @@ const (
 	tagCounters
 )
 
-// sendWindow bounds the number of in-flight asynchronous sends,
-// mirroring the paper's "up to 16 asynchronous receives" pipelining
-// without unbounded buffering.
-type sendWindow struct {
-	hs  []*mpi.Handle
-	max int
-}
-
-func newSendWindow() *sendWindow { return &sendWindow{max: 16} }
-
-func (w *sendWindow) add(p *sim.Proc, h *mpi.Handle) {
-	w.hs = append(w.hs, h)
-	if len(w.hs) > w.max {
-		w.hs[0].Wait(p)
-		w.hs = w.hs[1:]
-	}
-}
-
-func (w *sendWindow) drain(p *sim.Proc) {
-	for _, h := range w.hs {
-		h.Wait(p)
-	}
-	w.hs = nil
-}
+// sendWindow bounds a process's in-flight asynchronous sends, after
+// the paper's "up to 16 asynchronous receives".
+const sendWindow = 16
 
 // runCluster executes one task on a commodity-cluster configuration.
 func runCluster(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *Result,
@@ -234,19 +213,19 @@ func clusterGroupBy(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res 
 				n.Compute(p, t*GroupByCycles)
 			})
 			// Repartition partial tables: send each peer its hash range.
-			w := newSendWindow()
+			w := mpi.NewWindow(sendWindow)
 			share := partial / int64(d)
 			for j := 0; j < d; j++ {
 				if j == i || share == 0 {
 					continue
 				}
-				w.add(p, ep.Isend(p, j, tagData, share, nil))
+				w.Add(p, ep.Isend(p, j, tagData, share, nil))
 			}
 			for j := 0; j < d-1; j++ {
 				msg := ep.Recv(p, mpi.AnySource, tagData)
 				n.Compute(p, msg.Bytes/GroupEntryBytes*GroupMergeCycles)
 			}
-			w.drain(p)
+			w.Drain(p)
 			// Ship this node's share of the result relation to the FE.
 			ep.Send(p, m.FERank, tagResult, resultShare, nil)
 			wg.Done()
@@ -283,7 +262,7 @@ func clusterSort(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 		n := m.Nodes[i]
 		k.Spawn(fmt.Sprintf("sort%d", i), func(p *sim.Proc) {
 			ep := n.Endpoint()
-			w := newSendWindow()
+			w := mpi.NewWindow(sendWindow)
 			var fill int64
 			var runSizes []int64
 			// Interleave scan/partition/send with receive processing:
@@ -325,14 +304,14 @@ func clusterSort(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 				if remote > 0 && d > 1 {
 					dst := (i + 1 + rot) % d
 					rot = (rot + 1) % (d - 1)
-					w.add(p, ep.Isend(p, dst, tagData, remote, nil))
+					w.Add(p, ep.Isend(p, dst, tagData, remote, nil))
 				}
 				local := sz - remote
 				t = tuplesIn(local, ds.TupleBytes)
 				n.Compute(p, t*AppendCycles)
 				fill += local
 			})
-			w.drain(p)
+			w.Drain(p)
 			for j := 0; j < d; j++ {
 				if j != i {
 					ep.Send(p, j, tagDone, 0, nil)
@@ -545,7 +524,7 @@ func clusterJoin(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 				recvDone.Fire()
 			})
 			shuffle := func(per int64) {
-				w := newSendWindow()
+				w := mpi.NewWindow(sendWindow)
 				rot := 0
 				chunksOf(per, func(off, sz int64) {
 					n.ReadLocal(p, off, sz)
@@ -556,10 +535,10 @@ func clusterJoin(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 					if remote > 0 && d > 1 {
 						dst := (i + 1 + rot) % d
 						rot = (rot + 1) % (d - 1)
-						w.add(p, ep.Isend(p, dst, tagData, remote, nil))
+						w.Add(p, ep.Isend(p, dst, tagData, remote, nil))
 					}
 				})
-				w.drain(p)
+				w.Drain(p)
 				for j := 0; j < d; j++ {
 					if j != i {
 						ep.Send(p, j, tagDone, 0, nil)
@@ -691,7 +670,7 @@ func clusterMView(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *R
 				}
 				recvDone.Fire()
 			})
-			w := newSendWindow()
+			w := mpi.NewWindow(sendWindow)
 			rot := 0
 			sendRemote := func(bytes int64) {
 				if bytes <= 0 || d == 1 {
@@ -699,7 +678,7 @@ func clusterMView(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *R
 				}
 				dst := (i + 1 + rot) % d
 				rot = (rot + 1) % (d - 1)
-				w.add(p, ep.Isend(p, dst, tagData, bytes, nil))
+				w.Add(p, ep.Isend(p, dst, tagData, bytes, nil))
 			}
 			chunksOf(deltas, func(off, sz int64) {
 				n.ReadLocal(p, off, sz)
@@ -723,7 +702,7 @@ func clusterMView(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *R
 			if int64(pendUpd) > 0 {
 				sendRemote(int64(pendUpd) * int64(d-1) / int64(d))
 			}
-			w.drain(p)
+			w.Drain(p)
 			for j := 0; j < d; j++ {
 				if j != i {
 					ep.Send(p, j, tagDone, 0, nil)

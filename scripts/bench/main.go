@@ -1,7 +1,8 @@
 // Command bench runs `go test -bench` over one or more packages and
 // writes the best run of each benchmark as a benchfmt report. The
-// defaults record the kernel, service-path and per-layer I/O
-// microbenchmarks (a striped SMP read, a node-local cluster read) into
+// defaults record the kernel, service-path and per-layer
+// microbenchmarks (a striped SMP read, a node-local cluster read, an
+// MPI send and receive across the cluster network) into
 // BENCH_kernel.json; the parallel/event speedup per task is the root
 // package's BenchmarkParallelSpeedup:
 //
@@ -26,7 +27,7 @@ func main() {
 	var (
 		out     = flag.String("out", "BENCH_kernel.json", "output file")
 		pattern = flag.String("bench", "BenchmarkKernel|BenchmarkService", "benchmark regexp")
-		pkg     = flag.String("pkg", "./internal/sim ./internal/service ./internal/smp ./internal/cluster",
+		pkg     = flag.String("pkg", "./internal/sim ./internal/service ./internal/smp ./internal/cluster ./internal/mpi",
 			"space-separated packages to benchmark")
 		count = flag.Int("count", 1, "benchmark repetitions (best ns/op wins)")
 	)

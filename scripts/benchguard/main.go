@@ -30,12 +30,13 @@ import (
 
 // Default gate lists: the kernel's event throughput and the service
 // warm cache hit are gated against the baseline; the probe-attached and
-// inline-callback kernel paths must not allocate at all.
+// inline-callback kernel paths, and the per-layer striped I/O,
+// node-local I/O and MPI message paths, must not allocate at all.
 const (
 	guardDefault     = "BenchmarkKernelEventThroughput,BenchmarkServiceWarmHit"
 	zeroAllocDefault = "BenchmarkKernelEventThroughputProbeOff,BenchmarkKernelPipeTransferProbeOff," +
 		"BenchmarkKernelPipeTransferProbeOn,BenchmarkKernelSingleProcWait,BenchmarkKernelPipeTransferSegmented," +
-		"BenchmarkKernelStripeRead,BenchmarkKernelNodeRead"
+		"BenchmarkKernelStripeRead,BenchmarkKernelNodeRead,BenchmarkKernelMPISendRecv"
 )
 
 // gateBaseline checks each named benchmark of cur against base: ns/op
