@@ -209,10 +209,12 @@ func TestQueueFullRejects(t *testing.T) {
 // of joining the abandoned one.
 func TestCancellationFreesWorker(t *testing.T) {
 	var runs atomic.Int64
+	started := make(chan struct{})
 	s := New(Config{Workers: 1, QueueDepth: 4})
 	defer s.Close()
 	s.run = func(ctx context.Context, sp *runconfig.Spec) ([]byte, error) {
 		if runs.Add(1) == 1 {
+			close(started)
 			<-ctx.Done() // first run blocks until cancellation reclaims it
 			return nil, ctx.Err()
 		}
@@ -233,12 +235,14 @@ func TestCancellationFreesWorker(t *testing.T) {
 		}
 		errc <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.pool.inFlight() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("run never started")
-		}
-		time.Sleep(time.Millisecond)
+	// Cancel only once the run is inside s.run: a worker counts a job
+	// in flight before it checks the job's context, so cancelling
+	// between the two skips the run, and the fresh request below would
+	// then be the first run and block.
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("run never started")
 	}
 	cancel()
 	if err := <-errc; err == nil {
