@@ -51,8 +51,7 @@ bench-figures:
 
 # Refresh BENCH_parallel.json: BenchmarkParallelSpeedup, the wall-clock
 # speedup of -procmode parallel over the single-kernel event mode on
-# 64-disk select, groupby, dmine, mview, sort and join (one row per
-# task). The recorded numbers are honest for the machine that ran them
+# 64-disk select, groupby and dmine (one row per task). The recorded numbers are honest for the machine that ran them
 # (num_cpu and gomaxprocs are in the report); benchguard only enforces
 # the per-task speedup floor on >= 4 cores.
 bench-parallel:
@@ -64,7 +63,7 @@ bench-parallel:
 # job runs).
 bench-guard:
 	$(GO) run ./scripts/bench -out /tmp/BENCH_kernel.json
-	$(GO) run ./scripts/bench -pkg . -bench 'ParallelSpeedup/(select|sort|join)$$' -out /tmp/BENCH_parallel.json
+	$(GO) run ./scripts/bench -pkg . -bench 'ParallelSpeedup/(select|groupby)$$' -out /tmp/BENCH_parallel.json
 	$(GO) run ./scripts/benchguard -current /tmp/BENCH_kernel.json -parallel /tmp/BENCH_parallel.json
 
 # Fault-injection smoke: one disk fails mid-scan on each architecture,

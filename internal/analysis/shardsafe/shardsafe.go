@@ -4,7 +4,7 @@
 // cross-partition effect goes through Shard.Call. Three rules:
 //
 // Rule A — hub-drive paths must not block. Methods of sim.ShardGroup
-// (Run, driveLeaves, respond, …) execute on the hub goroutine outside
+// (Run, respond, waitHorizon, …) execute on the hub goroutine outside
 // any process context; calling the blocking *sim.Proc API from them
 // (Proc.Delay/Await, or any function whose first parameter is a
 // *sim.Proc) would park the scheduler itself. This extends

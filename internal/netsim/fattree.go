@@ -79,12 +79,12 @@ func (ft *FatTree) LeafOf(node int) int { return node / ft.perLeaf }
 
 // Path implements Topology: two hops within a leaf switch, four hops
 // across the root.
-func (ft *FatTree) Path(src, dst int) []*Link {
+func (ft *FatTree) Path(src, dst int) Route {
 	ls, ld := ft.LeafOf(src), ft.LeafOf(dst)
 	if ls == ld {
-		return []*Link{ft.nodeUp[src], ft.nodeDown[dst]}
+		return Route{ft.nodeUp[src], ft.nodeDown[dst]}
 	}
-	return []*Link{ft.nodeUp[src], ft.leafUp[ls], ft.leafDown[ld], ft.nodeDown[dst]}
+	return Route{ft.nodeUp[src], ft.leafUp[ls], ft.leafDown[ld], ft.nodeDown[dst]}
 }
 
 // EachLink calls fn for every link in the topology, in a fixed order

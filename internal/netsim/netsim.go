@@ -49,12 +49,12 @@ type Message struct {
 	refs int8
 
 	// SendFunc's injection state: the task injecting the frames, the
-	// path, the frames and bytes not yet injected, the frame whose put
+	// route, the frames and bytes not yet injected, the frame whose put
 	// is in flight, and the continuation to run once the last frame is
 	// in. inPut/putDone guard against re-entry when a put completes
 	// synchronously, so the frame loop continues in place.
 	t         *sim.Task
-	path      []*Link
+	route     Route
 	toInject  int
 	remaining int64
 	cur       *frame
@@ -91,10 +91,12 @@ func (m *Message) Release() {
 	}
 }
 
-// frame is one store-and-forward unit of a message.
+// frame is one store-and-forward unit of a message. It carries its
+// route by value; route[hop] is the next link to traverse.
 type frame struct {
 	bytes int64
-	path  []*Link // links still to traverse (path[0] is next)
+	route Route
+	hop   int
 	msg   *Message
 }
 
@@ -259,9 +261,9 @@ func (tx *linkTx) onSent() {
 	l, f := tx.l, tx.f
 	l.bytesMoved += f.bytes
 	l.frames++
-	f.path = f.path[1:]
-	if len(f.path) > 0 {
-		next := f.path[0]
+	f.hop++
+	if f.hop < MaxHops && f.route[f.hop] != nil {
+		next := f.route[f.hop]
 		if next.pr.On() {
 			next.pr.Sample(probe.KindQueue, int64(next.queue.Len()))
 		}
@@ -281,13 +283,22 @@ func (tx *linkTx) onPut(err error) {
 	tx.next()
 }
 
+// MaxHops bounds the links one route crosses: a two-level fat tree
+// crosses at most four.
+const MaxHops = 4
+
+// Route is the ordered links a message crosses from source to
+// destination, held by value so that computing one allocates nothing.
+// Entries past the last hop are nil.
+type Route [MaxHops]*Link
+
 // Topology computes the link path between nodes.
 type Topology interface {
 	// Nodes returns the number of addressable endpoints.
 	Nodes() int
-	// Path returns the ordered links a message crosses from src to dst.
-	// src == dst is never passed (loopback is handled by the Network).
-	Path(src, dst int) []*Link
+	// Path returns the route a message takes from src to dst. src == dst
+	// is never passed (loopback is handled by the Network).
+	Path(src, dst int) Route
 }
 
 // Network moves messages across a topology and delivers them to
@@ -307,9 +318,6 @@ type Network struct {
 
 	frameFree []*frame   // recycled frames: delivered or dropped
 	msgFree   []*Message // recycled SendFunc messages
-	// paths caches Topology.Path per (src, dst), filled on first use:
-	// paths[src][dst].
-	paths [][][]*Link
 }
 
 // New creates a network. Attach a topology with SetTopology before
@@ -327,7 +335,6 @@ func (n *Network) Kernel() *sim.Kernel { return n.k }
 // SetTopology installs the topology and creates one inbox per node.
 func (n *Network) SetTopology(t Topology) {
 	n.topo = t
-	n.paths = make([][][]*Link, t.Nodes())
 	n.inboxes = make([]*sim.Mailbox, t.Nodes())
 	for i := range n.inboxes {
 		n.inboxes[i] = sim.NewMailbox(n.k, fmt.Sprintf("node%d.inbox", i), 0)
@@ -357,22 +364,23 @@ func (n *Network) Send(p *sim.Proc, src, dst, tag int, bytes int64, payload any)
 		n.k.After(n.LoopbackTime, m.loopbackFn)
 		return m
 	}
-	path := n.path(src, dst)
+	route := n.route(src, dst)
+	first := route[0]
 	nframes := n.frames(bytes)
 	m.framesLeft = nframes
 	remaining := bytes
 	for i := 0; i < nframes; i++ {
 		fb := min(remaining, n.FrameBytes)
 		remaining -= fb
-		f := n.newFrame(fb, path, m)
-		if path[0].pr.On() {
-			path[0].pr.Sample(probe.KindQueue, int64(path[0].queue.Len()))
+		f := n.newFrame(fb, &route, m)
+		if first.pr.On() {
+			first.pr.Sample(probe.KindQueue, int64(first.queue.Len()))
 		}
-		if err := path[0].queue.Put(p, f); err != nil {
+		if err := first.queue.Put(p, f); err != nil {
 			// First hop is down: the frame is lost at injection. The
 			// message will never be delivered; timeout-aware receivers
 			// observe the loss.
-			path[0].drop(f)
+			first.drop(f)
 		}
 	}
 	return m
@@ -394,7 +402,7 @@ func (n *Network) SendFunc(t *sim.Task, src, dst, tag int, bytes int64, payload 
 		done(m)
 		return
 	}
-	m.t, m.path, m.injected = t, n.path(src, dst), done
+	m.t, m.route, m.injected = t, n.route(src, dst), done
 	m.framesLeft = n.frames(bytes)
 	m.toInject, m.remaining = m.framesLeft, bytes
 	m.inject()
@@ -405,12 +413,12 @@ func (n *Network) SendFunc(t *sim.Task, src, dst, tag int, bytes int64, payload 
 // last one. A put that completes synchronously continues the loop in
 // place; one that parks resumes it from onPut.
 func (m *Message) inject() {
-	n, first := m.net, m.path[0]
+	n, first := m.net, m.route[0]
 	for m.toInject > 0 {
 		m.toInject--
 		fb := min(m.remaining, n.FrameBytes)
 		m.remaining -= fb
-		m.cur = n.newFrame(fb, m.path, m)
+		m.cur = n.newFrame(fb, &m.route, m)
 		if first.pr.On() {
 			first.pr.Sample(probe.KindQueue, int64(first.queue.Len()))
 		}
@@ -422,14 +430,14 @@ func (m *Message) inject() {
 		}
 	}
 	done := m.injected
-	m.t, m.path, m.injected = nil, nil, nil
+	m.t, m.injected = nil, nil
 	done(m)
 }
 
 // onPut is the put continuation of inject.
 func (m *Message) onPut(err error) {
 	if err != nil {
-		m.path[0].drop(m.cur) // first hop is down, as in Send
+		m.route[0].drop(m.cur) // first hop is down, as in Send
 	}
 	m.cur = nil
 	if m.inPut {
@@ -485,26 +493,17 @@ func (n *Network) frames(bytes int64) int {
 	return max(1, int((bytes+n.FrameBytes-1)/n.FrameBytes))
 }
 
-// path returns the cached link path from src to dst.
-func (n *Network) path(src, dst int) []*Link {
-	row := n.paths[src]
-	if row == nil {
-		row = make([][]*Link, n.Nodes())
-		n.paths[src] = row
+// route returns the route from src to dst.
+func (n *Network) route(src, dst int) Route {
+	r := n.topo.Path(src, dst)
+	if r[0] == nil {
+		panic(fmt.Sprintf("netsim: no path from %d to %d", src, dst))
 	}
-	p := row[dst]
-	if p == nil {
-		p = n.topo.Path(src, dst)
-		if len(p) == 0 {
-			panic(fmt.Sprintf("netsim: no path from %d to %d", src, dst))
-		}
-		row[dst] = p
-	}
-	return p
+	return r
 }
 
 // newFrame takes a frame from the network's free list, or allocates one.
-func (n *Network) newFrame(bytes int64, path []*Link, m *Message) *frame {
+func (n *Network) newFrame(bytes int64, route *Route, m *Message) *frame {
 	var f *frame
 	if i := len(n.frameFree) - 1; i >= 0 {
 		f = n.frameFree[i]
@@ -513,14 +512,14 @@ func (n *Network) newFrame(bytes int64, path []*Link, m *Message) *frame {
 	} else {
 		f = new(frame)
 	}
-	f.bytes, f.path, f.msg = bytes, path, m
+	f.bytes, f.route, f.hop, f.msg = bytes, *route, 0, m
 	return f
 }
 
 // freeFrame returns a frame that left the network — delivered or
 // dropped — to the free list. Nothing may hold it afterwards.
 func (n *Network) freeFrame(f *frame) {
-	f.path, f.msg = nil, nil
+	f.msg = nil
 	n.frameFree = append(n.frameFree, f)
 }
 

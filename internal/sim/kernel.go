@@ -484,7 +484,7 @@ func (k *Kernel) Close() {
 // surfaces here, on the kernel's goroutine; one from an event p ran
 // inline surfaces just after, from Run's loop. fromRun marks a resumption by the event loop's dispatch —
 // the only activation whose next park may run the loop inline
-// (parkInline); Handoff, spawnInline, a shard drain and Shutdown pass
+// (parkInline); Handoff, spawnInline, a shard delivery and Shutdown pass
 // false. A process the loop resumes while a lone process runs it inline
 // has that process as a second live one, so it never inlines itself.
 func (k *Kernel) activate(p *Proc, fromRun bool) {

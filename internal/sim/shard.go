@@ -5,16 +5,15 @@
 // Partitioning model. A ShardGroup owns one hub kernel plus N leaf
 // kernels. Model state is split so that a leaf only ever touches its
 // own components; everything shared (buses, the front-end, coordination
-// primitives, cross-leaf streams) lives on the hub. The cross-partition
+// primitives, stream endpoints) lives on the hub. The cross-partition
 // operation is Shard.Call: a leaf process posts a timestamped closure
 // and parks; a proxy process executes the closure on the hub at the
 // message's arrival time and the leaf process resumes when it
-// completes. A shard may hold any number of concurrent outstanding
-// calls — one per parked leaf process — which is what lets
-// communication-heavy tasks (sort and join repartition streams,
-// barriers) run sharded: while some leaf processes are parked in Call,
-// the shard's remaining local events are executed under hub control in
-// bounded windows.
+// completes. A shard holds at most one outstanding call: the protocol
+// is built for one hub-crossing process per leaf, whose local
+// components (disk, CPU) sit idle while it waits, so a parked leaf has
+// no local work the hub would have to drive. A second concurrent Call
+// on one shard panics.
 //
 // Synchronization. Edges are instantaneous: a call issued at local time
 // t executes on the hub at t. Each leaf continuously publishes a
@@ -25,13 +24,12 @@
 // from deadlocking the group). The hub only executes work strictly
 // below the minimum published horizon (its earliest input time), so a
 // grant or arbitration decision can never be reordered by a message
-// still in flight. When a parked shard's horizon is what blocks the
-// hub, the hub drives that shard's local events directly (cmdRun) up to
-// the minimum of every other shard's horizon and its own next
-// obligation — the conservative window in which those events provably
-// cannot be affected by anything still in flight. Leaves receive
-// nothing unsolicited: free-running leaves race ahead of the hub on
-// their own cores, which is where the parallelism comes from.
+// still in flight. Leaves receive nothing unsolicited: free-running
+// leaves race ahead of the hub on their own cores, which is where the
+// parallelism comes from. A parked leaf runs nothing until its call is
+// delivered, so if only parked leaves hold the earliest input time at
+// or below the hub's next obligation, no progress is possible: the
+// group stops and reports the shard through Stall instead of hanging.
 //
 // Exactness. Byte-equivalence with the single-kernel event mode needs
 // more than conservative order — it needs the *same-instant* order. In
@@ -43,19 +41,15 @@
 // hub runs its own events at the request's timestamp only up to the
 // issuing leaf event's key (RunUntilPos) and executes the request
 // inline there (spawnInline — no start event that would sort after
-// pending events); concurrent requests order by (key, delivery rank,
-// shard, issue order). Second, a call's completion rendezvouses back
-// into its leaf at the hub's key: the leaf interleaves the delivery
-// with its own same-instant events by key (drain), resuming the caller
-// exactly after the local events that precede the completing hub event
-// and before those that follow it; a follow-on call at the same instant
-// runs inline at the proxy's event position. Third, driving a parked
-// leaf never crosses the leaf's own pending request: local events at
-// the request's instant keyed after it wait behind its injection
-// (capped drives), and a request blocked only by leaves whose remaining
-// same-instant work is keyed after it is injected anyway (the published
-// next-event key refines the time-only horizon at the boundary
-// instant).
+// pending events); concurrent requests from different shards order by
+// (key, delivery rank, shard). Second, a call's completion rendezvouses
+// back into its leaf at the hub's key: the leaf runs its own
+// same-instant events keyed before the completing hub event, resumes
+// the caller, then drains the rest of the instant; a follow-on call at
+// the same instant runs inline at the proxy's event position. Third, a
+// request blocked only by parked leaves whose remaining same-instant
+// work is keyed after it is injected anyway (the published next-event
+// key refines the time-only horizon at the boundary instant).
 package sim
 
 import (
@@ -99,7 +93,6 @@ type xcall struct {
 	// numbering.
 	rank   uint64
 	src    int32
-	seq    uint64
 	fn     func(*Proc)
 	caller *Proc
 }
@@ -107,7 +100,7 @@ type xcall struct {
 // xcallBefore is the deterministic injection order: timestamp, then
 // scheduling time of the issuing event, then its ancestor scheduling
 // instants, then delivery rank of the issuing process, then source
-// shard, then issue order within the shard.
+// shard (a shard has at most one request pending).
 func xcallBefore(a, b *xcall) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -123,16 +116,12 @@ func xcallBefore(a, b *xcall) bool {
 	if a.rank != b.rank {
 		return a.rank < b.rank
 	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
+	return a.src < b.src
 }
 
 // horizonQueue holds cross-shard requests the hub has not injected yet,
-// ordered by (timestamp, sched, source shard, issue order). Outstanding
-// requests are bounded by parked leaf processes — a handful per shard —
-// so the queue stays tiny and a sorted scan beats heap bookkeeping.
+// in xcallBefore order. It holds at most one request per shard, so a
+// sorted scan beats heap bookkeeping.
 type horizonQueue struct {
 	q []*xcall
 }
@@ -180,10 +169,8 @@ const (
 	// leafRunning: the leaf goroutine is free-running local events; its
 	// horizon is its published clock.
 	leafRunning leafState = iota
-	// leafParked: one or more leaf processes are parked in Call with
-	// their requests posted; the leaf goroutine is idle awaiting hub
-	// commands, and any remaining local events are hub-driven (cmdRun)
-	// inside conservative windows.
+	// leafParked: the leaf's calling process is parked in Call; the leaf
+	// goroutine is idle until the hub delivers the call's completion.
 	leafParked
 	// leafFinished: the leaf's event queue drained with no call in
 	// flight. Service-loop tasks parked on their queues are normal here —
@@ -193,41 +180,32 @@ const (
 
 // leafCmd drives a leaf goroutine from the hub side.
 type leafCmd struct {
-	kind   int // cmdDeliver | cmdRun | cmdFree | cmdStop
+	kind   int // cmdDeliver | cmdFree | cmdStop
 	at     Time
 	resume *Proc
 	// sched and anc carry the hub's current scheduling lineage into a
 	// cmdDeliver: the position of the proxy event the caller would have
-	// resumed inside in a single kernel. The delivery event adopts them,
-	// so the caller's continued chain compares correctly against chains
-	// on other shards.
+	// resumed inside in a single kernel. The delivery adopts them, so the
+	// caller's continued chain compares correctly against chains on
+	// other shards.
 	sched Time
 	anc   lineage
-	// capped bounds the drain by the scheduling key (capSched, capAnc)
-	// at instant .at: a pending cross-shard request with that key sorts
-	// before any local event keyed after it, so those events must wait
-	// until the request has been injected and responded.
-	capped   bool
-	capSched Time
-	capAnc   lineage
 }
 
 const (
 	cmdDeliver = iota // resume the parked caller at .at and drain that instant
-	cmdRun            // run local events through .at (stops at the first new Call)
 	cmdFree           // run local events to quiescence
 	cmdStop           // exit the leaf goroutine
 )
 
-// leafStatus is a leaf's report after a deliver or drive: the calls it
-// parked on (at most one per stop — a Call halts the run) and the
-// earliest remaining local event.
+// leafStatus is a leaf's report after a delivery: the follow-on call it
+// stopped at (if any) and its earliest remaining local event.
 type leafStatus struct {
-	calls   []*xcall
+	call    *xcall
 	next    Time // earliest remaining local event (valid when hasNext)
 	hasNext bool
 	// nextSched and nextAnc are the scheduling key of the earliest
-	// remaining item (valid when hasNext): a lower bound on the key of
+	// remaining event (valid when hasNext): a lower bound on the key of
 	// anything the leaf can still execute — or send — at that instant.
 	nextSched Time
 	nextAnc   lineage
@@ -248,53 +226,23 @@ type Shard struct {
 	horizon atomic.Int64
 	state   atomic.Int32
 
-	// outstanding counts calls posted and not yet completed; nextAt,
 	// hasNext, nextSched and nextAnc are the hub-side view of a parked
-	// leaf's earliest remaining item (local event or undelivered
-	// rendezvous resume) and its scheduling key.
-	outstanding int     // guarded by g.mu
-	nextAt      Time    // guarded by g.mu
-	hasNext     bool    // guarded by g.mu
-	nextSched   Time    // guarded by g.mu
-	nextAnc     lineage // guarded by g.mu
+	// leaf's earliest remaining local event's scheduling key.
+	hasNext   bool    // guarded by g.mu
+	nextSched Time    // guarded by g.mu
+	nextAnc   lineage // guarded by g.mu
 
 	cmds    chan leafCmd
 	replies chan leafStatus
-	pending []*xcall // requests issued during the current run slice or drive
-	// dlv holds rendezvous completions received but not yet executed:
-	// each caller resumes at its delivery's hub-side scheduling key,
-	// interleaved with local events by drain. Usually at most one entry;
-	// a chained call whose proxy parks on a hub primitive can leave an
-	// outer delivery pending while a later-keyed one arrives.
-	dlv []pendingDeliver
-	seq uint64
-}
-
-// pendingDeliver is one rendezvous completion awaiting execution:
-// caller p resumes at virtual time at, positioned at the scheduling key
-// (sched, anc) of the hub event that completed its call.
-type pendingDeliver struct {
-	p     *Proc
-	at    Time
-	sched Time
-	anc   lineage
-}
-
-// deliverBefore orders pending deliveries by (time, scheduling key) —
-// the order their resumes hold in a single kernel.
-func deliverBefore(a, b *pendingDeliver) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.sched != b.sched {
-		return a.sched < b.sched
-	}
-	for i := range a.anc {
-		if a.anc[i] != b.anc[i] {
-			return a.anc[i] < b.anc[i]
-		}
-	}
-	return false
+	// call is the shard's one cross-shard request. Call fills it and
+	// sets pending until the request is handed to the hub: the end of
+	// the run slice posts it to the hub inbox, or a delivery's status
+	// returns it to the proxy for inline execution. call.caller stays
+	// set until the delivery resumes the caller, which is what a second
+	// concurrent Call trips over. The leaf writes call only while no
+	// request of the shard is with the hub.
+	call    xcall
+	pending bool
 }
 
 // Kernel returns the shard's kernel. Build the shard's model components
@@ -310,17 +258,21 @@ func (sh *Shard) ID() int { return int(sh.id) }
 // leaf state other than values it captured. p resumes at the virtual
 // time fn finished. This is exactly an inline execution — including
 // follow-on Calls at the same instant, which run at the same hub event
-// position an inline continuation would have. Any number of processes
-// on the same shard may hold concurrent Calls.
+// position an inline continuation would have. At most one process of a
+// shard may be in a Call at a time; a second concurrent Call panics.
 func (sh *Shard) Call(p *Proc, fn func(*Proc)) {
 	if p.k != sh.k {
 		panic(fmt.Sprintf("sim: Call on shard %d from foreign process %q", sh.id, p.name))
 	}
-	sh.seq++
-	sh.pending = append(sh.pending, &xcall{
+	if c := sh.call.caller; c != nil {
+		panic(fmt.Sprintf("sim: second concurrent Call on shard %d: %q called while %q is parked in one",
+			sh.id, p.name, c.name))
+	}
+	sh.call = xcall{
 		at: sh.k.now, sched: sh.k.curSched, anc: sh.k.curAnc,
-		rank: p.xrank, src: sh.id, seq: sh.seq, fn: fn, caller: p,
-	})
+		rank: p.xrank, src: sh.id, fn: fn, caller: p,
+	}
+	sh.pending = true
 	// Stop the leaf's run the moment the caller parks: the resume time is
 	// hub-determined and may precede every pending local event, so racing
 	// ahead would execute the leaf's future before the caller's present.
@@ -333,8 +285,8 @@ func (sh *Shard) Call(p *Proc, fn func(*Proc)) {
 }
 
 // leafLoop is the leaf goroutine: free-run to local quiescence, then
-// serve hub commands (deliver-and-drain, bounded drive, resume free
-// running, stop).
+// serve hub commands (deliver a call's completion, resume free running,
+// stop).
 func (sh *Shard) leafLoop() {
 	defer sh.g.wg.Done()
 	sh.runSlice()
@@ -343,17 +295,7 @@ func (sh *Shard) leafLoop() {
 		case cmdStop:
 			return
 		case cmdDeliver:
-			sh.dlv = append(sh.dlv, pendingDeliver{
-				p: cmd.resume, at: cmd.at, sched: cmd.sched, anc: cmd.anc,
-			})
-			sh.drain(&cmd)
-			sh.replies <- sh.takeStatus()
-		case cmdRun:
-			// Bounded drive of a parked shard's local events, or the
-			// continuation of an interrupted deliver drain: run at most to
-			// cmd.at, stopping at the first new Call so the leaf never
-			// races past a request whose response time is hub-determined.
-			sh.drain(&cmd)
+			sh.deliver(&cmd)
 			sh.replies <- sh.takeStatus()
 		case cmdFree:
 			sh.runSlice()
@@ -361,29 +303,26 @@ func (sh *Shard) leafLoop() {
 	}
 }
 
-// runSlice executes local events until the queue drains or a process
-// parks in Call, then publishes the end-of-slice state to the group.
+// runSlice executes local events until the queue drains or the calling
+// process parks in Call, then publishes the end-of-slice state to the
+// group.
 func (sh *Shard) runSlice() {
 	sh.k.Run()
-	sh.k.stopped = false // Call stops the run when a caller parks
+	sh.k.stopped = false // Call stops the run when the caller parks
 	g := sh.g
 	g.mu.Lock()
-	if len(sh.pending) > 0 {
-		// Post the requests and only then adjust the horizon: the hub
-		// must never observe a widened horizon without the requests that
-		// justify it.
-		for _, c := range sh.pending {
-			g.inbox.push(c)
-		}
-		sh.outstanding += len(sh.pending)
-		sh.pending = nil
+	if sh.pending {
+		// Post the request and only then adjust the horizon: the hub must
+		// never observe a widened horizon without the request that
+		// justifies it.
+		sh.pending = false
+		g.inbox.push(&sh.call)
 		sh.state.Store(int32(leafParked))
 	} else {
 		sh.state.Store(int32(leafFinished))
 	}
 	if t, sched, anc, ok := sh.k.NextEventKey(); ok {
-		sh.nextAt, sh.hasNext = t, true
-		sh.nextSched, sh.nextAnc = sched, anc
+		sh.hasNext, sh.nextSched, sh.nextAnc = true, sched, anc
 		sh.horizon.Store(int64(t))
 	} else {
 		sh.hasNext = false
@@ -393,91 +332,43 @@ func (sh *Shard) runSlice() {
 	g.mu.Unlock()
 }
 
-// drain runs local events through cmd.at, interleaving pending
-// rendezvous deliveries at their single-kernel positions: a caller
-// resumes exactly after the local events whose scheduling keys precede
-// its delivery's hub-side key and before those that follow it
-// (RunUntilPos), in ascending delivery-key order — a chained call's
-// completion can be positioned after an outer pending delivery when its
-// proxy parked on a hub primitive. A capped command additionally bounds
-// the trailing event run by the cap key: local events at cmd.at keyed
-// after a pending cross-shard request must wait behind that request's
-// injection. Stops at the first new Call: the caller parks, the resume
-// time is hub-determined, and the hub continues the drain with a
-// follow-up command. The inline activate adds no scheduler counts — the
-// single-kernel run resumes the caller inside the hub event that
-// completed its call, whose Handoff the hub side already counted.
-func (sh *Shard) drain(cmd *leafCmd) {
-	lim := cmd.at
-	for {
-		i := sh.minDeliver(lim)
-		if i < 0 {
-			break
-		}
-		d := sh.dlv[i]
-		sh.k.RunUntilPos(d.at, d.sched, d.anc)
-		sh.k.stopped = false // a Call stops the run when a caller parks
-		if len(sh.pending) > 0 {
-			return
-		}
-		if sh.k.now < d.at {
-			sh.k.AdvanceTo(d.at)
-		}
-		last := len(sh.dlv) - 1
-		sh.dlv[i] = sh.dlv[last]
-		sh.dlv[last] = pendingDeliver{}
-		sh.dlv = sh.dlv[:last]
-		// The caller resumes inside the hub event that completed its
-		// call: the chain it continues carries that event's lineage.
-		sh.k.curSched, sh.k.curAnc = d.sched, d.anc
-		sh.k.activate(d.p, false)
-		sh.k.stopped = false
-		if len(sh.pending) > 0 {
-			return
-		}
+// deliver resumes the parked caller at its single-kernel position: the
+// leaf runs its own events at cmd.at keyed at or before the hub event
+// that completed the call (RunUntilPos), resumes the caller inside that
+// event's lineage, then drains the rest of the instant. It stops at a
+// follow-on Call: the caller parks again at the same instant and the
+// hub runs the call inline. The inline activate adds no scheduler
+// counts — the single-kernel run resumes the caller inside the hub
+// event that completed its call, whose Handoff the hub side already
+// counted.
+func (sh *Shard) deliver(cmd *leafCmd) {
+	k := sh.k
+	k.RunUntilPos(cmd.at, cmd.sched, cmd.anc)
+	if k.now < cmd.at {
+		k.AdvanceTo(cmd.at)
 	}
-	if cmd.capped {
-		sh.k.RunUntilPos(lim, cmd.capSched, cmd.capAnc)
-	} else {
-		sh.k.RunUntil(lim)
+	k.curSched, k.curAnc = cmd.sched, cmd.anc
+	sh.call.caller = nil
+	k.activate(cmd.resume, false)
+	k.stopped = false // a follow-on Call stops the run
+	if sh.pending {
+		return
 	}
-	sh.k.stopped = false
+	k.RunUntil(cmd.at)
+	k.stopped = false
 }
 
-// minDeliver returns the index of the least pending delivery due at or
-// before lim in (time, scheduling key) order, -1 when none is due.
-func (sh *Shard) minDeliver(lim Time) int {
-	best := -1
-	for i := range sh.dlv {
-		d := &sh.dlv[i]
-		if d.at > lim {
-			continue
-		}
-		if best < 0 || deliverBefore(d, &sh.dlv[best]) {
-			best = i
-		}
-	}
-	return best
-}
-
-// takeStatus reports the leaf's state after a deliver drain or drive:
-// the call it stopped at (if any) and the earliest remaining work — a
-// local event or an undelivered rendezvous resume, either of which can
-// issue a new call at its time.
+// takeStatus reports the leaf's state after a delivery: the follow-on
+// call it stopped at, if any, and its earliest remaining local event.
 func (sh *Shard) takeStatus() leafStatus {
-	st := leafStatus{calls: sh.pending}
-	sh.pending = nil
+	var st leafStatus
+	if sh.pending {
+		sh.pending = false
+		st.call = &sh.call
+	}
 	if t, sched, anc, ok := sh.k.NextEventKey(); ok {
 		st.next, st.hasNext = t, true
 		st.nextSched, st.nextAnc = sched, anc
-	}
-	for i := range sh.dlv {
-		d := &sh.dlv[i]
-		if !st.hasNext || d.at < st.next ||
-			(d.at == st.next && !schedKeyAfter(d.sched, &d.anc, st.nextSched, &st.nextAnc)) {
-			st.next, st.hasNext = d.at, true
-			st.nextSched, st.nextAnc = d.sched, d.anc
-		}
 	}
 	return st
 }
@@ -581,36 +472,17 @@ func (g *ShardGroup) DeadlockReport() string {
 	return b.String()
 }
 
-// absorbNextLocked stores a reply's earliest-remaining-work view into
+// absorbNextLocked stores a leaf status's earliest remaining event into
 // the shard's hub-side state and republishes its horizon. Callers hold
 // g.mu.
 func (g *ShardGroup) absorbNextLocked(sh *Shard, st *leafStatus) {
 	if st.hasNext {
-		sh.nextAt, sh.hasNext = st.next, true
-		sh.nextSched, sh.nextAnc = st.nextSched, st.nextAnc
+		sh.hasNext, sh.nextSched, sh.nextAnc = true, st.nextSched, st.nextAnc
 		sh.horizon.Store(int64(st.next))
 	} else {
 		sh.hasNext = false
 		sh.horizon.Store(horizonInfinity)
 	}
-}
-
-// ownCapLocked returns the smallest scheduling key among sh's own
-// pending cross-shard requests due at instant at. Local events of sh at
-// that instant keyed after it must wait behind those requests — their
-// responses rendezvous back into sh positioned at or after the
-// request's key. ok is false when sh has no pending request then.
-// Callers hold g.mu.
-func (g *ShardGroup) ownCapLocked(sh *Shard, at Time) (sched Time, anc lineage, ok bool) {
-	for _, c := range g.inbox.q {
-		if c.src != sh.id || c.at != at {
-			continue
-		}
-		if !ok || schedKeyAfter(sched, &anc, c.sched, &c.anc) {
-			sched, anc, ok = c.sched, c.anc, true
-		}
-	}
-	return
 }
 
 // clearFor reports whether pending request rq may be injected even
@@ -698,20 +570,18 @@ func (g *ShardGroup) Run() Time {
 			target = rq.at
 		}
 		if eit <= target && !(rq != nil && rq.at == target && g.clearFor(rq)) {
-			// An edge horizon blocks the next obligation. Drive parked
-			// shards' local events forward inside their conservative
-			// windows; if nothing is drivable, wait for the free-running
-			// leaves to advance (or for the whole group to quiesce).
-			if g.driveLeaves(target) {
-				continue
-			}
+			// An edge horizon blocks the next obligation: wait for the
+			// free-running leaves to advance, or for the whole group to
+			// quiesce. A wait that no leaf can end is a stall.
 			if target == maxTime {
 				if g.quiesceOrWait() {
 					break
 				}
 				continue
 			}
-			g.waitHorizon(target, seen)
+			if !g.waitHorizon(target, seen) {
+				break
+			}
 			continue
 		}
 		if rq == nil || (okL && l < rq.at) {
@@ -732,15 +602,15 @@ func (g *ShardGroup) Run() Time {
 		// a smaller sequence number in the single-kernel order; one
 		// scheduled after it must wait behind the request — then execute
 		// the request inline at exactly that position. One request at a
-		// time: its proxy may rendezvous with a leaf and queue an
+		// time: its proxy may free a leaf that then posts an
 		// earlier-positioned request, so the order is re-evaluated from
 		// scratch after each.
 		if okL && l <= rq.at {
 			g.hub.RunUntilPos(rq.at, rq.sched, rq.anc)
 			if g.hub.now < rq.at {
-				// The run stopped early — a rendezvous queued a request
-				// below rq.at (tightening the limit) or the queue drained.
-				// Re-evaluate from the top with the new state.
+				// The run stopped early — a delivery freed a leaf that may
+				// inject below rq.at (tightening the limit) or the queue
+				// drained. Re-evaluate from the top with the new state.
 				continue
 			}
 		}
@@ -775,126 +645,6 @@ func (g *ShardGroup) Close() {
 	}
 }
 
-// horizonFloor is a snapshot of the two smallest published horizons.
-// A parked shard's drive window is bounded by every other shard's
-// horizon, so one snapshot per pass yields every shard's limit in O(1):
-// the smallest horizon, except for the shard that published it, whose
-// limit is the second smallest.
-type horizonFloor struct {
-	low, second Time
-	owner       int // the shard whose horizon is low
-}
-
-// horizonFloorLocked snapshots the two smallest published horizons.
-// Horizons only rise, so limits taken from the snapshot stay valid
-// lower bounds while shards publish progress concurrently.
-func (g *ShardGroup) horizonFloorLocked() horizonFloor {
-	f := horizonFloor{low: maxTime, second: maxTime, owner: -1}
-	for i, sh := range g.shards {
-		h := Time(sh.horizon.Load())
-		if h < f.low {
-			f.second, f.low, f.owner = f.low, h, i
-		} else if h < f.second {
-			f.second = h
-		}
-	}
-	return f
-}
-
-// limit returns the conservative drive window for parked shard i under
-// the hub's next obligation: the minimum of hubBound and every other
-// shard's horizon in the snapshot. Events of shard i at or below it
-// provably cannot be affected by anything still in flight.
-func (f horizonFloor) limit(i int, hubBound Time) Time {
-	lim := f.low
-	if i == f.owner {
-		lim = f.second
-	}
-	return min(lim, hubBound)
-}
-
-// drivableLocked reports whether any parked shard has a local event
-// inside its drive window — the condition under which the hub must keep
-// driving rather than wait or declare quiescence. A shard whose
-// earliest remaining work is keyed behind its own pending request
-// contributes nothing drivable: those events wait for the request's
-// injection and response.
-func (g *ShardGroup) drivableLocked(hubBound Time) bool {
-	floor := g.horizonFloorLocked()
-	for i, sh := range g.shards {
-		if leafState(sh.state.Load()) != leafParked || !sh.hasNext {
-			continue
-		}
-		lim := floor.limit(i, hubBound)
-		if sh.nextAt > lim {
-			continue
-		}
-		if s, a, ok := g.ownCapLocked(sh, lim); ok && sh.nextAt == lim &&
-			schedKeyAfter(sh.nextSched, &sh.nextAnc, s, &a) {
-			continue
-		}
-		return true
-	}
-	return false
-}
-
-// driveLeaves advances parked shards whose earliest local event lies
-// inside their conservative window, all in parallel, and absorbs their
-// new state. Returns false when nothing was drivable. The per-shard
-// limits are computed against a single horizon snapshot: horizons only
-// rise while a drive is in flight, so the snapshot stays a valid lower
-// bound even as the driven shards publish progress concurrently.
-func (g *ShardGroup) driveLeaves(hubBound Time) bool {
-	g.mu.Lock()
-	// A request posted since the hub chose hubBound also bounds every
-	// drive: its response may resume a caller on a driven shard at its
-	// own instant, and the shard must not have run past that instant.
-	if rq := g.inbox.peek(); rq != nil && rq.at < hubBound {
-		hubBound = rq.at
-	}
-	var drives []*Shard
-	var cmds []leafCmd
-	floor := g.horizonFloorLocked()
-	for i, sh := range g.shards {
-		if leafState(sh.state.Load()) != leafParked || !sh.hasNext {
-			continue
-		}
-		lim := floor.limit(i, hubBound)
-		if sh.nextAt > lim {
-			continue
-		}
-		cmd := leafCmd{kind: cmdRun, at: lim}
-		if s, a, ok := g.ownCapLocked(sh, lim); ok {
-			if sh.nextAt == lim && schedKeyAfter(sh.nextSched, &sh.nextAnc, s, &a) {
-				// Everything driveable is keyed behind the shard's own
-				// pending request: nothing to do until it is injected.
-				continue
-			}
-			cmd.capped, cmd.capSched, cmd.capAnc = true, s, a
-		}
-		drives = append(drives, sh)
-		cmds = append(cmds, cmd)
-	}
-	g.mu.Unlock()
-	if len(drives) == 0 {
-		return false
-	}
-	for i, sh := range drives {
-		sh.cmds <- cmds[i]
-	}
-	for _, sh := range drives {
-		st := <-sh.replies
-		g.mu.Lock()
-		for _, c := range st.calls {
-			g.inbox.push(c)
-			sh.outstanding++
-		}
-		g.absorbNextLocked(sh, &st)
-		g.mu.Unlock()
-	}
-	return true
-}
-
 // runProxy starts the hub process that executes one cross-shard
 // request — and, via the synchronous rendezvous in respond, any chain
 // of same-instant follow-on calls from the same leaf process. The
@@ -923,15 +673,13 @@ func (g *ShardGroup) runProxy(rq *xcall) {
 }
 
 // respond completes a call: it resumes the shard's parked caller at the
-// hub's current time and converses with the leaf while it drains that
-// instant. A call issued during the drain — a follow-on by the resumed
-// process or a call by another process the drain woke — is at that same
-// instant, since edges carry no latency, and is returned for inline
-// execution at the proxy's event position. Once the instant is drained
-// the shard is either handed back to free running (no calls left in
-// flight), left parked with its remaining local events hub-driven, or
-// marked finished; in the first two cases the run window is tightened
-// below the shard's new horizon.
+// hub's current time and waits while the leaf drains that instant. A
+// follow-on call the resumed caller issues during the drain is at that
+// same instant, since edges carry no latency, and is returned for
+// inline execution at the proxy's event position. Otherwise the shard
+// goes back to free running, or is marked finished when it has no local
+// events left; a free-running shard may inject work at its next event,
+// so the hub's run window is tightened below it.
 func (g *ShardGroup) respond(sh *Shard, caller *Proc) *xcall {
 	at := g.hub.now
 	// Stamp the caller with this delivery's rank before it resumes: the
@@ -941,82 +689,85 @@ func (g *ShardGroup) respond(sh *Shard, caller *Proc) *xcall {
 	// tie-break by it (xcallBefore).
 	g.deliverSeq++
 	caller.xrank = g.deliverSeq
-	dl := leafCmd{
+	sh.cmds <- leafCmd{
 		kind: cmdDeliver, at: at, resume: caller,
 		sched: g.hub.curSched, anc: g.hub.curAnc,
 	}
+	st := <-sh.replies
 	g.mu.Lock()
-	dl.capSched, dl.capAnc, dl.capped = g.ownCapLocked(sh, at)
-	g.mu.Unlock()
-	sh.cmds <- dl
-	for {
-		st := <-sh.replies
-		if len(st.calls) == 1 {
-			c := st.calls[0]
-			// Refresh the shard's published state from the snapshot
-			// before acting on the call: the chained closure may park on
-			// a hub primitive for a long stretch, and the drain's publish
-			// hook has left the horizon at some already-executed event
-			// time. Without this the hub can wedge on a stale horizon no
-			// reply will ever overwrite (hasNext=false with a finite
-			// horizon blocks EIT forever). The shard stays parked —
-			// outstanding is unchanged below.
-			g.mu.Lock()
-			g.absorbNextLocked(sh, &st)
-			g.mu.Unlock()
-			if c.at != at {
-				panic(fmt.Sprintf("sim: shard %d issued a call at %v while draining %v", sh.id, c.at, at))
-			}
-			// Execute it inline at the proxy's event position, exactly
-			// where the single-kernel instant would have run its closure.
-			// The chain then responds to that caller, which resumes it and
-			// keeps draining the instant. One call completed and one
-			// opened — outstanding unchanged.
-			return c
-		}
-		// Instant drained. Absorb the shard's new state.
-		g.mu.Lock()
-		sh.outstanding--
-		stillParked := sh.outstanding > 0
-		g.absorbNextLocked(sh, &st)
-		switch {
-		case stillParked:
-			sh.state.Store(int32(leafParked))
-		case !st.hasNext:
-			sh.state.Store(int32(leafFinished))
-		default:
-			sh.state.Store(int32(leafRunning))
-		}
+	// Refresh the shard's published state even when it parked again: a
+	// chained closure may park on a hub primitive for a long stretch, and
+	// the drain's publish hook has left the horizon at some
+	// already-executed event time.
+	g.absorbNextLocked(sh, &st)
+	if c := st.call; c != nil {
 		g.mu.Unlock()
-		if st.hasNext {
-			// Whether parked (hub-driven) or freed, the shard may yet
-			// inject work at next: the current run window must stop short
-			// of it.
-			if lim := st.next - 1; g.hub.limited && lim < g.hub.limit {
-				g.hub.limit = lim
-			}
+		if c.at != at {
+			panic(fmt.Sprintf("sim: shard %d issued a call at %v while draining %v", sh.id, c.at, at))
 		}
-		if !stillParked && st.hasNext {
-			sh.cmds <- leafCmd{kind: cmdFree}
-		}
-		return nil
+		// Execute it inline at the proxy's event position, exactly where
+		// the single-kernel instant would have run its closure. The shard
+		// stays parked.
+		return c
 	}
+	if st.hasNext {
+		sh.state.Store(int32(leafRunning))
+	} else {
+		sh.state.Store(int32(leafFinished))
+	}
+	g.mu.Unlock()
+	if st.hasNext {
+		if lim := st.next - 1; g.hub.limited && lim < g.hub.limit {
+			g.hub.limit = lim
+		}
+		sh.cmds <- leafCmd{kind: cmdFree}
+	}
+	return nil
 }
 
-// waitHorizon blocks until every shard's horizon clears target, the
-// inbox holds more than the seen requests the hub chose target from, or
-// a parked shard becomes drivable — each of which changes what the hub
-// should do next. Counting from the hub's peek rather than from entry
-// matters: a request posted in between may be the very one every
-// horizon is waiting on.
-func (g *ShardGroup) waitHorizon(target Time, seen int) {
+// waitHorizon blocks until every shard's horizon clears target or the
+// inbox holds more than the seen requests the hub chose target from —
+// either changes what the hub should do next. Counting from the hub's
+// peek rather than from entry matters: a request posted in between may
+// be the very one every horizon is waiting on. It returns false, with
+// the stall recorded, once every shard holding a horizon at or below
+// target is parked: a parked leaf runs nothing until the hub delivers
+// its call, and the hub has nothing below target to run, so no wait
+// could end.
+func (g *ShardGroup) waitHorizon(target Time, seen int) bool {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.want.Store(int64(target))
-	for g.eit() <= target && g.inbox.len() == seen && !g.drivableLocked(target) {
+	defer g.want.Store(horizonInfinity)
+	for g.eit() <= target && g.inbox.len() == seen {
+		if sh := g.parkedBlockerLocked(target); sh != nil {
+			g.stall = g.stallReportLocked(fmt.Sprintf(
+				"shard %d is parked in a call with local work at %v, at or below the hub's next obligation at %v",
+				sh.id, Time(sh.horizon.Load()), target))
+			return false
+		}
 		g.cond.Wait()
 	}
-	g.want.Store(horizonInfinity)
-	g.mu.Unlock()
+	return true
+}
+
+// parkedBlockerLocked returns the lowest-numbered shard whose horizon is
+// at or below target when every such shard is parked, and nil while any
+// of them still runs. Callers hold g.mu.
+func (g *ShardGroup) parkedBlockerLocked(target Time) *Shard {
+	var first *Shard
+	for _, sh := range g.shards {
+		if Time(sh.horizon.Load()) > target {
+			continue
+		}
+		if leafState(sh.state.Load()) != leafParked {
+			return nil
+		}
+		if first == nil {
+			first = sh
+		}
+	}
+	return first
 }
 
 // quiesceOrWait handles the hub-idle state: true means the group is
@@ -1028,9 +779,6 @@ func (g *ShardGroup) quiesceOrWait() bool {
 	defer g.mu.Unlock()
 	for {
 		if g.inbox.len() > 0 {
-			return false
-		}
-		if g.drivableLocked(maxTime) {
 			return false
 		}
 		anyRunning, allFinished := false, true
@@ -1047,25 +795,24 @@ func (g *ShardGroup) quiesceOrWait() bool {
 		}
 		if !anyRunning {
 			// Shards parked in calls whose proxies are parked on hub
-			// primitives nobody will fire, with no hub events, no queued
-			// requests and nothing drivable: the sharded image of a model
-			// deadlock (or a wedged protocol). Capture diagnostics and
-			// stop instead of hanging; callers inspect Stall and
-			// DeadlockReport.
-			g.stall = g.stallReportLocked()
+			// primitives nobody will fire, with no hub events and no queued
+			// requests: the sharded image of a model deadlock (or a wedged
+			// protocol). Capture diagnostics and stop instead of hanging;
+			// callers inspect Stall and DeadlockReport.
+			g.stall = g.stallReportLocked("no hub work is left and every unfinished shard is parked in a call")
 			return true
 		}
 		g.cond.Wait()
 	}
 }
 
-// stallReportLocked assembles the diagnostic for a wedged group.
-func (g *ShardGroup) stallReportLocked() string {
+// stallReportLocked assembles the diagnostic for a wedged group: why it
+// stopped, then every shard's state and horizon.
+func (g *ShardGroup) stallReportLocked(why string) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "shard group stalled at hub time %v:", g.hub.now)
+	fmt.Fprintf(&sb, "shard group stalled at hub time %v: %s", g.hub.now, why)
 	for _, sh := range g.shards {
-		fmt.Fprintf(&sb, "\n  shard %d: state=%d horizon=%d outstanding=%d",
-			sh.id, sh.state.Load(), sh.horizon.Load(), sh.outstanding)
+		fmt.Fprintf(&sb, "\n  shard %d: state=%d horizon=%d", sh.id, sh.state.Load(), sh.horizon.Load())
 	}
 	return sb.String()
 }

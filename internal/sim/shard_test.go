@@ -3,13 +3,14 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestHorizonQueueOrdering exercises the inbound-request queue: peek
-// and takeMin return entries in (at, sched, anc, rank, src, seq)
-// injection order regardless of arrival order.
+// and takeMin return entries in (at, sched, anc, rank, src) injection
+// order regardless of arrival order.
 func TestHorizonQueueOrdering(t *testing.T) {
 	var q horizonQueue
 	mk := func(at Time, src int32) *xcall { return &xcall{at: at, src: src} }
@@ -144,55 +145,77 @@ func TestShardGroupLookaheadAdvance(t *testing.T) {
 	}
 }
 
-// TestShardGroupParkedLeafDriven pins how a parked shard makes
-// progress: a Call executes on the hub at its issue time, the caller
-// resumes at the hub completion time, and while the call is held open
-// the shard's remaining local events are hub-driven inside the
-// conservative window (its horizon is its next local event, not +inf).
-func TestShardGroupParkedLeafDriven(t *testing.T) {
-	g := NewShardGroup(1)
+// TestShardGroupParkedLeafLocalWorkStalls pins the one-call protocol's
+// limit: a parked shard runs nothing until its call is delivered, so a
+// local event of a parked leaf below the hub's next obligation can never
+// run. The group must stop with a Stall that names that shard, not
+// hang, and leave the parked work unrun.
+func TestShardGroupParkedLeafLocalWorkStalls(t *testing.T) {
+	g := NewShardGroup(2)
 	defer g.Close()
-	sh := g.Shard(0)
+	sh := g.Shard(1)
 	sig := NewSignal()
-	var fired atomic.Bool
-	var callAt Time
-	var leafLog []string
-	sh.Kernel().At(20, func() {
-		leafLog = append(leafLog, fmt.Sprintf("timer@20 fired=%v", fired.Load()))
-	})
+	var timerRan, hubRan, resumed bool
+	sh.Kernel().At(20, func() { timerRan = true })
 	sh.Kernel().Spawn("caller", func(p *Proc) {
 		p.Delay(10)
-		sh.Call(p, func(hp *Proc) {
-			callAt = hp.Now()
-			sig.Wait(hp) // held open until the hub event at 30 fires
-		})
-		leafLog = append(leafLog, fmt.Sprintf("resumed@%v", p.Now()))
+		sh.Call(p, func(hp *Proc) { sig.Wait(hp) }) // held open until the hub event at 30
+		resumed = true
 	})
 	g.Hub().At(30, func() {
-		fired.Store(true)
+		hubRan = true
 		sig.Fire()
 	})
-	if end := g.Run(); end != 30 {
-		t.Fatalf("end = %v, want 30", end)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g.Run()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ShardGroup.Run hung on a parked leaf with local work below the hub's obligation")
 	}
-	if callAt != 10 {
-		t.Errorf("call executed on hub at %v, want its issue time 10", callAt)
+	stall := g.Stall()
+	if !strings.Contains(stall, "shard 1 is parked") {
+		t.Fatalf("stall does not name shard 1 as the parked blocker:\n%s", stall)
 	}
-	// The leaf timer at 20 must have been driven while the call was still
-	// held open (before the hub event at 30), in local order.
-	if len(leafLog) != 2 || leafLog[0] != "timer@20 fired=false" || leafLog[1] != "resumed@30ns" {
-		t.Errorf("leaf log = %v, want [timer@20 fired=false resumed@30ns]", leafLog)
-	}
-	if g.Stall() != "" {
-		t.Fatalf("unexpected stall: %s", g.Stall())
+	if timerRan || hubRan || resumed {
+		t.Errorf("stalled run executed parked work: leaf timer %v, hub event %v, caller resumed %v",
+			timerRan, hubRan, resumed)
 	}
 }
 
+// TestShardCallSecondConcurrentCallPanics pins the one-call rule: while
+// one process of a shard is parked in Call, a Call by another process of
+// the same shard panics, naming the shard. The leaf kernel runs on the
+// test goroutine, the way a leaf goroutine runs it, so the panic is
+// observable.
+func TestShardCallSecondConcurrentCallPanics(t *testing.T) {
+	g := NewShardGroup(3)
+	defer g.Close()
+	sh := g.Shard(2)
+	k := sh.Kernel()
+	for _, name := range []string{"first", "second"} {
+		k.Spawn(name, func(p *Proc) { sh.Call(p, func(*Proc) {}) })
+	}
+	k.Run() // "first" parks in its Call, which stops the run
+	k.stopped = false
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "second concurrent Call on shard 2") {
+			t.Fatalf("second Call panicked with %v, want one naming shard 2", r)
+		}
+	}()
+	k.Run()
+	t.Fatal("a second concurrent Call on one shard did not panic")
+}
+
 // TestShardGroupContendedCallDeterminism reruns a contended workload —
-// back-to-back Calls on one hub resource (the second a same-instant
-// follow-on run inline by the first's proxy) plus local timers the hub
-// must drive — under varying GOMAXPROCS and requires an identical grant
-// history each time.
+// back-to-back Calls on one hub resource, the second a same-instant
+// follow-on run inline by the first's proxy — under varying GOMAXPROCS
+// and requires an identical grant history each time.
 func TestShardGroupContendedCallDeterminism(t *testing.T) {
 	workload := func() []Time {
 		g := NewShardGroup(3)
@@ -201,7 +224,6 @@ func TestShardGroupContendedCallDeterminism(t *testing.T) {
 		var hist []Time
 		for i := 0; i < 3; i++ {
 			sh := g.Shard(i)
-			sh.Kernel().At(Time(5+3*i), func() {}) // local events to drive
 			sh.Kernel().Spawn(fmt.Sprintf("u%d", i), func(p *Proc) {
 				for r := 0; r < 3; r++ {
 					p.Delay(Time(4 + i))

@@ -16,14 +16,15 @@ import (
 
 // runActive executes one task on an Active Disk configuration: on one
 // kernel, or partitioned across a ShardGroup under ModeParallel when
-// the run is shardable. Both placements share the task bodies and the
-// epilogue.
+// the run is shardable. Both placements share the epilogue; the tasks
+// that shard write their bodies once against the placement seam, and
+// sort, join and mview, which never shard, take the one kernel.
 func runActive(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *Result,
 	plan *fault.Plan, sink *probe.Sink, rc *runCtl) {
 	var pl placement
 	var s *diskos.System
 	var leafSinks []*probe.Sink
-	if rc.mode == ModeParallel && shardable(cfg, plan) {
+	if rc.mode == ModeParallel && shardable(task, cfg, plan) {
 		g := sim.NewShardGroup(cfg.Disks)
 		defer g.Close()
 		g.Hub().SetProbe(sink)
@@ -59,15 +60,15 @@ func runActive(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *
 	case workload.GroupBy:
 		done = activeGroupBy(&pl, s, ds, res)
 	case workload.Sort:
-		done = activeSort(&pl, s, ds, res)
+		done = activeSort(pl.k, s, ds, res)
 	case workload.DataCube:
 		done = activeCube(&pl, s, ds, res)
 	case workload.Join:
-		done = activeJoin(&pl, s, ds, res)
+		done = activeJoin(pl.k, s, ds, res)
 	case workload.DataMine:
 		done = activeMine(&pl, s, ds, res)
 	case workload.MView:
-		done = activeMView(&pl, s, ds, res)
+		done = activeMView(pl.k, s, ds, res)
 	default:
 		panic(fmt.Sprintf("tasks: unknown task %v", task))
 	}
@@ -79,10 +80,10 @@ func runActive(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *
 	var deadlock string
 	if !completed {
 		deadlock = pl.deadlockReport()
+		if pl.g != nil {
+			deadlock = pl.g.Stall() + "\n" + deadlock
+		}
 		if plan == nil {
-			if pl.g != nil {
-				deadlock = pl.g.Stall() + "\n" + deadlock
-			}
 			panic(fmt.Sprintf("tasks: %v on %s deadlocked at %v\n%s", task, cfg.Name(), res.Elapsed, deadlock))
 		}
 	}
@@ -291,9 +292,9 @@ func activeGroupBy(pl *placement, s *diskos.System, ds workload.Dataset, res *Re
 // tuple to its destination disk (partitioner disklet), accumulates
 // arriving tuples into runs (sorter disklet), sorts and writes each run;
 // phase 2 merges the runs and writes the sorted output. The breakdown
-// buckets match Figure 3's legend. The CPU counters accumulate per disk
-// and fold into the shared totals in each disklet's final crossing.
-func activeSort(pl *placement, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+// buckets match Figure 3's legend. Each disk runs two disklets, so sort
+// never shards: it runs on one kernel in both exec modes.
+func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(s.Disks)
 	per := perNodeBytes(ds.TotalBytes, d)
 	capEach := s.Disks[0].Disk.Capacity()
@@ -312,26 +313,23 @@ func activeSort(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 	res.Details["run_bytes"] = float64(runBytes)
 
 	hz := s.Disks[0].CPU.Hz()
-	var cPart, cAppend, cSort, cMerge int64 // hub-owned: folded in crossings
+	var cPart, cAppend, cSort, cMerge int64
 	var p1End sim.Time
 
 	type runState struct {
 		fill     int64
 		runSizes []int64
 		mu       *sim.Mutex // partitioner and sorter disklets share the run buffer
-		cAppend  int64      // disk-local until the sorter's final fold
-		cSort    int64
 	}
 	states := make([]*runState, d)
 	for i := range states {
-		states[i] = &runState{mu: sim.NewMutex(pl.kernel(i), fmt.Sprintf("run%d", i))}
+		states[i] = &runState{mu: sim.NewMutex(k, fmt.Sprintf("run%d", i))}
 	}
 
 	// absorb accumulates arriving bytes into the current run, sorting
 	// and writing whenever the run buffer fills. The run buffer is
 	// shared between the partitioner (local share) and sorter (remote
-	// tuples) disklets, so flushes are serialized; both live on the
-	// disk's own kernel.
+	// tuples) disklets, so flushes are serialized.
 	absorb := func(p *sim.Proc, i int, bytes int64) {
 		ad := s.Disks[i]
 		st := states[i]
@@ -339,12 +337,12 @@ func activeSort(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 		defer st.mu.Unlock()
 		t := tuplesIn(bytes, ds.TupleBytes)
 		ad.Compute(p, t*AppendCycles)
-		st.cAppend += t * AppendCycles
+		cAppend += t * AppendCycles
 		st.fill += bytes
 		for st.fill >= runBytes {
 			rt := tuplesIn(runBytes, ds.TupleBytes)
 			ad.Compute(p, rt*RunSortCycles)
-			st.cSort += rt * RunSortCycles
+			cSort += rt * RunSortCycles
 			var written int64
 			for _, r := range st.runSizes {
 				written += r
@@ -355,42 +353,41 @@ func activeSort(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 		}
 	}
 
-	barrier := sim.NewBarrier(pl.hub(), "sort.p1", d)
+	barrier := sim.NewBarrier(k, "sort.p1", d)
 	readers := sim.NewWaitGroup(d)
 	sorters := sim.NewWaitGroup(d)
 	done := sim.NewSignal()
 
 	for i := range s.Disks {
-		ad, k := s.Disks[i], pl.kernel(i)
+		ad := s.Disks[i]
 		peers := peersOf(i, d)
 		// Partitioner disklet: scan local input, keep the local share,
 		// stream the rest to peer disks in rotating batches.
 		k.Spawn(fmt.Sprintf("part%d", i), func(p *sim.Proc) {
-			var local int64
 			rot := 0
 			chunksOf(per, func(off, n int64) {
 				ad.ReadLocal(p, off, n)
 				t := tuplesIn(n, ds.TupleBytes)
 				ad.Compute(p, t*PartitionCycles)
-				local += t * PartitionCycles
+				cPart += t * PartitionCycles
 				remote := n * int64(d-1) / int64(d)
 				if remote > 0 && len(peers) > 0 {
-					pl.send(p, ad, peers[rot], remote)
+					ad.Send(p, peers[rot], remote, nil)
 					rot = (rot + 1) % len(peers)
 				}
 				absorb(p, i, n-remote)
 			})
-			pl.cross(p, i, func(*sim.Proc) {
-				cPart += local
-				readers.Done()
-			})
+			readers.Done()
 		})
 		// Sorter disklet: absorb arriving tuples into runs, then merge.
-		// Each chunk's credit release rides the next Recv.
+		// Each chunk's credit is released just before the next Recv.
 		k.Spawn(fmt.Sprintf("sort%d", i), func(p *sim.Proc) {
 			var rel int64
 			for {
-				c, ok := pl.recv(p, ad, rel)
+				if rel > 0 {
+					ad.Release(rel)
+				}
+				c, ok := ad.Recv(p)
 				if !ok {
 					break
 				}
@@ -401,7 +398,7 @@ func activeSort(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 			if st.fill > 0 {
 				t := tuplesIn(st.fill, ds.TupleBytes)
 				ad.Compute(p, t*RunSortCycles)
-				st.cSort += t * RunSortCycles
+				cSort += t * RunSortCycles
 				var written int64
 				for _, r := range st.runSizes {
 					written += r
@@ -411,31 +408,22 @@ func activeSort(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 				st.runSizes = append(st.runSizes, sz)
 				st.fill = 0
 			}
-			pl.cross(p, i, func(hp *sim.Proc) {
-				barrier.Wait(hp)
-				if i == 0 {
-					p1End = hp.Now()
-				}
-			})
-			var mergeC int64
-			activeMerge(p, ad, st.runSizes, runRegion, outRegion, ds.TupleBytes, &mergeC)
-			ca, cs := st.cAppend, st.cSort // the crossing reads no leaf state
-			pl.cross(p, i, func(*sim.Proc) {
-				cAppend += ca
-				cSort += cs
-				cMerge += mergeC
-				sorters.Done()
-			})
+			barrier.Wait(p)
+			if i == 0 {
+				p1End = p.Now()
+			}
+			activeMerge(p, ad, st.runSizes, runRegion, outRegion, ds.TupleBytes, &cMerge)
+			sorters.Done()
 		})
 	}
 	// Close inboxes once every partitioner has finished sending.
-	pl.hub().Spawn("closer", func(p *sim.Proc) {
+	k.Spawn("closer", func(p *sim.Proc) {
 		readers.Wait(p)
 		for _, ad := range s.Disks {
 			ad.CloseInbox()
 		}
 	})
-	pl.hub().Spawn("coord", func(p *sim.Proc) {
+	k.Spawn("coord", func(p *sim.Proc) {
 		sorters.Wait(p)
 		// Attribute CPU buckets (average per disk) and idle remainders,
 		// matching Figure 3's legend.
@@ -620,8 +608,9 @@ func activeCube(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 // activeJoin is the Grace-style project-join: both relations are
 // scanned, projected to 32-byte tuples and hash-repartitioned across the
 // disks; each disk then joins its partitions locally (build + probe per
-// Grace partition) and writes the output.
-func activeJoin(pl *placement, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+// Grace partition) and writes the output. Each disk runs two disklets,
+// so join never shards.
+func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(s.Disks)
 	rBytes := ds.TotalBytes / 2
 	sBytes := ds.TotalBytes - rBytes
@@ -638,14 +627,14 @@ func activeJoin(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 
 	done := sim.NewSignal()
 	var phase [2]*sim.Barrier
-	phase[0] = sim.NewBarrier(pl.hub(), "join.p1", d)
-	phase[1] = sim.NewBarrier(pl.hub(), "join.p2", d)
+	phase[0] = sim.NewBarrier(k, "join.p1", d)
+	phase[1] = sim.NewBarrier(k, "join.p2", d)
 	readersR := sim.NewWaitGroup(d)
 	readersS := sim.NewWaitGroup(d)
 	workers := sim.NewWaitGroup(d)
 
 	for i := range s.Disks {
-		ad, k := s.Disks[i], pl.kernel(i)
+		ad := s.Disks[i]
 		peers := peersOf(i, d)
 		// shuffle scans a local relation partition, projects it and
 		// streams the remote share to peers.
@@ -658,7 +647,7 @@ func activeJoin(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 				proj := int64(float64(n) * projFrac)
 				remote := proj * int64(d-1) / int64(d)
 				if remote > 0 && len(peers) > 0 {
-					pl.send(p, ad, peers[rot], remote)
+					ad.Send(p, peers[rot], remote, nil)
 					rot = (rot + 1) % len(peers)
 				}
 			})
@@ -666,21 +655,19 @@ func activeJoin(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 		// Scanner disklet: project+shuffle R, barrier, then S.
 		k.Spawn(fmt.Sprintf("jscan%d", i), func(p *sim.Proc) {
 			shuffle(p, perR)
-			pl.cross(p, i, func(hp *sim.Proc) {
-				readersR.Done()
-				phase[0].Wait(hp)
-				if i == 0 {
-					res.Details["p1_seconds"] = hp.Now().Seconds()
-				}
-			})
+			readersR.Done()
+			phase[0].Wait(p)
+			if i == 0 {
+				res.Details["p1_seconds"] = p.Now().Seconds()
+			}
 			shuffle(p, perS)
-			pl.cross(p, i, func(*sim.Proc) { readersS.Done() })
+			readersS.Done()
 		})
 		// Writer disklet: receive projected tuples (both relations,
 		// locally retained share accounted analytically), write the
 		// partition files, then build+probe each Grace partition. The
-		// credit release is its own crossing: it follows the append
-		// compute but precedes the (possible) partition write.
+		// credit release follows the append compute but precedes the
+		// (possible) partition write.
 		k.Spawn(fmt.Sprintf("jwork%d", i), func(p *sim.Proc) {
 			var pend, written int64
 			flush := func(final bool) {
@@ -692,26 +679,24 @@ func activeJoin(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 				}
 			}
 			for {
-				c, ok := pl.recv(p, ad, 0)
+				c, ok := ad.Recv(p)
 				if !ok {
 					break
 				}
 				t := tuplesIn(c.Bytes, ds.ProjectedTupleBytes)
 				ad.Compute(p, t*AppendCycles/4)
 				pend += c.Bytes
-				pl.release(p, ad, c.Bytes)
+				ad.Release(c.Bytes)
 				flush(false)
 			}
 			// Locally retained projected share of both relations.
 			local := (projR + projS) / int64(d)
 			pend += local
 			flush(true)
-			pl.cross(p, i, func(hp *sim.Proc) {
-				phase[1].Wait(hp)
-				if i == 0 {
-					res.Details["p2_seconds"] = hp.Now().Seconds() - res.Details["p1_seconds"]
-				}
-			})
+			phase[1].Wait(p)
+			if i == 0 {
+				res.Details["p2_seconds"] = p.Now().Seconds() - res.Details["p1_seconds"]
+			}
 
 			// Local Grace join over the received partitions.
 			totalPart := written
@@ -733,17 +718,17 @@ func activeJoin(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 					outOff += alignSector(out)
 				}
 			})
-			pl.cross(p, i, func(*sim.Proc) { workers.Done() })
+			workers.Done()
 		})
 	}
-	pl.hub().Spawn("closer", func(p *sim.Proc) {
+	k.Spawn("closer", func(p *sim.Proc) {
 		readersR.Wait(p)
 		readersS.Wait(p)
 		for _, ad := range s.Disks {
 			ad.CloseInbox()
 		}
 	})
-	pl.hub().Spawn("coord", func(p *sim.Proc) {
+	k.Spawn("coord", func(p *sim.Proc) {
 		workers.Wait(p)
 		done.Fire()
 	})
@@ -815,7 +800,7 @@ func activeMine(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 					// Wait for the next level's candidates.
 					got := int64(0)
 					for got < counters {
-						c, ok := pl.recv(p, ad, 0)
+						c, ok := pl.recv(p, ad)
 						if !ok {
 							break
 						}
@@ -849,8 +834,8 @@ func activeMine(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 // joined against a scan of the base relation, the resulting derived
 // updates are repartitioned again to the disks owning the view
 // partitions, and the derived relations are read, updated and written
-// back.
-func activeMView(pl *placement, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+// back. Each disk runs two disklets, so mview never shards.
+func activeMView(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(s.Disks)
 	base := perNodeBytes(baseBytes(ds), d)
 	deltas := perNodeBytes(ds.DeltaBytes, d)
@@ -864,10 +849,10 @@ func activeMView(pl *placement, s *diskos.System, ds workload.Dataset, res *Resu
 	done := sim.NewSignal()
 	senders := sim.NewWaitGroup(d)
 	workers := sim.NewWaitGroup(d)
-	applyPhase := sim.NewBarrier(pl.hub(), "mview.apply", d)
+	applyPhase := sim.NewBarrier(k, "mview.apply", d)
 
 	for i := range s.Disks {
-		ad, k := s.Disks[i], pl.kernel(i)
+		ad := s.Disks[i]
 		peers := peersOf(i, d)
 		// Producer disklet: shuffle deltas, scan base + join, shuffle
 		// the derived updates.
@@ -879,7 +864,7 @@ func activeMView(pl *placement, s *diskos.System, ds workload.Dataset, res *Resu
 				ad.Compute(p, t*PartitionCycles/3)
 				remote := n * int64(d-1) / int64(d)
 				if remote > 0 && len(peers) > 0 {
-					pl.send(p, ad, peers[rot], remote)
+					ad.Send(p, peers[rot], remote, nil)
 					rot = (rot + 1) % len(peers)
 				}
 			})
@@ -896,23 +881,26 @@ func activeMView(pl *placement, s *diskos.System, ds workload.Dataset, res *Resu
 				pendUpd += float64(n) * perChunkUpd
 				if int64(pendUpd) >= flushBatch && len(peers) > 0 {
 					remote := int64(pendUpd) * int64(d-1) / int64(d)
-					pl.send(p, ad, peers[rot], remote)
+					ad.Send(p, peers[rot], remote, nil)
 					rot = (rot + 1) % len(peers)
 					pendUpd = 0
 				}
 			})
 			if int64(pendUpd) > 0 && len(peers) > 0 {
-				pl.send(p, ad, peers[rot], int64(pendUpd)*int64(d-1)/int64(d))
+				ad.Send(p, peers[rot], int64(pendUpd)*int64(d-1)/int64(d), nil)
 			}
-			pl.cross(p, i, func(*sim.Proc) { senders.Done() })
+			senders.Done()
 		})
 		// Consumer disklet: absorb shuffled deltas and updates, then
 		// apply updates to the local derived relations. Each chunk's
-		// credit release rides the next Recv.
+		// credit is released just before the next Recv.
 		k.Spawn(fmt.Sprintf("mvapply%d", i), func(p *sim.Proc) {
 			var rel int64
 			for {
-				c, ok := pl.recv(p, ad, rel)
+				if rel > 0 {
+					ad.Release(rel)
+				}
+				c, ok := ad.Recv(p)
 				if !ok {
 					break
 				}
@@ -920,12 +908,10 @@ func activeMView(pl *placement, s *diskos.System, ds workload.Dataset, res *Resu
 				ad.Compute(p, t*AppendCycles/4)
 				rel = c.Bytes
 			}
-			pl.cross(p, i, func(hp *sim.Proc) {
-				applyPhase.Wait(hp)
-				if i == 0 {
-					res.Details["shuffle_seconds"] = hp.Now().Seconds()
-				}
-			})
+			applyPhase.Wait(p)
+			if i == 0 {
+				res.Details["shuffle_seconds"] = p.Now().Seconds()
+			}
 			// Read-modify-write the derived relations.
 			updPerByte := float64(updates) / float64(derived)
 			var outOff int64
@@ -937,16 +923,16 @@ func activeMView(pl *placement, s *diskos.System, ds workload.Dataset, res *Resu
 				ad.WriteLocal(p, stageRegion+outOff, n)
 				outOff += n
 			})
-			pl.cross(p, i, func(*sim.Proc) { workers.Done() })
+			workers.Done()
 		})
 	}
-	pl.hub().Spawn("closer", func(p *sim.Proc) {
+	k.Spawn("closer", func(p *sim.Proc) {
 		senders.Wait(p)
 		for _, ad := range s.Disks {
 			ad.CloseInbox()
 		}
 	})
-	pl.hub().Spawn("coord", func(p *sim.Proc) {
+	k.Spawn("coord", func(p *sim.Proc) {
 		workers.Wait(p)
 		done.Fire()
 	})

@@ -1,10 +1,14 @@
 package tasks
 
-// Placement: where an Active Disk run's processes live. Every Active
-// Disk task body is written once against this seam and runs either on
+// Placement: where an Active Disk run's processes live. The tasks that
+// run one process per disk (select, aggregate, groupby, dcube and
+// dmine) write their bodies once against this seam and run either on
 // one kernel or partitioned across a sim.ShardGroup (-procmode
 // parallel), mirroring the build(cfg, hub, leaf) split that
-// diskos.NewSystem and NewSystemSharded share.
+// diskos.NewSystem and NewSystemSharded share. Sort, join and mview run
+// two disklets per disk, each crossing to the hub; the shard protocol
+// holds at most one call per shard, so those three run on one kernel
+// in both modes and call diskos directly (shardable).
 //
 // Ownership contract when sharded: each disk's media, embedded CPU and
 // scratch live on its own shard kernel, so a disklet spawned on
@@ -15,41 +19,50 @@ package tasks
 // only through the seam:
 //
 //   - per-chunk stream touches go through the typed helpers sendFE,
-//     send, release and recv, which call the diskos method directly on
-//     one kernel and wrap it in one Shard.Call when sharded;
+//     release and recv, which call the diskos method directly on one
+//     kernel and wrap it in one Shard.Call when sharded;
 //   - once-per-disklet coordination (WaitGroup.Done, barrier waits,
-//     folding proc-local loss and cycle counters, Details writes) goes
-//     through cross, which runs its literal inline or on the hub.
+//     folding proc-local loss counters, Details writes) goes through
+//     cross, which runs its literal inline or on the hub.
 //
 // Shard.Call executes its function on the hub at the same virtual time
 // the inline call would have, so a sharded run is byte-equivalent to
 // the single-kernel event run. Hub touches that are adjacent at one
-// instant in the single-kernel run share one crossing (a scan's tail
-// flush, loss fold and completion mark; a sort's credit release riding
-// the next Recv), which keeps every sharded op at the same number of
+// instant share one crossing (a scan's tail flush, loss fold and
+// completion mark), which keeps every sharded op at the same number of
 // hub crossings.
 //
-// Fault plans shard cleanly: injection is a pure function of the
-// per-disk request sequence, straggler windows stretch only the shard's
-// own CPU, and loss accounting stays proc-local until the disklet's
-// final crossing. The one structural exception is replica failover
-// (replica + fail): the scan then reads a peer disk that lives on a
-// different shard, so those plans, and the spare rebuild they enable,
-// run on one kernel (shardable).
+// Fault plans without a drive failure shard cleanly: injection is a
+// pure function of the per-disk request sequence, straggler windows
+// stretch only the shard's own CPU, and loss accounting stays
+// proc-local until the disklet's final crossing. A drive failure does
+// not: it is an event on the disk's own shard kernel, and it can fall
+// while that shard's disklet is parked in a Call, where the hub, which
+// never drives a parked leaf, would stall on it. Replica failover
+// would also read a peer disk on a different shard. So every plan that
+// fails a disk, and the replica failover and spare rebuild that need
+// one, runs on one kernel (shardable).
 
 import (
 	"howsim/internal/arch"
 	"howsim/internal/diskos"
 	"howsim/internal/fault"
 	"howsim/internal/sim"
+	"howsim/internal/workload"
 )
 
 // shardable reports whether a run can execute on a ShardGroup: an
-// Active Disk configuration and no replica failover in the plan
-// (failing over reads a peer shard's disk directly, bypassing the
-// hub-owned stream endpoints).
-func shardable(cfg arch.Config, plan *fault.Plan) bool {
-	return cfg.Kind == arch.KindActiveDisk && (plan == nil || !plan.Replica || plan.FailDisk < 0)
+// Active Disk configuration, a task whose body runs one hub-crossing
+// process per disk (sort, join and mview run two), and no drive failure
+// in the plan (the failure is a leaf-local event that can fall while
+// the disk's disklet is parked in a Call, and failing over reads a
+// peer shard's disk).
+func shardable(task workload.TaskID, cfg arch.Config, plan *fault.Plan) bool {
+	switch task {
+	case workload.Sort, workload.Join, workload.MView:
+		return false
+	}
+	return cfg.Kind == arch.KindActiveDisk && (plan == nil || plan.FailDisk < 0)
 }
 
 // placement places an Active Disk run on one kernel (g == nil) or on a
@@ -123,19 +136,6 @@ func (pl *placement) sendFEOnHub(p *sim.Proc, ad *diskos.ActiveDisk, n int64) {
 	pl.g.Shard(ad.ID).Call(p, func(hp *sim.Proc) { ad.SendToFrontEnd(hp, n, nil) })
 }
 
-// send streams n bytes from ad to peer disk dst.
-func (pl *placement) send(p *sim.Proc, ad *diskos.ActiveDisk, dst int, n int64) {
-	if pl.g == nil {
-		ad.Send(p, dst, n, nil)
-		return
-	}
-	pl.sendOnHub(p, ad, dst, n)
-}
-
-func (pl *placement) sendOnHub(p *sim.Proc, ad *diskos.ActiveDisk, dst int, n int64) {
-	pl.g.Shard(ad.ID).Call(p, func(hp *sim.Proc) { ad.Send(hp, dst, n, nil) })
-}
-
 // release returns n bytes of ad's receive-buffer credit.
 func (pl *placement) release(p *sim.Proc, ad *diskos.ActiveDisk, n int64) {
 	if pl.g == nil {
@@ -149,25 +149,15 @@ func (pl *placement) releaseOnHub(p *sim.Proc, ad *diskos.ActiveDisk, n int64) {
 	pl.g.Shard(ad.ID).Call(p, func(*sim.Proc) { ad.Release(n) })
 }
 
-// recv returns the next chunk from ad's inbox, first releasing rel
-// bytes of credit (none if rel is 0): a release immediately followed by
-// the next Recv is one hub crossing.
-func (pl *placement) recv(p *sim.Proc, ad *diskos.ActiveDisk, rel int64) (diskos.Chunk, bool) {
+// recv returns the next chunk from ad's inbox.
+func (pl *placement) recv(p *sim.Proc, ad *diskos.ActiveDisk) (diskos.Chunk, bool) {
 	if pl.g == nil {
-		if rel > 0 {
-			ad.Release(rel)
-		}
 		return ad.Recv(p)
 	}
-	return pl.recvOnHub(p, ad, rel)
+	return pl.recvOnHub(p, ad)
 }
 
-func (pl *placement) recvOnHub(p *sim.Proc, ad *diskos.ActiveDisk, rel int64) (c diskos.Chunk, ok bool) {
-	pl.g.Shard(ad.ID).Call(p, func(hp *sim.Proc) {
-		if rel > 0 {
-			ad.Release(rel)
-		}
-		c, ok = ad.Recv(hp)
-	})
+func (pl *placement) recvOnHub(p *sim.Proc, ad *diskos.ActiveDisk) (c diskos.Chunk, ok bool) {
+	pl.g.Shard(ad.ID).Call(p, func(hp *sim.Proc) { c, ok = ad.Recv(hp) })
 	return c, ok
 }

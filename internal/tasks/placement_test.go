@@ -8,15 +8,15 @@ import (
 )
 
 // TestPlacementInlineStreamTouchesDoNotAllocate pins the single-kernel
-// path of the typed stream helpers: a send, a send to the front-end and
-// a recv with a piggybacked release must allocate nothing beyond what
-// the direct diskos calls do (a recv from a stocked inbox allocates
-// nothing at all), so the seam adds no per-chunk allocation. Routing
-// them through cross instead allocates the escaping closure, and for
-// recv its captured results, on every call.
+// path of the typed stream helpers: a send to the front-end and a recv
+// followed by its release must allocate nothing beyond what the direct
+// diskos calls do (a recv from a stocked inbox allocates nothing at
+// all), so the seam adds no per-chunk allocation. Routing them through
+// cross instead allocates the escaping closure, and for recv its
+// captured results, on every call.
 func TestPlacementInlineStreamTouchesDoNotAllocate(t *testing.T) {
 	const runs = 400
-	const n = 64 << 10 // send size
+	const n = 64 << 10 // front-end send size
 	const m = 512      // recv chunk size: every recv chunk fits disk 0's credit at once
 	k := sim.NewKernel()
 	defer release(k)
@@ -25,7 +25,7 @@ func TestPlacementInlineStreamTouchesDoNotAllocate(t *testing.T) {
 	ad0, ad1 := s.Disks[0], s.Disks[1]
 	// Stock disk 0's inbox with every chunk the recv measurements take,
 	// so no recv blocks and lets other processes run inside a
-	// measurement; drain the front-end's and disk 1's inboxes.
+	// measurement; drain the front-end's inbox.
 	stocked := sim.NewSignal()
 	k.Spawn("ad1.stock", func(p *sim.Proc) {
 		for i := 0; i < 2*(runs+2); i++ {
@@ -40,19 +40,9 @@ func TestPlacementInlineStreamTouchesDoNotAllocate(t *testing.T) {
 			}
 		}
 	})
-	k.Spawn("ad1.drain", func(p *sim.Proc) {
-		for {
-			c, ok := ad1.Recv(p)
-			if !ok {
-				return
-			}
-			ad1.Release(c.Bytes)
-		}
-	})
 	finished := false
 	k.Spawn("measure", func(p *sim.Proc) {
 		stocked.Wait(p)
-		var rel int64
 		pairs := []struct {
 			name           string
 			direct, helper func()
@@ -60,12 +50,9 @@ func TestPlacementInlineStreamTouchesDoNotAllocate(t *testing.T) {
 			{"sendFE",
 				func() { ad0.SendToFrontEnd(p, n, nil) },
 				func() { pl.sendFE(p, ad0, n) }},
-			{"send",
-				func() { ad0.Send(p, 1, n, nil) },
-				func() { pl.send(p, ad0, 1, n) }},
 			{"recv with release",
-				func() { ad0.Release(rel); c, _ := ad0.Recv(p); rel = c.Bytes },
-				func() { c, _ := pl.recv(p, ad0, rel); rel = c.Bytes }},
+				func() { c, _ := ad0.Recv(p); ad0.Release(c.Bytes) },
+				func() { c, _ := pl.recv(p, ad0); pl.release(p, ad0, c.Bytes) }},
 		}
 		// A first pass warms the stream pumps, mailboxes and event slab,
 		// whose one-time growth would otherwise count against one side.
@@ -84,9 +71,7 @@ func TestPlacementInlineStreamTouchesDoNotAllocate(t *testing.T) {
 				t.Errorf("%s: %v allocs per call from a stocked inbox, want 0", c.name, helper)
 			}
 		}
-		ad0.Release(rel)
 		s.FE.Inbox().Close()
-		ad1.CloseInbox()
 		finished = true
 	})
 	k.Run()

@@ -66,14 +66,13 @@ func TestExecModeSortContentionEquivalence(t *testing.T) {
 	})
 }
 
-// TestExecModeShardedTaskEquivalence pins every task the parallel mode
-// actually shards — the hub-and-spoke four plus the communication-heavy
-// sort and join, whose all-to-all repartition streams, credit releases
-// and phase barriers ride the Call channel — at a scale where flushes
-// from many disks contend for the loop, with a probe sink attached: the
-// elapsed time, the detail metrics, the rendered breakdown report and
-// the exported trace must all match the single-kernel event run byte
-// for byte.
+// TestExecModeShardedTaskEquivalence pins every Active Disk task — the
+// five the parallel mode shards, plus sort, join and mview, which run on
+// one kernel in both modes and keep their golden digests here — at a
+// scale where flushes from many disks contend for the loop, with a
+// probe sink attached: the elapsed time, the detail metrics, the
+// rendered breakdown report and the exported trace must all match the
+// single-kernel event run byte for byte.
 func TestExecModeShardedTaskEquivalence(t *testing.T) {
 	for _, task := range []workload.TaskID{
 		workload.Select, workload.Aggregate, workload.GroupBy, workload.DataCube,
@@ -117,14 +116,13 @@ func TestExecModeFaultEquivalence(t *testing.T) {
 }
 
 // TestExecModeShardedFaultEquivalence pins faulted runs of the tasks
-// the parallel mode actually shards: non-replica fault plans no longer
+// the parallel mode shards: fault plans without a drive failure do not
 // fall back to the single-kernel path, so the sharded execution of
-// media retries, silent-corruption rereads, straggler windows, a
-// replica-less drive failure and bus outages must produce byte-identical
-// elapsed times and fault reports. (Replica failover and spare rebuild
-// plans read peer disks across shard boundaries and deliberately stay
-// on the single-kernel path — TestExecModeFaultEquivalence covers
-// them.)
+// media retries, silent-corruption rereads, straggler windows and bus
+// outages must produce byte-identical elapsed times and fault reports.
+// Plans that fail a disk (here the replica-less "fail=2@10ms", and
+// replica failover and spare rebuild) run on one kernel in both modes;
+// this test and TestExecModeFaultEquivalence check that fallback.
 func TestExecModeShardedFaultEquivalence(t *testing.T) {
 	plans := []string{
 		"seed=7,media=0.004,slow=0.002,corrupt=0.003",

@@ -3,7 +3,7 @@
 // after the bench-smoke pass:
 //
 //	go run ./scripts/bench -out /tmp/BENCH_kernel.json
-//	go run ./scripts/bench -pkg . -bench 'ParallelSpeedup/(select|sort|join)$' -out /tmp/BENCH_parallel.json
+//	go run ./scripts/bench -pkg . -bench 'ParallelSpeedup/(select|groupby)$' -out /tmp/BENCH_parallel.json
 //	go run ./scripts/benchguard -current /tmp/BENCH_kernel.json -parallel /tmp/BENCH_parallel.json
 //
 // Three gates:
