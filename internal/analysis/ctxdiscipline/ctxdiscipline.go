@@ -14,9 +14,9 @@
 // Two rules:
 //
 //  1. In howsim/internal/service and howsim/cmd/howsimd, calls that
-//     execute a simulation directly — Run / RunUntil / RunUntilPos on
-//     *sim.Kernel or *sim.ShardGroup, or any tasks.Run* function other
-//     than tasks.RunCtx — are findings.
+//     execute a simulation directly — Run / RunUntil on *sim.Kernel or
+//     *sim.ShardGroup, or any tasks.Run* function other than
+//     tasks.RunCtx — are findings.
 //
 //  2. In those packages plus howsim/internal/tasks, a function that
 //     takes a context.Context must not contain a loop that calls out
@@ -64,9 +64,8 @@ var loopPrefixes = []string{
 // directRunMethods are the kernel-driving methods on *sim.Kernel and
 // *sim.ShardGroup that execute a simulation to (or toward) completion.
 var directRunMethods = map[string]bool{
-	"Run":         true,
-	"RunUntil":    true,
-	"RunUntilPos": true,
+	"Run":      true,
+	"RunUntil": true,
 }
 
 func hasPrefix(path string, prefixes []string) bool {

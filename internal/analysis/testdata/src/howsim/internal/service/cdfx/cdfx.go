@@ -14,10 +14,9 @@ func handle(ctx context.Context, v int) {}
 
 // Rule 1: direct kernel execution.
 func badDirect(k *sim.Kernel, g *sim.ShardGroup) {
-	k.Run()           // want `direct Kernel\.Run call in the service tier: route simulation execution through tasks\.RunCtx`
-	k.RunUntil(10)    // want `direct Kernel\.RunUntil call in the service tier`
-	k.RunUntilPos(10) // want `direct Kernel\.RunUntilPos call in the service tier`
-	g.Run()           // want `direct ShardGroup\.Run call in the service tier`
+	k.Run()        // want `direct Kernel\.Run call in the service tier: route simulation execution through tasks\.RunCtx`
+	k.RunUntil(10) // want `direct Kernel\.RunUntil call in the service tier`
+	g.Run()        // want `direct ShardGroup\.Run call in the service tier`
 }
 
 // Rule 1: context-free tasks entry points.

@@ -6,9 +6,8 @@ type Time = int64
 
 type Kernel struct{}
 
-func (k *Kernel) Run() Time                  { return 0 }
-func (k *Kernel) RunUntil(limit Time) Time   { return 0 }
-func (k *Kernel) RunUntilPos(limit Time) int { return 0 }
+func (k *Kernel) Run() Time                { return 0 }
+func (k *Kernel) RunUntil(limit Time) Time { return 0 }
 
 type ShardGroup struct{}
 

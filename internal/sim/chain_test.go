@@ -195,7 +195,7 @@ func TestChainStepsAreCallbacks(t *testing.T) {
 		wake bool
 	}{{5 * Microsecond, false}, {15 * Microsecond, false}, {25 * Microsecond, true}} {
 		k.RunUntil(step.at)
-		e := k.events.peekEvent()
+		e := &k.events.slab[k.events.peekSlot()]
 		if k.events.len() != 1 || (e.tk == &p.Task) != step.wake {
 			t.Fatalf("at %v: %d pending, head is the wake: %v, want 1 and %v", step.at, k.events.len(), e.tk == &p.Task, step.wake)
 		}

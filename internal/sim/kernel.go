@@ -14,12 +14,20 @@ import (
 // or the wake-up of a parked task (tk) — resuming a process coroutine or
 // dispatching a callback-mode continuation. Events at equal times fire
 // in the order they were scheduled (seq breaks ties), which keeps the
-// simulation deterministic. Each event lives in one slot of the
+// simulation deterministic. Each event lives in one 32-byte slot of the
 // kernel's queue slab from schedule until it runs — scheduling one
 // never allocates, and only 24-byte keys move through the timer heap.
 type event struct {
 	t   Time
 	seq uint64
+	fn  func()
+	tk  *Task
+}
+
+// eventKey is an event's shard-ordering key. Only kernels built by
+// NewShardGroup keep one per event (eventQueue.keys); event mode orders
+// by (t, seq) alone and never writes or reads them.
+type eventKey struct {
 	// schedT is the virtual time at which the event was scheduled. Among
 	// events sharing a timestamp, seq order respects schedT order (an
 	// event scheduled at an earlier instant was necessarily enqueued
@@ -36,8 +44,6 @@ type event struct {
 	// single-kernel order when one level of schedT cannot separate them
 	// (lockstep processes whose chains diverge deeper in their history).
 	anc lineage
-	fn  func()
-	tk  *Task
 }
 
 // lineage is a fixed window of ancestor scheduling instants, newest
@@ -63,32 +69,32 @@ type Kernel struct {
 	blocked int // processes and tasks parked without a pending wake event
 	limit   Time
 	limited bool
-	// posT/posSched/posAnc, when posLimited, additionally bound Run by
-	// scheduling position: events at instant posT whose scheduling key
-	// (schedT, anc) sorts after (posSched, posAnc) stay queued. A
-	// ShardGroup uses the bound on the hub to stop exactly where a
-	// cross-shard request slots into single-kernel order, and on a leaf
-	// to resume a rendezvoused caller exactly at the hub proxy's event
-	// position among the leaf's pending same-instant events.
+	// posT/posKey, when posLimited, additionally bound Run by scheduling
+	// position: events at instant posT whose scheduling key sorts after
+	// posKey stay queued. A ShardGroup uses the bound on the hub to stop
+	// exactly where a cross-shard request slots into single-kernel order,
+	// and on a leaf to resume a rendezvoused caller exactly at the hub
+	// proxy's event position among the leaf's pending same-instant events.
 	posT       Time
-	posSched   Time
-	posAnc     lineage
+	posKey     eventKey
 	posLimited bool
 	stopped    bool
 	// dying is set while Shutdown unwinds live processes: any process
 	// resumed (or attempting to park) while it is set panics with the
 	// kill sentinel instead of continuing its body.
 	dying bool
-	// curSched is the scheduling time of the event currently executing —
-	// the recursive half of the (t, schedT) tie-break key a ShardGroup
-	// uses to slot cross-partition requests into single-kernel order.
-	// curAnc is the executing event's ancestor-lineage vector (event.anc).
-	curSched Time
-	curAnc   lineage
+	// sharded marks a kernel built by NewShardGroup: only such a kernel
+	// keeps a shard-ordering key per event (events.keys) and tracks cur.
+	// Event mode pays one predictable branch in schedule and one in the
+	// loop.
+	sharded bool
+	// cur is the shard-ordering key of the event currently executing —
+	// the recursive half of the (t, schedT) tie-break a ShardGroup uses
+	// to slot cross-partition requests into single-kernel order.
+	cur eventKey
 	// publish, when set, is called with the new virtual time just before
 	// the kernel advances to it — the clock-promise hook a ShardGroup
-	// uses for conservative synchronization. Nil outside sharded runs,
-	// so the hot loop pays one predictable branch.
+	// uses for conservative synchronization. Nil outside leaf kernels.
 	publish func(Time)
 	procSeq int
 	procs   []*Proc // every spawned process, for deadlock reporting
@@ -116,6 +122,12 @@ type Kernel struct {
 // NewKernel returns an empty simulation kernel at time zero.
 func NewKernel() *Kernel {
 	return &Kernel{}
+}
+
+// newShardKernel returns an empty kernel that keeps shard-ordering keys,
+// for a ShardGroup's hub and leaves.
+func newShardKernel() *Kernel {
+	return &Kernel{sharded: true}
 }
 
 // Now returns the current virtual time.
@@ -184,9 +196,13 @@ func (k *Kernel) DeadlockReport() string {
 func (k *Kernel) schedule(t Time, fn func(), tk *Task) {
 	k.seq++
 	s, e := k.events.alloc()
-	e.t, e.seq, e.schedT, e.fn, e.tk = t, k.seq, k.now, fn, tk
-	e.anc[0] = k.curSched
-	copy(e.anc[1:], k.curAnc[:len(e.anc)-1])
+	e.t, e.seq, e.fn, e.tk = t, k.seq, fn, tk
+	if k.sharded {
+		key := k.events.key(s)
+		key.schedT = k.now
+		key.anc[0] = k.cur.schedT
+		copy(key.anc[1:], k.cur.anc[:len(key.anc)-1])
+	}
 	k.events.push(s, k.now)
 }
 
@@ -223,7 +239,7 @@ func (k *Kernel) Run() Time {
 
 // loop is the event loop. Run calls it with self nil: it pops each
 // event in order and runs its callback or resumes its process, until
-// the queue drains, Stop is called or a RunUntil/RunUntilPos bound is
+// the queue drains, Stop is called or a RunUntil/runUntilPos bound is
 // reached. A lone process runs the same loop on its own stack while it
 // parks (runInline) with self set to itself; the loop then returns true
 // as soon as self's own wake comes up — or a callback ends self's chain
@@ -239,23 +255,23 @@ func (k *Kernel) loop(self *Proc) bool {
 				k.now = k.limit
 				return false
 			}
-			if k.posLimited && t == k.posT {
-				e := k.events.peekEvent()
-				if schedKeyAfter(e.schedT, &e.anc, k.posSched, &k.posAnc) {
-					k.now = t
-					return false
-				}
+			if k.posLimited && t == k.posT &&
+				schedKeyAfter(&k.events.keys[k.events.peekSlot()], &k.posKey) {
+				k.now = t
+				return false
 			}
 		}
 		// The popped slot is free again: copy the event out and clear
 		// its references before anything can schedule into it.
-		e := k.events.pop()
+		s := k.events.pop()
+		e := &k.events.slab[s]
 		t, fn, tk := e.t, e.fn, e.tk
 		e.fn, e.tk = nil, nil
-		k.curSched = e.schedT
-		k.curAnc = e.anc
-		if k.publish != nil && t != k.now {
-			k.publish(t)
+		if k.sharded {
+			k.cur = k.events.keys[s]
+			if k.publish != nil && t != k.now {
+				k.publish(t)
+			}
 		}
 		k.now = t
 		k.sched.Count(probe.KindEvents, 1)
@@ -319,37 +335,37 @@ func (k *Kernel) RunUntil(limit Time) Time {
 	return k.Run()
 }
 
-// schedKeyAfter reports whether scheduling key (s, a) sorts strictly
-// after (ps, pa): later scheduling instant first, ancestor lineage as
-// the recursive tie-break. Equal keys are not after — a position bound
-// admits events whose key ties it exactly.
-func schedKeyAfter(s Time, a *lineage, ps Time, pa *lineage) bool {
-	if s != ps {
-		return s > ps
+// schedKeyAfter reports whether scheduling key a sorts strictly after
+// b: later scheduling instant first, ancestor lineage as the recursive
+// tie-break. Equal keys are not after — a position bound admits events
+// whose key ties it exactly.
+func schedKeyAfter(a, b *eventKey) bool {
+	if a.schedT != b.schedT {
+		return a.schedT > b.schedT
 	}
-	for i := range a {
-		if a[i] != pa[i] {
-			return a[i] > pa[i]
+	for i := range a.anc {
+		if a.anc[i] != b.anc[i] {
+			return a.anc[i] > b.anc[i]
 		}
 	}
 	return false
 }
 
-// RunUntilPos executes events up to the scheduling position (limit,
-// sched, anc): every event at instants before limit, plus events at
-// limit whose scheduling key sorts at or before (sched, anc). A
-// ShardGroup uses it to stop a kernel exactly at a single-kernel queue
-// position — the hub where a cross-shard request belongs (an event at
-// the request's instant scheduled after the request's issuing leaf
-// event would have carried a larger sequence number in a single
-// kernel), a leaf where a rendezvoused caller resumes (the hub proxy's
-// event position among the leaf's pending same-instant events).
-func (k *Kernel) RunUntilPos(limit, sched Time, anc lineage) Time {
+// runUntilPos executes events up to the scheduling position (limit,
+// key): every event at instants before limit, plus events at limit
+// whose scheduling key sorts at or before key. A ShardGroup uses it to
+// stop a kernel exactly at a single-kernel queue position — the hub
+// where a cross-shard request belongs (an event at the request's
+// instant scheduled after the request's issuing leaf event would have
+// carried a larger sequence number in a single kernel), a leaf where a
+// rendezvoused caller resumes (the hub proxy's event position among the
+// leaf's pending same-instant events). The kernel must be sharded.
+func (k *Kernel) runUntilPos(limit Time, key eventKey) Time {
 	k.limit, k.limited = limit, true
-	k.posT, k.posSched, k.posAnc, k.posLimited = limit, sched, anc, true
+	k.posT, k.posKey, k.posLimited = limit, key, true
 	defer func() {
 		k.limit, k.limited = 0, false
-		k.posT, k.posSched, k.posAnc, k.posLimited = 0, 0, lineage{}, false
+		k.posT, k.posKey, k.posLimited = 0, eventKey{}, false
 	}()
 	return k.Run()
 }
@@ -363,19 +379,19 @@ func (k *Kernel) NextEventTime() (Time, bool) {
 	return k.events.peekTime(), true
 }
 
-// NextEventKey returns the earliest pending event's timestamp and
+// nextEventKey returns the earliest pending event's timestamp and
 // scheduling key. Within one kernel same-instant events execute in
 // sequence order and sequence order respects scheduling keys, so this
 // is a lower bound on the key of anything the kernel will execute — or
 // send — at that instant. A ShardGroup publishes it so the hub can
 // order a parked leaf's remaining same-instant work against pending
-// cross-shard requests.
-func (k *Kernel) NextEventKey() (t, sched Time, anc lineage, ok bool) {
+// cross-shard requests. The kernel must be sharded.
+func (k *Kernel) nextEventKey() (t Time, key eventKey, ok bool) {
 	if k.events.empty() {
-		return 0, 0, lineage{}, false
+		return 0, eventKey{}, false
 	}
-	e := k.events.peekEvent()
-	return e.t, e.schedT, e.anc, true
+	s := k.events.peekSlot()
+	return k.events.slab[s].t, k.events.keys[s], true
 }
 
 // AdvanceTo moves the clock forward to t without executing anything.

@@ -327,7 +327,7 @@ func TestPipeSegmentedMiddleFramesAreCallbacks(t *testing.T) {
 		if n := k.events.len(); n != 1 {
 			t.Fatalf("at %v: %d pending events, want 1", step.at, n)
 		}
-		e := k.events.peekEvent()
+		e := &k.events.slab[k.events.peekSlot()]
 		if (e.fn != nil) != step.callback || (e.tk == &s.Task) == step.callback {
 			t.Fatalf("at %v: frame end is callback=%v wake=%v, want callback=%v",
 				step.at, e.fn != nil, e.tk == &s.Task, step.callback)

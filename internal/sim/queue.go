@@ -7,12 +7,13 @@ package sim
 //     (mailbox getters/putters, resource waiters, barrier/signal/
 //     waitgroup parties) and for mailbox items;
 //   - eventQueue: the kernel's pending events. Each event lives in one
-//     slot of a slab ([]event plus a free list of int32 slot indices)
-//     from schedule until pop; the orderings move only small keys — a
-//     binary min-heap of 24-byte heapKey{t, seq, slot} values for future
-//     timers, and slotRing, a power-of-two ring of int32 slots holding
-//     the same-timestamp fast lane. No event value is copied while it
-//     is queued.
+//     32-byte slot of a slab ([]event plus a free list of int32 slot
+//     indices) from schedule until pop; the orderings move only small
+//     keys — a binary min-heap of 24-byte heapKey{t, seq, slot} values
+//     for future timers, and slotRing, a power-of-two ring of int32
+//     slots holding the same-timestamp fast lane. No event value is
+//     copied while it is queued. Sharded kernels also keep each slot's
+//     shard-ordering key in a keys array beside the slab.
 //
 // In steady state none of these allocate: slices and ring buffers grow
 // to a high-water mark once and are reused for the rest of the run,
@@ -118,8 +119,12 @@ func keyBefore(a, b *heapKey) bool {
 // current instant. Freed slots are reused LIFO, so the slab, heap, ring
 // and free list all grow once to their high-water mark and scheduling
 // never allocates after that.
+//
+// keys holds slot i's shard-ordering key at keys[i]. Only sharded
+// kernels fill it (through key); in event mode it stays nil.
 type eventQueue struct {
 	slab []event
+	keys []eventKey
 	free []int32
 	heap []heapKey
 	fast slotRing
@@ -142,6 +147,19 @@ func (q *eventQueue) alloc() (int32, *event) {
 	q.slab = append(q.slab, event{})
 	s := int32(len(q.slab) - 1)
 	return s, &q.slab[s]
+}
+
+// key returns a pointer to slot s's shard-ordering key. When s is past
+// the keys array, the array grows to the slab's capacity, so it grows
+// in step with the slab and allocates no more often. The pointer is
+// only valid until the next key call.
+func (q *eventQueue) key(s int32) *eventKey {
+	if int(s) >= len(q.keys) {
+		keys := make([]eventKey, cap(q.slab))
+		copy(keys, q.keys)
+		q.keys = keys
+	}
+	return &q.keys[s]
 }
 
 // push enqueues the filled slot s: into the fast lane when its event is
@@ -180,20 +198,19 @@ func (q *eventQueue) peekTime() Time {
 	return q.slab[q.fast.peek()].t
 }
 
-// peekEvent returns the next event in (t, seq) order across both
-// lanes; the queue must be non-empty. The pointer is only valid until
-// the next alloc or pop.
-func (q *eventQueue) peekEvent() *event {
+// peekSlot returns the slot of the next event in (t, seq) order across
+// both lanes; the queue must be non-empty.
+func (q *eventQueue) peekSlot() int32 {
 	if q.heapFirst() {
-		return &q.slab[q.heap[0].slot]
+		return q.heap[0].slot
 	}
-	return &q.slab[q.fast.peek()]
+	return q.fast.peek()
 }
 
 // pop removes the (t, seq)-least event across both lanes, frees its
-// slot and returns a pointer to it. The caller must copy out what it
-// needs, and clear fn/tk, before anything can alloc again.
-func (q *eventQueue) pop() *event {
+// slot and returns it. The caller must copy out what it needs from the
+// slot, and clear fn/tk, before anything can alloc again.
+func (q *eventQueue) pop() int32 {
 	var s int32
 	if q.heapFirst() {
 		s = q.popHeap()
@@ -201,7 +218,7 @@ func (q *eventQueue) pop() *event {
 		s = q.fast.pop()
 	}
 	q.free = append(q.free, s)
-	return &q.slab[s]
+	return s
 }
 
 func (q *eventQueue) pushHeap(k heapKey) {

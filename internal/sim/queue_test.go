@@ -53,7 +53,7 @@ func TestEventQueueRandomOrder(t *testing.T) {
 	var lastT Time
 	var lastSeq uint64
 	for i := 0; i < 5000; i++ {
-		e := q.pop()
+		e := &q.slab[q.pop()]
 		if i > 0 && (e.t < lastT || (e.t == lastT && e.seq < lastSeq)) {
 			t.Fatalf("pop %d: event (t=%v seq=%d) after (t=%v seq=%d)",
 				i, e.t, e.seq, lastT, lastSeq)
@@ -173,10 +173,10 @@ func FuzzEventQueueOrder(f *testing.F) {
 			if pt := q.peekTime(); pt != want.t {
 				t.Fatalf("peekTime = %v, want %v", pt, want.t)
 			}
-			if pe := q.peekEvent(); pe.t != want.t || pe.seq != want.seq {
-				t.Fatalf("peekEvent = (t=%v seq=%d), want (t=%v seq=%d)", pe.t, pe.seq, want.t, want.seq)
+			if pe := &q.slab[q.peekSlot()]; pe.t != want.t || pe.seq != want.seq {
+				t.Fatalf("peekSlot = (t=%v seq=%d), want (t=%v seq=%d)", pe.t, pe.seq, want.t, want.seq)
 			}
-			e := q.pop()
+			e := &q.slab[q.pop()]
 			if e.t != want.t || e.seq != want.seq {
 				t.Fatalf("pop = (t=%v seq=%d), want (t=%v seq=%d)", e.t, e.seq, want.t, want.seq)
 			}

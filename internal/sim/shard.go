@@ -39,7 +39,7 @@
 // ancestor lineage) — not just a time. Three rules provide the order.
 // First, a request is injected at its single-kernel queue position: the
 // hub runs its own events at the request's timestamp only up to the
-// issuing leaf event's key (RunUntilPos) and executes the request
+// issuing leaf event's key (runUntilPos) and executes the request
 // inline there (spawnInline — no start event that would sort after
 // pending events); concurrent requests from different shards order by
 // (key, delivery rank, shard). Second, a call's completion rendezvouses
@@ -74,17 +74,15 @@ const maxTime = Time(math.MaxInt64)
 // process parked until it returns.
 type xcall struct {
 	at Time
-	// sched is the scheduling time of the leaf event that issued the
-	// call: the tie-break that slots same-instant requests from
-	// different shards into single-kernel sequence order (an event
-	// scheduled earlier carries a smaller sequence number).
-	sched Time
-	// anc is the issuing event's ancestor lineage (event.anc): the
-	// scheduling instants of the events up its scheduling chain,
-	// compared when sched alone cannot separate same-instant requests —
-	// in a single kernel the tie recurses to the execution order of the
-	// scheduler events, which recurses to *their* scheduling instants.
-	anc lineage
+	// key is the issuing leaf event's scheduling key. key.schedT is the
+	// tie-break that slots same-instant requests from different shards
+	// into single-kernel sequence order (an event scheduled earlier
+	// carries a smaller sequence number). key.anc, the scheduling
+	// instants up the issuing event's scheduling chain, is compared when
+	// schedT alone cannot separate same-instant requests — in a single
+	// kernel the tie recurses to the execution order of the scheduler
+	// events, which recurses to *their* scheduling instants.
+	key eventKey
 	// rank is the issuing process's delivery rank (Proc.xrank): processes
 	// running in lockstep — released by the same barrier, granted by the
 	// same mailbox — issue requests with identical stamps all the way up
@@ -105,13 +103,8 @@ func xcallBefore(a, b *xcall) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.sched != b.sched {
-		return a.sched < b.sched
-	}
-	for i := range a.anc {
-		if a.anc[i] != b.anc[i] {
-			return a.anc[i] < b.anc[i]
-		}
+	if a.key != b.key {
+		return schedKeyAfter(&b.key, &a.key)
 	}
 	if a.rank != b.rank {
 		return a.rank < b.rank
@@ -183,13 +176,11 @@ type leafCmd struct {
 	kind   int // cmdDeliver | cmdFree | cmdStop
 	at     Time
 	resume *Proc
-	// sched and anc carry the hub's current scheduling lineage into a
-	// cmdDeliver: the position of the proxy event the caller would have
-	// resumed inside in a single kernel. The delivery adopts them, so the
-	// caller's continued chain compares correctly against chains on
-	// other shards.
-	sched Time
-	anc   lineage
+	// key carries the hub's current scheduling key into a cmdDeliver:
+	// the position of the proxy event the caller would have resumed
+	// inside in a single kernel. The delivery adopts it, so the caller's
+	// continued chain compares correctly against chains on other shards.
+	key eventKey
 }
 
 const (
@@ -204,11 +195,10 @@ type leafStatus struct {
 	call    *xcall
 	next    Time // earliest remaining local event (valid when hasNext)
 	hasNext bool
-	// nextSched and nextAnc are the scheduling key of the earliest
-	// remaining event (valid when hasNext): a lower bound on the key of
-	// anything the leaf can still execute — or send — at that instant.
-	nextSched Time
-	nextAnc   lineage
+	// nextKey is the scheduling key of the earliest remaining event
+	// (valid when hasNext): a lower bound on the key of anything the
+	// leaf can still execute — or send — at that instant.
+	nextKey eventKey
 }
 
 // Shard is one leaf partition: a kernel plus the synchronization state
@@ -226,11 +216,10 @@ type Shard struct {
 	horizon atomic.Int64
 	state   atomic.Int32
 
-	// hasNext, nextSched and nextAnc are the hub-side view of a parked
-	// leaf's earliest remaining local event's scheduling key.
-	hasNext   bool    // guarded by g.mu
-	nextSched Time    // guarded by g.mu
-	nextAnc   lineage // guarded by g.mu
+	// hasNext and nextKey are the hub-side view of a parked leaf's
+	// earliest remaining local event's scheduling key.
+	hasNext bool     // guarded by g.mu
+	nextKey eventKey // guarded by g.mu
 
 	cmds    chan leafCmd
 	replies chan leafStatus
@@ -269,7 +258,7 @@ func (sh *Shard) Call(p *Proc, fn func(*Proc)) {
 			sh.id, p.name, c.name))
 	}
 	sh.call = xcall{
-		at: sh.k.now, sched: sh.k.curSched, anc: sh.k.curAnc,
+		at: sh.k.now, key: sh.k.cur,
 		rank: p.xrank, src: sh.id, fn: fn, caller: p,
 	}
 	sh.pending = true
@@ -321,8 +310,8 @@ func (sh *Shard) runSlice() {
 	} else {
 		sh.state.Store(int32(leafFinished))
 	}
-	if t, sched, anc, ok := sh.k.NextEventKey(); ok {
-		sh.hasNext, sh.nextSched, sh.nextAnc = true, sched, anc
+	if t, key, ok := sh.k.nextEventKey(); ok {
+		sh.hasNext, sh.nextKey = true, key
 		sh.horizon.Store(int64(t))
 	} else {
 		sh.hasNext = false
@@ -334,7 +323,7 @@ func (sh *Shard) runSlice() {
 
 // deliver resumes the parked caller at its single-kernel position: the
 // leaf runs its own events at cmd.at keyed at or before the hub event
-// that completed the call (RunUntilPos), resumes the caller inside that
+// that completed the call (runUntilPos), resumes the caller inside that
 // event's lineage, then drains the rest of the instant. It stops at a
 // follow-on Call: the caller parks again at the same instant and the
 // hub runs the call inline. The inline activate adds no scheduler
@@ -343,11 +332,11 @@ func (sh *Shard) runSlice() {
 // counted.
 func (sh *Shard) deliver(cmd *leafCmd) {
 	k := sh.k
-	k.RunUntilPos(cmd.at, cmd.sched, cmd.anc)
+	k.runUntilPos(cmd.at, cmd.key)
 	if k.now < cmd.at {
 		k.AdvanceTo(cmd.at)
 	}
-	k.curSched, k.curAnc = cmd.sched, cmd.anc
+	k.cur = cmd.key
 	sh.call.caller = nil
 	k.activate(cmd.resume, false)
 	k.stopped = false // a follow-on Call stops the run
@@ -366,9 +355,8 @@ func (sh *Shard) takeStatus() leafStatus {
 		sh.pending = false
 		st.call = &sh.call
 	}
-	if t, sched, anc, ok := sh.k.NextEventKey(); ok {
-		st.next, st.hasNext = t, true
-		st.nextSched, st.nextAnc = sched, anc
+	if t, key, ok := sh.k.nextEventKey(); ok {
+		st.next, st.hasNext, st.nextKey = t, true, key
 	}
 	return st
 }
@@ -406,13 +394,13 @@ func NewShardGroup(n int) *ShardGroup {
 	if n < 1 {
 		panic("sim: ShardGroup needs at least one shard")
 	}
-	g := &ShardGroup{hub: NewKernel()}
+	g := &ShardGroup{hub: newShardKernel()}
 	g.cond = sync.NewCond(&g.mu)
 	g.want.Store(horizonInfinity)
 	for i := 0; i < n; i++ {
 		sh := &Shard{
 			id:      int32(i),
-			k:       NewKernel(),
+			k:       newShardKernel(),
 			g:       g,
 			cmds:    make(chan leafCmd),
 			replies: make(chan leafStatus),
@@ -477,7 +465,7 @@ func (g *ShardGroup) DeadlockReport() string {
 // g.mu.
 func (g *ShardGroup) absorbNextLocked(sh *Shard, st *leafStatus) {
 	if st.hasNext {
-		sh.hasNext, sh.nextSched, sh.nextAnc = true, st.nextSched, st.nextAnc
+		sh.hasNext, sh.nextKey = true, st.nextKey
 		sh.horizon.Store(int64(st.next))
 	} else {
 		sh.hasNext = false
@@ -505,7 +493,7 @@ func (g *ShardGroup) clearFor(rq *xcall) bool {
 			continue
 		}
 		if h < rq.at || leafState(sh.state.Load()) != leafParked || !sh.hasNext ||
-			!schedKeyAfter(sh.nextSched, &sh.nextAnc, rq.sched, &rq.anc) {
+			!schedKeyAfter(&sh.nextKey, &rq.key) {
 			return false
 		}
 	}
@@ -606,7 +594,7 @@ func (g *ShardGroup) Run() Time {
 		// earlier-positioned request, so the order is re-evaluated from
 		// scratch after each.
 		if okL && l <= rq.at {
-			g.hub.RunUntilPos(rq.at, rq.sched, rq.anc)
+			g.hub.runUntilPos(rq.at, rq.key)
 			if g.hub.now < rq.at {
 				// The run stopped early — a delivery freed a leaf that may
 				// inject below rq.at (tightening the limit) or the queue
@@ -660,8 +648,7 @@ func (g *ShardGroup) runProxy(rq *xcall) {
 			// The request stands in for its issuing leaf event: hub events
 			// it schedules must carry that event's lineage, exactly as the
 			// closure running inline in a single kernel would.
-			g.hub.curSched = rq.sched
-			g.hub.curAnc = rq.anc
+			g.hub.cur = rq.key
 			rq.fn(p)
 			next := g.respond(sh, rq.caller)
 			if next == nil {
@@ -691,7 +678,7 @@ func (g *ShardGroup) respond(sh *Shard, caller *Proc) *xcall {
 	caller.xrank = g.deliverSeq
 	sh.cmds <- leafCmd{
 		kind: cmdDeliver, at: at, resume: caller,
-		sched: g.hub.curSched, anc: g.hub.curAnc,
+		key: g.hub.cur,
 	}
 	st := <-sh.replies
 	g.mu.Lock()

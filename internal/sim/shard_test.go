@@ -9,7 +9,7 @@ import (
 )
 
 // TestHorizonQueueOrdering exercises the inbound-request queue: peek
-// and takeMin return entries in (at, sched, anc, rank, src) injection
+// and takeMin return entries in (at, schedT, anc, rank, src) injection
 // order regardless of arrival order.
 func TestHorizonQueueOrdering(t *testing.T) {
 	var q horizonQueue
@@ -32,9 +32,9 @@ func TestHorizonQueueOrdering(t *testing.T) {
 		t.Fatalf("queue not empty after draining: len = %d", q.len())
 	}
 	// Same timestamp, deeper keys: sched wins over anc, anc over rank.
-	a := &xcall{at: 10, sched: 5, anc: lineage{9}, rank: 1}
-	b := &xcall{at: 10, sched: 6, anc: lineage{1}, rank: 0}
-	c := &xcall{at: 10, sched: 5, anc: lineage{9}, rank: 2}
+	a := &xcall{at: 10, key: eventKey{schedT: 5, anc: lineage{9}}, rank: 1}
+	b := &xcall{at: 10, key: eventKey{schedT: 6, anc: lineage{1}}, rank: 0}
+	c := &xcall{at: 10, key: eventKey{schedT: 5, anc: lineage{9}}, rank: 2}
 	q.push(c)
 	q.push(b)
 	q.push(a)
