@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // This file holds the kernel's allocation-free queueing machinery:
 //
 //   - fifo[T]: a slice-backed FIFO deque that recycles its backing
@@ -236,7 +238,14 @@ func (q *eventQueue) pushHeap(k heapKey) {
 	q.heap = h
 }
 
-// popHeap removes the heap top and returns its slot.
+// popHeap removes the heap top and returns its slot. It sifts bottom
+// up: the hole left at the root walks down to a leaf along the smaller
+// child, then the former last key sifts up from there. The walk picks
+// each child with the borrow of a 128-bit subtraction instead of a
+// data-dependent branch, and the sift-up usually stops within a level
+// or two, since the last key of a heap sorts late. Keys are unique
+// (seq), so the heap this leaves — and the order of every later pop —
+// is exactly the one a top-down sift would leave.
 func (q *eventQueue) popHeap() int32 {
 	h := q.heap
 	top := h[0].slot
@@ -244,24 +253,37 @@ func (q *eventQueue) popHeap() int32 {
 	last := h[n]
 	h = h[:n]
 	q.heap = h
-	if n > 0 {
-		// Sift the former last key down from the root.
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if r := c + 1; r < n && keyBefore(&h[r], &h[c]) {
-				c = r
-			}
-			if !keyBefore(&h[c], &last) {
-				break
-			}
-			h[i] = h[c]
-			i = c
-		}
-		h[i] = last
+	if n == 0 {
+		return top
 	}
+	i, c := 0, 1
+	for c+1 < n {
+		c += int(lessBit(&h[c+1], &h[c]))
+		h[i] = h[c]
+		i, c = c, 2*c+1
+	}
+	if c < n {
+		// A lone left child at the bottom level.
+		h[i] = h[c]
+		i = c
+	}
+	for i > 0 {
+		p := (i - 1) / 2
+		if !keyBefore(&last, &h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = last
 	return top
+}
+
+// lessBit is keyBefore(a, b) as 0 or 1, computed without a branch: the
+// borrow out of the 128-bit subtraction (a.t, a.seq) − (b.t, b.seq).
+// Times are never negative, so comparing them as unsigned is exact.
+func lessBit(a, b *heapKey) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.t), uint64(b.t), borrow)
+	return borrow
 }
