@@ -65,18 +65,17 @@ type Kernel struct {
 	now     Time
 	events  eventQueue
 	seq     uint64
-	live    int // processes spawned and not yet finished
-	blocked int // processes and tasks parked without a pending wake event
+	live    int32 // processes spawned and not yet finished
+	blocked int32 // processes and tasks parked without a pending wake event
 	limit   Time
-	limited bool
-	// posT/posKey, when posLimited, additionally bound Run by scheduling
-	// position: events at instant posT whose scheduling key sorts after
+	// posKey, when posLimited, additionally bounds Run by scheduling
+	// position: events at instant limit whose scheduling key sorts after
 	// posKey stay queued. A ShardGroup uses the bound on the hub to stop
 	// exactly where a cross-shard request slots into single-kernel order,
 	// and on a leaf to resume a rendezvoused caller exactly at the hub
 	// proxy's event position among the leaf's pending same-instant events.
-	posT       Time
 	posKey     eventKey
+	limited    bool
 	posLimited bool
 	stopped    bool
 	// dying is set while Shutdown unwinds live processes: any process
@@ -148,13 +147,13 @@ func (k *Kernel) Probe() *probe.Sink { return k.probe }
 
 // Live reports the number of processes that have been spawned and have
 // not yet run to completion.
-func (k *Kernel) Live() int { return k.live }
+func (k *Kernel) Live() int { return int(k.live) }
 
 // Blocked reports the number of live processes and callback tasks that
 // are parked waiting on a resource, mailbox, barrier or condition (that
 // is, with no pending timer). A nonzero value after Run returns
 // indicates a deadlock.
-func (k *Kernel) Blocked() int { return k.blocked }
+func (k *Kernel) Blocked() int { return int(k.blocked) }
 
 // DeadlockReport describes every process and callback task currently
 // parked on a blocking primitive: its name and the wait site (operation
@@ -255,7 +254,7 @@ func (k *Kernel) loop(self *Proc) bool {
 				k.now = k.limit
 				return false
 			}
-			if k.posLimited && t == k.posT &&
+			if k.posLimited && t == k.limit &&
 				schedKeyAfter(&k.events.keys[k.events.peekSlot()], &k.posKey) {
 				k.now = t
 				return false
@@ -362,10 +361,10 @@ func schedKeyAfter(a, b *eventKey) bool {
 // leaf's pending same-instant events). The kernel must be sharded.
 func (k *Kernel) runUntilPos(limit Time, key eventKey) Time {
 	k.limit, k.limited = limit, true
-	k.posT, k.posKey, k.posLimited = limit, key, true
+	k.posKey, k.posLimited = key, true
 	defer func() {
 		k.limit, k.limited = 0, false
-		k.posT, k.posKey, k.posLimited = 0, eventKey{}, false
+		k.posKey, k.posLimited = eventKey{}, false
 	}()
 	return k.Run()
 }
@@ -433,9 +432,9 @@ func (k *Kernel) Snapshot() KernelSnapshot {
 	return KernelSnapshot{
 		Now:           k.now,
 		PendingEvents: k.events.len(),
-		Live:          k.live,
+		Live:          int(k.live),
 		LiveTasks:     k.liveTasks,
-		Blocked:       k.blocked,
+		Blocked:       int(k.blocked),
 	}
 }
 
@@ -594,7 +593,7 @@ func (k *Kernel) newProc(name string, body func(*Proc)) *Proc {
 	p.body = body
 	k.live++
 	if !p.inReg {
-		if len(k.procs) >= 64 && len(k.procs) >= 2*k.live {
+		if len(k.procs) >= 64 && len(k.procs) >= 2*int(k.live) {
 			// Mostly-finished registry: compact so long runs that spawn
 			// short-lived processes don't accumulate dead entries.
 			live := k.procs[:0]
