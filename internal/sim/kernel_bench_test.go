@@ -18,7 +18,22 @@ import (
 // process switches. This is the disk/bus model's dominant pattern
 // (seek timers, transfer completions).
 func BenchmarkKernelEventThroughput(b *testing.B) {
-	k := NewKernel()
+	benchTimers(b, NewKernel())
+}
+
+// BenchmarkKernelEventThroughputSharded is the same timer loop on a
+// ShardGroup's hub kernel, which also writes and reads each event's
+// shard-ordering key (eventQueue.keys). benchguard gates it at 0
+// allocs/op, so the keys array can never start allocating per event.
+func BenchmarkKernelEventThroughputSharded(b *testing.B) {
+	g := NewShardGroup(1)
+	defer g.Close()
+	benchTimers(b, g.Hub())
+}
+
+// benchTimers runs b.N events of 256 self-rescheduling timer callbacks
+// with delays 1..97 on k.
+func benchTimers(b *testing.B, k *Kernel) {
 	const timers = 256
 	remaining := b.N
 	fns := make([]func(), timers)
@@ -246,25 +261,7 @@ func BenchmarkKernelEventThroughputProbeOff(b *testing.B) {
 	sink := probe.NewSink()
 	sink.SetEnabled(false)
 	k.SetProbe(sink)
-	const timers = 256
-	remaining := b.N
-	fns := make([]func(), timers)
-	for i := range fns {
-		d := Time(i%97 + 1)
-		fns[i] = func() {
-			if remaining > 0 {
-				remaining--
-				k.After(d, fns[i%timers])
-			}
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i, fn := range fns {
-		k.After(Time(i+1), fn)
-	}
-	k.Run()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	benchTimers(b, k)
 }
 
 // benchPipeTransfers drives back-to-back callback-mode pipe transfers —

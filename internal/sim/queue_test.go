@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // TestFastLaneHeapInterleaving pins the subtle ordering case the fast
@@ -152,6 +153,18 @@ func FuzzEventQueueOrder(f *testing.F) {
 	f.Add([]byte{8, 4, 0, 3, 0, 0, 3, 3, 3, 3})
 	f.Add([]byte{252, 4, 4, 8, 3, 0, 4, 3, 0, 3, 3, 3, 3})
 	f.Add([]byte("interleave heap and fast lane pushes with pops"))
+	// A deep heap: 450 pushes cycling through five delays (so many keys
+	// tie on t and order by seq), then pop/push/pop rounds that drain it
+	// to 150 while pushes land among the queued keys. popHeap walks 9
+	// levels to a leaf and sifts up again, through both heap parities.
+	deep := make([]byte, 0, 1350)
+	for i := 0; i < 450; i++ {
+		deep = append(deep, byte(4*(1+i%5)))
+	}
+	for i := 0; i < 300; i++ {
+		deep = append(deep, 3, byte(4*(1+i%3)), 3)
+	}
+	f.Add(deep)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		type key struct {
 			t   Time
@@ -203,6 +216,91 @@ func FuzzEventQueueOrder(f *testing.F) {
 			t.Fatal("queue not empty after draining the model")
 		}
 	})
+}
+
+// TestEventSlotSize pins the event slot at 32 bytes: {t, seq, fn, tk}.
+// Shard-ordering keys live beside the slab, not in it.
+func TestEventSlotSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 32 {
+		t.Errorf("event is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(heapKey{}); n != 24 {
+		t.Errorf("heapKey is %d bytes, want 24", n)
+	}
+}
+
+// TestKernelSizeClass keeps Kernel in the 480-byte allocation size
+// class: a ShardGroup builds one kernel per disk, so a field that
+// pushes it into the next class costs every sharded run 32 bytes a
+// disk.
+func TestKernelSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Kernel{}); n > 480 {
+		t.Fatalf("Kernel is %d bytes, want <= 480", n)
+	}
+}
+
+// TestEventModeKeepsNoKeys checks that only ShardGroup kernels keep
+// shard-ordering keys: an event-mode run with processes switching
+// through a mailbox, callbacks, timers, a callback task on a resource
+// and a lone process running the loop inline leaves events.keys nil,
+// while a hub kernel keys each event by its scheduling chain.
+func TestEventModeKeepsNoKeys(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	mb := NewMailbox(k, "mb", 1)
+	res := NewResource(k, "arm", 1)
+	holder := k.NewTask("holder")
+	k.Spawn("put", func(p *Proc) {
+		for i := 0; i < 10; i++ {
+			mb.Put(p, i)
+			p.Delay(Time(1 + i%3))
+		}
+		mb.Close()
+	})
+	k.Spawn("get", func(p *Proc) {
+		for {
+			if _, ok := mb.Get(p); !ok {
+				return
+			}
+			res.AcquireFunc(holder, 1, func() { k.After(2, func() { res.Release(1) }) })
+			p.Yield()
+		}
+	})
+	k.Run()
+	inlined := false
+	var done Signal
+	k.Spawn("lone", func(p *Proc) {
+		for i := 0; i < 10; i++ {
+			done.Reset()
+			k.After(Time(1+i%3), func() {
+				inlined = inlined || onInlineStack()
+				k.At(k.Now(), done.Fire)
+			})
+			done.Wait(p)
+			p.Delay(2)
+		}
+	})
+	k.Run()
+	if !inlined {
+		t.Fatal("the lone process never ran the loop inline")
+	}
+	if k.events.keys != nil {
+		t.Errorf("event-mode kernel holds %d shard keys, want none", len(k.events.keys))
+	}
+
+	g := NewShardGroup(1)
+	defer g.Close()
+	hub := g.Hub()
+	var got eventKey
+	hub.At(5, func() {
+		hub.After(1, func() {
+			hub.After(1, func() { got = hub.cur })
+		})
+	})
+	hub.Run()
+	if want := (eventKey{schedT: 6, anc: lineage{5, 0}}); got != want {
+		t.Errorf("hub event key = %+v, want %+v", got, want)
+	}
 }
 
 // TestFifoClearsPoppedSlots guards the waiter-queue leak fix: a popped
