@@ -29,12 +29,14 @@ import (
 )
 
 // Default gate lists: the kernel's event throughput and the service
-// warm cache hit are gated against the baseline; the probe-attached and
-// inline-callback kernel paths, and the per-layer striped I/O,
-// node-local I/O and MPI message paths, must not allocate at all.
+// warm cache hit are gated against the baseline; the probe-attached,
+// sharded-key and inline-callback kernel paths, and the per-layer
+// striped I/O, node-local I/O and MPI message paths, must not allocate
+// at all.
 const (
 	guardDefault     = "BenchmarkKernelEventThroughput,BenchmarkServiceWarmHit"
-	zeroAllocDefault = "BenchmarkKernelEventThroughputProbeOff,BenchmarkKernelPipeTransferProbeOff," +
+	zeroAllocDefault = "BenchmarkKernelEventThroughputProbeOff,BenchmarkKernelEventThroughputSharded," +
+		"BenchmarkKernelPipeTransferProbeOff," +
 		"BenchmarkKernelPipeTransferProbeOn,BenchmarkKernelSingleProcWait,BenchmarkKernelPipeTransferSegmented," +
 		"BenchmarkKernelStripeRead,BenchmarkKernelNodeRead,BenchmarkKernelMPISendRecv"
 )

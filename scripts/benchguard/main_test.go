@@ -59,6 +59,26 @@ func TestGateZeroAlloc(t *testing.T) {
 	if !gateZeroAlloc(io.Discard, report(clean[1:]...), names) {
 		t.Error("a missing zero-alloc row passed")
 	}
+	// The sharded timer loop keeps a shard-ordering key per event; a key
+	// array that allocated per event would show here.
+	for _, tc := range []struct {
+		name string
+		fail bool
+	}{
+		{"BenchmarkKernelEventThroughputSharded", true},
+		{"BenchmarkKernelEventThroughput", false}, // gated on ns/op, not on the zero-alloc list
+	} {
+		rows := append([]benchfmt.Benchmark(nil), clean...)
+		rows = append(rows, row("BenchmarkKernelEventThroughput", 10, 0))
+		for i := range rows {
+			if rows[i].Name == tc.name {
+				rows[i].AllocsPerOp = 1
+			}
+		}
+		if got := gateZeroAlloc(io.Discard, report(rows...), names); got != tc.fail {
+			t.Errorf("%s at 1 alloc/op: failed = %v, want %v", tc.name, got, tc.fail)
+		}
+	}
 }
 
 func TestGateParallel(t *testing.T) {
