@@ -123,12 +123,6 @@ func NewKernel() *Kernel {
 	return &Kernel{}
 }
 
-// newShardKernel returns an empty kernel that keeps shard-ordering keys,
-// for a ShardGroup's hub and leaves.
-func newShardKernel() *Kernel {
-	return &Kernel{sharded: true}
-}
-
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 

@@ -394,13 +394,13 @@ func NewShardGroup(n int) *ShardGroup {
 	if n < 1 {
 		panic("sim: ShardGroup needs at least one shard")
 	}
-	g := &ShardGroup{hub: newShardKernel()}
+	g := &ShardGroup{hub: &Kernel{sharded: true}}
 	g.cond = sync.NewCond(&g.mu)
 	g.want.Store(horizonInfinity)
 	for i := 0; i < n; i++ {
 		sh := &Shard{
 			id:      int32(i),
-			k:       newShardKernel(),
+			k:       &Kernel{sharded: true},
 			g:       g,
 			cmds:    make(chan leafCmd),
 			replies: make(chan leafStatus),
