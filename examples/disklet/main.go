@@ -39,7 +39,7 @@ func main() {
 	// Drain the front-end inbox (the query's result stream).
 	k.Spawn("frontend", func(p *sim.Proc) {
 		for {
-			if _, ok := system.FE.Inbox().Get(p); !ok {
+			if _, ok := system.FE.Recv(p); !ok {
 				return
 			}
 		}

@@ -17,7 +17,8 @@
 // Shard.Call. Inside a function literal spawned on a leaf kernel
 // (`sh.Kernel().Spawn(name, func(p *sim.Proc) { … })`), methods that
 // touch hub-owned state — diskos.ActiveDisk's communication surface
-// (Send, SendToFrontEnd, Recv, Release, CloseInbox) and the kernel-less
+// (Send, SendToFrontEnd, Recv, Release, CloseInbox), the front-end's
+// inbox (FrontEnd.Recv, FrontEnd.CloseInbox) and the kernel-less
 // sim coordination types (WaitGroup.Add/Done/Wait, Signal.Fire/Wait/
 // Reset, Barrier.Wait) — are flagged unless wrapped in a
 // `sh.Call(p, func(hp *sim.Proc) { … })` literal. Locally defined
@@ -56,7 +57,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "shardsafe",
 	Doc: "enforce the sharded-execution hub/leaf contract: no blocking *sim.Proc API in ShardGroup " +
-		"hub-drive paths, hub-owned objects (ActiveDisk comm surface, WaitGroup/Signal/Barrier) " +
+		"hub-drive paths, hub-owned objects (ActiveDisk comm surface, FrontEnd inbox, WaitGroup/Signal/Barrier) " +
 		"reached from leaf disklets only through Shard.Call, and no leaf-local ActiveDisk ops " +
 		"(ReadLocal/WriteLocal/Compute) inside Call literals",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
@@ -70,6 +71,10 @@ var hubOnlyDiskos = map[string]bool{
 	"Send": true, "SendToFrontEnd": true, "Recv": true,
 	"Release": true, "CloseInbox": true,
 }
+
+// hubOnlyFrontEnd is the front-end's inbox surface: the inbox and its
+// free list of chunk boxes live on the hub kernel.
+var hubOnlyFrontEnd = map[string]bool{"Recv": true, "CloseInbox": true}
 
 // hubOnlySim are methods of the kernel-less sim coordination types:
 // they mutate shared wait state and wake parked processes on whatever
@@ -447,6 +452,8 @@ func (c *leafChecker) hubOnlyCall(call *ast.CallExpr) (string, bool) {
 	switch {
 	case pkgName == "diskos" && recvName == "ActiveDisk" && hubOnlyDiskos[fn.Name()]:
 		return "ActiveDisk." + fn.Name(), true
+	case pkgName == "diskos" && recvName == "FrontEnd" && hubOnlyFrontEnd[fn.Name()]:
+		return "FrontEnd." + fn.Name(), true
 	case pkgName == "sim" && hubOnlySim[recvName] != nil && hubOnlySim[recvName][fn.Name()]:
 		return recvName + "." + fn.Name(), true
 	}

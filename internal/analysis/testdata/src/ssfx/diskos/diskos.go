@@ -22,3 +22,9 @@ func (ad *ActiveDisk) SendToFrontEnd(p *sim.Proc, c Chunk) {}
 func (ad *ActiveDisk) Recv(p *sim.Proc) (Chunk, bool)      { return Chunk{}, false }
 func (ad *ActiveDisk) Release(n int64)                     {}
 func (ad *ActiveDisk) CloseInbox()                         {}
+
+type FrontEnd struct{}
+
+// Hub-owned: the front-end inbox.
+func (fe *FrontEnd) Recv(p *sim.Proc) (Chunk, bool) { return Chunk{}, false }
+func (fe *FrontEnd) CloseInbox()                    {}

@@ -52,11 +52,27 @@ func lkForm(sh *sim.Shard, ad *diskos.ActiveDisk) {
 
 // Hub-side coordinators spawn on the hub kernel: none of this is leaf
 // context.
-func hubSide(g *sim.ShardGroup, ad *diskos.ActiveDisk, wg *sim.WaitGroup, done *sim.Signal) {
+func hubSide(g *sim.ShardGroup, ad *diskos.ActiveDisk, fe *diskos.FrontEnd, wg *sim.WaitGroup, done *sim.Signal) {
 	g.Hub().Spawn("coord", func(p *sim.Proc) {
 		wg.Wait(p)      // ok: hub context
 		ad.CloseInbox() // ok
+		fe.Recv(p)      // ok
+		fe.CloseInbox() // ok
 		done.Fire()     // ok
+	})
+}
+
+// The front-end inbox is hub-owned too: a leaf disklet reaches it only
+// through Call.
+func frontEndInbox(sh *sim.Shard, fe *diskos.FrontEnd) {
+	sh.Kernel().Spawn("d", func(p *sim.Proc) {
+		c, ok := fe.Recv(p) // want `FrontEnd\.Recv touches hub-owned state from a leaf disklet`
+		_, _ = c, ok
+		fe.CloseInbox() // want `FrontEnd\.CloseInbox touches hub-owned state from a leaf disklet`
+		sh.Call(p, func(hp *sim.Proc) {
+			fe.Recv(hp)     // ok: hub context inside Call
+			fe.CloseInbox() // ok
+		})
 	})
 }
 

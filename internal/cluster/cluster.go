@@ -96,6 +96,7 @@ func New(k *sim.Kernel, cfg Config) *Machine {
 
 	osCosts := osmodel.FullFunctionOS().ScaledTo(cfg.CPUHz)
 	cpus := make([]*cpu.CPU, cfg.Nodes+1)
+	models := disk.Models{}
 	for i := 0; i <= cfg.Nodes; i++ {
 		hz := cfg.CPUHz
 		costs := osCosts
@@ -120,7 +121,7 @@ func New(k *sim.Kernel, cfg Config) *Machine {
 					spec = sp
 				}
 			}
-			n.Disk = disk.New(k, name+".disk", spec)
+			n.Disk = models.Of(spec).New(k, name+".disk")
 			m.Nodes = append(m.Nodes, n)
 		} else {
 			m.FE = n

@@ -16,13 +16,17 @@ type geometry struct {
 	totalCyl     int
 }
 
-func newGeometry(spec *Spec) *geometry {
-	g := &geometry{spec: spec}
+func newGeometry(spec *Spec) geometry {
+	g := geometry{
+		spec:         spec,
+		zoneStartCyl: make([]int, len(spec.Zones)),
+		zoneStartLBA: make([]int64, len(spec.Zones)),
+	}
 	cyl := 0
 	var lba int64
-	for _, z := range spec.Zones {
-		g.zoneStartCyl = append(g.zoneStartCyl, cyl)
-		g.zoneStartLBA = append(g.zoneStartLBA, lba)
+	for i, z := range spec.Zones {
+		g.zoneStartCyl[i] = cyl
+		g.zoneStartLBA[i] = lba
 		cyl += z.Cylinders
 		lba += int64(z.Cylinders) * int64(spec.Heads) * int64(z.SectorsPerTrack)
 	}

@@ -127,20 +127,15 @@ func DefaultRetryPolicy() RetryPolicy {
 // called from simulation processes of the kernel the disk was created
 // on.
 type Disk struct {
-	name      string
-	spec      *Spec
-	geom      *geometry
-	readSeek  seekCurve
-	writeSeek seekCurve
-	k         *sim.Kernel
-	queue     *sim.Mailbox
+	name  string
+	m     *Model
+	k     *sim.Kernel
+	queue *sim.Mailbox
 
 	curCyl    int
 	headSeg   int // index of the segment the arm is streaming; -1 if none
 	segs      []segment
-	segBytes  int64 // per-segment prefetch capacity
 	idleSince sim.Time
-	rotPeriod sim.Time
 	stats     Stats
 
 	policy  SchedulingPolicy
@@ -190,21 +185,63 @@ const (
 // Call before issuing requests.
 func (d *Disk) SetScheduler(p SchedulingPolicy) { d.policy = p }
 
-// New creates a disk and starts its event-driven service loop on k.
-func New(k *sim.Kernel, name string, spec *Spec) *Disk {
-	d := &Disk{
-		name:      name,
+// Model is what a drive's service times derive from its Spec: the
+// zone geometry, both seek curves, the rotation period and the cache
+// segment size. It is immutable once built, so every drive built from
+// one spec can share it, across kernels and goroutines too.
+type Model struct {
+	spec      *Spec
+	geom      geometry
+	readSeek  seekCurve
+	writeSeek seekCurve
+	rotPeriod sim.Time
+	segBytes  int64 // per-segment prefetch capacity
+}
+
+// NewModel derives the service-time model of spec. The model reads
+// spec whenever a drive built from it services a request, so spec
+// must not change afterwards.
+func NewModel(spec *Spec) *Model {
+	return &Model{
 		spec:      spec,
 		geom:      newGeometry(spec),
 		readSeek:  newSeekCurve(spec.TrackToTrackRead, spec.AvgSeekRead, spec.MaxSeekRead, spec.TotalCylinders()),
 		writeSeek: newSeekCurve(spec.TrackToTrackWrite, spec.AvgSeekWrite, spec.MaxSeekWrite, spec.TotalCylinders()),
-		k:         k,
-		queue:     sim.NewMailbox(k, name+".queue", 0),
-		headSeg:   -1,
-		segs:      make([]segment, spec.CacheSegments),
-		segBytes:  spec.CacheBytes / int64(spec.CacheSegments),
 		rotPeriod: spec.RotationPeriod(),
-		pr:        k.Probe().Register("disk", name),
+		segBytes:  spec.CacheBytes / int64(spec.CacheSegments),
+	}
+}
+
+// Models hands out one Model per distinct Spec. A machine builder keeps
+// one while it builds its drives, so that identical drives share one
+// model; a copied spec (Derated) is a distinct spec and gets its own.
+type Models map[*Spec]*Model
+
+// Of returns the model of spec, deriving it on first use.
+func (ms Models) Of(spec *Spec) *Model {
+	m := ms[spec]
+	if m == nil {
+		m = NewModel(spec)
+		ms[spec] = m
+	}
+	return m
+}
+
+// New creates a disk built from spec and starts its event-driven
+// service loop on k.
+func New(k *sim.Kernel, name string, spec *Spec) *Disk { return NewModel(spec).New(k, name) }
+
+// New creates a disk that follows model m and starts its event-driven
+// service loop on k.
+func (m *Model) New(k *sim.Kernel, name string) *Disk {
+	d := &Disk{
+		name:    name,
+		m:       m,
+		k:       k,
+		queue:   sim.NewMailbox(k, name+".queue", 0),
+		headSeg: -1,
+		segs:    make([]segment, m.spec.CacheSegments),
+		pr:      k.Probe().Register("disk", name),
 	}
 	d.task = k.NewTask(name + ".server")
 	d.onArriveFn = d.onArrive
@@ -217,7 +254,10 @@ func New(k *sim.Kernel, name string, spec *Spec) *Disk {
 func (d *Disk) Name() string { return d.name }
 
 // Spec returns the drive specification.
-func (d *Disk) Spec() *Spec { return d.spec }
+func (d *Disk) Spec() *Spec { return d.m.spec }
+
+// Model returns the service-time model the drive follows.
+func (d *Disk) Model() *Model { return d.m }
 
 // Stats returns a snapshot of the activity counters.
 func (d *Disk) Stats() Stats { return d.stats }
@@ -294,8 +334,8 @@ func (d *Disk) Submit(req *Request) *Request {
 		panic(fmt.Sprintf("disk %s: request length %d must be positive", d.name, req.Length))
 	}
 	end := (req.Offset + req.Length) / SectorSize
-	if end > d.geom.totalSectors {
-		panic(fmt.Sprintf("disk %s: request beyond capacity (%d > %d sectors)", d.name, end, d.geom.totalSectors))
+	if end > d.m.geom.totalSectors {
+		panic(fmt.Sprintf("disk %s: request beyond capacity (%d > %d sectors)", d.name, end, d.m.geom.totalSectors))
 	}
 	req.done.Reset()
 	req.Err, req.Retries = nil, 0
@@ -349,7 +389,7 @@ func (d *Disk) do(p *sim.Proc, write bool, offset, length int64) error {
 }
 
 // Capacity returns the disk's formatted capacity in bytes.
-func (d *Disk) Capacity() int64 { return d.geom.totalSectors * SectorSize }
+func (d *Disk) Capacity() int64 { return d.m.geom.totalSectors * SectorSize }
 
 // serveStep, onArrive and onServiced are the drive's service loop: a
 // state machine driven by mailbox and timer callbacks that collects
@@ -472,7 +512,7 @@ func (d *Disk) applyFaults(req *Request) sim.Time {
 		}
 		req.Retries = n
 		d.stats.Retries += int64(n)
-		extra += sim.Time(n) * (d.rotPeriod + d.retry.Backoff)
+		extra += sim.Time(n) * (d.m.rotPeriod + d.retry.Backoff)
 	}
 	if !req.Write {
 		if rereads := d.inj.CorruptionFault(d.reqSeq); rereads > 0 {
@@ -483,7 +523,7 @@ func (d *Disk) applyFaults(req *Request) sim.Time {
 				d.hardError(req)
 			}
 			d.stats.Rereads += int64(n)
-			extra += sim.Time(n) * (d.rotPeriod + d.retry.Backoff)
+			extra += sim.Time(n) * (d.m.rotPeriod + d.retry.Backoff)
 		}
 	}
 	d.stats.FaultDelay += extra
@@ -518,7 +558,7 @@ func (d *Disk) elevatorPick() int {
 	pick := func(up bool) (int, bool) {
 		best, bestDist := -1, int(^uint(0)>>1)
 		for i, r := range d.pending {
-			cyl := d.geom.locate(r.Offset / SectorSize).cylinder
+			cyl := d.m.geom.locate(r.Offset / SectorSize).cylinder
 			dist := cyl - d.curCyl
 			if !up {
 				dist = -dist
@@ -554,11 +594,11 @@ func (d *Disk) accrueIdlePrefetch(now sim.Time) {
 		return
 	}
 	loc := d.locateOrEnd(seg.endLBA + seg.prefetched/SectorSize)
-	rate := d.spec.mediaRate(loc.spt)
+	rate := d.m.spec.mediaRate(loc.spt)
 	extra := int64(float64(gap) / float64(sim.Second) * rate)
 	seg.prefetched += extra
-	if seg.prefetched > d.segBytes {
-		seg.prefetched = d.segBytes
+	if seg.prefetched > d.m.segBytes {
+		seg.prefetched = d.m.segBytes
 	}
 	// Prefetching moves the arm along with the stream.
 	d.curCyl = d.locateOrEnd(seg.endLBA + seg.prefetched/SectorSize).cylinder
@@ -567,13 +607,13 @@ func (d *Disk) accrueIdlePrefetch(now sim.Time) {
 // locateOrEnd is locate clamped to the last valid sector, for prefetch
 // positions that may run off the end of the disk.
 func (d *Disk) locateOrEnd(lba int64) location {
-	if lba >= d.geom.totalSectors {
-		lba = d.geom.totalSectors - 1
+	if lba >= d.m.geom.totalSectors {
+		lba = d.m.geom.totalSectors - 1
 	}
 	if lba < 0 {
 		lba = 0
 	}
-	return d.geom.locate(lba)
+	return d.m.geom.locate(lba)
 }
 
 // serviceTime computes the mechanical + controller time for req and
@@ -581,7 +621,7 @@ func (d *Disk) locateOrEnd(lba int64) location {
 func (d *Disk) serviceTime(req *Request) sim.Time {
 	startLBA := req.Offset / SectorSize
 	sectors := req.Length / SectorSize
-	t := d.spec.ControllerOverhead
+	t := d.m.spec.ControllerOverhead
 
 	segIdx := d.findStream(startLBA, req.Write)
 	var hit int64
@@ -597,14 +637,14 @@ func (d *Disk) serviceTime(req *Request) sim.Time {
 	mediaStart := startLBA + hit/SectorSize
 
 	if mediaBytes > 0 {
-		loc := d.geom.locate(mediaStart)
+		loc := d.m.geom.locate(mediaStart)
 		// The arm keeps streaming with no positioning cost only when this
 		// request continues the stream the arm is currently on.
 		sequential := segIdx >= 0 && segIdx == d.headSeg
 		if !sequential {
-			curve := d.readSeek
+			curve := d.m.readSeek
 			if req.Write {
-				curve = d.writeSeek
+				curve = d.m.writeSeek
 			}
 			dist := loc.cylinder - d.curCyl
 			if dist < 0 {
@@ -672,7 +712,7 @@ func (d *Disk) evictLRU() int {
 // deterministic function of absolute time (all platters spin from angle
 // zero at time zero).
 func (d *Disk) rotationalLatency(at sim.Time, loc location) sim.Time {
-	period := d.rotPeriod
+	period := d.m.rotPeriod
 	pos := at % period // current angular position, in time units
 	target := sim.Time(int64(period) * loc.sectorInTrk / int64(loc.spt))
 	wait := target - pos
@@ -687,33 +727,33 @@ func (d *Disk) rotationalLatency(at sim.Time, loc location) sim.Time {
 func (d *Disk) transferTime(lba, sectors int64) sim.Time {
 	var t sim.Time
 	for sectors > 0 {
-		loc := d.geom.locate(lba)
+		loc := d.m.geom.locate(lba)
 		zoneEnd := d.zoneEndLBA(loc.zone)
 		take := sectors
 		if lba+take > zoneEnd {
 			take = zoneEnd - lba
 		}
-		rate := d.spec.mediaRate(loc.spt)
+		rate := d.m.spec.mediaRate(loc.spt)
 		t += sim.TransferTime(take*SectorSize, rate)
 		// Cylinder crossings within the span.
 		relStart := lba - d.zoneStartLBA(loc.zone)
 		relEnd := relStart + take - 1
 		crossings := relEnd/loc.sectorsPerCy - relStart/loc.sectorsPerCy
-		t += sim.Time(crossings) * d.spec.CylinderSwitch
+		t += sim.Time(crossings) * d.m.spec.CylinderSwitch
 		lba += take
 		sectors -= take
-		if sectors > 0 && lba >= d.geom.totalSectors {
+		if sectors > 0 && lba >= d.m.geom.totalSectors {
 			panic("disk: transfer runs off the end of the disk")
 		}
 	}
 	return t
 }
 
-func (d *Disk) zoneStartLBA(zone int) int64 { return d.geom.zoneStartLBA[zone] }
+func (d *Disk) zoneStartLBA(zone int) int64 { return d.m.geom.zoneStartLBA[zone] }
 
 func (d *Disk) zoneEndLBA(zone int) int64 {
-	if zone+1 < len(d.geom.zoneStartLBA) {
-		return d.geom.zoneStartLBA[zone+1]
+	if zone+1 < len(d.m.geom.zoneStartLBA) {
+		return d.m.geom.zoneStartLBA[zone+1]
 	}
-	return d.geom.totalSectors
+	return d.m.geom.totalSectors
 }

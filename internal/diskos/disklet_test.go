@@ -30,7 +30,7 @@ func TestDiskletSelectStreamsToFrontEnd(t *testing.T) {
 	})
 	k.Spawn("fe", func(p *sim.Proc) {
 		for {
-			if _, ok := s.FE.Inbox().Get(p); !ok {
+			if _, ok := s.FE.Recv(p); !ok {
 				return
 			}
 		}
@@ -97,7 +97,7 @@ func TestDiskletFlushEmitsFinalResult(t *testing.T) {
 		Flush:        func() (int64, int64) { return 512, 1000 },
 	}
 	k.Spawn("fe", func(p *sim.Proc) {
-		s.FE.Inbox().Get(p)
+		s.FE.Recv(p)
 	})
 	var st DiskletStats
 	k.Spawn("disklet", func(p *sim.Proc) {
@@ -164,7 +164,7 @@ func TestPipelineChainsStages(t *testing.T) {
 	const input = 16 << 20
 	k.Spawn("fe", func(p *sim.Proc) {
 		for {
-			if _, ok := s.FE.Inbox().Get(p); !ok {
+			if _, ok := s.FE.Recv(p); !ok {
 				return
 			}
 		}
@@ -200,7 +200,7 @@ func TestPipelineFlushFlowsDownstream(t *testing.T) {
 			Process: func(n int64) (int64, int64) { return n / 2, n }},
 	}
 	k.Spawn("fe", func(p *sim.Proc) {
-		s.FE.Inbox().Get(p)
+		s.FE.Recv(p)
 	})
 	var st DiskletStats
 	k.Spawn("pipe", func(p *sim.Proc) {

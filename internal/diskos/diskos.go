@@ -102,6 +102,48 @@ type Chunk struct {
 // FromFrontEnd is the Chunk.Src value for data sent by the front-end.
 const FromFrontEnd = -1
 
+// inbox is a chunk mailbox with a free list of the *Chunk boxes that
+// cross it: a sender fills a recycled box and the receiver copies the
+// value out and returns the box, so a delivered chunk allocates
+// nothing. Every inbox is built on the hub kernel, where all of its
+// senders and receivers run, so the free list needs no other guard.
+type inbox struct {
+	mb   *sim.Mailbox
+	free []*Chunk
+}
+
+func newInbox(k *sim.Kernel, name string) inbox {
+	return inbox{mb: sim.NewMailbox(k, name, 0)}
+}
+
+// put delivers c in a recycled box. The mailbox is unbounded, so put
+// fails only once the inbox is closed.
+func (in *inbox) put(c Chunk) bool {
+	var b *Chunk
+	if n := len(in.free); n > 0 {
+		b = in.free[n-1]
+		in.free[n-1] = nil
+		in.free = in.free[:n-1]
+	} else {
+		b = new(Chunk)
+	}
+	*b = c
+	return in.mb.TryPut(b)
+}
+
+// get blocks until a chunk arrives, copies it out and recycles its box.
+func (in *inbox) get(p *sim.Proc) (Chunk, bool) {
+	v, ok := in.mb.Get(p)
+	if !ok {
+		return Chunk{}, false
+	}
+	b := v.(*Chunk)
+	c := *b
+	*b = Chunk{}
+	in.free = append(in.free, b)
+	return c, true
+}
+
 // ActiveDisk is one drive: media, embedded CPU, memory, and its stream
 // endpoints.
 type ActiveDisk struct {
@@ -114,7 +156,7 @@ type ActiveDisk struct {
 
 	sys     *System
 	commBuf *sim.Resource // receive-side communication buffer credits
-	inbox   *sim.Mailbox
+	inbox   inbox
 	pr      probe.Ref
 }
 
@@ -134,7 +176,7 @@ type FrontEnd struct {
 	Adaptor *bus.Bus
 	// PCI is the host I/O bus every relayed or delivered byte crosses.
 	PCI   *bus.Bus
-	inbox *sim.Mailbox
+	inbox inbox
 
 	relayedBytes  int64
 	receivedBytes int64
@@ -223,13 +265,14 @@ func build(cfg Config, hub *sim.Kernel, leaf func(int) *sim.Kernel) *System {
 		OS:      feOS,
 		Adaptor: bus.New(hub, "fe.fc", cfg.Loops, cfg.LoopBytesPerSec, bus.FCALStartup, bus.FCALFrame),
 		PCI:     bus.NewPCI(hub, "fe.pci"),
-		inbox:   sim.NewMailbox(hub, "fe.inbox", 0),
+		inbox:   newInbox(hub, "fe.inbox"),
 	}
 	commBuf := cfg.commBufBytes()
 	scratch := cfg.DiskMemBytes - commBuf
 	if scratch < 1<<20 {
 		panic(fmt.Sprintf("diskos: %d bytes of disk memory leaves no scratch space", cfg.DiskMemBytes))
 	}
+	models := disk.Models{}
 	for i := 0; i < cfg.Disks; i++ {
 		spec := cfg.DiskSpec
 		if cfg.SpecFor != nil {
@@ -250,12 +293,12 @@ func build(cfg Config, hub *sim.Kernel, leaf func(int) *sim.Kernel) *System {
 		}
 		ad := &ActiveDisk{
 			ID:      i,
-			Disk:    disk.New(lk, name, spec),
+			Disk:    models.Of(spec).New(lk, name),
 			CPU:     cpu.New(lk, name+".cpu", cfg.EmbeddedHz),
 			Scratch: sim.NewResource(lk, name+".scratch", scratch),
 			sys:     s,
 			commBuf: sim.NewResource(hub, name+".commbuf", commBuf),
-			inbox:   sim.NewMailbox(hub, name+".inbox", 0),
+			inbox:   newInbox(hub, name+".inbox"),
 			pr:      hub.Probe().Register("diskos", name),
 		}
 		ad.pr.SetCapacity(commBuf)
@@ -284,13 +327,7 @@ func (s *System) InstallFaults(plan *fault.Plan) {
 		}
 	}
 	if plan.Spare && plan.Replica && plan.FailDisk >= 0 && plan.FailDisk < len(s.Disks) {
-		spec := s.Cfg.DiskSpec
-		if s.Cfg.SpecFor != nil {
-			if sp := s.Cfg.SpecFor(plan.FailDisk); sp != nil {
-				spec = sp
-			}
-		}
-		s.Spare = disk.New(s.K, "spare", spec)
+		s.Spare = s.Disks[plan.FailDisk].Disk.Model().New(s.K, "spare")
 	}
 	for _, l := range s.loops {
 		l.SetOutages(plan.OutagesFor(l.Name()))
@@ -430,7 +467,7 @@ func (ad *ActiveDisk) SendToFrontEnd(p *sim.Proc, bytes int64, payload any) {
 		s.FE.CPU.Busy(p, s.FE.OS.Interrupt)
 		s.FE.receivedBytes += n
 	}
-	if !s.FE.inbox.TryPut(Chunk{Src: ad.ID, Bytes: bytes, Payload: payload}) {
+	if !s.FE.inbox.put(Chunk{Src: ad.ID, Bytes: bytes, Payload: payload}) {
 		panic("diskos: front-end inbox rejected chunk")
 	}
 }
@@ -438,13 +475,7 @@ func (ad *ActiveDisk) SendToFrontEnd(p *sim.Proc, bytes int64, payload any) {
 // Recv blocks until a stream chunk arrives for this disk and returns it.
 // The chunk's buffer credit is released once the receiving disklet calls
 // Release (or immediately if release is deferred to the runtime).
-func (ad *ActiveDisk) Recv(p *sim.Proc) (Chunk, bool) {
-	v, ok := ad.inbox.Get(p)
-	if !ok {
-		return Chunk{}, false
-	}
-	return v.(Chunk), true
-}
+func (ad *ActiveDisk) Recv(p *sim.Proc) (Chunk, bool) { return ad.inbox.get(p) }
 
 // Release returns receive-buffer credit after a chunk's payload has been
 // consumed by the disklet.
@@ -453,7 +484,7 @@ func (ad *ActiveDisk) Release(bytes int64) {
 }
 
 // CloseInbox signals receivers that no more chunks will arrive.
-func (ad *ActiveDisk) CloseInbox() { ad.inbox.Close() }
+func (ad *ActiveDisk) CloseInbox() { ad.inbox.mb.Close() }
 
 // stream moves bytes from disk src to disk dst chunk by chunk. The
 // chunk loop runs as a pooled state machine in kernel context: the
@@ -588,7 +619,7 @@ func (op *streamOp) deliver() {
 		pl = op.payload
 	}
 	d := op.s.Disks[op.dst]
-	if !d.inbox.TryPut(Chunk{Src: op.src, Bytes: op.n, Payload: pl}) {
+	if !d.inbox.put(Chunk{Src: op.src, Bytes: op.n, Payload: pl}) {
 		panic("diskos: disk inbox rejected chunk")
 	}
 	d.pr.Count(probe.KindChunk, 1)
@@ -618,7 +649,7 @@ func (s *System) FrontEndSend(p *sim.Proc, dst int, bytes int64, payload any) {
 		if last {
 			pl = payload
 		}
-		if !d.inbox.TryPut(Chunk{Src: FromFrontEnd, Bytes: n, Payload: pl}) {
+		if !d.inbox.put(Chunk{Src: FromFrontEnd, Bytes: n, Payload: pl}) {
 			panic("diskos: disk inbox rejected front-end chunk")
 		}
 		d.pr.Count(probe.KindChunk, 1)
@@ -632,5 +663,10 @@ func (fe *FrontEnd) RelayedBytes() int64 { return fe.relayedBytes }
 // ReceivedBytes reports the result volume delivered to the front-end.
 func (fe *FrontEnd) ReceivedBytes() int64 { return fe.receivedBytes }
 
-// Inbox exposes the front-end's chunk stream (for coordinator logic).
-func (fe *FrontEnd) Inbox() *sim.Mailbox { return fe.inbox }
+// Recv blocks until a chunk sent to the front-end arrives and returns
+// it; ok is false once the inbox is closed and drained.
+func (fe *FrontEnd) Recv(p *sim.Proc) (Chunk, bool) { return fe.inbox.get(p) }
+
+// CloseInbox signals front-end receivers that no more chunks will
+// arrive.
+func (fe *FrontEnd) CloseInbox() { fe.inbox.mb.Close() }

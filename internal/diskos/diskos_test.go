@@ -3,6 +3,8 @@ package diskos
 import (
 	"testing"
 
+	"howsim/internal/disk"
+	"howsim/internal/fault"
 	"howsim/internal/sim"
 )
 
@@ -151,9 +153,8 @@ func TestSendToFrontEnd(t *testing.T) {
 	})
 	var got Chunk
 	k.Spawn("fe", func(p *sim.Proc) {
-		v, ok := s.FE.Inbox().Get(p)
-		if ok {
-			got = v.(Chunk)
+		if c, ok := s.FE.Recv(p); ok {
+			got = c
 		}
 	})
 	k.Run()
@@ -234,5 +235,127 @@ func TestLoopSharedAcrossDisks(t *testing.T) {
 	want := sim.Time(float64(8*bytes) / 200e6 * float64(sim.Second))
 	if last < want || last > want+want/4 {
 		t.Errorf("8x25 MB over the loop took %v, want ~%v", last, want)
+	}
+}
+
+// TestChunkBoxesRecycled runs many streams through both kinds of inbox,
+// so their free lists of chunk boxes are reused many times over: every
+// stream's last chunk still carries its payload and every other chunk
+// carries nil, and each inbox ends up with far fewer boxes than chunks
+// it delivered.
+func TestChunkBoxesRecycled(t *testing.T) {
+	const streams = 40
+	k := sim.NewKernel()
+	s := NewSystem(k, DefaultConfig(2))
+	chunk := s.ChunkBytes()
+	size := func(i int) int64 { return int64(1+i%4)*chunk - int64(i%3)*512 }
+	ad := s.Disks[1]
+	delivered := 0
+	k.Spawn("recv", func(p *sim.Proc) {
+		for i := 0; i < streams; i++ {
+			for left := size(i); left > 0; {
+				c, ok := ad.Recv(p)
+				if !ok {
+					t.Fatal("disk inbox closed early")
+				}
+				delivered++
+				left -= c.Bytes
+				ad.Release(c.Bytes)
+				var want any
+				if left == 0 {
+					want = i
+				}
+				src := 0
+				if i%2 == 1 {
+					src = FromFrontEnd
+				}
+				if c.Payload != want || c.Src != src {
+					t.Errorf("stream %d: chunk from %d with %d bytes left carries %v, want %v from %d",
+						i, c.Src, left, c.Payload, want, src)
+				}
+			}
+		}
+	})
+	k.Spawn("send", func(p *sim.Proc) {
+		for i := 0; i < streams; i++ {
+			if i%2 == 0 {
+				s.Disks[0].Send(p, 1, size(i), i)
+			} else {
+				s.FrontEndSend(p, 1, size(i), i)
+			}
+		}
+	})
+	var fe []Chunk
+	k.Spawn("fe", func(p *sim.Proc) {
+		for {
+			c, ok := s.FE.Recv(p)
+			if !ok {
+				return
+			}
+			fe = append(fe, c)
+		}
+	})
+	k.Spawn("result", func(p *sim.Proc) {
+		for i := 0; i < streams; i++ {
+			var pl any
+			if i%3 == 0 {
+				pl = i
+			}
+			s.Disks[0].SendToFrontEnd(p, size(i), pl)
+		}
+		s.FE.CloseInbox()
+	})
+	k.Run()
+	if delivered < 2*streams {
+		t.Fatalf("disk received %d chunks from %d streams", delivered, streams)
+	}
+	if n := len(ad.inbox.free); n >= delivered/2 {
+		t.Errorf("disk inbox made %d chunk boxes for %d chunks, want reuse", n, delivered)
+	}
+	if len(fe) != streams {
+		t.Fatalf("front-end received %d chunks, want %d", len(fe), streams)
+	}
+	for i, c := range fe {
+		var want any
+		if i%3 == 0 {
+			want = i
+		}
+		if c.Src != 0 || c.Bytes != size(i) || c.Payload != want {
+			t.Errorf("front-end chunk %d = %+v, want %d bytes from disk 0 carrying %v", i, c, size(i), want)
+		}
+	}
+	if n := len(s.FE.inbox.free); n >= streams/2 {
+		t.Errorf("front-end inbox made %d chunk boxes for %d chunks, want reuse", n, streams)
+	}
+}
+
+// TestDrivesShareModelPerSpec checks that the farm's drives share one
+// disk model per distinct spec, that a derated drive gets its own, and
+// that the hot spare follows the model of the drive it stands in for.
+func TestDrivesShareModelPerSpec(t *testing.T) {
+	cfg := DefaultConfig(4)
+	slow := disk.Derated(cfg.DiskSpec, 0.5)
+	cfg.SpecFor = func(i int) *disk.Spec {
+		if i == 2 {
+			return slow
+		}
+		return nil
+	}
+	k := sim.NewKernel()
+	s := NewSystem(k, cfg)
+	m := s.Disks[0].Disk.Model()
+	if s.Disks[1].Disk.Model() != m || s.Disks[3].Disk.Model() != m {
+		t.Error("drives of one spec do not share its model")
+	}
+	if s.Disks[2].Disk.Model() == m || s.Disks[2].Disk.Spec() != slow {
+		t.Error("the derated drive shares the nominal model")
+	}
+	plan, err := fault.ParsePlan("seed=1,fail=2@1s,replica,spare")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.InstallFaults(plan)
+	if s.Spare == nil || s.Spare.Model() != s.Disks[2].Disk.Model() {
+		t.Error("the spare does not follow the failed drive's model")
 	}
 }

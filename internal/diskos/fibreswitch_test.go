@@ -149,7 +149,7 @@ func TestFrontEndPathsWorkWithSwitch(t *testing.T) {
 		s.Disks[7].SendToFrontEnd(p, 1<<20, nil)
 	})
 	k.Spawn("fe", func(p *sim.Proc) {
-		s.FE.Inbox().Get(p)
+		s.FE.Recv(p)
 		s.FrontEndSend(p, 2, 1<<20, nil)
 	})
 	k.Spawn("recv", func(p *sim.Proc) {

@@ -35,8 +35,8 @@ type Endpoint struct {
 	w       *World
 	rank    int
 	cpu     *cpu.CPU
-	pending []*netsim.Message // arrived, not yet received (unexpected queue)
-	waiters []*recvWaiter     // posted receives, in posting order
+	pending []Envelope    // arrived, not yet received (unexpected queue)
+	waiters []*recvWaiter // posted receives, in posting order
 
 	// The rank's dispatcher: a bare task draining the network inbox,
 	// with its continuation bound once. pumping/got let a get that
@@ -49,7 +49,7 @@ type Endpoint struct {
 
 	handleFree []*Handle
 	waiterFree []*recvWaiter
-	sendNames  []string // send task names by destination, made on first use
+	sendPrefix string // "isend<rank>->": send tasks are named on demand
 
 	sent, received int64
 	bytesSent      int64
@@ -59,12 +59,14 @@ type Endpoint struct {
 // are pooled per endpoint, their completion signal embedded.
 type recvWaiter struct {
 	src, tag int
-	msg      *netsim.Message
+	msg      Envelope
 	done     sim.Signal
 }
 
 // Envelope is a received message's header and payload, copied out of
-// the network message, which goes back to the network's pool.
+// the network message when the dispatcher takes it from the inbox, so
+// the message goes back to the network's pool once its sender is done
+// with it, whether or not a receive is posted.
 type Envelope struct {
 	Src     int
 	Tag     int
@@ -95,7 +97,8 @@ func newWorld(net *netsim.Network, cpus []*cpu.CPU, cost osmodel.Costs) *World {
 	}
 	w := &World{net: net, cost: cost}
 	for i := 0; i < net.Nodes(); i++ {
-		w.eps = append(w.eps, &Endpoint{w: w, rank: i, cpu: cpus[i], inbox: net.Inbox(i)})
+		w.eps = append(w.eps, &Endpoint{w: w, rank: i, cpu: cpus[i], inbox: net.Inbox(i),
+			sendPrefix: fmt.Sprintf("isend%d->", i)})
 	}
 	return w
 }
@@ -137,22 +140,25 @@ func (ep *Endpoint) onMsg(v any, ok bool) {
 	ep.pump()
 }
 
-// deliver hands an arrived message to the oldest matching posted
-// receive, or queues it as unexpected.
+// deliver copies an arrived message's envelope out, drops the
+// receiver's reference to the message, and hands the envelope to the
+// oldest matching posted receive or queues it as unexpected.
 func (ep *Endpoint) deliver(m *netsim.Message) {
+	env := Envelope{Src: m.Src, Tag: m.Tag, Bytes: m.Bytes, Payload: m.Payload}
+	m.Release()
 	for i, wtr := range ep.waiters {
-		if matches(m, wtr.src, wtr.tag) {
+		if env.matches(wtr.src, wtr.tag) {
 			ep.waiters = remove(ep.waiters, i)
-			wtr.msg = m
+			wtr.msg = env
 			wtr.done.Fire()
 			return
 		}
 	}
-	ep.pending = append(ep.pending, m)
+	ep.pending = append(ep.pending, env)
 }
 
-func matches(m *netsim.Message, src, tag int) bool {
-	return (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag)
+func (e *Envelope) matches(src, tag int) bool {
+	return (src == AnySource || e.Src == src) && (tag == AnyTag || e.Tag == tag)
 }
 
 // remove deletes s[i], keeping order and clearing the vacated slot.
@@ -232,7 +238,7 @@ func (ep *Endpoint) Isend(p *sim.Proc, dst, tag int, bytes int64, payload any) *
 // frames, wait for delivery, complete the handle.
 func (h *Handle) start() {
 	ep := h.ep
-	h.t = ep.w.net.Kernel().NewTask(ep.sendName(h.dst))
+	h.t = ep.w.net.Kernel().NewTaskN(ep.sendPrefix, h.dst)
 	ep.w.net.SendFunc(h.t, ep.rank, h.dst, h.tag, h.bytes, h.payload, h.injectedFn)
 	h.payload = nil
 }
@@ -250,31 +256,21 @@ func (h *Handle) delivered() {
 	h.done.Fire()
 }
 
-// sendName returns the name of the task sending to dst.
-func (ep *Endpoint) sendName(dst int) string {
-	if ep.sendNames == nil {
-		ep.sendNames = make([]string, ep.w.Size())
-	}
-	if ep.sendNames[dst] == "" {
-		ep.sendNames[dst] = fmt.Sprintf("isend%d->%d", ep.rank, dst)
-	}
-	return ep.sendNames[dst]
-}
-
 // Recv blocks until a message matching (src, tag) arrives and returns
 // its envelope. Use AnySource/AnyTag as wildcards. The per-message
 // receive cost (including the completion interrupt) is charged to the
 // rank's CPU.
 func (ep *Endpoint) Recv(p *sim.Proc, src, tag int) Envelope {
-	var m *netsim.Message
-	for i, pm := range ep.pending {
-		if matches(pm, src, tag) {
+	var env Envelope
+	found := false
+	for i := range ep.pending {
+		if ep.pending[i].matches(src, tag) {
+			env, found = ep.pending[i], true
 			ep.pending = remove(ep.pending, i)
-			m = pm
 			break
 		}
 	}
-	if m == nil {
+	if !found {
 		var w *recvWaiter
 		if n := len(ep.waiterFree); n > 0 {
 			w = ep.waiterFree[n-1]
@@ -286,13 +282,11 @@ func (ep *Endpoint) Recv(p *sim.Proc, src, tag int) Envelope {
 		w.src, w.tag = src, tag
 		ep.waiters = append(ep.waiters, w)
 		w.done.Wait(p)
-		m = w.msg
-		w.msg = nil
+		env = w.msg
+		w.msg = Envelope{}
 		w.done.Reset()
 		ep.waiterFree = append(ep.waiterFree, w)
 	}
-	env := Envelope{Src: m.Src, Tag: m.Tag, Bytes: m.Bytes, Payload: m.Payload}
-	m.Release()
 	ep.received++
 	ep.chargeCPU(p, ep.w.cost.MessageRecv)
 	return env

@@ -285,3 +285,91 @@ func TestCollectiveProbeSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestUnexpectedMessagesFreedAtDispatch sends N messages to a rank that
+// posts no receive until all of them have arrived. The dispatcher copies
+// each envelope into the unexpected queue and drops its reference to the
+// network message there, so a message lives only while it is in
+// transit: the sends use no more messages than were in transit at once,
+// and the envelopes and their match order are those of the sends.
+func TestUnexpectedMessagesFreedAtDispatch(t *testing.T) {
+	const n, window = 64, 4
+	k, w := buildWorld(t, 4)
+	// A message is in transit from its injection until both its sender
+	// (delivered) and the receiving dispatcher (msgFn) are done with it;
+	// the wrappers below track that from outside the message.
+	refs := map[*netsim.Message]int{}
+	seen := map[*netsim.Message]bool{}
+	maxInTransit := 0
+	drop := func(m *netsim.Message) {
+		if refs[m]--; refs[m] == 0 {
+			delete(refs, m)
+		}
+	}
+	rcv := w.Rank(3)
+	dispatch := rcv.msgFn
+	rcv.msgFn = func(v any, ok bool) {
+		if ok {
+			drop(v.(*netsim.Message))
+		}
+		dispatch(v, ok)
+	}
+	wrapped := map[*Handle]bool{}
+	sent := sim.NewSignal()
+	k.Spawn("send", func(p *sim.Proc) {
+		win := NewWindow(window)
+		for i := 0; i < n; i++ {
+			h := w.Rank(0).Isend(p, 3, 1+i%2, int64(100+i), i)
+			if !wrapped[h] {
+				// Isend's injection starts in a later event, so the
+				// wrappers are in place before the message exists.
+				wrapped[h] = true
+				injected, delivered := h.injectedFn, h.deliveredFn
+				h.injectedFn = func(m *netsim.Message) {
+					seen[m] = true
+					refs[m] += 2
+					maxInTransit = max(maxInTransit, len(refs))
+					injected(m)
+				}
+				h.deliveredFn = func() {
+					drop(h.m)
+					delivered()
+				}
+			}
+			win.Add(p, h)
+		}
+		win.Drain(p)
+		sent.Fire()
+	})
+	var got []Envelope
+	k.Spawn("recv", func(p *sim.Proc) {
+		sent.Wait(p)
+		p.Delay(sim.Millisecond)
+		if q := len(rcv.pending); q != n {
+			t.Errorf("unexpected queue holds %d envelopes before the first Recv, want %d", q, n)
+		}
+		for _, tag := range []int{2, 1} {
+			for i := 0; i < n/2; i++ {
+				got = append(got, rcv.Recv(p, AnySource, tag))
+			}
+		}
+	})
+	k.Run()
+	if len(seen) > maxInTransit || maxInTransit > window+1 {
+		t.Errorf("%d sends used %d network messages with at most %d in transit at once, want <= %d in transit and no more messages",
+			n, len(seen), maxInTransit, window+1)
+	}
+	if len(got) != n {
+		t.Fatalf("received %d envelopes, want %d", len(got), n)
+	}
+	for j, e := range got {
+		i := 2*j + 1 // tag 2 first: the odd sends, in order
+		if j >= n/2 {
+			i = 2 * (j - n/2)
+		}
+		want := Envelope{Src: 0, Tag: 1 + i%2, Bytes: int64(100 + i), Payload: i}
+		if e != want {
+			t.Errorf("Recv %d = %+v, want %+v", j, e, want)
+		}
+	}
+}

@@ -50,7 +50,7 @@ func (p *Proc) Chain(start func()) {
 // sleeping in a chain with steps still pending.
 func (t *Task) chained() *Proc {
 	if t.proc == nil || t.chain != chainRunning {
-		panic(fmt.Sprintf("sim: %q is not a process sleeping in a chain", t.name))
+		panic(fmt.Sprintf("sim: %q is not a process sleeping in a chain", t.Name()))
 	}
 	return t.proc
 }

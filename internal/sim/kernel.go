@@ -174,7 +174,7 @@ func (k *Kernel) DeadlockReport() string {
 		if t.finished || t.waitOp == "" {
 			continue
 		}
-		fmt.Fprintf(&sb, "\n  %s: %s", t.name, t.waitOp)
+		fmt.Fprintf(&sb, "\n  %s: %s", t.Name(), t.waitOp)
 		if t.waitObj != "" {
 			fmt.Fprintf(&sb, " on %q", t.waitObj)
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 
 	"howsim/internal/probe"
 )
@@ -32,6 +33,11 @@ type Task struct {
 	id   int
 	k    *Kernel
 	proc *Proc // non-nil when this task is the identity of a process
+
+	// nameN is the numeric suffix of a NewTaskN name, formatted only
+	// when the name is read; hasN reports whether there is one.
+	nameN int32
+	hasN  bool
 
 	finished bool
 	inReg    bool // present in the kernel's registry (procs or tasks slice)
@@ -101,7 +107,12 @@ type Task struct {
 }
 
 // Name returns the name the task was created with.
-func (t *Task) Name() string { return t.name }
+func (t *Task) Name() string {
+	if t.hasN {
+		return t.name + strconv.Itoa(int(t.nameN))
+	}
+	return t.name
+}
 
 // ID returns a unique small integer identifying the task.
 func (t *Task) ID() int { return t.id }
@@ -117,6 +128,27 @@ func (t *Task) Now() Time { return t.k.now }
 // *Func primitives. Steady-state creation is allocation-free — finished
 // tasks return to a per-kernel pool.
 func (k *Kernel) NewTask(name string) *Task {
+	t := k.newTask()
+	t.name, t.hasN = name, false
+	return t
+}
+
+// NewTaskN is NewTask for the name prefix followed by n in decimal
+// ("isend3->" and 5 name "isend3->5"). The name is formatted only when
+// it is read (Name, DeadlockReport, panics), so a task created per
+// operation costs no string. n must fit in an int32.
+func (k *Kernel) NewTaskN(prefix string, n int) *Task {
+	if int(int32(n)) != n {
+		panic(fmt.Sprintf("sim: NewTaskN(%q, %d): suffix out of int32 range", prefix, n))
+	}
+	t := k.newTask()
+	t.name, t.nameN, t.hasN = prefix, int32(n), true
+	return t
+}
+
+// newTask takes a task from the pool (or allocates one), gives it the
+// next ID and registers it as live.
+func (k *Kernel) newTask() *Task {
 	k.procSeq++
 	var t *Task
 	if n := len(k.taskFree); n > 0 {
@@ -127,7 +159,7 @@ func (k *Kernel) NewTask(name string) *Task {
 	} else {
 		t = &Task{k: k}
 	}
-	t.name, t.id = name, k.procSeq
+	t.id = k.procSeq
 	k.liveTasks++
 	if !t.inReg {
 		if len(k.tasks) >= 64 && len(k.tasks) >= 2*k.liveTasks {
@@ -156,10 +188,10 @@ func (k *Kernel) NewTask(name string) *Task {
 // of a process (processes finish by returning from their body).
 func (t *Task) Finish() {
 	if t.proc != nil {
-		panic(fmt.Sprintf("sim: Finish on process task %q", t.name))
+		panic(fmt.Sprintf("sim: Finish on process task %q", t.Name()))
 	}
 	if t.waitKind != taskWaitNone {
-		panic(fmt.Sprintf("sim: Finish on task %q parked in %s", t.name, t.waitOp))
+		panic(fmt.Sprintf("sim: Finish on task %q parked in %s", t.Name(), t.waitOp))
 	}
 	if t.finished {
 		return
@@ -186,10 +218,10 @@ func (t *Task) wake() {
 // when the wake event fires.
 func (t *Task) parkWait(kind taskWait, obj, op string) {
 	if t.proc != nil && t.chain != chainRunning {
-		panic(fmt.Sprintf("sim: *Func primitive used with process task %q outside a chain (use the blocking API)", t.name))
+		panic(fmt.Sprintf("sim: *Func primitive used with process task %q outside a chain (use the blocking API)", t.Name()))
 	}
 	if t.waitKind != taskWaitNone {
-		panic(fmt.Sprintf("sim: task %q parked twice (already waiting in %s)", t.name, t.waitOp))
+		panic(fmt.Sprintf("sim: task %q parked twice (already waiting in %s)", t.Name(), t.waitOp))
 	}
 	t.waitKind = kind
 	t.waitObj, t.waitOp = obj, op

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestGetFuncPutFuncRendezvous drives a producer/consumer pair entirely
@@ -379,4 +381,43 @@ func TestKernelClose(t *testing.T) {
 		t.Error("Spawn after Close did not run")
 	}
 	k.Close()
+}
+
+// TestNewTaskNNamesOnDemand checks that a NewTaskN name reads, in Name
+// and in DeadlockReport, exactly as the Sprintf-built name of a NewTask
+// does, and that a pooled task reused by NewTask drops the suffix.
+func TestNewTaskNNamesOnDemand(t *testing.T) {
+	report := func(mk func(k *Kernel) *Task) (string, string) {
+		k := NewKernel()
+		defer k.Close()
+		mb := NewMailbox(k, "inbox", 0)
+		tk := mk(k)
+		mb.GetFunc(tk, func(any, bool) {})
+		k.Run()
+		return tk.Name(), k.DeadlockReport()
+	}
+	nameN, repN := report(func(k *Kernel) *Task { return k.NewTaskN("isend3->", 5) })
+	name, rep := report(func(k *Kernel) *Task { return k.NewTask(fmt.Sprintf("isend%d->%d", 3, 5)) })
+	if nameN != "isend3->5" || nameN != name {
+		t.Errorf("NewTaskN name = %q, Sprintf form %q", nameN, name)
+	}
+	if repN != rep || !strings.Contains(repN, "isend3->5: get") {
+		t.Errorf("DeadlockReport with NewTaskN:\n%s\nwith the Sprintf name:\n%s", repN, rep)
+	}
+
+	k := NewKernel()
+	defer k.Close()
+	tk := k.NewTaskN("isend0->", 12)
+	tk.Finish()
+	if again := k.NewTask("stream.pump"); again != tk || again.Name() != "stream.pump" {
+		t.Errorf("recycled task is %p named %q, want %p named %q", again, again.Name(), tk, "stream.pump")
+	}
+}
+
+// TestTaskSizeClass keeps Task in the 208-byte allocation size class
+// (the next is 224): every send in flight holds a bare task.
+func TestTaskSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Task{}); n > 208 {
+		t.Fatalf("Task is %d bytes, want <= 208", n)
+	}
 }

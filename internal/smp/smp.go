@@ -15,7 +15,9 @@
 package smp
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"howsim/internal/bus"
 	"howsim/internal/cpu"
@@ -79,35 +81,39 @@ type Machine struct {
 	replica      bool  // each disk's data has a copy on the next disk
 	replicaBytes int64 // bytes re-read from replicas after failures
 
-	// stripeFree holds the chunk requests of finished striped requests
-	// and opFree their state machines for reuse, so steady-state striped
-	// I/O allocates nothing.
+	// stripeFree holds the chunk requests of finished striped requests,
+	// ordered by capacity, and opFree their state machines for reuse, so
+	// steady-state striped I/O allocates nothing.
 	stripeFree [][]disk.Request
 	opFree     []*stripeOp
 }
 
 // chunkRequests returns n chunk requests, reusing the smallest freed
-// slice that is large enough, so requests of mixed sizes never discard
-// a slice and keep the large ones for the requests that need them. The
-// slice is sized before any chunk is submitted and never appended to:
-// the disks hold pointers into it until every wait on it is over.
+// slice that is large enough (a binary search of the capacity-ordered
+// free list), so requests of mixed sizes never discard a slice and keep
+// the large ones for the requests that need them. The slice is sized
+// before any chunk is submitted and never appended to: the disks hold
+// pointers into it until every wait on it is over.
 func (m *Machine) chunkRequests(n int) []disk.Request {
-	best := -1
-	for i, reqs := range m.stripeFree {
-		if cap(reqs) >= n && (best < 0 || cap(reqs) < cap(m.stripeFree[best])) {
-			best = i
-		}
-	}
-	if best < 0 {
+	i, _ := slices.BinarySearchFunc(m.stripeFree, n, byCap)
+	if i == len(m.stripeFree) {
 		return make([]disk.Request, n)
 	}
-	reqs := m.stripeFree[best]
-	last := len(m.stripeFree) - 1
-	m.stripeFree[best] = m.stripeFree[last]
-	m.stripeFree[last] = nil
-	m.stripeFree = m.stripeFree[:last]
+	reqs := m.stripeFree[i]
+	m.stripeFree = slices.Delete(m.stripeFree, i, i+1)
 	return reqs[:n]
 }
+
+// freeChunkRequests returns a finished request's chunk requests to the
+// free list, keeping it ordered by capacity.
+func (m *Machine) freeChunkRequests(reqs []disk.Request) {
+	i, _ := slices.BinarySearchFunc(m.stripeFree, cap(reqs), byCap)
+	m.stripeFree = slices.Insert(m.stripeFree, i, reqs)
+}
+
+// byCap orders chunk-request slices by capacity for the free list's
+// binary searches.
+func byCap(reqs []disk.Request, n int) int { return cmp.Compare(cap(reqs), n) }
 
 // InstallFaults applies a fault plan to the machine: per-disk injectors
 // (by disk index), outage windows matched to the interconnects by name
@@ -159,6 +165,7 @@ func New(k *sim.Kernel, cfg Config) *Machine {
 	for i := 0; i < cfg.Processors; i++ {
 		m.CPUs = append(m.CPUs, cpu.New(k, fmt.Sprintf("smp.cpu%d", i), cfg.CPUHz))
 	}
+	models := disk.Models{}
 	for i := 0; i < cfg.Disks; i++ {
 		spec := cfg.DiskSpec
 		if cfg.SpecFor != nil {
@@ -166,7 +173,7 @@ func New(k *sim.Kernel, cfg Config) *Machine {
 				spec = s
 			}
 		}
-		m.Disks = append(m.Disks, disk.New(k, fmt.Sprintf("smp.d%d", i), spec))
+		m.Disks = append(m.Disks, models.Of(spec).New(k, fmt.Sprintf("smp.d%d", i)))
 	}
 	return m
 }
@@ -422,7 +429,7 @@ func (op *stripeOp) replicaBooked(r *disk.Request) {
 // across the shared FC loop, then XIO into memory.
 func (op *stripeOp) transfer() {
 	m := op.s.m
-	m.stripeFree = append(m.stripeFree, op.reqs)
+	m.freeChunkRequests(op.reqs)
 	op.reqs = nil
 	m.FC.TransferFunc(op.t, op.length, op.then(stepFC))
 }

@@ -223,11 +223,10 @@ func feMerger(k *sim.Kernel, s *diskos.System, entryBytes, cyclesPerEntry int64)
 	sig := sim.NewSignal()
 	k.Spawn("fe.merge", func(p *sim.Proc) {
 		for {
-			v, ok := s.FE.Inbox().Get(p)
+			c, ok := s.FE.Recv(p)
 			if !ok {
 				break
 			}
-			c := v.(diskos.Chunk)
 			entries := c.Bytes / entryBytes
 			if entries < 1 {
 				entries = 1
@@ -281,7 +280,7 @@ func activeGroupBy(pl *placement, s *diskos.System, ds workload.Dataset, res *Re
 	}
 	pl.hub().Spawn("coord", func(p *sim.Proc) {
 		wg.Wait(p)
-		s.FE.Inbox().Close()
+		s.FE.CloseInbox()
 		merged.Wait(p)
 		done.Fire()
 	})
@@ -596,7 +595,7 @@ func activeCube(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 	}
 	pl.hub().Spawn("coord", func(p *sim.Proc) {
 		wg.Wait(p)
-		s.FE.Inbox().Close()
+		s.FE.CloseInbox()
 		if merged != nil {
 			merged.Wait(p)
 		}
@@ -764,11 +763,10 @@ func activeMine(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 	hub.Spawn("fe.reduce", func(p *sim.Proc) {
 		for pass := 0; pass < MinePasses; pass++ {
 			for i := 0; i < d; i++ {
-				v, ok := s.FE.Inbox().Get(p)
+				c, ok := s.FE.Recv(p)
 				if !ok {
 					return
 				}
-				c := v.(diskos.Chunk)
 				s.FE.CPU.Compute(p, c.Bytes/MineCounterEntryBytes*MineMergeCycles)
 			}
 			if pass == MinePasses-1 {
@@ -820,7 +818,7 @@ func activeMine(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 	}
 	hub.Spawn("coord", func(p *sim.Proc) {
 		workers.Wait(p)
-		s.FE.Inbox().Close()
+		s.FE.CloseInbox()
 		for _, ad := range s.Disks {
 			ad.CloseInbox()
 		}

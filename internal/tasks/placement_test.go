@@ -35,7 +35,7 @@ func TestPlacementInlineStreamTouchesDoNotAllocate(t *testing.T) {
 	})
 	k.Spawn("fe.drain", func(p *sim.Proc) {
 		for {
-			if _, ok := s.FE.Inbox().Get(p); !ok {
+			if _, ok := s.FE.Recv(p); !ok {
 				return
 			}
 		}
@@ -71,7 +71,7 @@ func TestPlacementInlineStreamTouchesDoNotAllocate(t *testing.T) {
 				t.Errorf("%s: %v allocs per call from a stocked inbox, want 0", c.name, helper)
 			}
 		}
-		s.FE.Inbox().Close()
+		s.FE.CloseInbox()
 		finished = true
 	})
 	k.Run()

@@ -2,7 +2,8 @@
 // writes the best run of each benchmark as a benchfmt report. The
 // defaults record the kernel, service-path and per-layer
 // microbenchmarks (a striped SMP read, a node-local cluster read, an
-// MPI send and receive across the cluster network) into
+// MPI send and receive across the cluster network, a chunk of a diskos
+// disk-to-disk stream) into
 // BENCH_kernel.json; the parallel/event speedup per task is the root
 // package's BenchmarkParallelSpeedup:
 //
@@ -27,7 +28,7 @@ func main() {
 	var (
 		out     = flag.String("out", "BENCH_kernel.json", "output file")
 		pattern = flag.String("bench", "BenchmarkKernel|BenchmarkService", "benchmark regexp")
-		pkg     = flag.String("pkg", "./internal/sim ./internal/service ./internal/smp ./internal/cluster ./internal/mpi",
+		pkg     = flag.String("pkg", "./internal/sim ./internal/service ./internal/smp ./internal/cluster ./internal/mpi ./internal/diskos",
 			"space-separated packages to benchmark")
 		count = flag.Int("count", 1, "benchmark repetitions (best ns/op wins)")
 	)

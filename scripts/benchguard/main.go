@@ -38,7 +38,7 @@ const (
 	zeroAllocDefault = "BenchmarkKernelEventThroughputProbeOff,BenchmarkKernelEventThroughputSharded," +
 		"BenchmarkKernelPipeTransferProbeOff," +
 		"BenchmarkKernelPipeTransferProbeOn,BenchmarkKernelSingleProcWait,BenchmarkKernelPipeTransferSegmented," +
-		"BenchmarkKernelStripeRead,BenchmarkKernelNodeRead,BenchmarkKernelMPISendRecv"
+		"BenchmarkKernelStripeRead,BenchmarkKernelNodeRead,BenchmarkKernelMPISendRecv,BenchmarkKernelDiskosStream"
 )
 
 // gateBaseline checks each named benchmark of cur against base: ns/op

@@ -60,12 +60,14 @@ func TestGateZeroAlloc(t *testing.T) {
 		t.Error("a missing zero-alloc row passed")
 	}
 	// The sharded timer loop keeps a shard-ordering key per event; a key
-	// array that allocated per event would show here.
+	// array that allocated per event would show here, as would a diskos
+	// chunk boxed per delivery.
 	for _, tc := range []struct {
 		name string
 		fail bool
 	}{
 		{"BenchmarkKernelEventThroughputSharded", true},
+		{"BenchmarkKernelDiskosStream", true},
 		{"BenchmarkKernelEventThroughput", false}, // gated on ns/op, not on the zero-alloc list
 	} {
 		rows := append([]benchfmt.Benchmark(nil), clean...)
