@@ -198,10 +198,10 @@ type Model struct {
 	segBytes  int64 // per-segment prefetch capacity
 }
 
-// NewModel derives the service-time model of spec. The model reads
+// newModel derives the service-time model of spec. The model reads
 // spec whenever a drive built from it services a request, so spec
 // must not change afterwards.
-func NewModel(spec *Spec) *Model {
+func newModel(spec *Spec) *Model {
 	return &Model{
 		spec:      spec,
 		geom:      newGeometry(spec),
@@ -221,7 +221,7 @@ type Models map[*Spec]*Model
 func (ms Models) Of(spec *Spec) *Model {
 	m := ms[spec]
 	if m == nil {
-		m = NewModel(spec)
+		m = newModel(spec)
 		ms[spec] = m
 	}
 	return m
@@ -229,7 +229,7 @@ func (ms Models) Of(spec *Spec) *Model {
 
 // New creates a disk built from spec and starts its event-driven
 // service loop on k.
-func New(k *sim.Kernel, name string, spec *Spec) *Disk { return NewModel(spec).New(k, name) }
+func New(k *sim.Kernel, name string, spec *Spec) *Disk { return newModel(spec).New(k, name) }
 
 // New creates a disk that follows model m and starts its event-driven
 // service loop on k.
