@@ -6,9 +6,10 @@
 //
 //	go test -bench=. -benchmem
 //
-// regenerates the entire evaluation. Set HOWSIM_BENCH_SCALE (e.g. 0.05)
-// to shrink the datasets for a quick pass; the default is the full
-// Table 2 scale.
+// regenerates the entire evaluation (Table 2, the dataset description,
+// is printed by `experiments -only table2`). Set HOWSIM_BENCH_SCALE
+// (e.g. 0.05) to shrink the datasets for a quick pass; the default is
+// the full Table 2 scale.
 package repro_test
 
 import (
@@ -48,20 +49,6 @@ func BenchmarkTable1CostModel(b *testing.B) {
 	}
 	b.ReportMetric(cost.ActiveDiskTotal(cost.Jul99, 64)/cost.ClusterTotal(cost.Jul99, 64), "active/cluster-price")
 	b.ReportMetric(cost.SMPTotal(64)/cost.ActiveDiskTotal(cost.Jul99, 64), "smp/active-price")
-}
-
-// BenchmarkTable2Datasets regenerates Table 2 and exercises every
-// synthetic generator at a fixed sample size.
-func BenchmarkTable2Datasets(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.RenderTable2()
-		_ = workload.GenRecords(10_000, 1000, 1)
-		_ = workload.GenSortKeys(10_000, 1)
-		_ = workload.GenCube(10_000, workload.ForTask(workload.DataCube).CubeDims, 1)
-		_, _ = workload.GenJoin(2_000, 8_000, 1)
-		_ = workload.GenTxns(10_000, 1000, 4, 1)
-		_ = workload.GenDeltas(10_000, 500, 1)
-	}
 }
 
 // BenchmarkFigure1 runs the core comparison (8 tasks x 3 architectures

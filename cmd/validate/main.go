@@ -37,61 +37,65 @@ func (c check) ok() bool {
 	return rel <= c.tolerance
 }
 
-func main() {
-	var checks []check
-
-	// --- Disk model vs Seagate ST39102 specification -----------------
+// checks measures every component model and pairs each measurement
+// with its published or analytic value, in report order.
+func checks() []check {
 	spec := disk.Cheetah9LP()
-	checks = append(checks, check{
-		name: "disk capacity", unit: "GB", tolerance: 0.05,
-		measured: float64(spec.CapacityBytes()) / 1e9, expected: 9.1,
-	})
-	checks = append(checks, check{
-		name: "outer-zone media rate", unit: "MB/s", tolerance: 0.02,
-		measured: spec.MaxMediaRate() / 1e6, expected: 21.3,
-	})
-	checks = append(checks, check{
-		name: "inner-zone media rate", unit: "MB/s", tolerance: 0.02,
-		measured: spec.MinMediaRate() / 1e6, expected: 14.5,
-	})
-	checks = append(checks, check{
-		name: "sequential read throughput", unit: "MB/s", tolerance: 0.06,
-		measured: seqReadRate() / 1e6, expected: spec.MaxMediaRate() / 1e6,
-	})
-	checks = append(checks, check{
-		name: "random 8KB read service", unit: "ms", tolerance: 0.35,
-		measured: randomReadMs(),
-		// avg seek + half rotation + transfer + controller overhead
-		expected: spec.AvgSeekRead.Milliseconds() + spec.RotationPeriod().Milliseconds()/2 + 0.8,
-	})
+	return []check{
+		// --- Disk model vs Seagate ST39102 specification -----------------
+		{
+			name: "disk capacity", unit: "GB", tolerance: 0.05,
+			measured: float64(spec.CapacityBytes()) / 1e9, expected: 9.1,
+		},
+		{
+			name: "outer-zone media rate", unit: "MB/s", tolerance: 0.02,
+			measured: spec.MaxMediaRate() / 1e6, expected: 21.3,
+		},
+		{
+			name: "inner-zone media rate", unit: "MB/s", tolerance: 0.02,
+			measured: spec.MinMediaRate() / 1e6, expected: 14.5,
+		},
+		{
+			name: "sequential read throughput", unit: "MB/s", tolerance: 0.06,
+			measured: seqReadRate() / 1e6, expected: spec.MaxMediaRate() / 1e6,
+		},
+		{
+			name: "random 8KB read service", unit: "ms", tolerance: 0.35,
+			measured: randomReadMs(),
+			// avg seek + half rotation + transfer + controller overhead
+			expected: spec.AvgSeekRead.Milliseconds() + spec.RotationPeriod().Milliseconds()/2 + 0.8,
+		},
 
-	// --- Interconnect models ------------------------------------------
-	checks = append(checks, check{
-		name: "dual FC-AL aggregate bandwidth", unit: "MB/s", tolerance: 0.02,
-		measured: fcalAggregate() / 1e6, expected: 200,
-	})
+		// --- Interconnect models ------------------------------------------
+		{
+			name: "dual FC-AL aggregate bandwidth", unit: "MB/s", tolerance: 0.02,
+			measured: fcalAggregate() / 1e6, expected: 200,
+		},
 
-	// --- Network model -------------------------------------------------
-	checks = append(checks, check{
-		name: "cluster NIC point-to-point", unit: "MB/s", tolerance: 0.05,
-		measured: p2pRate() / 1e6, expected: 11.7,
-	})
-	checks = append(checks, check{
-		name: "small-message latency", unit: "us", tolerance: 0.3,
-		measured: p2pLatencyUS(),
-		// two 1 KB serializations at 11.7 MB/s plus two 10 us hops
-		expected: 2*(1024.0/11.7e6*1e6) + 20,
-	})
+		// --- Network model -------------------------------------------------
+		{
+			name: "cluster NIC point-to-point", unit: "MB/s", tolerance: 0.05,
+			measured: p2pRate() / 1e6, expected: 11.7,
+		},
+		{
+			name: "small-message latency", unit: "us", tolerance: 0.3,
+			measured: p2pLatencyUS(),
+			// two 1 KB serializations at 11.7 MB/s plus two 10 us hops
+			expected: 2*(1024.0/11.7e6*1e6) + 20,
+		},
 
-	// --- Processor model -----------------------------------------------
-	checks = append(checks, check{
-		name: "200 MHz cycle accounting", unit: "s", tolerance: 0.001,
-		measured: cpuSecondsFor(200e6, 200e6), expected: 1.0,
-	})
+		// --- Processor model -----------------------------------------------
+		{
+			name: "200 MHz cycle accounting", unit: "s", tolerance: 0.001,
+			measured: cpuSecondsFor(200e6, 200e6), expected: 1.0,
+		},
+	}
+}
 
+func main() {
 	fail := 0
 	fmt.Printf("%-32s %12s %12s %8s  %s\n", "check", "measured", "expected", "tol", "status")
-	for _, c := range checks {
+	for _, c := range checks() {
 		status := "ok"
 		if !c.ok() {
 			status = "FAIL"

@@ -9,7 +9,6 @@ import (
 	"howsim/internal/diskos"
 	"howsim/internal/fault"
 	"howsim/internal/probe"
-	"howsim/internal/relational"
 	"howsim/internal/sim"
 	"howsim/internal/workload"
 )
@@ -307,7 +306,7 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 	if runBytes > per {
 		runBytes = alignSector(per)
 	}
-	plan := relational.PlanExternalSort(per, runBytes, 0)
+	plan := PlanExternalSort(per, runBytes)
 	res.Details["runs"] = float64(plan.Runs)
 	res.Details["run_bytes"] = float64(runBytes)
 
@@ -510,23 +509,15 @@ func activeMerge(p *sim.Proc, ad *diskos.ActiveDisk, runSizes []int64,
 	}
 }
 
-// activeCube runs PipeHash: the pass/spill plan comes from the
-// relational engine's planner; pass 1 scans the raw partition (spilling
+// activeCube runs PipeHash: the pass/spill plan comes from
+// PipeHashShape.Plan; pass 1 scans the raw partition (spilling
 // partial hash tables to the front-end if the largest group-by's share
 // does not fit), later passes scan the smaller intermediate results, and
 // the finished group-by tables are written locally.
 func activeCube(pl *placement, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(s.Disks)
 	per := perNodeBytes(ds.TotalBytes, d)
-	shape := relational.PaperCubeShape()
-	if ds.TotalBytes < workload.ForTask(workload.DataCube).TotalBytes {
-		// Scaled-down instances shrink the plan proportionally.
-		f := float64(ds.TotalBytes) / float64(workload.ForTask(workload.DataCube).TotalBytes)
-		shape.LargestTableBytes = int64(float64(shape.LargestTableBytes) * f)
-		for i := range shape.OtherTablesBytes {
-			shape.OtherTablesBytes[i] = int64(float64(shape.OtherTablesBytes[i]) * f)
-		}
-	}
+	shape, tables := cubeShape(ds)
 	reserve := s.Cfg.DiskMemBytes - s.ScratchBytes() + 1<<20
 	plan := shape.Plan(d, s.Cfg.DiskMemBytes, reserve)
 	res.Details["passes"] = float64(plan.Passes)
@@ -535,10 +526,6 @@ func activeCube(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 	interRegion := alignSector(s.Disks[0].Disk.Capacity() / 3)
 	tableRegion := alignSector(2 * s.Disks[0].Disk.Capacity() / 3)
 	interBytes := alignSector(int64(float64(per) * CubeIntermediateFraction))
-	var tables int64 = shape.LargestTableBytes
-	for _, t := range shape.OtherTablesBytes {
-		tables += t
-	}
 	tablesPer := alignSector(tables / int64(d))
 
 	done := sim.NewSignal()
@@ -621,7 +608,7 @@ func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 
 	projR := alignSector(int64(float64(perR) * projFrac))
 	projS := alignSector(int64(float64(perS) * projFrac))
-	gp := relational.PlanGraceJoin(projR, s.ScratchBytes()-2<<20)
+	gp := PlanGraceJoin(projR, s.ScratchBytes()-2<<20)
 	res.Details["grace_partitions"] = float64(gp.Partitions)
 
 	done := sim.NewSignal()

@@ -10,7 +10,6 @@ import (
 	"howsim/internal/fault"
 	"howsim/internal/mpi"
 	"howsim/internal/probe"
-	"howsim/internal/relational"
 	"howsim/internal/sim"
 	"howsim/internal/workload"
 )
@@ -251,7 +250,7 @@ func clusterSort(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 	if runBytes > per {
 		runBytes = alignSector(per)
 	}
-	plan := relational.PlanExternalSort(per, runBytes, 0)
+	plan := PlanExternalSort(per, runBytes)
 	res.Details["runs"] = float64(plan.Runs)
 
 	done := sim.NewSignal()
@@ -398,14 +397,7 @@ func clusterMerge(p *sim.Proc, n *cluster.Node, runSizes []int64,
 func clusterCube(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(m.Nodes)
 	per := perNodeBytes(ds.TotalBytes, d)
-	shape := relational.PaperCubeShape()
-	if ds.TotalBytes < workload.ForTask(workload.DataCube).TotalBytes {
-		f := float64(ds.TotalBytes) / float64(workload.ForTask(workload.DataCube).TotalBytes)
-		shape.LargestTableBytes = int64(float64(shape.LargestTableBytes) * f)
-		for i := range shape.OtherTablesBytes {
-			shape.OtherTablesBytes[i] = int64(float64(shape.OtherTablesBytes[i]) * f)
-		}
-	}
+	shape, tables := cubeShape(ds)
 	plan := shape.Plan(d, m.UsableMemoryBytes(), 24<<20)
 	res.Details["passes"] = float64(plan.Passes)
 	res.Details["spill_bytes"] = float64(plan.SpillBytes)
@@ -413,10 +405,6 @@ func clusterCube(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 	interRegion := alignSector(m.Nodes[0].Disk.Capacity() / 3)
 	tableRegion := alignSector(2 * m.Nodes[0].Disk.Capacity() / 3)
 	interBytes := alignSector(int64(float64(per) * CubeIntermediateFraction))
-	var tables int64 = shape.LargestTableBytes
-	for _, t := range shape.OtherTablesBytes {
-		tables += t
-	}
 	tablesPer := alignSector(tables / int64(d))
 
 	done := sim.NewSignal()

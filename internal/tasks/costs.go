@@ -78,12 +78,11 @@ const (
 	ViewScanCycles = 80
 )
 
-// Structural constants of the workloads (paper-reported or derived from
-// the executable relational engine on scaled instances).
+// Structural constants of the workloads (paper-reported or
+// calibrated; the planners in plans.go cover the data-dependent ones).
 const (
 	// MinePasses is the number of full scans Apriori makes over the
-	// transactions (the relational engine's runs on Table 2-shaped data
-	// settle at 3-5 passes; 4 is the calibrated value).
+	// transactions: a calibrated constant, not derived from a mining run.
 	MinePasses = 4
 	// MineCounterBytes is the per-node candidate-counter state
 	// exchanged after every pass ("the frequency counters needed 5.4 MB

@@ -1,85 +1,54 @@
-package relational
+package tasks
 
 import (
-	"math"
-	"math/bits"
 	"testing"
-
-	"howsim/internal/workload"
+	"testing/quick"
 )
 
-// naiveGroupBy computes one group-by directly from the raw tuples.
-func naiveGroupBy(tuples []workload.CubeTuple, mask int) map[CubeKey]float64 {
-	out := map[CubeKey]float64{}
-	for _, t := range tuples {
-		out[maskKey(t, mask)] += t.Measure
+func TestPlanExternalSortPaperExample(t *testing.T) {
+	// "Switching from 40 runs of 25 MB each (used for 32 MB Active
+	// Disks) to 20 runs of 50 MB each (used for 64 MB Active Disks)":
+	// 1 GB of data per disk.
+	gb := int64(1) << 30
+	mb := int64(1) << 20
+	if p := PlanExternalSort(gb, 25*mb); p.Runs != 41 { // 1 GiB / 25 MiB = 40.96 -> 41 runs
+		t.Errorf("32 MB plan: %d runs, want 41 (~40 in the paper's round numbers)", p.Runs)
 	}
-	return out
-}
-
-func TestComputeCubeMatchesNaive(t *testing.T) {
-	tuples := workload.GenCube(5000, []float64{0.01, 0.004, 0.002, 0.001}, 1)
-	c := ComputeCube(tuples, 4)
-	if c.NumGroupBys() != 15 {
-		t.Fatalf("4-d cube has %d group-bys, want 15", c.NumGroupBys())
-	}
-	for mask := 1; mask <= 15; mask++ {
-		want := naiveGroupBy(tuples, mask)
-		got := c.Groups(mask)
-		if len(got) != len(want) {
-			t.Fatalf("group-by %04b: %d groups, want %d", mask, len(got), len(want))
-		}
-		for k, v := range want {
-			if math.Abs(got[k]-v) > 1e-6 {
-				t.Fatalf("group-by %04b key %v: %v, want %v", mask, k, got[k], v)
-			}
-		}
+	if p := PlanExternalSort(gb, 50*mb); p.Runs != 21 {
+		t.Errorf("64 MB plan: %d runs, want 21 (~20)", p.Runs)
 	}
 }
 
-func TestComputeCubeUsesParents(t *testing.T) {
-	tuples := workload.GenCube(2000, []float64{0.05, 0.01, 0.005, 0.002}, 2)
-	c := ComputeCube(tuples, 4)
-	if c.ComputedFrom[15] != -1 {
-		t.Error("the full group-by must come from the raw data")
-	}
-	fromRaw := 0
-	for mask, parent := range c.ComputedFrom {
-		if parent == -1 {
-			fromRaw++
-			continue
-		}
-		if parent&mask != mask {
-			t.Errorf("group-by %04b computed from non-superset %04b", mask, parent)
-		}
-		if bits.OnesCount(uint(parent)) <= bits.OnesCount(uint(mask)) {
-			t.Errorf("group-by %04b computed from same-or-lower level %04b", mask, parent)
-		}
-	}
-	if fromRaw != 1 {
-		t.Errorf("%d group-bys computed from raw data, want 1 (PipeHash reuses parents)", fromRaw)
+func TestPlanExternalSortFitsInMemory(t *testing.T) {
+	if p := PlanExternalSort(100, 1000); p.Runs != 1 {
+		t.Errorf("in-memory plan = %+v, want 1 run", p)
 	}
 }
 
-func TestComputeCubeLowDims(t *testing.T) {
-	tuples := workload.GenCube(1000, []float64{0.1, 0.05}, 3)
-	c := ComputeCube(tuples, 2)
-	if c.NumGroupBys() != 3 {
-		t.Errorf("2-d cube has %d group-bys, want 3", c.NumGroupBys())
-	}
-	// Total over any group-by equals the grand total.
-	grand := 0.0
-	for _, tp := range tuples {
-		grand += tp.Measure
-	}
-	for mask := 1; mask <= 3; mask++ {
-		s := 0.0
-		for _, v := range c.Groups(mask) {
-			s += v
+func TestPlanRunsShrinkWithMemoryProperty(t *testing.T) {
+	f := func(a, b uint16) bool {
+		m1, m2 := int64(a)+1, int64(b)+1
+		if m1 > m2 {
+			m1, m2 = m2, m1
 		}
-		if math.Abs(s-grand) > 1e-6 {
-			t.Errorf("group-by %02b total %v, want %v", mask, s, grand)
-		}
+		p1 := PlanExternalSort(1<<20, m1*100)
+		p2 := PlanExternalSort(1<<20, m2*100)
+		return p1.Runs >= p2.Runs
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestPlanGraceJoin(t *testing.T) {
+	if p := PlanGraceJoin(100, 1000); p.Partitions != 1 {
+		t.Errorf("fitting build side => %d partitions, want 1", p.Partitions)
+	}
+	if p := PlanGraceJoin(1000, 100); p.Partitions != 10 {
+		t.Errorf("10x oversized build => %d partitions, want 10", p.Partitions)
+	}
+	if p := PlanGraceJoin(1001, 100); p.Partitions != 11 {
+		t.Errorf("ceil division => %d partitions, want 11", p.Partitions)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"howsim/internal/arch"
 	"howsim/internal/fault"
 	"howsim/internal/probe"
-	"howsim/internal/relational"
 	"howsim/internal/sim"
 	"howsim/internal/smp"
 	"howsim/internal/workload"
@@ -211,7 +210,7 @@ func smpSort(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 	if runBytes > perCPU {
 		runBytes = alignSector(perCPU)
 	}
-	plan := relational.PlanExternalSort(perCPU, runBytes, 0)
+	plan := PlanExternalSort(perCPU, runBytes)
 	res.Details["runs_per_cpu"] = float64(plan.Runs)
 
 	q := m.NewBlockQueue("sort.read", ds.TotalBytes, ioChunk)
@@ -454,21 +453,10 @@ func smpCube(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 	inter := m.NewStripe(allDisks(len(m.Disks)), alignSector(capEach/3))
 	tables := m.NewStripe(allDisks(len(m.Disks)), alignSector(2*capEach/3))
 
-	shape := relational.PaperCubeShape()
-	if ds.TotalBytes < workload.ForTask(workload.DataCube).TotalBytes {
-		f := float64(ds.TotalBytes) / float64(workload.ForTask(workload.DataCube).TotalBytes)
-		shape.LargestTableBytes = int64(float64(shape.LargestTableBytes) * f)
-		for i := range shape.OtherTablesBytes {
-			shape.OtherTablesBytes[i] = int64(float64(shape.OtherTablesBytes[i]) * f)
-		}
-	}
+	shape, tablesTotal := cubeShape(ds)
 	plan := shape.Plan(1, m.TotalMemoryBytes(), smpMemReserve(m))
 	res.Details["passes"] = float64(plan.Passes)
 	interBytes := alignSector(int64(float64(ds.TotalBytes) * CubeIntermediateFraction))
-	var tablesTotal int64 = shape.LargestTableBytes
-	for _, t := range shape.OtherTablesBytes {
-		tablesTotal += t
-	}
 
 	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(p)

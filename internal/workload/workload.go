@@ -1,9 +1,7 @@
 // Package workload describes the eight decision-support tasks' datasets
-// (the paper's Table 2) and provides deterministic synthetic generators
-// for scaled-down instances of the same distributions. The full-scale
-// descriptions parameterize the simulation; the generated instances feed
-// the executable relational engine for correctness testing and
-// plan-shape extraction.
+// (the paper's Table 2) and their scaled-down instances. The
+// descriptions parameterize the simulation: it models data volumes and
+// cardinalities, so no tuples are generated.
 package workload
 
 import "fmt"
@@ -155,9 +153,8 @@ func ForTaskScaled(t TaskID, scale float64) (Dataset, error) {
 }
 
 // Scaled returns a copy of d shrunk to approximately totalBytes, keeping
-// tuple widths and relative cardinalities. Used to produce megabyte-scale
-// instances that the executable relational engine can chew through in
-// tests while preserving the full-scale distribution shape.
+// tuple widths and relative cardinalities, so a megabyte-scale run in a
+// test or a quick -scale pass keeps the full-scale distribution shape.
 func (d Dataset) Scaled(totalBytes int64) Dataset {
 	if totalBytes <= 0 || totalBytes >= d.TotalBytes {
 		return d
