@@ -9,6 +9,7 @@ import (
 	"howsim/internal/diskos"
 	"howsim/internal/fault"
 	"howsim/internal/probe"
+	"howsim/internal/relational"
 	"howsim/internal/sim"
 	"howsim/internal/workload"
 )
@@ -306,7 +307,7 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 	if runBytes > per {
 		runBytes = alignSector(per)
 	}
-	plan := PlanExternalSort(per, runBytes)
+	plan := relational.PlanExternalSort(per, runBytes)
 	res.Details["runs"] = float64(plan.Runs)
 	res.Details["run_bytes"] = float64(runBytes)
 
@@ -608,7 +609,7 @@ func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 
 	projR := alignSector(int64(float64(perR) * projFrac))
 	projS := alignSector(int64(float64(perS) * projFrac))
-	gp := PlanGraceJoin(projR, s.ScratchBytes()-2<<20)
+	gp := relational.PlanGraceJoin(projR, s.ScratchBytes()-2<<20)
 	res.Details["grace_partitions"] = float64(gp.Partitions)
 
 	done := sim.NewSignal()

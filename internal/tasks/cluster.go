@@ -10,6 +10,7 @@ import (
 	"howsim/internal/fault"
 	"howsim/internal/mpi"
 	"howsim/internal/probe"
+	"howsim/internal/relational"
 	"howsim/internal/sim"
 	"howsim/internal/workload"
 )
@@ -250,7 +251,7 @@ func clusterSort(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 	if runBytes > per {
 		runBytes = alignSector(per)
 	}
-	plan := PlanExternalSort(per, runBytes)
+	plan := relational.PlanExternalSort(per, runBytes)
 	res.Details["runs"] = float64(plan.Runs)
 
 	done := sim.NewSignal()

@@ -79,7 +79,8 @@ const (
 )
 
 // Structural constants of the workloads (paper-reported or
-// calibrated; the planners in plans.go cover the data-dependent ones).
+// calibrated; the planners in internal/relational cover the
+// data-dependent ones).
 const (
 	// MinePasses is the number of full scans Apriori makes over the
 	// transactions: a calibrated constant, not derived from a mining run.

@@ -6,6 +6,7 @@ import (
 	"howsim/internal/arch"
 	"howsim/internal/fault"
 	"howsim/internal/probe"
+	"howsim/internal/relational"
 	"howsim/internal/sim"
 	"howsim/internal/smp"
 	"howsim/internal/workload"
@@ -210,7 +211,7 @@ func smpSort(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 	if runBytes > perCPU {
 		runBytes = alignSector(perCPU)
 	}
-	plan := PlanExternalSort(perCPU, runBytes)
+	plan := relational.PlanExternalSort(perCPU, runBytes)
 	res.Details["runs_per_cpu"] = float64(plan.Runs)
 
 	q := m.NewBlockQueue("sort.read", ds.TotalBytes, ioChunk)
