@@ -70,10 +70,12 @@ bench-guard:
 # once recovering via replicas and once completing degraded. Every run
 # must print a fault report (i.e. not hang and not panic).
 fault-smoke:
-	$(GO) run ./cmd/experiments -scale 0.02 -sizes 16 \
-		-faults seed=42,media=0.002,slow=0.001,fail=3@50ms,replica
-	$(GO) run ./cmd/experiments -scale 0.02 -sizes 16 \
-		-faults seed=42,fail=3@50ms
+	for plan in seed=42,media=0.002,slow=0.001,fail=3@50ms,replica seed=42,fail=3@50ms; do \
+		for arch in active cluster smp; do \
+			$(GO) run ./cmd/howsim -task select -arch $$arch -disks 16 -scale 0.02 \
+				-faults $$plan || exit 1; \
+		done; \
+	done
 
 # Chaos smoke: a short seeded fault-plan sweep across architectures,
 # tasks and -procmode settings. Every fuzzed plan must round-trip the
@@ -90,9 +92,10 @@ chaos-smoke:
 # CI uploads /tmp/howsim-traces as an artifact.
 trace-smoke:
 	mkdir -p /tmp/howsim-traces
-	$(GO) run ./cmd/experiments -scale 0.02 -sizes 16 -faulttask sort \
-		-trace /tmp/howsim-traces/sort.json -breakdown \
-		> /tmp/howsim-traces/breakdown.txt
+	for arch in active cluster smp; do \
+		$(GO) run ./cmd/howsim -task sort -arch $$arch -disks 16 -scale 0.02 \
+			-trace /tmp/howsim-traces/sort.$$arch.json -breakdown || exit 1; \
+	done > /tmp/howsim-traces/breakdown.txt
 	$(GO) run ./scripts/tracecheck /tmp/howsim-traces/sort.active.json \
 		/tmp/howsim-traces/sort.cluster.json /tmp/howsim-traces/sort.smp.json
 	grep -q "accounted" /tmp/howsim-traces/breakdown.txt

@@ -325,7 +325,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	ds := workload.ForTask(workload.Select)
 	var res *tasks.Result
 	for i := 0; i < b.N; i++ {
-		res = tasks.RunDataset(arch.ActiveDisks(128), workload.Select, ds)
+		res, _ = tasks.RunCtx(context.Background(), arch.ActiveDisks(128), workload.Select, ds, nil, nil, tasks.ModeEvent)
 	}
 	b.ReportMetric(res.Elapsed.Seconds(), "simulated-s")
 }

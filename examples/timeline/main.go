@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -66,7 +67,11 @@ func main() {
 
 	for _, a := range archs {
 		sink := probe.NewSink()
-		res := tasks.RunDatasetProbed(a.cfg, workload.Sort, ds, nil, sink)
+		res, err := tasks.RunCtx(context.Background(), a.cfg, workload.Sort, ds, nil, sink, tasks.ModeEvent)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		path := fmt.Sprintf("timeline.%s.json", a.name)
 		if err := sink.WriteTraceFile(path); err != nil {
 			fmt.Fprintln(os.Stderr, err)

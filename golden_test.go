@@ -33,8 +33,8 @@ const goldenHeader = `# Golden digests: the SHA-256 of each byte-identity case's
 `
 
 // goldenSums maps case name to digest; loadGolden fills it on first use.
-// The root package's tests never run in parallel (inMode flips a
-// package global), so no locking is needed.
+// The root package's tests never call t.Parallel, so no locking is
+// needed.
 var goldenSums map[string]string
 
 func loadGolden() (map[string]string, error) {

@@ -3,20 +3,20 @@
 //
 // The service tier exists to run simulations on behalf of HTTP
 // requests, and requests die: clients disconnect, deadlines fire,
-// the server drains. tasks.RunCtx is the one simulation entry point
-// that honors that — it executes the kernel in RunUntil slices and
+// the server drains. tasks.RunCtx is the one simulation entry point,
+// and it honors that — it executes the kernel in RunUntil slices and
 // polls the request context between slices, so an abandoned request
-// frees its worker in bounded time. A direct Kernel.Run (or a plain
-// tasks.Run* helper) from service code bypasses the slicing and wedges
-// a pool worker for the full virtual run no matter when the caller
-// went away.
+// frees its worker in bounded time. A direct Kernel.Run from service
+// code bypasses the slicing and wedges a pool worker for the full
+// virtual run no matter when the caller went away.
 //
 // Two rules:
 //
 //  1. In howsim/internal/service and howsim/cmd/howsimd, calls that
 //     execute a simulation directly — Run / RunUntil on *sim.Kernel or
-//     *sim.ShardGroup, or any tasks.Run* function other than
-//     tasks.RunCtx — are findings.
+//     *sim.ShardGroup — are findings, and so is any tasks.Run* function
+//     other than tasks.RunCtx, a guard against a context-free entry
+//     point coming back.
 //
 //  2. In those packages plus howsim/internal/tasks, a function that
 //     takes a context.Context must not contain a loop that calls out

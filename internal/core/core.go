@@ -17,6 +17,8 @@
 package core
 
 import (
+	"context"
+
 	"howsim/internal/arch"
 	"howsim/internal/tasks"
 	"howsim/internal/workload"
@@ -85,5 +87,7 @@ func (s *Simulation) Dataset() workload.Dataset { return s.ds }
 // deterministic: the same configuration and dataset always produce the
 // same virtual times.
 func (s *Simulation) Run() *Result {
-	return tasks.RunDataset(s.cfg, s.task, s.ds)
+	// context.TODO never cancels, so RunCtx never errors.
+	res, _ := tasks.RunCtx(context.TODO(), s.cfg, s.task, s.ds, nil, nil, tasks.ModeEvent)
+	return res
 }

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -30,6 +31,8 @@ type Options struct {
 	Sizes []int
 	// Parallel bounds concurrent simulations (default GOMAXPROCS).
 	Parallel int
+	// Mode is every simulation's execution mode (zero: ModeEvent).
+	Mode tasks.ExecMode
 	// Trace, when non-empty, attaches an observability sink to every
 	// simulation a driver runs and writes one Chrome trace per run,
 	// with ".<config>.<task>" inserted before the path's extension.
@@ -136,12 +139,13 @@ func (o Options) runAll(jobs []job) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
+			var sink *probe.Sink
 			if sinks != nil {
-				sinks[i] = probe.NewSinkCap(o.ringSpans())
-				*j.out = tasks.RunDatasetProbed(j.cfg, j.task, o.dataset(j.task), nil, sinks[i])
-			} else {
-				*j.out = tasks.RunDataset(j.cfg, j.task, o.dataset(j.task))
+				sink = probe.NewSinkCap(o.ringSpans())
+				sinks[i] = sink
 			}
+			// context.TODO never cancels, so RunCtx never errors.
+			*j.out, _ = tasks.RunCtx(context.TODO(), j.cfg, j.task, o.dataset(j.task), nil, sink, o.Mode)
 		}()
 	}
 	wg.Wait()

@@ -730,14 +730,7 @@ func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 func activeMine(pl *placement, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(s.Disks)
 	per := perNodeBytes(ds.TotalBytes, d)
-	counters := int64(MineCounterBytes)
-	if ds.TotalBytes < workload.ForTask(workload.DataMine).TotalBytes {
-		f := float64(ds.TotalBytes) / float64(workload.ForTask(workload.DataMine).TotalBytes)
-		counters = int64(float64(counters) * f)
-		if counters < 4096 {
-			counters = 4096
-		}
-	}
+	counters := mineCounters(ds)
 	res.Details["passes"] = float64(MinePasses)
 	res.Details["counter_bytes"] = float64(counters)
 

@@ -576,14 +576,7 @@ func clusterJoin(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 func clusterMine(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(m.Nodes)
 	per := perNodeBytes(ds.TotalBytes, d)
-	counters := int64(MineCounterBytes)
-	if ds.TotalBytes < workload.ForTask(workload.DataMine).TotalBytes {
-		f := float64(ds.TotalBytes) / float64(workload.ForTask(workload.DataMine).TotalBytes)
-		counters = int64(float64(counters) * f)
-		if counters < 4096 {
-			counters = 4096
-		}
-	}
+	counters := mineCounters(ds)
 	res.Details["passes"] = float64(MinePasses)
 	rounds := 0
 	for v := d - 1; v > 0; v >>= 1 {

@@ -29,7 +29,7 @@ func within(t *testing.T, name string, got, want, frac float64) {
 
 func TestConservationActiveScan(t *testing.T) {
 	ds := workload.ForTask(workload.Select).Scaled(consScale)
-	res := RunDataset(arch.ActiveDisks(4), workload.Select, ds)
+	res := simulate(arch.ActiveDisks(4), workload.Select, ds, nil, ModeEvent)
 	total := float64(ds.TotalBytes)
 	// The whole relation is read from media exactly once.
 	within(t, "media_read", res.Details["media_read_bytes"], total, 0.05)
@@ -41,7 +41,7 @@ func TestConservationActiveScan(t *testing.T) {
 
 func TestConservationActiveSort(t *testing.T) {
 	ds := workload.ForTask(workload.Sort).Scaled(consScale)
-	res := RunDataset(arch.ActiveDisks(4), workload.Sort, ds)
+	res := simulate(arch.ActiveDisks(4), workload.Sort, ds, nil, ModeEvent)
 	total := float64(ds.TotalBytes)
 	// Two-phase sort: read input + read runs; write runs + write output.
 	within(t, "media_read", res.Details["media_read_bytes"], 2*total, 0.08)
@@ -52,7 +52,7 @@ func TestConservationActiveSort(t *testing.T) {
 
 func TestConservationActiveJoin(t *testing.T) {
 	ds := workload.ForTask(workload.Join).Scaled(2 * consScale)
-	res := RunDataset(arch.ActiveDisks(4), workload.Join, ds)
+	res := simulate(arch.ActiveDisks(4), workload.Join, ds, nil, ModeEvent)
 	total := float64(ds.TotalBytes)
 	proj := total * float64(ds.ProjectedTupleBytes) / float64(ds.TupleBytes)
 	// Read both relations once, then re-read the staged projected
@@ -68,7 +68,7 @@ func TestConservationActiveJoin(t *testing.T) {
 
 func TestConservationActiveMine(t *testing.T) {
 	ds := workload.ForTask(workload.DataMine).Scaled(consScale)
-	res := RunDataset(arch.ActiveDisks(4), workload.DataMine, ds)
+	res := simulate(arch.ActiveDisks(4), workload.DataMine, ds, nil, ModeEvent)
 	total := float64(ds.TotalBytes)
 	// One full scan per Apriori pass, nothing written.
 	within(t, "media_read", res.Details["media_read_bytes"], MinePasses*total, 0.05)
@@ -82,7 +82,7 @@ func TestConservationActiveMine(t *testing.T) {
 
 func TestConservationActiveCube(t *testing.T) {
 	ds := workload.ForTask(workload.DataCube).Scaled(consScale)
-	res := RunDataset(arch.ActiveDisks(4), workload.DataCube, ds)
+	res := simulate(arch.ActiveDisks(4), workload.DataCube, ds, nil, ModeEvent)
 	total := float64(ds.TotalBytes)
 	passes := res.Details["passes"]
 	inter := total * CubeIntermediateFraction
@@ -96,7 +96,7 @@ func TestConservationActiveCube(t *testing.T) {
 
 func TestConservationActiveMView(t *testing.T) {
 	ds := workload.ForTask(workload.MView).Scaled(consScale)
-	res := RunDataset(arch.ActiveDisks(4), workload.MView, ds)
+	res := simulate(arch.ActiveDisks(4), workload.MView, ds, nil, ModeEvent)
 	base := float64(baseBytes(ds))
 	// Per-disk partitions are rounded up to whole I/O chunks; compute
 	// the expectation from the same rounding.
@@ -113,7 +113,7 @@ func TestConservationActiveMView(t *testing.T) {
 func TestConservationSMPReadsEverythingOverFC(t *testing.T) {
 	for _, task := range []workload.TaskID{workload.Select, workload.GroupBy, workload.DataMine} {
 		ds := workload.ForTask(task).Scaled(consScale)
-		res := RunDataset(arch.SMP(4), task, ds)
+		res := simulate(arch.SMP(4), task, ds, nil, ModeEvent)
 		total := float64(ds.TotalBytes)
 		passes := 1.0
 		if task == workload.DataMine {
@@ -128,7 +128,7 @@ func TestConservationSMPReadsEverythingOverFC(t *testing.T) {
 
 func TestConservationSMPSortFourCrossings(t *testing.T) {
 	ds := workload.ForTask(workload.Sort).Scaled(consScale)
-	res := RunDataset(arch.SMP(4), workload.Sort, ds)
+	res := simulate(arch.SMP(4), workload.Sort, ds, nil, ModeEvent)
 	total := float64(ds.TotalBytes)
 	// "the entire dataset for sort passes over the I/O interconnect four
 	// times for SMP configurations" (read, write runs, read runs, write
@@ -138,7 +138,7 @@ func TestConservationSMPSortFourCrossings(t *testing.T) {
 
 func TestConservationClusterShuffle(t *testing.T) {
 	ds := workload.ForTask(workload.Sort).Scaled(consScale)
-	res := RunDataset(arch.Cluster(4), workload.Sort, ds)
+	res := simulate(arch.Cluster(4), workload.Sort, ds, nil, ModeEvent)
 	total := float64(ds.TotalBytes)
 	// (D-1)/D of the dataset crosses the network once (plus small done
 	// messages and collective chatter).
@@ -149,7 +149,7 @@ func TestConservationClusterShuffle(t *testing.T) {
 
 func TestConservationClusterSelectStaysLocal(t *testing.T) {
 	ds := workload.ForTask(workload.Select).Scaled(consScale)
-	res := RunDataset(arch.Cluster(4), workload.Select, ds)
+	res := simulate(arch.Cluster(4), workload.Select, ds, nil, ModeEvent)
 	// The tuned cluster select writes matches locally; almost nothing
 	// crosses the network.
 	if res.Details["net_bytes"] > float64(ds.TotalBytes)/100 {
@@ -163,8 +163,8 @@ func TestConservationIndependentOfDiskCount(t *testing.T) {
 	// Total media traffic is a property of the algorithm, not the farm
 	// size.
 	ds := workload.ForTask(workload.Sort).Scaled(consScale)
-	r4 := RunDataset(arch.ActiveDisks(4), workload.Sort, ds)
-	r8 := RunDataset(arch.ActiveDisks(8), workload.Sort, ds)
+	r4 := simulate(arch.ActiveDisks(4), workload.Sort, ds, nil, ModeEvent)
+	r8 := simulate(arch.ActiveDisks(8), workload.Sort, ds, nil, ModeEvent)
 	within(t, "media_read(4 vs 8)", r4.Details["media_read_bytes"],
 		r8.Details["media_read_bytes"], 0.1)
 }

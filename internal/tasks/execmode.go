@@ -36,8 +36,3 @@ func ParseExecMode(s string) (ExecMode, error) {
 	}
 	return ModeEvent, fmt.Errorf("tasks: unknown exec mode %q (want event or parallel)", s)
 }
-
-// DefaultExecMode is the mode of runs through the entry points that do
-// not take one (Run, RunDataset, RunDatasetProbed, ...). Tests and the
-// CLIs set it; RunCtx takes the mode explicitly instead.
-var DefaultExecMode = ModeEvent

@@ -26,8 +26,8 @@ func TestFaultReportDeterminism(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.Name(), func(t *testing.T) {
 			const planStr = "seed=42,media=0.002,slow=0.001,fail=3@50ms,replica"
-			a := RunDatasetFaulted(cfg, workload.Select, ds, mustPlan(t, planStr))
-			b := RunDatasetFaulted(cfg, workload.Select, ds, mustPlan(t, planStr))
+			a := simulate(cfg, workload.Select, ds, mustPlan(t, planStr), ModeEvent)
+			b := simulate(cfg, workload.Select, ds, mustPlan(t, planStr), ModeEvent)
 			if a.Fault == nil || b.Fault == nil {
 				t.Fatal("faulted run produced no FaultReport")
 			}
@@ -50,20 +50,17 @@ func TestFaultFreeEquivalence(t *testing.T) {
 	for _, cfg := range []arch.Config{arch.ActiveDisks(4), arch.Cluster(4), arch.SMP(4)} {
 		cfg := cfg
 		t.Run(cfg.Name(), func(t *testing.T) {
-			base := RunDataset(cfg, workload.Aggregate, ds)
-			nilPlan := RunDatasetFaulted(cfg, workload.Aggregate, ds, nil)
-			empty := RunDatasetFaulted(cfg, workload.Aggregate, ds, mustPlan(t, "seed=7"))
-			for name, got := range map[string]*Result{"nil plan": nilPlan, "empty plan": empty} {
-				if got.Fault != nil {
-					t.Errorf("%s attached a FaultReport", name)
-				}
-				if got.Elapsed != base.Elapsed {
-					t.Errorf("%s elapsed = %v, want %v", name, got.Elapsed, base.Elapsed)
-				}
-				if !reflect.DeepEqual(got.Details, base.Details) {
-					t.Errorf("%s details diverge from the fault-free run:\n%v\n%v",
-						name, got.Details, base.Details)
-				}
+			base := simulate(cfg, workload.Aggregate, ds, nil, ModeEvent)
+			empty := simulate(cfg, workload.Aggregate, ds, mustPlan(t, "seed=7"), ModeEvent)
+			if base.Fault != nil || empty.Fault != nil {
+				t.Errorf("fault-free run attached a FaultReport: nil plan %v, empty plan %v", base.Fault, empty.Fault)
+			}
+			if empty.Elapsed != base.Elapsed {
+				t.Errorf("empty plan elapsed = %v, want %v", empty.Elapsed, base.Elapsed)
+			}
+			if !reflect.DeepEqual(empty.Details, base.Details) {
+				t.Errorf("empty plan details diverge from the nil-plan run:\n%v\n%v",
+					empty.Details, base.Details)
 			}
 		})
 	}
@@ -77,7 +74,7 @@ func TestDiskFailureDegrades(t *testing.T) {
 	for _, cfg := range []arch.Config{arch.ActiveDisks(4), arch.Cluster(4), arch.SMP(4)} {
 		cfg := cfg
 		t.Run(cfg.Name(), func(t *testing.T) {
-			res := RunDatasetFaulted(cfg, workload.Select, ds, mustPlan(t, "seed=1,fail=2@20ms"))
+			res := simulate(cfg, workload.Select, ds, mustPlan(t, "seed=1,fail=2@20ms"), ModeEvent)
 			fr := res.Fault
 			if fr == nil {
 				t.Fatal("no FaultReport")
@@ -106,7 +103,7 @@ func TestDiskFailureReplicaRecovers(t *testing.T) {
 	for _, cfg := range []arch.Config{arch.ActiveDisks(4), arch.Cluster(4), arch.SMP(4)} {
 		cfg := cfg
 		t.Run(cfg.Name(), func(t *testing.T) {
-			res := RunDatasetFaulted(cfg, workload.Select, ds, mustPlan(t, "seed=1,fail=2@20ms,replica"))
+			res := simulate(cfg, workload.Select, ds, mustPlan(t, "seed=1,fail=2@20ms,replica"), ModeEvent)
 			fr := res.Fault
 			if fr == nil {
 				t.Fatal("no FaultReport")
@@ -131,8 +128,8 @@ func TestDiskFailureReplicaRecovers(t *testing.T) {
 // lose data; the report counts the retries and the time they cost.
 func TestMediaErrorsRetryAndRecover(t *testing.T) {
 	ds := scaled(workload.Select, 48<<20)
-	res := RunDatasetFaulted(arch.ActiveDisks(4), workload.Select, ds,
-		mustPlan(t, "seed=9,media=0.2,slow=0.1"))
+	res := simulate(arch.ActiveDisks(4), workload.Select, ds,
+		mustPlan(t, "seed=9,media=0.2,slow=0.1"), ModeEvent)
 	fr := res.Fault
 	if fr == nil {
 		t.Fatal("no FaultReport")
@@ -150,7 +147,7 @@ func TestMediaErrorsRetryAndRecover(t *testing.T) {
 		t.Error("fault delay not accounted")
 	}
 	// Faults cost time: the run must be slower than the clean one.
-	clean := RunDataset(arch.ActiveDisks(4), workload.Select, ds)
+	clean := simulate(arch.ActiveDisks(4), workload.Select, ds, nil, ModeEvent)
 	if res.Elapsed <= clean.Elapsed {
 		t.Errorf("faulted run (%v) not slower than clean run (%v)", res.Elapsed, clean.Elapsed)
 	}
@@ -162,7 +159,7 @@ func TestMediaErrorsRetryAndRecover(t *testing.T) {
 func TestCorruptionRereads(t *testing.T) {
 	ds := scaled(workload.Select, 48<<20)
 	const planStr = "seed=5,corrupt=0.1"
-	res := RunDatasetFaulted(arch.ActiveDisks(4), workload.Select, ds, mustPlan(t, planStr))
+	res := simulate(arch.ActiveDisks(4), workload.Select, ds, mustPlan(t, planStr), ModeEvent)
 	fr := res.Fault
 	if fr == nil {
 		t.Fatal("no FaultReport")
@@ -177,11 +174,11 @@ func TestCorruptionRereads(t *testing.T) {
 		t.Errorf("rereads = %d < corrupt reads = %d; every corruption costs at least one reread",
 			fr.Rereads, fr.CorruptReads)
 	}
-	clean := RunDataset(arch.ActiveDisks(4), workload.Select, ds)
+	clean := simulate(arch.ActiveDisks(4), workload.Select, ds, nil, ModeEvent)
 	if res.Elapsed <= clean.Elapsed {
 		t.Errorf("corrupted run (%v) not slower than clean run (%v)", res.Elapsed, clean.Elapsed)
 	}
-	again := RunDatasetFaulted(arch.ActiveDisks(4), workload.Select, ds, mustPlan(t, planStr))
+	again := simulate(arch.ActiveDisks(4), workload.Select, ds, mustPlan(t, planStr), ModeEvent)
 	if again.Fault.Render() != fr.Render() {
 		t.Error("corruption report not byte-reproducible")
 	}
@@ -198,7 +195,7 @@ func TestStragglerSlowsRun(t *testing.T) {
 	for _, cfg := range []arch.Config{arch.ActiveDisks(4), arch.Cluster(4), arch.SMP(4)} {
 		cfg := cfg
 		t.Run(cfg.Name(), func(t *testing.T) {
-			res := RunDatasetFaulted(cfg, workload.Select, ds, mustPlan(t, planStr))
+			res := simulate(cfg, workload.Select, ds, mustPlan(t, planStr), ModeEvent)
 			fr := res.Fault
 			if fr == nil {
 				t.Fatal("no FaultReport")
@@ -212,11 +209,11 @@ func TestStragglerSlowsRun(t *testing.T) {
 			if fr.BytesLost != 0 {
 				t.Errorf("straggler lost %d bytes; slowdowns must not lose data", fr.BytesLost)
 			}
-			clean := RunDataset(cfg, workload.Select, ds)
+			clean := simulate(cfg, workload.Select, ds, nil, ModeEvent)
 			if res.Elapsed <= clean.Elapsed {
 				t.Errorf("straggler run (%v) not slower than clean run (%v)", res.Elapsed, clean.Elapsed)
 			}
-			again := RunDatasetFaulted(cfg, workload.Select, ds, mustPlan(t, planStr))
+			again := simulate(cfg, workload.Select, ds, mustPlan(t, planStr), ModeEvent)
 			if again.Fault.Render() != fr.Render() {
 				t.Error("straggler report not byte-reproducible")
 			}
@@ -231,7 +228,7 @@ func TestStragglerSlowsRun(t *testing.T) {
 func TestSpareRebuild(t *testing.T) {
 	ds := scaled(workload.Select, 48<<20)
 	const planStr = "seed=42,fail=3@40ms,replica,spare"
-	res := RunDatasetFaulted(arch.ActiveDisks(4), workload.Select, ds, mustPlan(t, planStr))
+	res := simulate(arch.ActiveDisks(4), workload.Select, ds, mustPlan(t, planStr), ModeEvent)
 	fr := res.Fault
 	if fr == nil {
 		t.Fatal("no FaultReport")
@@ -258,13 +255,13 @@ func TestSpareRebuild(t *testing.T) {
 	}
 	// The rebuild contends with the foreground scan: the run must take
 	// longer than the same failure recovered by replica reads alone.
-	replicaOnly := RunDatasetFaulted(arch.ActiveDisks(4), workload.Select, ds,
-		mustPlan(t, "seed=42,fail=3@40ms,replica"))
+	replicaOnly := simulate(arch.ActiveDisks(4), workload.Select, ds,
+		mustPlan(t, "seed=42,fail=3@40ms,replica"), ModeEvent)
 	if res.Elapsed <= replicaOnly.Elapsed {
 		t.Errorf("rebuild run (%v) not slower than replica-only run (%v)",
 			res.Elapsed, replicaOnly.Elapsed)
 	}
-	again := RunDatasetFaulted(arch.ActiveDisks(4), workload.Select, ds, mustPlan(t, planStr))
+	again := simulate(arch.ActiveDisks(4), workload.Select, ds, mustPlan(t, planStr), ModeEvent)
 	if again.Fault.Render() != fr.Render() {
 		t.Errorf("rebuild report not byte-reproducible:\n--- run 1 ---\n%s--- run 2 ---\n%s",
 			fr.Render(), again.Fault.Render())
@@ -282,8 +279,8 @@ func TestRebuildRateThrottle(t *testing.T) {
 	ds := scaled(workload.Select, 48<<20)
 	const free = "seed=42,fail=3@40ms,replica,spare"
 	const paced = "seed=42,fail=3@40ms,replica,spare,rebuild-rate=5"
-	unthrottled := RunDatasetFaulted(arch.ActiveDisks(4), workload.Select, ds, mustPlan(t, free))
-	throttled := RunDatasetFaulted(arch.ActiveDisks(4), workload.Select, ds, mustPlan(t, paced))
+	unthrottled := simulate(arch.ActiveDisks(4), workload.Select, ds, mustPlan(t, free), ModeEvent)
+	throttled := simulate(arch.ActiveDisks(4), workload.Select, ds, mustPlan(t, paced), ModeEvent)
 	if throttled.Fault == nil || throttled.Fault.Rebuild == nil {
 		t.Fatal("paced run carried no RebuildStats")
 	}
@@ -301,7 +298,7 @@ func TestRebuildRateThrottle(t *testing.T) {
 		t.Errorf("paced rebuild window %.3fs not longer than unthrottled %.3fs",
 			rb.EndSec-rb.StartSec, freeWin)
 	}
-	again := RunDatasetFaulted(arch.ActiveDisks(4), workload.Select, ds, mustPlan(t, paced))
+	again := simulate(arch.ActiveDisks(4), workload.Select, ds, mustPlan(t, paced), ModeEvent)
 	if again.Fault.Render() != throttled.Fault.Render() {
 		t.Errorf("paced rebuild report not byte-reproducible:\n--- run 1 ---\n%s--- run 2 ---\n%s",
 			throttled.Fault.Render(), again.Fault.Render())

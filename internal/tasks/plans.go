@@ -23,3 +23,18 @@ func cubeShape(ds workload.Dataset) (relational.PipeHashShape, int64) {
 	}
 	return shape, total
 }
+
+// mineCounters returns the per-node candidate-counter bytes for ds:
+// MineCounterBytes shrunk in proportion to a scaled-down dataset, with
+// a 4 KB floor.
+func mineCounters(ds workload.Dataset) int64 {
+	counters := int64(MineCounterBytes)
+	if full := workload.ForTask(workload.DataMine).TotalBytes; ds.TotalBytes < full {
+		f := float64(ds.TotalBytes) / float64(full)
+		counters = int64(float64(counters) * f)
+		if counters < 4096 {
+			counters = 4096
+		}
+	}
+	return counters
+}

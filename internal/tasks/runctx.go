@@ -19,9 +19,8 @@ import (
 // a tiny fraction of any run's wall time.
 const cancelSlice = 10 * sim.Millisecond
 
-// runCtl carries one run's execution controls: the explicit mode (the
-// concurrency-safe replacement for consulting DefaultExecMode mid-run)
-// and the optional cancellation context.
+// runCtl carries one run's execution controls: its execution mode and
+// the optional cancellation context.
 type runCtl struct {
 	ctx       context.Context
 	mode      ExecMode
@@ -73,17 +72,26 @@ func release(k *sim.Kernel) {
 	k.Shutdown()
 }
 
-// RunCtx is the context-aware simulation entry point: it executes one
-// task like RunDatasetProbed but with an explicit execution mode (no
-// global state is consulted, so concurrent callers may run different
-// -procmode settings side by side) and honors ctx cancellation and
-// deadlines mid-run. On cancellation it returns ctx.Err() after
-// unwinding the partial simulation. No parked process or its goroutine
-// survives a run, completed or abandoned.
+// RunCtx is the simulation entry point: it executes one task on cfg
+// over ds. A non-nil plan injects deterministic faults and attaches
+// their recovery report as Result.Fault; a nil or empty plan leaves
+// every simulated event untouched. Under a plan, a run that cannot
+// finish (e.g. a failed disk with no replica in a task that has no
+// degraded path) is reported as a deadlock in the FaultReport instead
+// of panicking. A non-nil sink is attached to the run's kernel: every
+// model component registers with (and, when the sink is enabled,
+// emits into) it, and the task's phase timeline is recorded at
+// completion. The mode is explicit and no global state is consulted,
+// so concurrent callers may run different -procmode settings side by
+// side.
 //
-// A completed run is byte-identical to the same run through the plain
-// entry points: Details, Elapsed, fault reports and probe emissions do
-// not depend on whether (or how often) the context was polled.
+// RunCtx honors ctx cancellation and deadlines mid-run. On
+// cancellation it returns ctx.Err() after unwinding the partial
+// simulation; with a context that cannot be cancelled it never
+// errors. No parked process or its goroutine survives a run, completed
+// or abandoned. A completed run is byte-identical whatever the
+// context: Details, Elapsed, fault reports and probe emissions do not
+// depend on whether (or how often) the context was polled.
 //
 // One restriction: sharded execution (ModeParallel on a shardable
 // task) checks ctx only on entry; once its partitions are running the

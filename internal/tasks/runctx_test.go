@@ -3,7 +3,9 @@ package tasks
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,6 +41,35 @@ func TestRunCtxMatchesPlainRun(t *testing.T) {
 			if got.Details[k] != v {
 				t.Errorf("%s: detail %s = %g, want %g", cfg.Name(), k, got.Details[k], v)
 			}
+		}
+	}
+}
+
+// TestRunCtxConcurrentModes backs RunCtx's promise that concurrent
+// callers may run different execution modes side by side: the same
+// shardable run at ModeEvent and at ModeParallel, started from two
+// goroutines at once, must each reproduce a sequential event run's
+// elapsed time and details. The CI race job covers the overlap.
+func TestRunCtxConcurrentModes(t *testing.T) {
+	cfg, ds := arch.ActiveDisks(8), scaled(workload.Select, 48<<20)
+	want := simulate(cfg, workload.Select, ds, nil, ModeEvent)
+	modes := []ExecMode{ModeEvent, ModeParallel}
+	got := make([]*Result, len(modes))
+	var wg sync.WaitGroup
+	for i, mode := range modes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = simulate(cfg, workload.Select, ds, nil, mode)
+		}()
+	}
+	wg.Wait()
+	for i, mode := range modes {
+		if got[i].Elapsed != want.Elapsed {
+			t.Errorf("%v: elapsed = %v, want %v", mode, got[i].Elapsed, want.Elapsed)
+		}
+		if fmt.Sprint(got[i].Details) != fmt.Sprint(want.Details) {
+			t.Errorf("%v: details diverged:\n got  %v\n want %v", mode, got[i].Details, want.Details)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package tasks
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -8,15 +9,6 @@ import (
 	"howsim/internal/probe"
 	"howsim/internal/workload"
 )
-
-// setMode switches the package-level execution mode for one test. The
-// tasks tests never call t.Parallel, so the global is safe to flip.
-func setMode(t *testing.T, mode ExecMode) {
-	t.Helper()
-	prev := DefaultExecMode
-	DefaultExecMode = mode
-	t.Cleanup(func() { DefaultExecMode = prev })
-}
 
 // TestShardedTasksMatchEvent is the in-package sharded smoke: every
 // Active Disk task runs under ModeParallel and must reproduce the
@@ -32,10 +24,8 @@ func TestShardedTasksMatchEvent(t *testing.T) {
 		t.Run(task.String(), func(t *testing.T) {
 			ds := scaled(task, 48<<20)
 			cfg := arch.ActiveDisks(8)
-			setMode(t, ModeEvent)
-			want := RunDataset(cfg, task, ds)
-			setMode(t, ModeParallel)
-			got := RunDataset(cfg, task, ds)
+			want := simulate(cfg, task, ds, nil, ModeEvent)
+			got := simulate(cfg, task, ds, nil, ModeParallel)
 			if got.Elapsed != want.Elapsed {
 				t.Errorf("elapsed = %v, want %v", got.Elapsed, want.Elapsed)
 			}
@@ -50,10 +40,13 @@ func TestShardedTasksMatchEvent(t *testing.T) {
 // leaf sink into the caller's sink: the per-disk diskos instances must
 // be present and carry spans.
 func TestShardedProbeMerge(t *testing.T) {
-	setMode(t, ModeParallel)
 	sink := probe.NewSink()
 	sink.SetEnabled(true)
-	res := RunDatasetProbed(arch.ActiveDisks(4), workload.Select, scaled(workload.Select, 48<<20), nil, sink)
+	res, err := RunCtx(context.Background(), arch.ActiveDisks(4), workload.Select, scaled(workload.Select, 48<<20),
+		nil, sink, ModeParallel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Elapsed <= 0 {
 		t.Fatalf("elapsed = %v", res.Elapsed)
 	}
@@ -79,7 +72,6 @@ func TestShardedProbeMerge(t *testing.T) {
 // the other architectures are not shardable, and complete under
 // ModeParallel via the single-kernel path.
 func TestShardedFallbacks(t *testing.T) {
-	setMode(t, ModeParallel)
 	cfg := arch.ActiveDisks(4)
 	for _, task := range workload.AllTasks() {
 		want := task != workload.Sort && task != workload.Join && task != workload.MView
@@ -87,7 +79,7 @@ func TestShardedFallbacks(t *testing.T) {
 			t.Errorf("shardable(%s, %s, nil) = %v, want %v", task, cfg.Name(), got, want)
 		}
 	}
-	res := RunDataset(cfg, workload.Sort, scaled(workload.Sort, 48<<20))
+	res := simulate(cfg, workload.Sort, scaled(workload.Sort, 48<<20), nil, ModeParallel)
 	if res.Elapsed <= 0 {
 		t.Fatalf("active sort under ModeParallel: elapsed = %v", res.Elapsed)
 	}
@@ -100,7 +92,7 @@ func TestShardedFallbacks(t *testing.T) {
 		t.Errorf("shardable(select, %s, %s) = false, want true", cfg.Name(), p)
 	}
 	plan := mustPlan(t, "seed=42,fail=1@5ms,replica")
-	res = RunDatasetFaulted(cfg, workload.Select, scaled(workload.Select, 48<<20), plan)
+	res = simulate(cfg, workload.Select, scaled(workload.Select, 48<<20), plan, ModeParallel)
 	if res.Elapsed <= 0 || res.Fault == nil || !res.Fault.Completed || res.Fault.ReplicaBytes == 0 {
 		t.Fatalf("replica failover under ModeParallel: elapsed = %v, fault = %+v", res.Elapsed, res.Fault)
 	}
@@ -108,7 +100,7 @@ func TestShardedFallbacks(t *testing.T) {
 	if shardable(workload.Select, cfg, nil) {
 		t.Fatalf("shardable(select, %s, nil) = true, want false", cfg.Name())
 	}
-	res = RunDataset(cfg, workload.Select, scaled(workload.Select, 48<<20))
+	res = simulate(cfg, workload.Select, scaled(workload.Select, 48<<20), nil, ModeParallel)
 	if res.Elapsed <= 0 {
 		t.Fatalf("cluster select under ModeParallel: elapsed = %v", res.Elapsed)
 	}
@@ -129,8 +121,7 @@ func TestShardedDriveFailureMatchesEvent(t *testing.T) {
 	cfg := arch.ActiveDisks(8)
 	plan := mustPlan(t, "seed=3,fail=2@171ms")
 	run := func(mode ExecMode) string {
-		setMode(t, mode)
-		r := RunDatasetFaulted(cfg, workload.DataMine, ds, plan)
+		r := simulate(cfg, workload.DataMine, ds, plan, mode)
 		if r.Fault == nil {
 			t.Fatalf("%s: no fault report", mode)
 		}

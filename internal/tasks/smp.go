@@ -526,14 +526,7 @@ func smpCube(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 func smpMine(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *sim.Signal {
 	p := m.Cfg.Processors
 	in := m.NewStripe(allDisks(len(m.Disks)), 0)
-	counters := int64(MineCounterBytes)
-	if ds.TotalBytes < workload.ForTask(workload.DataMine).TotalBytes {
-		f := float64(ds.TotalBytes) / float64(workload.ForTask(workload.DataMine).TotalBytes)
-		counters = int64(float64(counters) * f)
-		if counters < 4096 {
-			counters = 4096
-		}
-	}
+	counters := mineCounters(ds)
 	res.Details["passes"] = float64(MinePasses)
 	queues := make([]*smp.BlockQueue, MinePasses)
 	for i := range queues {

@@ -1,7 +1,6 @@
 package tasks
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -9,7 +8,6 @@ import (
 	"howsim/internal/cpu"
 	"howsim/internal/disk"
 	"howsim/internal/fault"
-	"howsim/internal/probe"
 	"howsim/internal/sim"
 	"howsim/internal/stats"
 	"howsim/internal/workload"
@@ -41,47 +39,6 @@ type Result struct {
 // String summarizes the result.
 func (r *Result) String() string {
 	return fmt.Sprintf("%s on %s: %v", r.Task, r.Config.Name(), r.Elapsed)
-}
-
-// Run executes a task at the paper's full Table 2 scale on the given
-// configuration and returns the simulated result.
-func Run(cfg arch.Config, task workload.TaskID) *Result {
-	return RunDataset(cfg, task, workload.ForTask(task))
-}
-
-// RunDataset executes a task on an explicit (possibly scaled-down)
-// dataset. Tests use megabyte-scale datasets; benchmarks use Table 2.
-func RunDataset(cfg arch.Config, task workload.TaskID, ds workload.Dataset) *Result {
-	return RunDatasetFaulted(cfg, task, ds, nil)
-}
-
-// RunFaulted executes a task at full Table 2 scale under a fault plan.
-func RunFaulted(cfg arch.Config, task workload.TaskID, plan *fault.Plan) *Result {
-	return RunDatasetFaulted(cfg, task, workload.ForTask(task), plan)
-}
-
-// RunDatasetFaulted executes a task with deterministic fault injection.
-// Result.Fault carries the recovery report. A nil (or empty) plan leaves
-// every simulated event identical to RunDataset. Under a plan, a run
-// that cannot finish (e.g. a failed disk with no replica declared in a
-// task that has no degraded path) is reported as a deadlock in the
-// FaultReport instead of panicking.
-func RunDatasetFaulted(cfg arch.Config, task workload.TaskID, ds workload.Dataset, plan *fault.Plan) *Result {
-	return RunDatasetProbed(cfg, task, ds, plan, nil)
-}
-
-// RunDatasetProbed executes a task with an observability sink attached
-// to the run's kernel: every model component registers with (and, when
-// the sink is enabled, emits into) it, and the task's phase timeline is
-// recorded at completion. A nil sink selects the plain path; an
-// attached-but-disabled sink costs only registration. The execution
-// mode comes from DefaultExecMode; RunCtx is the entry point for
-// callers that need an explicit per-run mode or cancellation.
-func RunDatasetProbed(cfg arch.Config, task workload.TaskID, ds workload.Dataset,
-	plan *fault.Plan, sink *probe.Sink) *Result {
-	// context.Background can never cancel, so RunCtx never errors here.
-	res, _ := RunCtx(context.Background(), cfg, task, ds, plan, sink, DefaultExecMode)
-	return res
 }
 
 // degrade accumulates the byte-level damage a faulted scan absorbed.

@@ -1,15 +1,27 @@
 package tasks
 
 import (
+	"context"
 	"testing"
 
 	"howsim/internal/arch"
+	"howsim/internal/fault"
 	"howsim/internal/workload"
 )
 
 // scaled returns a small instance of a task's dataset for fast tests.
 func scaled(task workload.TaskID, bytes int64) workload.Dataset {
 	return workload.ForTask(task).Scaled(bytes)
+}
+
+// simulate runs one task through RunCtx with no sink and a context
+// that never cancels; a nil plan is a fault-free run.
+func simulate(cfg arch.Config, task workload.TaskID, ds workload.Dataset, plan *fault.Plan, mode ExecMode) *Result {
+	res, err := RunCtx(context.Background(), cfg, task, ds, plan, nil, mode)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 func TestAllTasksAllArchitecturesComplete(t *testing.T) {
@@ -19,7 +31,7 @@ func TestAllTasksAllArchitecturesComplete(t *testing.T) {
 		for _, cfg := range []arch.Config{arch.ActiveDisks(4), arch.Cluster(4), arch.SMP(4)} {
 			task, cfg := task, cfg
 			t.Run(task.String()+"/"+cfg.Name(), func(t *testing.T) {
-				res := RunDataset(cfg, task, scaled(task, 48<<20))
+				res := simulate(cfg, task, scaled(task, 48<<20), nil, ModeEvent)
 				if res.Elapsed <= 0 {
 					t.Fatalf("elapsed = %v", res.Elapsed)
 				}
@@ -33,7 +45,7 @@ func TestAllTasksAllArchitecturesComplete(t *testing.T) {
 
 func TestActiveSortShuffleVolume(t *testing.T) {
 	ds := scaled(workload.Sort, 64<<20)
-	res := RunDataset(arch.ActiveDisks(4), workload.Sort, ds)
+	res := simulate(arch.ActiveDisks(4), workload.Sort, ds, nil, ModeEvent)
 	loop := int64(res.Details["loop_bytes"])
 	want := ds.TotalBytes * 3 / 4 // (D-1)/D of the data crosses the loop
 	if loop < want*9/10 || loop > want*11/10 {
@@ -46,7 +58,7 @@ func TestActiveSortShuffleVolume(t *testing.T) {
 
 func TestActiveSelectLoopTrafficIsTiny(t *testing.T) {
 	ds := scaled(workload.Select, 64<<20)
-	res := RunDataset(arch.ActiveDisks(4), workload.Select, ds)
+	res := simulate(arch.ActiveDisks(4), workload.Select, ds, nil, ModeEvent)
 	loop := int64(res.Details["loop_bytes"])
 	// Only ~1% of the data (the selected tuples) crosses the loop.
 	if loop > ds.TotalBytes/20 {
@@ -60,7 +72,7 @@ func TestActiveSelectLoopTrafficIsTiny(t *testing.T) {
 
 func TestSMPAllDataCrossesSharedLoop(t *testing.T) {
 	ds := scaled(workload.Select, 64<<20)
-	res := RunDataset(arch.SMP(4), workload.Select, ds)
+	res := simulate(arch.SMP(4), workload.Select, ds, nil, ModeEvent)
 	fc := int64(res.Details["fc_bytes"])
 	if fc < ds.TotalBytes {
 		t.Errorf("SMP moved %d bytes over FC, want >= dataset %d (no filtering at the disks)", fc, ds.TotalBytes)
@@ -72,8 +84,8 @@ func TestActiveVsSMPSelectGapGrowsWithDisks(t *testing.T) {
 	// while SMP select is pinned by the shared interconnect/host path.
 	ds := scaled(workload.Select, 96<<20)
 	ratio := func(n int) float64 {
-		a := RunDataset(arch.ActiveDisks(n), workload.Select, ds)
-		s := RunDataset(arch.SMP(n), workload.Select, ds)
+		a := simulate(arch.ActiveDisks(n), workload.Select, ds, nil, ModeEvent)
+		s := simulate(arch.SMP(n), workload.Select, ds, nil, ModeEvent)
 		return s.Elapsed.Seconds() / a.Elapsed.Seconds()
 	}
 	small := ratio(2)
@@ -85,8 +97,8 @@ func TestActiveVsSMPSelectGapGrowsWithDisks(t *testing.T) {
 
 func TestRestrictedCommSlowsShuffleTasks(t *testing.T) {
 	ds := scaled(workload.Sort, 64<<20)
-	direct := RunDataset(arch.ActiveDisks(4), workload.Sort, ds)
-	relay := RunDataset(arch.ActiveDisks(4).WithFrontEndOnly(), workload.Sort, ds)
+	direct := simulate(arch.ActiveDisks(4), workload.Sort, ds, nil, ModeEvent)
+	relay := simulate(arch.ActiveDisks(4).WithFrontEndOnly(), workload.Sort, ds, nil, ModeEvent)
 	if relay.Elapsed <= direct.Elapsed {
 		t.Errorf("front-end-only sort (%v) should be slower than direct (%v)", relay.Elapsed, direct.Elapsed)
 	}
@@ -100,8 +112,8 @@ func TestRestrictedCommSlowsShuffleTasks(t *testing.T) {
 
 func TestRestrictedCommDoesNotAffectScanTasks(t *testing.T) {
 	ds := scaled(workload.Select, 64<<20)
-	direct := RunDataset(arch.ActiveDisks(4), workload.Select, ds)
-	relay := RunDataset(arch.ActiveDisks(4).WithFrontEndOnly(), workload.Select, ds)
+	direct := simulate(arch.ActiveDisks(4), workload.Select, ds, nil, ModeEvent)
+	relay := simulate(arch.ActiveDisks(4).WithFrontEndOnly(), workload.Select, ds, nil, ModeEvent)
 	diff := relay.Elapsed.Seconds()/direct.Elapsed.Seconds() - 1
 	if diff > 0.05 {
 		t.Errorf("front-end-only select is %.1f%% slower; scans never use disk-to-disk communication", diff*100)
@@ -110,8 +122,8 @@ func TestRestrictedCommDoesNotAffectScanTasks(t *testing.T) {
 
 func TestMoreDiskMemoryMeansFewerRuns(t *testing.T) {
 	ds := scaled(workload.Sort, 128<<20)
-	base := RunDataset(arch.ActiveDisks(2), workload.Sort, ds)
-	big := RunDataset(arch.ActiveDisks(2).WithDiskMemory(64<<20), workload.Sort, ds)
+	base := simulate(arch.ActiveDisks(2), workload.Sort, ds, nil, ModeEvent)
+	big := simulate(arch.ActiveDisks(2).WithDiskMemory(64<<20), workload.Sort, ds, nil, ModeEvent)
 	if big.Details["runs"] >= base.Details["runs"] {
 		t.Errorf("64 MB disks made %v runs, 32 MB made %v; more memory must mean fewer runs",
 			big.Details["runs"], base.Details["runs"])
@@ -123,8 +135,8 @@ func TestMoreDiskMemoryMeansFewerRuns(t *testing.T) {
 
 func TestFastIOHelpsSMP(t *testing.T) {
 	ds := scaled(workload.Aggregate, 96<<20)
-	base := RunDataset(arch.SMP(8), workload.Aggregate, ds)
-	fast := RunDataset(arch.SMP(8).WithFastIO(), workload.Aggregate, ds)
+	base := simulate(arch.SMP(8), workload.Aggregate, ds, nil, ModeEvent)
+	fast := simulate(arch.SMP(8).WithFastIO(), workload.Aggregate, ds, nil, ModeEvent)
 	if fast.Elapsed >= base.Elapsed {
 		t.Errorf("400 MB/s SMP aggregate (%v) should beat 200 MB/s (%v): the loop is the bottleneck",
 			fast.Elapsed, base.Elapsed)
@@ -133,7 +145,7 @@ func TestFastIOHelpsSMP(t *testing.T) {
 
 func TestSortBreakdownBucketsPresent(t *testing.T) {
 	ds := scaled(workload.Sort, 64<<20)
-	res := RunDataset(arch.ActiveDisks(4), workload.Sort, ds)
+	res := simulate(arch.ActiveDisks(4), workload.Sort, ds, nil, ModeEvent)
 	for _, b := range []string{"P1:Partitioner", "P1:Append", "P1:Sort", "P2:Merge"} {
 		if res.Breakdown.Get(b) <= 0 {
 			t.Errorf("breakdown bucket %q missing", b)
@@ -148,8 +160,8 @@ func TestSortBreakdownBucketsPresent(t *testing.T) {
 
 func TestCubePassesMatchPlanAcrossMemory(t *testing.T) {
 	ds := scaled(workload.DataCube, 64<<20)
-	p32 := RunDataset(arch.ActiveDisks(4), workload.DataCube, ds)
-	p128 := RunDataset(arch.ActiveDisks(4).WithDiskMemory(128<<20), workload.DataCube, ds)
+	p32 := simulate(arch.ActiveDisks(4), workload.DataCube, ds, nil, ModeEvent)
+	p128 := simulate(arch.ActiveDisks(4).WithDiskMemory(128<<20), workload.DataCube, ds, nil, ModeEvent)
 	if p128.Details["passes"] > p32.Details["passes"] {
 		t.Errorf("more memory increased passes: %v -> %v", p32.Details["passes"], p128.Details["passes"])
 	}
@@ -163,8 +175,8 @@ func TestClusterGroupByHitsFrontEndWall(t *testing.T) {
 	// 100 Mb/s link; the Active Disk loop delivers it two orders of
 	// magnitude faster.
 	ds := scaled(workload.GroupBy, 96<<20)
-	cl := RunDataset(arch.Cluster(8), workload.GroupBy, ds)
-	ad := RunDataset(arch.ActiveDisks(8), workload.GroupBy, ds)
+	cl := simulate(arch.Cluster(8), workload.GroupBy, ds, nil, ModeEvent)
+	ad := simulate(arch.ActiveDisks(8), workload.GroupBy, ds, nil, ModeEvent)
 	if cl.Elapsed <= ad.Elapsed {
 		t.Errorf("cluster group-by (%v) should trail Active Disks (%v)", cl.Elapsed, ad.Elapsed)
 	}
@@ -172,7 +184,7 @@ func TestClusterGroupByHitsFrontEndWall(t *testing.T) {
 
 func TestResultStringIncludesNames(t *testing.T) {
 	ds := scaled(workload.Aggregate, 16<<20)
-	res := RunDataset(arch.ActiveDisks(2), workload.Aggregate, ds)
+	res := simulate(arch.ActiveDisks(2), workload.Aggregate, ds, nil, ModeEvent)
 	s := res.String()
 	if s == "" || res.Config.Name() != "active-2" {
 		t.Errorf("result string %q / config %q", s, res.Config.Name())
@@ -181,8 +193,8 @@ func TestResultStringIncludesNames(t *testing.T) {
 
 func TestDeterministicRepeatability(t *testing.T) {
 	ds := scaled(workload.Join, 48<<20)
-	a := RunDataset(arch.ActiveDisks(4), workload.Join, ds)
-	b := RunDataset(arch.ActiveDisks(4), workload.Join, ds)
+	a := simulate(arch.ActiveDisks(4), workload.Join, ds, nil, ModeEvent)
+	b := simulate(arch.ActiveDisks(4), workload.Join, ds, nil, ModeEvent)
 	if a.Elapsed != b.Elapsed {
 		t.Errorf("two identical runs differ: %v vs %v", a.Elapsed, b.Elapsed)
 	}

@@ -12,8 +12,8 @@ import (
 
 func TestFibreSwitchHelpsShuffleTask(t *testing.T) {
 	ds := scaled(workload.Sort, 96<<20)
-	base := RunDataset(arch.ActiveDisks(8), workload.Sort, ds)
-	fsw := RunDataset(arch.ActiveDisks(8).WithFibreSwitch(4), workload.Sort, ds)
+	base := simulate(arch.ActiveDisks(8), workload.Sort, ds, nil, ModeEvent)
+	fsw := simulate(arch.ActiveDisks(8).WithFibreSwitch(4), workload.Sort, ds, nil, ModeEvent)
 	if fsw.Details["loops"] != 4 {
 		t.Fatalf("loops = %v, want 4", fsw.Details["loops"])
 	}
@@ -33,8 +33,8 @@ func TestFibreSwitchHelpsShuffleTask(t *testing.T) {
 func TestFastDiskVariantOnAllArchitectures(t *testing.T) {
 	ds := scaled(workload.Select, 48<<20)
 	for _, cfg := range []arch.Config{arch.ActiveDisks(4), arch.Cluster(4), arch.SMP(4)} {
-		base := RunDataset(cfg, workload.Select, ds)
-		fast := RunDataset(cfg.WithFastDisk(), workload.Select, ds)
+		base := simulate(cfg, workload.Select, ds, nil, ModeEvent)
+		fast := simulate(cfg.WithFastDisk(), workload.Select, ds, nil, ModeEvent)
 		if cfg.Kind == arch.KindSMP {
 			// SMP select is loop-bound; faster media cannot help much,
 			// but must not hurt.
@@ -51,8 +51,8 @@ func TestFastDiskVariantOnAllArchitectures(t *testing.T) {
 
 func TestDegradedDiskSlowsStaticPartitioning(t *testing.T) {
 	ds := scaled(workload.Select, 48<<20)
-	base := RunDataset(arch.ActiveDisks(4), workload.Select, ds)
-	hurt := RunDataset(arch.ActiveDisks(4).WithDegradedDisks(1, 0.5), workload.Select, ds)
+	base := simulate(arch.ActiveDisks(4), workload.Select, ds, nil, ModeEvent)
+	hurt := simulate(arch.ActiveDisks(4).WithDegradedDisks(1, 0.5), workload.Select, ds, nil, ModeEvent)
 	ratio := hurt.Elapsed.Seconds() / base.Elapsed.Seconds()
 	if ratio < 1.3 {
 		t.Errorf("one half-speed disk in four slowed select only %.2fx; the straggler should bind", ratio)
@@ -67,8 +67,8 @@ func TestDegradedDiskHurtsSMPLessThanActive(t *testing.T) {
 	// EXPERIMENTS.md.)
 	ds := scaled(workload.Select, 96<<20)
 	ratio := func(cfg arch.Config) float64 {
-		base := RunDataset(cfg, workload.Select, ds)
-		hurt := RunDataset(cfg.WithDegradedDisks(1, 0.5), workload.Select, ds)
+		base := simulate(cfg, workload.Select, ds, nil, ModeEvent)
+		hurt := simulate(cfg.WithDegradedDisks(1, 0.5), workload.Select, ds, nil, ModeEvent)
 		return hurt.Elapsed.Seconds() / base.Elapsed.Seconds()
 	}
 	smp := ratio(arch.SMP(8))
@@ -80,8 +80,8 @@ func TestDegradedDiskHurtsSMPLessThanActive(t *testing.T) {
 
 func TestEmbeddedCPUHelpsComputeBoundTask(t *testing.T) {
 	ds := scaled(workload.DataCube, 96<<20)
-	base := RunDataset(arch.ActiveDisks(4), workload.DataCube, ds)
-	fast := RunDataset(arch.ActiveDisks(4).WithEmbeddedCPU(600e6), workload.DataCube, ds)
+	base := simulate(arch.ActiveDisks(4), workload.DataCube, ds, nil, ModeEvent)
+	fast := simulate(arch.ActiveDisks(4).WithEmbeddedCPU(600e6), workload.DataCube, ds, nil, ModeEvent)
 	if fast.Elapsed >= base.Elapsed {
 		t.Errorf("600 MHz embedded dcube (%v) should beat 200 MHz (%v)", fast.Elapsed, base.Elapsed)
 	}
@@ -89,7 +89,7 @@ func TestEmbeddedCPUHelpsComputeBoundTask(t *testing.T) {
 
 func TestJoinPhaseDetailsRecorded(t *testing.T) {
 	ds := scaled(workload.Join, 96<<20)
-	res := RunDataset(arch.ActiveDisks(4), workload.Join, ds)
+	res := simulate(arch.ActiveDisks(4), workload.Join, ds, nil, ModeEvent)
 	p1 := res.Details["p1_seconds"]
 	p2 := res.Details["p2_seconds"]
 	if p1 <= 0 || p2 <= 0 {
@@ -102,7 +102,7 @@ func TestJoinPhaseDetailsRecorded(t *testing.T) {
 
 func TestMinePassDetailsMonotone(t *testing.T) {
 	ds := scaled(workload.DataMine, 48<<20)
-	res := RunDataset(arch.ActiveDisks(4), workload.DataMine, ds)
+	res := simulate(arch.ActiveDisks(4), workload.DataMine, ds, nil, ModeEvent)
 	var prev float64
 	for pass := 1; pass <= MinePasses; pass++ {
 		v := res.Details[passKey(pass)]
@@ -115,7 +115,7 @@ func TestMinePassDetailsMonotone(t *testing.T) {
 
 func TestSMPSortBreakdownRecorded(t *testing.T) {
 	ds := scaled(workload.Sort, 96<<20)
-	res := RunDataset(arch.SMP(4), workload.Sort, ds)
+	res := simulate(arch.SMP(4), workload.Sort, ds, nil, ModeEvent)
 	for _, b := range []string{"P1:Partitioner", "P1:Sort", "P2:Merge"} {
 		if res.Breakdown.Get(b) <= 0 {
 			t.Errorf("SMP sort breakdown missing %q", b)

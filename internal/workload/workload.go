@@ -80,7 +80,7 @@ type Dataset struct {
 	ProjectedTupleBytes int
 	// CubeDims holds, per dimension, the fraction of tuples carrying
 	// distinct values (the paper's 1%, 0.1%, 0.01%, 0.001%).
-	CubeDims []float64
+	CubeDims [4]float64
 	// Transactions / Items / AvgItemsPerTxn / MinSupport describe the
 	// association-mining input.
 	Transactions   int64
@@ -115,7 +115,7 @@ func ForTask(t TaskID) Dataset {
 			Tuples: 171_798_691, KeyBytes: 10}
 	case DataCube:
 		return Dataset{Task: t, TotalBytes: 16 * gib, TupleBytes: 32,
-			Tuples: 536_870_912, CubeDims: []float64{0.01, 0.001, 0.0001, 0.00001}}
+			Tuples: 536_870_912, CubeDims: [4]float64{0.01, 0.001, 0.0001, 0.00001}}
 	case Join:
 		return Dataset{Task: t, TotalBytes: 32 * gib, TupleBytes: 64,
 			Tuples: 536_870_912, KeyBytes: 4, ProjectedTupleBytes: 32}

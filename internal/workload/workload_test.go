@@ -26,8 +26,8 @@ func TestTable2Datasets(t *testing.T) {
 		t.Errorf("sort tuples = %d bytes with %d-byte keys, want 100/10", srt.TupleBytes, srt.KeyBytes)
 	}
 	dc := ForTask(DataCube)
-	if dc.TupleBytes != 32 || len(dc.CubeDims) != 4 {
-		t.Errorf("dcube = %+v, want 32-byte 4-dim tuples", dc)
+	if dc.TupleBytes != 32 || dc.CubeDims != [4]float64{0.01, 0.001, 0.0001, 0.00001} {
+		t.Errorf("dcube = %+v, want 32-byte tuples over 4 dimensions of 1%%, 0.1%%, 0.01%% and 0.001%% distinct values", dc)
 	}
 	jn := ForTask(Join)
 	if jn.TotalBytes != 32<<30 || jn.KeyBytes != 4 || jn.ProjectedTupleBytes != 32 {

@@ -19,15 +19,16 @@ import (
 	"howsim/internal/workload"
 )
 
-// probedRun runs one task at a small scale with a fresh sink and
-// returns the full observable output: trace JSON bytes plus the
-// rendered breakdown report. Comparing this string across runs and
-// modes is exactly the byte-identity the CLI flags promise.
-func probedRun(cfg arch.Config, task workload.TaskID, scale float64, plan *fault.Plan) (string, *probe.Sink, sim.Time) {
+// probedRun runs one task at a small scale with a fresh sink in the
+// given mode and returns the full observable output: trace JSON bytes
+// plus the rendered breakdown report. Comparing this string across
+// runs and modes is exactly the byte-identity the CLI flags promise.
+func probedRun(cfg arch.Config, task workload.TaskID, scale float64, plan *fault.Plan,
+	mode tasks.ExecMode) (string, *probe.Sink, sim.Time) {
 	ds := workload.ForTask(task)
 	ds = ds.Scaled(int64(float64(ds.TotalBytes) * scale))
 	sink := probe.NewSink()
-	r := tasks.RunDatasetProbed(cfg, task, ds, plan, sink)
+	r := run(cfg, task, ds, plan, sink, mode)
 	var sb strings.Builder
 	if err := sink.WriteTrace(&sb); err != nil {
 		panic(err)
@@ -39,12 +40,8 @@ func probedRun(cfg arch.Config, task workload.TaskID, scale float64, plan *fault
 // TestProbeTraceRepeatable runs the same probed simulation twice in the
 // same mode and requires byte-identical trace+report output.
 func TestProbeTraceRepeatable(t *testing.T) {
-	run := func() string {
-		out, _, _ := probedRun(arch.ActiveDisks(8), workload.Sort, 0.005, nil)
-		return out
-	}
-	a := inMode(tasks.ModeEvent, run)
-	b := inMode(tasks.ModeEvent, run)
+	a, _, _ := probedRun(arch.ActiveDisks(8), workload.Sort, 0.005, nil, tasks.ModeEvent)
+	b, _, _ := probedRun(arch.ActiveDisks(8), workload.Sort, 0.005, nil, tasks.ModeEvent)
 	if a != b {
 		t.Fatal("two identical probed runs produced different trace/report bytes")
 	}
@@ -64,8 +61,8 @@ func TestProbeTraceModeEquivalence(t *testing.T) {
 		{"aggregate on smp", arch.SMP(4), workload.Aggregate},
 	}
 	for _, c := range cases {
-		modeCompare(t, "probed "+c.name, func() string {
-			out, _, _ := probedRun(c.cfg, c.task, 0.005, nil)
+		modeCompare(t, "probed "+c.name, func(m tasks.ExecMode) string {
+			out, _, _ := probedRun(c.cfg, c.task, 0.005, nil, m)
 			return out
 		})
 	}
@@ -79,8 +76,8 @@ func TestProbeTraceFaultedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	modeCompare(t, "probed faulted select on active disks", func() string {
-		out, _, _ := probedRun(arch.ActiveDisks(8), workload.Select, 0.002, plan)
+	modeCompare(t, "probed faulted select on active disks", func(m tasks.ExecMode) string {
+		out, _, _ := probedRun(arch.ActiveDisks(8), workload.Select, 0.002, plan, m)
 		return out
 	})
 }
@@ -101,7 +98,7 @@ func TestProbePhaseAccounting(t *testing.T) {
 		{"select/active", arch.ActiveDisks(8), workload.Select},
 	}
 	for _, c := range cases {
-		out, sink, elapsed := probedRun(c.cfg, c.task, 0.005, nil)
+		out, sink, elapsed := probedRun(c.cfg, c.task, 0.005, nil, tasks.ModeEvent)
 		rep := sink.BuildReport(c.task.String(), c.cfg.Name(), int64(elapsed))
 		if acc := rep.Accounted(); acc < 0.99 {
 			t.Errorf("%s: phases account for %.2f%% of end-to-end time, want >= 99%%",
@@ -121,7 +118,7 @@ func TestProbePhaseAccounting(t *testing.T) {
 // span taxonomy the issue promises: per-disk seek/transfer activity,
 // link occupancy, and compute spans, with no scheduler leakage.
 func TestProbeTraceHasModelSpans(t *testing.T) {
-	out, sink, _ := probedRun(arch.ActiveDisks(8), workload.Sort, 0.005, nil)
+	out, sink, _ := probedRun(arch.ActiveDisks(8), workload.Sort, 0.005, nil, tasks.ModeEvent)
 	for _, want := range []string{`"cat":"disk","name":"seek"`, `"cat":"disk","name":"transfer"`,
 		`"cat":"link","name":"xfer"`, `"cat":"cpu","name":"compute"`} {
 		if !strings.Contains(out, want) {

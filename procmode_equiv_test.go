@@ -8,6 +8,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -20,22 +21,24 @@ import (
 	"howsim/internal/workload"
 )
 
-// inMode runs fn with tasks.DefaultExecMode set to m, restoring the
-// previous mode afterwards. Tests using it must not run in parallel.
-func inMode(m tasks.ExecMode, fn func() string) string {
-	prev := tasks.DefaultExecMode
-	tasks.DefaultExecMode = m
-	defer func() { tasks.DefaultExecMode = prev }()
-	return fn()
+// run executes one task through tasks.RunCtx with a context that
+// never cancels.
+func run(cfg arch.Config, task workload.TaskID, ds workload.Dataset, plan *fault.Plan,
+	sink *probe.Sink, mode tasks.ExecMode) *tasks.Result {
+	r, err := tasks.RunCtx(context.Background(), cfg, task, ds, plan, sink, mode)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 // modeCompare checks fn's single-kernel output against the golden
 // digest for name, then requires the parallel-mode output to match it.
-func modeCompare(t *testing.T, name string, fn func() string) {
+func modeCompare(t *testing.T, name string, fn func(tasks.ExecMode) string) {
 	t.Helper()
-	event := inMode(tasks.ModeEvent, fn)
+	event := fn(tasks.ModeEvent)
 	checkGolden(t, name, event)
-	if got := inMode(tasks.ModeParallel, fn); event != got {
+	if got := fn(tasks.ModeParallel); event != got {
 		t.Errorf("%s: parallel-mode output differs from event-mode output\n--- event ---\n%s\n--- parallel ---\n%s",
 			name, event, got)
 	}
@@ -45,9 +48,13 @@ func modeCompare(t *testing.T, name string, fn func() string) {
 // cluster with netsim links, SMP); Figure 5 adds the restricted
 // front-end relay path of the stream pump.
 func TestExecModeFigureEquivalence(t *testing.T) {
-	o := experiments.Quick()
-	modeCompare(t, "figure1", func() string { return experiments.RunFigure1(o).Render() })
-	modeCompare(t, "figure5", func() string { return experiments.RunFigure5(o).Render() })
+	opts := func(m tasks.ExecMode) experiments.Options {
+		o := experiments.Quick()
+		o.Mode = m
+		return o
+	}
+	modeCompare(t, "figure1", func(m tasks.ExecMode) string { return experiments.RunFigure1(opts(m)).Render() })
+	modeCompare(t, "figure5", func(m tasks.ExecMode) string { return experiments.RunFigure5(opts(m)).Render() })
 }
 
 // TestExecModeSortContentionEquivalence pins a case the Quick-scale
@@ -58,10 +65,10 @@ func TestExecModeFigureEquivalence(t *testing.T) {
 // inline) shows up here as a drifting elapsed time, and so a golden
 // mismatch, long before it is visible in the rendered figures.
 func TestExecModeSortContentionEquivalence(t *testing.T) {
-	modeCompare(t, "sort on 8 active disks", func() string {
+	modeCompare(t, "sort on 8 active disks", func(m tasks.ExecMode) string {
 		ds := workload.ForTask(workload.Sort)
 		ds = ds.Scaled(int64(float64(ds.TotalBytes) * 0.01))
-		r := tasks.RunDataset(arch.ActiveDisks(8), workload.Sort, ds)
+		r := run(arch.ActiveDisks(8), workload.Sort, ds, nil, nil, m)
 		return fmt.Sprintf("%v %v", r.Elapsed, r.Details)
 	})
 }
@@ -79,11 +86,11 @@ func TestExecModeShardedTaskEquivalence(t *testing.T) {
 		workload.Sort, workload.Join, workload.DataMine, workload.MView,
 	} {
 		task := task
-		modeCompare(t, "sharded "+task.String(), func() string {
+		modeCompare(t, "sharded "+task.String(), func(m tasks.ExecMode) string {
 			ds := workload.ForTask(task).Scaled(1 << 24)
 			sink := probe.NewSink()
 			sink.SetEnabled(true)
-			r := tasks.RunDatasetProbed(arch.ActiveDisks(8), task, ds, nil, sink)
+			r := run(arch.ActiveDisks(8), task, ds, nil, sink, m)
 			var trace strings.Builder
 			if err := sink.WriteTrace(&trace); err != nil {
 				t.Fatal(err)
@@ -104,15 +111,15 @@ func TestExecModeFaultEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(cfg arch.Config, task workload.TaskID) func() string {
-		return func() string {
+	faulted := func(cfg arch.Config, task workload.TaskID) func(tasks.ExecMode) string {
+		return func(m tasks.ExecMode) string {
 			ds := workload.ForTask(task).Scaled(1 << 22)
-			r := tasks.RunDatasetFaulted(cfg, task, ds, plan)
+			r := run(cfg, task, ds, plan, nil, m)
 			return r.Elapsed.String() + "\n" + r.Fault.Render()
 		}
 	}
-	modeCompare(t, "faulted select on active disks", run(arch.ActiveDisks(8), workload.Select))
-	modeCompare(t, "faulted sort on cluster", run(arch.Cluster(4), workload.Sort))
+	modeCompare(t, "faulted select on active disks", faulted(arch.ActiveDisks(8), workload.Select))
+	modeCompare(t, "faulted sort on cluster", faulted(arch.Cluster(4), workload.Sort))
 }
 
 // TestExecModeShardedFaultEquivalence pins faulted runs of the tasks
@@ -139,9 +146,9 @@ func TestExecModeShardedFaultEquivalence(t *testing.T) {
 			workload.Sort, workload.Join, workload.DataMine, workload.MView,
 		} {
 			task, plan := task, plan
-			modeCompare(t, fmt.Sprintf("sharded %s under %s", task, planStr), func() string {
+			modeCompare(t, fmt.Sprintf("sharded %s under %s", task, planStr), func(m tasks.ExecMode) string {
 				ds := workload.ForTask(task).Scaled(1 << 23)
-				r := tasks.RunDatasetFaulted(arch.ActiveDisks(8), task, ds, plan)
+				r := run(arch.ActiveDisks(8), task, ds, plan, nil, m)
 				return r.Elapsed.String() + "\n" + r.Fault.Render()
 			})
 		}

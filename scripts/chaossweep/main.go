@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -97,14 +98,6 @@ func genPlan(r *rng, disks int) *fault.Plan {
 	return p
 }
 
-// inMode runs fn under the given execution mode.
-func inMode(m tasks.ExecMode, fn func() string) string {
-	prev := tasks.DefaultExecMode
-	tasks.DefaultExecMode = m
-	defer func() { tasks.DefaultExecMode = prev }()
-	return fn()
-}
-
 func main() {
 	seed := flag.Uint64("seed", 1, "sweep seed (same seed = same plans)")
 	runs := flag.Int("runs", 8, "number of fuzzed plans to sweep")
@@ -149,8 +142,9 @@ func main() {
 		}
 		ds = ds.Scaled(bytes)
 
-		one := func() string {
-			res := tasks.RunDatasetFaulted(cfg, task, ds, parsed)
+		one := func(md tasks.ExecMode) string {
+			// context.Background never cancels, so RunCtx never errors.
+			res, _ := tasks.RunCtx(context.Background(), cfg, task, ds, parsed, nil, md)
 			fr := res.Fault
 			if fr == nil {
 				fail("run %d: faulted run attached no FaultReport (%s, %s)", i, cfg.Name(), task)
@@ -165,8 +159,8 @@ func main() {
 
 		var base string
 		for _, md := range modes {
-			first := inMode(md, one)
-			again := inMode(md, one)
+			first := one(md)
+			again := one(md)
 			if first != again {
 				fail("run %d: %v-mode repeat diverged (%s, %s, plan %s)\n--- first ---\n%s--- again ---\n%s",
 					i, md, cfg.Name(), task, plan.String(), first, again)
