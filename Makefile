@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint vet-fixtures vet-allows test race bench-kernel bench-figures bench-parallel bench-guard fault-smoke trace-smoke chaos-smoke service-smoke
+.PHONY: build vet fmt-check lint vet-fixtures vet-allows test race bench-kernel bench-figures bench-parallel bench-guard fault-smoke trace-smoke chaos-smoke service-smoke
 
 build:
 	$(GO) build ./...
@@ -13,13 +13,20 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Standard vet plus the howsimvet invariant checkers (determinism,
+# gofmt must list no Go file outside vendor/ and testdata/ (nor the
+# perfbench build tree under .bench_build/).
+fmt-check:
+	@out=$$(find . -name '*.go' -not -path './vendor/*' -not -path '*/testdata/*' \
+		-not -path './.bench_build/*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
+
+# gofmt, standard vet, plus the howsimvet invariant checkers (determinism,
 # dual-mode execution safety, and the v2 concurrency/shard-safety
 # rules — see DESIGN.md "Static analysis" and docs/ANALYZERS.md). The
 # repo must stay at zero findings; suppressions need a
 # `//howsim:allow <analyzer> -- reason` comment, and a suppression that
 # stops suppressing anything becomes a finding itself.
-lint: vet
+lint: fmt-check vet
 	$(GO) build -o /tmp/howsimvet ./cmd/howsimvet
 	$(GO) vet -vettool=/tmp/howsimvet ./...
 

@@ -60,8 +60,11 @@ func main() {
 	fmt.Printf("External sort of %.2f GB on %d disks, traced on all three architectures\n\n",
 		float64(ds.TotalBytes)/1e9, disks)
 
-	type phase struct{ name string; dur probe.Time }
-	var order []string                    // phase names in first-seen order
+	type phase struct {
+		name string
+		dur  probe.Time
+	}
+	var order []string                     // phase names in first-seen order
 	cols := map[string]map[string]string{} // arch -> phase -> rendered cell
 	elapsed := map[string]float64{}
 

@@ -66,7 +66,7 @@ func (s *server) chained(p *sim.Proc) {
 // send continues in kernel context once the message is injected: the
 // continuation must not block.
 func (s *server) send(n *netsim.Network) {
-	n.SendFunc(s.t, 0, 1, 0, 64, nil, func(*netsim.Message) {
+	n.SendFunc(s.t, nil, func() {
 		s.p.Delay(1) // want `blocking Proc\.Delay called from a continuation literal`
 	})
 }

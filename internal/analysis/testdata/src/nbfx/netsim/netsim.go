@@ -8,5 +8,5 @@ type Message struct{}
 
 type Network struct{}
 
-func (n *Network) SendFunc(t *sim.Task, src, dst, tag int, bytes int64, payload any, done func(*Message)) {
+func (n *Network) SendFunc(t *sim.Task, m *Message, done func()) {
 }

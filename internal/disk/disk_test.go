@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"howsim/internal/probe"
 	"howsim/internal/sim"
 )
 
@@ -236,12 +237,49 @@ func TestInterleavedReadWriteCostsSeeks(t *testing.T) {
 	}
 }
 
+// probedDisk builds a drive on k that records into a probe sink, so a
+// test can read each request's service start from the drive's service
+// spans.
+func probedDisk(k *sim.Kernel, name string) (*Disk, *probe.Sink) {
+	sink := probe.NewSinkCap(1 << 10)
+	k.SetProbe(sink)
+	return New(k, name, Cheetah9LP()), sink
+}
+
+// serviceStarts returns when the drive began servicing each of reqs:
+// the start of the probe service span that ended at the request's
+// finish. A single-arm drive serves one request at a time, so every
+// request has its own span and no two spans end at the same instant.
+func serviceStarts(t *testing.T, sink *probe.Sink, reqs []*Request) []sim.Time {
+	t.Helper()
+	startAt := map[int64]int64{}
+	sink.EachSpan(func(sp probe.Span) {
+		if sp.Kind == probe.KindService {
+			startAt[sp.End] = sp.Start
+		}
+	})
+	if len(startAt) != len(reqs) {
+		t.Fatalf("%d distinct service spans for %d requests", len(startAt), len(reqs))
+	}
+	starts := make([]sim.Time, len(reqs))
+	for i, r := range reqs {
+		s, ok := startAt[int64(r.Finished)]
+		if !ok {
+			t.Fatalf("request %d (finished %v) has no service span", i, r.Finished)
+		}
+		starts[i] = sim.Time(s)
+	}
+	return starts
+}
+
 func TestAsyncRequestsOverlapQueueing(t *testing.T) {
 	k := sim.NewKernel()
-	d := New(k, "d0", Cheetah9LP())
+	d, sink := probedDisk(k, "d0")
 	var reqs []*Request
+	var queued []sim.Time
 	k.Spawn("issuer", func(p *sim.Proc) {
 		for i := int64(0); i < 4; i++ {
+			queued = append(queued, p.Now())
 			reqs = append(reqs, d.Submit(&Request{Offset: i * (256 << 10), Length: 256 << 10}))
 		}
 		for _, r := range reqs {
@@ -249,12 +287,13 @@ func TestAsyncRequestsOverlapQueueing(t *testing.T) {
 		}
 	})
 	k.Run()
+	started := serviceStarts(t, sink, reqs)
 	for i, r := range reqs {
 		if !r.Done() {
 			t.Fatalf("request %d not completed", i)
 		}
-		if r.Finished < r.Started || r.Started < r.Queued {
-			t.Errorf("request %d has inconsistent timestamps %v/%v/%v", i, r.Queued, r.Started, r.Finished)
+		if r.Finished < started[i] || started[i] < queued[i] {
+			t.Errorf("request %d has inconsistent timestamps %v/%v/%v", i, queued[i], started[i], r.Finished)
 		}
 	}
 	// FCFS: finish order matches submit order.
@@ -271,10 +310,12 @@ func TestAsyncRequestsOverlapQueueing(t *testing.T) {
 // the single arm still serializes their media service.
 func TestSubmitKeepsQueueDeep(t *testing.T) {
 	k := sim.NewKernel()
-	d := New(k, "d0", Cheetah9LP())
+	d, sink := probedDisk(k, "d0")
 	var reqs []*Request
+	var queued []sim.Time
 	k.Spawn("issuer", func(p *sim.Proc) {
 		for i := int64(0); i < 4; i++ {
+			queued = append(queued, p.Now())
 			reqs = append(reqs, d.Submit(&Request{Offset: i * (256 << 10), Length: 256 << 10}))
 		}
 		for _, r := range reqs {
@@ -282,11 +323,12 @@ func TestSubmitKeepsQueueDeep(t *testing.T) {
 		}
 	})
 	k.Run()
-	if reqs[3].Queued >= reqs[0].Finished {
+	started := serviceStarts(t, sink, reqs)
+	if queued[3] >= reqs[0].Finished {
 		t.Error("all requests should be queued before the first completes")
 	}
 	for i := 1; i < 4; i++ {
-		if reqs[i].Started < reqs[i-1].Finished {
+		if started[i] < reqs[i-1].Finished {
 			t.Error("a single-arm drive must serialize media service")
 		}
 	}

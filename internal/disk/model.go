@@ -22,22 +22,26 @@ var (
 
 // Request is one I/O operation against a disk. Offsets and lengths are
 // in bytes and must be sector-aligned.
+//
+// A request is 88 bytes: an SMP striped request keeps one per chunk in
+// flight. It records when it finished but not when it was queued or
+// when service began: the drive keeps the start of the one request in
+// service (the disk probe's service span runs from it), and a caller
+// that needs the submit instant has it at hand when it submits.
 type Request struct {
-	Write  bool
-	Offset int64
-	Length int64
+	Write bool
+	// Retries is how many media retries the drive performed before the
+	// request completed (successfully or not).
+	Retries int32
+	Offset  int64
+	Length  int64
 
 	// Err is the request's completion status: nil on success,
 	// ErrMediaError or ErrDiskFailed otherwise. Valid once Done.
 	Err error
-	// Retries is how many media retries the drive performed before the
-	// request completed (successfully or not).
-	Retries int
 
 	// done is held by value, so a request's completion allocates nothing.
 	done     sim.Signal
-	Queued   sim.Time // when the request entered the disk queue
-	Started  sim.Time // when the disk began servicing it
 	Finished sim.Time // when data was in the buffer (read) or on media (write)
 }
 
@@ -143,10 +147,12 @@ type Disk struct {
 	sweepUp bool
 
 	// Service loop state: the callback task that runs the loop, the
-	// request being serviced, and the two step continuations (bound
-	// once at construction so the loop never allocates).
+	// request being serviced, when its service began and how long it
+	// takes, and the two step continuations (bound once at
+	// construction so the loop never allocates).
 	task       *sim.Task
 	cur        *Request
+	curStart   sim.Time
 	curService sim.Time
 	onArriveFn func(any, bool)
 	onDoneFn   func()
@@ -323,9 +329,16 @@ func (d *Disk) fail() {
 // Submit enqueues a request for asynchronous service and returns it;
 // call Wait on the result to block until completion. The caller sets
 // Write, Offset and Length; Submit clears the completion state (Err,
-// Retries, timestamps). A caller-owned request may be submitted again
+// Retries, Finished). A caller-owned request may be submitted again
 // once its Wait has returned: Submit resets the completion signal in
 // place, keeping its waiter storage.
+//
+// A request submitted while the drive is busy goes straight to the
+// scheduler's pending list. The server mailbox only carries the
+// request that ends an idle period: beginService drains the mailbox
+// before it starts a request, so the mailbox is empty whenever the
+// drive is busy, and the scheduler sees the same requests in the same
+// order either way.
 func (d *Disk) Submit(req *Request) *Request {
 	if req.Offset%SectorSize != 0 || req.Length%SectorSize != 0 {
 		panic(fmt.Sprintf("disk %s: request %d+%d not sector-aligned", d.name, req.Offset, req.Length))
@@ -338,8 +351,7 @@ func (d *Disk) Submit(req *Request) *Request {
 		panic(fmt.Sprintf("disk %s: request beyond capacity (%d > %d sectors)", d.name, end, d.m.geom.totalSectors))
 	}
 	req.done.Reset()
-	req.Err, req.Retries = nil, 0
-	req.Queued, req.Started, req.Finished = d.k.Now(), 0, 0
+	req.Err, req.Retries, req.Finished = nil, 0, 0
 	if d.pr.On() {
 		d.pr.Sample(probe.KindQueue, int64(d.QueueLen()))
 	}
@@ -348,6 +360,10 @@ func (d *Disk) Submit(req *Request) *Request {
 		req.Finished = d.k.Now()
 		d.stats.FailedRequests++
 		req.done.Fire()
+		return req
+	}
+	if d.cur != nil {
+		d.pending = append(d.pending, req)
 		return req
 	}
 	if !d.queue.TryPut(req) {
@@ -425,7 +441,7 @@ func (d *Disk) beginService() {
 	}
 	req := d.nextRequest()
 	d.accrueIdlePrefetch(d.k.Now())
-	req.Started = d.k.Now()
+	d.curStart = d.k.Now()
 	if d.pr.On() {
 		d.statsAt = d.stats
 	}
@@ -466,8 +482,8 @@ func (d *Disk) emitServed(req *Request, before Stats) {
 	if !d.pr.On() {
 		return
 	}
-	d.pr.SpanArg(probe.KindService, int64(req.Started), int64(req.Finished), req.Length)
-	at := req.Started
+	d.pr.SpanArg(probe.KindService, int64(d.curStart), int64(req.Finished), req.Length)
+	at := d.curStart
 	for _, part := range [...]struct {
 		k probe.Kind
 		d sim.Time
@@ -510,7 +526,7 @@ func (d *Disk) applyFaults(req *Request) sim.Time {
 			n = d.retry.MaxRetries
 			d.hardError(req)
 		}
-		req.Retries = n
+		req.Retries = int32(n)
 		d.stats.Retries += int64(n)
 		extra += sim.Time(n) * (d.m.rotPeriod + d.retry.Backoff)
 	}

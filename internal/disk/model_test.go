@@ -86,3 +86,12 @@ func TestDiskSizeClass(t *testing.T) {
 		t.Fatalf("Disk is %d bytes, want <= 512", n)
 	}
 }
+
+// TestRequestSizeClass keeps Request at 88 bytes: an SMP striped
+// request holds one per 64 KB chunk in flight, so every field the
+// struct grows by is paid once per chunk.
+func TestRequestSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Request{}); n > 88 {
+		t.Fatalf("Request is %d bytes, want <= 88", n)
+	}
+}

@@ -75,7 +75,7 @@ func TestRecycledRequestCarriesNoFaultState(t *testing.T) {
 				return
 			}
 			req := d.free[0]
-			uses = append(uses, use{err, req.Retries, req})
+			uses = append(uses, use{err, int(req.Retries), req})
 		}
 	})
 	k.Run()

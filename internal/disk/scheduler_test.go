@@ -53,7 +53,7 @@ func TestElevatorBeatsFCFSOnScatteredQueue(t *testing.T) {
 
 func TestFCFSPreservesArrivalOrder(t *testing.T) {
 	k := sim.NewKernel()
-	d := New(k, "d", Cheetah9LP())
+	d, sink := probedDisk(k, "d")
 	var reqs []*Request
 	k.Spawn("issuer", func(p *sim.Proc) {
 		offs := []int64{5 << 30, 0, 2 << 30, 7 << 30, 1 << 30}
@@ -65,8 +65,9 @@ func TestFCFSPreservesArrivalOrder(t *testing.T) {
 		}
 	})
 	k.Run()
+	started := serviceStarts(t, sink, reqs)
 	for i := 1; i < len(reqs); i++ {
-		if reqs[i].Started < reqs[i-1].Started {
+		if started[i] < started[i-1] {
 			t.Fatal("FCFS must serve in arrival order")
 		}
 	}
@@ -102,7 +103,7 @@ func TestElevatorSweepsMonotonically(t *testing.T) {
 	// should change direction at most twice (one full sweep up, one
 	// down).
 	k := sim.NewKernel()
-	d := New(k, "d", Cheetah9LP())
+	d, sink := probedDisk(k, "d")
 	d.SetScheduler(Elevator)
 	var reqs []*Request
 	k.Spawn("issuer", func(p *sim.Proc) {
@@ -118,10 +119,12 @@ func TestElevatorSweepsMonotonically(t *testing.T) {
 	k.Run()
 	// Collect offsets in service order.
 	order := append([]*Request(nil), reqs...)
+	started := serviceStarts(t, sink, reqs)
 	for i := 0; i < len(order); i++ {
 		for j := i + 1; j < len(order); j++ {
-			if order[j].Started < order[i].Started {
+			if started[j] < started[i] {
 				order[i], order[j] = order[j], order[i]
+				started[i], started[j] = started[j], started[i]
 			}
 		}
 	}

@@ -35,7 +35,7 @@ type Endpoint struct {
 	w       *World
 	rank    int
 	cpu     *cpu.CPU
-	pending []Envelope    // arrived, not yet received (unexpected queue)
+	pending envQueue      // arrived, not yet received (unexpected queue)
 	waiters []*recvWaiter // posted receives, in posting order
 
 	// The rank's dispatcher: a bare task draining the network inbox,
@@ -66,10 +66,12 @@ type recvWaiter struct {
 // Envelope is a received message's header and payload, copied out of
 // the network message when the dispatcher takes it from the inbox, so
 // the message goes back to the network's pool once its sender is done
-// with it, whether or not a receive is posted.
+// with it, whether or not a receive is posted. It is 32 bytes: ranks
+// and tags fit in an int32, and an endpoint queues one envelope per
+// unexpected message.
 type Envelope struct {
-	Src     int
-	Tag     int
+	Src     int32
+	Tag     int32
 	Bytes   int64
 	Payload any
 }
@@ -144,7 +146,7 @@ func (ep *Endpoint) onMsg(v any, ok bool) {
 // receiver's reference to the message, and hands the envelope to the
 // oldest matching posted receive or queues it as unexpected.
 func (ep *Endpoint) deliver(m *netsim.Message) {
-	env := Envelope{Src: m.Src, Tag: m.Tag, Bytes: m.Bytes, Payload: m.Payload}
+	env := Envelope{Src: int32(m.Src), Tag: int32(m.Tag), Bytes: m.Bytes, Payload: m.Payload}
 	m.Release()
 	for i, wtr := range ep.waiters {
 		if env.matches(wtr.src, wtr.tag) {
@@ -154,11 +156,56 @@ func (ep *Endpoint) deliver(m *netsim.Message) {
 			return
 		}
 	}
-	ep.pending = append(ep.pending, env)
+	ep.pending.push(env)
 }
 
 func (e *Envelope) matches(src, tag int) bool {
-	return (src == AnySource || e.Src == src) && (tag == AnyTag || e.Tag == tag)
+	return (src == AnySource || int(e.Src) == src) && (tag == AnyTag || int(e.Tag) == tag)
+}
+
+// envQueue is the unexpected-message queue: a power-of-two ring of
+// envelopes in arrival order that doubles only when full. Taking the
+// head pops it in constant time; taking an envelope further in closes
+// the gap by moving the shorter side, so the rest keep their order.
+type envQueue struct {
+	buf     []Envelope
+	head, n int
+}
+
+func (q *envQueue) len() int { return q.n }
+
+// at returns the i-th oldest envelope.
+func (q *envQueue) at(i int) *Envelope { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+func (q *envQueue) push(e Envelope) {
+	if q.n == len(q.buf) {
+		next := make([]Envelope, max(1, 2*len(q.buf)))
+		c := copy(next, q.buf[q.head:])
+		copy(next[c:], q.buf[:q.head])
+		q.buf, q.head = next, 0
+	}
+	q.n++
+	*q.at(q.n - 1) = e
+}
+
+// take removes and returns the i-th oldest envelope, clearing the
+// vacated slot.
+func (q *envQueue) take(i int) Envelope {
+	e := *q.at(i)
+	if i < q.n/2 {
+		for j := i; j > 0; j-- {
+			*q.at(j) = *q.at(j - 1)
+		}
+		*q.at(0) = Envelope{}
+		q.head = (q.head + 1) & (len(q.buf) - 1)
+	} else {
+		for j := i; j < q.n-1; j++ {
+			*q.at(j) = *q.at(j + 1)
+		}
+		*q.at(q.n - 1) = Envelope{}
+	}
+	q.n--
+	return e
 }
 
 // remove deletes s[i], keeping order and clearing the vacated slot.
@@ -182,8 +229,8 @@ func (ep *Endpoint) Send(p *sim.Proc, dst, tag int, bytes int64, payload any) {
 
 // Handle tracks an asynchronous send. It is also the send's state
 // machine: a bare task injects the message and waits for its delivery
-// in kernel callbacks bound once per handle. Handles are pooled per
-// endpoint; Wait returns one to the pool.
+// in kernel callbacks. Handles are pooled per endpoint; Wait returns
+// one to the pool.
 type Handle struct {
 	done sim.Signal
 	ep   *Endpoint
@@ -194,10 +241,21 @@ type Handle struct {
 	bytes    int64
 	payload  any
 
-	startFn     func()
-	injectedFn  func(*netsim.Message)
-	deliveredFn func()
+	// next is the step stepFn runs when the pending event, injection
+	// or wait ends; one continuation, bound once per handle, serves
+	// every step.
+	next   sendStep
+	stepFn func()
 }
+
+// sendStep names the step a Handle continues with.
+type sendStep uint8
+
+const (
+	sendStart     sendStep = iota // the send's event: inject the frames
+	sendInjected                  // the last frame is in: wait for delivery
+	sendDelivered                 // the message has arrived: complete the handle
+)
 
 // Wait blocks p until the send has been delivered, then recycles the
 // handle: wait on each handle exactly once, and not after.
@@ -224,36 +282,40 @@ func (ep *Endpoint) Isend(p *sim.Proc, dst, tag int, bytes int64, payload any) *
 		ep.handleFree = ep.handleFree[:n-1]
 	} else {
 		h = &Handle{ep: ep}
-		h.startFn = h.start
-		h.injectedFn = h.injected
-		h.deliveredFn = h.delivered
+		h.stepFn = h.step
 	}
 	h.dst, h.tag, h.bytes, h.payload = dst, tag, bytes, payload
 	k := ep.w.net.Kernel()
-	k.At(k.Now(), h.startFn)
+	k.At(k.Now(), h.then(sendStart))
 	return h
 }
 
-// start, injected and delivered are the send's steps: inject the
-// frames, wait for delivery, complete the handle.
-func (h *Handle) start() {
-	ep := h.ep
-	h.t = ep.w.net.Kernel().NewTaskN(ep.sendPrefix, h.dst)
-	ep.w.net.SendFunc(h.t, ep.rank, h.dst, h.tag, h.bytes, h.payload, h.injectedFn)
-	h.payload = nil
+// then returns the continuation that runs step s.
+func (h *Handle) then(s sendStep) func() {
+	h.next = s
+	return h.stepFn
 }
 
-func (h *Handle) injected(m *netsim.Message) {
-	h.m = m
-	m.WaitFunc(h.t, h.deliveredFn)
-}
-
-func (h *Handle) delivered() {
-	h.m.Release()
-	h.m = nil
-	h.t.Finish()
-	h.t = nil
-	h.done.Fire()
+// step runs the send's next step: inject the frames, wait for
+// delivery, complete the handle.
+func (h *Handle) step() {
+	switch h.next {
+	case sendStart:
+		ep := h.ep
+		net := ep.w.net
+		h.t = net.Kernel().NewTaskN(ep.sendPrefix, h.dst)
+		h.m = net.NewMessage(ep.rank, h.dst, h.tag, h.bytes, h.payload)
+		h.payload = nil
+		net.SendFunc(h.t, h.m, h.then(sendInjected))
+	case sendInjected:
+		h.m.WaitFunc(h.t, h.then(sendDelivered))
+	case sendDelivered:
+		h.m.Release()
+		h.m = nil
+		h.t.Finish()
+		h.t = nil
+		h.done.Fire()
+	}
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns
@@ -263,10 +325,9 @@ func (h *Handle) delivered() {
 func (ep *Endpoint) Recv(p *sim.Proc, src, tag int) Envelope {
 	var env Envelope
 	found := false
-	for i := range ep.pending {
-		if ep.pending[i].matches(src, tag) {
-			env, found = ep.pending[i], true
-			ep.pending = remove(ep.pending, i)
+	for i := 0; i < ep.pending.len(); i++ {
+		if ep.pending.at(i).matches(src, tag) {
+			env, found = ep.pending.take(i), true
 			break
 		}
 	}

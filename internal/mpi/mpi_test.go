@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"testing"
+	"unsafe"
 
 	"howsim/internal/cpu"
 	"howsim/internal/netsim"
@@ -45,7 +46,7 @@ func TestRecvMatchingByTagAndSource(t *testing.T) {
 		// Receive tag 2 first even though tag 1 arrives first.
 		m2 := w.Rank(3).Recv(p, AnySource, 2)
 		m1 := w.Rank(3).Recv(p, AnySource, 1)
-		tags = append(tags, m2.Tag, m1.Tag)
+		tags = append(tags, int(m2.Tag), int(m1.Tag))
 	})
 	k.Spawn("send", func(p *sim.Proc) {
 		w.Rank(0).Send(p, 3, 1, 100, nil)
@@ -62,7 +63,7 @@ func TestRecvBySourceFilter(t *testing.T) {
 	var from int
 	k.Spawn("recv", func(p *sim.Proc) {
 		m := w.Rank(0).Recv(p, 2, AnyTag)
-		from = m.Src
+		from = int(m.Src)
 	})
 	k.Spawn("send1", func(p *sim.Proc) {
 		w.Rank(1).Send(p, 0, 0, 50, nil)
@@ -324,16 +325,17 @@ func TestUnexpectedMessagesFreedAtDispatch(t *testing.T) {
 				// Isend's injection starts in a later event, so the
 				// wrappers are in place before the message exists.
 				wrapped[h] = true
-				injected, delivered := h.injectedFn, h.deliveredFn
-				h.injectedFn = func(m *netsim.Message) {
-					seen[m] = true
-					refs[m] += 2
-					maxInTransit = max(maxInTransit, len(refs))
-					injected(m)
-				}
-				h.deliveredFn = func() {
-					drop(h.m)
-					delivered()
+				step := h.stepFn
+				h.stepFn = func() {
+					switch h.next {
+					case sendInjected:
+						seen[h.m] = true
+						refs[h.m] += 2
+						maxInTransit = max(maxInTransit, len(refs))
+					case sendDelivered:
+						drop(h.m)
+					}
+					step()
 				}
 			}
 			win.Add(p, h)
@@ -345,7 +347,7 @@ func TestUnexpectedMessagesFreedAtDispatch(t *testing.T) {
 	k.Spawn("recv", func(p *sim.Proc) {
 		sent.Wait(p)
 		p.Delay(sim.Millisecond)
-		if q := len(rcv.pending); q != n {
+		if q := rcv.pending.len(); q != n {
 			t.Errorf("unexpected queue holds %d envelopes before the first Recv, want %d", q, n)
 		}
 		for _, tag := range []int{2, 1} {
@@ -367,9 +369,77 @@ func TestUnexpectedMessagesFreedAtDispatch(t *testing.T) {
 		if j >= n/2 {
 			i = 2 * (j - n/2)
 		}
-		want := Envelope{Src: 0, Tag: 1 + i%2, Bytes: int64(100 + i), Payload: i}
+		want := Envelope{Src: 0, Tag: int32(1 + i%2), Bytes: int64(100 + i), Payload: i}
 		if e != want {
 			t.Errorf("Recv %d = %+v, want %+v", j, e, want)
 		}
 	}
+}
+
+// TestEnvelopeSize pins Envelope at 32 bytes: an endpoint queues one
+// per unexpected message.
+func TestEnvelopeSize(t *testing.T) {
+	if n := unsafe.Sizeof(Envelope{}); n != 32 {
+		t.Errorf("Envelope is %d bytes, want 32", n)
+	}
+}
+
+// TestRecvMatchesInWrappedQueue receives by tag from an unexpected
+// queue whose ring has wrapped. For every head position of an 8-slot
+// ring holding 7 envelopes, and every position of the envelope the
+// receive matches, the receive takes that envelope, closing the gap
+// from whichever side is shorter (across the ring's seam, too), and
+// wildcard receives then return the rest in arrival order.
+func TestRecvMatchesInWrappedQueue(t *testing.T) {
+	k, w := buildWorld(t, 4)
+	ep := w.Rank(1)
+	recv := func(p *sim.Proc, tag int) int { return ep.Recv(p, AnySource, tag).Payload.(int) }
+	k.Spawn("recv", func(p *sim.Proc) {
+		for pops := 1; pops < 8; pops++ {
+			for take := 0; take < 7; take++ {
+				ep.pending = envQueue{}
+				var ref []int
+				queue := func(n int) {
+					for ; n > 0; n-- {
+						v := len(ref)
+						ep.pending.push(Envelope{Src: 2, Tag: int32(v), Payload: v})
+						ref = append(ref, v)
+					}
+				}
+				queue(8)
+				for _, want := range ref[:pops] {
+					if got := recv(p, AnyTag); got != want {
+						t.Errorf("pops=%d: wildcard receive = %d, want %d", pops, got, want)
+						return
+					}
+				}
+				queue(pops - 1)
+				rest := ref[pops:]
+				q := &ep.pending
+				if q.len() != 7 || len(q.buf) != 8 || (pops >= 2 && q.head+q.len() <= len(q.buf)) {
+					t.Errorf("pops=%d: %d envelopes from slot %d of %d, want 7 in 8 slots, wrapped",
+						pops, q.len(), q.head, len(q.buf))
+					return
+				}
+				want := rest[take]
+				if got := recv(p, want); got != want {
+					t.Errorf("pops=%d take=%d: receive by tag = %d, want %d", pops, take, got, want)
+					return
+				}
+				rest = append(rest[:take], rest[take+1:]...)
+				for _, want := range rest {
+					if got := recv(p, AnyTag); got != want {
+						t.Errorf("pops=%d take=%d: wildcard receive = %d, want %d", pops, take, got, want)
+						return
+					}
+				}
+				for i, e := range q.buf {
+					if e != (Envelope{}) {
+						t.Errorf("pops=%d take=%d: slot %d retains %+v after the queue drained", pops, take, i, e)
+					}
+				}
+			}
+		}
+	})
+	k.Run()
 }

@@ -196,7 +196,7 @@ func runPathCase(tb testing.TB, c pathCase, ref bool) string {
 			ep := w.Rank(r)
 			s, rv, b := ep.Stats()
 			rec("  rank%d sent=%d received=%d bytes=%d pending=%d waiters=%d inbox=%d", r, s, rv, b,
-				len(ep.pending), len(ep.waiters), ep.inbox.Len())
+				ep.pending.len(), len(ep.waiters), ep.inbox.Len())
 		}
 		for _, cp := range cpus {
 			if cp != nil {

@@ -58,7 +58,7 @@ type Message struct {
 	toInject  int
 	remaining int64
 	cur       *frame
-	injected  func(*Message)
+	injected  func()
 	inPut     bool
 	putDone   bool
 
@@ -386,25 +386,31 @@ func (n *Network) Send(p *sim.Proc, src, dst, tag int, bytes int64, payload any)
 	return m
 }
 
-// SendFunc is Send for callback tasks: t injects the frames, parking
-// in the first hop's queue while it is full, and done runs with the
-// message once the last frame is in — at once when nothing had to
-// wait. The message is pooled and carries two references, the
+// NewMessage numbers a message for SendFunc, stamped with the current
+// time. The message is pooled and carries two references, the
 // sender's and the receiver's: each side calls Release when done with
 // it (the sender typically after WaitFunc's continuation, the receiver
 // once it has taken the message from the inbox).
-func (n *Network) SendFunc(t *sim.Task, src, dst, tag int, bytes int64, payload any, done func(*Message)) {
+func (n *Network) NewMessage(src, dst, tag int, bytes int64, payload any) *Message {
 	m := n.newMessage(src, dst, tag, bytes, payload)
 	m.refs = 2
-	if src == dst {
+	return m
+}
+
+// SendFunc is Send for callback tasks: t injects the frames of m, a
+// message from NewMessage that has not been sent, parking in the first
+// hop's queue while it is full, and done runs once the last frame is
+// in — at once when nothing had to wait.
+func (n *Network) SendFunc(t *sim.Task, m *Message, done func()) {
+	if m.Src == m.Dst {
 		m.framesLeft = 1
 		n.k.After(n.LoopbackTime, m.loopbackFn)
-		done(m)
+		done()
 		return
 	}
-	m.t, m.route, m.injected = t, n.route(src, dst), done
-	m.framesLeft = n.frames(bytes)
-	m.toInject, m.remaining = m.framesLeft, bytes
+	m.t, m.route, m.injected = t, n.route(m.Src, m.Dst), done
+	m.framesLeft = n.frames(m.Bytes)
+	m.toInject, m.remaining = m.framesLeft, m.Bytes
 	m.inject()
 }
 
@@ -431,7 +437,7 @@ func (m *Message) inject() {
 	}
 	done := m.injected
 	m.t, m.injected = nil, nil
-	done(m)
+	done()
 }
 
 // onPut is the put continuation of inject.

@@ -66,9 +66,9 @@ type Metrics struct {
 	CacheMisses atomic.Int64 // led a fresh simulation
 	DedupJoins  atomic.Int64 // piggybacked on an in-flight identical run
 
-	SimRuns    atomic.Int64 // simulations that ran to completion
-	RunErrors  atomic.Int64 // simulations that failed
-	Cancelled  atomic.Int64 // runs abandoned by cancellation or timeout
+	SimRuns   atomic.Int64 // simulations that ran to completion
+	RunErrors atomic.Int64 // simulations that failed
+	Cancelled atomic.Int64 // runs abandoned by cancellation or timeout
 
 	simLatency   hist
 	sweepLatency hist

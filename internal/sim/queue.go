@@ -4,16 +4,16 @@ import "math/bits"
 
 // This file holds the kernel's allocation-free queueing machinery:
 //
-//   - fifo[T]: a slice-backed FIFO deque that recycles its backing
-//     storage and zeroes popped slots, used for every waiter queue
-//     (mailbox getters/putters, resource waiters, barrier/signal/
+//   - fifo[T]: a 32-byte FIFO over a power-of-two ring that doubles
+//     only when full and zeroes popped slots, used for every waiter
+//     queue (mailbox getters/putters, resource waiters, barrier/signal/
 //     waitgroup parties) and for mailbox items;
 //   - eventQueue: the kernel's pending events. Each event lives in one
 //     32-byte slot of a slab ([]event plus a free list of int32 slot
 //     indices) from schedule until pop; the orderings move only small
 //     keys — a binary min-heap of 24-byte heapKey{t, seq, slot} values
-//     for future timers, and slotRing, a power-of-two ring of int32
-//     slots holding the same-timestamp fast lane. No event value is
+//     for future timers, and a fifo[int32] of slots holding the
+//     same-timestamp fast lane. No event value is
 //     copied while it is queued. Sharded kernels also keep each slot's
 //     shard-ordering key in a keys array beside the slab.
 //
@@ -23,83 +23,49 @@ import "math/bits"
 // and park/resume-heavy loops (mailbox handoffs, resource grants)
 // allocation-free.
 
-// fifo is a FIFO deque over a reusable slice. Pop zeroes the vacated
-// slot so the queue never retains references to removed elements, and
-// push compacts the dead prefix before the backing array would grow,
-// so a queue that cycles in steady state stops allocating entirely.
+// fifo is a FIFO queue over a power-of-two ring: 32 bytes, the ring
+// and two int32 cursors. Push doubles the ring (from one slot) only
+// when it is full, so a queue that cycles in steady state stops
+// allocating once it has reached its high-water mark, whether or not
+// it ever drains. Pop zeroes the vacated slot so the queue never
+// retains references to removed elements.
 type fifo[T any] struct {
-	s    []T
-	head int
+	buf  []T
+	head int32
+	n    int32
 }
 
-func (q *fifo[T]) len() int { return len(q.s) - q.head }
+func (q *fifo[T]) len() int { return int(q.n) }
 
 func (q *fifo[T]) push(v T) {
-	if q.head >= 16 && 2*q.head >= len(q.s) {
-		// The dead prefix is at least as large as the live region:
-		// slide the live elements down and clear the tail so append
-		// reuses the freed capacity instead of growing.
-		var zero T
-		n := copy(q.s, q.s[q.head:])
-		for i := n; i < len(q.s); i++ {
-			q.s[i] = zero
-		}
-		q.s = q.s[:n]
-		q.head = 0
+	if int(q.n) == len(q.buf) {
+		q.grow()
 	}
-	q.s = append(q.s, v)
+	q.buf[(int(q.head)+int(q.n))&(len(q.buf)-1)] = v
+	q.n++
 }
 
 func (q *fifo[T]) pop() T {
 	var zero T
-	v := q.s[q.head]
-	q.s[q.head] = zero
-	q.head++
-	if q.head == len(q.s) {
-		q.s = q.s[:0]
-		q.head = 0
-	}
+	v := q.buf[q.head]
+	q.buf[q.head] = zero
+	q.head = int32((int(q.head) + 1) & (len(q.buf) - 1))
+	q.n--
 	return v
 }
 
 // peek returns a pointer to the head element. The pointer is only valid
 // until the next push or pop.
-func (q *fifo[T]) peek() *T { return &q.s[q.head] }
+func (q *fifo[T]) peek() *T { return &q.buf[q.head] }
 
-// slotRing is a power-of-two-sized ring buffer of event slots: the
-// same-timestamp fast lane. Events scheduled for the current instant
-// are FIFO by construction (sequence numbers are monotonic), so a ring
-// preserves (t, seq) order without any heap work.
-type slotRing struct {
-	buf  []int32
-	head int
-	n    int
-}
-
-func (r *slotRing) push(s int32) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = s
-	r.n++
-}
-
-func (r *slotRing) pop() int32 {
-	s := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return s
-}
-
-func (r *slotRing) peek() int32 { return r.buf[r.head] }
-
-func (r *slotRing) grow() {
-	next := make([]int32, max(8, 2*len(r.buf)))
-	for i := 0; i < r.n; i++ {
-		next[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf = next
-	r.head = 0
+// grow doubles the ring, moving the live elements to its front in
+// queue order.
+func (q *fifo[T]) grow() {
+	next := make([]T, max(1, 2*len(q.buf)))
+	n := copy(next, q.buf[q.head:])
+	copy(next[n:], q.buf[:q.head])
+	q.buf = next
+	q.head = 0
 }
 
 // heapKey is a timer-heap entry: the event's ordering key plus the slab
@@ -129,12 +95,16 @@ type eventQueue struct {
 	keys []eventKey
 	free []int32
 	heap []heapKey
-	fast slotRing
+	// fast is the same-timestamp fast lane. Events scheduled for the
+	// current instant are FIFO by construction (sequence numbers are
+	// monotonic), so a ring preserves (t, seq) order without any heap
+	// work.
+	fast fifo[int32]
 }
 
 func (q *eventQueue) empty() bool { return len(q.heap) == 0 && q.fast.n == 0 }
 
-func (q *eventQueue) len() int { return len(q.heap) + q.fast.n }
+func (q *eventQueue) len() int { return len(q.heap) + q.fast.len() }
 
 // alloc reserves a slot for a new event and returns it with a pointer
 // to its storage; the caller fills every field but fn/tk, which pop
@@ -187,7 +157,7 @@ func (q *eventQueue) heapFirst() bool {
 	if len(q.heap) == 0 {
 		return false
 	}
-	f := &q.slab[q.fast.peek()]
+	f := &q.slab[*q.fast.peek()]
 	return keyBefore(&q.heap[0], &heapKey{t: f.t, seq: f.seq})
 }
 
@@ -197,7 +167,7 @@ func (q *eventQueue) peekTime() Time {
 	if q.heapFirst() {
 		return q.heap[0].t
 	}
-	return q.slab[q.fast.peek()].t
+	return q.slab[*q.fast.peek()].t
 }
 
 // peekSlot returns the slot of the next event in (t, seq) order across
@@ -206,7 +176,7 @@ func (q *eventQueue) peekSlot() int32 {
 	if q.heapFirst() {
 		return q.heap[0].slot
 	}
-	return q.fast.peek()
+	return *q.fast.peek()
 }
 
 // pop removes the (t, seq)-least event across both lanes, frees its

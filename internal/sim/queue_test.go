@@ -66,10 +66,10 @@ func TestEventQueueRandomOrder(t *testing.T) {
 	}
 }
 
-// TestSlotRingWraparound drives the fast-lane ring through growth and
-// many wraparounds, checking FIFO order.
+// TestSlotRingWraparound drives the fast lane's ring of event slots
+// through growth and many wraparounds, checking FIFO order.
 func TestSlotRingWraparound(t *testing.T) {
-	var r slotRing
+	var r fifo[int32]
 	next, expect := int32(1), int32(1)
 	for round := 0; round < 100; round++ {
 		for i := 0; i < 7; i++ {
@@ -304,7 +304,7 @@ func TestEventModeKeepsNoKeys(t *testing.T) {
 }
 
 // TestFifoClearsPoppedSlots guards the waiter-queue leak fix: a popped
-// element must not be retained by the backing array.
+// element must not be retained by the ring.
 func TestFifoClearsPoppedSlots(t *testing.T) {
 	var q fifo[*Proc]
 	procs := []*Proc{{Task: Task{id: 1}}, {Task: Task{id: 2}}, {Task: Task{id: 3}}}
@@ -313,10 +313,10 @@ func TestFifoClearsPoppedSlots(t *testing.T) {
 	}
 	q.pop()
 	q.pop()
-	backing := q.s[:cap(q.s)]
-	for i := 0; i < q.head; i++ {
-		if backing[i] != nil {
-			t.Errorf("slot %d retains %v after pop", i, backing[i])
+	for i := range q.buf {
+		live := (i-int(q.head))&(len(q.buf)-1) < q.len()
+		if !live && q.buf[i] != nil {
+			t.Errorf("slot %d retains %v after pop", i, q.buf[i])
 		}
 	}
 	if q.len() != 1 || q.pop().id != 3 {
@@ -325,7 +325,7 @@ func TestFifoClearsPoppedSlots(t *testing.T) {
 }
 
 // TestFifoSteadyStateNoGrowth cycles a fifo far beyond its live size;
-// compaction must keep the backing array bounded.
+// the ring must stay bounded.
 func TestFifoSteadyStateNoGrowth(t *testing.T) {
 	var q fifo[int]
 	for i := 0; i < 64; i++ {
@@ -335,11 +335,86 @@ func TestFifoSteadyStateNoGrowth(t *testing.T) {
 		q.push(i)
 		q.pop()
 	}
-	if c := cap(q.s); c > 1024 {
-		t.Errorf("backing array grew to %d for a 64-element working set", c)
+	if c := cap(q.buf); c > 1024 {
+		t.Errorf("ring grew to %d for a 64-element working set", c)
 	}
 	if q.len() != 64 {
 		t.Errorf("len = %d, want 64", q.len())
+	}
+}
+
+// FuzzFifoOrder interleaves pushes and pops and checks every pop, peek
+// and length against a reference slice. Each input byte is one
+// operation: b%3 == 0 pops (when non-empty); otherwise the byte pushes
+// itself. The seeds push past several doublings while the ring is
+// wrapped, so growth must unwrap the live elements in order.
+func FuzzFifoOrder(f *testing.F) {
+	f.Add([]byte{1, 2, 0, 4, 5, 0, 7, 8})
+	f.Add([]byte{1, 2, 4, 0, 0, 5, 7, 8, 10, 11, 13, 14, 16, 0, 0, 0})
+	f.Add([]byte("wrap the ring, then grow it while the head is mid-buffer"))
+	wrapped := make([]byte, 0, 600)
+	for i := 0; i < 100; i++ {
+		// Two pushes and a pop per round: the head walks round the
+		// ring while the queue grows through every doubling.
+		wrapped = append(wrapped, 1, 2, 0)
+	}
+	for i := 0; i < 100; i++ {
+		wrapped = append(wrapped, 0, 4, 0)
+	}
+	f.Add(wrapped)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var q fifo[byte]
+		var ref []byte
+		for i, b := range ops {
+			if b%3 == 0 {
+				if len(ref) == 0 {
+					continue
+				}
+				if got := *q.peek(); got != ref[0] {
+					t.Fatalf("op %d: peek = %d, want %d", i, got, ref[0])
+				}
+				if got := q.pop(); got != ref[0] {
+					t.Fatalf("op %d: pop = %d, want %d", i, got, ref[0])
+				}
+				ref = ref[1:]
+			} else {
+				q.push(b)
+				ref = append(ref, b)
+			}
+			if q.len() != len(ref) {
+				t.Fatalf("op %d: len = %d, want %d", i, q.len(), len(ref))
+			}
+			if n := len(q.buf); n&(n-1) != 0 {
+				t.Fatalf("op %d: ring size %d is not a power of two", i, n)
+			}
+		}
+		for len(ref) > 0 {
+			if got := q.pop(); got != ref[0] {
+				t.Fatalf("drain: pop = %d, want %d", got, ref[0])
+			}
+			ref = ref[1:]
+		}
+		for i, v := range q.buf {
+			if v != 0 {
+				t.Fatalf("slot %d retains %d after the queue drained", i, v)
+			}
+		}
+	})
+}
+
+// TestFifoSize pins the waiter queue at 32 bytes: the ring's slice
+// header and two int32 cursors.
+func TestFifoSize(t *testing.T) {
+	if n := unsafe.Sizeof(fifo[*Task]{}); n != 32 {
+		t.Errorf("fifo is %d bytes, want 32", n)
+	}
+}
+
+// TestSignalSize keeps Signal, which disk requests, network messages
+// and MPI handles embed, at 40 bytes.
+func TestSignalSize(t *testing.T) {
+	if n := unsafe.Sizeof(Signal{}); n > 40 {
+		t.Errorf("Signal is %d bytes, want <= 40", n)
 	}
 }
 
