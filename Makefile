@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check lint vet-fixtures vet-allows test race bench-kernel bench-figures bench-parallel bench-guard fault-smoke trace-smoke chaos-smoke service-smoke
+.PHONY: build vet fmt-check lint vet-fixtures vet-allows test race bench-kernel bench-figures bench-parallel bench-guard alloc-profile fault-smoke trace-smoke chaos-smoke service-smoke
 
 build:
 	$(GO) build ./...
@@ -72,6 +72,17 @@ bench-guard:
 	$(GO) run ./scripts/bench -out /tmp/BENCH_kernel.json
 	$(GO) run ./scripts/bench -pkg . -bench 'ParallelSpeedup/(select|groupby)$$' -out /tmp/BENCH_parallel.json
 	$(GO) run ./scripts/benchguard -current /tmp/BENCH_kernel.json -parallel /tmp/BENCH_parallel.json
+
+# Allocation by site in one Figure 1 pass: every task on every
+# architecture at scale 0.05 on 16 and 64 disks, one simulation at a
+# time, with every allocation sampled. Writes the profile to
+# /tmp/howsim-alloc.out and prints the sites by bytes allocated; the
+# per-site tables in CHANGES.md come from this target.
+alloc-profile:
+	$(GO) build -o /tmp/howsim-experiments ./cmd/experiments
+	GODEBUG=memprofilerate=1 /tmp/howsim-experiments -only fig1 -scale 0.05 -sizes 16,64 \
+		-parallel 1 -memprofile /tmp/howsim-alloc.out > /dev/null
+	$(GO) tool pprof -sample_index=alloc_space -top /tmp/howsim-alloc.out
 
 # Fault-injection smoke: one disk fails mid-scan on each architecture,
 # once recovering via replicas and once completing degraded. Every run

@@ -200,7 +200,7 @@ func (n *Node) rw(p *sim.Proc, offset, length int64, write bool) error {
 	op.n, op.t = n, &p.Task
 	op.req.Write, op.req.Offset, op.req.Length = write, offset, length
 	p.Chain(op.start)
-	err := op.req.Err
+	err := op.req.Err()
 	op.n, op.t = nil, nil
 	m.opFree = append(m.opFree, op)
 	return err
@@ -244,7 +244,7 @@ func (op *nodeOp) step() {
 		n.Disk.Submit(&op.req).WaitFunc(op.t, op.then(stepWaited))
 	case stepWaited:
 		// A failed request moves no data: straight to the interrupt.
-		if op.req.Err != nil {
+		if op.req.Err() != nil {
 			op.interrupt()
 			return
 		}

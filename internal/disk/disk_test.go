@@ -246,11 +246,23 @@ func probedDisk(k *sim.Kernel, name string) (*Disk, *probe.Sink) {
 	return New(k, name, Cheetah9LP()), sink
 }
 
-// serviceStarts returns when the drive began servicing each of reqs:
-// the start of the probe service span that ended at the request's
-// finish. A single-arm drive serves one request at a time, so every
-// request has its own span and no two spans end at the same instant.
-func serviceStarts(t *testing.T, sink *probe.Sink, reqs []*Request) []sim.Time {
+// watchCompletion records into *at the instant req completes, from the
+// request's own WaitFunc continuation, which runs in the instant the
+// drive completes the request. Call it right after Submit.
+func watchCompletion(k *sim.Kernel, req *Request, at *sim.Time) {
+	tk := k.NewTask("watch")
+	req.WaitFunc(tk, func() {
+		*at = k.Now()
+		tk.Finish()
+	})
+}
+
+// serviceStarts returns when the drive began servicing each request,
+// given when each finished: the start of the probe service span that
+// ended at the request's finish. A single-arm drive serves one request
+// at a time, so every request has its own span and no two spans end at
+// the same instant.
+func serviceStarts(t *testing.T, sink *probe.Sink, finished []sim.Time) []sim.Time {
 	t.Helper()
 	startAt := map[int64]int64{}
 	sink.EachSpan(func(sp probe.Span) {
@@ -258,14 +270,14 @@ func serviceStarts(t *testing.T, sink *probe.Sink, reqs []*Request) []sim.Time {
 			startAt[sp.End] = sp.Start
 		}
 	})
-	if len(startAt) != len(reqs) {
-		t.Fatalf("%d distinct service spans for %d requests", len(startAt), len(reqs))
+	if len(startAt) != len(finished) {
+		t.Fatalf("%d distinct service spans for %d requests", len(startAt), len(finished))
 	}
-	starts := make([]sim.Time, len(reqs))
-	for i, r := range reqs {
-		s, ok := startAt[int64(r.Finished)]
+	starts := make([]sim.Time, len(finished))
+	for i, f := range finished {
+		s, ok := startAt[int64(f)]
 		if !ok {
-			t.Fatalf("request %d (finished %v) has no service span", i, r.Finished)
+			t.Fatalf("request %d (finished %v) has no service span", i, f)
 		}
 		starts[i] = sim.Time(s)
 	}
@@ -277,28 +289,30 @@ func TestAsyncRequestsOverlapQueueing(t *testing.T) {
 	d, sink := probedDisk(k, "d0")
 	var reqs []*Request
 	var queued []sim.Time
+	finished := make([]sim.Time, 4)
 	k.Spawn("issuer", func(p *sim.Proc) {
 		for i := int64(0); i < 4; i++ {
 			queued = append(queued, p.Now())
 			reqs = append(reqs, d.Submit(&Request{Offset: i * (256 << 10), Length: 256 << 10}))
+			watchCompletion(k, reqs[i], &finished[i])
 		}
 		for _, r := range reqs {
 			r.Wait(p)
 		}
 	})
 	k.Run()
-	started := serviceStarts(t, sink, reqs)
+	started := serviceStarts(t, sink, finished)
 	for i, r := range reqs {
 		if !r.Done() {
 			t.Fatalf("request %d not completed", i)
 		}
-		if r.Finished < started[i] || started[i] < queued[i] {
-			t.Errorf("request %d has inconsistent timestamps %v/%v/%v", i, queued[i], started[i], r.Finished)
+		if finished[i] < started[i] || started[i] < queued[i] {
+			t.Errorf("request %d has inconsistent timestamps %v/%v/%v", i, queued[i], started[i], finished[i])
 		}
 	}
 	// FCFS: finish order matches submit order.
 	for i := 1; i < len(reqs); i++ {
-		if reqs[i].Finished < reqs[i-1].Finished {
+		if finished[i] < finished[i-1] {
 			t.Error("FCFS order violated")
 		}
 	}
@@ -313,22 +327,24 @@ func TestSubmitKeepsQueueDeep(t *testing.T) {
 	d, sink := probedDisk(k, "d0")
 	var reqs []*Request
 	var queued []sim.Time
+	finished := make([]sim.Time, 4)
 	k.Spawn("issuer", func(p *sim.Proc) {
 		for i := int64(0); i < 4; i++ {
 			queued = append(queued, p.Now())
 			reqs = append(reqs, d.Submit(&Request{Offset: i * (256 << 10), Length: 256 << 10}))
+			watchCompletion(k, reqs[i], &finished[i])
 		}
 		for _, r := range reqs {
 			r.Wait(p)
 		}
 	})
 	k.Run()
-	started := serviceStarts(t, sink, reqs)
-	if queued[3] >= reqs[0].Finished {
+	started := serviceStarts(t, sink, finished)
+	if queued[3] >= finished[0] {
 		t.Error("all requests should be queued before the first completes")
 	}
 	for i := 1; i < 4; i++ {
-		if started[i] < reqs[i-1].Finished {
+		if started[i] < finished[i-1] {
 			t.Error("a single-arm drive must serialize media service")
 		}
 	}
@@ -336,22 +352,36 @@ func TestSubmitKeepsQueueDeep(t *testing.T) {
 
 // TestRequestWaitFunc checks the callback form of Wait: a pending
 // request runs the continuation at its completion, a completed one at
-// once.
+// once. A second task parked on the same request is the completion
+// signal's overflow waiter; it wakes at the same completion, after the
+// first.
 func TestRequestWaitFunc(t *testing.T) {
 	k := sim.NewKernel()
-	d := New(k, "d0", Cheetah9LP())
-	tk := k.NewTask("waiter")
+	d, sink := probedDisk(k, "d0")
+	tk, second := k.NewTask("waiter"), k.NewTask("second")
 	r := d.Submit(&Request{Length: 64 << 10})
 	var at []sim.Time
+	var order []string
 	r.WaitFunc(tk, func() {
-		at = append(at, k.Now())
-		r.WaitFunc(tk, func() { at = append(at, k.Now()) })
+		at, order = append(at, k.Now()), append(order, "first")
+		r.WaitFunc(tk, func() { at, order = append(at, k.Now()), append(order, "again") })
 	})
+	r.WaitFunc(second, func() { at, order = append(at, k.Now()), append(order, "second") })
 	k.Run()
-	if len(at) != 2 || at[0] != r.Finished || at[1] != r.Finished {
-		t.Fatalf("continuations ran at %v, want twice at completion %v", at, r.Finished)
+	var done sim.Time = -1
+	sink.EachSpan(func(sp probe.Span) {
+		if sp.Kind == probe.KindService {
+			done = sim.Time(sp.End)
+		}
+	})
+	if len(at) != 3 || at[0] != done || at[1] != done || at[2] != done {
+		t.Fatalf("continuations ran at %v, want three times at completion %v", at, done)
+	}
+	if order[0] != "first" || order[1] != "again" || order[2] != "second" {
+		t.Fatalf("continuations ran in order %v, want first, again, second", order)
 	}
 	tk.Finish()
+	second.Finish()
 }
 
 func TestUnalignedRequestPanics(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 
 // Errors a request can complete with. Completion with an error still
 // fires the request's done signal: waiters always wake, then inspect
-// Err.
+// Err().
 var (
 	// ErrMediaError reports a media error that persisted past the
 	// drive's retry budget (an unrecoverable sector).
@@ -23,26 +23,45 @@ var (
 // Request is one I/O operation against a disk. Offsets and lengths are
 // in bytes and must be sector-aligned.
 //
-// A request is 88 bytes: an SMP striped request keeps one per chunk in
-// flight. It records when it finished but not when it was queued or
-// when service began: the drive keeps the start of the one request in
-// service (the disk probe's service span runs from it), and a caller
-// that needs the submit instant has it at hand when it submits.
+// A request is 48 bytes: an SMP striped request keeps one per chunk in
+// flight. It records no instants: the drive keeps the start of the one
+// request in service (the disk probe's service span runs from it to
+// the completion), a caller that needs the submit instant has it at
+// hand when it submits, and a waiter parked before the completion
+// wakes in the completion's instant. Its completion status is a byte
+// beside Write and Retries, read through Err.
 type Request struct {
-	Write bool
+	Write  bool
+	status status
 	// Retries is how many media retries the drive performed before the
 	// request completed (successfully or not).
 	Retries int32
 	Offset  int64
 	Length  int64
 
-	// Err is the request's completion status: nil on success,
-	// ErrMediaError or ErrDiskFailed otherwise. Valid once Done.
-	Err error
-
 	// done is held by value, so a request's completion allocates nothing.
-	done     sim.Signal
-	Finished sim.Time // when data was in the buffer (read) or on media (write)
+	done sim.Signal
+}
+
+// status is a request's completion status, the error Err reports.
+type status uint8
+
+const (
+	statusOK status = iota
+	statusMediaError
+	statusDiskFailed
+)
+
+// Err returns the request's completion status: nil on success,
+// ErrMediaError or ErrDiskFailed otherwise. Valid once Done.
+func (r *Request) Err() error {
+	switch r.status {
+	case statusMediaError:
+		return ErrMediaError
+	case statusDiskFailed:
+		return ErrDiskFailed
+	}
+	return nil
 }
 
 // Wait blocks p until the request completes.
@@ -142,9 +161,7 @@ type Disk struct {
 	idleSince sim.Time
 	stats     Stats
 
-	policy  SchedulingPolicy
-	pending []*Request
-	sweepUp bool
+	pending reqQueue
 
 	// Service loop state: the callback task that runs the loop, the
 	// request being serviced, when its service began and how long it
@@ -158,22 +175,74 @@ type Disk struct {
 	onDoneFn   func()
 
 	pr probe.Ref
-	// statsAt snapshots the counters when service began, so
-	// onServiced can emit per-request seek/rotate/transfer deltas.
-	statsAt Stats
+	// statsAt snapshots, when service began, the counters emitServed
+	// reports the request's deltas of.
+	statsAt serviceSnap
 
 	inj    FaultInjector
 	retry  RetryPolicy
 	reqSeq int64
-	failed bool
+
+	policy  SchedulingPolicy
+	sweepUp bool
+	failed  bool
 
 	// free holds the completed requests of synchronous Read/Write calls
 	// for reuse, so a steady-state I/O allocates nothing.
 	free []*Request
 }
 
+// reqQueue is the scheduler's pending list: a power-of-two ring of
+// requests in arrival order that doubles only when full. Taking the
+// head (FCFS) pops it in constant time; taking a request further in
+// (the elevator's pick) closes the gap by moving the shorter side, so
+// the rest keep their arrival order.
+type reqQueue struct {
+	buf     []*Request
+	head, n int32
+}
+
+func (q *reqQueue) len() int { return int(q.n) }
+
+// at returns the i-th oldest request.
+func (q *reqQueue) at(i int) *Request { return q.buf[(int(q.head)+i)&(len(q.buf)-1)] }
+
+func (q *reqQueue) set(i int, r *Request) { q.buf[(int(q.head)+i)&(len(q.buf)-1)] = r }
+
+func (q *reqQueue) push(r *Request) {
+	if int(q.n) == len(q.buf) {
+		next := make([]*Request, max(1, 2*len(q.buf)))
+		c := copy(next, q.buf[q.head:])
+		copy(next[c:], q.buf[:q.head])
+		q.buf, q.head = next, 0
+	}
+	q.n++
+	q.set(int(q.n)-1, r)
+}
+
+// take removes and returns the i-th oldest request, clearing the
+// vacated slot.
+func (q *reqQueue) take(i int) *Request {
+	r := q.at(i)
+	n := int(q.n)
+	if i < n/2 {
+		for j := i; j > 0; j-- {
+			q.set(j, q.at(j-1))
+		}
+		q.set(0, nil)
+		q.head = int32((int(q.head) + 1) & (len(q.buf) - 1))
+	} else {
+		for j := i; j < n-1; j++ {
+			q.set(j, q.at(j+1))
+		}
+		q.set(n-1, nil)
+	}
+	q.n--
+	return r
+}
+
 // SchedulingPolicy selects how queued requests are ordered for service.
-type SchedulingPolicy int
+type SchedulingPolicy uint8
 
 // The supported request schedulers.
 const (
@@ -269,7 +338,7 @@ func (d *Disk) Model() *Model { return d.m }
 func (d *Disk) Stats() Stats { return d.stats }
 
 // QueueLen returns the number of requests waiting for service.
-func (d *Disk) QueueLen() int { return d.queue.Len() + len(d.pending) }
+func (d *Disk) QueueLen() int { return d.queue.Len() + d.pending.len() }
 
 // Utilization returns the fraction of elapsed time the arm was busy.
 func (d *Disk) Utilization() float64 {
@@ -314,22 +383,21 @@ func (d *Disk) fail() {
 		if !ok {
 			break
 		}
-		d.pending = append(d.pending, v.(*Request))
+		d.pending.push(v.(*Request))
 	}
-	for _, req := range d.pending {
-		req.Err = ErrDiskFailed
-		req.Finished = d.k.Now()
+	for d.pending.len() > 0 {
+		req := d.pending.take(0)
+		req.status = statusDiskFailed
 		d.stats.FailedRequests++
 		req.done.Fire()
 	}
-	d.pending = d.pending[:0]
 	d.queue.Close()
 }
 
 // Submit enqueues a request for asynchronous service and returns it;
 // call Wait on the result to block until completion. The caller sets
 // Write, Offset and Length; Submit clears the completion state (Err,
-// Retries, Finished). A caller-owned request may be submitted again
+// Retries). A caller-owned request may be submitted again
 // once its Wait has returned: Submit resets the completion signal in
 // place, keeping its waiter storage.
 //
@@ -351,19 +419,18 @@ func (d *Disk) Submit(req *Request) *Request {
 		panic(fmt.Sprintf("disk %s: request beyond capacity (%d > %d sectors)", d.name, end, d.m.geom.totalSectors))
 	}
 	req.done.Reset()
-	req.Err, req.Retries, req.Finished = nil, 0, 0
+	req.status, req.Retries = statusOK, 0
 	if d.pr.On() {
 		d.pr.Sample(probe.KindQueue, int64(d.QueueLen()))
 	}
 	if d.failed {
-		req.Err = ErrDiskFailed
-		req.Finished = d.k.Now()
+		req.status = statusDiskFailed
 		d.stats.FailedRequests++
 		req.done.Fire()
 		return req
 	}
 	if d.cur != nil {
-		d.pending = append(d.pending, req)
+		d.pending.push(req)
 		return req
 	}
 	if !d.queue.TryPut(req) {
@@ -399,7 +466,7 @@ func (d *Disk) do(p *sim.Proc, write bool, offset, length int64) error {
 	}
 	req.Write, req.Offset, req.Length = write, offset, length
 	d.Submit(req).Wait(p)
-	err := req.Err
+	err := req.Err()
 	d.free = append(d.free, req)
 	return err
 }
@@ -412,7 +479,7 @@ func (d *Disk) Capacity() int64 { return d.m.geom.totalSectors * SectorSize }
 // queued requests and dispatches them under the configured scheduling
 // policy, so no process handoff happens per request.
 func (d *Disk) serveStep() {
-	if len(d.pending) == 0 {
+	if d.pending.len() == 0 {
 		d.queue.GetFunc(d.task, d.onArriveFn)
 		return
 	}
@@ -425,7 +492,7 @@ func (d *Disk) onArrive(v any, ok bool) {
 	if !ok {
 		return
 	}
-	d.pending = append(d.pending, v.(*Request))
+	d.pending.push(v.(*Request))
 	d.beginService()
 }
 
@@ -437,13 +504,13 @@ func (d *Disk) beginService() {
 		if !ok {
 			break
 		}
-		d.pending = append(d.pending, v.(*Request))
+		d.pending.push(v.(*Request))
 	}
 	req := d.nextRequest()
 	d.accrueIdlePrefetch(d.k.Now())
 	d.curStart = d.k.Now()
 	if d.pr.On() {
-		d.statsAt = d.stats
+		d.statsAt = d.snapshot()
 	}
 	service := d.serviceTime(req)
 	if d.inj != nil {
@@ -457,7 +524,6 @@ func (d *Disk) beginService() {
 func (d *Disk) onServiced() {
 	req, service := d.cur, d.curService
 	d.cur = nil
-	req.Finished = d.k.Now()
 	d.stats.BusyTime += service
 	d.stats.Requests++
 	if req.Write {
@@ -466,41 +532,60 @@ func (d *Disk) onServiced() {
 		d.stats.BytesRead += req.Length
 	}
 	d.idleSince = d.k.Now()
-	d.emitServed(req, d.statsAt)
+	d.emitServed(req)
 	req.done.Fire()
 	d.serveStep()
 }
 
-// emitServed records a serviced request into the probe sink: the whole
-// service span (arg = payload bytes), seek/rotate/transfer sub-spans
-// laid out consecutively from the service start, and cache-hit/retry
-// counters. before is the counter snapshot taken when service began;
-// the deltas against it attribute this request's share. Sub-span layout
-// is a rendering approximation (controller overhead and fault delay
-// land in the tail), but it is a deterministic function of the deltas.
-func (d *Disk) emitServed(req *Request, before Stats) {
+// serviceSnap is the part of Stats that emitServed reports deltas of,
+// snapshotted when a request's service begins.
+type serviceSnap struct {
+	seek, rotate, transfer sim.Time
+	cacheHit, retries      int64
+}
+
+func (d *Disk) snapshot() serviceSnap {
+	return serviceSnap{
+		seek:     d.stats.SeekTime,
+		rotate:   d.stats.RotationTime,
+		transfer: d.stats.TransferTime,
+		cacheHit: d.stats.CacheHitBytes,
+		retries:  d.stats.Retries,
+	}
+}
+
+// emitServed records the request just serviced into the probe sink: the
+// whole service span from its start to now (arg = payload bytes),
+// seek/rotate/transfer sub-spans laid out consecutively from the
+// service start, and cache-hit/retry counters. The deltas against the
+// snapshot taken when service began (statsAt) attribute this request's
+// share. Sub-span layout is a rendering approximation (controller
+// overhead and fault delay land in the tail), but it is a deterministic
+// function of the deltas.
+func (d *Disk) emitServed(req *Request) {
 	if !d.pr.On() {
 		return
 	}
-	d.pr.SpanArg(probe.KindService, int64(d.curStart), int64(req.Finished), req.Length)
+	before := &d.statsAt
+	d.pr.SpanArg(probe.KindService, int64(d.curStart), int64(d.k.Now()), req.Length)
 	at := d.curStart
 	for _, part := range [...]struct {
 		k probe.Kind
 		d sim.Time
 	}{
-		{probe.KindSeek, d.stats.SeekTime - before.SeekTime},
-		{probe.KindRotate, d.stats.RotationTime - before.RotationTime},
-		{probe.KindTransfer, d.stats.TransferTime - before.TransferTime},
+		{probe.KindSeek, d.stats.SeekTime - before.seek},
+		{probe.KindRotate, d.stats.RotationTime - before.rotate},
+		{probe.KindTransfer, d.stats.TransferTime - before.transfer},
 	} {
 		if part.d > 0 {
 			d.pr.Span(part.k, int64(at), int64(at+part.d))
 			at += part.d
 		}
 	}
-	if hit := d.stats.CacheHitBytes - before.CacheHitBytes; hit > 0 {
+	if hit := d.stats.CacheHitBytes - before.cacheHit; hit > 0 {
 		d.pr.Count(probe.KindCacheHit, hit)
 	}
-	if n := d.stats.Retries - before.Retries; n > 0 {
+	if n := d.stats.Retries - before.retries; n > 0 {
 		d.pr.Count(probe.KindRetry, n)
 	}
 }
@@ -549,22 +634,21 @@ func (d *Disk) applyFaults(req *Request) sim.Time {
 // hardError marks the request unrecoverable, counting it once even when
 // media retries and corrupt rereads both exhaust their budgets.
 func (d *Disk) hardError(req *Request) {
-	if req.Err == nil {
-		req.Err = ErrMediaError
+	if req.status == statusOK {
+		req.status = statusMediaError
 		d.stats.FailedRequests++
 	}
 }
 
 // nextRequest removes and returns the next request to serve under the
-// active policy.
+// active policy: the head of the pending queue in constant time under
+// FCFS, the elevator's pick from anywhere in it otherwise.
 func (d *Disk) nextRequest() *Request {
 	best := 0
-	if d.policy == Elevator && len(d.pending) > 1 {
+	if d.policy == Elevator && d.pending.len() > 1 {
 		best = d.elevatorPick()
 	}
-	req := d.pending[best]
-	d.pending = append(d.pending[:best], d.pending[best+1:]...)
-	return req
+	return d.pending.take(best)
 }
 
 // elevatorPick returns the index of the pending request nearest to the
@@ -573,8 +657,8 @@ func (d *Disk) nextRequest() *Request {
 func (d *Disk) elevatorPick() int {
 	pick := func(up bool) (int, bool) {
 		best, bestDist := -1, int(^uint(0)>>1)
-		for i, r := range d.pending {
-			cyl := d.m.geom.locate(r.Offset / SectorSize).cylinder
+		for i := range d.pending.len() {
+			cyl := d.m.geom.locate(d.pending.at(i).Offset / SectorSize).cylinder
 			dist := cyl - d.curCyl
 			if !up {
 				dist = -dist

@@ -78,20 +78,21 @@ func script(p *sim.Proc, d *Disk, seed int) []sim.Time {
 	return done
 }
 
-// TestDiskSizeClass keeps Disk in the 512-byte allocation size class:
-// a farm builds one per drive, and what derives from the spec alone
-// lives in the shared Model.
+// TestDiskSizeClass keeps Disk in the 416-byte allocation size class:
+// a farm builds one per drive, what derives from the spec alone lives
+// in the shared Model, and the service snapshot holds only the five
+// counters the probe reports deltas of.
 func TestDiskSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Disk{}); n > 512 {
-		t.Fatalf("Disk is %d bytes, want <= 512", n)
+	if n := unsafe.Sizeof(Disk{}); n > 416 {
+		t.Fatalf("Disk is %d bytes, want <= 416", n)
 	}
 }
 
-// TestRequestSizeClass keeps Request at 88 bytes: an SMP striped
+// TestRequestSizeClass keeps Request at 48 bytes: an SMP striped
 // request holds one per 64 KB chunk in flight, so every field the
 // struct grows by is paid once per chunk.
 func TestRequestSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Request{}); n > 88 {
-		t.Fatalf("Request is %d bytes, want <= 88", n)
+	if n := unsafe.Sizeof(Request{}); n > 48 {
+		t.Fatalf("Request is %d bytes, want <= 48", n)
 	}
 }

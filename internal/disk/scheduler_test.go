@@ -1,6 +1,9 @@
 package disk
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"howsim/internal/sim"
@@ -55,17 +58,19 @@ func TestFCFSPreservesArrivalOrder(t *testing.T) {
 	k := sim.NewKernel()
 	d, sink := probedDisk(k, "d")
 	var reqs []*Request
+	offs := []int64{5 << 30, 0, 2 << 30, 7 << 30, 1 << 30}
+	finished := make([]sim.Time, len(offs))
 	k.Spawn("issuer", func(p *sim.Proc) {
-		offs := []int64{5 << 30, 0, 2 << 30, 7 << 30, 1 << 30}
-		for _, off := range offs {
+		for i, off := range offs {
 			reqs = append(reqs, d.Submit(&Request{Offset: off, Length: 64 << 10}))
+			watchCompletion(k, reqs[i], &finished[i])
 		}
 		for _, r := range reqs {
 			r.Wait(p)
 		}
 	})
 	k.Run()
-	started := serviceStarts(t, sink, reqs)
+	started := serviceStarts(t, sink, finished)
 	for i := 1; i < len(reqs); i++ {
 		if started[i] < started[i-1] {
 			t.Fatal("FCFS must serve in arrival order")
@@ -106,11 +111,13 @@ func TestElevatorSweepsMonotonically(t *testing.T) {
 	d, sink := probedDisk(k, "d")
 	d.SetScheduler(Elevator)
 	var reqs []*Request
+	finished := make([]sim.Time, 16)
 	k.Spawn("issuer", func(p *sim.Proc) {
 		// Queue everything before the server can start picking.
 		for i := 0; i < 16; i++ {
 			off := int64((i*5)%16) << 28
 			reqs = append(reqs, d.Submit(&Request{Offset: off, Length: 64 << 10}))
+			watchCompletion(k, reqs[i], &finished[i])
 		}
 		for _, r := range reqs {
 			r.Wait(p)
@@ -119,7 +126,7 @@ func TestElevatorSweepsMonotonically(t *testing.T) {
 	k.Run()
 	// Collect offsets in service order.
 	order := append([]*Request(nil), reqs...)
-	started := serviceStarts(t, sink, reqs)
+	started := serviceStarts(t, sink, finished)
 	for i := 0; i < len(order); i++ {
 		for j := i + 1; j < len(order); j++ {
 			if started[j] < started[i] {
@@ -146,5 +153,71 @@ func TestElevatorSweepsMonotonically(t *testing.T) {
 	}
 	if changes > 2 {
 		t.Errorf("service order reversed direction %d times; elevator should sweep", changes)
+	}
+}
+
+// TestSchedulerOrderMatchesSliceModel drives the scheduler's pending
+// queue against a reference slice model: seeded random arrivals
+// interleaved with picks, with the arm moved to a random cylinder
+// before each pick. FCFS must take the oldest request; Elevator the
+// nearest one in the sweep direction (the oldest on a tie), reversing
+// when the sweep is exhausted. Either way the requests left behind keep
+// their arrival order. Offsets come from 24 positions, so picks tie
+// often, and the queue's depth wanders, so its ring wraps and grows.
+func TestSchedulerOrderMatchesSliceModel(t *testing.T) {
+	for _, policy := range []SchedulingPolicy{FCFS, Elevator} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			d := New(sim.NewKernel(), "d", Cheetah9LP())
+			d.SetScheduler(policy)
+			cylinders := d.Spec().TotalCylinders()
+			var ref []*Request
+			refUp := false
+			refPick := func(up bool) int {
+				best, bestDist := -1, math.MaxInt
+				for i, r := range ref {
+					dist := d.m.geom.locate(r.Offset/SectorSize).cylinder - d.curCyl
+					if !up {
+						dist = -dist
+					}
+					if dist >= 0 && dist < bestDist {
+						best, bestDist = i, dist
+					}
+				}
+				return best
+			}
+			for step := 0; step < 400; step++ {
+				if len(ref) == 0 || rng.Intn(5) < 3 {
+					r := &Request{Offset: int64(rng.Intn(24)) << 28, Length: 64 << 10}
+					d.pending.push(r)
+					ref = append(ref, r)
+					continue
+				}
+				d.curCyl = rng.Intn(cylinders)
+				want := 0
+				if policy == Elevator && len(ref) > 1 {
+					if want = refPick(refUp); want < 0 {
+						refUp = !refUp
+						want = max(refPick(refUp), 0)
+					}
+				}
+				if got := d.nextRequest(); got != ref[want] {
+					t.Fatalf("policy %d seed %d step %d: picked offset %d, want %d (queue index %d)",
+						policy, seed, step, got.Offset, ref[want].Offset, want)
+				}
+				ref = slices.Delete(ref, want, want+1)
+				if d.sweepUp != refUp {
+					t.Fatalf("policy %d seed %d step %d: sweepUp %v, want %v", policy, seed, step, d.sweepUp, refUp)
+				}
+				if d.QueueLen() != len(ref) {
+					t.Fatalf("policy %d seed %d step %d: QueueLen %d, want %d", policy, seed, step, d.QueueLen(), len(ref))
+				}
+				for i, r := range ref {
+					if d.pending.at(i) != r {
+						t.Fatalf("policy %d seed %d step %d: queue position %d out of arrival order", policy, seed, step, i)
+					}
+				}
+			}
+		}
 	}
 }

@@ -384,6 +384,14 @@ func TestEnvelopeSize(t *testing.T) {
 	}
 }
 
+// TestHandleSize keeps Handle in the 112-byte allocation size class:
+// every send in flight holds one, with its completion signal embedded.
+func TestHandleSize(t *testing.T) {
+	if n := unsafe.Sizeof(Handle{}); n > 112 {
+		t.Errorf("Handle is %d bytes, want <= 112", n)
+	}
+}
+
 // TestRecvMatchesInWrappedQueue receives by tag from an unexpected
 // queue whose ring has wrapped. For every head position of an 8-slot
 // ring holding 7 envelopes, and every position of the envelope the

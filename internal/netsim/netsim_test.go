@@ -2,9 +2,18 @@ package netsim
 
 import (
 	"testing"
+	"unsafe"
 
 	"howsim/internal/sim"
 )
+
+// TestMessageSize keeps Message in the 224-byte allocation size class:
+// every message in flight is one, with its delivery signal embedded.
+func TestMessageSize(t *testing.T) {
+	if n := unsafe.Sizeof(Message{}); n > 224 {
+		t.Errorf("Message is %d bytes, want <= 224", n)
+	}
+}
 
 func buildNet(t *testing.T, nodes int, cfg FatTreeConfig) (*sim.Kernel, *Network, *FatTree) {
 	t.Helper()

@@ -19,11 +19,12 @@ const (
 // waits park the Task exactly as the blocking primitives park p — same
 // wait site, KindParks and blocked count — and their wakes dispatch the
 // stored continuation in the event where p would have resumed. Each
-// hold (a timed step) schedules its end with Kernel.After, taking the
-// event slot p's own Delay would have taken. The last hold ends with
-// EndChainAfter: p's own wake, after which p finishes that step in its
-// body. A chain whose last step takes no time ends with EndChain
-// instead.
+// hold (a timed step) schedules its end with Kernel.After (a pipe
+// transfer's hold: a wake of p's Task that dispatch runs as the next
+// step), taking the event slot p's own Delay would have taken. The
+// last hold ends with EndChainAfter: p's own wake, after which p
+// finishes that step in its body. A chain whose last step takes no
+// time ends with EndChain instead.
 //
 // The result — event order, clock, statistics, probe emissions and
 // scheduler counters — is that of running the same steps with the
@@ -40,6 +41,11 @@ func (p *Proc) Chain(start func()) {
 		}
 	}
 	p.chain = chainOff
+	if p.xferPipe != nil {
+		// The chain ended with the hold of a transfer's last frame
+		// (xferAcquired): book it here, in the process's body.
+		p.xferComplete()
+	}
 	if fin := p.chainFin; fin != nil {
 		p.chainFin = nil
 		fin()
@@ -61,9 +67,16 @@ func (t *Task) chained() *Proc {
 // returns — the release and booking that follow the hold in a blocking
 // step.
 func (t *Task) EndChainAfter(d Time, fin func()) {
+	t.endChainAfter(d).chainFin = fin
+}
+
+// endChainAfter ends the chain of t's process with a hold of d, as
+// EndChainAfter does, and returns the process.
+func (t *Task) endChainAfter(d Time) *Proc {
 	p := t.chained()
-	p.chain, p.chainFin = chainOff, fin
+	p.chain = chainOff
 	t.k.scheduleProc(p, t.k.now+d)
+	return p
 }
 
 // EndChain ends the chain of t's process in the current event, for a

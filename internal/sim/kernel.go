@@ -543,6 +543,9 @@ type Proc struct {
 	// order their chains hold in a single kernel. Zero until first
 	// resumed.
 	xrank uint64
+	// chainFin is what a chained process runs in its own body once the
+	// wake that ends its chain arrives (Task.EndChainAfter).
+	chainFin func()
 }
 
 // Spawn creates a process running body and schedules it to start at the
@@ -651,6 +654,7 @@ func (p *Proc) runBody() {
 		// A process killed mid-chain may have its Task parked in a
 		// *Func primitive; it is not in a chain any more.
 		p.waitKind, p.chain, p.chainFin = taskWaitNone, chainOff, nil
+		p.xferPipe, p.xferCont = nil, nil
 	}()
 	p.body(p)
 }

@@ -308,9 +308,15 @@ func (b *Barrier) Wait(p *Proc) {
 
 // Signal is a one-shot level-triggered event: processes that Wait before
 // Fire block; once fired, Wait returns immediately forever after.
+//
+// A signal is 24 bytes. Disk requests, network messages and MPI handles
+// embed one each, and nearly every one of them has exactly one waiter,
+// so the first waiter is held inline; the queue behind it (rest) is
+// allocated only when a second waiter arrives, and kept for reuse.
 type Signal struct {
-	fired   bool
-	waiters fifo[*Task]
+	first *Task
+	rest  *fifo[*Task]
+	fired bool
 }
 
 // NewSignal creates an unfired signal.
@@ -319,19 +325,39 @@ func NewSignal() *Signal { return &Signal{} }
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.fired }
 
-// Fire releases all current and future waiters. Idempotent.
+// Fire releases all current and future waiters, in arrival order.
+// Idempotent.
 func (s *Signal) Fire() {
 	if s.fired {
 		return
 	}
 	s.fired = true
-	wakeAll(&s.waiters)
+	if t := s.first; t != nil {
+		s.first = nil
+		t.wake()
+		if s.rest != nil {
+			wakeAll(s.rest)
+		}
+	}
+}
+
+// enqueue parks t's place behind the signal's current waiters.
+func (s *Signal) enqueue(t *Task) {
+	switch {
+	case s.first == nil:
+		s.first = t
+	case s.rest == nil:
+		s.rest = &fifo[*Task]{}
+		fallthrough
+	default:
+		s.rest.push(t)
+	}
 }
 
 // Wait blocks p until the signal fires.
 func (s *Signal) Wait(p *Proc) {
 	for !s.fired {
-		s.waiters.push(&p.Task)
+		s.enqueue(&p.Task)
 		p.parkBlocked("", "signal")
 	}
 }
@@ -344,16 +370,16 @@ func (s *Signal) WaitFunc(t *Task, fn func()) {
 		fn()
 		return
 	}
-	t.sigCont = fn
+	t.cont = fn
 	t.parkWait(taskWaitSignal, "", "signal")
-	s.waiters.push(t)
+	s.enqueue(t)
 }
 
 // Reset returns a fired signal to the unfired state so pooled
 // completion signals can be reused. Resetting with waiters still parked
 // panics: they would never be woken.
 func (s *Signal) Reset() {
-	if s.waiters.len() > 0 {
+	if s.first != nil {
 		panic("sim: Reset on a signal with parked waiters")
 	}
 	s.fired = false

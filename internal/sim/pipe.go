@@ -92,13 +92,13 @@ func (pp *Pipe) Transfer(p *Proc, bytes int64) {
 
 // TransferFunc is Transfer for callback tasks: it arbitrates for a
 // channel, holds it for the transfer duration, and then runs fn in
-// kernel context. The state machine's step continuations are bound
-// method values created once per task and reused for every transfer, so
-// the whole round trip stays allocation-free in steady state. A task
-// may have only one transfer in flight at a time. t may be a process's
-// Task while the process sleeps in a chain (Proc.Chain); with fn nil
-// the transfer is then the chain's last step, and the process's own
-// wake ends the hold.
+// kernel context. The state machine's steps dispatch by the task's wait
+// kind, with their state in the task, so the whole round trip stays
+// allocation-free in steady state. A task may have only one transfer in
+// flight at a time, and waits on nothing else while it holds a channel.
+// t may be a process's Task while the process sleeps in a chain
+// (Proc.Chain); with fn nil the transfer is then the chain's last step,
+// and the process's own wake ends the hold.
 func (pp *Pipe) TransferFunc(t *Task, bytes int64, fn func()) {
 	pp.transferFunc(t, bytes, false, fn)
 }
@@ -119,10 +119,6 @@ func (pp *Pipe) transferFunc(t *Task, bytes int64, seg bool, fn func()) {
 	if t.proc != nil {
 		t.chained() // a process's Task transfers only while it sleeps in a chain
 	}
-	if t.xferAcqFn == nil {
-		t.xferAcqFn = t.xferAcquired
-		t.xferEndFn = t.xferComplete
-	}
 	t.xferPipe, t.xferBytes, t.xferSeg, t.xferCont = pp, bytes, seg, fn
 	pp.arbitrate(t)
 }
@@ -132,7 +128,9 @@ func (pp *Pipe) arbitrate(t *Task) {
 	if pp.pr.On() {
 		pp.pr.Sample(probe.KindQueue, int64(pp.res.QueueLen()))
 	}
-	pp.res.AcquireFunc(t, 1, t.xferAcqFn)
+	if pp.res.acquireTask(t, 1, taskWaitXferGrant) {
+		t.xferAcquired()
+	}
 }
 
 // frame returns the bytes of t's current frame: all that is left of a
@@ -147,15 +145,18 @@ func (t *Task) frame() int64 {
 // xferAcquired runs when the task holds a pipe channel: it computes the
 // frame's hold duration once, carries it in the in-flight op, and
 // schedules the hold's end — the chain's last wake for the last frame
-// of a chain-ending transfer, a kernel callback otherwise.
+// of a chain-ending transfer (Chain then runs xferComplete in the
+// process's body), otherwise a wake of t that dispatch turns into
+// xferComplete. Either takes the event slot Kernel.After would.
 func (t *Task) xferAcquired() {
 	n := t.frame()
 	t.xferDur = t.xferPipe.TransferDuration(n)
 	if t.xferCont == nil && n == t.xferBytes {
-		t.EndChainAfter(t.xferDur, t.xferEndFn)
+		t.endChainAfter(t.xferDur)
 		return
 	}
-	t.k.After(t.xferDur, t.xferEndFn)
+	t.waitKind = taskWaitXferHold
+	t.k.schedule(t.k.now+t.xferDur, nil, t)
 }
 
 // xferComplete releases the channel and books the frame, then

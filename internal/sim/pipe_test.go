@@ -311,7 +311,9 @@ func TestPipeSegmentedMatchesReference(t *testing.T) {
 
 // TestPipeSegmentedMiddleFramesAreCallbacks pins what the rewrite is
 // for: while a middle frame is on the wire, the pending event that ends
-// it is a kernel callback rather than the process's wake, and the last
+// it runs the transfer's next step in kernel context (the event names
+// the process's Task, parked in the transfer's hold, so the loop
+// dispatches the step) rather than resuming the process, and the last
 // frame still ends with the process's own wake.
 func TestPipeSegmentedMiddleFramesAreCallbacks(t *testing.T) {
 	k := NewKernel()
@@ -328,9 +330,12 @@ func TestPipeSegmentedMiddleFramesAreCallbacks(t *testing.T) {
 			t.Fatalf("at %v: %d pending events, want 1", step.at, n)
 		}
 		e := &k.events.slab[k.events.peekSlot()]
-		if (e.fn != nil) != step.callback || (e.tk == &s.Task) == step.callback {
+		own := e.fn == nil && e.tk == &s.Task
+		callback := own && s.waitKind == taskWaitXferHold
+		wake := own && s.waitKind == taskWaitNone
+		if callback != step.callback || wake == step.callback {
 			t.Fatalf("at %v: frame end is callback=%v wake=%v, want callback=%v",
-				step.at, e.fn != nil, e.tk == &s.Task, step.callback)
+				step.at, callback, wake, step.callback)
 		}
 	}
 	if end := k.Run(); end != 30*Millisecond {
@@ -362,12 +367,12 @@ func TestPipeSegmentedShutdownMidTransfer(t *testing.T) {
 	}
 }
 
-// TestProcSizeClass keeps Proc in the 256-byte allocation size class:
+// TestProcSizeClass keeps Proc in the 224-byte allocation size class:
 // TransferSegmented keeps its in-flight state in existing Task fields
 // instead of growing every process.
 func TestProcSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Proc{}); n > 256 {
-		t.Fatalf("Proc is %d bytes, want <= 256", n)
+	if n := unsafe.Sizeof(Proc{}); n > 224 {
+		t.Fatalf("Proc is %d bytes, want <= 224", n)
 	}
 }
 

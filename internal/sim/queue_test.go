@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -411,10 +412,11 @@ func TestFifoSize(t *testing.T) {
 }
 
 // TestSignalSize keeps Signal, which disk requests, network messages
-// and MPI handles embed, at 40 bytes.
+// and MPI handles embed, at 24 bytes: the first waiter inline, a
+// pointer to the queue behind it, and the fired flag.
 func TestSignalSize(t *testing.T) {
-	if n := unsafe.Sizeof(Signal{}); n > 40 {
-		t.Errorf("Signal is %d bytes, want <= 40", n)
+	if n := unsafe.Sizeof(Signal{}); n > 24 {
+		t.Errorf("Signal is %d bytes, want <= 24", n)
 	}
 }
 
@@ -439,4 +441,105 @@ func TestSchedulingAllocFree(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("steady-state scheduling allocates %.1f times per run, want 0", allocs)
 	}
+}
+
+// FuzzSignalOrder runs rounds of up to eight waiters on one Signal —
+// bare tasks in WaitFunc and processes in Wait, mixed — then fires,
+// resets and reuses it, checking the wakes against a reference FIFO of
+// arrival order. Each round is a header byte h (h%9 waiters; h&0x10
+// tries Reset while they are parked, which must panic when any is;
+// h&0x20 adds a late waiter after Fire, which must run at once) and
+// one byte per waiter (odd: a process, even: a task). Waiter i of a
+// round arrives at the round's instant i, and Fire comes after the
+// last.
+func FuzzSignalOrder(f *testing.F) {
+	// A first waiter is held inline: parking it, firing and resetting
+	// allocate nothing, even on a signal that never had a waiter.
+	k := NewKernel()
+	tk := k.NewTask("first")
+	sigs := make([]Signal, 128)
+	next := 0
+	use := func() {
+		s := &sigs[next]
+		next++
+		s.WaitFunc(tk, func() {})
+		s.Fire()
+		k.Run()
+		s.Reset()
+	}
+	use()
+	if a := testing.AllocsPerRun(100, use); a != 0 {
+		f.Fatalf("a first waiter allocates %.1f times per wait, want 0", a)
+	}
+
+	f.Add([]byte{0x01, 0})
+	f.Add([]byte{0x02, 1, 0, 0x33, 0, 1, 0})
+	f.Add([]byte{0x18, 0, 1, 0, 1, 1, 0, 0, 1, 0x20, 0x14, 1, 1, 0, 0})
+	f.Add([]byte{0x10, 0x29, 0, 0, 0, 0, 0, 0, 0, 0, 0x08, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		k := NewKernel()
+		defer k.Shutdown()
+		var s Signal
+		var woke []int
+		for round := 0; len(raw) > 0 && round < 4; round++ {
+			h := raw[0]
+			n := min(int(h%9), len(raw)-1)
+			kinds := raw[1 : 1+n]
+			raw = raw[1+n:]
+			base := k.Now() + 1
+			var ref []int
+			woke = woke[:0]
+			for i, b := range kinds {
+				id, at := 10*round+i, base+Time(i)
+				ref = append(ref, id)
+				if b&1 == 1 {
+					k.Spawn("proc", func(p *Proc) {
+						p.Delay(at - p.Now())
+						s.Wait(p)
+						woke = append(woke, id)
+					})
+					continue
+				}
+				k.At(at, func() {
+					w := k.NewTask("task")
+					s.WaitFunc(w, func() {
+						woke = append(woke, id)
+						w.Finish()
+					})
+				})
+			}
+			fire := base + Time(n)
+			k.At(fire, func() {
+				if h&0x10 != 0 {
+					panicked := func() (p bool) {
+						defer func() { p = recover() != nil }()
+						s.Reset()
+						return false
+					}()
+					if panicked != (n > 0) {
+						t.Errorf("round %d: Reset with %d parked waiters panicked=%v", round, n, panicked)
+					}
+				}
+				s.Fire()
+			})
+			if h&0x20 != 0 {
+				k.At(fire+1, func() {
+					late, ran := k.NewTask("late"), false
+					s.WaitFunc(late, func() { ran = true })
+					late.Finish()
+					if !ran {
+						t.Errorf("round %d: a waiter after Fire did not run at once", round)
+					}
+				})
+			}
+			k.Run()
+			if !slices.Equal(woke, ref) {
+				t.Fatalf("round %d: woke %v, want arrival order %v", round, woke, ref)
+			}
+			if b := k.Blocked(); b != 0 {
+				t.Fatalf("round %d: %d still blocked after Fire", round, b)
+			}
+			s.Reset()
+		}
+	})
 }

@@ -102,9 +102,20 @@ func (r *Resource) Acquire(p *Proc, amount int64) {
 // free (and no earlier waiter is queued), otherwise in kernel context
 // when a release admits the task.
 func (r *Resource) AcquireFunc(t *Task, amount int64, fn func()) {
-	if amount <= 0 {
+	if r.acquireTask(t, amount, taskWaitAcquire) {
 		fn()
 		return
+	}
+	t.cont = fn
+}
+
+// acquireTask claims amount units for t and reports true when they are
+// free (and no earlier waiter is queued). Otherwise it parks t as kind
+// in the waiter queue and reports false; the release that admits t
+// wakes it, and dispatch continues by kind.
+func (r *Resource) acquireTask(t *Task, amount int64, kind taskWait) bool {
+	if amount <= 0 {
+		return true
 	}
 	if amount > r.capacity {
 		panic(fmt.Sprintf("sim: acquire %d exceeds capacity %d of %s", amount, r.capacity, r.name))
@@ -113,12 +124,11 @@ func (r *Resource) AcquireFunc(t *Task, amount int64, fn func()) {
 		r.account()
 		r.inUse += amount
 		r.grants++
-		fn()
-		return
+		return true
 	}
-	t.acqCont = fn
-	t.parkWait(taskWaitAcquire, r.name, "acquire")
+	t.parkWait(kind, r.name, "acquire")
 	r.enqueue(t, amount)
+	return false
 }
 
 // enqueue queues t for amount units behind the current waiters; admit

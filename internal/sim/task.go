@@ -17,6 +17,12 @@ const (
 	taskWaitPut
 	taskWaitAcquire
 	taskWaitSignal
+	// The two steps of a pipe transfer (Pipe.TransferFunc): parked for
+	// a channel, and holding one until the frame's hold ends. A hold is
+	// a timer, not a blocking wait: it is not a park, and the task is
+	// not blocked while it runs.
+	taskWaitXferGrant
+	taskWaitXferHold
 )
 
 // Task is an execution identity for model code. Every process
@@ -28,6 +34,13 @@ const (
 // pooled (NewTask after Finish reuses storage) and parking/waking one
 // never allocates, which is what makes the event-driven fast path
 // allocation-free in steady state.
+//
+// A Task is 176 bytes: every MPI send in flight holds a bare one, and
+// every process embeds one. The 13 bytes of flags share one word, one
+// continuation slot (cont) serves both the resource and the signal
+// waits, the transfer's steps dispatch by waitKind instead of through
+// stored method values, and the chain state that only processes use
+// (Proc.chainFin) lives on Proc.
 type Task struct {
 	name string
 	id   int
@@ -50,7 +63,8 @@ type Task struct {
 	// expiry apart from a grant.
 	timedOut bool
 	// waitKind is the primitive a callback-mode wait is parked on (see
-	// dispatch); taskWaitNone while the task is not in one.
+	// dispatch); taskWaitNone while the task is not in one. A pipe
+	// transfer's hold sets it too, so the hold's end dispatches here.
 	waitKind taskWait
 	// chain is a process's chain state (see Proc.Chain); always
 	// chainOff on a bare task.
@@ -81,20 +95,18 @@ type Task struct {
 	// arrives. waitMb is kept so a woken getter/putter can re-check the
 	// mailbox (the item may have been taken by an earlier waiter at the
 	// same timestamp) and re-park, exactly like the retry loop in the
-	// blocking API.
+	// blocking API. cont is the continuation of a resource or signal
+	// wait: a task waits on one primitive at a time, and dispatch tells
+	// the two apart by waitKind.
 	waitMb  *Mailbox
 	getCont func(v any, ok bool)
 	putCont func(error)
 	putVal  any
-	acqCont func()
-	sigCont func()
-	// chainFin is what a chained process runs in its own body once the
-	// wake that ends its chain arrives (Task.EndChainAfter).
-	chainFin func()
+	cont    func()
 
-	// In-flight Pipe.TransferFunc / TransferSegmented state. The two
-	// step continuations are bound method values created once per task
-	// and reused for every transfer, keeping the pipe fast path
+	// In-flight Pipe.TransferFunc / TransferSegmented state. The steps
+	// dispatch by waitKind (taskWaitXferGrant, taskWaitXferHold), so
+	// the pipe fast path stores no continuation of its own and stays
 	// allocation-free. xferBytes is the payload not yet booked and
 	// xferDur the current hold's duration, computed at acquisition so
 	// the completion path never recomputes TransferDuration.
@@ -102,8 +114,6 @@ type Task struct {
 	xferBytes int64
 	xferDur   Time
 	xferCont  func()
-	xferAcqFn func()
-	xferEndFn func()
 }
 
 // Name returns the name the task was created with.
@@ -183,9 +193,10 @@ func (k *Kernel) newTask() *Task {
 }
 
 // Finish retires a bare task, returning it to the kernel's pool. It
-// panics if the task is still parked (a parked task has a pending wake
-// that would otherwise resume recycled state) or if it is the identity
-// of a process (processes finish by returning from their body).
+// panics if the task is still parked or holds a pipe channel (either
+// has a pending wake that would otherwise resume recycled state) or if
+// it is the identity of a process (processes finish by returning from
+// their body).
 func (t *Task) Finish() {
 	if t.proc != nil {
 		panic(fmt.Sprintf("sim: Finish on process task %q", t.Name()))
@@ -198,7 +209,7 @@ func (t *Task) Finish() {
 	}
 	t.finished = true
 	t.k.liveTasks--
-	t.getCont, t.putCont, t.acqCont, t.sigCont = nil, nil, nil, nil
+	t.getCont, t.putCont, t.cont = nil, nil, nil
 	t.putVal = nil
 	t.waitMb = nil
 	t.xferPipe, t.xferCont = nil, nil
@@ -247,18 +258,19 @@ func (t *Task) dispatch() {
 	case taskWaitPut:
 		t.unpark()
 		t.waitMb.completePut(t)
-	case taskWaitAcquire:
+	case taskWaitAcquire, taskWaitSignal:
 		// A resource wake is always a grant (admit claimed our token and
-		// took the units before scheduling the wake); nothing to re-check.
+		// took the units before scheduling the wake), and signals never
+		// unfire, so a wake from Fire is definitive: nothing to re-check.
 		t.unpark()
-		cont := t.acqCont
-		t.acqCont = nil
+		cont := t.cont
+		t.cont = nil
 		cont()
-	case taskWaitSignal:
-		// Signals never unfire, so a wake from Fire is definitive.
+	case taskWaitXferGrant:
 		t.unpark()
-		cont := t.sigCont
-		t.sigCont = nil
-		cont()
+		t.xferAcquired()
+	case taskWaitXferHold:
+		t.waitKind = taskWaitNone
+		t.xferComplete()
 	}
 }

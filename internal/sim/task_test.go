@@ -414,10 +414,10 @@ func TestNewTaskNNamesOnDemand(t *testing.T) {
 	}
 }
 
-// TestTaskSizeClass keeps Task in the 208-byte allocation size class
-// (the next is 224): every send in flight holds a bare task.
+// TestTaskSizeClass keeps Task in the 176-byte allocation size class
+// (the next is 192): every send in flight holds a bare task.
 func TestTaskSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Task{}); n > 208 {
-		t.Fatalf("Task is %d bytes, want <= 208", n)
+	if n := unsafe.Sizeof(Task{}); n > 176 {
+		t.Fatalf("Task is %d bytes, want <= 176", n)
 	}
 }

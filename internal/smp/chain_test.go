@@ -41,7 +41,7 @@ func refStripeRW(s *Stripe, p *sim.Proc, c *cpu.CPU, offset, length int64, write
 	for i := range reqs {
 		r := &reqs[i]
 		r.Wait(p)
-		if r.Err == nil {
+		if r.Err() == nil {
 			continue
 		}
 		if m.replica && len(s.disks) > 1 {

@@ -391,7 +391,7 @@ func (op *stripeOp) waited() {
 // that re-read is in flight (replicaDone resumes the scan); otherwise
 // the chunk's bytes are lost.
 func (op *stripeOp) failed(r *disk.Request) bool {
-	if r.Err == nil {
+	if r.Err() == nil {
 		return false
 	}
 	s := op.s
@@ -418,7 +418,7 @@ func (op *stripeOp) replicaDone() {
 
 // replicaBooked books a replica re-read: recovered bytes, or lost ones.
 func (op *stripeOp) replicaBooked(r *disk.Request) {
-	if r.Err == nil {
+	if r.Err() == nil {
 		op.s.m.replicaBytes += r.Length
 	} else {
 		op.lost += r.Length
