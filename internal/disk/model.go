@@ -161,7 +161,9 @@ type Disk struct {
 	idleSince sim.Time
 	stats     Stats
 
-	pending reqQueue
+	// pending is the scheduler's list of requests in arrival order.
+	// FCFS takes its head; the elevator takes its pick from further in.
+	pending sim.Ring[*Request]
 
 	// Service loop state: the callback task that runs the loop, the
 	// request being serviced, when its service began and how long it
@@ -190,55 +192,6 @@ type Disk struct {
 	// free holds the completed requests of synchronous Read/Write calls
 	// for reuse, so a steady-state I/O allocates nothing.
 	free []*Request
-}
-
-// reqQueue is the scheduler's pending list: a power-of-two ring of
-// requests in arrival order that doubles only when full. Taking the
-// head (FCFS) pops it in constant time; taking a request further in
-// (the elevator's pick) closes the gap by moving the shorter side, so
-// the rest keep their arrival order.
-type reqQueue struct {
-	buf     []*Request
-	head, n int32
-}
-
-func (q *reqQueue) len() int { return int(q.n) }
-
-// at returns the i-th oldest request.
-func (q *reqQueue) at(i int) *Request { return q.buf[(int(q.head)+i)&(len(q.buf)-1)] }
-
-func (q *reqQueue) set(i int, r *Request) { q.buf[(int(q.head)+i)&(len(q.buf)-1)] = r }
-
-func (q *reqQueue) push(r *Request) {
-	if int(q.n) == len(q.buf) {
-		next := make([]*Request, max(1, 2*len(q.buf)))
-		c := copy(next, q.buf[q.head:])
-		copy(next[c:], q.buf[:q.head])
-		q.buf, q.head = next, 0
-	}
-	q.n++
-	q.set(int(q.n)-1, r)
-}
-
-// take removes and returns the i-th oldest request, clearing the
-// vacated slot.
-func (q *reqQueue) take(i int) *Request {
-	r := q.at(i)
-	n := int(q.n)
-	if i < n/2 {
-		for j := i; j > 0; j-- {
-			q.set(j, q.at(j-1))
-		}
-		q.set(0, nil)
-		q.head = int32((int(q.head) + 1) & (len(q.buf) - 1))
-	} else {
-		for j := i; j < n-1; j++ {
-			q.set(j, q.at(j+1))
-		}
-		q.set(n-1, nil)
-	}
-	q.n--
-	return r
 }
 
 // SchedulingPolicy selects how queued requests are ordered for service.
@@ -338,7 +291,7 @@ func (d *Disk) Model() *Model { return d.m }
 func (d *Disk) Stats() Stats { return d.stats }
 
 // QueueLen returns the number of requests waiting for service.
-func (d *Disk) QueueLen() int { return d.queue.Len() + d.pending.len() }
+func (d *Disk) QueueLen() int { return d.queue.Len() + d.pending.Len() }
 
 // Utilization returns the fraction of elapsed time the arm was busy.
 func (d *Disk) Utilization() float64 {
@@ -383,10 +336,10 @@ func (d *Disk) fail() {
 		if !ok {
 			break
 		}
-		d.pending.push(v.(*Request))
+		d.pending.Push(v.(*Request))
 	}
-	for d.pending.len() > 0 {
-		req := d.pending.take(0)
+	for d.pending.Len() > 0 {
+		req := d.pending.Take(0)
 		req.status = statusDiskFailed
 		d.stats.FailedRequests++
 		req.done.Fire()
@@ -430,7 +383,7 @@ func (d *Disk) Submit(req *Request) *Request {
 		return req
 	}
 	if d.cur != nil {
-		d.pending.push(req)
+		d.pending.Push(req)
 		return req
 	}
 	if !d.queue.TryPut(req) {
@@ -479,7 +432,7 @@ func (d *Disk) Capacity() int64 { return d.m.geom.totalSectors * SectorSize }
 // queued requests and dispatches them under the configured scheduling
 // policy, so no process handoff happens per request.
 func (d *Disk) serveStep() {
-	if d.pending.len() == 0 {
+	if d.pending.Len() == 0 {
 		d.queue.GetFunc(d.task, d.onArriveFn)
 		return
 	}
@@ -492,7 +445,7 @@ func (d *Disk) onArrive(v any, ok bool) {
 	if !ok {
 		return
 	}
-	d.pending.push(v.(*Request))
+	d.pending.Push(v.(*Request))
 	d.beginService()
 }
 
@@ -504,7 +457,7 @@ func (d *Disk) beginService() {
 		if !ok {
 			break
 		}
-		d.pending.push(v.(*Request))
+		d.pending.Push(v.(*Request))
 	}
 	req := d.nextRequest()
 	d.accrueIdlePrefetch(d.k.Now())
@@ -645,10 +598,10 @@ func (d *Disk) hardError(req *Request) {
 // FCFS, the elevator's pick from anywhere in it otherwise.
 func (d *Disk) nextRequest() *Request {
 	best := 0
-	if d.policy == Elevator && d.pending.len() > 1 {
+	if d.policy == Elevator && d.pending.Len() > 1 {
 		best = d.elevatorPick()
 	}
-	return d.pending.take(best)
+	return d.pending.Take(best)
 }
 
 // elevatorPick returns the index of the pending request nearest to the
@@ -657,8 +610,8 @@ func (d *Disk) nextRequest() *Request {
 func (d *Disk) elevatorPick() int {
 	pick := func(up bool) (int, bool) {
 		best, bestDist := -1, int(^uint(0)>>1)
-		for i := range d.pending.len() {
-			cyl := d.m.geom.locate(d.pending.at(i).Offset / SectorSize).cylinder
+		for i := range d.pending.Len() {
+			cyl := d.m.geom.locate((*d.pending.At(i)).Offset / SectorSize).cylinder
 			dist := cyl - d.curCyl
 			if !up {
 				dist = -dist

@@ -189,7 +189,7 @@ func TestSchedulerOrderMatchesSliceModel(t *testing.T) {
 			for step := 0; step < 400; step++ {
 				if len(ref) == 0 || rng.Intn(5) < 3 {
 					r := &Request{Offset: int64(rng.Intn(24)) << 28, Length: 64 << 10}
-					d.pending.push(r)
+					d.pending.Push(r)
 					ref = append(ref, r)
 					continue
 				}
@@ -213,7 +213,7 @@ func TestSchedulerOrderMatchesSliceModel(t *testing.T) {
 					t.Fatalf("policy %d seed %d step %d: QueueLen %d, want %d", policy, seed, step, d.QueueLen(), len(ref))
 				}
 				for i, r := range ref {
-					if d.pending.at(i) != r {
+					if *d.pending.At(i) != r {
 						t.Fatalf("policy %d seed %d step %d: queue position %d out of arrival order", policy, seed, step, i)
 					}
 				}

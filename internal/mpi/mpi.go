@@ -35,8 +35,8 @@ type Endpoint struct {
 	w       *World
 	rank    int
 	cpu     *cpu.CPU
-	pending envQueue      // arrived, not yet received (unexpected queue)
-	waiters []*recvWaiter // posted receives, in posting order
+	pending sim.Ring[Envelope] // arrived, not yet received (unexpected queue), in arrival order
+	waiters []*recvWaiter      // posted receives, in posting order
 
 	// The rank's dispatcher: a bare task draining the network inbox,
 	// with its continuation bound once. pumping/got let a get that
@@ -156,56 +156,11 @@ func (ep *Endpoint) deliver(m *netsim.Message) {
 			return
 		}
 	}
-	ep.pending.push(env)
+	ep.pending.Push(env)
 }
 
 func (e *Envelope) matches(src, tag int) bool {
 	return (src == AnySource || int(e.Src) == src) && (tag == AnyTag || int(e.Tag) == tag)
-}
-
-// envQueue is the unexpected-message queue: a power-of-two ring of
-// envelopes in arrival order that doubles only when full. Taking the
-// head pops it in constant time; taking an envelope further in closes
-// the gap by moving the shorter side, so the rest keep their order.
-type envQueue struct {
-	buf     []Envelope
-	head, n int
-}
-
-func (q *envQueue) len() int { return q.n }
-
-// at returns the i-th oldest envelope.
-func (q *envQueue) at(i int) *Envelope { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
-
-func (q *envQueue) push(e Envelope) {
-	if q.n == len(q.buf) {
-		next := make([]Envelope, max(1, 2*len(q.buf)))
-		c := copy(next, q.buf[q.head:])
-		copy(next[c:], q.buf[:q.head])
-		q.buf, q.head = next, 0
-	}
-	q.n++
-	*q.at(q.n - 1) = e
-}
-
-// take removes and returns the i-th oldest envelope, clearing the
-// vacated slot.
-func (q *envQueue) take(i int) Envelope {
-	e := *q.at(i)
-	if i < q.n/2 {
-		for j := i; j > 0; j-- {
-			*q.at(j) = *q.at(j - 1)
-		}
-		*q.at(0) = Envelope{}
-		q.head = (q.head + 1) & (len(q.buf) - 1)
-	} else {
-		for j := i; j < q.n-1; j++ {
-			*q.at(j) = *q.at(j + 1)
-		}
-		*q.at(q.n - 1) = Envelope{}
-	}
-	q.n--
-	return e
 }
 
 // remove deletes s[i], keeping order and clearing the vacated slot.
@@ -325,9 +280,9 @@ func (h *Handle) step() {
 func (ep *Endpoint) Recv(p *sim.Proc, src, tag int) Envelope {
 	var env Envelope
 	found := false
-	for i := 0; i < ep.pending.len(); i++ {
-		if ep.pending.at(i).matches(src, tag) {
-			env, found = ep.pending.take(i), true
+	for i := 0; i < ep.pending.Len(); i++ {
+		if ep.pending.At(i).matches(src, tag) {
+			env, found = ep.pending.Take(i), true
 			break
 		}
 	}

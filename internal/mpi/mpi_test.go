@@ -347,7 +347,7 @@ func TestUnexpectedMessagesFreedAtDispatch(t *testing.T) {
 	k.Spawn("recv", func(p *sim.Proc) {
 		sent.Wait(p)
 		p.Delay(sim.Millisecond)
-		if q := rcv.pending.len(); q != n {
+		if q := rcv.pending.Len(); q != n {
 			t.Errorf("unexpected queue holds %d envelopes before the first Recv, want %d", q, n)
 		}
 		for _, tag := range []int{2, 1} {
@@ -392,6 +392,18 @@ func TestHandleSize(t *testing.T) {
 	}
 }
 
+// ringSlot returns the slot of an 8-slot ring that holds q's i-th
+// oldest envelope: its offset from the lowest-addressed of the slots
+// At(0) to At(7), which are the whole ring.
+func ringSlot(q *sim.Ring[Envelope], i int) int {
+	addr := func(j int) uintptr { return uintptr(unsafe.Pointer(q.At(j))) }
+	base := addr(0)
+	for j := 1; j < 8; j++ {
+		base = min(base, addr(j))
+	}
+	return int((addr(i) - base) / unsafe.Sizeof(Envelope{}))
+}
+
 // TestRecvMatchesInWrappedQueue receives by tag from an unexpected
 // queue whose ring has wrapped. For every head position of an 8-slot
 // ring holding 7 envelopes, and every position of the envelope the
@@ -405,12 +417,12 @@ func TestRecvMatchesInWrappedQueue(t *testing.T) {
 	k.Spawn("recv", func(p *sim.Proc) {
 		for pops := 1; pops < 8; pops++ {
 			for take := 0; take < 7; take++ {
-				ep.pending = envQueue{}
+				ep.pending = sim.Ring[Envelope]{}
 				var ref []int
 				queue := func(n int) {
 					for ; n > 0; n-- {
 						v := len(ref)
-						ep.pending.push(Envelope{Src: 2, Tag: int32(v), Payload: v})
+						ep.pending.Push(Envelope{Src: 2, Tag: int32(v), Payload: v})
 						ref = append(ref, v)
 					}
 				}
@@ -424,9 +436,11 @@ func TestRecvMatchesInWrappedQueue(t *testing.T) {
 				queue(pops - 1)
 				rest := ref[pops:]
 				q := &ep.pending
-				if q.len() != 7 || len(q.buf) != 8 || (pops >= 2 && q.head+q.len() <= len(q.buf)) {
-					t.Errorf("pops=%d: %d envelopes from slot %d of %d, want 7 in 8 slots, wrapped",
-						pops, q.len(), q.head, len(q.buf))
+				eightSlots := q.At(8) == q.At(0) && q.At(4) != q.At(0)
+				if q.Len() != 7 || !eightSlots || ringSlot(q, 0) != pops ||
+					(pops >= 2 && ringSlot(q, q.Len()-1) >= pops) {
+					t.Errorf("pops=%d: %d envelopes from slot %d to %d (8 slots: %v), want 7 from slot %d of 8, wrapped",
+						pops, q.Len(), ringSlot(q, 0), ringSlot(q, q.Len()-1), eightSlots, pops)
 					return
 				}
 				want := rest[take]
@@ -441,8 +455,8 @@ func TestRecvMatchesInWrappedQueue(t *testing.T) {
 						return
 					}
 				}
-				for i, e := range q.buf {
-					if e != (Envelope{}) {
+				for i := 0; i < 8; i++ {
+					if e := *q.At(i); e != (Envelope{}) {
 						t.Errorf("pops=%d take=%d: slot %d retains %+v after the queue drained", pops, take, i, e)
 					}
 				}

@@ -440,12 +440,13 @@ type procKilled struct{}
 // timer, a waiter queue, an Await, or not yet started — is resumed into
 // a panic that unwinds its body, returning its coroutine to the free
 // pool, and parked callback tasks are marked finished; then the
-// pool is released via Close. Afterwards Blocked() is zero and
-// DeadlockReport returns "": a cancelled simulation leaves no parked
-// procs and leaks no goroutines. Like Close, Shutdown must only be
-// called between runs (never while Run is executing), and the kernel's
-// model state is unspecified afterwards — discard the kernel. It is
-// idempotent.
+// pool's coroutines are stopped via Close. Afterwards Blocked() is
+// zero, DeadlockReport returns "" and no goroutine of the kernel's
+// survives: a cancelled simulation leaves no parked procs and leaks no
+// goroutines. Like Close, Shutdown must only be called between runs
+// (never while Run is executing), and the kernel's model state is
+// unspecified afterwards — discard the kernel, or Recycle it for a new
+// run. It is idempotent.
 func (k *Kernel) Shutdown() {
 	k.dying = true
 	// Unwinding bodies can in principle spawn (a defer that starts a
@@ -475,16 +476,62 @@ func (k *Kernel) Shutdown() {
 // Close stops the pooled coroutines of finished processes; each one's
 // goroutine has exited when Close returns. Call it once after the final
 // Run on kernels that spawned processes; without it the pooled
-// coroutines stay suspended for the life of the OS process. The kernel
-// remains usable afterwards (Spawn simply creates fresh coroutines).
-// Close is idempotent and must not be called while the kernel is
-// running.
+// coroutines stay suspended for the life of the OS process. The stopped
+// processes' records stay in the free pool, cleared of everything but
+// their kernel, and Spawn gives such a record a fresh coroutine, so the
+// kernel remains usable afterwards. Close is idempotent and must not be
+// called while the kernel is running.
 func (k *Kernel) Close() {
-	for i, p := range k.procFree {
+	for _, p := range k.procFree {
+		if p.stop == nil {
+			continue // stopped by an earlier Close
+		}
 		p.stop()
-		k.procFree[i] = nil
+		*p = Proc{Task: Task{k: k, proc: p, finished: true, inReg: p.inReg}}
 	}
-	k.procFree = k.procFree[:0]
+}
+
+// Recycle returns a shut-down kernel to the state NewKernel returns, so
+// that a new run can reuse its storage: the event slab, its free list
+// and the timer heap keep their capacity, and every bare task and
+// process record stays pooled. Nothing else survives — the clock,
+// sequence numbers and task IDs restart from zero, pending events are
+// dropped, the registries are emptied, the probe is detached and no
+// pooled record keeps a reference into the previous run's model — so a
+// run on a recycled kernel is event-for-event the run a new kernel
+// would execute. Call it only after Shutdown.
+func (k *Kernel) Recycle() {
+	q := &k.events
+	clear(q.slab)
+	q.slab, q.keys, q.free, q.heap = q.slab[:0], nil, q.free[:0], q.heap[:0]
+	q.fast.head, q.fast.n = 0, 0
+	// Every bare task is in the registry, the free pool or both. Clearing
+	// the pooled ones also unmarks them as registered, so the registered
+	// ones left are those Finish never pooled: the tasks Shutdown ended.
+	for _, t := range k.taskFree {
+		*t = Task{k: k}
+	}
+	for i, t := range k.tasks {
+		if t.inReg {
+			*t = Task{k: k}
+			k.taskFree = append(k.taskFree, t)
+		}
+		k.tasks[i] = nil
+	}
+	// Close has cleared the pooled processes; a process whose body
+	// panicked never returned to the pool and is dropped with the
+	// registry.
+	for _, p := range k.procFree {
+		p.inReg = false
+	}
+	clear(k.procs)
+	*k = Kernel{
+		events:   *q,
+		procs:    k.procs[:0],
+		procFree: k.procFree,
+		tasks:    k.tasks[:0],
+		taskFree: k.taskFree,
+	}
 }
 
 // activate hands control to p and returns once p parks or finishes. The
@@ -584,6 +631,9 @@ func (k *Kernel) newProc(name string, body func(*Proc)) *Proc {
 		p = &Proc{}
 		p.k = k
 		p.proc = p
+	}
+	if p.next == nil {
+		// A new record, or one whose coroutine Close stopped.
 		p.next, p.stop = iter.Pull(p.run)
 	}
 	p.name, p.id = name, k.procSeq

@@ -2,9 +2,9 @@ package sim
 
 // wakeAll wakes every task parked in q, in FIFO order, leaving the
 // queue empty (its storage is retained for reuse).
-func wakeAll(q *fifo[*Task]) {
-	for q.len() > 0 {
-		q.pop().wake()
+func wakeAll(q *Ring[*Task]) {
+	for q.Len() > 0 {
+		q.Pop().wake()
 	}
 }
 
@@ -19,8 +19,8 @@ type waiter struct {
 }
 
 // enqueue records t in q with its current wait token.
-func enqueue(q *fifo[waiter], t *Task) {
-	q.push(waiter{t: t, seq: t.waitSeq})
+func enqueue(q *Ring[waiter], t *Task) {
+	q.Push(waiter{t: t, seq: t.waitSeq})
 }
 
 // claim consumes w's wait token, reporting whether the entry was still
@@ -35,18 +35,18 @@ func (w waiter) claim() bool {
 }
 
 // wakeAllWaiters wakes every live task parked in q, in FIFO order.
-func wakeAllWaiters(q *fifo[waiter]) {
-	for q.len() > 0 {
-		if w := q.pop(); w.claim() {
+func wakeAllWaiters(q *Ring[waiter]) {
+	for q.Len() > 0 {
+		if w := q.Pop(); w.claim() {
 			w.t.wake()
 		}
 	}
 }
 
 // wakeFirstWaiter wakes the longest-parked live task in q, if any.
-func wakeFirstWaiter(q *fifo[waiter]) {
-	for q.len() > 0 {
-		if w := q.pop(); w.claim() {
+func wakeFirstWaiter(q *Ring[waiter]) {
+	for q.Len() > 0 {
+		if w := q.Pop(); w.claim() {
 			w.t.wake()
 			return
 		}
@@ -61,9 +61,9 @@ type Mailbox struct {
 	k        *Kernel
 	name     string
 	capacity int
-	items    fifo[any]
-	getters  fifo[waiter]
-	putters  fifo[waiter]
+	items    Ring[any]
+	getters  Ring[waiter]
+	putters  Ring[waiter]
 	puts     int64
 	gets     int64
 	closed   bool
@@ -78,7 +78,7 @@ func NewMailbox(k *Kernel, name string, capacity int) *Mailbox {
 func (m *Mailbox) Name() string { return m.name }
 
 // Len returns the number of queued messages.
-func (m *Mailbox) Len() int { return m.items.len() }
+func (m *Mailbox) Len() int { return m.items.Len() }
 
 // Puts returns the total number of messages ever enqueued.
 func (m *Mailbox) Puts() int64 { return m.puts }
@@ -93,14 +93,14 @@ func (m *Mailbox) Closed() bool { return m.closed }
 // closed mailbox returns ErrClosed (the message is not enqueued) — a
 // condition callers model as a dead endpoint, not a programming error.
 func (m *Mailbox) Put(p *Proc, v any) error {
-	for m.capacity > 0 && m.items.len() >= m.capacity && !m.closed {
+	for m.capacity > 0 && m.items.Len() >= m.capacity && !m.closed {
 		enqueue(&m.putters, &p.Task)
 		p.parkBlocked(m.name, "put")
 	}
 	if m.closed {
 		return ErrClosed
 	}
-	m.items.push(v)
+	m.items.Push(v)
 	m.puts++
 	wakeFirstWaiter(&m.getters)
 	return nil
@@ -121,7 +121,7 @@ func (m *Mailbox) PutFunc(t *Task, v any, fn func(error)) {
 // still full. It is called from PutFunc and again from dispatch each
 // time the task is woken, mirroring the retry loop in Put.
 func (m *Mailbox) completePut(t *Task) {
-	if m.capacity > 0 && m.items.len() >= m.capacity && !m.closed {
+	if m.capacity > 0 && m.items.Len() >= m.capacity && !m.closed {
 		t.waitMb = m
 		t.parkWait(taskWaitPut, m.name, "put")
 		enqueue(&m.putters, t)
@@ -136,7 +136,7 @@ func (m *Mailbox) completePut(t *Task) {
 		}
 		return
 	}
-	m.items.push(v)
+	m.items.Push(v)
 	m.puts++
 	wakeFirstWaiter(&m.getters)
 	if fn != nil {
@@ -146,10 +146,10 @@ func (m *Mailbox) completePut(t *Task) {
 
 // TryPut enqueues v if the mailbox has room, reporting success.
 func (m *Mailbox) TryPut(v any) bool {
-	if m.closed || (m.capacity > 0 && m.items.len() >= m.capacity) {
+	if m.closed || (m.capacity > 0 && m.items.Len() >= m.capacity) {
 		return false
 	}
-	m.items.push(v)
+	m.items.Push(v)
 	m.puts++
 	wakeFirstWaiter(&m.getters)
 	return true
@@ -159,14 +159,14 @@ func (m *Mailbox) TryPut(v any) bool {
 // When the mailbox is closed and drained, Get returns (nil, false);
 // otherwise it returns (msg, true).
 func (m *Mailbox) Get(p *Proc) (any, bool) {
-	for m.items.len() == 0 && !m.closed {
+	for m.items.Len() == 0 && !m.closed {
 		enqueue(&m.getters, &p.Task)
 		p.parkBlocked(m.name, "get")
 	}
-	if m.items.len() == 0 {
+	if m.items.Len() == 0 {
 		return nil, false
 	}
-	v := m.items.pop()
+	v := m.items.Pop()
 	m.gets++
 	wakeFirstWaiter(&m.putters)
 	return v, true
@@ -187,7 +187,7 @@ func (m *Mailbox) GetFunc(t *Task, fn func(v any, ok bool)) {
 // dispatch each time the task is woken, mirroring the retry loop in
 // Get.
 func (m *Mailbox) completeGet(t *Task) {
-	if m.items.len() == 0 && !m.closed {
+	if m.items.Len() == 0 && !m.closed {
 		t.waitMb = m
 		t.parkWait(taskWaitGet, m.name, "get")
 		enqueue(&m.getters, t)
@@ -195,11 +195,11 @@ func (m *Mailbox) completeGet(t *Task) {
 	}
 	fn := t.getCont
 	t.getCont, t.waitMb = nil, nil
-	if m.items.len() == 0 {
+	if m.items.Len() == 0 {
 		fn(nil, false)
 		return
 	}
-	v := m.items.pop()
+	v := m.items.Pop()
 	m.gets++
 	wakeFirstWaiter(&m.putters)
 	fn(v, true)
@@ -213,7 +213,7 @@ func (m *Mailbox) completeGet(t *Task) {
 // deterministic and the process is woken exactly once.
 func (m *Mailbox) GetTimeout(p *Proc, d Time) (any, error) {
 	deadline := p.k.now + d
-	for m.items.len() == 0 && !m.closed {
+	for m.items.Len() == 0 && !m.closed {
 		remaining := deadline - p.k.now
 		if remaining <= 0 {
 			return nil, ErrTimeout
@@ -234,10 +234,10 @@ func (m *Mailbox) GetTimeout(p *Proc, d Time) (any, error) {
 		}
 		t.Stop()
 	}
-	if m.items.len() == 0 {
+	if m.items.Len() == 0 {
 		return nil, ErrClosed
 	}
-	v := m.items.pop()
+	v := m.items.Pop()
 	m.gets++
 	wakeFirstWaiter(&m.putters)
 	return v, nil
@@ -245,10 +245,10 @@ func (m *Mailbox) GetTimeout(p *Proc, d Time) (any, error) {
 
 // TryGet dequeues a message without blocking, reporting success.
 func (m *Mailbox) TryGet() (any, bool) {
-	if m.items.len() == 0 {
+	if m.items.Len() == 0 {
 		return nil, false
 	}
-	v := m.items.pop()
+	v := m.items.Pop()
 	m.gets++
 	wakeFirstWaiter(&m.putters)
 	return v, true
@@ -274,7 +274,7 @@ type Barrier struct {
 	parties int
 	arrived int
 	gen     int64
-	waiters fifo[*Task]
+	waiters Ring[*Task]
 	rounds  int64
 }
 
@@ -300,7 +300,7 @@ func (b *Barrier) Wait(p *Proc) {
 		wakeAll(&b.waiters)
 		return
 	}
-	b.waiters.push(&p.Task)
+	b.waiters.Push(&p.Task)
 	for b.gen == gen {
 		p.parkBlocked(b.name, "barrier")
 	}
@@ -315,7 +315,7 @@ func (b *Barrier) Wait(p *Proc) {
 // allocated only when a second waiter arrives, and kept for reuse.
 type Signal struct {
 	first *Task
-	rest  *fifo[*Task]
+	rest  *Ring[*Task]
 	fired bool
 }
 
@@ -347,10 +347,10 @@ func (s *Signal) enqueue(t *Task) {
 	case s.first == nil:
 		s.first = t
 	case s.rest == nil:
-		s.rest = &fifo[*Task]{}
+		s.rest = &Ring[*Task]{}
 		fallthrough
 	default:
-		s.rest.push(t)
+		s.rest.Push(t)
 	}
 }
 
@@ -389,7 +389,7 @@ func (s *Signal) Reset() {
 // reaches zero. The zero value is unusable — create with NewWaitGroup.
 type WaitGroup struct {
 	count   int
-	waiters fifo[*Task]
+	waiters Ring[*Task]
 }
 
 // NewWaitGroup returns a wait group with an initial count.
@@ -415,7 +415,7 @@ func (wg *WaitGroup) Count() int { return wg.count }
 // Wait blocks p until the count is zero.
 func (wg *WaitGroup) Wait(p *Proc) {
 	for wg.count > 0 {
-		wg.waiters.push(&p.Task)
+		wg.waiters.Push(&p.Task)
 		p.parkBlocked("", "waitgroup")
 	}
 }

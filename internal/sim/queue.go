@@ -4,15 +4,17 @@ import "math/bits"
 
 // This file holds the kernel's allocation-free queueing machinery:
 //
-//   - fifo[T]: a 32-byte FIFO over a power-of-two ring that doubles
-//     only when full and zeroes popped slots, used for every waiter
+//   - Ring[T]: a 32-byte FIFO over a power-of-two ring that doubles
+//     only when full and zeroes vacated slots, used for every waiter
 //     queue (mailbox getters/putters, resource waiters, barrier/signal/
-//     waitgroup parties) and for mailbox items;
+//     waitgroup parties), for mailbox items, and outside the kernel for
+//     a disk's pending requests and an MPI endpoint's unexpected
+//     messages;
 //   - eventQueue: the kernel's pending events. Each event lives in one
 //     32-byte slot of a slab ([]event plus a free list of int32 slot
 //     indices) from schedule until pop; the orderings move only small
 //     keys — a binary min-heap of 24-byte heapKey{t, seq, slot} values
-//     for future timers, and a fifo[int32] of slots holding the
+//     for future timers, and a Ring[int32] of slots holding the
 //     same-timestamp fast lane. No event value is
 //     copied while it is queued. Sharded kernels also keep each slot's
 //     shard-ordering key in a keys array beside the slab.
@@ -23,21 +25,24 @@ import "math/bits"
 // and park/resume-heavy loops (mailbox handoffs, resource grants)
 // allocation-free.
 
-// fifo is a FIFO queue over a power-of-two ring: 32 bytes, the ring
+// Ring is a FIFO queue over a power-of-two ring: 32 bytes, the ring
 // and two int32 cursors. Push doubles the ring (from one slot) only
 // when it is full, so a queue that cycles in steady state stops
 // allocating once it has reached its high-water mark, whether or not
-// it ever drains. Pop zeroes the vacated slot so the queue never
-// retains references to removed elements.
-type fifo[T any] struct {
+// it ever drains. Pop and Take zero the vacated slot so the queue never
+// retains references to removed elements. The zero Ring is empty and
+// ready to use.
+type Ring[T any] struct {
 	buf  []T
 	head int32
 	n    int32
 }
 
-func (q *fifo[T]) len() int { return int(q.n) }
+// Len returns the number of queued elements.
+func (q *Ring[T]) Len() int { return int(q.n) }
 
-func (q *fifo[T]) push(v T) {
+// Push appends v at the tail.
+func (q *Ring[T]) Push(v T) {
 	if int(q.n) == len(q.buf) {
 		q.grow()
 	}
@@ -45,7 +50,9 @@ func (q *fifo[T]) push(v T) {
 	q.n++
 }
 
-func (q *fifo[T]) pop() T {
+// Pop removes and returns the head element; the queue must be
+// non-empty.
+func (q *Ring[T]) Pop() T {
 	var zero T
 	v := q.buf[q.head]
 	q.buf[q.head] = zero
@@ -54,13 +61,36 @@ func (q *fifo[T]) pop() T {
 	return v
 }
 
-// peek returns a pointer to the head element. The pointer is only valid
-// until the next push or pop.
-func (q *fifo[T]) peek() *T { return &q.buf[q.head] }
+// At returns a pointer to the i-th oldest element (At(0) is the head).
+// The pointer is only valid until the next Push, Pop or Take.
+func (q *Ring[T]) At(i int) *T { return &q.buf[(int(q.head)+i)&(len(q.buf)-1)] }
+
+// Take removes and returns the i-th oldest element, keeping the rest in
+// order: it closes the gap by moving the shorter side, so taking near
+// either end costs little, and zeroes the vacated slot.
+func (q *Ring[T]) Take(i int) T {
+	var zero T
+	v := *q.At(i)
+	n := int(q.n)
+	if i < n/2 {
+		for j := i; j > 0; j-- {
+			*q.At(j) = *q.At(j - 1)
+		}
+		*q.At(0) = zero
+		q.head = int32((int(q.head) + 1) & (len(q.buf) - 1))
+	} else {
+		for j := i; j < n-1; j++ {
+			*q.At(j) = *q.At(j + 1)
+		}
+		*q.At(n - 1) = zero
+	}
+	q.n--
+	return v
+}
 
 // grow doubles the ring, moving the live elements to its front in
 // queue order.
-func (q *fifo[T]) grow() {
+func (q *Ring[T]) grow() {
 	next := make([]T, max(1, 2*len(q.buf)))
 	n := copy(next, q.buf[q.head:])
 	copy(next[n:], q.buf[:q.head])
@@ -99,12 +129,12 @@ type eventQueue struct {
 	// current instant are FIFO by construction (sequence numbers are
 	// monotonic), so a ring preserves (t, seq) order without any heap
 	// work.
-	fast fifo[int32]
+	fast Ring[int32]
 }
 
 func (q *eventQueue) empty() bool { return len(q.heap) == 0 && q.fast.n == 0 }
 
-func (q *eventQueue) len() int { return len(q.heap) + q.fast.len() }
+func (q *eventQueue) len() int { return len(q.heap) + q.fast.Len() }
 
 // alloc reserves a slot for a new event and returns it with a pointer
 // to its storage; the caller fills every field but fn/tk, which pop
@@ -139,7 +169,7 @@ func (q *eventQueue) key(s int32) *eventKey {
 func (q *eventQueue) push(s int32, now Time) {
 	e := &q.slab[s]
 	if e.t == now {
-		q.fast.push(s)
+		q.fast.Push(s)
 		return
 	}
 	q.pushHeap(heapKey{t: e.t, seq: e.seq, slot: s})
@@ -157,7 +187,7 @@ func (q *eventQueue) heapFirst() bool {
 	if len(q.heap) == 0 {
 		return false
 	}
-	f := &q.slab[*q.fast.peek()]
+	f := &q.slab[*q.fast.At(0)]
 	return keyBefore(&q.heap[0], &heapKey{t: f.t, seq: f.seq})
 }
 
@@ -167,7 +197,7 @@ func (q *eventQueue) peekTime() Time {
 	if q.heapFirst() {
 		return q.heap[0].t
 	}
-	return q.slab[*q.fast.peek()].t
+	return q.slab[*q.fast.At(0)].t
 }
 
 // peekSlot returns the slot of the next event in (t, seq) order across
@@ -176,7 +206,7 @@ func (q *eventQueue) peekSlot() int32 {
 	if q.heapFirst() {
 		return q.heap[0].slot
 	}
-	return *q.fast.peek()
+	return *q.fast.At(0)
 }
 
 // pop removes the (t, seq)-least event across both lanes, frees its
@@ -187,7 +217,7 @@ func (q *eventQueue) pop() int32 {
 	if q.heapFirst() {
 		s = q.popHeap()
 	} else {
-		s = q.fast.pop()
+		s = q.fast.Pop()
 	}
 	q.free = append(q.free, s)
 	return s

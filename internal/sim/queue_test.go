@@ -70,22 +70,22 @@ func TestEventQueueRandomOrder(t *testing.T) {
 // TestSlotRingWraparound drives the fast lane's ring of event slots
 // through growth and many wraparounds, checking FIFO order.
 func TestSlotRingWraparound(t *testing.T) {
-	var r fifo[int32]
+	var r Ring[int32]
 	next, expect := int32(1), int32(1)
 	for round := 0; round < 100; round++ {
 		for i := 0; i < 7; i++ {
-			r.push(next)
+			r.Push(next)
 			next++
 		}
 		for i := 0; i < 5; i++ {
-			if s := r.pop(); s != expect {
+			if s := r.Pop(); s != expect {
 				t.Fatalf("pop = slot %d, want %d", s, expect)
 			}
 			expect++
 		}
 	}
 	for r.n > 0 {
-		if s := r.pop(); s != expect {
+		if s := r.Pop(); s != expect {
 			t.Fatalf("drain pop = slot %d, want %d", s, expect)
 		}
 		expect++
@@ -307,20 +307,20 @@ func TestEventModeKeepsNoKeys(t *testing.T) {
 // TestFifoClearsPoppedSlots guards the waiter-queue leak fix: a popped
 // element must not be retained by the ring.
 func TestFifoClearsPoppedSlots(t *testing.T) {
-	var q fifo[*Proc]
+	var q Ring[*Proc]
 	procs := []*Proc{{Task: Task{id: 1}}, {Task: Task{id: 2}}, {Task: Task{id: 3}}}
 	for _, p := range procs {
-		q.push(p)
+		q.Push(p)
 	}
-	q.pop()
-	q.pop()
+	q.Pop()
+	q.Pop()
 	for i := range q.buf {
-		live := (i-int(q.head))&(len(q.buf)-1) < q.len()
+		live := (i-int(q.head))&(len(q.buf)-1) < q.Len()
 		if !live && q.buf[i] != nil {
 			t.Errorf("slot %d retains %v after pop", i, q.buf[i])
 		}
 	}
-	if q.len() != 1 || q.pop().id != 3 {
+	if q.Len() != 1 || q.Pop().id != 3 {
 		t.Error("fifo order broken")
 	}
 }
@@ -328,27 +328,31 @@ func TestFifoClearsPoppedSlots(t *testing.T) {
 // TestFifoSteadyStateNoGrowth cycles a fifo far beyond its live size;
 // the ring must stay bounded.
 func TestFifoSteadyStateNoGrowth(t *testing.T) {
-	var q fifo[int]
+	var q Ring[int]
 	for i := 0; i < 64; i++ {
-		q.push(i)
+		q.Push(i)
 	}
 	for i := 0; i < 100000; i++ {
-		q.push(i)
-		q.pop()
+		q.Push(i)
+		q.Pop()
 	}
 	if c := cap(q.buf); c > 1024 {
 		t.Errorf("ring grew to %d for a 64-element working set", c)
 	}
-	if q.len() != 64 {
-		t.Errorf("len = %d, want 64", q.len())
+	if q.Len() != 64 {
+		t.Errorf("len = %d, want 64", q.Len())
 	}
 }
 
-// FuzzFifoOrder interleaves pushes and pops and checks every pop, peek
-// and length against a reference slice. Each input byte is one
-// operation: b%3 == 0 pops (when non-empty); otherwise the byte pushes
-// itself. The seeds push past several doublings while the ring is
-// wrapped, so growth must unwrap the live elements in order.
+// FuzzFifoOrder interleaves pushes, pops and order-keeping takes and
+// checks every removed element, every position and the length against
+// a reference slice. Each input byte is one operation: b%3 == 0
+// removes one element when the queue is non-empty — the head by Pop if
+// b < 128, otherwise the element at index (b/3) % Len by Take; any
+// other byte pushes itself. The seeds push past several doublings
+// while the ring is wrapped, so growth must unwrap the live elements
+// in order, and take from both halves of a wrapped ring, so Take must
+// close the gap across the seam from either side.
 func FuzzFifoOrder(f *testing.F) {
 	f.Add([]byte{1, 2, 0, 4, 5, 0, 7, 8})
 	f.Add([]byte{1, 2, 4, 0, 0, 5, 7, 8, 10, 11, 13, 14, 16, 0, 0, 0})
@@ -363,34 +367,55 @@ func FuzzFifoOrder(f *testing.F) {
 		wrapped = append(wrapped, 0, 4, 0)
 	}
 	f.Add(wrapped)
+	// Fill an 8-slot ring and wrap it, then alternate a take with a
+	// push: the takes (b = 129, 132, ..., 255) index every position of
+	// the wrapped ring, on both sides of the seam.
+	takes := []byte{1, 2, 4, 5, 7, 8, 10, 11, 0, 0, 0, 13, 14, 16}
+	for b := 129; b < 256; b += 3 {
+		takes = append(takes, byte(b), 1)
+	}
+	f.Add(takes)
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		var q fifo[byte]
+		var q Ring[byte]
 		var ref []byte
 		for i, b := range ops {
 			if b%3 == 0 {
 				if len(ref) == 0 {
 					continue
 				}
-				if got := *q.peek(); got != ref[0] {
-					t.Fatalf("op %d: peek = %d, want %d", i, got, ref[0])
+				if b < 128 {
+					if got := *q.At(0); got != ref[0] {
+						t.Fatalf("op %d: head = %d, want %d", i, got, ref[0])
+					}
+					if got := q.Pop(); got != ref[0] {
+						t.Fatalf("op %d: pop = %d, want %d", i, got, ref[0])
+					}
+					ref = ref[1:]
+				} else {
+					j := int(b/3) % len(ref)
+					if got := q.Take(j); got != ref[j] {
+						t.Fatalf("op %d: take(%d) = %d, want %d", i, j, got, ref[j])
+					}
+					ref = slices.Delete(ref, j, j+1)
 				}
-				if got := q.pop(); got != ref[0] {
-					t.Fatalf("op %d: pop = %d, want %d", i, got, ref[0])
-				}
-				ref = ref[1:]
 			} else {
-				q.push(b)
+				q.Push(b)
 				ref = append(ref, b)
 			}
-			if q.len() != len(ref) {
-				t.Fatalf("op %d: len = %d, want %d", i, q.len(), len(ref))
+			if q.Len() != len(ref) {
+				t.Fatalf("op %d: len = %d, want %d", i, q.Len(), len(ref))
+			}
+			for j, want := range ref {
+				if got := *q.At(j); got != want {
+					t.Fatalf("op %d: at(%d) = %d, want %d", i, j, got, want)
+				}
 			}
 			if n := len(q.buf); n&(n-1) != 0 {
 				t.Fatalf("op %d: ring size %d is not a power of two", i, n)
 			}
 		}
 		for len(ref) > 0 {
-			if got := q.pop(); got != ref[0] {
+			if got := q.Pop(); got != ref[0] {
 				t.Fatalf("drain: pop = %d, want %d", got, ref[0])
 			}
 			ref = ref[1:]
@@ -406,7 +431,7 @@ func FuzzFifoOrder(f *testing.F) {
 // TestFifoSize pins the waiter queue at 32 bytes: the ring's slice
 // header and two int32 cursors.
 func TestFifoSize(t *testing.T) {
-	if n := unsafe.Sizeof(fifo[*Task]{}); n != 32 {
+	if n := unsafe.Sizeof(Ring[*Task]{}); n != 32 {
 		t.Errorf("fifo is %d bytes, want 32", n)
 	}
 }

@@ -16,7 +16,7 @@ type Resource struct {
 	name     string
 	capacity int64
 	inUse    int64
-	waiters  fifo[resWaiter]
+	waiters  Ring[resWaiter]
 
 	lastChange Time
 	usageInt   float64 // integral of inUse over time, unit: units*ns
@@ -54,7 +54,7 @@ func (r *Resource) Capacity() int64 { return r.capacity }
 func (r *Resource) InUse() int64 { return r.inUse }
 
 // QueueLen returns the number of processes waiting for the resource.
-func (r *Resource) QueueLen() int { return r.waiters.len() }
+func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
 // Grants returns the number of successful acquisitions so far.
 func (r *Resource) Grants() int64 { return r.grants }
@@ -85,7 +85,7 @@ func (r *Resource) Acquire(p *Proc, amount int64) {
 	if amount > r.capacity {
 		panic(fmt.Sprintf("sim: acquire %d exceeds capacity %d of %s", amount, r.capacity, r.name))
 	}
-	if r.waiters.len() == 0 && r.inUse+amount <= r.capacity {
+	if r.waiters.Len() == 0 && r.inUse+amount <= r.capacity {
 		r.account()
 		r.inUse += amount
 		r.grants++
@@ -120,7 +120,7 @@ func (r *Resource) acquireTask(t *Task, amount int64, kind taskWait) bool {
 	if amount > r.capacity {
 		panic(fmt.Sprintf("sim: acquire %d exceeds capacity %d of %s", amount, r.capacity, r.name))
 	}
-	if r.waiters.len() == 0 && r.inUse+amount <= r.capacity {
+	if r.waiters.Len() == 0 && r.inUse+amount <= r.capacity {
 		r.account()
 		r.inUse += amount
 		r.grants++
@@ -135,7 +135,7 @@ func (r *Resource) acquireTask(t *Task, amount int64, kind taskWait) bool {
 // sets t.granted and wakes t when they are claimed.
 func (r *Resource) enqueue(t *Task, amount int64) {
 	t.granted = false
-	r.waiters.push(resWaiter{t: t, amount: amount, seq: t.waitSeq})
+	r.waiters.Push(resWaiter{t: t, amount: amount, seq: t.waitSeq})
 }
 
 // AcquireTimeout is Acquire with a deadline d from now: it returns nil
@@ -151,7 +151,7 @@ func (r *Resource) AcquireTimeout(p *Proc, amount int64, d Time) error {
 	if amount > r.capacity {
 		panic(fmt.Sprintf("sim: acquire %d exceeds capacity %d of %s", amount, r.capacity, r.name))
 	}
-	if r.waiters.len() == 0 && r.inUse+amount <= r.capacity {
+	if r.waiters.Len() == 0 && r.inUse+amount <= r.capacity {
 		r.account()
 		r.inUse += amount
 		r.grants++
@@ -166,7 +166,7 @@ func (r *Resource) AcquireTimeout(p *Proc, amount int64, d Time) error {
 			p.wake()
 		}
 	})
-	r.waiters.push(resWaiter{t: &p.Task, amount: amount, seq: seq})
+	r.waiters.Push(resWaiter{t: &p.Task, amount: amount, seq: seq})
 	for !p.granted {
 		p.parkBlocked(r.name, "acquire")
 		if p.timedOut {
@@ -187,7 +187,7 @@ func (r *Resource) TryAcquire(amount int64) bool {
 	if amount <= 0 {
 		return true
 	}
-	if r.waiters.len() > 0 || r.inUse+amount > r.capacity {
+	if r.waiters.Len() > 0 || r.inUse+amount > r.capacity {
 		return false
 	}
 	r.account()
@@ -211,16 +211,16 @@ func (r *Resource) Release(amount int64) {
 }
 
 func (r *Resource) admit() {
-	for r.waiters.len() > 0 {
-		head := r.waiters.peek()
+	for r.waiters.Len() > 0 {
+		head := r.waiters.At(0)
 		if head.t.waitSeq != head.seq {
-			r.waiters.pop() // stale: the waiter timed out and left
+			r.waiters.Pop() // stale: the waiter timed out and left
 			continue
 		}
 		if r.inUse+head.amount > r.capacity {
 			return
 		}
-		w := r.waiters.pop()
+		w := r.waiters.Pop()
 		r.inUse += w.amount
 		r.grants++
 		w.t.granted = true

@@ -41,7 +41,7 @@ func runActive(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *
 		}
 		pl.g, s = g, cfg.BuildActiveSharded(g)
 	} else {
-		k := sim.NewKernel()
+		k := newKernel()
 		defer release(k)
 		k.SetProbe(sink)
 		pl.k, s = k, cfg.BuildActive(k)

@@ -30,7 +30,7 @@ const sendWindow = 16
 // runCluster executes one task on a commodity-cluster configuration.
 func runCluster(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *Result,
 	plan *fault.Plan, sink *probe.Sink, rc *runCtl) {
-	k := sim.NewKernel()
+	k := newKernel()
 	defer release(k)
 	k.SetProbe(sink)
 	m := cfg.BuildCluster(k)

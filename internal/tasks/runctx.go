@@ -3,6 +3,7 @@ package tasks
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"howsim/internal/arch"
 	"howsim/internal/fault"
@@ -57,19 +58,33 @@ func (rc *runCtl) run(k *sim.Kernel) sim.Time {
 	}
 }
 
+// kernels pools the kernels of single-kernel runs. A pooled kernel has
+// been shut down and recycled (sim.Kernel.Recycle): it holds no
+// goroutine, no simulated state and no reference to the run that last
+// used it, only the storage that run grew — the event slab, the bare
+// task pool and the process records — which the next run reuses
+// instead of allocating it again.
+var kernels = &sync.Pool{New: func() any { return sim.NewKernel() }}
+
+// newKernel takes a kernel for one run from the pool. Pass it to release
+// when the run is over.
+func newKernel() *sim.Kernel { return kernels.Get().(*sim.Kernel) }
+
 // release tears down a kernel once its run is over, completed or
-// cancelled: every process still parked (a cluster's MPI dispatchers
-// after a completed run, any process of an abandoned one) is unwound
-// and its coroutine released, so a run frees its simulation resources
-// as it returns. Probe recording is suppressed for the teardown so
-// unwinding defers cannot emit into the caller's sink: a completed
-// run's trace is the same as without it.
+// cancelled, and returns it to the pool: every process still parked (a
+// cluster's MPI dispatchers after a completed run, any process of an
+// abandoned one) is unwound and its coroutine released, so a run frees
+// its simulation resources as it returns. Probe recording is suppressed
+// for the teardown so unwinding defers cannot emit into the caller's
+// sink: a completed run's trace is the same as without it.
 func release(k *sim.Kernel) {
 	if s := k.Probe(); s.Enabled() {
 		s.SetEnabled(false)
 		defer s.SetEnabled(true)
 	}
 	k.Shutdown()
+	k.Recycle()
+	kernels.Put(k)
 }
 
 // RunCtx is the simulation entry point: it executes one task on cfg
@@ -81,9 +96,11 @@ func release(k *sim.Kernel) {
 // of panicking. A non-nil sink is attached to the run's kernel: every
 // model component registers with (and, when the sink is enabled,
 // emits into) it, and the task's phase timeline is recorded at
-// completion. The mode is explicit and no global state is consulted,
-// so concurrent callers may run different -procmode settings side by
-// side.
+// completion. The mode is explicit, so concurrent callers may run
+// different -procmode settings side by side. A single-kernel run takes
+// its kernel from a pool whose kernels hold no goroutine and no
+// simulated state, only storage, so a run's bytes do not depend on
+// which runs came before it.
 //
 // RunCtx honors ctx cancellation and deadlines mid-run. On
 // cancellation it returns ctx.Err() after unwinding the partial

@@ -17,7 +17,7 @@ import (
 // block transfers / remote queues for data movement between processors.
 func runSMP(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *Result,
 	plan *fault.Plan, sink *probe.Sink, rc *runCtl) {
-	k := sim.NewKernel()
+	k := newKernel()
 	defer release(k)
 	k.SetProbe(sink)
 	m := cfg.BuildSMP(k)
