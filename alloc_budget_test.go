@@ -11,10 +11,10 @@ import (
 
 // figure1AllocKB is what one Figure 1 pass allocated when the budget
 // was last set (five runs on a 2-core amd64 host, Go 1.24.0, read
-// 12,732 to 12,742 kB; GOMAXPROCS from 1 to 8 moved it between 12,715
-// and 12,780). The budget adds a 2% margin for that spread.
+// 6,854 to 6,856 kB; GOMAXPROCS from 1 to 8 moved it between 6,838 and
+// 6,867). The budget adds a 2% margin for that spread.
 const (
-	figure1AllocKB       = 12_740
+	figure1AllocKB       = 6_855
 	figure1AllocBudgetKB = figure1AllocKB * 102 / 100
 )
 

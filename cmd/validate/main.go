@@ -147,7 +147,7 @@ func randomReadMs() float64 {
 
 func fcalAggregate() float64 {
 	k := sim.NewKernel()
-	fc := bus.NewFCAL(k, "fc", 2, 100e6)
+	fc := bus.New(k, "fc", bus.FCAL(2, 100e6))
 	const each = 100 << 20
 	var last sim.Time
 	for i := 0; i < 4; i++ {

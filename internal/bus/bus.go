@@ -36,13 +36,30 @@ type Bus struct {
 	pr probe.Ref
 }
 
-// New creates a bus with the given number of independent channels, each
-// at bytesPerSec, charging startup per arbitration and re-arbitrating
-// every frame bytes.
-func New(k *sim.Kernel, name string, channels int, bytesPerSec float64, startup sim.Time, frame int64) *Bus {
-	pipe := sim.NewPipe(k, name, channels, bytesPerSec, startup)
-	pipe.Frame = frame
-	return &Bus{k: k, pipe: pipe, pr: k.Probe().Register("link", name)}
+// Params describe an interconnect: its independent channels, each at
+// BytesPerSec, charging Startup per arbitration and re-arbitrating every
+// Frame bytes.
+type Params struct {
+	Channels    int
+	BytesPerSec float64
+	Startup     sim.Time
+	Frame       int64
+}
+
+// New creates a bus with parameters p.
+func New(k *sim.Kernel, name string, p Params) *Bus { return new(Bus).Init(k, name, p) }
+
+// Init builds b in place as New would, keeping only its pooled transfer
+// ops and the storage of its pipe, and returns it; a nil b is allocated
+// first. Outage windows of an earlier use are dropped.
+func (b *Bus) Init(k *sim.Kernel, name string, p Params) *Bus {
+	if b == nil {
+		b = new(Bus)
+	}
+	*b = Bus{k: k, pipe: b.pipe.Init(k, name, p.Channels, p.BytesPerSec, p.Startup),
+		pr: k.Probe().Register("link", name), opFree: b.opFree}
+	b.pipe.Frame = p.Frame
+	return b
 }
 
 // SetOutages installs outage windows: intervals of virtual time during
@@ -206,40 +223,31 @@ const (
 	FCALStartup = 20 * sim.Microsecond
 )
 
-// NewFCAL returns a Fibre Channel Arbitrated Loop interconnect with the
-// given number of loops at perLoopBytesPerSec each. The paper's baseline
-// is NewFCAL(k, name, 2, 100e6): a dual loop at 200 MB/s aggregate; the
-// "Fast I/O" variant doubles the per-loop rate.
-func NewFCAL(k *sim.Kernel, name string, loops int, perLoopBytesPerSec float64) *Bus {
-	return New(k, name, loops, perLoopBytesPerSec, FCALStartup, FCALFrame)
+// FCAL is a Fibre Channel Arbitrated Loop interconnect with the given
+// number of loops at perLoopBytesPerSec each. The paper's baseline is
+// FCAL(2, 100e6): a dual loop at 200 MB/s aggregate; the "Fast I/O"
+// variant doubles the per-loop rate.
+func FCAL(loops int, perLoopBytesPerSec float64) Params {
+	return Params{loops, perLoopBytesPerSec, FCALStartup, FCALFrame}
 }
 
-// NewUltra2SCSI returns an 80 MB/s Ultra2 SCSI bus (the cluster nodes'
-// local disk connection).
-func NewUltra2SCSI(k *sim.Kernel, name string) *Bus {
-	return New(k, name, 1, 80e6, 10*sim.Microsecond, 64<<10)
-}
+// Ultra2SCSI is an 80 MB/s Ultra2 SCSI bus (the cluster nodes' local
+// disk connection).
+func Ultra2SCSI() Params { return Params{1, 80e6, 10 * sim.Microsecond, 64 << 10} }
 
-// NewXIO returns an Origin-2000-style I/O subsystem: two I/O nodes with
-// a total of 1.4 GB/s of bandwidth.
-func NewXIO(k *sim.Kernel, name string) *Bus {
-	return New(k, name, 2, 700e6, 2*sim.Microsecond, 128<<10)
-}
+// XIO is an Origin-2000-style I/O subsystem: two I/O nodes with a total
+// of 1.4 GB/s of bandwidth.
+func XIO() Params { return Params{2, 700e6, 2 * sim.Microsecond, 128 << 10} }
 
-// NewPCI returns a host PCI bus (cluster node and front-end host I/O
-// path): 133 MB/s nominal, modeled at 100 MB/s sustained to account for
+// PCI is a host PCI bus (cluster node and front-end host I/O path):
+// 133 MB/s nominal, modeled at 100 MB/s sustained to account for
 // arbitration and burst-setup overheads.
-func NewPCI(k *sim.Kernel, name string) *Bus {
-	return New(k, name, 1, 100e6, 1*sim.Microsecond, 64<<10)
-}
+func PCI() Params { return Params{1, 100e6, 1 * sim.Microsecond, 64 << 10} }
 
-// NewSMPInterconnect returns the Origin-2000-style board interconnect:
-// 780 MB/s links with 1 microsecond latency. Channel count scales with
-// the number of boards so the interconnect's bisection bandwidth grows
-// with machine size (it is not the bottleneck the paper studies).
-func NewSMPInterconnect(k *sim.Kernel, name string, boards int) *Bus {
-	if boards < 1 {
-		boards = 1
-	}
-	return New(k, name, boards, 780e6, 1*sim.Microsecond, 128<<10)
+// SMPInterconnect is the Origin-2000-style board interconnect: 780 MB/s
+// links with 1 microsecond latency. Channel count scales with the
+// number of boards so the interconnect's bisection bandwidth grows with
+// machine size (it is not the bottleneck the paper studies).
+func SMPInterconnect(boards int) Params {
+	return Params{max(boards, 1), 780e6, 1 * sim.Microsecond, 128 << 10}
 }

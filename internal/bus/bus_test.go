@@ -8,7 +8,7 @@ import (
 
 func TestFCALAggregateBandwidth(t *testing.T) {
 	k := sim.NewKernel()
-	fc := NewFCAL(k, "fc", 2, 100e6)
+	fc := New(k, "fc", FCAL(2, 100e6))
 	if got := fc.AggregateBandwidth(); got != 200e6 {
 		t.Errorf("aggregate bandwidth = %v, want 200e6", got)
 	}
@@ -31,7 +31,7 @@ func TestFCALAggregateBandwidth(t *testing.T) {
 func TestFastIOVariantDoubles(t *testing.T) {
 	run := func(perLoop float64) sim.Time {
 		k := sim.NewKernel()
-		fc := NewFCAL(k, "fc", 2, perLoop)
+		fc := New(k, "fc", FCAL(2, perLoop))
 		var done sim.Time
 		for i := 0; i < 2; i++ {
 			k.Spawn("s", func(p *sim.Proc) {
@@ -56,7 +56,7 @@ func TestFairSharingViaFrames(t *testing.T) {
 	// A small transfer arriving behind a huge one should finish long
 	// before the huge one completes (frame-level arbitration).
 	k := sim.NewKernel()
-	b := New(k, "b", 1, 100e6, 0, 64<<10)
+	b := New(k, "b", Params{1, 100e6, 0, 64 << 10})
 	var smallDone, bigDone sim.Time
 	k.Spawn("big", func(p *sim.Proc) {
 		b.Transfer(p, 1e9) // 10s
@@ -75,7 +75,7 @@ func TestFairSharingViaFrames(t *testing.T) {
 
 func TestZeroTransferIsFree(t *testing.T) {
 	k := sim.NewKernel()
-	b := NewPCI(k, "pci")
+	b := New(k, "pci", PCI())
 	k.Spawn("s", func(p *sim.Proc) {
 		b.Transfer(p, 0)
 		if p.Now() != 0 {
@@ -94,10 +94,10 @@ func TestConstructorsRates(t *testing.T) {
 		b    *Bus
 		want float64
 	}{
-		{NewUltra2SCSI(k, "scsi"), 80e6},
-		{NewXIO(k, "xio"), 1.4e9},
-		{NewPCI(k, "pci"), 100e6},
-		{NewSMPInterconnect(k, "ic", 8), 8 * 780e6},
+		{New(k, "scsi", Ultra2SCSI()), 80e6},
+		{New(k, "xio", XIO()), 1.4e9},
+		{New(k, "pci", PCI()), 100e6},
+		{New(k, "ic", SMPInterconnect(8)), 8 * 780e6},
 	}
 	for _, c := range cases {
 		if got := c.b.AggregateBandwidth(); got != c.want {
@@ -108,7 +108,7 @@ func TestConstructorsRates(t *testing.T) {
 
 func TestUtilizationAccounting(t *testing.T) {
 	k := sim.NewKernel()
-	b := New(k, "b", 1, 100e6, 0, 1<<20)
+	b := New(k, "b", Params{1, 100e6, 0, 1 << 20})
 	k.Spawn("s", func(p *sim.Proc) {
 		b.Transfer(p, 50e6) // 0.5s busy
 		p.Delay(sim.Second / 2)

@@ -62,7 +62,7 @@ func runBusCase(senders []busSender, outages []fault.Window, until sim.Time, ref
 	sink := probe.NewSink()
 	k.SetProbe(sink)
 	defer k.Shutdown()
-	b := New(k, "bus", 2, 100e6, 5*sim.Microsecond, 64<<10)
+	b := New(k, "bus", Params{2, 100e6, 5 * sim.Microsecond, 64 << 10})
 	b.SetOutages(outages)
 	var sb strings.Builder
 	rec := func(format string, args ...any) {

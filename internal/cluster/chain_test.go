@@ -75,8 +75,8 @@ func newLocalNodes(k *sim.Kernel, nodes int) *Machine {
 			ID:   i,
 			CPU:  cpu.New(k, name+".cpu", cfg.CPUHz),
 			Disk: disk.New(k, name+".disk", cfg.DiskSpec),
-			SCSI: bus.NewUltra2SCSI(k, name+".scsi"),
-			PCI:  bus.NewPCI(k, name+".pci"),
+			SCSI: bus.New(k, name+".scsi", bus.Ultra2SCSI()),
+			PCI:  bus.New(k, name+".pci", bus.PCI()),
 			OS:   osmodel.FullFunctionOS().ScaledTo(cfg.CPUHz),
 			m:    m,
 		})

@@ -81,55 +81,75 @@ type Machine struct {
 	FERank int
 
 	opFree []*nodeOp // recycled node-local request state machines
+
+	// Storage a rebuild keeps: every node's CPU, the front-end's last,
+	// for the message-passing world, and the drive models of Cfg's specs.
+	cpus   []*cpu.CPU
+	models disk.Models
 }
 
 // New builds a cluster on k. The network has Cfg.Nodes+1 endpoints; the
 // front-end is the last rank.
-func New(k *sim.Kernel, cfg Config) *Machine {
+func New(k *sim.Kernel, cfg Config) *Machine { return new(Machine).init(k, cfg) }
+
+// Rebuild builds the cluster again on k from its own configuration, as
+// New would: every component is rebuilt in place, keeping only storage,
+// so the machine carries nothing over from its last run. k must be new
+// or recycled (sim.Kernel.Recycle), with its probe attached.
+func (m *Machine) Rebuild(k *sim.Kernel) { m.init(k, m.Cfg) }
+
+// init builds m in place on k and returns it. Every component is
+// rebuilt in place; m keeps only storage from an earlier build.
+func (m *Machine) init(k *sim.Kernel, cfg Config) *Machine {
 	if cfg.Nodes <= 0 {
 		panic("cluster: need at least one node")
 	}
-	m := &Machine{K: k, Cfg: cfg, FERank: cfg.Nodes}
-	m.Net = netsim.New(k, 0)
-	m.Tree = netsim.NewFatTree(m.Net, cfg.Nodes+1, cfg.Net)
+	if m.models == nil {
+		m.models = disk.Models{}
+	}
+	*m = Machine{K: k, Cfg: cfg, FERank: cfg.Nodes,
+		Net: m.Net.Init(k, 0), Tree: m.Tree, World: m.World,
+		Nodes: sim.Resized(m.Nodes, cfg.Nodes), FE: m.FE, opFree: m.opFree,
+		cpus: sim.Resized(m.cpus, cfg.Nodes+1), models: m.models}
+	m.Tree = m.Tree.Init(m.Net, cfg.Nodes+1, cfg.Net)
 	m.Net.SetTopology(m.Tree)
 
 	osCosts := osmodel.FullFunctionOS().ScaledTo(cfg.CPUHz)
-	cpus := make([]*cpu.CPU, cfg.Nodes+1)
-	models := disk.Models{}
-	for i := 0; i <= cfg.Nodes; i++ {
-		hz := cfg.CPUHz
-		costs := osCosts
-		name := fmt.Sprintf("node%d", i)
-		if i == cfg.Nodes {
-			hz = 450e6
-			costs = osmodel.FrontEndOS()
-			name = "fe"
-		}
-		n := &Node{
-			ID:   i,
-			CPU:  cpu.New(k, name+".cpu", hz),
-			SCSI: bus.NewUltra2SCSI(k, name+".scsi"),
-			PCI:  bus.NewPCI(k, name+".pci"),
-			OS:   costs,
-			m:    m,
-		}
-		if i < cfg.Nodes {
-			spec := cfg.DiskSpec
-			if cfg.SpecFor != nil {
-				if sp := cfg.SpecFor(i); sp != nil {
-					spec = sp
-				}
+	for i, n := range m.Nodes {
+		spec := cfg.DiskSpec
+		if cfg.SpecFor != nil {
+			if sp := cfg.SpecFor(i); sp != nil {
+				spec = sp
 			}
-			n.Disk = models.Of(spec).New(k, name+".disk")
-			m.Nodes = append(m.Nodes, n)
-		} else {
-			m.FE = n
 		}
-		cpus[i] = n.CPU
+		m.Nodes[i] = n.init(m, i, fmt.Sprintf("node%d", i), cfg.CPUHz, osCosts, m.models.Of(spec))
 	}
-	m.World = mpi.NewWorld(m.Net, cpus, osCosts)
+	m.FE = m.FE.init(m, cfg.Nodes, "fe", 450e6, osmodel.FrontEndOS(), nil)
+	m.World = m.World.Init(m.Net, m.cpus, osCosts)
 	return m
+}
+
+// init builds n in place as node i of m, named name, with a disk that
+// follows dm (none for a nil dm), and returns it; a nil n is allocated
+// first.
+func (n *Node) init(m *Machine, i int, name string, hz float64, costs osmodel.Costs, dm *disk.Model) *Node {
+	if n == nil {
+		n = new(Node)
+	}
+	k, d := m.K, n.Disk
+	*n = Node{
+		ID:   i,
+		CPU:  n.CPU.Init(k, name+".cpu", hz),
+		SCSI: n.SCSI.Init(k, name+".scsi", bus.Ultra2SCSI()),
+		PCI:  n.PCI.Init(k, name+".pci", bus.PCI()),
+		OS:   costs,
+		m:    m,
+	}
+	if dm != nil {
+		n.Disk = d.Init(k, name+".disk", dm)
+	}
+	m.cpus[i] = n.CPU
+	return n
 }
 
 // InstallFaults applies a fault plan to the cluster: per-node disk

@@ -41,9 +41,18 @@ type Slowdown struct {
 }
 
 // New creates a processor with the given clock rate in Hz.
-func New(k *sim.Kernel, name string, hz float64) *CPU {
-	return &CPU{name: name, hz: hz, res: sim.NewResource(k, name, 1),
-		pr: k.Probe().Register("cpu", name)}
+func New(k *sim.Kernel, name string, hz float64) *CPU { return new(CPU).Init(k, name, hz) }
+
+// Init builds c in place as New would, keeping only its pooled holds
+// and the storage of its resource, and returns it; a nil c is allocated
+// first. Slowdown windows of an earlier use are dropped.
+func (c *CPU) Init(k *sim.Kernel, name string, hz float64) *CPU {
+	if c == nil {
+		c = new(CPU)
+	}
+	*c = CPU{name: name, hz: hz, res: c.res.Init(k, name, 1),
+		pr: k.Probe().Register("cpu", name), holdFree: c.holdFree}
+	return c
 }
 
 // Name returns the processor's name.

@@ -261,19 +261,36 @@ func New(k *sim.Kernel, name string, spec *Spec) *Disk { return newModel(spec).N
 
 // New creates a disk that follows model m and starts its event-driven
 // service loop on k.
-func (m *Model) New(k *sim.Kernel, name string) *Disk {
-	d := &Disk{
-		name:    name,
-		m:       m,
-		k:       k,
-		queue:   sim.NewMailbox(k, name+".queue", 0),
-		headSeg: -1,
-		segs:    make([]segment, m.spec.CacheSegments),
-		pr:      k.Probe().Register("disk", name),
+func (m *Model) New(k *sim.Kernel, name string) *Disk { return new(Disk).Init(k, name, m) }
+
+// Init builds d in place as m.New would and starts its service loop on
+// k, and returns it; a nil d is allocated first. It keeps only storage:
+// the queues, the cache segments, the pooled requests and the bound
+// step continuations. Fault state, the scheduler choice and counters of
+// an earlier use are dropped.
+func (d *Disk) Init(k *sim.Kernel, name string, m *Model) *Disk {
+	if d == nil {
+		d = new(Disk)
 	}
+	*d = Disk{
+		name:       name,
+		m:          m,
+		k:          k,
+		queue:      d.queue.Init(k, name+".queue", 0),
+		headSeg:    -1,
+		segs:       sim.Resized(d.segs[:0], m.spec.CacheSegments),
+		pr:         k.Probe().Register("disk", name),
+		pending:    d.pending.Emptied(),
+		onArriveFn: d.onArriveFn,
+		onDoneFn:   d.onDoneFn,
+		free:       d.free,
+	}
+	clear(d.segs)
 	d.task = k.NewTask(name + ".server")
-	d.onArriveFn = d.onArrive
-	d.onDoneFn = d.onServiced
+	if d.onArriveFn == nil {
+		d.onArriveFn = d.onArrive
+		d.onDoneFn = d.onServiced
+	}
 	d.serveStep()
 	return d
 }

@@ -112,8 +112,10 @@ type inbox struct {
 	free []*Chunk
 }
 
-func newInbox(k *sim.Kernel, name string) inbox {
-	return inbox{mb: sim.NewMailbox(k, name, 0)}
+// init returns the inbox rebuilt on k, keeping its mailbox's storage and
+// its pooled boxes.
+func (in *inbox) init(k *sim.Kernel, name string) inbox {
+	return inbox{mb: in.mb.Init(k, name, 0), free: in.free}
 }
 
 // put delivers c in a recycled box. The mailbox is unbounded, so put
@@ -200,12 +202,24 @@ type System struct {
 	loops    []*bus.Bus
 	perGroup int
 
-	pumpFree []*streamOp // recycled stream pumps
+	// pumpFree holds the recycled stream pumps. Each pump owns a task of
+	// the kernel it was made on, so a rebuild drops them.
+	pumpFree []*streamOp
+
+	models disk.Models // the drive models of Cfg's specs, kept by a rebuild
 }
 
 // NewSystem builds an Active Disk system on k.
 func NewSystem(k *sim.Kernel, cfg Config) *System {
-	return build(cfg, k, func(int) *sim.Kernel { return k })
+	return new(System).init(cfg, k, func(int) *sim.Kernel { return k })
+}
+
+// Rebuild builds the system again on k from its own configuration, as
+// NewSystem would: every component is rebuilt in place, keeping only
+// storage, so the system carries nothing over from its last run. k
+// must be new or recycled (sim.Kernel.Recycle), with its probe attached.
+func (s *System) Rebuild(k *sim.Kernel) {
+	s.init(s.Cfg, k, func(int) *sim.Kernel { return k })
 }
 
 // NewSystemSharded builds the same system partitioned across a
@@ -229,20 +243,16 @@ func NewSystemSharded(g *sim.ShardGroup, cfg Config) *System {
 	if g.Shards() != cfg.Disks {
 		panic(fmt.Sprintf("diskos: %d shards for %d disks", g.Shards(), cfg.Disks))
 	}
-	return build(cfg, g.Hub(), func(i int) *sim.Kernel { return g.Shard(i).Kernel() })
+	return new(System).init(cfg, g.Hub(), func(i int) *sim.Kernel { return g.Shard(i).Kernel() })
 }
 
-// build constructs the system with the shared interconnect and
-// front-end on hub and disk i's components on leaf(i) (the same kernel
-// in the single-kernel layout).
-func build(cfg Config, hub *sim.Kernel, leaf func(int) *sim.Kernel) *System {
+// init builds s in place with the shared interconnect and front-end on
+// hub and disk i's components on leaf(i) (the same kernel in the
+// single-kernel layout), and returns it. Every component is rebuilt in
+// place; s keeps only storage from an earlier build.
+func (s *System) init(cfg Config, hub *sim.Kernel, leaf func(int) *sim.Kernel) *System {
 	if cfg.Disks <= 0 {
 		panic("diskos: need at least one disk")
-	}
-	s := &System{
-		K:     hub,
-		Cfg:   cfg,
-		chunk: cfg.chunkBytes(),
 	}
 	groups := cfg.SwitchedLoops
 	if groups < 1 {
@@ -251,60 +261,91 @@ func build(cfg Config, hub *sim.Kernel, leaf func(int) *sim.Kernel) *System {
 	if groups > cfg.Disks {
 		groups = cfg.Disks
 	}
-	s.perGroup = (cfg.Disks + groups - 1) / groups
-	for g := 0; g < groups; g++ {
-		s.loops = append(s.loops, bus.NewFCAL(hub, fmt.Sprintf("fcal%d", g), cfg.Loops, cfg.LoopBytesPerSec))
-	}
-	s.Loop = s.loops[0]
-	feOS := osmodel.FrontEndOS()
-	if cfg.FrontEndHz != 450e6 && cfg.FrontEndHz > 0 {
-		feOS = feOS.ScaledTo(cfg.FrontEndHz)
-	}
-	s.FE = &FrontEnd{
-		CPU:     cpu.New(hub, "fe.cpu", cfg.FrontEndHz),
-		OS:      feOS,
-		Adaptor: bus.New(hub, "fe.fc", cfg.Loops, cfg.LoopBytesPerSec, bus.FCALStartup, bus.FCALFrame),
-		PCI:     bus.NewPCI(hub, "fe.pci"),
-		inbox:   newInbox(hub, "fe.inbox"),
-	}
 	commBuf := cfg.commBufBytes()
 	scratch := cfg.DiskMemBytes - commBuf
 	if scratch < 1<<20 {
 		panic(fmt.Sprintf("diskos: %d bytes of disk memory leaves no scratch space", cfg.DiskMemBytes))
 	}
-	models := disk.Models{}
-	for i := 0; i < cfg.Disks; i++ {
+	if s.models == nil {
+		s.models = disk.Models{}
+	}
+	*s = System{
+		K:        hub,
+		Cfg:      cfg,
+		chunk:    cfg.chunkBytes(),
+		perGroup: (cfg.Disks + groups - 1) / groups,
+		loops:    sim.Resized(s.loops, groups),
+		Disks:    sim.Resized(s.Disks, cfg.Disks),
+		FE:       s.FE,
+		models:   s.models,
+	}
+	for g, l := range s.loops {
+		s.loops[g] = l.Init(hub, fmt.Sprintf("fcal%d", g), bus.FCAL(cfg.Loops, cfg.LoopBytesPerSec))
+	}
+	s.Loop = s.loops[0]
+	s.FE = s.FE.init(hub, cfg)
+	for i, ad := range s.Disks {
 		spec := cfg.DiskSpec
 		if cfg.SpecFor != nil {
 			if s := cfg.SpecFor(i); s != nil {
 				spec = s
 			}
 		}
-		lk := leaf(i)
-		name := fmt.Sprintf("ad%d", i)
-		if lk != hub {
-			// The communication endpoints below register on the hub sink,
-			// but the media and embedded CPU register on the leaf's. Claim
-			// their hub slots first (empty, capacity adopted at merge) so
-			// the hub sink's instance order matches the single-kernel
-			// build order and merged traces stay byte-identical.
-			hub.Probe().Register("disk", name)
-			hub.Probe().Register("cpu", name+".cpu")
-		}
-		ad := &ActiveDisk{
-			ID:      i,
-			Disk:    models.Of(spec).New(lk, name),
-			CPU:     cpu.New(lk, name+".cpu", cfg.EmbeddedHz),
-			Scratch: sim.NewResource(lk, name+".scratch", scratch),
-			sys:     s,
-			commBuf: sim.NewResource(hub, name+".commbuf", commBuf),
-			inbox:   newInbox(hub, name+".inbox"),
-			pr:      hub.Probe().Register("diskos", name),
-		}
-		ad.pr.SetCapacity(commBuf)
-		s.Disks = append(s.Disks, ad)
+		s.Disks[i] = ad.init(s, i, leaf(i), s.models.Of(spec), scratch, commBuf)
 	}
 	return s
+}
+
+// init builds fe in place as the front-end of a system configured by
+// cfg on k, and returns it; a nil fe is allocated first.
+func (fe *FrontEnd) init(k *sim.Kernel, cfg Config) *FrontEnd {
+	if fe == nil {
+		fe = new(FrontEnd)
+	}
+	feOS := osmodel.FrontEndOS()
+	if cfg.FrontEndHz != 450e6 && cfg.FrontEndHz > 0 {
+		feOS = feOS.ScaledTo(cfg.FrontEndHz)
+	}
+	*fe = FrontEnd{
+		CPU:     fe.CPU.Init(k, "fe.cpu", cfg.FrontEndHz),
+		OS:      feOS,
+		Adaptor: fe.Adaptor.Init(k, "fe.fc", bus.FCAL(cfg.Loops, cfg.LoopBytesPerSec)),
+		PCI:     fe.PCI.Init(k, "fe.pci", bus.PCI()),
+		inbox:   fe.inbox.init(k, "fe.inbox"),
+	}
+	return fe
+}
+
+// init builds ad in place as disk i of s, its media, embedded CPU and
+// scratch memory on lk and its communication endpoints on s's hub, and
+// returns it; a nil ad is allocated first.
+func (ad *ActiveDisk) init(s *System, i int, lk *sim.Kernel, m *disk.Model, scratch, commBuf int64) *ActiveDisk {
+	if ad == nil {
+		ad = new(ActiveDisk)
+	}
+	hub := s.K
+	name := fmt.Sprintf("ad%d", i)
+	if lk != hub {
+		// The communication endpoints below register on the hub sink,
+		// but the media and embedded CPU register on the leaf's. Claim
+		// their hub slots first (empty, capacity adopted at merge) so
+		// the hub sink's instance order matches the single-kernel
+		// build order and merged traces stay byte-identical.
+		hub.Probe().Register("disk", name)
+		hub.Probe().Register("cpu", name+".cpu")
+	}
+	*ad = ActiveDisk{
+		ID:      i,
+		Disk:    ad.Disk.Init(lk, name, m),
+		CPU:     ad.CPU.Init(lk, name+".cpu", s.Cfg.EmbeddedHz),
+		Scratch: ad.Scratch.Init(lk, name+".scratch", scratch),
+		sys:     s,
+		commBuf: ad.commBuf.Init(hub, name+".commbuf", commBuf),
+		inbox:   ad.inbox.init(hub, name+".inbox"),
+		pr:      hub.Probe().Register("diskos", name),
+	}
+	ad.pr.SetCapacity(commBuf)
+	return ad
 }
 
 // InstallFaults applies a fault plan to the system: per-disk injectors

@@ -44,12 +44,14 @@ type Endpoint struct {
 	inbox   *sim.Mailbox
 	t       *sim.Task
 	msgFn   func(any, bool)
+	pumpFn  func()
 	pumping bool
 	got     bool
 
-	handleFree []*Handle
-	waiterFree []*recvWaiter
-	sendPrefix string // "isend<rank>->": send tasks are named on demand
+	handleFree   []*Handle
+	waiterFree   []*recvWaiter
+	sendPrefix   string // "isend<rank>->": send tasks are named on demand
+	dispatchName string // "mpi.dispatch<rank>"
 
 	sent, received int64
 	bytesSent      int64
@@ -81,26 +83,47 @@ type Envelope struct {
 // (used for infrastructure ranks). Each rank's dispatcher starts at the
 // current time.
 func NewWorld(net *netsim.Network, cpus []*cpu.CPU, cost osmodel.Costs) *World {
-	w := newWorld(net, cpus, cost)
+	return new(World).Init(net, cpus, cost)
+}
+
+// Init builds w in place as NewWorld would, rebuilding its endpoints in
+// place, and returns it; a nil w is allocated first.
+func (w *World) Init(net *netsim.Network, cpus []*cpu.CPU, cost osmodel.Costs) *World {
+	w = w.init(net, cpus, cost)
 	k := net.Kernel()
 	for _, ep := range w.eps {
-		ep.t = k.NewTask(fmt.Sprintf("mpi.dispatch%d", ep.rank))
-		ep.msgFn = ep.onMsg
-		k.At(k.Now(), ep.pump)
+		ep.t = k.NewTask(ep.dispatchName)
+		k.At(k.Now(), ep.pumpFn)
 	}
 	return w
 }
 
-// newWorld creates the communicator's endpoints without starting their
-// dispatchers.
-func newWorld(net *netsim.Network, cpus []*cpu.CPU, cost osmodel.Costs) *World {
+// init builds the communicator's endpoints in place without starting
+// their dispatchers. An endpoint keeps only storage from an earlier
+// build: its queues' storage, its pools of handles and receive waiters,
+// its names and its bound continuations.
+func (w *World) init(net *netsim.Network, cpus []*cpu.CPU, cost osmodel.Costs) *World {
 	if len(cpus) != net.Nodes() {
 		panic(fmt.Sprintf("mpi: %d cpus for %d nodes", len(cpus), net.Nodes()))
 	}
-	w := &World{net: net, cost: cost}
-	for i := 0; i < net.Nodes(); i++ {
-		w.eps = append(w.eps, &Endpoint{w: w, rank: i, cpu: cpus[i], inbox: net.Inbox(i),
-			sendPrefix: fmt.Sprintf("isend%d->", i)})
+	if w == nil {
+		w = new(World)
+	}
+	*w = World{net: net, cost: cost, eps: sim.Resized(w.eps, net.Nodes())}
+	for i, ep := range w.eps {
+		if ep == nil {
+			ep = &Endpoint{sendPrefix: fmt.Sprintf("isend%d->", i),
+				dispatchName: fmt.Sprintf("mpi.dispatch%d", i)}
+			ep.msgFn = ep.onMsg
+			ep.pumpFn = ep.pump
+			w.eps[i] = ep
+		}
+		clear(ep.waiters)
+		*ep = Endpoint{w: w, rank: i, cpu: cpus[i], inbox: net.Inbox(i),
+			pending: ep.pending.Emptied(), waiters: ep.waiters[:0],
+			msgFn: ep.msgFn, pumpFn: ep.pumpFn,
+			handleFree: ep.handleFree, waiterFree: ep.waiterFree,
+			sendPrefix: ep.sendPrefix, dispatchName: ep.dispatchName}
 	}
 	return w
 }

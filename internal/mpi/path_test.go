@@ -53,7 +53,7 @@ func (r *refPath) refDispatch(ep *Endpoint, p *sim.Proc) {
 // newRefWorld is NewWorld with process dispatchers, spawned where
 // NewWorld starts its dispatch tasks.
 func (r *refPath) newRefWorld(net *netsim.Network, cpus []*cpu.CPU, cost osmodel.Costs) *World {
-	w := newWorld(net, cpus, cost)
+	w := new(World).init(net, cpus, cost)
 	for _, ep := range w.eps {
 		r.live++
 		net.Kernel().Spawn(fmt.Sprintf("mpi.dispatch%d", ep.rank), func(p *sim.Proc) { r.refDispatch(ep, p) })

@@ -48,22 +48,33 @@ type FatTree struct {
 
 // NewFatTree builds the topology's links on n's kernel and returns it.
 func NewFatTree(n *Network, nodes int, cfg FatTreeConfig) *FatTree {
+	return new(FatTree).Init(n, nodes, cfg)
+}
+
+// Init builds ft in place as NewFatTree would, rebuilding its links in
+// place, and returns it; a nil ft is allocated first.
+func (ft *FatTree) Init(n *Network, nodes int, cfg FatTreeConfig) *FatTree {
 	if cfg.NodesPerLeaf <= 0 {
 		panic("netsim: NodesPerLeaf must be positive")
 	}
-	ft := &FatTree{nodes: nodes, perLeaf: cfg.NodesPerLeaf}
+	if ft == nil {
+		ft = new(FatTree)
+	}
 	leaves := (nodes + cfg.NodesPerLeaf - 1) / cfg.NodesPerLeaf
+	*ft = FatTree{nodes: nodes, perLeaf: cfg.NodesPerLeaf,
+		nodeUp: sim.Resized(ft.nodeUp, nodes), nodeDown: sim.Resized(ft.nodeDown, nodes),
+		leafUp: sim.Resized(ft.leafUp, leaves), leafDown: sim.Resized(ft.leafDown, leaves)}
 	nic := LinkConfig{Channels: 1, BytesPerSec: cfg.NICBytesPerSec,
 		Latency: sim.Time(cfg.LinkLatency), QueueFrames: cfg.QueueFrames}
 	trunk := LinkConfig{Channels: cfg.Uplinks, BytesPerSec: cfg.UplinkBytesPerSec,
 		Latency: sim.Time(cfg.LinkLatency), QueueFrames: cfg.QueueFrames * 4}
 	for i := 0; i < nodes; i++ {
-		ft.nodeUp = append(ft.nodeUp, n.NewLink(fmt.Sprintf("node%d.up", i), nic))
-		ft.nodeDown = append(ft.nodeDown, n.NewLink(fmt.Sprintf("node%d.down", i), nic))
+		ft.nodeUp[i] = ft.nodeUp[i].init(n, fmt.Sprintf("node%d.up", i), nic)
+		ft.nodeDown[i] = ft.nodeDown[i].init(n, fmt.Sprintf("node%d.down", i), nic)
 	}
 	for l := 0; l < leaves; l++ {
-		ft.leafUp = append(ft.leafUp, n.NewLink(fmt.Sprintf("leaf%d.up", l), trunk))
-		ft.leafDown = append(ft.leafDown, n.NewLink(fmt.Sprintf("leaf%d.down", l), trunk))
+		ft.leafUp[l] = ft.leafUp[l].init(n, fmt.Sprintf("leaf%d.up", l), trunk)
+		ft.leafDown[l] = ft.leafDown[l].init(n, fmt.Sprintf("leaf%d.down", l), trunk)
 	}
 	return ft
 }

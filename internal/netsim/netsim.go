@@ -119,6 +119,8 @@ type Link struct {
 	// dedupes): stall spans, frame drops and input-queue depth samples
 	// join the pipe's occupancy spans under one instance.
 	pr probe.Ref
+
+	txs []*linkTx // the transmit servers, one per channel
 }
 
 // LinkConfig parameterizes a link.
@@ -131,21 +133,32 @@ type LinkConfig struct {
 
 // NewLink creates a link and spawns its transmit servers.
 func (n *Network) NewLink(name string, cfg LinkConfig) *Link {
+	return new(Link).init(n, name, cfg)
+}
+
+// init builds l in place as NewLink would, keeping only storage (its
+// queue's and pipe's, and its transmit servers), and returns it; a nil
+// l is allocated first.
+func (l *Link) init(n *Network, name string, cfg LinkConfig) *Link {
 	if cfg.Channels <= 0 {
 		cfg.Channels = 1
 	}
 	if cfg.QueueFrames <= 0 {
 		cfg.QueueFrames = 8
 	}
-	l := &Link{
+	if l == nil {
+		l = new(Link)
+	}
+	*l = Link{
 		name:  name,
-		queue: sim.NewMailbox(n.k, name+".q", cfg.QueueFrames),
-		pipe:  sim.NewPipe(n.k, name, cfg.Channels, cfg.BytesPerSec, cfg.Latency),
+		queue: l.queue.Init(n.k, name+".q", cfg.QueueFrames),
+		pipe:  l.pipe.Init(n.k, name, cfg.Channels, cfg.BytesPerSec, cfg.Latency),
 		net:   n,
 		pr:    n.k.Probe().Register("link", name),
+		txs:   sim.Resized(l.txs, cfg.Channels),
 	}
-	for i := 0; i < cfg.Channels; i++ {
-		l.newTx(fmt.Sprintf("%s.tx%d", name, i))
+	for i, tx := range l.txs {
+		l.txs[i] = tx.init(l, fmt.Sprintf("%s.tx%d", name, i))
 	}
 	return l
 }
@@ -213,14 +226,21 @@ type linkTx struct {
 	stallFn func()
 }
 
-// newTx creates one transmit server and starts it.
-func (l *Link) newTx(name string) {
-	tx := &linkTx{l: l, t: l.net.k.NewTask(name)}
-	tx.frameFn = tx.onFrame
-	tx.sentFn = tx.onSent
-	tx.putFn = tx.onPut
-	tx.stallFn = tx.send
+// init builds tx in place as a new transmit server of l, keeping its
+// bound continuations, starts it and returns it; a nil tx is allocated
+// first.
+func (tx *linkTx) init(l *Link, name string) *linkTx {
+	if tx == nil {
+		tx = new(linkTx)
+		tx.frameFn = tx.onFrame
+		tx.sentFn = tx.onSent
+		tx.putFn = tx.onPut
+		tx.stallFn = tx.send
+	}
+	*tx = linkTx{l: l, t: l.net.k.NewTask(name),
+		frameFn: tx.frameFn, sentFn: tx.sentFn, putFn: tx.putFn, stallFn: tx.stallFn}
 	tx.next()
+	return tx
 }
 
 func (tx *linkTx) next() { tx.l.queue.GetFunc(tx.t, tx.frameFn) }
@@ -322,11 +342,21 @@ type Network struct {
 
 // New creates a network. Attach a topology with SetTopology before
 // sending.
-func New(k *sim.Kernel, frameBytes int64) *Network {
+func New(k *sim.Kernel, frameBytes int64) *Network { return new(Network).Init(k, frameBytes) }
+
+// Init builds n in place as New would and returns it; a nil n is
+// allocated first. It keeps only storage: the pooled frames and
+// messages, and the inboxes, which SetTopology rebuilds in place.
+func (n *Network) Init(k *sim.Kernel, frameBytes int64) *Network {
 	if frameBytes <= 0 {
 		frameBytes = DefaultFrameBytes
 	}
-	return &Network{k: k, FrameBytes: frameBytes, LoopbackTime: sim.Microsecond}
+	if n == nil {
+		n = new(Network)
+	}
+	*n = Network{k: k, FrameBytes: frameBytes, LoopbackTime: sim.Microsecond,
+		inboxes: n.inboxes, frameFree: n.frameFree, msgFree: n.msgFree}
+	return n
 }
 
 // Kernel returns the kernel the network runs on.
@@ -335,9 +365,9 @@ func (n *Network) Kernel() *sim.Kernel { return n.k }
 // SetTopology installs the topology and creates one inbox per node.
 func (n *Network) SetTopology(t Topology) {
 	n.topo = t
-	n.inboxes = make([]*sim.Mailbox, t.Nodes())
-	for i := range n.inboxes {
-		n.inboxes[i] = sim.NewMailbox(n.k, fmt.Sprintf("node%d.inbox", i), 0)
+	n.inboxes = sim.Resized(n.inboxes, t.Nodes())
+	for i, mb := range n.inboxes {
+		n.inboxes[i] = mb.Init(n.k, fmt.Sprintf("node%d.inbox", i), 0)
 	}
 }
 

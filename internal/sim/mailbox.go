@@ -71,7 +71,19 @@ type Mailbox struct {
 
 // NewMailbox creates a mailbox. capacity 0 means unbounded.
 func NewMailbox(k *Kernel, name string, capacity int) *Mailbox {
-	return &Mailbox{k: k, name: name, capacity: capacity}
+	return new(Mailbox).Init(k, name, capacity)
+}
+
+// Init builds m in place as NewMailbox would, keeping only the storage
+// of its queues, and returns it; a nil m is allocated first. Any item or
+// waiter of an earlier use is dropped.
+func (m *Mailbox) Init(k *Kernel, name string, capacity int) *Mailbox {
+	if m == nil {
+		m = new(Mailbox)
+	}
+	*m = Mailbox{k: k, name: name, capacity: capacity,
+		items: m.items.Emptied(), getters: m.getters.Emptied(), putters: m.putters.Emptied()}
+	return m
 }
 
 // Name returns the mailbox's name.

@@ -28,12 +28,21 @@ type Pipe struct {
 // per-channel bandwidth in bytes/second, and per-transfer startup
 // latency.
 func NewPipe(k *Kernel, name string, channels int, bytesPerSec float64, startup Time) *Pipe {
+	return new(Pipe).Init(k, name, channels, bytesPerSec, startup)
+}
+
+// Init builds pp in place as NewPipe would, rebuilding its channel
+// resource in place too, and returns it; a nil pp is allocated first.
+func (pp *Pipe) Init(k *Kernel, name string, channels int, bytesPerSec float64, startup Time) *Pipe {
 	if channels <= 0 {
 		panic("sim: pipe must have at least one channel")
 	}
-	pp := &Pipe{
+	if pp == nil {
+		pp = new(Pipe)
+	}
+	*pp = Pipe{
 		name:        name,
-		res:         NewResource(k, name+".chan", int64(channels)),
+		res:         pp.res.Init(k, name+".chan", int64(channels)),
 		Startup:     startup,
 		BytesPerSec: bytesPerSec,
 		pr:          k.Probe().Register("link", name),

@@ -88,6 +88,25 @@ func (q *Ring[T]) Take(i int) T {
 	return v
 }
 
+// Emptied zeroes the ring's slots and returns an empty ring over the
+// same storage: what a record rebuilt in place keeps of its queue.
+func (q *Ring[T]) Emptied() Ring[T] {
+	clear(q.buf)
+	return Ring[T]{buf: q.buf}
+}
+
+// Resized returns s with length n, keeping its elements, including those
+// past len(s) that a longer earlier use left within cap(s), and adding
+// zero elements beyond. A machine rebuilt in place resizes its slices of
+// component records with it and rebuilds each record in its slot, so a
+// slot holds the record of the last build, or nil.
+func Resized[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
 // grow doubles the ring, moving the live elements to its front in
 // queue order.
 func (q *Ring[T]) grow() {

@@ -38,10 +38,20 @@ type resWaiter struct {
 // NewResource creates a resource with the given capacity (units are
 // whatever the caller chooses: transfers, buffers, bytes).
 func NewResource(k *Kernel, name string, capacity int64) *Resource {
+	return new(Resource).Init(k, name, capacity)
+}
+
+// Init builds r in place as NewResource would, keeping only the storage
+// of its waiter queue, and returns it; a nil r is allocated first.
+func (r *Resource) Init(k *Kernel, name string, capacity int64) *Resource {
 	if capacity <= 0 {
 		panic("sim: resource capacity must be positive")
 	}
-	return &Resource{k: k, name: name, capacity: capacity}
+	if r == nil {
+		r = new(Resource)
+	}
+	*r = Resource{k: k, name: name, capacity: capacity, waiters: r.waiters.Emptied()}
+	return r
 }
 
 // Name returns the resource's name.

@@ -86,6 +86,8 @@ type Machine struct {
 	// steady-state striped I/O allocates nothing.
 	stripeFree [][]disk.Request
 	opFree     []*stripeOp
+
+	models disk.Models // the drive models of Cfg's specs, kept by a rebuild
 }
 
 // chunkRequests returns n chunk requests, reusing the smallest freed
@@ -152,28 +154,47 @@ func (m *Machine) InstallFaults(plan *fault.Plan) {
 func (m *Machine) ReplicaBytes() int64 { return m.replicaBytes }
 
 // New builds an SMP machine on k.
-func New(k *sim.Kernel, cfg Config) *Machine {
+func New(k *sim.Kernel, cfg Config) *Machine { return new(Machine).init(k, cfg) }
+
+// Rebuild builds the machine again on k from its own configuration, as
+// New would: every component is rebuilt in place, keeping only storage,
+// so the machine carries nothing over from its last run. k must be new
+// or recycled (sim.Kernel.Recycle), with its probe attached.
+func (m *Machine) Rebuild(k *sim.Kernel) { m.init(k, m.Cfg) }
+
+// init builds m in place on k and returns it. Every component is
+// rebuilt in place; m keeps only storage from an earlier build: its
+// pooled chunk requests and striped-request state machines, and the
+// drive models.
+func (m *Machine) init(k *sim.Kernel, cfg Config) *Machine {
+	if m.models == nil {
+		m.models = disk.Models{}
+	}
 	boards := (cfg.Processors + 1) / 2
-	m := &Machine{
+	*m = Machine{
 		K:            k,
 		Cfg:          cfg,
-		Interconnect: bus.NewSMPInterconnect(k, "smp.ic", boards),
-		XIO:          bus.NewXIO(k, "smp.xio"),
-		FC:           bus.NewFCAL(k, "smp.fc", cfg.Loops, cfg.LoopBytesPerSec),
+		Interconnect: m.Interconnect.Init(k, "smp.ic", bus.SMPInterconnect(boards)),
+		XIO:          m.XIO.Init(k, "smp.xio", bus.XIO()),
+		FC:           m.FC.Init(k, "smp.fc", bus.FCAL(cfg.Loops, cfg.LoopBytesPerSec)),
 		OS:           osmodel.FullFunctionOS().ScaledTo(cfg.CPUHz),
+		CPUs:         sim.Resized(m.CPUs, cfg.Processors),
+		Disks:        sim.Resized(m.Disks, cfg.Disks),
+		stripeFree:   m.stripeFree,
+		opFree:       m.opFree,
+		models:       m.models,
 	}
-	for i := 0; i < cfg.Processors; i++ {
-		m.CPUs = append(m.CPUs, cpu.New(k, fmt.Sprintf("smp.cpu%d", i), cfg.CPUHz))
+	for i, c := range m.CPUs {
+		m.CPUs[i] = c.Init(k, fmt.Sprintf("smp.cpu%d", i), cfg.CPUHz)
 	}
-	models := disk.Models{}
-	for i := 0; i < cfg.Disks; i++ {
+	for i, d := range m.Disks {
 		spec := cfg.DiskSpec
 		if cfg.SpecFor != nil {
 			if s := cfg.SpecFor(i); s != nil {
 				spec = s
 			}
 		}
-		m.Disks = append(m.Disks, models.Of(spec).New(k, fmt.Sprintf("smp.d%d", i)))
+		m.Disks[i] = d.Init(k, fmt.Sprintf("smp.d%d", i), m.models.Of(spec))
 	}
 	return m
 }

@@ -41,10 +41,9 @@ func runActive(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *
 		}
 		pl.g, s = g, cfg.BuildActiveSharded(g)
 	} else {
-		k := newKernel()
-		defer release(k)
-		k.SetProbe(sink)
-		pl.k, s = k, cfg.BuildActive(k)
+		mp := takePair(cfg, sink)
+		defer mp.release()
+		pl.k, s = mp.k, mp.ad
 	}
 	s.InstallFaults(plan)
 	deg := &degrade{}

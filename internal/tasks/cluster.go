@@ -30,10 +30,9 @@ const sendWindow = 16
 // runCluster executes one task on a commodity-cluster configuration.
 func runCluster(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *Result,
 	plan *fault.Plan, sink *probe.Sink, rc *runCtl) {
-	k := newKernel()
-	defer release(k)
-	k.SetProbe(sink)
-	m := cfg.BuildCluster(k)
+	mp := takePair(cfg, sink)
+	defer mp.release()
+	k, m := mp.k, mp.cl
 	m.InstallFaults(plan)
 	deg := &degrade{}
 	var done *sim.Signal

@@ -18,9 +18,9 @@ func TestPlacementInlineStreamTouchesDoNotAllocate(t *testing.T) {
 	const runs = 400
 	const n = 64 << 10 // front-end send size
 	const m = 512      // recv chunk size: every recv chunk fits disk 0's credit at once
-	k := sim.NewKernel()
-	defer release(k)
-	s := arch.ActiveDisks(2).BuildActive(k)
+	mp := takePair(arch.ActiveDisks(2), nil)
+	defer mp.release()
+	k, s := mp.k, mp.ad
 	pl := &placement{k: k}
 	ad0, ad1 := s.Disks[0], s.Disks[1]
 	// Stock disk 0's inbox with every chunk the recv measurements take,

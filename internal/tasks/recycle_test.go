@@ -62,13 +62,33 @@ func recycleCases() []recycleCase {
 	return cs
 }
 
-// onNewKernel runs c on a kernel no run has used: an empty pool builds
-// one.
+// emptyPools swaps every shape's pool of pairs for an empty one and
+// returns the function that puts the old pools back.
+func emptyPools() (restore func()) {
+	pairPools.Lock()
+	saved := pairPools.m
+	pairPools.m = nil
+	pairPools.Unlock()
+	return func() {
+		pairPools.Lock()
+		pairPools.m = saved
+		pairPools.Unlock()
+	}
+}
+
+// countPairs counts the pairs takePair makes, each with a new kernel,
+// until the returned function restores newKernel.
+func countPairs(n *int) (restore func()) {
+	saved := newKernel
+	newKernel = func() *sim.Kernel { *n++; return sim.NewKernel() }
+	return func() { newKernel = saved }
+}
+
+// onNewKernel runs c on a kernel and machine no run has used: an empty
+// pool makes a new pair.
 func onNewKernel(t *testing.T, c recycleCase) (*Result, string) {
 	t.Helper()
-	saved := kernels
-	kernels = &sync.Pool{New: func() any { return sim.NewKernel() }}
-	defer func() { kernels = saved }()
+	defer emptyPools()()
 	res, out, err := c.run(context.Background())
 	if err != nil {
 		t.Fatalf("%v: %v", c, err)
@@ -77,17 +97,15 @@ func onNewKernel(t *testing.T, c recycleCase) (*Result, string) {
 }
 
 // TestRunCtxRecycledKernelByteIdentical runs every task on every
-// architecture on a kernel that a cancelled run, and then a faulted
-// run, left behind, and checks that each run's Result and rendering
-// are those of the same run on a new kernel. A pool that counts the
-// kernels it builds shows that the runs did reuse them.
+// architecture on a kernel and machine that a cancelled run, and then a
+// faulted run, left behind, and checks that each run's Result and
+// rendering are those of the same run on a new pair. Counting the pairs
+// made shows that the runs did reuse them.
 func TestRunCtxRecycledKernelByteIdentical(t *testing.T) {
 	faults, err := fault.ParsePlan("seed=1,fail=2@20ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved := kernels
-	t.Cleanup(func() { kernels = saved })
 	var runs, built, cancelled int
 	for _, c := range recycleCases() {
 		wantRes, want := onNewKernel(t, c)
@@ -95,7 +113,7 @@ func TestRunCtxRecycledKernelByteIdentical(t *testing.T) {
 		faulted.plan = faults
 		wantFaultRes, wantFault := onNewKernel(t, faulted)
 
-		kernels = &sync.Pool{New: func() any { built++; return sim.NewKernel() }}
+		restorePools, restoreCount := emptyPools(), countPairs(&built)
 		// One cancellable check, then one poll per cancelSlice: the run
 		// is abandoned 20 ms of simulated time in, if it lasts that long.
 		if _, _, err := c.run(newPollCancelCtx(3)); errors.Is(err, context.Canceled) {
@@ -113,27 +131,27 @@ func TestRunCtxRecycledKernelByteIdentical(t *testing.T) {
 				t.Fatalf("%v: %v", step.c, err)
 			}
 			if !reflect.DeepEqual(res, step.res) || got != step.want {
-				t.Errorf("%v, run %d on a recycled kernel differs from a new kernel's:\n got  %s\n want %s",
+				t.Errorf("%v, run %d on a recycled pair differs from a new pair's:\n got  %s\n want %s",
 					step.c, i+1, got, step.want)
 			}
 		}
+		restoreCount()
+		restorePools()
 		runs += 4
 	}
 	if cancelled == 0 {
 		t.Error("no run was cancelled mid-run: the recycled kernels never held an abandoned run")
 	}
-	// Under the race detector sync.Pool drops a quarter of the kernels
-	// put back, so the bound leaves room for that.
-	if built > runs/2 {
-		t.Errorf("the pool built %d kernels for %d runs: runs did not reuse kernels", built, runs)
+	// Each case's four runs share one pair.
+	if built > runs/4 {
+		t.Errorf("%d pairs made for %d runs: runs did not reuse kernels and machines", built, runs)
 	}
 }
 
 // TestRunCtxRecycledKernelsConcurrent runs mixed configurations from
-// four goroutines at once, all drawing kernels from the shared pool,
-// and checks every result against the same run made alone on a new
-// kernel. The CI race job covers the hand-over of kernels between
-// goroutines.
+// four goroutines at once, all drawing pairs from the shared pools, and
+// checks every result against the same run made alone on a new pair.
+// The CI race job covers the hand-over of pairs between goroutines.
 func TestRunCtxRecycledKernelsConcurrent(t *testing.T) {
 	faults, err := fault.ParsePlan("seed=3,fail=1@30ms,replica")
 	if err != nil {

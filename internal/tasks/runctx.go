@@ -3,12 +3,16 @@ package tasks
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"howsim/internal/arch"
+	"howsim/internal/cluster"
+	"howsim/internal/diskos"
 	"howsim/internal/fault"
 	"howsim/internal/probe"
 	"howsim/internal/sim"
+	"howsim/internal/smp"
 	"howsim/internal/workload"
 )
 
@@ -58,33 +62,147 @@ func (rc *runCtl) run(k *sim.Kernel) sim.Time {
 	}
 }
 
-// kernels pools the kernels of single-kernel runs. A pooled kernel has
-// been shut down and recycled (sim.Kernel.Recycle): it holds no
-// goroutine, no simulated state and no reference to the run that last
-// used it, only the storage that run grew — the event slab, the bare
-// task pool and the process records — which the next run reuses
-// instead of allocating it again.
-var kernels = &sync.Pool{New: func() any { return sim.NewKernel() }}
+// pair is a kernel and the machine of one shape last built on it: the
+// Active Disk system, cluster or SMP of cfg. Single-kernel runs take
+// pairs from a pool per shape. An idle pair holds no goroutine, no
+// simulated state and no reference to the run that last used it, only
+// the storage that run grew — the kernel's event slab, task pool and
+// process records, and the machine's components with their queues,
+// free lists and pooled records — which the next run of that shape
+// reuses instead of allocating it again.
+type pair struct {
+	cfg  arch.Config
+	k    *sim.Kernel
+	ad   *diskos.System
+	cl   *cluster.Machine
+	sm   *smp.Machine
+	aged bool // idle through a whole GC cycle: the next sweep drops it
+}
 
-// newKernel takes a kernel for one run from the pool. Pass it to release
-// when the run is over.
-func newKernel() *sim.Kernel { return kernels.Get().(*sim.Kernel) }
+// pairPools holds each shape's idle pairs, keyed by the full
+// arch.Config. A pair is in at most one pool and taken by one run at a
+// time. Every GC cycle sweeps the pools, dropping the pairs that sat
+// idle since the previous cycle (as sync.Pool drops its victims), so the
+// pairs of shapes no longer run are freed. sync.Pool itself keeps a
+// returned object in the returning P's private slot, where a run on
+// another P cannot reach it; with a pair or two per shape that missed
+// about half the reuses on two cores.
+var pairPools struct {
+	sync.Mutex
+	m map[arch.Config][]*pair
+}
 
-// release tears down a kernel once its run is over, completed or
-// cancelled, and returns it to the pool: every process still parked (a
+// gcTick's finalizer runs once per GC cycle: it sweeps the pools and
+// arms itself again.
+type gcTick struct{ _ *int }
+
+func init() { runtime.SetFinalizer(&gcTick{}, sweepPairs) }
+
+// sweepPairs drops every pool's aged pairs, marks the rest aged, and
+// forgets shapes left with no pair.
+func sweepPairs(t *gcTick) {
+	pairPools.Lock()
+	for cfg, ps := range pairPools.m {
+		if ps = sweep(ps); len(ps) == 0 {
+			delete(pairPools.m, cfg)
+		} else {
+			pairPools.m[cfg] = ps
+		}
+	}
+	pairPools.Unlock()
+	runtime.SetFinalizer(t, sweepPairs)
+}
+
+// sweep drops the aged pairs of ps and marks the others aged.
+func sweep(ps []*pair) []*pair {
+	n := 0
+	for _, p := range ps {
+		if !p.aged {
+			p.aged = true
+			ps[n] = p
+			n++
+		}
+	}
+	clear(ps[n:])
+	return ps[:n]
+}
+
+// newKernel makes the kernel of a new pair.
+var newKernel = sim.NewKernel
+
+// takePair takes an idle pair of cfg's shape, or makes one with a new
+// kernel, attaches sink to the kernel and builds the machine on it, so
+// that every component registers with sink in build order. Pass it to
+// release when the run is over.
+func takePair(cfg arch.Config, sink *probe.Sink) *pair {
+	pairPools.Lock()
+	var p *pair
+	if ps := pairPools.m[cfg]; len(ps) > 0 {
+		p = ps[len(ps)-1]
+		ps[len(ps)-1] = nil
+		pairPools.m[cfg] = ps[:len(ps)-1]
+	}
+	pairPools.Unlock()
+	if p == nil {
+		p = &pair{cfg: cfg, k: newKernel()}
+	}
+	p.k.SetProbe(sink)
+	p.build()
+	return p
+}
+
+// build builds the pair's machine on its kernel: New the first time,
+// Rebuild (the same constructor, in place) after that.
+func (p *pair) build() {
+	switch {
+	case p.ad != nil:
+		p.ad.Rebuild(p.k)
+	case p.cl != nil:
+		p.cl.Rebuild(p.k)
+	case p.sm != nil:
+		p.sm.Rebuild(p.k)
+	case p.cfg.Kind == arch.KindActiveDisk:
+		p.ad = p.cfg.BuildActive(p.k)
+	case p.cfg.Kind == arch.KindCluster:
+		p.cl = p.cfg.BuildCluster(p.k)
+	default:
+		p.sm = p.cfg.BuildSMP(p.k)
+	}
+}
+
+// recycle unwinds every process still parked on the pair's kernel (a
 // cluster's MPI dispatchers after a completed run, any process of an
-// abandoned one) is unwound and its coroutine released, so a run frees
-// its simulation resources as it returns. Probe recording is suppressed
-// for the teardown so unwinding defers cannot emit into the caller's
-// sink: a completed run's trace is the same as without it.
-func release(k *sim.Kernel) {
-	if s := k.Probe(); s.Enabled() {
+// abandoned one), releases their coroutines and recycles the kernel.
+func (p *pair) recycle() {
+	p.k.Shutdown()
+	p.k.Recycle()
+}
+
+// release tears a pair down once its run is over, completed, cancelled
+// or panicking, and returns it to its shape's pool, so a run frees its
+// simulation resources as it returns. Probe recording is suppressed for
+// the teardown so unwinding defers cannot emit into the caller's sink:
+// a completed run's trace is the same as without it. The machine is
+// then rebuilt bare on the recycled kernel, with no probe and no fault
+// plan, which drops every reference it held into the run: its probe
+// handles into the sink, its fault state into the plan, the records
+// left in its queues. That rebuild's own tasks and events are recycled
+// too.
+func (p *pair) release() {
+	if s := p.k.Probe(); s.Enabled() {
 		s.SetEnabled(false)
 		defer s.SetEnabled(true)
 	}
-	k.Shutdown()
-	k.Recycle()
-	kernels.Put(k)
+	p.recycle()
+	p.build()
+	p.recycle()
+	p.aged = false
+	pairPools.Lock()
+	if pairPools.m == nil {
+		pairPools.m = map[arch.Config][]*pair{}
+	}
+	pairPools.m[p.cfg] = append(pairPools.m[p.cfg], p)
+	pairPools.Unlock()
 }
 
 // RunCtx is the simulation entry point: it executes one task on cfg
@@ -98,7 +216,9 @@ func release(k *sim.Kernel) {
 // emits into) it, and the task's phase timeline is recorded at
 // completion. The mode is explicit, so concurrent callers may run
 // different -procmode settings side by side. A single-kernel run takes
-// its kernel from a pool whose kernels hold no goroutine and no
+// an idle pair of its shape — a kernel and the machine last built on it
+// — and rebuilds the machine in place on the kernel through the
+// constructor New runs. An idle pair holds no goroutine and no
 // simulated state, only storage, so a run's bytes do not depend on
 // which runs came before it.
 //

@@ -17,10 +17,9 @@ import (
 // block transfers / remote queues for data movement between processors.
 func runSMP(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *Result,
 	plan *fault.Plan, sink *probe.Sink, rc *runCtl) {
-	k := newKernel()
-	defer release(k)
-	k.SetProbe(sink)
-	m := cfg.BuildSMP(k)
+	mp := takePair(cfg, sink)
+	defer mp.release()
+	k, m := mp.k, mp.sm
 	m.InstallFaults(plan)
 	deg := &degrade{}
 	var done *sim.Signal
