@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check lint vet-fixtures vet-allows test race bench-kernel bench-figures bench-parallel bench-guard alloc-profile fault-smoke trace-smoke chaos-smoke service-smoke
+.PHONY: build vet fmt-check lint vet-fixtures vet-allows test race bench-kernel bench-figures bench-parallel bench-guard alloc-profile full-scale-check fault-smoke trace-smoke chaos-smoke service-smoke
 
 build:
 	$(GO) build ./...
@@ -83,6 +83,15 @@ alloc-profile:
 	GODEBUG=memprofilerate=1 /tmp/howsim-experiments -only fig1 -scale 0.05 -sizes 16,64 \
 		-parallel 1 -memprofile /tmp/howsim-alloc.out > /dev/null
 	$(GO) tool pprof -sample_index=alloc_space -top /tmp/howsim-alloc.out
+
+# Full-scale record: run every artifact at scale 1 and require the
+# output to match docs/experiments_full_scale.txt byte for byte. A
+# change that moves simulated output regenerates the file (same command,
+# redirected there) and says why in CHANGES.md. About 85 s on 2 cores.
+full-scale-check:
+	$(GO) build -o /tmp/howsim-experiments ./cmd/experiments
+	/tmp/howsim-experiments -only all -parallel 2 > /tmp/howsim-full-scale.txt
+	cmp /tmp/howsim-full-scale.txt docs/experiments_full_scale.txt
 
 # Fault-injection smoke: one disk fails mid-scan on each architecture,
 # once recovering via replicas and once completing degraded. Every run

@@ -134,86 +134,3 @@ func (ad *ActiveDisk) deliver(p *sim.Proc, sink Sink, n int64) {
 	}
 	ad.Send(p, sink.PeerID, n, nil)
 }
-
-// RunPipeline chains disklets on one drive into the coarse-grain
-// data-flow graph the paper's programming model prescribes: the input
-// region streams through stage 0, whose emissions feed stage 1, and so
-// on; only the final stage's output leaves the drive, to the fixed
-// sink. The combined scratch of all stages is reserved for the
-// pipeline's lifetime.
-func (ad *ActiveDisk) RunPipeline(p *sim.Proc, stages []Disklet, src Region, sink Sink) DiskletStats {
-	if len(stages) == 0 {
-		panic("diskos: empty pipeline")
-	}
-	var scratch int64
-	for _, d := range stages {
-		if d.Process == nil {
-			panic(fmt.Sprintf("diskos: pipeline stage %q has no Process function", d.Name))
-		}
-		scratch += d.ScratchBytes
-	}
-	if scratch > ad.Scratch.Capacity() {
-		panic(fmt.Sprintf("diskos: pipeline wants %d bytes of scratch; drive has %d",
-			scratch, ad.Scratch.Capacity()))
-	}
-	ad.Scratch.Acquire(p, scratch)
-	defer ad.Scratch.Release(scratch)
-
-	start := p.Now()
-	var st DiskletStats
-	const ioChunk = 256 << 10
-	const flushBatch = 1 << 20
-	var pend int64
-	emit := func(n int64) {
-		pend += n
-		if pend >= flushBatch {
-			ad.deliver(p, sink, pend)
-			st.BytesOut += pend
-			pend = 0
-		}
-	}
-	// runStages pushes bytes through stages[from:], charging each
-	// stage's cycles, and emits whatever survives the final stage.
-	runStages := func(bytes int64, from int) {
-		for si := from; si < len(stages) && bytes > 0; si++ {
-			out, cycles := stages[si].Process(bytes)
-			ad.Compute(p, cycles)
-			st.Cycles += cycles
-			bytes = out
-		}
-		if bytes > 0 {
-			emit(bytes)
-		}
-	}
-	for off := int64(0); off < src.Length; off += ioChunk {
-		n := int64(ioChunk)
-		if src.Length-off < n {
-			n = src.Length - off
-			if n%512 != 0 {
-				n += 512 - n%512
-			}
-		}
-		ad.ReadLocal(p, src.Offset+off, n)
-		st.BytesIn += n
-		runStages(n, 0)
-	}
-	// Flush every stage in order; a stage's flush output flows through
-	// the stages after it.
-	for si, d := range stages {
-		if d.Flush == nil {
-			continue
-		}
-		out, cycles := d.Flush()
-		ad.Compute(p, cycles)
-		st.Cycles += cycles
-		if out > 0 {
-			runStages(out, si+1)
-		}
-	}
-	if pend > 0 {
-		ad.deliver(p, sink, pend)
-		st.BytesOut += pend
-	}
-	st.Elapsed = p.Now() - start
-	return st
-}

@@ -149,84 +149,3 @@ func TestDiskletScratchSandbox(t *testing.T) {
 		t.Error("two disklets exceeding memory together should serialize")
 	}
 }
-
-func TestPipelineChainsStages(t *testing.T) {
-	// select (keeps 10%) then project (keeps half of that): output is 5%
-	// of the input and both stages' cycles are charged.
-	k := sim.NewKernel()
-	s := NewSystem(k, DefaultConfig(1))
-	stages := []Disklet{
-		{Name: "select", ScratchBytes: 1 << 20,
-			Process: func(n int64) (int64, int64) { return n / 10, n / 64 * 60 }},
-		{Name: "project", ScratchBytes: 1 << 20,
-			Process: func(n int64) (int64, int64) { return n / 2, n / 64 * 20 }},
-	}
-	const input = 16 << 20
-	k.Spawn("fe", func(p *sim.Proc) {
-		for {
-			if _, ok := s.FE.Recv(p); !ok {
-				return
-			}
-		}
-	})
-	var st DiskletStats
-	k.Spawn("pipe", func(p *sim.Proc) {
-		st = s.Disks[0].RunPipeline(p, stages,
-			Region{Offset: 0, Length: input}, Sink{ToFrontEnd: true})
-	})
-	k.Run()
-	want := int64(input) / 20
-	if st.BytesOut < want*9/10 || st.BytesOut > want*11/10 {
-		t.Errorf("pipeline emitted %d bytes, want ~%d (5%%)", st.BytesOut, want)
-	}
-	// Stage 1 sees the full input; stage 2 sees 10% of it.
-	wantCycles := int64(input)/64*60 + int64(input)/10/64*20
-	slack := wantCycles / 20
-	if st.Cycles < wantCycles-slack || st.Cycles > wantCycles+slack {
-		t.Errorf("pipeline cycles = %d, want ~%d", st.Cycles, wantCycles)
-	}
-}
-
-func TestPipelineFlushFlowsDownstream(t *testing.T) {
-	// An aggregating first stage emits only at flush; the second stage
-	// halves whatever it sees, so the final result is half the flush.
-	k := sim.NewKernel()
-	s := NewSystem(k, DefaultConfig(1))
-	stages := []Disklet{
-		{Name: "agg", ScratchBytes: 1 << 20,
-			Process: func(n int64) (int64, int64) { return 0, n / 64 * 40 },
-			Flush:   func() (int64, int64) { return 2048, 500 }},
-		{Name: "halve", ScratchBytes: 1 << 20,
-			Process: func(n int64) (int64, int64) { return n / 2, n }},
-	}
-	k.Spawn("fe", func(p *sim.Proc) {
-		s.FE.Recv(p)
-	})
-	var st DiskletStats
-	k.Spawn("pipe", func(p *sim.Proc) {
-		st = s.Disks[0].RunPipeline(p, stages,
-			Region{Offset: 0, Length: 4 << 20}, Sink{ToFrontEnd: true})
-	})
-	k.Run()
-	if st.BytesOut != 1024 {
-		t.Errorf("flush-through emitted %d bytes, want 1024", st.BytesOut)
-	}
-}
-
-func TestPipelineScratchIsSumOfStages(t *testing.T) {
-	k := sim.NewKernel()
-	s := NewSystem(k, DefaultConfig(1))
-	half := s.ScratchBytes()/2 + 1
-	k.Spawn("pipe", func(p *sim.Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("pipeline exceeding drive memory should panic")
-			}
-		}()
-		s.Disks[0].RunPipeline(p, []Disklet{
-			{Name: "a", ScratchBytes: half, Process: func(n int64) (int64, int64) { return n, 0 }},
-			{Name: "b", ScratchBytes: half, Process: func(n int64) (int64, int64) { return n, 0 }},
-		}, Region{Offset: 0, Length: 1 << 20}, Sink{ToFrontEnd: true})
-	})
-	k.Run()
-}

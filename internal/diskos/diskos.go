@@ -451,10 +451,6 @@ func (s *System) LoopUtilization() float64 {
 // ScratchBytes returns the per-disk disklet working memory.
 func (s *System) ScratchBytes() int64 { return s.Disks[0].Scratch.Capacity() }
 
-// CommBufBytes returns the per-disk memory reserved for inter-device
-// communication buffers.
-func (s *System) CommBufBytes() int64 { return s.Cfg.commBufBytes() }
-
 // ChunkBytes returns the stream transfer granularity.
 func (s *System) ChunkBytes() int64 { return s.chunk }
 
@@ -472,9 +468,6 @@ func (ad *ActiveDisk) ReadLocal(p *sim.Proc, offset, length int64) error {
 func (ad *ActiveDisk) WriteLocal(p *sim.Proc, offset, length int64) error {
 	return ad.Disk.Write(p, offset, length)
 }
-
-// Failed reports whether this drive has failed permanently.
-func (ad *ActiveDisk) Failed() bool { return ad.Disk.Failed() }
 
 // Compute executes cycles on the embedded processor.
 func (ad *ActiveDisk) Compute(p *sim.Proc, cycles int64) {

@@ -15,6 +15,7 @@ package fault
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -137,11 +138,6 @@ func ParsePlan(s string) (*Plan, error) {
 				return nil, fmt.Errorf("fault: duplicate %s clause (each may appear once; drop one)", key)
 			}
 			seen[key] = true
-		case "straggler", "outage":
-			if seen[field] {
-				return nil, fmt.Errorf("fault: duplicate clause %q (identical windows inject nothing extra; drop one)", field)
-			}
-			seen[field] = true
 		}
 		switch key {
 		case "seed":
@@ -209,6 +205,9 @@ func ParsePlan(s string) (*Plan, error) {
 			if err != nil {
 				return nil, err
 			}
+			if slices.Contains(p.Stragglers, st) {
+				return nil, duplicateWindow(field)
+			}
 			p.Stragglers = append(p.Stragglers, st)
 		case "outage":
 			name, span, ok := strings.Cut(val, "@")
@@ -227,10 +226,11 @@ func ParsePlan(s string) (*Plan, error) {
 			if err != nil || d <= 0 {
 				return nil, fmt.Errorf("fault: bad outage duration %q (must be a positive Go duration)", dur)
 			}
-			p.Outages = append(p.Outages, LinkOutage{
-				Name:   name,
-				Window: Window{Start: st, End: st + d},
-			})
+			o := LinkOutage{Name: name, Window: Window{Start: st, End: st + d}}
+			if slices.Contains(p.Outages, o) {
+				return nil, duplicateWindow(field)
+			}
+			p.Outages = append(p.Outages, o)
 		default:
 			return nil, fmt.Errorf("fault: unknown plan key %q", key)
 		}
@@ -242,6 +242,14 @@ func ParsePlan(s string) (*Plan, error) {
 		return nil, fmt.Errorf("fault: rebuild-rate paces the spare rebuild and needs one to pace (add spare)")
 	}
 	return p, nil
+}
+
+// duplicateWindow rejects a straggler or outage clause whose parsed
+// window equals an earlier one, however the two were spelled
+// (1s and 1000ms, an omitted *2 and an explicit one): their canonical
+// forms would be identical, and identical windows inject nothing extra.
+func duplicateWindow(field string) error {
+	return fmt.Errorf("fault: duplicate clause %q (identical windows inject nothing extra; drop one)", field)
 }
 
 // parseStraggler parses DISK@START+DUR or DISK@START+DUR*FACTOR.

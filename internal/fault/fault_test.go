@@ -211,6 +211,10 @@ func TestParsePlanErrorsTable(t *testing.T) {
 		{"replica,replica", "duplicate replica"},
 		{"straggler=0@1s+10ms*2,straggler=0@1s+10ms*2", "duplicate clause"},
 		{"outage=l@1s+1s,outage=l@1s+1s", "duplicate clause"},
+		// Equal windows spelled differently are duplicates too.
+		{"outage=0@0+01s,outage=0@0++1s", "duplicate clause"},
+		{"outage=l@1s+1s,outage=l@1000ms+1s", "duplicate clause"},
+		{"straggler=0@1s+10ms,straggler=0@1s+10ms*2", "duplicate clause"},
 		{"spare", "spare needs a replica"},
 		{"spare,replica", "spare needs a replica"},
 		{"spare,fail=1@1s", "spare needs a replica"},
@@ -372,6 +376,14 @@ func FuzzParsePlan(f *testing.F) {
 		"seed=9,corrupt=0.004,fail=2@1s,replica,spare,straggler=1@5ms+30ms*3,straggler=0@1ms+2ms",
 		"seed=5,replica,spare,fail=2@1s,rebuild-rate=12.5",
 		"outage=l@2s+1s,outage=l@0s+500ms,outage=other@1s+1s",
+		// The six plans `go run ./scripts/chaossweep -seed 1 -runs 6`
+		// draws: long float factors, several stragglers, spare.
+		"seed=10451216379200822465,corrupt=0.008885294016527162",
+		"seed=2909030486109283042,media=0.018255209300435553",
+		"seed=9270549306107844495,media=0.016468986242408397,slow=0.011957247701389959,slowby=51ms,fail=0@185ms,replica,spare,straggler=0@296ms+91ms*7.187637996370663,straggler=2@87ms+20ms*4.285467880884896,outage=node2.pci@32ms+33ms",
+		"seed=12946170323757813891,slow=0.008090689691598534,slowby=16ms,corrupt=0.005206865455595388,fail=3@61ms,replica,spare,straggler=0@239ms+41ms*6.860484001144605,outage=fcal1@94ms+10ms",
+		"seed=17962304276763112205,media=0.007861966962810624,slow=0.019616074731428106,slowby=10ms,corrupt=0.007657354423262399,fail=2@54ms,replica,outage=fcal0@7ms+37ms",
+		"seed=14927003096697543694,media=0.011645612782178088,slow=0.007942644957638537,slowby=20ms,corrupt=0.011681336639423499,fail=3@157ms,replica,spare,straggler=0@144ms+10ms*3.278561897580997,straggler=1@140ms+59ms*4.769967865745555",
 	} {
 		f.Add(s)
 	}

@@ -1,19 +1,17 @@
-// Package mpi provides the MPI-like user-space message-passing and
-// global-synchronization layer that drives the network model for
-// cluster configurations: asynchronous point-to-point operations with
-// source/tag matching, plus barrier and reduction collectives. Host CPU
+// Package mpi provides the MPI-like user-space message-passing layer
+// that drives the network model for cluster configurations:
+// asynchronous point-to-point operations with source/tag matching; the
+// cluster tasks synchronise with tagged messages. Host CPU
 // costs per message come from the osmodel cost table (pinned send and
 // receive buffers, as in the BSPlib-class library the paper assumes).
 package mpi
 
 import (
 	"fmt"
-	"math/bits"
 
 	"howsim/internal/cpu"
 	"howsim/internal/netsim"
 	"howsim/internal/osmodel"
-	"howsim/internal/probe"
 	"howsim/internal/sim"
 )
 
@@ -133,9 +131,6 @@ func (w *World) Rank(r int) *Endpoint { return w.eps[r] }
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.eps) }
-
-// Network returns the underlying network.
-func (w *World) Network() *netsim.Network { return w.net }
 
 // pump drains the rank's network inbox, handing each message to
 // deliver, until the inbox is empty and the dispatcher parks on it;
@@ -371,111 +366,4 @@ func (w *Window) waitOldest(p *sim.Proc) {
 	w.head = (w.head + 1) % len(w.hs)
 	w.n--
 	h.Wait(p)
-}
-
-// Group provides collectives over a subset of ranks (e.g. the worker
-// nodes, excluding the front-end host). Collective latency is modeled as
-// a dissemination pattern: ceil(log2 n) rounds of small-message
-// exchanges, matching the "efficient ... global synchronization library"
-// validated in Netsim.
-type Group struct {
-	w       *World
-	ranks   []int
-	barrier *sim.Barrier
-	vals    []float64
-	reduced float64
-	phase   int
-	// RoundCost is the per-round latency of the dissemination pattern.
-	RoundCost sim.Time
-
-	// pr records each member's collective wait time: one span per rank
-	// per collective, from arrival to release (dissemination latency
-	// included), with the caller's group index as the span argument
-	// (-1 for barriers, which do not identify their caller).
-	pr       probe.Ref
-	kBarrier probe.Kind
-	kReduce  probe.Kind
-}
-
-// NewGroup creates a collective group over the given ranks.
-func (w *World) NewGroup(name string, ranks []int) *Group {
-	g := &Group{
-		w:         w,
-		ranks:     append([]int(nil), ranks...),
-		barrier:   sim.NewBarrier(w.net.Kernel(), name+".barrier", len(ranks)),
-		vals:      make([]float64, len(ranks)),
-		RoundCost: 120 * sim.Microsecond,
-	}
-	g.pr = w.net.Kernel().Probe().Register("mpi", name)
-	g.kBarrier = g.pr.KindNamed("barrier_wait")
-	g.kReduce = g.pr.KindNamed("reduce_wait")
-	return g
-}
-
-// Size returns the number of ranks in the group.
-func (g *Group) Size() int { return len(g.ranks) }
-
-func (g *Group) rounds() int {
-	if len(g.ranks) <= 1 {
-		return 0
-	}
-	return bits.Len(uint(len(g.ranks) - 1))
-}
-
-// Barrier synchronizes the group: all members block until everyone has
-// arrived, then pay the dissemination latency.
-func (g *Group) Barrier(p *sim.Proc) {
-	start := p.Now()
-	g.barrier.Wait(p)
-	p.Delay(sim.Time(g.rounds()) * g.RoundCost)
-	if g.pr.On() {
-		g.pr.SpanArg(g.kBarrier, int64(start), int64(p.Now()), -1)
-	}
-}
-
-// AllReduceSum contributes v and returns the sum over the group. index
-// is the caller's position within the group's rank list.
-func (g *Group) AllReduceSum(p *sim.Proc, index int, v float64) float64 {
-	start := p.Now()
-	g.vals[index] = v
-	g.barrier.Wait(p)
-	if index == 0 {
-		s := 0.0
-		for _, x := range g.vals {
-			s += x
-		}
-		g.reduced = s
-	}
-	// Second phase: everyone sees the result, then leaves together so
-	// the buffer can be reused.
-	g.barrier.Wait(p)
-	out := g.reduced
-	p.Delay(sim.Time(g.rounds()) * g.RoundCost)
-	if g.pr.On() {
-		g.pr.SpanArg(g.kReduce, int64(start), int64(p.Now()), int64(index))
-	}
-	return out
-}
-
-// AllReduceMax contributes v and returns the maximum over the group.
-func (g *Group) AllReduceMax(p *sim.Proc, index int, v float64) float64 {
-	start := p.Now()
-	g.vals[index] = v
-	g.barrier.Wait(p)
-	if index == 0 {
-		m := g.vals[0]
-		for _, x := range g.vals[1:] {
-			if x > m {
-				m = x
-			}
-		}
-		g.reduced = m
-	}
-	g.barrier.Wait(p)
-	out := g.reduced
-	p.Delay(sim.Time(g.rounds()) * g.RoundCost)
-	if g.pr.On() {
-		g.pr.SpanArg(g.kReduce, int64(start), int64(p.Now()), int64(index))
-	}
-	return out
 }

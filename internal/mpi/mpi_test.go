@@ -7,7 +7,6 @@ import (
 	"howsim/internal/cpu"
 	"howsim/internal/netsim"
 	"howsim/internal/osmodel"
-	"howsim/internal/probe"
 	"howsim/internal/sim"
 )
 
@@ -122,85 +121,6 @@ func TestIsendOverlap(t *testing.T) {
 	_ = single
 }
 
-func TestBarrierSynchronizes(t *testing.T) {
-	k, w := buildWorld(t, 8)
-	g := w.NewGroup("g", []int{0, 1, 2, 3, 4, 5, 6, 7})
-	var times []sim.Time
-	for i := 0; i < 8; i++ {
-		i := i
-		k.Spawn("w", func(p *sim.Proc) {
-			p.Delay(sim.Time(i) * sim.Millisecond)
-			g.Barrier(p)
-			times = append(times, p.Now())
-		})
-	}
-	k.Run()
-	for _, tt := range times {
-		if tt < 7*sim.Millisecond {
-			t.Errorf("rank released at %v before last arrival at 7ms", tt)
-		}
-	}
-}
-
-func TestAllReduceSum(t *testing.T) {
-	k, w := buildWorld(t, 4)
-	g := w.NewGroup("g", []int{0, 1, 2, 3})
-	results := make([]float64, 4)
-	for i := 0; i < 4; i++ {
-		i := i
-		k.Spawn("w", func(p *sim.Proc) {
-			results[i] = g.AllReduceSum(p, i, float64(i+1))
-		})
-	}
-	k.Run()
-	for i, r := range results {
-		if r != 10 {
-			t.Errorf("rank %d reduced to %v, want 10", i, r)
-		}
-	}
-}
-
-func TestAllReduceMax(t *testing.T) {
-	k, w := buildWorld(t, 3)
-	g := w.NewGroup("g", []int{0, 1, 2})
-	results := make([]float64, 3)
-	for i := 0; i < 3; i++ {
-		i := i
-		k.Spawn("w", func(p *sim.Proc) {
-			results[i] = g.AllReduceMax(p, i, float64(10-i))
-		})
-	}
-	k.Run()
-	for i, r := range results {
-		if r != 10 {
-			t.Errorf("rank %d max = %v, want 10", i, r)
-		}
-	}
-}
-
-func TestAllReduceReusable(t *testing.T) {
-	k, w := buildWorld(t, 2)
-	g := w.NewGroup("g", []int{0, 1})
-	sums := make([][]float64, 2)
-	for i := 0; i < 2; i++ {
-		i := i
-		k.Spawn("w", func(p *sim.Proc) {
-			for round := 0; round < 3; round++ {
-				sums[i] = append(sums[i], g.AllReduceSum(p, i, float64(round)))
-			}
-		})
-	}
-	k.Run()
-	for i := 0; i < 2; i++ {
-		want := []float64{0, 2, 4}
-		for r, v := range sums[i] {
-			if v != want[r] {
-				t.Errorf("rank %d round %d = %v, want %v", i, r, v, want[r])
-			}
-		}
-	}
-}
-
 func TestMessagingChargesCPU(t *testing.T) {
 	k, w := buildWorld(t, 2)
 	k.Spawn("recv", func(p *sim.Proc) {
@@ -217,73 +137,6 @@ func TestMessagingChargesCPU(t *testing.T) {
 	_, r1, _ := w.Rank(1).Stats()
 	if r != 0 || r1 != 1 {
 		t.Errorf("receive counts: rank0=%d rank1=%d, want 0 and 1", r, r1)
-	}
-}
-
-func TestCollectiveProbeSpans(t *testing.T) {
-	k := sim.NewKernel()
-	sink := probe.NewSink()
-	sink.SetEnabled(true)
-	k.SetProbe(sink)
-	n := netsim.New(k, 0)
-	ft := netsim.NewFatTree(n, 4, netsim.DefaultFatTreeConfig())
-	n.SetTopology(ft)
-	cpus := make([]*cpu.CPU, 4)
-	for i := range cpus {
-		cpus[i] = cpu.New(k, "cpu", 300e6)
-	}
-	w := NewWorld(n, cpus, osmodel.FullFunctionOS())
-	g := w.NewGroup("workers", []int{0, 1, 2})
-	var sum float64
-	for i := 0; i < 3; i++ {
-		i := i
-		k.Spawn("member", func(p *sim.Proc) {
-			p.Delay(sim.Time(i) * sim.Millisecond) // staggered arrival: real wait spans
-			g.Barrier(p)
-			v := g.AllReduceSum(p, i, float64(i+1))
-			if i == 0 {
-				sum = v
-			}
-		})
-	}
-	k.Run()
-	if sum != 6 {
-		t.Fatalf("AllReduceSum = %v, want 6", sum)
-	}
-	inst := -1
-	for i := 0; i < sink.Instances(); i++ {
-		if c, name := sink.Instance(i); c == "mpi" && name == "workers" {
-			inst = i
-		}
-	}
-	if inst < 0 {
-		t.Fatal("no (mpi, workers) probe instance registered")
-	}
-	bDur, bCount, bSum := sink.Cell(inst, sink.KindNamed("barrier_wait"))
-	if bCount != 3 || bSum != -3 {
-		t.Errorf("barrier_wait cell = (count %d, sum %d), want 3 spans with arg -1", bCount, bSum)
-	}
-	if bDur <= 0 {
-		t.Errorf("barrier_wait recorded no wait time (dur %d)", bDur)
-	}
-	rDur, rCount, rSum := sink.Cell(inst, sink.KindNamed("reduce_wait"))
-	if rCount != 3 || rSum != 0+1+2 {
-		t.Errorf("reduce_wait cell = (count %d, sum %d), want 3 spans with rank args 0+1+2", rCount, rSum)
-	}
-	if rDur <= 0 {
-		t.Errorf("reduce_wait recorded no wait time (dur %d)", rDur)
-	}
-	// Each member's span must appear in the ring with its rank argument.
-	ranks := map[int64]int{}
-	sink.EachSpan(func(sp probe.Span) {
-		if int(sp.Inst) == inst && sink.KindName(sp.Kind) == "reduce_wait" {
-			ranks[sp.Arg]++
-		}
-	})
-	for r := int64(0); r < 3; r++ {
-		if ranks[r] != 1 {
-			t.Errorf("reduce_wait span for rank %d recorded %d times, want 1", r, ranks[r])
-		}
 	}
 }
 

@@ -215,7 +215,7 @@ func TestChainMisusePanics(t *testing.T) {
 	}{
 		{"acquire", func(k *Kernel, p *Proc) {
 			r := NewResource(k, "r", 1)
-			r.TryAcquire(1)
+			r.AcquireFunc(k.NewTask("holder"), 1, func() {})
 			r.AcquireFunc(&p.Task, 1, func() {})
 		}},
 		{"transfer", func(k *Kernel, p *Proc) {

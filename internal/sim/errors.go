@@ -2,12 +2,6 @@ package sim
 
 import "errors"
 
-// Sentinel errors returned by the kernel's blocking primitives. They are
-// package-level values so callers can test with errors.Is.
-var (
-	// ErrTimeout reports that a timed wait (Mailbox.GetTimeout,
-	// Resource.AcquireTimeout) expired before the condition was met.
-	ErrTimeout = errors.New("sim: timeout")
-	// ErrClosed reports an operation on a closed mailbox.
-	ErrClosed = errors.New("sim: mailbox closed")
-)
+// ErrClosed reports an operation on a closed mailbox. It is a
+// package-level value so callers can test with errors.Is.
+var ErrClosed = errors.New("sim: mailbox closed")

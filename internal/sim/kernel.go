@@ -408,30 +408,6 @@ func (k *Kernel) AdvanceTo(t Time) {
 // nothing earlier than this") to the other partitions.
 func (k *Kernel) setPublish(fn func(Time)) { k.publish = fn }
 
-// KernelSnapshot is a point-in-time view of a kernel's scheduler state,
-// taken between events. ShardGroup reads it for quiescence detection
-// and stall diagnostics; tests use it to assert partition health.
-type KernelSnapshot struct {
-	Now           Time
-	PendingEvents int
-	Live          int // spawned processes not yet finished
-	LiveTasks     int // bare callback tasks not yet finished
-	Blocked       int // parked without a pending wake event
-}
-
-// Snapshot captures the kernel's scheduler state. Call it only from the
-// goroutine that owns the kernel (between events), like every other
-// kernel method.
-func (k *Kernel) Snapshot() KernelSnapshot {
-	return KernelSnapshot{
-		Now:           k.now,
-		PendingEvents: k.events.len(),
-		Live:          int(k.live),
-		LiveTasks:     k.liveTasks,
-		Blocked:       int(k.blocked),
-	}
-}
-
 // procKilled is the sentinel Shutdown throws through a live process
 // body to unwind it; Proc.runBody absorbs it.
 type procKilled struct{}

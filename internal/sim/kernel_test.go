@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -189,6 +190,38 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 	if k.Live() != 1 {
 		t.Errorf("Live() = %d, want 1", k.Live())
+	}
+}
+
+func TestDeadlockReport(t *testing.T) {
+	k := NewKernel()
+	m := NewMailbox(k, "stuck.queue", 0)
+	r := NewResource(k, "stuck.bus", 1)
+	k.Spawn("reader", func(p *Proc) {
+		m.Get(p) // never satisfied
+	})
+	k.Spawn("grabber", func(p *Proc) {
+		r.Acquire(p, 1)
+		r.Acquire(p, 1) // deadlocks: already holds the only unit
+	})
+	k.Run()
+	if k.Blocked() != 2 {
+		t.Fatalf("Blocked() = %d, want 2", k.Blocked())
+	}
+	rep := k.DeadlockReport()
+	for _, want := range []string{"reader", `get on "stuck.queue"`, "grabber", `acquire on "stuck.bus"`} {
+		if !strings.Contains(rep, want) {
+			t.Errorf("deadlock report missing %q:\n%s", want, rep)
+		}
+	}
+}
+
+func TestDeadlockReportEmptyWhenClean(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("fine", func(p *Proc) { p.Delay(Millisecond) })
+	k.Run()
+	if rep := k.DeadlockReport(); rep != "" {
+		t.Fatalf("clean run produced a deadlock report: %s", rep)
 	}
 }
 

@@ -8,48 +8,10 @@ func wakeAll(q *Ring[*Task]) {
 	}
 }
 
-// waiter is one parked task plus the wait token that was current when
-// it enqueued. An entry whose token no longer matches the task's is
-// stale — the task was woken by a timeout (or an earlier grant) and
-// has left this wait — and wakers skip it. Stored by value; enqueueing
-// never allocates.
-type waiter struct {
-	t   *Task
-	seq uint64
-}
-
-// enqueue records t in q with its current wait token.
-func enqueue(q *Ring[waiter], t *Task) {
-	q.Push(waiter{t: t, seq: t.waitSeq})
-}
-
-// claim consumes w's wait token, reporting whether the entry was still
-// live. A successful claim invalidates every other pending wake source
-// for this wait (stale queue entries, a pending timeout).
-func (w waiter) claim() bool {
-	if w.t.waitSeq != w.seq {
-		return false
-	}
-	w.t.waitSeq++
-	return true
-}
-
-// wakeAllWaiters wakes every live task parked in q, in FIFO order.
-func wakeAllWaiters(q *Ring[waiter]) {
-	for q.Len() > 0 {
-		if w := q.Pop(); w.claim() {
-			w.t.wake()
-		}
-	}
-}
-
-// wakeFirstWaiter wakes the longest-parked live task in q, if any.
-func wakeFirstWaiter(q *Ring[waiter]) {
-	for q.Len() > 0 {
-		if w := q.Pop(); w.claim() {
-			w.t.wake()
-			return
-		}
+// wakeFirst wakes the longest-parked task in q, if any.
+func wakeFirst(q *Ring[*Task]) {
+	if q.Len() > 0 {
+		q.Pop().wake()
 	}
 }
 
@@ -62,8 +24,8 @@ type Mailbox struct {
 	name     string
 	capacity int
 	items    Ring[any]
-	getters  Ring[waiter]
-	putters  Ring[waiter]
+	getters  Ring[*Task]
+	putters  Ring[*Task]
 	puts     int64
 	gets     int64
 	closed   bool
@@ -106,7 +68,7 @@ func (m *Mailbox) Closed() bool { return m.closed }
 // condition callers model as a dead endpoint, not a programming error.
 func (m *Mailbox) Put(p *Proc, v any) error {
 	for m.capacity > 0 && m.items.Len() >= m.capacity && !m.closed {
-		enqueue(&m.putters, &p.Task)
+		m.putters.Push(&p.Task)
 		p.parkBlocked(m.name, "put")
 	}
 	if m.closed {
@@ -114,7 +76,7 @@ func (m *Mailbox) Put(p *Proc, v any) error {
 	}
 	m.items.Push(v)
 	m.puts++
-	wakeFirstWaiter(&m.getters)
+	wakeFirst(&m.getters)
 	return nil
 }
 
@@ -136,7 +98,7 @@ func (m *Mailbox) completePut(t *Task) {
 	if m.capacity > 0 && m.items.Len() >= m.capacity && !m.closed {
 		t.waitMb = m
 		t.parkWait(taskWaitPut, m.name, "put")
-		enqueue(&m.putters, t)
+		m.putters.Push(t)
 		return
 	}
 	fn := t.putCont
@@ -150,7 +112,7 @@ func (m *Mailbox) completePut(t *Task) {
 	}
 	m.items.Push(v)
 	m.puts++
-	wakeFirstWaiter(&m.getters)
+	wakeFirst(&m.getters)
 	if fn != nil {
 		fn(nil)
 	}
@@ -163,7 +125,7 @@ func (m *Mailbox) TryPut(v any) bool {
 	}
 	m.items.Push(v)
 	m.puts++
-	wakeFirstWaiter(&m.getters)
+	wakeFirst(&m.getters)
 	return true
 }
 
@@ -172,7 +134,7 @@ func (m *Mailbox) TryPut(v any) bool {
 // otherwise it returns (msg, true).
 func (m *Mailbox) Get(p *Proc) (any, bool) {
 	for m.items.Len() == 0 && !m.closed {
-		enqueue(&m.getters, &p.Task)
+		m.getters.Push(&p.Task)
 		p.parkBlocked(m.name, "get")
 	}
 	if m.items.Len() == 0 {
@@ -180,7 +142,7 @@ func (m *Mailbox) Get(p *Proc) (any, bool) {
 	}
 	v := m.items.Pop()
 	m.gets++
-	wakeFirstWaiter(&m.putters)
+	wakeFirst(&m.putters)
 	return v, true
 }
 
@@ -202,7 +164,7 @@ func (m *Mailbox) completeGet(t *Task) {
 	if m.items.Len() == 0 && !m.closed {
 		t.waitMb = m
 		t.parkWait(taskWaitGet, m.name, "get")
-		enqueue(&m.getters, t)
+		m.getters.Push(t)
 		return
 	}
 	fn := t.getCont
@@ -213,46 +175,8 @@ func (m *Mailbox) completeGet(t *Task) {
 	}
 	v := m.items.Pop()
 	m.gets++
-	wakeFirstWaiter(&m.putters)
+	wakeFirst(&m.putters)
 	fn(v, true)
-}
-
-// GetTimeout is Get with a deadline d from now. It returns ErrTimeout if
-// no message arrives in time and ErrClosed if the mailbox closes (and
-// drains) first. When a message and the expiry land on the same
-// timestamp, event order decides — whichever wake was scheduled first
-// wins, and the loser's wake is suppressed, so the outcome is
-// deterministic and the process is woken exactly once.
-func (m *Mailbox) GetTimeout(p *Proc, d Time) (any, error) {
-	deadline := p.k.now + d
-	for m.items.Len() == 0 && !m.closed {
-		remaining := deadline - p.k.now
-		if remaining <= 0 {
-			return nil, ErrTimeout
-		}
-		seq := p.waitSeq
-		t := p.k.NewTimer(remaining, func() {
-			if p.waitSeq == seq {
-				p.waitSeq++
-				p.timedOut = true
-				p.wake()
-			}
-		})
-		enqueue(&m.getters, &p.Task)
-		p.parkBlocked(m.name, "get")
-		if p.timedOut {
-			p.timedOut = false
-			return nil, ErrTimeout
-		}
-		t.Stop()
-	}
-	if m.items.Len() == 0 {
-		return nil, ErrClosed
-	}
-	v := m.items.Pop()
-	m.gets++
-	wakeFirstWaiter(&m.putters)
-	return v, nil
 }
 
 // TryGet dequeues a message without blocking, reporting success.
@@ -262,7 +186,7 @@ func (m *Mailbox) TryGet() (any, bool) {
 	}
 	v := m.items.Pop()
 	m.gets++
-	wakeFirstWaiter(&m.putters)
+	wakeFirst(&m.putters)
 	return v, true
 }
 
@@ -273,8 +197,8 @@ func (m *Mailbox) Close() {
 		return
 	}
 	m.closed = true
-	wakeAllWaiters(&m.getters)
-	wakeAllWaiters(&m.putters)
+	wakeAll(&m.getters)
+	wakeAll(&m.putters)
 }
 
 // Barrier blocks a fixed-size group of processes until all have arrived,
@@ -420,9 +344,6 @@ func (wg *WaitGroup) Add(n int) {
 
 // Done decrements the count by one.
 func (wg *WaitGroup) Done() { wg.Add(-1) }
-
-// Count returns the current count.
-func (wg *WaitGroup) Count() int { return wg.count }
 
 // Wait blocks p until the count is zero.
 func (wg *WaitGroup) Wait(p *Proc) {

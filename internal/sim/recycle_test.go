@@ -146,8 +146,9 @@ func TestRecycledKernelIsFresh(t *testing.T) {
 			end.run(k)
 			k.Shutdown()
 			k.Recycle()
-			if k.Now() != 0 || k.Live() != 0 || k.Blocked() != 0 || k.Snapshot() != (KernelSnapshot{}) {
-				t.Errorf("recycled kernel reads %+v, want %+v", k.Snapshot(), KernelSnapshot{})
+			if k.Now() != 0 || k.Live() != 0 || k.Blocked() != 0 || k.liveTasks != 0 || k.events.len() != 0 {
+				t.Errorf("recycled kernel reads now %v, %d live, %d blocked, %d live tasks, %d events; want all 0",
+					k.Now(), k.Live(), k.Blocked(), k.liveTasks, k.events.len())
 			}
 			if nt, ok := k.NextEventTime(); ok {
 				t.Errorf("recycled kernel has an event pending at %v", nt)
@@ -245,7 +246,7 @@ func populateForRetention(k *Kernel, finalized *atomic.Int32) int32 {
 	}
 	o5 := obj()
 	held := NewResource(k, "held", 1)
-	held.TryAcquire(1)
+	held.AcquireFunc(k.NewTask("holder"), 1, func() {})
 	held.AcquireFunc(k.NewTask("parked-task"), 1, func() { o5[0]++ })
 	o6 := obj()
 	k.After(Second, func() { o6[0]++ })

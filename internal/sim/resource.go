@@ -26,13 +26,10 @@ type Resource struct {
 // resWaiter records one parked acquisition. It is stored by value in the
 // resource's waiter queue; the grant flag lives on the Task (a task
 // waits on at most one resource at a time), so enqueueing never
-// allocates. seq is the task's wait token at enqueue time: a timed-out
-// waiter invalidates its entry by bumping the token, and admit skips the
-// stale entry instead of granting to a process that has left.
+// allocates.
 type resWaiter struct {
 	t      *Task
 	amount int64
-	seq    uint64
 }
 
 // NewResource creates a resource with the given capacity (units are
@@ -145,65 +142,7 @@ func (r *Resource) acquireTask(t *Task, amount int64, kind taskWait) bool {
 // sets t.granted and wakes t when they are claimed.
 func (r *Resource) enqueue(t *Task, amount int64) {
 	t.granted = false
-	r.waiters.Push(resWaiter{t: t, amount: amount, seq: t.waitSeq})
-}
-
-// AcquireTimeout is Acquire with a deadline d from now: it returns nil
-// once the units are claimed, or ErrTimeout if the grant does not arrive
-// in time (no units are held in that case). A grant and the expiry
-// landing on the same timestamp are arbitrated by event order — exactly
-// one wins, deterministically — and a timed-out waiter at the head of
-// the FIFO queue does not keep blocking the waiters behind it.
-func (r *Resource) AcquireTimeout(p *Proc, amount int64, d Time) error {
-	if amount <= 0 {
-		return nil
-	}
-	if amount > r.capacity {
-		panic(fmt.Sprintf("sim: acquire %d exceeds capacity %d of %s", amount, r.capacity, r.name))
-	}
-	if r.waiters.Len() == 0 && r.inUse+amount <= r.capacity {
-		r.account()
-		r.inUse += amount
-		r.grants++
-		return nil
-	}
-	p.granted = false
-	seq := p.waitSeq
-	t := r.k.NewTimer(d, func() {
-		if p.waitSeq == seq && !p.granted {
-			p.waitSeq++
-			p.timedOut = true
-			p.wake()
-		}
-	})
-	r.waiters.Push(resWaiter{t: &p.Task, amount: amount, seq: seq})
-	for !p.granted {
-		p.parkBlocked(r.name, "acquire")
-		if p.timedOut {
-			p.timedOut = false
-			// Our (now stale) entry may sit at the head of the queue;
-			// re-run admission so later waiters are not blocked behind it.
-			r.admit()
-			return ErrTimeout
-		}
-	}
-	t.Stop()
-	return nil
-}
-
-// TryAcquire claims amount units if they are immediately available and
-// no earlier waiter is queued; it reports whether it succeeded.
-func (r *Resource) TryAcquire(amount int64) bool {
-	if amount <= 0 {
-		return true
-	}
-	if r.waiters.Len() > 0 || r.inUse+amount > r.capacity {
-		return false
-	}
-	r.account()
-	r.inUse += amount
-	r.grants++
-	return true
+	r.waiters.Push(resWaiter{t: t, amount: amount})
 }
 
 // Release returns amount units to the resource and admits as many queued
@@ -221,30 +160,13 @@ func (r *Resource) Release(amount int64) {
 }
 
 func (r *Resource) admit() {
-	for r.waiters.Len() > 0 {
-		head := r.waiters.At(0)
-		if head.t.waitSeq != head.seq {
-			r.waiters.Pop() // stale: the waiter timed out and left
-			continue
-		}
-		if r.inUse+head.amount > r.capacity {
-			return
-		}
+	for r.waiters.Len() > 0 && r.inUse+r.waiters.At(0).amount <= r.capacity {
 		w := r.waiters.Pop()
 		r.inUse += w.amount
 		r.grants++
 		w.t.granted = true
-		w.t.waitSeq++
 		w.t.wake()
 	}
-}
-
-// Use acquires amount units, runs fn, and releases them. It is the
-// common "hold the resource for the duration of an operation" pattern.
-func (r *Resource) Use(p *Proc, amount int64, fn func()) {
-	r.Acquire(p, amount)
-	defer r.Release(amount)
-	fn()
 }
 
 // Mutex is a binary resource: a convenience wrapper for capacity-1
@@ -261,6 +183,3 @@ func (m *Mutex) Lock(p *Proc) { m.r.Acquire(p, 1) }
 
 // Unlock releases the mutex.
 func (m *Mutex) Unlock() { m.r.Release(1) }
-
-// With runs fn while holding the mutex.
-func (m *Mutex) With(p *Proc, fn func()) { m.r.Use(p, 1, fn) }

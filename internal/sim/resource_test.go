@@ -81,25 +81,6 @@ func TestResourceNoBargingPastLargeWaiter(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "r", 2)
-	k.Spawn("a", func(p *Proc) {
-		if !r.TryAcquire(2) {
-			t.Error("TryAcquire(2) on empty resource should succeed")
-		}
-		if r.TryAcquire(1) {
-			t.Error("TryAcquire(1) on full resource should fail")
-		}
-		r.Release(2)
-		if !r.TryAcquire(1) {
-			t.Error("TryAcquire(1) after release should succeed")
-		}
-		r.Release(1)
-	})
-	k.Run()
-}
-
 func TestAcquireOverCapacityPanics(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "r", 1)
@@ -151,14 +132,14 @@ func TestMutex(t *testing.T) {
 	maxInside := 0
 	for i := 0; i < 4; i++ {
 		k.Spawn("w", func(p *Proc) {
-			m.With(p, func() {
-				inside++
-				if inside > maxInside {
-					maxInside = inside
-				}
-				p.Delay(Millisecond)
-				inside--
-			})
+			m.Lock(p)
+			inside++
+			if inside > maxInside {
+				maxInside = inside
+			}
+			p.Delay(Millisecond)
+			inside--
+			m.Unlock()
 		})
 	}
 	k.Run()

@@ -238,9 +238,6 @@ type Shard struct {
 // on it; only the leaf's own processes may block on them.
 func (sh *Shard) Kernel() *Kernel { return sh.k }
 
-// ID returns the shard's index within its group.
-func (sh *Shard) ID() int { return int(sh.id) }
-
 // Call executes fn on the hub and blocks p until it completes. fn runs
 // on a hub proxy process at the current virtual time and may use every
 // blocking primitive of the hub's model components; it must not touch

@@ -497,3 +497,48 @@ func TestShardGroupRunTwicePanics(t *testing.T) {
 	g.Run()
 	mustPanic(t, "second Run", func() { g.Run() })
 }
+
+// TestShardGroupDeadlockReportNaming: parked processes on the hub and
+// on different leaves must all appear in the group report, each section
+// prefixed with the kernel it came from.
+func TestShardGroupDeadlockReportNaming(t *testing.T) {
+	g := NewShardGroup(2)
+	defer g.Close()
+	hubBox := NewMailbox(g.Hub(), "hub.queue", 0)
+	g.Hub().Spawn("hubreader", func(p *Proc) {
+		hubBox.Get(p) // never satisfied
+	})
+	k1 := g.Shard(1).Kernel()
+	r := NewResource(k1, "leaf.bus", 1)
+	k1.Spawn("grabber", func(p *Proc) {
+		r.Acquire(p, 1)
+		r.Acquire(p, 1) // deadlocks: already holds the only unit
+	})
+	g.Run()
+	rep := g.DeadlockReport()
+	for _, want := range []string{
+		"hub:", "hubreader", `get on "hub.queue"`,
+		"shard 1:", "grabber", `acquire on "leaf.bus"`,
+	} {
+		if !strings.Contains(rep, want) {
+			t.Errorf("group deadlock report missing %q:\n%s", want, rep)
+		}
+	}
+	if strings.Contains(rep, "shard 0") {
+		t.Errorf("group deadlock report names the clean shard 0:\n%s", rep)
+	}
+}
+
+// TestShardGroupDeadlockReportEmptyWhenClean: a clean sharded run must
+// produce an empty group report.
+func TestShardGroupDeadlockReportEmptyWhenClean(t *testing.T) {
+	g := NewShardGroup(2)
+	defer g.Close()
+	for i := 0; i < 2; i++ {
+		g.Shard(i).Kernel().Spawn("fine", func(p *Proc) { p.Delay(Millisecond) })
+	}
+	g.Run()
+	if rep := g.DeadlockReport(); rep != "" {
+		t.Fatalf("clean sharded run produced a deadlock report: %s", rep)
+	}
+}

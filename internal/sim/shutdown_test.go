@@ -84,9 +84,8 @@ func TestShutdownFinishesCallbackTasks(t *testing.T) {
 	if rep := k.DeadlockReport(); rep != "" {
 		t.Fatalf("DeadlockReport after Shutdown:\n%s", rep)
 	}
-	snap := k.Snapshot()
-	if snap.LiveTasks != 0 {
-		t.Fatalf("LiveTasks = %d after Shutdown, want 0", snap.LiveTasks)
+	if k.liveTasks != 0 {
+		t.Fatalf("liveTasks = %d after Shutdown, want 0", k.liveTasks)
 	}
 }
 

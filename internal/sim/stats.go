@@ -1,13 +1,5 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"howsim/internal/probe"
-)
-
 // Breakdown accumulates named buckets of virtual time — the mechanism
 // behind per-phase execution-time breakdowns such as the paper's
 // Figure 3 (partitioner / append / sort / idle, merge / idle).
@@ -55,142 +47,4 @@ func (b *Breakdown) Fraction(name string) float64 {
 		return 0
 	}
 	return float64(b.buckets[name]) / float64(total)
-}
-
-// Merge adds every bucket of other into b.
-func (b *Breakdown) Merge(other *Breakdown) {
-	for _, name := range other.order {
-		b.Add(name, other.buckets[name])
-	}
-}
-
-// Scale multiplies every bucket by f (used to average per-node
-// breakdowns).
-func (b *Breakdown) Scale(f float64) {
-	for name := range b.buckets {
-		b.buckets[name] = Time(float64(b.buckets[name]) * f)
-	}
-}
-
-// String renders the breakdown as "name=12.3% (4.56s)" terms sorted by
-// first use.
-func (b *Breakdown) String() string {
-	var sb strings.Builder
-	for i, name := range b.order {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "%s=%.1f%% (%v)", name, 100*b.Fraction(name), b.buckets[name])
-	}
-	return sb.String()
-}
-
-// PhaseTimer attributes a process's elapsed virtual time to breakdown
-// buckets. Between Mark calls, time accrues to the current bucket.
-// (Distinct from Timer, the kernel's cancellable one-shot alarm.)
-type PhaseTimer struct {
-	p       *Proc
-	b       *Breakdown
-	current string
-	since   Time
-	pr      probe.Ref
-}
-
-// NewPhaseTimer starts attributing p's time to the named bucket of b.
-// When an observability sink is attached to p's kernel, each closed
-// bucket segment is also emitted as a task-component span, so phase
-// timelines appear in traces without extra wiring.
-func NewPhaseTimer(p *Proc, b *Breakdown, bucket string) *PhaseTimer {
-	return &PhaseTimer{p: p, b: b, current: bucket, since: p.Now(),
-		pr: p.k.Probe().Register("task", p.name)}
-}
-
-// Mark closes the current bucket at the current time and switches
-// attribution to the named bucket.
-func (t *PhaseTimer) Mark(bucket string) {
-	now := t.p.Now()
-	t.b.Add(t.current, now-t.since)
-	t.emit(now)
-	t.current = bucket
-	t.since = now
-}
-
-// Stop closes the current bucket. The timer must not be used afterwards.
-func (t *PhaseTimer) Stop() {
-	t.b.Add(t.current, t.p.Now()-t.since)
-	t.emit(t.p.Now())
-	t.current = ""
-}
-
-func (t *PhaseTimer) emit(now Time) {
-	if t.pr.On() {
-		t.pr.Span(t.pr.KindNamed(t.current), int64(t.since), int64(now))
-	}
-}
-
-// Counter is a named monotonically increasing tally (bytes shipped,
-// requests issued, cache hits, ...).
-type Counter struct {
-	name string
-	n    int64
-}
-
-// NewCounter returns a zeroed counter.
-func NewCounter(name string) *Counter { return &Counter{name: name} }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.n += n }
-
-// Value returns the current tally.
-func (c *Counter) Value() int64 { return c.n }
-
-// Name returns the counter's name.
-func (c *Counter) Name() string { return c.name }
-
-// Gauge tracks a quantity that rises and falls, remembering its maximum
-// (e.g. peak memory use of a disklet's stream buffers).
-type Gauge struct {
-	name string
-	cur  int64
-	max  int64
-}
-
-// NewGauge returns a zeroed gauge.
-func NewGauge(name string) *Gauge { return &Gauge{name: name} }
-
-// Add moves the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) {
-	g.cur += delta
-	if g.cur > g.max {
-		g.max = g.cur
-	}
-}
-
-// Current returns the present value.
-func (g *Gauge) Current() int64 { return g.cur }
-
-// Max returns the high-water mark.
-func (g *Gauge) Max() int64 { return g.max }
-
-// Name returns the gauge's name.
-func (g *Gauge) Name() string { return g.name }
-
-// SortedBuckets returns (name, time) pairs of a breakdown sorted by
-// descending time, for reporting.
-func (b *Breakdown) SortedBuckets() []struct {
-	Name string
-	T    Time
-} {
-	out := make([]struct {
-		Name string
-		T    Time
-	}, 0, len(b.order))
-	for _, name := range b.order {
-		out = append(out, struct {
-			Name string
-			T    Time
-		}{name, b.buckets[name]})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].T > out[j].T })
-	return out
 }

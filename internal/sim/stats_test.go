@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestBreakdownAccumulatesAndFractions(t *testing.T) {
 	b := NewBreakdown()
@@ -28,79 +25,9 @@ func TestBreakdownAccumulatesAndFractions(t *testing.T) {
 	}
 }
 
-func TestBreakdownMergeAndScale(t *testing.T) {
-	a := NewBreakdown()
-	a.Add("x", 2*Second)
-	b := NewBreakdown()
-	b.Add("x", Second)
-	b.Add("y", Second)
-	a.Merge(b)
-	if a.Get("x") != 3*Second || a.Get("y") != Second {
-		t.Errorf("merge gave x=%v y=%v", a.Get("x"), a.Get("y"))
-	}
-	a.Scale(0.5)
-	if a.Get("x") != 1500*Millisecond {
-		t.Errorf("scaled x = %v, want 1.5s", a.Get("x"))
-	}
-}
-
-func TestBreakdownSortedBuckets(t *testing.T) {
-	b := NewBreakdown()
-	b.Add("small", Millisecond)
-	b.Add("big", Second)
-	sorted := b.SortedBuckets()
-	if sorted[0].Name != "big" || sorted[1].Name != "small" {
-		t.Errorf("SortedBuckets = %v, want descending", sorted)
-	}
-	if !strings.Contains(b.String(), "big=") {
-		t.Errorf("String() = %q", b.String())
-	}
-}
-
-func TestTimerAttributesElapsedTime(t *testing.T) {
-	k := NewKernel()
-	b := NewBreakdown()
-	k.Spawn("w", func(p *Proc) {
-		tm := NewPhaseTimer(p, b, "phase1")
-		p.Delay(2 * Second)
-		tm.Mark("phase2")
-		p.Delay(3 * Second)
-		tm.Stop()
-	})
-	k.Run()
-	if b.Get("phase1") != 2*Second {
-		t.Errorf("phase1 = %v, want 2s", b.Get("phase1"))
-	}
-	if b.Get("phase2") != 3*Second {
-		t.Errorf("phase2 = %v, want 3s", b.Get("phase2"))
-	}
-}
-
-func TestCounterAndGauge(t *testing.T) {
-	c := NewCounter("bytes")
-	c.Add(100)
-	c.Add(50)
-	if c.Value() != 150 || c.Name() != "bytes" {
-		t.Errorf("counter = %d %q", c.Value(), c.Name())
-	}
-	g := NewGauge("mem")
-	g.Add(10)
-	g.Add(20)
-	g.Add(-25)
-	if g.Current() != 5 {
-		t.Errorf("gauge current = %d, want 5", g.Current())
-	}
-	if g.Max() != 30 {
-		t.Errorf("gauge max = %d, want 30", g.Max())
-	}
-}
-
 func TestBreakdownEmpty(t *testing.T) {
 	b := NewBreakdown()
 	if b.Total() != 0 || b.Fraction("x") != 0 || len(b.Names()) != 0 {
 		t.Error("empty breakdown misbehaves")
-	}
-	if b.String() != "" {
-		t.Errorf("empty String() = %q", b.String())
 	}
 }

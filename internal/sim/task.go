@@ -35,8 +35,8 @@ const (
 // never allocates, which is what makes the event-driven fast path
 // allocation-free in steady state.
 //
-// A Task is 176 bytes: every MPI send in flight holds a bare one, and
-// every process embeds one. The 13 bytes of flags share one word, one
+// A Task is 168 bytes: every MPI send in flight holds a bare one, and
+// every process embeds one. The 12 bytes of flags share two words, one
 // continuation slot (cont) serves both the resource and the signal
 // waits, the transfer's steps dispatch by waitKind instead of through
 // stored method values, and the chain state that only processes use
@@ -59,9 +59,6 @@ type Task struct {
 	// lets the waiter queue hold plain values instead of allocating a
 	// per-wait record.
 	granted bool
-	// timedOut is set by a timeout wake so the resumed process can tell
-	// expiry apart from a grant.
-	timedOut bool
 	// waitKind is the primitive a callback-mode wait is parked on (see
 	// dispatch); taskWaitNone while the task is not in one. A pipe
 	// transfer's hold sets it too, so the hold's end dispatches here.
@@ -77,13 +74,6 @@ type Task struct {
 	// with the other flags so Proc stays in a smaller size class.
 	fromRun bool
 
-	// waitSeq is the task's wait token. Entries in waiter queues carry
-	// the token current when they enqueued; any waker (a grant or a
-	// timeout) increments it before scheduling the wake, which both marks
-	// other queued entries for this task stale and guarantees at most
-	// one wake per wait — the arbitration that makes timed waits safe
-	// when a grant and an expiry land on the same timestamp.
-	waitSeq uint64
 	// waitObj/waitOp describe the current blocking wait site (primitive
 	// name and operation) for deadlock reporting. Both are empty while
 	// the task is runnable or sleeping on a timer. Two fields instead
@@ -259,9 +249,9 @@ func (t *Task) dispatch() {
 		t.unpark()
 		t.waitMb.completePut(t)
 	case taskWaitAcquire, taskWaitSignal:
-		// A resource wake is always a grant (admit claimed our token and
-		// took the units before scheduling the wake), and signals never
-		// unfire, so a wake from Fire is definitive: nothing to re-check.
+		// A resource wake is always a grant (admit took the units before
+		// scheduling the wake), and signals never unfire, so a wake from
+		// Fire is definitive: nothing to re-check.
 		t.unpark()
 		cont := t.cont
 		t.cont = nil

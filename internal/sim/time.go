@@ -51,9 +51,6 @@ func (t Time) String() string {
 	}
 }
 
-// FromSeconds converts a floating-point number of seconds to Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
-
 // TransferTime returns the time needed to move bytes at bytesPerSec.
 // It rounds up to the next nanosecond so that a nonzero transfer always
 // takes nonzero time.

@@ -7,11 +7,10 @@
 // the component the paper identifies as the bottleneck.
 //
 // The package also provides the software substrate the paper assumes:
-// one-way block transfers (shmemput/shmemget), remote queues, spin
-// locks, global barriers, a striping library (64 KB chunk per disk,
-// four 256 KB asynchronous requests per processor), and shared
-// self-scheduling block queues that keep the overall request sequence
-// close to the on-disk layout.
+// one-way block transfers (shmemput/shmemget), a striping library
+// (64 KB chunk per disk, four 256 KB asynchronous requests per
+// processor), and shared self-scheduling block queues that keep the
+// overall request sequence close to the on-disk layout.
 package smp
 
 import (
@@ -243,9 +242,6 @@ func (m *Machine) NewStripe(diskIdx []int, baseOffset int64) *Stripe {
 	}
 	return &Stripe{m: m, disks: append([]int(nil), diskIdx...), chunk: m.Cfg.StripeChunk, baseOffset: baseOffset}
 }
-
-// Disks returns the number of member disks.
-func (s *Stripe) Disks() int { return len(s.disks) }
 
 // member returns the index into the stripe's disks of the member that
 // holds the chunk at logical offset.
@@ -508,30 +504,3 @@ func (q *BlockQueue) Next(p *sim.Proc, c *cpu.CPU) (offset, length int64, ok boo
 	q.mu.Unlock()
 	return offset, length, true
 }
-
-// RemoteQueue is the Brewer et al. remote-queue abstraction: a receiver-
-// resident message queue written with one-way block transfers.
-type RemoteQueue struct {
-	m  *Machine
-	mb *sim.Mailbox
-}
-
-// NewRemoteQueue creates a remote queue owned by one processor.
-func (m *Machine) NewRemoteQueue(name string, capacity int) *RemoteQueue {
-	return &RemoteQueue{m: m, mb: sim.NewMailbox(m.K, name, capacity)}
-}
-
-// Enqueue block-transfers bytes into the remote queue and deposits the
-// descriptor. It returns sim.ErrClosed when the receiver has closed the
-// queue (the descriptor is dropped, as a one-way write to a retired
-// queue would be).
-func (q *RemoteQueue) Enqueue(p *sim.Proc, bytes int64, payload any) error {
-	q.m.BlockTransfer(p, bytes)
-	return q.mb.Put(p, payload)
-}
-
-// Dequeue blocks until a descriptor is available.
-func (q *RemoteQueue) Dequeue(p *sim.Proc) (any, bool) { return q.mb.Get(p) }
-
-// Close marks the queue finished.
-func (q *RemoteQueue) Close() { q.mb.Close() }

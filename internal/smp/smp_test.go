@@ -196,32 +196,6 @@ func TestBlockTransferRate(t *testing.T) {
 	}
 }
 
-func TestRemoteQueue(t *testing.T) {
-	k := sim.NewKernel()
-	m := New(k, DefaultConfig(4))
-	q := m.NewRemoteQueue("rq", 0)
-	var got []int
-	k.Spawn("recv", func(p *sim.Proc) {
-		for {
-			v, ok := q.Dequeue(p)
-			if !ok {
-				return
-			}
-			got = append(got, v.(int))
-		}
-	})
-	k.Spawn("send", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			q.Enqueue(p, 1<<20, i)
-		}
-		q.Close()
-	})
-	k.Run()
-	if len(got) != 3 || got[0] != 0 || got[2] != 2 {
-		t.Errorf("remote queue delivered %v", got)
-	}
-}
-
 // TestStripeReadAllocatesNothing checks a steady-state striped read
 // allocates nothing: its chunk requests and member scratch come from
 // the machine's free list.
