@@ -101,25 +101,41 @@ func TestExecModeShardedTaskEquivalence(t *testing.T) {
 	}
 }
 
-// TestExecModeFaultEquivalence runs tasks under a deterministic fault
-// plan — media retries, latency spikes, a permanent drive failure with
-// replica recovery — and compares the rendered fault reports with the
-// goldens. This covers the disk retry/backoff path and the closed-queue
-// retirement of the substrate service loops.
+// TestExecModeFaultEquivalence runs tasks under deterministic fault
+// plans and compares the rendered fault reports with the goldens. The
+// first plan — media retries, latency spikes, a permanent drive failure
+// with replica recovery — covers the disk retry/backoff path and the
+// closed-queue retirement of the substrate service loops. The outage
+// plans stall a cluster's netsim link and local buses and each SMP bus
+// in windows where each stall moves the elapsed time.
 func TestExecModeFaultEquivalence(t *testing.T) {
-	plan, err := fault.ParsePlan("seed=42,media=0.002,slow=0.001,fail=3@50ms,replica")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faulted := func(cfg arch.Config, task workload.TaskID) func(tasks.ExecMode) string {
-		return func(m tasks.ExecMode) string {
-			ds := workload.ForTask(task).Scaled(1 << 22)
-			r := run(cfg, task, ds, plan, nil, m)
-			return r.Elapsed.String() + "\n" + r.Fault.Render()
+	const drives = "seed=42,media=0.002,slow=0.001,fail=3@50ms,replica"
+	for _, c := range []struct {
+		name string
+		cfg  arch.Config
+		task workload.TaskID
+		plan string
+	}{
+		{"faulted select on active disks", arch.ActiveDisks(8), workload.Select, drives},
+		{"faulted sort on cluster", arch.Cluster(4), workload.Sort, drives},
+		{"outaged sort on cluster", arch.Cluster(4), workload.Sort,
+			"seed=5,outage=node0.up@40ms+21ms,outage=node2.scsi@240ms+21ms"},
+		{"outaged groupby on cluster", arch.Cluster(4), workload.GroupBy,
+			"seed=5,outage=node0.up@72ms+5ms,outage=node2.scsi@32ms+5ms"},
+		{"outaged sort on smp", arch.SMP(4), workload.Sort,
+			"seed=5,outage=smp.fc@116ms+30ms,outage=smp.xio@464ms+30ms,outage=smp.ic@58ms+30ms"},
+		{"outaged groupby on smp", arch.SMP(4), workload.GroupBy, "seed=5,outage=smp.fc@60ms+6ms"},
+	} {
+		plan, err := fault.ParsePlan(c.plan)
+		if err != nil {
+			t.Fatal(err)
 		}
+		modeCompare(t, c.name, func(m tasks.ExecMode) string {
+			ds := workload.ForTask(c.task).Scaled(1 << 22)
+			r := run(c.cfg, c.task, ds, plan, nil, m)
+			return r.Elapsed.String() + "\n" + r.Fault.Render()
+		})
 	}
-	modeCompare(t, "faulted select on active disks", faulted(arch.ActiveDisks(8), workload.Select))
-	modeCompare(t, "faulted sort on cluster", faulted(arch.Cluster(4), workload.Sort))
 }
 
 // TestExecModeShardedFaultEquivalence pins faulted runs of the tasks

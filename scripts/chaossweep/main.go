@@ -49,12 +49,24 @@ func (r *rng) float() float64 { return float64(r.next()>>11) / float64(1<<53) }
 // intn returns a uniform int in [0, n).
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
+// outageNames lists, per architecture, the four interconnects an
+// outage clause may name on a 4-disk machine: the loop (drawn twice, as
+// it carries most Active Disk traffic) and the front-end's adaptor and
+// PCI bus; a cluster's network links and node buses; the SMP's buses.
+var outageNames = map[arch.Kind][4]string{
+	arch.KindActiveDisk: {"fcal0", "fe.fc", "fe.pci", "fcal0"},
+	arch.KindCluster:    {"node0.up", "node3.down", "node1.scsi", "node2.pci"},
+	arch.KindSMP:        {"smp.fc", "smp.xio", "smp.ic", "smp.fc"},
+}
+
 // genPlan derives one fault plan from the stream. Roughly half the
 // clauses are present in any given plan, so sweeps cover both isolated
 // faults and pile-ups. A plan that drew no clause gets a media-error
 // clause: an empty plan is no plan, and the run would attach no
-// FaultReport.
-func genPlan(r *rng, disks int) *fault.Plan {
+// FaultReport. An outage clause is left unnamed: the architecture is
+// drawn after the plan, so genPlan returns the drawn index into
+// outageNames (-1 without an outage) for the caller to name it.
+func genPlan(r *rng, disks int) (*fault.Plan, int) {
 	p := fault.NewPlan(r.next())
 	if r.float() < 0.6 {
 		p.MediaRate = r.float() * 0.02
@@ -84,18 +96,18 @@ func genPlan(r *rng, disks int) *fault.Plan {
 			Factor: 1.5 + r.float()*6,
 		})
 	}
+	outage := -1
 	if r.float() < 0.4 {
-		names := []string{"fcal0", "fcal1", "node1.scsi", "node2.pci"}
 		start := sim.Time(r.intn(200)) * sim.Millisecond
+		outage = r.intn(4)
 		p.Outages = append(p.Outages, fault.LinkOutage{
-			Name:   names[r.intn(len(names))],
 			Window: fault.Window{Start: start, End: start + sim.Time(1+r.intn(50))*sim.Millisecond},
 		})
 	}
 	if p.Empty() {
 		p.MediaRate = 0.001 + r.float()*0.019
 	}
-	return p
+	return p, outage
 }
 
 func main() {
@@ -120,7 +132,12 @@ func main() {
 
 	for i := 0; i < *runs; i++ {
 		r := &rng{s: *seed + uint64(i)*0x5851f42d4c957f2d}
-		plan := genPlan(r, disks)
+		plan, outage := genPlan(r, disks)
+		cfg := cfgs[r.intn(len(cfgs))]
+		task := pool[r.intn(len(pool))]
+		if outage >= 0 {
+			plan.Outages[0].Name = outageNames[cfg.Kind][outage]
+		}
 
 		// The canonical form must survive the plan grammar unchanged.
 		parsed, err := fault.ParsePlan(plan.String())
@@ -133,8 +150,6 @@ func main() {
 			continue
 		}
 
-		cfg := cfgs[r.intn(len(cfgs))]
-		task := pool[r.intn(len(pool))]
 		ds := workload.ForTask(task)
 		bytes := int64(*scale * float64(ds.TotalBytes))
 		if bytes < 8<<20 {
