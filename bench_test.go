@@ -163,7 +163,7 @@ func BenchmarkAblationLoopGranularity(b *testing.B) {
 		pipe.Frame = frame
 		var smallDone sim.Time
 		k.Spawn("bulk", func(p *sim.Proc) {
-			pipe.TransferSegmented(p, 512<<20)
+			pipe.Transfer(p, 512<<20)
 		})
 		k.Spawn("ctl", func(p *sim.Proc) {
 			p.Delay(sim.Millisecond)

@@ -42,7 +42,7 @@ var Analyzer = &analysis.Analyzer{
 // argument passed to one of these runs in kernel context.
 var registrars = map[string]bool{
 	"GetFunc": true, "PutFunc": true, "AcquireFunc": true,
-	"TransferFunc": true, "TransferSegmentedFunc": true, "WaitFunc": true, "BusyFunc": true,
+	"TransferFunc": true, "WaitFunc": true, "BusyFunc": true,
 	"SendFunc": true, "At": true, "After": true,
 	// Proc.Chain runs its start step with the process asleep in a
 	// chain: the step must issue callback forms, never block.
@@ -259,8 +259,8 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 		if recv := sig.Recv(); recv != nil {
 			rn := typeName(recv.Type())
 			if rn == "Kernel" {
-				// Kernel methods taking a *Proc (Handoff, scheduling
-				// internals) ARE the kernel context — never blocking.
+				// Kernel methods taking a *Proc (scheduling internals)
+				// ARE the kernel context — never blocking.
 				return "", false
 			}
 			name = rn + "." + name

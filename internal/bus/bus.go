@@ -11,29 +11,13 @@
 // transfers.
 package bus
 
-import (
-	"sort"
+import "howsim/internal/sim"
 
-	"howsim/internal/fault"
-	"howsim/internal/probe"
-	"howsim/internal/sim"
-)
-
-// Bus is a shared transfer medium.
+// Bus is a shared transfer medium: a sim.Pipe whose Frame is the
+// arbitration granularity in bytes, and whose outage windows stall
+// transfers frame by frame.
 type Bus struct {
-	k    *sim.Kernel
-	pipe *sim.Pipe // its Frame is the arbitration granularity in bytes
-
-	outages   []fault.Window // sorted outage windows; nil on the fault-free path
-	stallTime sim.Time
-	stalls    int64
-
-	opFree []*busOp // recycled TransferFunc state machines
-
-	// pr is the same probe instance the underlying pipe registered
-	// (Register dedupes), so stall spans land next to the pipe's
-	// occupancy spans in reports and traces.
-	pr probe.Ref
+	pipe *sim.Pipe
 }
 
 // Params describe an interconnect: its independent channels, each at
@@ -49,15 +33,14 @@ type Params struct {
 // New creates a bus with parameters p.
 func New(k *sim.Kernel, name string, p Params) *Bus { return new(Bus).Init(k, name, p) }
 
-// Init builds b in place as New would, keeping only its pooled transfer
-// ops and the storage of its pipe, and returns it; a nil b is allocated
-// first. Outage windows of an earlier use are dropped.
+// Init builds b in place as New would, keeping only the storage of its
+// pipe, and returns it; a nil b is allocated first. Outage windows of
+// an earlier use are dropped.
 func (b *Bus) Init(k *sim.Kernel, name string, p Params) *Bus {
 	if b == nil {
 		b = new(Bus)
 	}
-	*b = Bus{k: k, pipe: b.pipe.Init(k, name, p.Channels, p.BytesPerSec, p.Startup),
-		pr: k.Probe().Register("link", name), opFree: b.opFree}
+	b.pipe = b.pipe.Init(k, name, p.Channels, p.BytesPerSec, p.Startup)
 	b.pipe.Frame = p.Frame
 	return b
 }
@@ -65,136 +48,38 @@ func (b *Bus) Init(k *sim.Kernel, name string, p Params) *Bus {
 // SetOutages installs outage windows: intervals of virtual time during
 // which the bus carries no traffic. Transfers in flight at the start of
 // an outage stall (after the current frame) until it lifts. An empty
-// slice restores the fault-free fast path.
-func (b *Bus) SetOutages(ws []fault.Window) {
-	if len(ws) == 0 {
-		b.outages = nil
-		return
-	}
-	b.outages = append([]fault.Window(nil), ws...)
-	sort.Slice(b.outages, func(i, j int) bool { return b.outages[i].Start < b.outages[j].Start })
-}
+// slice restores the fault-free path.
+func (b *Bus) SetOutages(ws []sim.Window) { b.pipe.SetOutages(ws) }
 
 // StallTime returns the total time transfers spent stalled in outages.
-func (b *Bus) StallTime() sim.Time { return b.stallTime }
+func (b *Bus) StallTime() sim.Time { return b.pipe.StallTime() }
 
 // Stalls returns how many frame transmissions were stalled by outages.
-func (b *Bus) Stalls() int64 { return b.stalls }
+func (b *Bus) Stalls() int64 { return b.pipe.Stalls() }
 
 // Transfer moves bytes across the bus on behalf of p, re-arbitrating at
-// frame granularity. On the fault-free path it is one
-// Pipe.TransferSegmented. With outages installed it runs TransferFunc
-// as a chain (sim.Proc.Chain), so each frame checks for a window before
-// transmitting while p parks once: the last frame's hold ends in p's
-// own wake.
+// frame granularity and waiting out outage windows (sim.Pipe.Transfer).
+// A transfer of no bytes takes no time.
 func (b *Bus) Transfer(p *sim.Proc, bytes int64) {
-	if bytes <= 0 {
-		return
+	if bytes > 0 {
+		b.pipe.Transfer(p, bytes)
 	}
-	if b.outages == nil {
-		b.pipe.TransferSegmented(p, bytes)
-		return
-	}
-	p.Chain(func() { b.TransferFunc(&p.Task, bytes, nil) })
-}
-
-// busOp is the state of one in-flight TransferFunc across outage
-// windows: frame-granular arbitration unrolled into a state machine
-// that checks for a window before each frame. Ops are pooled per bus
-// and their step continuations bound once, so transfers perform no
-// allocation and no process handoff.
-type busOp struct {
-	b         *Bus
-	t         *sim.Task
-	remaining int64
-	frame     int64
-	done      func()
-	stepFn    func()
-	sentFn    func()
 }
 
 // TransferFunc is Transfer for callback tasks: it moves bytes across
-// the bus, re-arbitrating at frame granularity (and waiting out outage
-// windows), then runs fn in kernel context. t may be a process's Task
-// while the process sleeps in a chain (sim.Proc.Chain); with fn nil the
-// transfer is then the chain's last step. On the fault-free path it is
-// one Pipe.TransferSegmentedFunc; with outages installed a pooled busOp
-// checks for a window before every frame.
+// the bus, then runs fn in kernel context (sim.Pipe.TransferFunc). t
+// may be a process's Task while the process sleeps in a chain
+// (sim.Proc.Chain); with fn nil the transfer is then the chain's last
+// step. A transfer of no bytes runs fn, or ends the chain, at once.
 func (b *Bus) TransferFunc(t *sim.Task, bytes int64, fn func()) {
-	if bytes <= 0 {
-		if fn == nil {
-			t.EndChain()
-		} else {
-			fn()
-		}
-		return
-	}
-	if b.outages == nil {
-		b.pipe.TransferSegmentedFunc(t, bytes, fn)
-		return
-	}
-	var op *busOp
-	if n := len(b.opFree); n > 0 {
-		op = b.opFree[n-1]
-		b.opFree[n-1] = nil
-		b.opFree = b.opFree[:n-1]
-	} else {
-		op = &busOp{b: b}
-		op.stepFn = op.step
-		op.sentFn = op.frameSent
-	}
-	op.t, op.remaining, op.done = t, bytes, fn
-	op.step()
-}
-
-// step transmits the next frame: it first waits out any outage covering
-// the current instant, re-checking from scratch after the stall, and
-// finishes the op once nothing remains. The last frame of a
-// chain-ending transfer (done nil) ends the chain itself, so the op is
-// retired as that frame starts.
-func (op *busOp) step() {
-	b := op.b
-	if op.remaining <= 0 {
-		fn := op.done
-		op.t, op.done = nil, nil
-		b.opFree = append(b.opFree, op)
+	switch {
+	case bytes > 0:
+		b.pipe.TransferFunc(t, bytes, fn)
+	case fn == nil:
+		t.EndChain()
+	default:
 		fn()
-		return
 	}
-	if b.outages != nil {
-		now := b.k.Now()
-		for _, w := range b.outages {
-			if now < w.Start {
-				break
-			}
-			if w.Contains(now) {
-				d := w.End - now
-				b.stallTime += d
-				b.stalls++
-				b.pr.Span(probe.KindStall, int64(now), int64(w.End))
-				b.k.After(d, op.stepFn)
-				return
-			}
-		}
-	}
-	n := b.pipe.Frame
-	if n <= 0 || op.remaining < n {
-		n = op.remaining
-	}
-	if op.done == nil && n == op.remaining {
-		t := op.t
-		op.t = nil
-		b.opFree = append(b.opFree, op)
-		b.pipe.TransferFunc(t, n, nil)
-		return
-	}
-	op.frame = n
-	b.pipe.TransferFunc(op.t, n, op.sentFn)
-}
-
-func (op *busOp) frameSent() {
-	op.remaining -= op.frame
-	op.step()
 }
 
 // AggregateBandwidth returns the total bytes/sec across all channels.

@@ -11,35 +11,15 @@ import (
 )
 
 // refTransfer is the per-frame loop Transfer ran with outages installed
-// before it became a chain: wait out any window covering the current
-// instant, then one Pipe.Transfer per frame, the process parking at
-// every stall and every frame. TestTransferMatchesFrameLoop uses it as
-// the oracle.
+// before it became a chain: one Pipe.Transfer per frame, the process
+// parking at every stall and every frame. Each single-frame Transfer
+// first waits out any window covering the current instant, booking the
+// stall. TestTransferMatchesFrameLoop uses it as the oracle.
 func refTransfer(b *Bus, p *sim.Proc, bytes int64) {
-	if bytes <= 0 {
-		return
-	}
-	if b.outages == nil {
-		b.pipe.TransferSegmented(p, bytes)
-		return
-	}
 	for remaining := bytes; remaining > 0; {
 		n := b.pipe.Frame
 		if n <= 0 || remaining < n {
 			n = remaining
-		}
-		for _, w := range b.outages {
-			now := p.Now()
-			if now < w.Start {
-				break
-			}
-			if w.Contains(now) {
-				d := w.End - now
-				b.stallTime += d
-				b.stalls++
-				b.pr.Span(probe.KindStall, int64(now), int64(w.End))
-				p.Delay(d)
-			}
 		}
 		b.pipe.Transfer(p, n)
 		remaining -= n

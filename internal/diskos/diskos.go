@@ -40,8 +40,6 @@ type Config struct {
 	// communication buffers. Zero selects the default, which scales with
 	// disk memory exactly as the paper scales the OS buffer count.
 	CommBufBytes int64
-	// ChunkBytes is the stream transfer granularity. Zero selects 128 KB.
-	ChunkBytes int64
 	// SpecFor optionally overrides the drive specification per disk
 	// (heterogeneous farms, straggler injection). Nil entries fall back
 	// to DiskSpec.
@@ -85,12 +83,8 @@ func (c Config) commBufBytes() int64 {
 	return buf
 }
 
-func (c Config) chunkBytes() int64 {
-	if c.ChunkBytes > 0 {
-		return c.ChunkBytes
-	}
-	return 128 << 10
-}
+// chunkBytes is the stream transfer granularity.
+const chunkBytes = 128 << 10
 
 // Chunk is one stream transfer delivered to a receiving disklet.
 type Chunk struct {
@@ -198,12 +192,11 @@ type System struct {
 	// declares one (nil otherwise); the background rebuild streams the
 	// failed disk's partition onto it.
 	Spare    *disk.Disk
-	chunk    int64
 	loops    []*bus.Bus
 	perGroup int
 
-	// pumpFree holds the recycled stream pumps. Each pump owns a task of
-	// the kernel it was made on, so a rebuild drops them.
+	// pumpFree holds the recycled stream pumps. A pump holds no task
+	// between streams, so a rebuild keeps them.
 	pumpFree []*streamOp
 
 	models disk.Models // the drive models of Cfg's specs, kept by a rebuild
@@ -272,11 +265,11 @@ func (s *System) init(cfg Config, hub *sim.Kernel, leaf func(int) *sim.Kernel) *
 	*s = System{
 		K:        hub,
 		Cfg:      cfg,
-		chunk:    cfg.chunkBytes(),
 		perGroup: (cfg.Disks + groups - 1) / groups,
 		loops:    sim.Resized(s.loops, groups),
 		Disks:    sim.Resized(s.Disks, cfg.Disks),
 		FE:       s.FE,
+		pumpFree: s.pumpFree,
 		models:   s.models,
 	}
 	for g, l := range s.loops {
@@ -452,7 +445,7 @@ func (s *System) LoopUtilization() float64 {
 func (s *System) ScratchBytes() int64 { return s.Disks[0].Scratch.Capacity() }
 
 // ChunkBytes returns the stream transfer granularity.
-func (s *System) ChunkBytes() int64 { return s.chunk }
+func (s *System) ChunkBytes() int64 { return chunkBytes }
 
 // ReadLocal reads length bytes at offset from the drive's own media —
 // the defining Active Disk operation: the data never crosses the loop.
@@ -491,10 +484,7 @@ func (ad *ActiveDisk) SendToFrontEnd(p *sim.Proc, bytes int64, payload any) {
 	s := ad.sys
 	remaining := bytes
 	for remaining > 0 {
-		n := s.chunk
-		if remaining < n {
-			n = remaining
-		}
+		n := min(remaining, chunkBytes)
 		remaining -= n
 		s.diskToFE(p, ad.ID, n)
 		s.FE.PCI.Transfer(p, n)
@@ -521,10 +511,10 @@ func (ad *ActiveDisk) Release(bytes int64) {
 func (ad *ActiveDisk) CloseInbox() { ad.inbox.mb.Close() }
 
 // stream moves bytes from disk src to disk dst chunk by chunk. The
-// chunk loop runs as a pooled state machine in kernel context: the
-// calling disklet parks once (Await) and the pump resumes it inline
-// (Handoff) after the last chunk, so the caller continues at exactly
-// the event position a blocking loop would have.
+// chunk loop runs as a chain (sim.Proc.Chain) on p: a pooled state
+// machine walks every chunk's steps as kernel callbacks on p's Task,
+// and the last chunk's delivery ends the chain, so p sleeps once and
+// continues at exactly the event position a blocking loop would have.
 func (s *System) stream(p *sim.Proc, src, dst int, bytes int64, payload any) {
 	if bytes <= 0 {
 		return
@@ -535,33 +525,32 @@ func (s *System) stream(p *sim.Proc, src, dst int, bytes int64, payload any) {
 		s.pumpFree[n-1] = nil
 		s.pumpFree = s.pumpFree[:n-1]
 	} else {
-		op = &streamOp{s: s, t: s.K.NewTask("stream.pump")}
+		op = &streamOp{s: s}
+		op.stepFn = op.step
 		op.acqFn = op.acquired
 		op.hopFn = op.advance
 	}
-	op.src, op.dst, op.remaining, op.payload = src, dst, bytes, payload
-	op.caller = p
-	op.step()
-	p.Await("stream.pump", "join")
-	op.caller, op.payload = nil, nil
+	op.t, op.src, op.dst, op.remaining, op.payload = &p.Task, src, dst, bytes, payload
+	p.Chain(op.stepFn)
+	op.t, op.payload = nil, nil
 	s.pumpFree = append(s.pumpFree, op)
 }
 
 // streamOp is one stream pump: a state machine that acquires
 // receive-buffer credit (backpressure), walks the chunk's bus hops,
-// delivers it to the destination inbox and loops, handing control back
-// to the caller after the last chunk. Ops are pooled per system and
-// their continuations bound once, so the direct-communication path
-// performs no allocation per chunk.
+// delivers it to the destination inbox and loops, ending the caller's
+// chain after the last chunk. Ops are pooled per system and their
+// continuations bound once, so the direct-communication path performs
+// no allocation per chunk.
 type streamOp struct {
 	s         *System
-	t         *sim.Task
-	caller    *sim.Proc // disklet parked in Await until the stream drains
+	t         *sim.Task // the caller's, while it sleeps in the chain
 	src, dst  int
 	remaining int64
 	n         int64 // current chunk size
 	payload   any
 	stage     int // progress through the current chunk's hops
+	stepFn    func()
 	acqFn     func()
 	hopFn     func()
 }
@@ -569,21 +558,17 @@ type streamOp struct {
 // step starts the next chunk (or finishes the stream): carve the chunk
 // and wait for receive-buffer credit at the destination.
 //
-// The completion Handoff resumes the caller inline inside the final
-// hop's completion event — the position a caller walking the hops
-// itself would resume at — which is the event order the golden digests
-// pin. The caller may return this op to the pool (and even start a new
-// stream on it) before Handoff returns; nothing after the Handoff may
-// touch op's fields.
+// EndChain resumes the caller inside the final hop's completion event —
+// the position a caller walking the hops itself would resume at —
+// which is the event order the golden digests pin. The caller may
+// return this op to the pool (and even start a new stream on it)
+// before EndChain returns; nothing after it may touch op's fields.
 func (op *streamOp) step() {
 	if op.remaining <= 0 {
-		op.s.K.Handoff(op.caller)
+		op.t.EndChain()
 		return
 	}
-	n := op.s.chunk
-	if op.remaining < n {
-		n = op.remaining
-	}
+	n := min(op.remaining, chunkBytes)
 	op.remaining -= n
 	op.n = n
 	op.s.Disks[op.dst].commBuf.AcquireFunc(op.t, n, op.acqFn)
@@ -668,10 +653,7 @@ func (s *System) FrontEndSend(p *sim.Proc, dst int, bytes int64, payload any) {
 	d := s.Disks[dst]
 	remaining := bytes
 	for remaining > 0 {
-		n := s.chunk
-		if remaining < n {
-			n = remaining
-		}
+		n := min(remaining, chunkBytes)
 		remaining -= n
 		d.commBuf.Acquire(p, n)
 		d.sampleBuf()

@@ -14,6 +14,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -26,15 +27,7 @@ import (
 
 // Window is a half-open interval [Start, End) of virtual time during
 // which a fault condition holds.
-type Window struct {
-	Start, End sim.Time
-}
-
-// Contains reports whether t falls inside the window.
-func (w Window) Contains(t sim.Time) bool { return t >= w.Start && t < w.End }
-
-// Duration returns the window's length.
-func (w Window) Duration() sim.Time { return w.End - w.Start }
+type Window = sim.Window
 
 // LinkOutage names an interconnect (a bus or netsim link, e.g. "fcal0")
 // and the window during which it carries no traffic.
@@ -196,8 +189,8 @@ func ParsePlan(s string) (*Plan, error) {
 			p.Spare = true
 		case "rebuild-rate":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 0 {
-				return nil, fmt.Errorf("fault: bad rebuild-rate %q (must be a positive MB/s figure)", val)
+			if err != nil || !(f > 0) || math.IsInf(f, 1) {
+				return nil, fmt.Errorf("fault: bad rebuild-rate %q (must be a positive MB/s figure, and finite)", val)
 			}
 			p.RebuildRate = f
 		case "straggler":
@@ -278,9 +271,13 @@ func parseStraggler(val string) (Straggler, error) {
 	f := 2.0
 	if hasFactor {
 		f, err = strconv.ParseFloat(factorStr, 64)
-		if err != nil || f <= 1 {
-			return Straggler{}, fmt.Errorf("fault: bad straggler factor %q (must be > 1)", factorStr)
+		if err != nil || !(f > 1) || math.IsInf(f, 1) {
+			return Straggler{}, fmt.Errorf("fault: bad straggler factor %q (must be > 1 and finite)", factorStr)
 		}
+	}
+	// A slowed stretch of the window must still be a virtual time.
+	if float64(d)*f >= math.MaxInt64 {
+		return Straggler{}, fmt.Errorf("fault: straggler factor %v over %v exceeds the longest virtual time", f, d.Duration())
 	}
 	return Straggler{Disk: n, Window: Window{Start: st, End: st + d}, Factor: f}, nil
 }
@@ -290,7 +287,7 @@ func parseProb(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if f < 0 || f > 1 {
+	if !(f >= 0 && f <= 1) { // NaN fails both comparisons
 		return 0, fmt.Errorf("probability %v outside [0,1]", f)
 	}
 	return f, nil

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -206,6 +207,19 @@ func TestParsePlanErrorsTable(t *testing.T) {
 		{"straggler=0@1s+10ms*1", "must be > 1"},
 		{"straggler=0@1s+10ms*0.5", "must be > 1"},
 		{"straggler=-1@1s+10ms", "straggler disk"},
+		// Non-finite or overflowing factors and rates are rejected, not
+		// accepted and then ignored.
+		{"straggler=0@0s+100s*NaN", "must be > 1 and finite"},
+		{"straggler=0@0s+100s*Inf", "must be > 1 and finite"},
+		{"straggler=0@0s+100s*-Inf", "must be > 1 and finite"},
+		{"straggler=0@0s+100s*1e400", "must be > 1 and finite"},
+		{"straggler=0@0s+100s*1e300", "longest virtual time"},
+		{"straggler=0@0s+2562047h", "longest virtual time"},
+		{"seed=1,media=NaN", "outside [0,1]"},
+		{"seed=1,slow=NaN", "outside [0,1]"},
+		{"seed=1,corrupt=NaN", "outside [0,1]"},
+		{"replica,spare,fail=1@1s,rebuild-rate=NaN", "positive MB/s figure, and finite"},
+		{"replica,spare,fail=1@1s,rebuild-rate=Inf", "positive MB/s figure, and finite"},
 		{"media=0.1,media=0.2", "duplicate media"},
 		{"seed=1,seed=1", "duplicate seed"},
 		{"replica,replica", "duplicate replica"},
@@ -391,6 +405,19 @@ func FuzzParsePlan(f *testing.F) {
 		p, err := ParsePlan(in)
 		if err != nil {
 			return
+		}
+		for _, r := range []float64{p.MediaRate, p.SlowRate, p.CorruptRate} {
+			if !(r >= 0 && r <= 1) {
+				t.Fatalf("ParsePlan(%q) accepted the rate %v, want one in [0, 1]", in, r)
+			}
+		}
+		if !(p.RebuildRate >= 0) || math.IsInf(p.RebuildRate, 0) {
+			t.Fatalf("ParsePlan(%q) accepted the rebuild rate %v, want a finite one", in, p.RebuildRate)
+		}
+		for _, st := range p.Stragglers {
+			if !(st.Factor > 1) || math.IsInf(st.Factor, 0) {
+				t.Fatalf("ParsePlan(%q) accepted the straggler factor %v, want a finite one above 1", in, st.Factor)
+			}
 		}
 		canon := p.String()
 		q, err := ParsePlan(canon)

@@ -14,9 +14,7 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 
-	"howsim/internal/fault"
 	"howsim/internal/probe"
 	"howsim/internal/sim"
 )
@@ -110,14 +108,11 @@ type Link struct {
 
 	bytesMoved int64
 	frames     int64
-
-	outages   []fault.Window // sorted outage windows; nil on the fault-free path
-	stallTime sim.Time
-	dropped   int64 // frames dropped on a closed next-hop queue
+	dropped    int64 // frames dropped on a closed next-hop queue
 
 	// pr is the same probe instance the link's pipe registered (Register
-	// dedupes): stall spans, frame drops and input-queue depth samples
-	// join the pipe's occupancy spans under one instance.
+	// dedupes): frame drops and input-queue depth samples join the pipe's
+	// occupancy and stall spans under one instance.
 	pr probe.Ref
 
 	txs []*linkTx // the transmit servers, one per channel
@@ -175,20 +170,13 @@ func (l *Link) Utilization() float64 { return l.pipe.Utilization() }
 // SetOutages installs outage windows during which the link transmits
 // nothing: frames already queued wait them out (and so does every frame
 // backed up behind them). An empty slice restores the fault-free path.
-func (l *Link) SetOutages(ws []fault.Window) {
-	if len(ws) == 0 {
-		l.outages = nil
-		return
-	}
-	l.outages = append([]fault.Window(nil), ws...)
-	sort.Slice(l.outages, func(i, j int) bool { return l.outages[i].Start < l.outages[j].Start })
-}
+func (l *Link) SetOutages(ws []sim.Window) { l.pipe.SetOutages(ws) }
 
 // Frames returns the number of frames this link has transmitted.
 func (l *Link) Frames() int64 { return l.frames }
 
 // StallTime returns the total channel-time spent stalled in outages.
-func (l *Link) StallTime() sim.Time { return l.stallTime }
+func (l *Link) StallTime() sim.Time { return l.pipe.StallTime() }
 
 // DroppedFrames returns the frames this link discarded because the next
 // hop's queue had been closed (a downed endpoint).
@@ -209,7 +197,7 @@ func (l *Link) drop(f *frame) {
 }
 
 // linkTx is one transmit channel's server loop: pull a frame, serialize
-// it onto the wire, then hand it to the next hop (waiting if that hop's
+// it onto the wire (the link's pipe waits out outages first), then hand it to the next hop (waiting if that hop's
 // queue is full — backpressure) or deliver it. A frame bound for a
 // closed next-hop queue is dropped and counted, like a packet sent to a
 // dead port: the network stays up, the loss is observable. The loop is
@@ -223,7 +211,6 @@ type linkTx struct {
 	frameFn func(any, bool)
 	sentFn  func()
 	putFn   func(error)
-	stallFn func()
 }
 
 // init builds tx in place as a new transmit server of l, keeping its
@@ -235,10 +222,9 @@ func (tx *linkTx) init(l *Link, name string) *linkTx {
 		tx.frameFn = tx.onFrame
 		tx.sentFn = tx.onSent
 		tx.putFn = tx.onPut
-		tx.stallFn = tx.send
 	}
 	*tx = linkTx{l: l, t: l.net.k.NewTask(name),
-		frameFn: tx.frameFn, sentFn: tx.sentFn, putFn: tx.putFn, stallFn: tx.stallFn}
+		frameFn: tx.frameFn, sentFn: tx.sentFn, putFn: tx.putFn}
 	tx.next()
 	return tx
 }
@@ -251,30 +237,7 @@ func (tx *linkTx) onFrame(v any, ok bool) {
 		return
 	}
 	tx.f = v.(*frame)
-	tx.send()
-}
-
-// send waits out any outage covering the current instant, then puts the
-// frame on the wire. The windows are re-checked from scratch after each
-// stall, since a stall can end inside a later window.
-func (tx *linkTx) send() {
-	l := tx.l
-	if l.outages != nil {
-		now := l.net.k.Now()
-		for _, w := range l.outages {
-			if now < w.Start {
-				break
-			}
-			if w.Contains(now) {
-				d := w.End - now
-				l.stallTime += d
-				l.pr.Span(probe.KindStall, int64(now), int64(w.End))
-				l.net.k.After(d, tx.stallFn)
-				return
-			}
-		}
-	}
-	l.pipe.TransferFunc(tx.t, tx.f.bytes, tx.sentFn)
+	tx.l.pipe.TransferFunc(tx.t, tx.f.bytes, tx.sentFn)
 }
 
 func (tx *linkTx) onSent() {

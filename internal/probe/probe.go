@@ -74,7 +74,10 @@ const (
 	KindParks
 	// KindWakes counts waiter wakes (scheduler diagnostic).
 	KindWakes
-	// KindHandoffs counts inline caller handoffs (scheduler diagnostic).
+	// KindHandoffs counted inline caller handoffs, a process bridge the
+	// kernel no longer has: nothing counts it, so it reads 0. It stays
+	// for readers of the scheduler counters (the scheduler report line,
+	// perfbench's sim.handoffs_per_op).
 	KindHandoffs
 	// KindDeadlock counts tasks still parked when a deadlock report was
 	// taken (scheduler diagnostic).

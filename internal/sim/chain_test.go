@@ -30,7 +30,7 @@ func (j chainJob) blocking(p *Proc) {
 	p.Delay(j.hold)
 	j.r.Release(1)
 	j.sig.Wait(p)
-	j.pp.TransferSegmented(p, j.bytes)
+	j.pp.Transfer(p, j.bytes)
 	if j.final > 0 {
 		j.r.Acquire(p, 1)
 		p.Delay(j.final)
@@ -56,7 +56,7 @@ func (j chainJob) run(p *Proc) {
 	}
 	signalled := func() {
 		note()
-		j.pp.TransferSegmentedFunc(t, j.bytes, last)
+		j.pp.TransferFunc(t, j.bytes, last)
 	}
 	held := func() {
 		j.k.After(j.hold, func() {

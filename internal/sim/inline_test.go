@@ -152,37 +152,6 @@ func TestInlineMatchesSwitching(t *testing.T) {
 	}
 }
 
-// TestInlineHandoffKeepsNow resumes an Awaited lone process with
-// Handoff from a callback: the process's next park must switch back
-// into that callback at the same instant rather than running the
-// kernel's later events inline on its own stack.
-func TestInlineHandoffKeepsNow(t *testing.T) {
-	k := NewKernel()
-	defer k.Shutdown()
-	var p *Proc
-	p = k.Spawn("caller", func(p *Proc) {
-		p.Await("svc", "call")
-		p.Delay(5)
-	})
-	ran := false
-	k.At(12, func() { ran = true })
-	k.At(10, func() {
-		k.Handoff(p)
-		if k.Now() != 10 {
-			t.Errorf("Now() = %v after Handoff, want 10", k.Now())
-		}
-		if ran {
-			t.Error("a later event ran inside Handoff")
-		}
-	})
-	if end := k.Run(); end != 15 {
-		t.Fatalf("Run ended at %v, want 15", end)
-	}
-	if !ran {
-		t.Fatal("event at 12 never ran")
-	}
-}
-
 // TestInlineRunUntilStopsAtLimit bounds a lone process's inline run: the
 // process's wake beyond the limit stays queued, the clock stops at the
 // limit, and a later Run picks up where the bound left off.

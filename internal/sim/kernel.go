@@ -516,32 +516,14 @@ func (k *Kernel) Recycle() {
 // surfaces here, on the kernel's goroutine; one from an event p ran
 // inline surfaces just after, from Run's loop. fromRun marks a resumption by the event loop's dispatch —
 // the only activation whose next park may run the loop inline
-// (parkInline); Handoff, spawnInline, a shard delivery and Shutdown pass
-// false. A process the loop resumes while a lone process runs it inline
+// (parkInline); EndChain, spawnInline, a shard delivery and Shutdown
+// pass false. A process the loop resumes while a lone process runs it inline
 // has that process as a second live one, so it never inlines itself.
 func (k *Kernel) activate(p *Proc, fromRun bool) {
 	k.running = p
 	p.fromRun = fromRun
 	p.next()
 	k.running = nil
-}
-
-// Handoff transfers control to a process parked in Await, resuming it
-// inline: p runs inside the *current* event until its next park, exactly
-// where a blocking call in p's own body would have resumed. This is the
-// synchronous-call bridge for state machines that service a parked
-// caller — scheduling a wake event instead would let other
-// already-queued same-time events run first, reordering resource grants
-// relative to the blocking API. Handoff must be called from kernel
-// context (an event callback or a task continuation); calling it while
-// a process is running panics, since two runnable processes would break
-// deterministic ordering.
-func (k *Kernel) Handoff(p *Proc) {
-	if k.running != nil {
-		panic(fmt.Sprintf("sim: Handoff(%q) from process %q; Handoff is only valid in kernel context", p.name, k.running.name))
-	}
-	k.sched.Count(probe.KindHandoffs, 1)
-	k.activate(p, false)
 }
 
 // Proc is a simulation process: a coroutine whose execution is
@@ -743,15 +725,14 @@ func (p *Proc) unblock() {
 	p.waitObj, p.waitOp = "", ""
 }
 
-// Await parks the process until a state machine hands control back with
-// Kernel.Handoff. The wait site appears in DeadlockReport like any other
-// blocking primitive. Unlike the waiter-queue primitives there is no
-// queue and no wake event: the matching Handoff resumes the process
-// inline, inside the event that completed the work on its behalf.
+// Await parks the process with no wake arranged: it resumes only when
+// kernel code activates it directly — a ShardGroup delivering the
+// completion of the process's cross-shard call (Shard.Call). The wait
+// site appears in DeadlockReport like any other blocking primitive.
 // Await always switches back to the kernel, even for a lone process
 // (see parkInline): there is no wake event for an inline loop to stop
-// at, and the Handoff must resume the process from kernel context, not
-// from a callback running on the process's own stack.
+// at, and the process must be resumed from kernel context, not from a
+// callback running on its own stack.
 func (p *Proc) Await(obj, op string) {
 	p.fromRun = false
 	p.parkBlocked(obj, op)

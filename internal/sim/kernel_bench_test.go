@@ -307,7 +307,7 @@ func BenchmarkKernelPipeTransferProbeOn(b *testing.B) {
 }
 
 // BenchmarkKernelPipeTransferSegmented drives back-to-back 8-frame
-// TransferSegmented calls by one process against a callback task that
+// Transfer calls by one process against a callback task that
 // sends one frame every third frame time on the same single-channel
 // pipe, so some re-arbitrations are contended. An op is one 8-frame
 // transfer; it must stay at 0 allocs/op.
@@ -320,7 +320,7 @@ func BenchmarkKernelPipeTransferSegmented(b *testing.B) {
 	remaining := 0
 	body := func(p *Proc) {
 		for ; remaining > 0; remaining-- {
-			pp.TransferSegmented(p, 8*frame)
+			pp.Transfer(p, 8*frame)
 		}
 	}
 	competitor := k.NewTask("competitor")

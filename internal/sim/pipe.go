@@ -1,6 +1,10 @@
 package sim
 
-import "howsim/internal/probe"
+import (
+	"sort"
+
+	"howsim/internal/probe"
+)
 
 // Pipe models a bandwidth-limited channel with fixed per-transfer startup
 // latency — the paper's "simple queue-based model [with] parameters for
@@ -8,19 +12,25 @@ import "howsim/internal/probe"
 // A Pipe with Channels > 1 admits that many concurrent transfers, each at
 // the full per-channel rate (e.g. a dual Fibre Channel arbitrated loop is
 // a 2-channel pipe at 100 MB/s per channel). Transfers queue FIFO.
+// A transfer longer than Frame bytes re-arbitrates for a channel every
+// Frame bytes, and outage windows (SetOutages) stall it before each
+// frame.
 type Pipe struct {
 	name        string
 	res         *Resource
 	Startup     Time    // fixed cost paid by every transfer while holding a channel
 	BytesPerSec float64 // per-channel transfer rate
-	// Frame is TransferSegmented's arbitration granularity in bytes; 0
-	// transfers whole. Set it before any transfer starts: an in-flight
-	// segmented transfer reads it at every frame.
+	// Frame is the arbitration granularity in bytes; 0 transfers whole.
+	// Set it before any transfer starts: an in-flight transfer reads it
+	// at every frame.
 	Frame int64
+
+	outages   []Window // sorted by Start; nil on the fault-free path
+	stallTime Time
+	stalls    int64
 
 	bytesMoved int64
 	transfers  int64
-	busyInt    float64 // integral of busy channels over time (via res)
 	pr         probe.Ref
 }
 
@@ -51,6 +61,46 @@ func (pp *Pipe) Init(k *Kernel, name string, channels int, bytesPerSec float64, 
 	return pp
 }
 
+// SetOutages installs outage windows: intervals of virtual time during
+// which the pipe carries no traffic. A transfer waits out the window
+// covering the instant it arbitrates for a frame, so one in flight when
+// an outage starts stalls after its current frame until it lifts. An
+// empty slice restores the fault-free path.
+func (pp *Pipe) SetOutages(ws []Window) {
+	if len(ws) == 0 {
+		pp.outages = nil
+		return
+	}
+	pp.outages = append([]Window(nil), ws...)
+	sort.Slice(pp.outages, func(i, j int) bool { return pp.outages[i].Start < pp.outages[j].Start })
+}
+
+// StallTime returns the total time transfers spent stalled in outages.
+func (pp *Pipe) StallTime() Time { return pp.stallTime }
+
+// Stalls returns how many frames were stalled by outages.
+func (pp *Pipe) Stalls() int64 { return pp.stalls }
+
+// stall returns how long a frame arbitrating now must wait for the
+// outage covering now to lift, booking the stall, or 0 when no window
+// covers now. The caller re-checks from scratch after the wait: a
+// stall can end inside a later window.
+func (pp *Pipe) stall() Time {
+	now := pp.res.k.now
+	for _, w := range pp.outages {
+		if now < w.Start {
+			break
+		}
+		if w.Contains(now) {
+			pp.stallTime += w.End - now
+			pp.stalls++
+			pp.pr.Span(probe.KindStall, int64(now), int64(w.End))
+			return w.End - now
+		}
+	}
+	return 0
+}
+
 // Name returns the pipe's name.
 func (pp *Pipe) Name() string { return pp.name }
 
@@ -75,14 +125,29 @@ func (pp *Pipe) TransferDuration(bytes int64) Time {
 	return pp.Startup + TransferTime(bytes, pp.BytesPerSec)
 }
 
-// Transfer moves bytes through the pipe on behalf of p: it waits for a
-// free channel, holds it for startup + bytes/rate, and releases it.
-// The whole round trip — channel acquisition (including a contended
-// park in the FIFO waiter queue), the hold timer, and the release-side
-// admission of the next waiter — is allocation-free in steady state,
-// so bus/loop models can issue millions of transfers without GC
-// pressure.
+// Transfer moves bytes through the pipe on behalf of p: for each frame
+// it waits out any outage, waits for a free channel, holds it for
+// startup + frame/rate, and releases it. The whole round trip — channel
+// acquisition (including a contended park in the FIFO waiter queue),
+// the hold timer, and the release-side admission of the next waiter —
+// is allocation-free in steady state, so bus/loop models can issue
+// millions of transfers without GC pressure.
+//
+// A transfer of more than one frame runs as a chain (Proc.Chain) of
+// TransferFunc's steps: every frame but the last ends in a kernel
+// callback that books it and arbitrates for the next, and p wakes at
+// the end of the last one and books it itself. So p's coroutine
+// switches once per transfer instead of once per frame, and the result
+// — event order, clock, statistics, probe emissions and scheduler
+// counters — is that of one single-frame Transfer per frame.
 func (pp *Pipe) Transfer(p *Proc, bytes int64) {
+	if pp.Frame > 0 && bytes > pp.Frame {
+		p.Chain(func() { pp.TransferFunc(&p.Task, bytes, nil) })
+		return
+	}
+	for d := pp.stall(); d > 0; d = pp.stall() {
+		p.Delay(d)
+	}
 	if pp.pr.On() {
 		pp.pr.Sample(probe.KindQueue, int64(pp.res.QueueLen()))
 	}
@@ -99,41 +164,33 @@ func (pp *Pipe) Transfer(p *Proc, bytes int64) {
 	}
 }
 
-// TransferFunc is Transfer for callback tasks: it arbitrates for a
-// channel, holds it for the transfer duration, and then runs fn in
-// kernel context. The state machine's steps dispatch by the task's wait
-// kind, with their state in the task, so the whole round trip stays
-// allocation-free in steady state. A task may have only one transfer in
-// flight at a time, and waits on nothing else while it holds a channel.
-// t may be a process's Task while the process sleeps in a chain
-// (Proc.Chain); with fn nil the transfer is then the chain's last step,
-// and the process's own wake ends the hold.
+// TransferFunc is Transfer for callback tasks: frame by frame it waits
+// out any outage, arbitrates for a channel and holds it for the frame's
+// duration, and then runs fn in kernel context. The state machine's
+// steps dispatch by the task's wait kind, with their state in the task,
+// so the whole round trip stays allocation-free in steady state. A task
+// may have only one transfer in flight at a time, and waits on nothing
+// else while it holds a channel. t may be a process's Task while the
+// process sleeps in a chain (Proc.Chain); with fn nil the transfer is
+// then the chain's last step, and the process's own wake ends the last
+// frame's hold.
 func (pp *Pipe) TransferFunc(t *Task, bytes int64, fn func()) {
-	pp.transferFunc(t, bytes, false, fn)
-}
-
-// TransferSegmentedFunc is TransferSegmented for callback tasks: it
-// moves bytes in frames of at most Frame bytes, re-arbitrating for a
-// channel between frames, then runs fn in kernel context. Like
-// TransferFunc it allocates nothing in steady state, and with fn nil on
-// a chained process's Task it ends the chain with the last frame.
-func (pp *Pipe) TransferSegmentedFunc(t *Task, bytes int64, fn func()) {
-	pp.transferFunc(t, bytes, true, fn)
-}
-
-// transferFunc starts a transfer of bytes on t's behalf, whole or (seg)
-// re-arbitrating every Frame bytes, that runs fn once the last frame is
-// booked — or, with fn nil, ends t's chain with the last frame's hold.
-func (pp *Pipe) transferFunc(t *Task, bytes int64, seg bool, fn func()) {
 	if t.proc != nil {
 		t.chained() // a process's Task transfers only while it sleeps in a chain
 	}
-	t.xferPipe, t.xferBytes, t.xferSeg, t.xferCont = pp, bytes, seg, fn
+	t.xferPipe, t.xferBytes, t.xferCont = pp, bytes, fn
 	pp.arbitrate(t)
 }
 
-// arbitrate queues t for a channel for its next frame.
+// arbitrate starts t's next frame: it waits out the outage covering now
+// as a timer of t (taskWaitXferStall, whose end arbitrates again), then
+// queues t for a channel.
 func (pp *Pipe) arbitrate(t *Task) {
+	if d := pp.stall(); d > 0 {
+		t.waitKind = taskWaitXferStall
+		t.k.schedule(t.k.now+d, nil, t)
+		return
+	}
 	if pp.pr.On() {
 		pp.pr.Sample(probe.KindQueue, int64(pp.res.QueueLen()))
 	}
@@ -142,10 +199,10 @@ func (pp *Pipe) arbitrate(t *Task) {
 	}
 }
 
-// frame returns the bytes of t's current frame: all that is left of a
-// whole transfer, at most Frame of a segmented one.
+// frame returns the bytes of t's current frame: all that is left of
+// the transfer, at most the pipe's Frame.
 func (t *Task) frame() int64 {
-	if n := t.xferPipe.Frame; t.xferSeg && n > 0 && t.xferBytes > n {
+	if n := t.xferPipe.Frame; n > 0 && t.xferBytes > n {
 		return n
 	}
 	return t.xferBytes
@@ -192,26 +249,4 @@ func (t *Task) xferComplete() {
 	if fn != nil {
 		fn()
 	}
-}
-
-// TransferSegmented moves bytes as a sequence of frames of at most
-// Frame bytes, re-arbitrating for a channel between frames. This models
-// loop/bus arbitration at frame granularity: long transfers do not
-// starve short ones indefinitely. The result — event order, clock,
-// statistics, probe emissions and scheduler counters — is that of
-// calling Transfer once per frame.
-//
-// The frames run as a chain (Proc.Chain): p arbitrates for the first
-// frame, every frame in between ends in a kernel callback that books
-// it and arbitrates for the next, and p wakes at the end of the last
-// one and books it itself. So p's coroutine switches once per transfer
-// instead of once per frame; a contended re-arbitration parks p's Task
-// in the channel's queue, as Acquire parks p, and the grant runs the
-// next frame as a callback.
-func (pp *Pipe) TransferSegmented(p *Proc, bytes int64) {
-	if pp.Frame <= 0 || bytes <= pp.Frame {
-		pp.Transfer(p, bytes)
-		return
-	}
-	p.Chain(func() { pp.TransferSegmentedFunc(&p.Task, bytes, nil) })
 }

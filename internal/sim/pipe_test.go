@@ -57,7 +57,7 @@ func TestPipeAggregateBandwidth(t *testing.T) {
 	var last Time
 	for i := 0; i < 2; i++ {
 		k.Spawn("x", func(p *Proc) {
-			pipe.TransferSegmented(p, 100e6)
+			pipe.Transfer(p, 100e6)
 			if p.Now() > last {
 				last = p.Now()
 			}
@@ -79,7 +79,7 @@ func TestPipeSegmentationInterleaves(t *testing.T) {
 	pipe.Frame = 1e6
 	var shortDone, longDone Time
 	k.Spawn("long", func(p *Proc) {
-		pipe.TransferSegmented(p, 100e6) // 1s in 10ms frames
+		pipe.Transfer(p, 100e6) // 1s in 10ms frames
 		longDone = p.Now()
 	})
 	k.Spawn("short", func(p *Proc) {
@@ -119,9 +119,11 @@ func TestPipeTransferDuration(t *testing.T) {
 	}
 }
 
-// refTransferSegmented is the per-frame loop TransferSegmented
-// replaced: one Transfer per frame, the process parking at the end of
-// every frame. The tests and FuzzPipeSegmented use it as the oracle.
+// refTransferSegmented is the per-frame loop a multi-frame Transfer
+// replaced: one single-frame Transfer per frame, the process parking at
+// the end of every frame (and at every outage stall, which each
+// single-frame Transfer waits out first). The tests and
+// FuzzPipeSegmented use it as the oracle.
 func refTransferSegmented(pp *Pipe, p *Proc, bytes int64) {
 	if pp.Frame <= 0 || bytes <= pp.Frame {
 		pp.Transfer(p, bytes)
@@ -147,16 +149,18 @@ type segCase struct {
 	frame    int64
 	startup  Time
 	senders  []segSender
-	// task, when non-empty, lists unsegmented transfers a callback task
-	// issues back to back through TransferFunc, starting at taskStart.
+	// task, when non-empty, lists transfers a callback task issues back
+	// to back through TransferFunc, starting at taskStart.
 	task      []int64
 	taskStart Time
+	// outages are the pipe's outage windows.
+	outages []Window
 	// until, when positive, stops the run there once with RunUntil and
 	// records the kernel's state before running to the end.
 	until Time
 }
 
-// runSegCase runs c with TransferSegmented, or with the reference loop
+// runSegCase runs c with Transfer, or with the reference loop
 // when ref is set, and renders everything observable: the (Now, label)
 // trace, the pipe and channel statistics, the kernel's state, and every
 // probe cell and span, the scheduler counters (KindEvents, KindParks,
@@ -169,13 +173,14 @@ func runSegCase(c segCase, ref bool) (out string, inlined bool) {
 	defer k.Shutdown()
 	pp := NewPipe(k, "loop", c.channels, 100e6, c.startup)
 	pp.Frame = c.frame
+	pp.SetOutages(c.outages)
 	var sb strings.Builder
 	rec := func(format string, args ...any) {
 		fmt.Fprintf(&sb, "%v ", k.Now())
 		fmt.Fprintf(&sb, format, args...)
 		sb.WriteByte('\n')
 	}
-	xfer := pp.TransferSegmented
+	xfer := pp.Transfer
 	if ref {
 		xfer = func(p *Proc, bytes int64) { refTransferSegmented(pp, p, bytes) }
 	}
@@ -209,9 +214,9 @@ func runSegCase(c segCase, ref bool) (out string, inlined bool) {
 		k.At(c.taskStart, step)
 	}
 	state := func(label string) {
-		rec("%s: bytes=%d transfers=%d util=%v grants=%d inuse=%d queue=%d live=%d blocked=%d pending=%d",
+		rec("%s: bytes=%d transfers=%d util=%v grants=%d inuse=%d queue=%d live=%d blocked=%d pending=%d stall=%v/%d",
 			label, pp.BytesMoved(), pp.Transfers(), pp.Utilization(), pp.res.Grants(), pp.res.InUse(),
-			pp.QueueLen(), k.Live(), k.Blocked(), k.events.len())
+			pp.QueueLen(), k.Live(), k.Blocked(), k.events.len(), pp.StallTime(), pp.Stalls())
 	}
 	if c.until > 0 {
 		k.RunUntil(c.until)
@@ -234,14 +239,14 @@ func runSegCase(c segCase, ref bool) (out string, inlined bool) {
 	return sb.String(), inlined
 }
 
-// checkSegCase fails t unless c renders the same under TransferSegmented
-// and under the reference loop.
+// checkSegCase fails t unless c renders the same under Transfer and
+// under the reference loop.
 func checkSegCase(t *testing.T, c segCase) (inlined bool) {
 	t.Helper()
 	got, inlined := runSegCase(c, false)
 	want, refInlined := runSegCase(c, true)
 	if got != want {
-		t.Fatalf("TransferSegmented differs from the per-frame reference:\n%s", lineDiff(got, want))
+		t.Fatalf("Transfer differs from the per-frame reference:\n%s", lineDiff(got, want))
 	}
 	if inlined != refInlined {
 		t.Fatalf("inline path taken %v, reference %v", inlined, refInlined)
@@ -274,6 +279,12 @@ var segContention = []segSender{
 	{2 * Millisecond, []int64{1 << 20}},
 }
 
+// segOutages overlap, abut and fall between frames of segContention.
+var segOutages = []Window{
+	{Start: Millisecond, End: 3 * Millisecond}, {Start: 2 * Millisecond, End: 5 * Millisecond},
+	{Start: 5 * Millisecond, End: 6 * Millisecond}, {Start: 9 * Millisecond, End: 9300 * Microsecond},
+}
+
 func TestPipeSegmentedMatchesReference(t *testing.T) {
 	lone := []segSender{{0, []int64{1 << 20, 200 << 10, segFrame, 129 << 10}}}
 	cases := []struct {
@@ -294,6 +305,12 @@ func TestPipeSegmentedMatchesReference(t *testing.T) {
 			task: []int64{50 << 10, 50 << 10, 50 << 10}, taskStart: Millisecond}},
 		{"lone-run-until", segCase{frame: segFrame, senders: lone,
 			task: []int64{50 << 10}, taskStart: Millisecond, until: 3 * Millisecond}},
+		{"outages", segCase{frame: segFrame, startup: 10 * Microsecond, senders: segContention,
+			task: []int64{100 << 10, 300 << 10, 1}, taskStart: 700 * Microsecond, outages: segOutages}},
+		{"outages-run-until", segCase{frame: segFrame, senders: segContention,
+			outages: segOutages, until: 4 * Millisecond}},
+		{"outages-unsegmented", segCase{senders: segContention, outages: segOutages}},
+		{"outages-lone", segCase{frame: segFrame, senders: lone, outages: segOutages}},
 	}
 	for _, tc := range cases {
 		for ch := 1; ch <= 3; ch++ {
@@ -320,7 +337,7 @@ func TestPipeSegmentedMiddleFramesAreCallbacks(t *testing.T) {
 	defer k.Shutdown()
 	pp := NewPipe(k, "loop", 1, 100e6, 0)
 	pp.Frame = 1e6 // 10ms frames
-	s := k.Spawn("s", func(p *Proc) { pp.TransferSegmented(p, 3e6) })
+	s := k.Spawn("s", func(p *Proc) { pp.Transfer(p, 3e6) })
 	for _, step := range []struct {
 		at       Time
 		callback bool
@@ -353,7 +370,7 @@ func TestPipeSegmentedShutdownMidTransfer(t *testing.T) {
 		pp := NewPipe(k, "loop", 1, 100e6, 0)
 		pp.Frame = segFrame
 		for i := 0; i < senders; i++ {
-			k.Spawn("s", func(p *Proc) { pp.TransferSegmented(p, 1<<20) })
+			k.Spawn("s", func(p *Proc) { pp.Transfer(p, 1<<20) })
 		}
 		k.RunUntil(2 * Millisecond)
 		if k.Live() != senders || k.Blocked() != senders-1 {
@@ -368,7 +385,7 @@ func TestPipeSegmentedShutdownMidTransfer(t *testing.T) {
 }
 
 // TestProcSizeClass keeps Proc in the 224-byte allocation size class:
-// TransferSegmented keeps its in-flight state in existing Task fields
+// a transfer keeps its in-flight state in existing Task fields
 // instead of growing every process.
 func TestProcSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Proc{}); n > 224 {
@@ -376,15 +393,17 @@ func TestProcSizeClass(t *testing.T) {
 	}
 }
 
-// FuzzPipeSegmented checks TransferSegmented against the per-frame
+// FuzzPipeSegmented checks multi-frame Transfers against the per-frame
 // reference over frame size, channel count, an optional RunUntil bound,
-// an optional callback-task competitor and senders decoded from raw:
-// three bytes each, an arrival offset and a transfer size.
+// an optional callback-task competitor, optional outage windows and
+// senders decoded from raw: three bytes each, an arrival offset and a
+// transfer size.
 func FuzzPipeSegmented(f *testing.F) {
 	f.Add(uint16(1000), uint8(1), uint16(0), []byte{0, 10, 3, 0, 200, 7, 9, 0, 1})
 	f.Add(uint16(64), uint8(0x82), uint16(25), []byte{0, 4, 0, 0, 4, 0, 1, 2, 0})
 	f.Add(uint16(0), uint8(2), uint16(3), []byte{5, 255, 255, 5, 0, 100})
 	f.Add(uint16(4096), uint8(0x80), uint16(0), []byte{0, 64, 0})
+	f.Add(uint16(1000), uint8(0x89), uint16(30), []byte{0, 10, 3, 0, 200, 7, 9, 0, 1})
 	f.Fuzz(func(t *testing.T, frame uint16, channels uint8, until uint16, raw []byte) {
 		c := segCase{channels: int(channels&3) + 1, frame: int64(frame), startup: Time(frame % 7)}
 		if c.frame > 0 && c.frame < 64 {
@@ -393,6 +412,11 @@ func FuzzPipeSegmented(f *testing.F) {
 		if channels&0x80 != 0 {
 			c.task = []int64{c.frame + 1, 1000, 3 * c.frame}
 			c.taskStart = Time(channels&0x70) * Microsecond
+		}
+		if channels&0x08 != 0 {
+			at := Time(until%97) * 10 * Microsecond
+			c.outages = []Window{{Start: at, End: at + Time(frame%500)*Microsecond + 1},
+				{Start: 2 * at, End: 3*at + 50*Microsecond}}
 		}
 		c.until = Time(until) * Microsecond
 		for len(raw) >= 3 && len(c.senders) < 6 {
@@ -403,7 +427,7 @@ func FuzzPipeSegmented(f *testing.F) {
 		got, _ := runSegCase(c, false)
 		want, _ := runSegCase(c, true)
 		if got != want {
-			t.Fatalf("TransferSegmented differs from the per-frame reference:\n%s", lineDiff(got, want))
+			t.Fatalf("Transfer differs from the per-frame reference:\n%s", lineDiff(got, want))
 		}
 	})
 }

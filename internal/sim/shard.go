@@ -324,9 +324,8 @@ func (sh *Shard) runSlice() {
 // event's lineage, then drains the rest of the instant. It stops at a
 // follow-on Call: the caller parks again at the same instant and the
 // hub runs the call inline. The inline activate adds no scheduler
-// counts — the single-kernel run resumes the caller inside the hub
-// event that completed its call, whose Handoff the hub side already
-// counted.
+// counts: the hub process that ran the call already counted every park
+// and wake the single-kernel caller makes.
 func (sh *Shard) deliver(cmd *leafCmd) {
 	k := sh.k
 	k.runUntilPos(cmd.at, cmd.key)

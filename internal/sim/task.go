@@ -17,10 +17,12 @@ const (
 	taskWaitPut
 	taskWaitAcquire
 	taskWaitSignal
-	// The two steps of a pipe transfer (Pipe.TransferFunc): parked for
-	// a channel, and holding one until the frame's hold ends. A hold is
-	// a timer, not a blocking wait: it is not a park, and the task is
-	// not blocked while it runs.
+	// The three steps of a pipe transfer frame (Pipe.TransferFunc):
+	// waiting out an outage, parked for a channel, and holding one until
+	// the frame's hold ends. A stall and a hold are timers, not blocking
+	// waits: neither is a park, and the task is not blocked while it
+	// runs.
+	taskWaitXferStall
 	taskWaitXferGrant
 	taskWaitXferHold
 )
@@ -36,7 +38,7 @@ const (
 // allocation-free in steady state.
 //
 // A Task is 168 bytes: every MPI send in flight holds a bare one, and
-// every process embeds one. The 12 bytes of flags share two words, one
+// every process embeds one. The 11 bytes of flags share two words, one
 // continuation slot (cont) serves both the resource and the signal
 // waits, the transfer's steps dispatch by waitKind instead of through
 // stored method values, and the chain state that only processes use
@@ -61,14 +63,11 @@ type Task struct {
 	granted bool
 	// waitKind is the primitive a callback-mode wait is parked on (see
 	// dispatch); taskWaitNone while the task is not in one. A pipe
-	// transfer's hold sets it too, so the hold's end dispatches here.
+	// transfer's stall and hold set it too, so their ends dispatch here.
 	waitKind taskWait
 	// chain is a process's chain state (see Proc.Chain); always
 	// chainOff on a bare task.
 	chain chainState
-	// xferSeg marks the in-flight transfer as segmented at its pipe's
-	// Frame (TransferSegmented) rather than held whole (TransferFunc).
-	xferSeg bool
 	// fromRun is a process's: set while its current activation came
 	// from Run's dispatch, the precondition for Proc.parkInline. It sits
 	// with the other flags so Proc stays in a smaller size class.
@@ -94,8 +93,8 @@ type Task struct {
 	putVal  any
 	cont    func()
 
-	// In-flight Pipe.TransferFunc / TransferSegmented state. The steps
-	// dispatch by waitKind (taskWaitXferGrant, taskWaitXferHold), so
+	// In-flight Pipe.TransferFunc state. The steps dispatch by waitKind
+	// (taskWaitXferStall, taskWaitXferGrant, taskWaitXferHold), so
 	// the pipe fast path stores no continuation of its own and stays
 	// allocation-free. xferBytes is the payload not yet booked and
 	// xferDur the current hold's duration, computed at acquisition so
@@ -256,6 +255,9 @@ func (t *Task) dispatch() {
 		cont := t.cont
 		t.cont = nil
 		cont()
+	case taskWaitXferStall:
+		t.waitKind = taskWaitNone
+		t.xferPipe.arbitrate(t)
 	case taskWaitXferGrant:
 		t.unpark()
 		t.xferAcquired()

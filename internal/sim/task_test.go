@@ -279,70 +279,17 @@ func TestSignalWaitFuncAndReset(t *testing.T) {
 	tk.Finish()
 }
 
-// TestAwaitHandoffResumesInline: Handoff must resume the parked caller
-// inside the current event, ahead of same-time events that were queued
-// before the handoff — the property that keeps event-mode state
-// machines seq-equivalent to the blocking calls they replace.
-func TestAwaitHandoffResumesInline(t *testing.T) {
-	k := NewKernel()
-	defer k.Close()
-	var order []string
-	k.Spawn("caller", func(p *Proc) {
-		k.After(Millisecond, func() {
-			k.At(k.Now(), func() { order = append(order, "queued-later") })
-			order = append(order, "work-done")
-			k.Handoff(p)
-		})
-		p.Await("pump", "join")
-		order = append(order, "resumed")
-	})
-	k.Run()
-	want := []string{"work-done", "resumed", "queued-later"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
 // TestAwaitNamedInDeadlockReport: a caller abandoned in Await must show
 // up like any other blocked process.
 func TestAwaitNamedInDeadlockReport(t *testing.T) {
 	k := NewKernel()
 	defer k.Close()
-	k.Spawn("disklet", func(p *Proc) { p.Await("stream.pump", "join") })
+	k.Spawn("disklet", func(p *Proc) { p.Await("xshard", "call") })
 	k.Run()
 	rep := k.DeadlockReport()
-	if !strings.Contains(rep, "disklet") || !strings.Contains(rep, "join") {
+	if !strings.Contains(rep, "disklet") || !strings.Contains(rep, "call") {
 		t.Errorf("DeadlockReport() = %q, want the awaiting process named", rep)
 	}
-}
-
-// TestHandoffFromProcessPanics: handing control to another process while
-// one is running would make two processes runnable at once.
-func TestHandoffFromProcessPanics(t *testing.T) {
-	k := NewKernel()
-	defer k.Close()
-	k.Spawn("parked", func(p *Proc) { p.Await("pump", "join") })
-	k.Spawn("offender", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("Handoff from process context did not panic")
-			}
-		}()
-		var parked *Proc
-		for _, q := range k.procs {
-			if q.name == "parked" {
-				parked = q
-			}
-		}
-		p.Yield() // let "parked" park first
-		k.Handoff(parked)
-	})
-	k.Run()
 }
 
 // TestSpawnPoolingReuse checks that finished processes are recycled:

@@ -65,3 +65,15 @@ func TransferTime(bytes int64, bytesPerSec float64) Time {
 	}
 	return t
 }
+
+// Window is a half-open interval [Start, End) of virtual time: a pipe
+// outage, a processor's slowdown.
+type Window struct {
+	Start, End Time
+}
+
+// Contains reports whether t falls inside the window.
+func (w Window) Contains(t Time) bool { return t >= w.Start && t < w.End }
+
+// Duration returns the window's length.
+func (w Window) Duration() Time { return w.End - w.Start }
