@@ -40,7 +40,7 @@ func (b *Bus) Init(k *sim.Kernel, name string, p Params) *Bus {
 	if b == nil {
 		b = new(Bus)
 	}
-	b.pipe = b.pipe.Init(k, name, p.Channels, p.BytesPerSec, p.Startup)
+	*b = Bus{pipe: b.pipe.Init(k, name, p.Channels, p.BytesPerSec, p.Startup)}
 	b.pipe.Frame = p.Frame
 	return b
 }

@@ -92,10 +92,11 @@ func (pp *Pipe) stall() Time {
 			break
 		}
 		if w.Contains(now) {
-			pp.stallTime += w.End - now
+			d := w.End - now
+			pp.stallTime += d
 			pp.stalls++
 			pp.pr.Span(probe.KindStall, int64(now), int64(w.End))
-			return w.End - now
+			return d
 		}
 	}
 	return 0
