@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check lint vet-fixtures vet-allows test race bench-kernel bench-figures bench-parallel bench-guard alloc-profile full-scale-check fault-smoke trace-smoke chaos-smoke service-smoke
+.PHONY: build vet fmt-check lint vet-fixtures vet-allows test race bench-kernel bench-figures bench-parallel bench-guard alloc-profile full-scale-check fault-smoke trace-smoke chaos-smoke service-smoke loc
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,12 @@ vet-allows:
 
 test:
 	$(GO) test ./...
+
+# Go line counts, non-test and test, outside vendor/, testdata/ and
+# perfbench/: the sizes CHANGES.md reports for a change.
+loc:
+	@echo "non-test $$(find . -name '*.go' ! -path './vendor/*' ! -path '*/testdata/*' ! -path './perfbench/*' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test     $$(find . -name '*.go' ! -path './vendor/*' ! -path '*/testdata/*' ! -path './perfbench/*' -name '*_test.go' | xargs cat | wc -l)"
 
 race:
 	$(GO) test -race ./internal/...

@@ -173,17 +173,11 @@ func (m *Machine) InstallFaults(plan *fault.Plan) {
 // the disk injector, straggler windows and local bus outages.
 func (n *Node) installFaults(plan *fault.Plan, i int) {
 	if inj := plan.DiskInjector(i); inj != nil {
-		n.Disk.SetFaultInjector(inj, disk.DefaultRetryPolicy())
+		n.Disk.SetFaultInjector(inj)
 	}
 	// Straggler windows land on the node's host CPU: the cluster's
 	// drives are dumb, so a slow drive manifests as a slow node.
-	if ss := plan.StragglersFor(i); len(ss) != 0 {
-		sl := make([]cpu.Slowdown, len(ss))
-		for j, st := range ss {
-			sl[j] = cpu.Slowdown{Start: st.Window.Start, End: st.Window.End, Factor: st.Factor}
-		}
-		n.CPU.SetSlowdowns(sl)
-	}
+	n.CPU.SetSlowdowns(plan.StragglersFor(i))
 	n.SCSI.SetOutages(plan.OutagesFor(n.SCSI.Name()))
 	n.PCI.SetOutages(plan.OutagesFor(n.PCI.Name()))
 }

@@ -36,8 +36,8 @@ type CPU struct {
 // start time and nominal duration — deterministic across execution
 // modes.
 type Slowdown struct {
-	Start, End sim.Time
-	Factor     float64 // > 1; nominal time t takes Factor*t inside the window
+	sim.Window
+	Factor float64 // > 1; nominal time t takes Factor*t inside the window
 }
 
 // New creates a processor with the given clock rate in Hz.

@@ -99,7 +99,7 @@ func TestSlowdownStretch(t *testing.T) {
 	c := New(k, "cpu", 100e6)
 	// 2x slowdown for [1s, 2s): work inside the window takes twice the
 	// wall time.
-	c.SetSlowdowns([]Slowdown{{Start: sim.Second, End: 2 * sim.Second, Factor: 2}})
+	c.SetSlowdowns([]Slowdown{{Window: sim.Window{Start: sim.Second, End: 2 * sim.Second}, Factor: 2}})
 	var el sim.Time
 	k.Spawn("w", func(p *sim.Proc) {
 		t0 := p.Now()
@@ -121,7 +121,7 @@ func TestSlowdownStretch(t *testing.T) {
 func TestSlowdownSpansWindow(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, "cpu", 100e6)
-	c.SetSlowdowns([]Slowdown{{Start: sim.Second, End: 2 * sim.Second, Factor: 4}})
+	c.SetSlowdowns([]Slowdown{{Window: sim.Window{Start: sim.Second, End: 2 * sim.Second}, Factor: 4}})
 	var el sim.Time
 	k.Spawn("w", func(p *sim.Proc) {
 		// 2s of work from 0: 1s full rate, the 1s window retires 250ms,
@@ -139,7 +139,7 @@ func TestSlowdownSpansWindow(t *testing.T) {
 func TestSlowdownOutsideWindowIsIdentity(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, "cpu", 100e6)
-	c.SetSlowdowns([]Slowdown{{Start: 10 * sim.Second, End: 11 * sim.Second, Factor: 3}})
+	c.SetSlowdowns([]Slowdown{{Window: sim.Window{Start: 10 * sim.Second, End: 11 * sim.Second}, Factor: 3}})
 	var el sim.Time
 	k.Spawn("w", func(p *sim.Proc) {
 		t0 := p.Now()
@@ -160,8 +160,8 @@ func TestSlowdownMultipleWindows(t *testing.T) {
 	c := New(k, "cpu", 100e6)
 	// Deliberately unsorted; SetSlowdowns must order them.
 	c.SetSlowdowns([]Slowdown{
-		{Start: 3 * sim.Second, End: 4 * sim.Second, Factor: 2},
-		{Start: sim.Second, End: 2 * sim.Second, Factor: 2},
+		{Window: sim.Window{Start: 3 * sim.Second, End: 4 * sim.Second}, Factor: 2},
+		{Window: sim.Window{Start: sim.Second, End: 2 * sim.Second}, Factor: 2},
 	})
 	var el sim.Time
 	k.Spawn("w", func(p *sim.Proc) {

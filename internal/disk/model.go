@@ -127,23 +127,15 @@ type FaultInjector interface {
 	FailureTime() (sim.Time, bool)
 }
 
-// RetryPolicy bounds media-error recovery. Each retry costs one full
-// platter revolution (the sector must come around again) plus Backoff.
-type RetryPolicy struct {
-	// MaxRetries is the retry budget; a transient error demanding more
-	// becomes a hard ErrMediaError. Zero means no retries: every media
-	// error is hard.
-	MaxRetries int
-	// Backoff is extra recovery time per retry on top of the
-	// revolution (controller error processing, head re-settle).
-	Backoff sim.Time
-}
-
-// DefaultRetryPolicy mirrors common drive firmware: a handful of
-// re-reads with a small fixed recovery overhead each.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxRetries: 5, Backoff: 500 * sim.Microsecond}
-}
+// Media-error recovery mirrors common drive firmware: a transient error
+// demanding more than maxRetries re-reads becomes a hard ErrMediaError,
+// and each retry costs one full platter revolution (the sector must
+// come around again) plus retryBackoff (controller error processing,
+// head re-settle).
+const (
+	maxRetries   = 5
+	retryBackoff = 500 * sim.Microsecond
+)
 
 // Disk is a simulated drive: a FIFO request queue served by a single
 // mechanical arm, with a segmented read-ahead cache. All methods must be
@@ -182,7 +174,6 @@ type Disk struct {
 	statsAt serviceSnap
 
 	inj    FaultInjector
-	retry  RetryPolicy
 	reqSeq int64
 
 	policy  SchedulingPolicy
@@ -318,15 +309,14 @@ func (d *Disk) Utilization() float64 {
 	return float64(d.stats.BusyTime) / float64(d.k.Now())
 }
 
-// SetFaultInjector installs a fault source and retry policy. Call once,
-// before the simulation runs (a declared whole-disk failure is
-// scheduled here). A nil injector is a no-op.
-func (d *Disk) SetFaultInjector(inj FaultInjector, policy RetryPolicy) {
+// SetFaultInjector installs a fault source. Call once, before the
+// simulation runs (a declared whole-disk failure is scheduled here). A
+// nil injector is a no-op.
+func (d *Disk) SetFaultInjector(inj FaultInjector) {
 	if inj == nil {
 		return
 	}
 	d.inj = inj
-	d.retry = policy
 	if t, ok := inj.FailureTime(); ok {
 		if t < d.k.Now() {
 			t = d.k.Now()
@@ -563,7 +553,7 @@ func (d *Disk) emitServed(req *Request) {
 // applyFaults consults the injector for the request being serviced and
 // returns the extra service time faults add. A transient media error
 // within the retry budget succeeds after its retries (each costing a
-// revolution plus the policy backoff); one beyond the budget burns the
+// revolution plus retryBackoff); one beyond the budget burns the
 // whole budget and completes with ErrMediaError. Reads additionally
 // face silent corruption: data failing the checksum verify is reread
 // under the same per-retry cost and budget.
@@ -577,24 +567,24 @@ func (d *Disk) applyFaults(req *Request) sim.Time {
 	}
 	if retries > 0 {
 		n := retries
-		if n > d.retry.MaxRetries {
-			n = d.retry.MaxRetries
+		if n > maxRetries {
+			n = maxRetries
 			d.hardError(req)
 		}
 		req.Retries = int32(n)
 		d.stats.Retries += int64(n)
-		extra += sim.Time(n) * (d.m.rotPeriod + d.retry.Backoff)
+		extra += sim.Time(n) * (d.m.rotPeriod + retryBackoff)
 	}
 	if !req.Write {
 		if rereads := d.inj.CorruptionFault(d.reqSeq); rereads > 0 {
 			d.stats.CorruptReads++
 			n := rereads
-			if n > d.retry.MaxRetries {
-				n = d.retry.MaxRetries
+			if n > maxRetries {
+				n = maxRetries
 				d.hardError(req)
 			}
 			d.stats.Rereads += int64(n)
-			extra += sim.Time(n) * (d.m.rotPeriod + d.retry.Backoff)
+			extra += sim.Time(n) * (d.m.rotPeriod + retryBackoff)
 		}
 	}
 	d.stats.FaultDelay += extra

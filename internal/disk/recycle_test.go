@@ -58,8 +58,7 @@ func TestRecycledRequestCarriesNoFaultState(t *testing.T) {
 	k := sim.NewKernel()
 	defer k.Close()
 	d := New(k, "d", Cheetah9LP())
-	policy := DefaultRetryPolicy()
-	d.SetFaultInjector(scriptedFaults{policy.MaxRetries + 3, 2}, policy)
+	d.SetFaultInjector(scriptedFaults{maxRetries + 3, 2})
 
 	type use struct {
 		err     error
@@ -83,7 +82,7 @@ func TestRecycledRequestCarriesNoFaultState(t *testing.T) {
 		t.Fatalf("completed %d reads, want 3", len(uses))
 	}
 	want := []use{
-		{ErrMediaError, policy.MaxRetries, uses[0].req},
+		{ErrMediaError, maxRetries, uses[0].req},
 		{nil, 2, uses[0].req},
 		{nil, 0, uses[0].req},
 	}
@@ -93,7 +92,7 @@ func TestRecycledRequestCarriesNoFaultState(t *testing.T) {
 				i, uses[i].err, uses[i].retries, uses[i].req, w.err, w.retries, w.req)
 		}
 	}
-	if s := d.Stats(); s.FailedRequests != 1 || s.Retries != int64(policy.MaxRetries+2) {
-		t.Errorf("stats: failed=%d retries=%d, want 1 and %d", s.FailedRequests, s.Retries, policy.MaxRetries+2)
+	if s := d.Stats(); s.FailedRequests != 1 || s.Retries != int64(maxRetries+2) {
+		t.Errorf("stats: failed=%d retries=%d, want 1 and %d", s.FailedRequests, s.Retries, maxRetries+2)
 	}
 }

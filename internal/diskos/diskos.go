@@ -351,14 +351,11 @@ func (s *System) InstallFaults(plan *fault.Plan) {
 	if plan == nil {
 		return
 	}
-	policy := disk.DefaultRetryPolicy()
 	for _, ad := range s.Disks {
 		if inj := plan.DiskInjector(ad.ID); inj != nil {
-			ad.Disk.SetFaultInjector(inj, policy)
+			ad.Disk.SetFaultInjector(inj)
 		}
-		if ss := plan.StragglersFor(ad.ID); len(ss) != 0 {
-			ad.CPU.SetSlowdowns(slowdowns(ss))
-		}
+		ad.CPU.SetSlowdowns(plan.StragglersFor(ad.ID))
 	}
 	if plan.Spare && plan.Replica && plan.FailDisk >= 0 && plan.FailDisk < len(s.Disks) {
 		s.Spare = s.Disks[plan.FailDisk].Disk.Model().New(s.K, "spare")
@@ -368,15 +365,6 @@ func (s *System) InstallFaults(plan *fault.Plan) {
 	}
 	s.FE.Adaptor.SetOutages(plan.OutagesFor(s.FE.Adaptor.Name()))
 	s.FE.PCI.SetOutages(plan.OutagesFor(s.FE.PCI.Name()))
-}
-
-// slowdowns converts plan straggler windows to the cpu model's terms.
-func slowdowns(ss []fault.Straggler) []cpu.Slowdown {
-	out := make([]cpu.Slowdown, len(ss))
-	for i, st := range ss {
-		out[i] = cpu.Slowdown{Start: st.Window.Start, End: st.Window.End, Factor: st.Factor}
-	}
-	return out
 }
 
 // RebuildTransfer moves one rebuild chunk from the surviving replica

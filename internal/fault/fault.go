@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"howsim/internal/cpu"
 	"howsim/internal/sim"
 )
 
@@ -408,16 +409,17 @@ func (p *Plan) DiskInjector(diskID int) *DiskInjector {
 	return &DiskInjector{plan: p, diskID: diskID}
 }
 
-// StragglersFor returns the CPU slowdown windows declared for the disk
-// with the given index, in start order (nil when there are none).
-func (p *Plan) StragglersFor(diskID int) []Straggler {
+// StragglersFor returns the straggler windows declared for the disk with
+// the given index as the cpu model's slowdowns, in start order (nil when
+// there are none).
+func (p *Plan) StragglersFor(diskID int) []cpu.Slowdown {
 	if p == nil {
 		return nil
 	}
-	var ss []Straggler
+	var ss []cpu.Slowdown
 	for _, st := range p.Stragglers {
 		if st.Disk == diskID {
-			ss = append(ss, st)
+			ss = append(ss, cpu.Slowdown{Window: st.Window, Factor: st.Factor})
 		}
 	}
 	sort.Slice(ss, func(i, j int) bool { return ss[i].Window.Start < ss[j].Window.Start })

@@ -125,22 +125,15 @@ func (m *Machine) InstallFaults(plan *fault.Plan) {
 	if plan == nil {
 		return
 	}
-	policy := disk.DefaultRetryPolicy()
 	for i, d := range m.Disks {
 		if inj := plan.DiskInjector(i); inj != nil {
-			d.SetFaultInjector(inj, policy)
+			d.SetFaultInjector(inj)
 		}
 	}
 	// Straggler windows map by index onto the shared processors (the
 	// SMP has no per-drive CPU to slow down).
 	for i, c := range m.CPUs {
-		if ss := plan.StragglersFor(i); len(ss) != 0 {
-			sl := make([]cpu.Slowdown, len(ss))
-			for j, st := range ss {
-				sl[j] = cpu.Slowdown{Start: st.Window.Start, End: st.Window.End, Factor: st.Factor}
-			}
-			c.SetSlowdowns(sl)
-		}
+		c.SetSlowdowns(plan.StragglersFor(i))
 	}
 	m.FC.SetOutages(plan.OutagesFor(m.FC.Name()))
 	m.XIO.SetOutages(plan.OutagesFor(m.XIO.Name()))

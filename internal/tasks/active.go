@@ -3,7 +3,6 @@ package tasks
 import (
 	"fmt"
 
-	"howsim/internal/arch"
 	"howsim/internal/cpu"
 	"howsim/internal/disk"
 	"howsim/internal/diskos"
@@ -14,103 +13,57 @@ import (
 	"howsim/internal/workload"
 )
 
-// runActive executes one task on an Active Disk configuration: on one
-// kernel, or partitioned across a ShardGroup under ModeParallel when
-// the run is shardable. Both placements share the epilogue; the tasks
-// that shard write their bodies once against the placement seam, and
-// sort, join and mview, which never shard, take the one kernel.
-func runActive(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *Result,
-	plan *fault.Plan, sink *probe.Sink, rc *runCtl) {
-	var pl placement
-	var s *diskos.System
-	var leafSinks []*probe.Sink
-	if rc.mode == ModeParallel && shardable(task, cfg, plan) {
-		g := sim.NewShardGroup(cfg.Disks)
-		defer g.Close()
-		g.Hub().SetProbe(sink)
-		// Each kernel records into its own sink (sinks are single-threaded);
-		// the leaves' recordings are merged into the hub's after the run.
-		if sink != nil {
-			leafSinks = make([]*probe.Sink, cfg.Disks)
-			for i := range leafSinks {
-				ls := probe.NewSinkCap(sink.RingCap())
-				ls.SetEnabled(sink.Enabled())
-				leafSinks[i] = ls
-				g.Shard(i).Kernel().SetProbe(ls)
-			}
-		}
-		pl.g, s = g, cfg.BuildActiveSharded(g)
-	} else {
-		mp := takePair(cfg, sink)
-		defer mp.release()
-		pl.k, s = mp.k, mp.ad
-	}
-	s.InstallFaults(plan)
-	deg := &degrade{}
-	rb := &rebuildState{}
-	spawnRebuild(pl.hub(), s, ds, plan, rb)
-	var done *sim.Signal
+// activeMachine is an Active Disk system, on one kernel or on a shard
+// group. The tasks that shard write their bodies once against the
+// placement seam; sort, join and mview, which never shard, take the one
+// kernel.
+type activeMachine struct{ *diskos.System }
+
+func (a activeMachine) start(task workload.TaskID, pl *placement, ds workload.Dataset, res *Result,
+	plan *fault.Plan, deg *degrade) *sim.Signal {
+	s := a.System
+	spawnRebuild(pl.hub(), s, ds, plan, &deg.rebuild)
 	switch task {
 	case workload.Select:
-		done = activeScan(&pl, s, ds, SelectCycles,
-			func(n int64) int64 { return int64(float64(n) * ds.Selectivity) }, 0, plan, deg)
+		return activeScan(pl, s, ds, SelectCycles, ds.Selectivity, 0, plan, deg)
 	case workload.Aggregate:
-		done = activeScan(&pl, s, ds, AggregateCycles, func(int64) int64 { return 0 }, 512, plan, deg)
+		return activeScan(pl, s, ds, AggregateCycles, 0, 512, plan, deg)
 	case workload.GroupBy:
-		done = activeGroupBy(&pl, s, ds, res)
+		return activeGroupBy(pl, s, ds, res)
 	case workload.Sort:
-		done = activeSort(pl.k, s, ds, res)
+		return activeSort(pl.k, s, ds, res)
 	case workload.DataCube:
-		done = activeCube(&pl, s, ds, res)
+		return activeCube(pl, s, ds, res)
 	case workload.Join:
-		done = activeJoin(pl.k, s, ds, res)
+		return activeJoin(pl.k, s, ds, res)
 	case workload.DataMine:
-		done = activeMine(&pl, s, ds, res)
+		return activeMine(pl, s, ds, res)
 	case workload.MView:
-		done = activeMView(pl.k, s, ds, res)
-	default:
-		panic(fmt.Sprintf("tasks: unknown task %v", task))
+		return activeMView(pl.k, s, ds, res)
 	}
-	res.Elapsed = pl.run(rc)
-	if rc.cancelled {
-		return
-	}
-	completed := done.Fired()
-	var deadlock string
-	if !completed {
-		deadlock = pl.deadlockReport()
-		if pl.g != nil {
-			deadlock = pl.g.Stall() + "\n" + deadlock
-		}
-		if plan == nil {
-			panic(fmt.Sprintf("tasks: %v on %s deadlocked at %v\n%s", task, cfg.Name(), res.Elapsed, deadlock))
-		}
-	}
+	panic(fmt.Sprintf("tasks: unknown task %v", task))
+}
+
+func (a activeMachine) finish(res *Result, _ *degrade) {
+	s := a.System
 	res.Details["loop_bytes"] = float64(s.LoopBytesMoved())
 	res.Details["loop_util"] = s.LoopUtilization()
 	res.Details["loops"] = float64(s.Loops())
 	res.Details["fe_recv_bytes"] = float64(s.FE.ReceivedBytes())
 	res.Details["fe_relay_bytes"] = float64(s.FE.RelayedBytes())
-	var mediaRead, mediaWrite int64
-	disks := make([]*disk.Disk, len(s.Disks))
-	cpus := make([]*cpu.CPU, len(s.Disks))
-	for i, ad := range s.Disks {
-		st := ad.Disk.Stats()
-		mediaRead += st.BytesRead
-		mediaWrite += st.BytesWritten
-		disks[i] = ad.Disk
-		cpus[i] = ad.CPU
+	mediaDetails(res, len(s.Disks), func(i int) *disk.Disk { return s.Disks[i].Disk })
+}
+
+func (a activeMachine) units() ([]*disk.Disk, []*cpu.CPU) {
+	disks := make([]*disk.Disk, len(a.Disks), len(a.Disks)+1)
+	cpus := make([]*cpu.CPU, len(a.Disks))
+	for i, ad := range a.Disks {
+		disks[i], cpus[i] = ad.Disk, ad.CPU
 	}
-	if s.Spare != nil {
-		disks = append(disks, s.Spare)
+	if a.Spare != nil {
+		disks = append(disks, a.Spare)
 	}
-	res.Details["media_read_bytes"] = float64(mediaRead)
-	res.Details["media_write_bytes"] = float64(mediaWrite)
-	faultEpilogue(res, plan, deg, completed, deadlock, disks, cpus, rb)
-	for _, ls := range leafSinks {
-		sink.Merge(ls)
-	}
-	probeEpilogue(res, pl.hub())
+	return disks, cpus
 }
 
 // replicaRegionOf places each disk's replica copy of a peer's partition:
@@ -120,8 +73,9 @@ func runActive(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *
 func replicaRegionOf(capEach int64) int64 { return alignSector(5 * capEach / 6) }
 
 // activeScan is the shared scan skeleton for select and aggregate: every
-// disk scans its partition with the disklet, forwarding emitted result
-// bytes to the front-end in batches.
+// disk scans its partition with the disklet, forwarding outFraction of
+// the bytes scanned to the front-end in batches and finalBytes once at
+// the end.
 //
 // Recovery: a hard media error loses just that chunk; a failed drive
 // either hands the rest of the partition to the replica copy on the next
@@ -132,13 +86,12 @@ func replicaRegionOf(capEach int64) int64 { return alignSector(5 * capEach / 6) 
 // crossing. The fault-free path issues exactly the same simulated
 // events as before the fault plumbing existed.
 func activeScan(pl *placement, s *diskos.System, ds workload.Dataset,
-	cycles int64, emit func(chunkBytes int64) int64, finalBytes int64,
+	cycles int64, outFraction float64, finalBytes int64,
 	plan *fault.Plan, deg *degrade) *sim.Signal {
 	d := len(s.Disks)
 	per := perNodeBytes(ds.TotalBytes, d)
 	deg.total = per * int64(d)
 	replicaRegion := replicaRegionOf(s.Disks[0].Disk.Capacity())
-	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(d)
 	for i := range s.Disks {
 		k := pl.kernel(i)
@@ -186,7 +139,7 @@ func activeScan(pl *placement, s *diskos.System, ds workload.Dataset,
 					}
 					t := tuplesIn(n, ds.TupleBytes)
 					src.Compute(p, t*cycles)
-					pend += emit(n)
+					pend += int64(float64(n) * outFraction)
 					if pend >= flushBatch {
 						pl.sendFE(p, src, pend)
 						pend = 0
@@ -209,11 +162,7 @@ func activeScan(pl *placement, s *diskos.System, ds workload.Dataset,
 			})
 		})
 	}
-	pl.hub().Spawn("coord", func(p *sim.Proc) {
-		wg.Wait(p)
-		done.Fire()
-	})
-	return done
+	return coord(pl.hub(), wg, nil)
 }
 
 // feMerger drains the front-end inbox, charging the front-end CPU a
@@ -252,7 +201,6 @@ func activeGroupBy(pl *placement, s *diskos.System, ds workload.Dataset, res *Re
 	res.Details["fwd_bytes_per_disk"] = float64(fwd)
 	ratio := float64(fwd) / float64(per)
 
-	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(d)
 	merged := feMerger(pl.hub(), s, GroupResultTupleBytes, GroupMergeCycles)
 	for i := range s.Disks {
@@ -277,13 +225,10 @@ func activeGroupBy(pl *placement, s *diskos.System, ds workload.Dataset, res *Re
 			})
 		})
 	}
-	pl.hub().Spawn("coord", func(p *sim.Proc) {
-		wg.Wait(p)
+	return coord(pl.hub(), wg, func(p *sim.Proc) {
 		s.FE.CloseInbox()
 		merged.Wait(p)
-		done.Fire()
 	})
-	return done
 }
 
 // activeSort is the two-phase external sort: phase 1 repartitions every
@@ -295,9 +240,7 @@ func activeGroupBy(pl *placement, s *diskos.System, ds workload.Dataset, res *Re
 func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(s.Disks)
 	per := perNodeBytes(ds.TotalBytes, d)
-	capEach := s.Disks[0].Disk.Capacity()
-	runRegion := alignSector(capEach / 3)
-	outRegion := alignSector(2 * capEach / 3)
+	runRegion, outRegion := regions(s.Disks[0].Disk.Capacity())
 
 	runBytes := alignSector(s.ScratchBytes() - 3<<20)
 	if runBytes < 1<<20 {
@@ -311,17 +254,19 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 	res.Details["run_bytes"] = float64(runBytes)
 
 	hz := s.Disks[0].CPU.Hz()
-	var cPart, cAppend, cSort, cMerge int64
+	var cPart, cAppend, cMerge int64
 	var p1End sim.Time
 
 	type runState struct {
-		fill     int64
-		runSizes []int64
-		mu       *sim.Mutex // partitioner and sorter disklets share the run buffer
+		sortRuns
+		mu *sim.Mutex // partitioner and sorter disklets share the run buffer
 	}
 	states := make([]*runState, d)
 	for i := range states {
-		states[i] = &runState{mu: sim.NewMutex(k, fmt.Sprintf("run%d", i))}
+		states[i] = &runState{
+			sortRuns: sortRuns{region: runRegion, size: runBytes, tupleBytes: ds.TupleBytes},
+			mu:       sim.NewMutex(k, fmt.Sprintf("run%d", i)),
+		}
 	}
 
 	// absorb accumulates arriving bytes into the current run, sorting
@@ -337,24 +282,12 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 		ad.Compute(p, t*AppendCycles)
 		cAppend += t * AppendCycles
 		st.fill += bytes
-		for st.fill >= runBytes {
-			rt := tuplesIn(runBytes, ds.TupleBytes)
-			ad.Compute(p, rt*RunSortCycles)
-			cSort += rt * RunSortCycles
-			var written int64
-			for _, r := range st.runSizes {
-				written += r
-			}
-			ad.WriteLocal(p, runRegion+written, runBytes)
-			st.runSizes = append(st.runSizes, runBytes)
-			st.fill -= runBytes
-		}
+		st.spillFull(p, ad)
 	}
 
 	barrier := sim.NewBarrier(k, "sort.p1", d)
 	readers := sim.NewWaitGroup(d)
 	sorters := sim.NewWaitGroup(d)
-	done := sim.NewSignal()
 
 	for i := range s.Disks {
 		ad := s.Disks[i]
@@ -393,24 +326,12 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 				rel = c.Bytes
 			}
 			st := states[i]
-			if st.fill > 0 {
-				t := tuplesIn(st.fill, ds.TupleBytes)
-				ad.Compute(p, t*RunSortCycles)
-				cSort += t * RunSortCycles
-				var written int64
-				for _, r := range st.runSizes {
-					written += r
-				}
-				sz := alignSector(st.fill)
-				ad.WriteLocal(p, runRegion+written, sz)
-				st.runSizes = append(st.runSizes, sz)
-				st.fill = 0
-			}
+			st.spillTail(p, ad)
 			barrier.Wait(p)
 			if i == 0 {
 				p1End = p.Now()
 			}
-			activeMerge(p, ad, st.runSizes, runRegion, outRegion, ds.TupleBytes, &cMerge)
+			cMerge += st.merge(p, ad, outRegion)
 			sorters.Done()
 		})
 	}
@@ -421,11 +342,14 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 			ad.CloseInbox()
 		}
 	})
-	k.Spawn("coord", func(p *sim.Proc) {
-		sorters.Wait(p)
+	return coord(k, sorters, func(p *sim.Proc) {
 		// Attribute CPU buckets (average per disk) and idle remainders,
 		// matching Figure 3's legend.
 		total := p.Now()
+		var cSort int64
+		for _, st := range states {
+			cSort += st.cycles
+		}
 		toTime := func(cycles int64) sim.Time {
 			return sim.Time(float64(cycles) / hz / float64(d) * float64(sim.Second))
 		}
@@ -444,9 +368,7 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 		}
 		res.Details["p1_seconds"] = p1End.Seconds()
 		res.Details["p2_seconds"] = (total - p1End).Seconds()
-		done.Fire()
 	})
-	return done
 }
 
 // peersOf lists every disk but i, in ascending order: the rotation a
@@ -459,54 +381,6 @@ func peersOf(i, d int) []int {
 		}
 	}
 	return peers
-}
-
-// activeMerge reads the sorted runs round-robin (512 KB per run visit,
-// seeking between runs as a real merge does), charges the merge CPU
-// cost, and writes the sorted output sequentially.
-func activeMerge(p *sim.Proc, ad *diskos.ActiveDisk, runSizes []int64,
-	runRegion, outRegion int64, tupleBytes int, cMerge *int64) {
-	if len(runSizes) == 0 {
-		return
-	}
-	const visit = 512 << 10
-	runStarts := make([]int64, len(runSizes))
-	var total int64
-	for i, sz := range runSizes {
-		runStarts[i] = runRegion + total
-		total += sz
-	}
-	consumed := make([]int64, len(runSizes))
-	lvl := log2Ceil(len(runSizes))
-	var outPend, outOff, readTotal int64
-	r := 0
-	for readTotal < total {
-		// Find the next run with data, round-robin.
-		for consumed[r] >= runSizes[r] {
-			r = (r + 1) % len(runSizes)
-		}
-		n := int64(visit)
-		if rem := runSizes[r] - consumed[r]; rem < n {
-			n = rem
-		}
-		ad.ReadLocal(p, runStarts[r]+consumed[r], n)
-		consumed[r] += n
-		readTotal += n
-		t := tuplesIn(n, tupleBytes)
-		cost := t * (MergeCyclesBase + MergeCyclesPerLevel*lvl)
-		ad.Compute(p, cost)
-		*cMerge += cost
-		outPend += n
-		if outPend >= flushBatch {
-			ad.WriteLocal(p, outRegion+outOff, outPend)
-			outOff += outPend
-			outPend = 0
-		}
-		r = (r + 1) % len(runSizes)
-	}
-	if outPend > 0 {
-		ad.WriteLocal(p, outRegion+outOff, alignSector(outPend))
-	}
 }
 
 // activeCube runs PipeHash: the pass/spill plan comes from
@@ -523,12 +397,10 @@ func activeCube(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 	res.Details["passes"] = float64(plan.Passes)
 	res.Details["spill_bytes"] = float64(plan.SpillBytes)
 
-	interRegion := alignSector(s.Disks[0].Disk.Capacity() / 3)
-	tableRegion := alignSector(2 * s.Disks[0].Disk.Capacity() / 3)
-	interBytes := alignSector(int64(float64(per) * CubeIntermediateFraction))
-	tablesPer := alignSector(tables / int64(d))
+	cn := newCubeNode(per, s.Disks[0].Disk.Capacity(), tables, d, plan.Passes, ds.TupleBytes)
+	spillShare := plan.SpillBytes / int64(d)
+	spillRatio := float64(spillShare) / float64(per)
 
-	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(d)
 	var merged *sim.Signal
 	if plan.SpillBytes > 0 {
@@ -537,58 +409,33 @@ func activeCube(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 	for i := range s.Disks {
 		ad := s.Disks[i]
 		pl.kernel(i).Spawn(fmt.Sprintf("cube%d", i), func(p *sim.Proc) {
-			spillShare := plan.SpillBytes / int64(d)
-			spillRatio := float64(spillShare) / float64(per)
+			// Pass 1 streams the disk's share of the spilled partial
+			// tables to the front-end as it scans.
 			var pend float64
-			// Pass 1 over the raw partition, writing the intermediate.
-			var interWritten int64
-			chunksOf(per, func(off, n int64) {
-				ad.ReadLocal(p, off, n)
-				t := tuplesIn(n, ds.TupleBytes)
-				ad.Compute(p, t*CubeCycles)
-				if spillShare > 0 {
+			var spill func(n int64)
+			if spillShare > 0 {
+				spill = func(n int64) {
 					pend += float64(n) * spillRatio
 					if pend >= flushBatch {
 						pl.sendFE(p, ad, int64(pend))
 						pend = 0
 					}
 				}
-				if interWritten < interBytes {
-					w := n
-					if interBytes-interWritten < w {
-						w = alignSector(interBytes - interWritten)
-					}
-					ad.WriteLocal(p, interRegion+interWritten, w)
-					interWritten += w
-				}
-			})
+			}
+			cn.firstPass(p, ad, spill)
 			if pend >= 1 {
 				pl.sendFE(p, ad, int64(pend))
 			}
-			// Remaining passes over the intermediate results.
-			for pass := 1; pass < plan.Passes; pass++ {
-				chunksOf(interBytes, func(off, n int64) {
-					ad.ReadLocal(p, interRegion+off, n)
-					t := tuplesIn(n, ds.TupleBytes)
-					ad.Compute(p, t*CubeCycles)
-				})
-			}
-			// Write the finished group-by tables.
-			chunksOf(tablesPer, func(off, n int64) {
-				ad.WriteLocal(p, tableRegion+off, n)
-			})
+			cn.finish(p, ad)
 			pl.cross(p, i, func(*sim.Proc) { wg.Done() })
 		})
 	}
-	pl.hub().Spawn("coord", func(p *sim.Proc) {
-		wg.Wait(p)
+	return coord(pl.hub(), wg, func(p *sim.Proc) {
 		s.FE.CloseInbox()
 		if merged != nil {
 			merged.Wait(p)
 		}
-		done.Fire()
 	})
-	return done
 }
 
 // activeJoin is the Grace-style project-join: both relations are
@@ -603,15 +450,13 @@ func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 	perR := perNodeBytes(rBytes, d)
 	perS := perNodeBytes(sBytes, d)
 	projFrac := float64(ds.ProjectedTupleBytes) / float64(ds.TupleBytes)
-	partRegion := alignSector(s.Disks[0].Disk.Capacity() / 3)
-	outRegion := alignSector(2 * s.Disks[0].Disk.Capacity() / 3)
+	partRegion, outRegion := regions(s.Disks[0].Disk.Capacity())
 
 	projR := alignSector(int64(float64(perR) * projFrac))
 	projS := alignSector(int64(float64(perS) * projFrac))
 	gp := relational.PlanGraceJoin(projR, s.ScratchBytes()-2<<20)
 	res.Details["grace_partitions"] = float64(gp.Partitions)
 
-	done := sim.NewSignal()
 	var phase [2]*sim.Barrier
 	phase[0] = sim.NewBarrier(k, "join.p1", d)
 	phase[1] = sim.NewBarrier(k, "join.p2", d)
@@ -655,15 +500,7 @@ func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 		// credit release follows the append compute but precedes the
 		// (possible) partition write.
 		k.Spawn(fmt.Sprintf("jwork%d", i), func(p *sim.Proc) {
-			var pend, written int64
-			flush := func(final bool) {
-				if pend >= flushBatch || (final && pend > 0) {
-					w := alignSector(pend)
-					ad.WriteLocal(p, partRegion+written, w)
-					written += w
-					pend = 0
-				}
-			}
+			js := joinStage{region: partRegion}
 			for {
 				c, ok := ad.Recv(p)
 				if !ok {
@@ -671,39 +508,16 @@ func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 				}
 				t := tuplesIn(c.Bytes, ds.ProjectedTupleBytes)
 				ad.Compute(p, t*AppendCycles/4)
-				pend += c.Bytes
 				ad.Release(c.Bytes)
-				flush(false)
+				js.stage(p, ad, c.Bytes, false)
 			}
 			// Locally retained projected share of both relations.
-			local := (projR + projS) / int64(d)
-			pend += local
-			flush(true)
+			js.stage(p, ad, (projR+projS)/int64(d), true)
 			phase[1].Wait(p)
 			if i == 0 {
 				res.Details["p2_seconds"] = p.Now().Seconds() - res.Details["p1_seconds"]
 			}
-
-			// Local Grace join over the received partitions.
-			totalPart := written
-			rShare := totalPart * projR / (projR + projS)
-			sShare := totalPart - rShare
-			chunksOf(rShare, func(off, n int64) {
-				ad.ReadLocal(p, partRegion+off, n)
-				t := tuplesIn(n, ds.ProjectedTupleBytes)
-				ad.Compute(p, t*BuildCycles)
-			})
-			var outOff int64
-			chunksOf(sShare, func(off, n int64) {
-				ad.ReadLocal(p, partRegion+rShare+off, n)
-				t := tuplesIn(n, ds.ProjectedTupleBytes)
-				ad.Compute(p, t*ProbeCycles)
-				out := int64(float64(n) * JoinOutputFraction)
-				if out > 0 {
-					ad.WriteLocal(p, outRegion+outOff, alignSector(out))
-					outOff += alignSector(out)
-				}
-			})
+			js.join(p, ad, outRegion, projR, projS, ds.ProjectedTupleBytes)
 			workers.Done()
 		})
 	}
@@ -714,11 +528,7 @@ func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 			ad.CloseInbox()
 		}
 	})
-	k.Spawn("coord", func(p *sim.Proc) {
-		workers.Wait(p)
-		done.Fire()
-	})
-	return done
+	return coord(k, workers, nil)
 }
 
 // activeMine runs level-wise association mining: MinePasses scans over
@@ -734,7 +544,6 @@ func activeMine(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 	res.Details["counter_bytes"] = float64(counters)
 
 	hub := pl.hub()
-	done := sim.NewSignal()
 	workers := sim.NewWaitGroup(d)
 	barrier := sim.NewBarrier(hub, "mine.pass", d)
 
@@ -754,7 +563,6 @@ func activeMine(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 			}
 			bwg := sim.NewWaitGroup(d)
 			for i := 0; i < d; i++ {
-				i := i
 				hub.Spawn(fmt.Sprintf("fe.bcast%d", i), func(bp *sim.Proc) {
 					s.FrontEndSend(bp, i, counters, nil)
 					bwg.Done()
@@ -768,11 +576,7 @@ func activeMine(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 		ad := s.Disks[i]
 		pl.kernel(i).Spawn(fmt.Sprintf("mine%d", i), func(p *sim.Proc) {
 			for pass := 0; pass < MinePasses; pass++ {
-				chunksOf(per, func(off, n int64) {
-					ad.ReadLocal(p, off, n)
-					txns := tuplesIn(n, ds.TupleBytes)
-					ad.Compute(p, txns*MineCycles)
-				})
+				scanLocal(p, ad, 0, per, ds.TupleBytes, MineCycles)
 				pl.sendFE(p, ad, counters)
 				if pass < MinePasses-1 {
 					// Wait for the next level's candidates.
@@ -796,15 +600,12 @@ func activeMine(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 			pl.cross(p, i, func(*sim.Proc) { workers.Done() })
 		})
 	}
-	hub.Spawn("coord", func(p *sim.Proc) {
-		workers.Wait(p)
+	return coord(hub, workers, func(p *sim.Proc) {
 		s.FE.CloseInbox()
 		for _, ad := range s.Disks {
 			ad.CloseInbox()
 		}
-		done.Fire()
 	})
-	return done
 }
 
 // activeMView maintains the materialized views: the delta batch is
@@ -821,10 +622,8 @@ func activeMView(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resu
 	updates := deltas * ViewFanout // derived updates produced per disk
 	deltaTupB := ds.TupleBytes
 
-	stageRegion := alignSector(s.Disks[0].Disk.Capacity() / 3)
-	derivedRegion := alignSector(2 * s.Disks[0].Disk.Capacity() / 3)
+	stageRegion, derivedRegion := regions(s.Disks[0].Disk.Capacity())
 
-	done := sim.NewSignal()
 	senders := sim.NewWaitGroup(d)
 	workers := sim.NewWaitGroup(d)
 	applyPhase := sim.NewBarrier(k, "mview.apply", d)
@@ -890,17 +689,7 @@ func activeMView(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resu
 			if i == 0 {
 				res.Details["shuffle_seconds"] = p.Now().Seconds()
 			}
-			// Read-modify-write the derived relations.
-			updPerByte := float64(updates) / float64(derived)
-			var outOff int64
-			chunksOf(derived, func(off, n int64) {
-				ad.ReadLocal(p, derivedRegion+off, n)
-				t := tuplesIn(n, deltaTupB)
-				upd := int64(float64(n) * updPerByte / float64(deltaTupB))
-				ad.Compute(p, t*ViewScanCycles+upd*ViewDeltaCycles)
-				ad.WriteLocal(p, stageRegion+outOff, n)
-				outOff += n
-			})
+			applyViews(p, ad, derived, updates, derivedRegion, stageRegion, deltaTupB)
 			workers.Done()
 		})
 	}
@@ -910,9 +699,5 @@ func activeMView(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resu
 			ad.CloseInbox()
 		}
 	})
-	k.Spawn("coord", func(p *sim.Proc) {
-		workers.Wait(p)
-		done.Fire()
-	})
-	return done
+	return coord(k, workers, nil)
 }

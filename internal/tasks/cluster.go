@@ -3,13 +3,11 @@ package tasks
 import (
 	"fmt"
 
-	"howsim/internal/arch"
 	"howsim/internal/cluster"
 	"howsim/internal/cpu"
 	"howsim/internal/disk"
 	"howsim/internal/fault"
 	"howsim/internal/mpi"
-	"howsim/internal/probe"
 	"howsim/internal/relational"
 	"howsim/internal/sim"
 	"howsim/internal/workload"
@@ -27,75 +25,87 @@ const (
 // the paper's "up to 16 asynchronous receives".
 const sendWindow = 16
 
-// runCluster executes one task on a commodity-cluster configuration.
-func runCluster(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *Result,
-	plan *fault.Plan, sink *probe.Sink, rc *runCtl) {
-	mp := takePair(cfg, sink)
-	defer mp.release()
-	k, m := mp.k, mp.cl
-	m.InstallFaults(plan)
-	deg := &degrade{}
-	var done *sim.Signal
+// clusterMachine is a commodity cluster: hosts with local disks that
+// talk over MPI.
+type clusterMachine struct{ *cluster.Machine }
+
+func (c clusterMachine) start(task workload.TaskID, pl *placement, ds workload.Dataset, res *Result,
+	plan *fault.Plan, deg *degrade) *sim.Signal {
+	k, m := pl.k, c.Machine
 	switch task {
 	case workload.Select:
 		// The tuned cluster select materializes matches on the local
 		// disk rather than pushing 1% of 16 GB through the front-end's
 		// 100 Mb/s link.
-		done = clusterScan(k, m, ds, res, SelectCycles,
-			func(n int64) int64 { return int64(float64(n) * ds.Selectivity) }, 0, plan, deg)
+		return clusterScan(k, m, ds, SelectCycles, ds.Selectivity, 0, plan, deg)
 	case workload.Aggregate:
-		done = clusterScan(k, m, ds, res, AggregateCycles, func(int64) int64 { return 0 }, 512, plan, deg)
+		return clusterScan(k, m, ds, AggregateCycles, 0, 512, plan, deg)
 	case workload.GroupBy:
-		done = clusterGroupBy(k, m, ds, res)
+		return clusterGroupBy(k, m, ds, res)
 	case workload.Sort:
-		done = clusterSort(k, m, ds, res)
+		return clusterSort(k, m, ds, res)
 	case workload.DataCube:
-		done = clusterCube(k, m, ds, res)
+		return clusterCube(k, m, ds, res)
 	case workload.Join:
-		done = clusterJoin(k, m, ds, res)
+		return clusterJoin(k, m, ds, res)
 	case workload.DataMine:
-		done = clusterMine(k, m, ds, res)
+		return clusterMine(k, m, ds, res)
 	case workload.MView:
-		done = clusterMView(k, m, ds, res)
-	default:
-		panic(fmt.Sprintf("tasks: unknown task %v", task))
+		return clusterMView(k, m, ds, res)
 	}
-	res.Elapsed = rc.run(k)
-	if rc.cancelled {
-		return
-	}
-	completed := done.Fired()
-	if !completed && plan == nil {
-		panic(fmt.Sprintf("tasks: %v on %s deadlocked at %v (%d blocked)\n%s",
-			task, cfg.Name(), res.Elapsed, k.Blocked(), k.DeadlockReport()))
-	}
-	res.Details["net_bytes"] = float64(m.Net.BytesDelivered())
-	res.Details["net_msgs"] = float64(m.Net.MessagesDelivered())
-	var mediaRead, mediaWrite int64
-	disks := make([]*disk.Disk, len(m.Nodes))
-	for i, n := range m.Nodes {
-		st := n.Disk.Stats()
-		mediaRead += st.BytesRead
-		mediaWrite += st.BytesWritten
-		disks[i] = n.Disk
-	}
-	res.Details["media_read_bytes"] = float64(mediaRead)
-	res.Details["media_write_bytes"] = float64(mediaWrite)
-	cpus := make([]*cpu.CPU, len(m.Nodes))
-	for i, n := range m.Nodes {
-		cpus[i] = n.CPU
-	}
-	var deadlock string
-	if !completed {
-		deadlock = k.DeadlockReport()
-	}
-	faultEpilogue(res, plan, deg, completed, deadlock, disks, cpus, nil)
-	probeEpilogue(res, k)
+	panic(fmt.Sprintf("tasks: unknown task %v", task))
 }
 
-// clusterScan: every node scans its local partition; emitted bytes are
-// written back to the local disk (select's result relation); finalBytes
-// go to the front-end (aggregate's scalar).
+func (c clusterMachine) finish(res *Result, _ *degrade) {
+	res.Details["net_bytes"] = float64(c.Net.BytesDelivered())
+	res.Details["net_msgs"] = float64(c.Net.MessagesDelivered())
+	mediaDetails(res, len(c.Nodes), func(i int) *disk.Disk { return c.Nodes[i].Disk })
+}
+
+func (c clusterMachine) units() ([]*disk.Disk, []*cpu.CPU) {
+	disks := make([]*disk.Disk, len(c.Nodes))
+	cpus := make([]*cpu.CPU, len(c.Nodes))
+	for i, n := range c.Nodes {
+		disks[i], cpus[i] = n.Disk, n.CPU
+	}
+	return disks, cpus
+}
+
+// receive spawns name on k to take messages from ep until dones
+// tagDone messages have arrived, passing the size of each tagData
+// message to onData, and returns the signal it fires when done.
+func receive(k *sim.Kernel, name string, ep *mpi.Endpoint, dones int,
+	onData func(rp *sim.Proc, bytes int64)) *sim.Signal {
+	fired := sim.NewSignal()
+	k.Spawn(name, func(rp *sim.Proc) {
+		for dones > 0 {
+			msg := ep.Recv(rp, mpi.AnySource, mpi.AnyTag)
+			switch msg.Tag {
+			case tagDone:
+				dones--
+			case tagData:
+				onData(rp, msg.Bytes)
+			}
+		}
+		fired.Fire()
+	})
+	return fired
+}
+
+// finishSends waits out node i's sends in flight in w, then tells each
+// of its d-1 peers that it is done.
+func finishSends(p *sim.Proc, ep *mpi.Endpoint, w *mpi.Window, i, d int) {
+	w.Drain(p)
+	for j := 0; j < d; j++ {
+		if j != i {
+			ep.Send(p, j, tagDone, 0, nil)
+		}
+	}
+}
+
+// clusterScan: every node scans its local partition; outFraction of the
+// bytes scanned is written back to the local disk (select's result
+// relation); finalBytes go to the front-end (aggregate's scalar).
 //
 // Recovery: cluster hosts can only address their own disk, so when a
 // node's drive fails and the plan declares replicas, the peer node
@@ -104,8 +114,8 @@ func runCluster(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res 
 // output lands in a spare region of the peer's disk. Without a replica
 // the remainder of the partition is reported lost. A hard media error
 // loses just its chunk.
-func clusterScan(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Result,
-	cycles int64, emit func(int64) int64, finalBytes int64,
+func clusterScan(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset,
+	cycles int64, outFraction float64, finalBytes int64,
 	plan *fault.Plan, deg *degrade) *sim.Signal {
 	d := len(m.Nodes)
 	per := perNodeBytes(ds.TotalBytes, d)
@@ -116,7 +126,6 @@ func clusterScan(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 	// The take-over output region sits above the replica copy so it never
 	// collides with the peer's own output range.
 	replicaOut := alignSector(11 * capEach / 12)
-	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(d)
 	if finalBytes > 0 {
 		k.Spawn("fe.collect", func(p *sim.Proc) {
@@ -126,7 +135,6 @@ func clusterScan(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 		})
 	}
 	for i := range m.Nodes {
-		i := i
 		n := m.Nodes[i]
 		k.Spawn(fmt.Sprintf("scan%d", i), func(p *sim.Proc) {
 			src, base, outBase := n, int64(0), outRegion
@@ -154,7 +162,7 @@ func clusterScan(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 					}
 					t := tuplesIn(sz, ds.TupleBytes)
 					src.Compute(p, t*cycles)
-					pend += emit(sz)
+					pend += int64(float64(sz) * outFraction)
 					if pend >= flushBatch {
 						src.WriteLocal(p, outBase+outOff, alignSector(pend))
 						outOff += alignSector(pend)
@@ -172,11 +180,7 @@ func clusterScan(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 			wg.Done()
 		})
 	}
-	k.Spawn("coord", func(p *sim.Proc) {
-		wg.Wait(p)
-		done.Fire()
-	})
-	return done
+	return coord(k, wg, nil)
 }
 
 // clusterGroupBy: local hash aggregation, a hash repartition of the
@@ -193,7 +197,6 @@ func clusterGroupBy(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res 
 	res.Details["partial_bytes_per_node"] = float64(partial)
 	res.Details["fe_result_bytes"] = float64(resultShare * int64(d))
 
-	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(d)
 	k.Spawn("fe.collect", func(p *sim.Proc) {
 		for i := 0; i < d; i++ {
@@ -202,15 +205,10 @@ func clusterGroupBy(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res 
 		}
 	})
 	for i := range m.Nodes {
-		i := i
 		n := m.Nodes[i]
 		k.Spawn(fmt.Sprintf("gby%d", i), func(p *sim.Proc) {
 			ep := n.Endpoint()
-			chunksOf(per, func(off, sz int64) {
-				n.ReadLocal(p, off, sz)
-				t := tuplesIn(sz, ds.TupleBytes)
-				n.Compute(p, t*GroupByCycles)
-			})
+			scanLocal(p, n, 0, per, ds.TupleBytes, GroupByCycles)
 			// Repartition partial tables: send each peer its hash range.
 			w := mpi.NewWindow(sendWindow)
 			share := partial / int64(d)
@@ -230,11 +228,7 @@ func clusterGroupBy(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res 
 			wg.Done()
 		})
 	}
-	k.Spawn("coord", func(p *sim.Proc) {
-		wg.Wait(p)
-		done.Fire()
-	})
-	return done
+	return coord(k, wg, nil)
 }
 
 // clusterSort mirrors the Active Disk sort: partition + shuffle over the
@@ -243,9 +237,7 @@ func clusterGroupBy(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res 
 func clusterSort(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(m.Nodes)
 	per := perNodeBytes(ds.TotalBytes, d)
-	capEach := m.Nodes[0].Disk.Capacity()
-	runRegion := alignSector(capEach / 3)
-	outRegion := alignSector(2 * capEach / 3)
+	runRegion, outRegion := regions(m.Nodes[0].Disk.Capacity())
 	runBytes := alignSector(m.UsableMemoryBytes() - 24<<20)
 	if runBytes > per {
 		runBytes = alignSector(per)
@@ -253,46 +245,21 @@ func clusterSort(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 	plan := relational.PlanExternalSort(per, runBytes)
 	res.Details["runs"] = float64(plan.Runs)
 
-	done := sim.NewSignal()
 	workers := sim.NewWaitGroup(d)
 	var p1End sim.Time // latest shuffle/run-formation finish across nodes
 	for i := range m.Nodes {
-		i := i
 		n := m.Nodes[i]
 		k.Spawn(fmt.Sprintf("sort%d", i), func(p *sim.Proc) {
 			ep := n.Endpoint()
 			w := mpi.NewWindow(sendWindow)
-			var fill int64
-			var runSizes []int64
+			runs := sortRuns{region: runRegion, size: runBytes, tupleBytes: ds.TupleBytes}
 			// Interleave scan/partition/send with receive processing:
 			// receives are drained opportunistically between chunks via a
 			// receiver goroutine per node.
-			recvDone := sim.NewSignal()
-			peersLeft := d - 1
-			k.Spawn(fmt.Sprintf("recv%d", i), func(rp *sim.Proc) {
-				for peersLeft > 0 {
-					msg := ep.Recv(rp, mpi.AnySource, mpi.AnyTag)
-					switch msg.Tag {
-					case tagDone:
-						peersLeft--
-					case tagData:
-						t := tuplesIn(msg.Bytes, ds.TupleBytes)
-						n.Compute(rp, t*AppendCycles)
-						fill += msg.Bytes
-						for fill >= runBytes {
-							rt := tuplesIn(runBytes, ds.TupleBytes)
-							n.Compute(rp, rt*RunSortCycles)
-							var written int64
-							for _, r := range runSizes {
-								written += r
-							}
-							n.WriteLocal(rp, runRegion+written, runBytes)
-							runSizes = append(runSizes, runBytes)
-							fill -= runBytes
-						}
-					}
-				}
-				recvDone.Fire()
+			recvDone := receive(k, fmt.Sprintf("recv%d", i), ep, d-1, func(rp *sim.Proc, bytes int64) {
+				n.Compute(rp, tuplesIn(bytes, ds.TupleBytes)*AppendCycles)
+				runs.fill += bytes
+				runs.spillFull(rp, n)
 			})
 			rot := 0
 			chunksOf(per, func(off, sz int64) {
@@ -308,86 +275,23 @@ func clusterSort(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 				local := sz - remote
 				t = tuplesIn(local, ds.TupleBytes)
 				n.Compute(p, t*AppendCycles)
-				fill += local
+				runs.fill += local
 			})
-			w.Drain(p)
-			for j := 0; j < d; j++ {
-				if j != i {
-					ep.Send(p, j, tagDone, 0, nil)
-				}
-			}
+			finishSends(p, ep, w, i, d)
 			recvDone.Wait(p)
-			// Final partial run.
-			if fill > 0 {
-				t := tuplesIn(fill, ds.TupleBytes)
-				n.Compute(p, t*RunSortCycles)
-				var written int64
-				for _, r := range runSizes {
-					written += r
-				}
-				sz := alignSector(fill)
-				n.WriteLocal(p, runRegion+written, sz)
-				runSizes = append(runSizes, sz)
-			}
+			runs.spillTail(p, n)
 			// Merge phase on the local disk.
 			if now := p.Now(); now > p1End {
 				p1End = now
 			}
-			clusterMerge(p, n, runSizes, runRegion, outRegion, ds.TupleBytes)
+			runs.merge(p, n, outRegion)
 			workers.Done()
 		})
 	}
-	k.Spawn("coord", func(p *sim.Proc) {
-		workers.Wait(p)
+	return coord(k, workers, func(p *sim.Proc) {
 		res.Details["p1_seconds"] = p1End.Seconds()
 		res.Details["p2_seconds"] = (p.Now() - p1End).Seconds()
-		done.Fire()
 	})
-	return done
-}
-
-// clusterMerge is the node-local merge of sorted runs (identical
-// structure to the Active Disk merge).
-func clusterMerge(p *sim.Proc, n *cluster.Node, runSizes []int64,
-	runRegion, outRegion int64, tupleBytes int) {
-	if len(runSizes) == 0 {
-		return
-	}
-	const visit = 512 << 10
-	runStarts := make([]int64, len(runSizes))
-	var total int64
-	for i, sz := range runSizes {
-		runStarts[i] = runRegion + total
-		total += sz
-	}
-	consumed := make([]int64, len(runSizes))
-	lvl := log2Ceil(len(runSizes))
-	var outPend, outOff, readTotal int64
-	r := 0
-	for readTotal < total {
-		for consumed[r] >= runSizes[r] {
-			r = (r + 1) % len(runSizes)
-		}
-		sz := int64(visit)
-		if rem := runSizes[r] - consumed[r]; rem < sz {
-			sz = rem
-		}
-		n.ReadLocal(p, runStarts[r]+consumed[r], sz)
-		consumed[r] += sz
-		readTotal += sz
-		t := tuplesIn(sz, tupleBytes)
-		n.Compute(p, t*(MergeCyclesBase+MergeCyclesPerLevel*lvl))
-		outPend += sz
-		if outPend >= flushBatch {
-			n.WriteLocal(p, outRegion+outOff, outPend)
-			outOff += outPend
-			outPend = 0
-		}
-		r = (r + 1) % len(runSizes)
-	}
-	if outPend > 0 {
-		n.WriteLocal(p, outRegion+outOff, alignSector(outPend))
-	}
 }
 
 // clusterCube: PipeHash with the tables partitioned across the nodes'
@@ -402,12 +306,8 @@ func clusterCube(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 	res.Details["passes"] = float64(plan.Passes)
 	res.Details["spill_bytes"] = float64(plan.SpillBytes)
 
-	interRegion := alignSector(m.Nodes[0].Disk.Capacity() / 3)
-	tableRegion := alignSector(2 * m.Nodes[0].Disk.Capacity() / 3)
-	interBytes := alignSector(int64(float64(per) * CubeIntermediateFraction))
-	tablesPer := alignSector(tables / int64(d))
+	cn := newCubeNode(per, m.Nodes[0].Disk.Capacity(), tables, d, plan.Passes, ds.TupleBytes)
 
-	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(d)
 	if plan.SpillBytes > 0 {
 		k.Spawn("fe.spill", func(p *sim.Proc) {
@@ -420,41 +320,15 @@ func clusterCube(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 	for i := range m.Nodes {
 		n := m.Nodes[i]
 		k.Spawn(fmt.Sprintf("cube%d", i), func(p *sim.Proc) {
-			var interWritten int64
-			chunksOf(per, func(off, sz int64) {
-				n.ReadLocal(p, off, sz)
-				t := tuplesIn(sz, ds.TupleBytes)
-				n.Compute(p, t*CubeCycles)
-				if interWritten < interBytes {
-					w := sz
-					if interBytes-interWritten < w {
-						w = alignSector(interBytes - interWritten)
-					}
-					n.WriteLocal(p, interRegion+interWritten, w)
-					interWritten += w
-				}
-			})
+			cn.firstPass(p, n, nil)
 			if plan.SpillBytes > 0 {
 				n.Endpoint().Send(p, m.FERank, tagData, plan.SpillBytes/int64(d), nil)
 			}
-			for pass := 1; pass < plan.Passes; pass++ {
-				chunksOf(interBytes, func(off, sz int64) {
-					n.ReadLocal(p, interRegion+off, sz)
-					t := tuplesIn(sz, ds.TupleBytes)
-					n.Compute(p, t*CubeCycles)
-				})
-			}
-			chunksOf(tablesPer, func(off, sz int64) {
-				n.WriteLocal(p, tableRegion+off, sz)
-			})
+			cn.finish(p, n)
 			wg.Done()
 		})
 	}
-	k.Spawn("coord", func(p *sim.Proc) {
-		wg.Wait(p)
-		done.Fire()
-	})
-	return done
+	return coord(k, wg, nil)
 }
 
 // clusterJoin: project + hash repartition of both relations over the
@@ -467,49 +341,20 @@ func clusterJoin(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 	perR := perNodeBytes(rBytes, d)
 	perS := perNodeBytes(sBytes, d)
 	projFrac := float64(ds.ProjectedTupleBytes) / float64(ds.TupleBytes)
-	partRegion := alignSector(m.Nodes[0].Disk.Capacity() / 3)
-	outRegion := alignSector(2 * m.Nodes[0].Disk.Capacity() / 3)
+	partRegion, outRegion := regions(m.Nodes[0].Disk.Capacity())
 	projR := alignSector(int64(float64(perR) * projFrac))
 	projS := alignSector(int64(float64(perS) * projFrac))
 
-	done := sim.NewSignal()
 	workers := sim.NewWaitGroup(d)
 	for i := range m.Nodes {
-		i := i
 		n := m.Nodes[i]
 		k.Spawn(fmt.Sprintf("join%d", i), func(p *sim.Proc) {
 			ep := n.Endpoint()
-			var pend, written int64
-			flush := func(final bool) {
-				if pend >= flushBatch || (final && pend > 0) {
-					w := alignSector(pend)
-					n.WriteLocal(p, partRegion+written, w)
-					written += w
-					pend = 0
-				}
-			}
-			recvDone := sim.NewSignal()
-			peersLeft := 2 * (d - 1) // a done per peer per relation
-			k.Spawn(fmt.Sprintf("jrecv%d", i), func(rp *sim.Proc) {
-				for peersLeft > 0 {
-					msg := ep.Recv(rp, mpi.AnySource, mpi.AnyTag)
-					switch msg.Tag {
-					case tagDone:
-						peersLeft--
-					case tagData:
-						t := tuplesIn(msg.Bytes, ds.ProjectedTupleBytes)
-						n.Compute(rp, t*AppendCycles/4)
-						pend += msg.Bytes
-						flushInner := pend >= flushBatch
-						if flushInner {
-							w := alignSector(pend)
-							n.WriteLocal(rp, partRegion+written, w)
-							written += w
-							pend = 0
-						}
-					}
-				}
-				recvDone.Fire()
+			js := joinStage{region: partRegion}
+			// A done per peer per relation.
+			recvDone := receive(k, fmt.Sprintf("jrecv%d", i), ep, 2*(d-1), func(rp *sim.Proc, bytes int64) {
+				n.Compute(rp, tuplesIn(bytes, ds.ProjectedTupleBytes)*AppendCycles/4)
+				js.stage(rp, n, bytes, false)
 			})
 			shuffle := func(per int64) {
 				w := mpi.NewWindow(sendWindow)
@@ -526,47 +371,17 @@ func clusterJoin(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 						w.Add(p, ep.Isend(p, dst, tagData, remote, nil))
 					}
 				})
-				w.Drain(p)
-				for j := 0; j < d; j++ {
-					if j != i {
-						ep.Send(p, j, tagDone, 0, nil)
-					}
-				}
+				finishSends(p, ep, w, i, d)
 			}
 			shuffle(perR)
 			shuffle(perS)
 			recvDone.Wait(p)
-			pend += (projR + projS) / int64(d) // locally retained share
-			flush(true)
-
-			// Node-local Grace join.
-			totalPart := written
-			rShare := totalPart * projR / (projR + projS)
-			sShare := totalPart - rShare
-			chunksOf(rShare, func(off, sz int64) {
-				n.ReadLocal(p, partRegion+off, sz)
-				t := tuplesIn(sz, ds.ProjectedTupleBytes)
-				n.Compute(p, t*BuildCycles)
-			})
-			var outOff int64
-			chunksOf(sShare, func(off, sz int64) {
-				n.ReadLocal(p, partRegion+rShare+off, sz)
-				t := tuplesIn(sz, ds.ProjectedTupleBytes)
-				n.Compute(p, t*ProbeCycles)
-				out := int64(float64(sz) * JoinOutputFraction)
-				if out > 0 {
-					n.WriteLocal(p, outRegion+outOff, alignSector(out))
-					outOff += alignSector(out)
-				}
-			})
+			js.stage(p, n, (projR+projS)/int64(d), true) // locally retained share
+			js.join(p, n, outRegion, projR, projS, ds.ProjectedTupleBytes)
 			workers.Done()
 		})
 	}
-	k.Spawn("coord", func(p *sim.Proc) {
-		workers.Wait(p)
-		done.Fire()
-	})
-	return done
+	return coord(k, workers, nil)
 }
 
 // clusterMine: MinePasses scans with a butterfly (dissemination)
@@ -581,19 +396,13 @@ func clusterMine(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 	for v := d - 1; v > 0; v >>= 1 {
 		rounds++
 	}
-	done := sim.NewSignal()
 	workers := sim.NewWaitGroup(d)
 	for i := range m.Nodes {
-		i := i
 		n := m.Nodes[i]
 		k.Spawn(fmt.Sprintf("mine%d", i), func(p *sim.Proc) {
 			ep := n.Endpoint()
 			for pass := 0; pass < MinePasses; pass++ {
-				chunksOf(per, func(off, sz int64) {
-					n.ReadLocal(p, off, sz)
-					txns := tuplesIn(sz, ds.TupleBytes)
-					n.Compute(p, txns*MineCycles)
-				})
+				scanLocal(p, n, 0, per, ds.TupleBytes, MineCycles)
 				// Butterfly all-reduce of the counters.
 				for r := 0; r < rounds; r++ {
 					partner := i ^ (1 << r)
@@ -609,11 +418,7 @@ func clusterMine(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 			workers.Done()
 		})
 	}
-	k.Spawn("coord", func(p *sim.Proc) {
-		workers.Wait(p)
-		done.Fire()
-	})
-	return done
+	return coord(k, workers, nil)
 }
 
 // clusterMView mirrors the Active Disk view maintenance: shuffle deltas
@@ -626,30 +431,15 @@ func clusterMView(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *R
 	derived := perNodeBytes(ds.DerivedBytes, d)
 	updates := deltas * ViewFanout
 
-	stageRegion := alignSector(m.Nodes[0].Disk.Capacity() / 3)
-	derivedRegion := alignSector(2 * m.Nodes[0].Disk.Capacity() / 3)
+	stageRegion, derivedRegion := regions(m.Nodes[0].Disk.Capacity())
 
-	done := sim.NewSignal()
 	workers := sim.NewWaitGroup(d)
 	for i := range m.Nodes {
-		i := i
 		n := m.Nodes[i]
 		k.Spawn(fmt.Sprintf("mview%d", i), func(p *sim.Proc) {
 			ep := n.Endpoint()
-			recvDone := sim.NewSignal()
-			peersLeft := d - 1
-			k.Spawn(fmt.Sprintf("mvrecv%d", i), func(rp *sim.Proc) {
-				for peersLeft > 0 {
-					msg := ep.Recv(rp, mpi.AnySource, mpi.AnyTag)
-					switch msg.Tag {
-					case tagDone:
-						peersLeft--
-					case tagData:
-						t := tuplesIn(msg.Bytes, ds.TupleBytes)
-						n.Compute(rp, t*AppendCycles/4)
-					}
-				}
-				recvDone.Fire()
+			recvDone := receive(k, fmt.Sprintf("mvrecv%d", i), ep, d-1, func(rp *sim.Proc, bytes int64) {
+				n.Compute(rp, tuplesIn(bytes, ds.TupleBytes)*AppendCycles/4)
 			})
 			w := mpi.NewWindow(sendWindow)
 			rot := 0
@@ -683,30 +473,11 @@ func clusterMView(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *R
 			if int64(pendUpd) > 0 {
 				sendRemote(int64(pendUpd) * int64(d-1) / int64(d))
 			}
-			w.Drain(p)
-			for j := 0; j < d; j++ {
-				if j != i {
-					ep.Send(p, j, tagDone, 0, nil)
-				}
-			}
+			finishSends(p, ep, w, i, d)
 			recvDone.Wait(p)
-			// Apply updates to the local derived relations.
-			updPerByte := float64(updates) / float64(derived)
-			var outOff int64
-			chunksOf(derived, func(off, sz int64) {
-				n.ReadLocal(p, derivedRegion+off, sz)
-				t := tuplesIn(sz, ds.TupleBytes)
-				upd := int64(float64(sz) * updPerByte / float64(ds.TupleBytes))
-				n.Compute(p, t*ViewScanCycles+upd*ViewDeltaCycles)
-				n.WriteLocal(p, stageRegion+outOff, sz)
-				outOff += sz
-			})
+			applyViews(p, n, derived, updates, derivedRegion, stageRegion, ds.TupleBytes)
 			workers.Done()
 		})
 	}
-	k.Spawn("coord", func(p *sim.Proc) {
-		workers.Wait(p)
-		done.Fire()
-	})
-	return done
+	return coord(k, workers, nil)
 }

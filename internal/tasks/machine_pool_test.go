@@ -191,8 +191,10 @@ func TestPooledPairKeepsNoPayloads(t *testing.T) {
 		cfg  arch.Config
 		send func(mp *pair, p *sim.Proc, v any)
 	}{
-		{arch.Cluster(4), func(mp *pair, p *sim.Proc, v any) { mp.cl.Nodes[0].Endpoint().Send(p, 1, tagData, 1<<10, v) }},
-		{arch.ActiveDisks(4), func(mp *pair, p *sim.Proc, v any) { mp.ad.Disks[0].Send(p, 1, 1<<10, v) }},
+		{arch.Cluster(4), func(mp *pair, p *sim.Proc, v any) {
+			mp.m.(clusterMachine).Nodes[0].Endpoint().Send(p, 1, tagData, 1<<10, v)
+		}},
+		{arch.ActiveDisks(4), func(mp *pair, p *sim.Proc, v any) { mp.m.(activeMachine).Disks[0].Send(p, 1, 1<<10, v) }},
 	} {
 		var freed atomic.Bool
 		mp := takePair(c.cfg, nil)
@@ -264,6 +266,7 @@ func FuzzRecycledMachine(f *testing.F) {
 	f.Add(uint8(0), uint8(2), []byte{0x01, 0x8a, 0x33})
 	f.Add(uint8(1), uint8(14), []byte{0x9c, 0x05, 0x1e})
 	f.Add(uint8(2), uint8(0), []byte{0x47, 0xd6, 0x20, 0x1b})
+	f.Add(uint8(0), uint8(43), []byte("%000")) // join on 15 Active Disks: an unaligned Grace split
 	builders := []func(int) arch.Config{arch.ActiveDisks, arch.Cluster, arch.SMP}
 	tasks := workload.AllTasks()
 	f.Fuzz(func(t *testing.T, archSel, disks uint8, seq []byte) {

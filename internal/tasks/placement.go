@@ -99,10 +99,11 @@ func (pl *placement) run(rc *runCtl) sim.Time {
 }
 
 // deadlockReport lists the parked processes of a run that did not
-// complete.
+// complete, after a shard group's stall report.
 func (pl *placement) deadlockReport() string {
 	if pl.g != nil {
-		return pl.g.DeadlockReport()
+		r := pl.g.DeadlockReport()
+		return pl.g.Stall() + "\n" + r
 	}
 	return pl.k.DeadlockReport()
 }

@@ -20,7 +20,7 @@ func TestPlacementInlineStreamTouchesDoNotAllocate(t *testing.T) {
 	const m = 512      // recv chunk size: every recv chunk fits disk 0's credit at once
 	mp := takePair(arch.ActiveDisks(2), nil)
 	defer mp.release()
-	k, s := mp.k, mp.ad
+	k, s := mp.k, mp.m.(activeMachine)
 	pl := &placement{k: k}
 	ad0, ad1 := s.Disks[0], s.Disks[1]
 	// Stock disk 0's inbox with every chunk the recv measurements take,

@@ -7,12 +7,11 @@ import (
 	"sync"
 
 	"howsim/internal/arch"
-	"howsim/internal/cluster"
-	"howsim/internal/diskos"
+	"howsim/internal/cpu"
+	"howsim/internal/disk"
 	"howsim/internal/fault"
 	"howsim/internal/probe"
 	"howsim/internal/sim"
-	"howsim/internal/smp"
 	"howsim/internal/workload"
 )
 
@@ -62,20 +61,50 @@ func (rc *runCtl) run(k *sim.Kernel) sim.Time {
 	}
 }
 
-// pair is a kernel and the machine of one shape last built on it: the
-// Active Disk system, cluster or SMP of cfg. Single-kernel runs take
-// pairs from a pool per shape. An idle pair holds no goroutine, no
-// simulated state and no reference to the run that last used it, only
-// the storage that run grew — the kernel's event slab, task pool and
-// process records, and the machine's components with their queues,
-// free lists and pooled records — which the next run of that shape
-// reuses instead of allocating it again.
+// machine is one architecture as the runner sees it: the Active Disk
+// system, cluster or SMP of a configuration, and what differs by
+// architecture around the one run scaffold.
+type machine interface {
+	// Rebuild builds the machine again, in place, on k.
+	Rebuild(k *sim.Kernel)
+	// InstallFaults applies plan's faults; a nil plan is a no-op.
+	InstallFaults(plan *fault.Plan)
+	// start spawns the body that runs task and returns the signal it
+	// fires once the task is done.
+	start(task workload.TaskID, pl *placement, ds workload.Dataset, res *Result,
+		plan *fault.Plan, deg *degrade) *sim.Signal
+	// finish records the architecture's own Details keys once the run
+	// is over.
+	finish(res *Result, deg *degrade)
+	// units lists the disks and CPUs whose fault counters the fault
+	// report sums.
+	units() ([]*disk.Disk, []*cpu.CPU)
+}
+
+// newMachine builds cfg's machine on k.
+func newMachine(cfg arch.Config, k *sim.Kernel) machine {
+	switch cfg.Kind {
+	case arch.KindActiveDisk:
+		return activeMachine{cfg.BuildActive(k)}
+	case arch.KindCluster:
+		return clusterMachine{cfg.BuildCluster(k)}
+	case arch.KindSMP:
+		return smpMachine{cfg.BuildSMP(k)}
+	}
+	panic(fmt.Sprintf("tasks: unknown architecture %v", cfg.Kind))
+}
+
+// pair is a kernel and the machine of one shape last built on it.
+// Single-kernel runs take pairs from a pool per shape. An idle pair
+// holds no goroutine, no simulated state and no reference to the run
+// that last used it, only the storage that run grew — the kernel's
+// event slab, task pool and process records, and the machine's
+// components with their queues, free lists and pooled records — which
+// the next run of that shape reuses instead of allocating it again.
 type pair struct {
 	cfg  arch.Config
 	k    *sim.Kernel
-	ad   *diskos.System
-	cl   *cluster.Machine
-	sm   *smp.Machine
+	m    machine
 	aged bool // idle through a whole GC cycle: the next sweep drops it
 }
 
@@ -154,19 +183,10 @@ func takePair(cfg arch.Config, sink *probe.Sink) *pair {
 // build builds the pair's machine on its kernel: New the first time,
 // Rebuild (the same constructor, in place) after that.
 func (p *pair) build() {
-	switch {
-	case p.ad != nil:
-		p.ad.Rebuild(p.k)
-	case p.cl != nil:
-		p.cl.Rebuild(p.k)
-	case p.sm != nil:
-		p.sm.Rebuild(p.k)
-	case p.cfg.Kind == arch.KindActiveDisk:
-		p.ad = p.cfg.BuildActive(p.k)
-	case p.cfg.Kind == arch.KindCluster:
-		p.cl = p.cfg.BuildCluster(p.k)
-	default:
-		p.sm = p.cfg.BuildSMP(p.k)
+	if p.m == nil {
+		p.m = newMachine(p.cfg, p.k)
+	} else {
+		p.m.Rebuild(p.k)
 	}
 }
 
@@ -249,18 +269,67 @@ func RunCtx(ctx context.Context, cfg arch.Config, task workload.TaskID, ds workl
 		Details:   map[string]float64{},
 	}
 	rc := &runCtl{ctx: ctx, mode: mode}
-	switch cfg.Kind {
-	case arch.KindActiveDisk:
-		runActive(cfg, task, ds, res, plan, sink, rc)
-	case arch.KindCluster:
-		runCluster(cfg, task, ds, res, plan, sink, rc)
-	case arch.KindSMP:
-		runSMP(cfg, task, ds, res, plan, sink, rc)
-	default:
-		panic(fmt.Sprintf("tasks: unknown architecture %v", cfg.Kind))
-	}
+	runTask(cfg, task, ds, res, plan, sink, rc)
 	if rc.cancelled {
 		return nil, ctx.Err()
 	}
 	return res, nil
+}
+
+// runTask executes one task on any architecture: on a pooled pair, or,
+// for a shardable Active Disk run under ModeParallel, on a shard group
+// whose kernels each record into their own sink. It installs the plan's
+// faults, starts the machine's body for the task, runs it, and fills
+// res with the machine's Details, the fault report and the phase
+// timeline.
+func runTask(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *Result,
+	plan *fault.Plan, sink *probe.Sink, rc *runCtl) {
+	var pl placement
+	var m machine
+	var leafSinks []*probe.Sink
+	if rc.mode == ModeParallel && shardable(task, cfg, plan) {
+		g := sim.NewShardGroup(cfg.Disks)
+		defer g.Close()
+		g.Hub().SetProbe(sink)
+		// Sinks are single-threaded, so each leaf records into its own;
+		// the leaves' recordings are merged into the hub's after the run.
+		if sink != nil {
+			leafSinks = make([]*probe.Sink, cfg.Disks)
+			for i := range leafSinks {
+				ls := probe.NewSinkCap(sink.RingCap())
+				ls.SetEnabled(sink.Enabled())
+				leafSinks[i] = ls
+				g.Shard(i).Kernel().SetProbe(ls)
+			}
+		}
+		pl.g, m = g, activeMachine{cfg.BuildActiveSharded(g)}
+	} else {
+		mp := takePair(cfg, sink)
+		defer mp.release()
+		pl.k, m = mp.k, mp.m
+	}
+	m.InstallFaults(plan)
+	deg := &degrade{}
+	done := m.start(task, &pl, ds, res, plan, deg)
+	res.Elapsed = pl.run(rc)
+	if rc.cancelled {
+		return
+	}
+	completed := done.Fired()
+	var deadlock string
+	if !completed {
+		deadlock = pl.deadlockReport()
+		if plan == nil {
+			panic(fmt.Sprintf("tasks: %v on %s deadlocked at %v\n%s", task, cfg.Name(), res.Elapsed, deadlock))
+		}
+	}
+	m.finish(res, deg)
+	if plan != nil {
+		disks, cpus := m.units()
+		faultEpilogue(res, plan, deg, completed, deadlock, disks, cpus)
+	}
+	for _, ls := range leafSinks {
+		sink.Merge(ls)
+	}
+	probeEpilogue(res, pl.hub())
 }

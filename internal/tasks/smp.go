@@ -3,67 +3,54 @@ package tasks
 import (
 	"fmt"
 
-	"howsim/internal/arch"
+	"howsim/internal/cpu"
+	"howsim/internal/disk"
 	"howsim/internal/fault"
-	"howsim/internal/probe"
 	"howsim/internal/relational"
 	"howsim/internal/sim"
 	"howsim/internal/smp"
 	"howsim/internal/workload"
 )
 
-// runSMP executes one task on an SMP configuration: one process per
+// smpMachine is a shared-memory multiprocessor: one process per
 // processor, shared self-scheduling block queues over striped files, and
 // block transfers / remote queues for data movement between processors.
-func runSMP(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *Result,
-	plan *fault.Plan, sink *probe.Sink, rc *runCtl) {
-	mp := takePair(cfg, sink)
-	defer mp.release()
-	k, m := mp.k, mp.sm
-	m.InstallFaults(plan)
-	deg := &degrade{}
-	var done *sim.Signal
+type smpMachine struct{ *smp.Machine }
+
+func (sm smpMachine) start(task workload.TaskID, pl *placement, ds workload.Dataset, res *Result,
+	_ *fault.Plan, deg *degrade) *sim.Signal {
+	k, m := pl.k, sm.Machine
 	switch task {
 	case workload.Select:
-		done = smpScan(k, m, ds, res, SelectCycles, ds.Selectivity, deg)
+		return smpScan(k, m, ds, SelectCycles, ds.Selectivity, deg)
 	case workload.Aggregate:
-		done = smpScan(k, m, ds, res, AggregateCycles, 0, deg)
+		return smpScan(k, m, ds, AggregateCycles, 0, deg)
 	case workload.GroupBy:
-		done = smpGroupBy(k, m, ds, res)
+		return smpGroupBy(k, m, ds, res)
 	case workload.Sort:
-		done = smpSort(k, m, ds, res)
+		return smpSort(k, m, ds, res)
 	case workload.DataCube:
-		done = smpCube(k, m, ds, res)
+		return smpCube(k, m, ds, res)
 	case workload.Join:
-		done = smpJoin(k, m, ds, res)
+		return smpJoin(k, m, ds, res)
 	case workload.DataMine:
-		done = smpMine(k, m, ds, res)
+		return smpMine(k, m, ds, res)
 	case workload.MView:
-		done = smpMView(k, m, ds, res)
-	default:
-		panic(fmt.Sprintf("tasks: unknown task %v", task))
+		return smpMView(k, m, ds, res)
 	}
-	res.Elapsed = rc.run(k)
-	if rc.cancelled {
-		return
-	}
-	completed := done.Fired()
-	if !completed && plan == nil {
-		panic(fmt.Sprintf("tasks: %v on %s deadlocked at %v (%d blocked)\n%s",
-			task, cfg.Name(), res.Elapsed, k.Blocked(), k.DeadlockReport()))
-	}
-	res.Details["fc_bytes"] = float64(m.FC.BytesMoved())
-	res.Details["fc_util"] = m.FC.Utilization()
-	res.Details["xio_util"] = m.XIO.Utilization()
-	res.Details["blockxfer_bytes"] = float64(m.BlockTransferred())
-	deg.replica = m.ReplicaBytes()
-	var deadlock string
-	if !completed {
-		deadlock = k.DeadlockReport()
-	}
-	faultEpilogue(res, plan, deg, completed, deadlock, m.Disks, m.CPUs, nil)
-	probeEpilogue(res, k)
+	panic(fmt.Sprintf("tasks: unknown task %v", task))
 }
+
+// finish also takes the striping library's replica reads into deg.
+func (sm smpMachine) finish(res *Result, deg *degrade) {
+	res.Details["fc_bytes"] = float64(sm.FC.BytesMoved())
+	res.Details["fc_util"] = sm.FC.Utilization()
+	res.Details["xio_util"] = sm.XIO.Utilization()
+	res.Details["blockxfer_bytes"] = float64(sm.BlockTransferred())
+	deg.replica = sm.ReplicaBytes()
+}
+
+func (sm smpMachine) units() ([]*disk.Disk, []*cpu.CPU) { return sm.Disks, sm.CPUs }
 
 // allDisks returns 0..n-1.
 func allDisks(n int) []int {
@@ -90,7 +77,7 @@ func smpMemReserve(m *smp.Machine) int64 {
 // The striping library re-issues failed chunks to replica members when
 // the plan declares replicas; bytes it could not serve either way are
 // accumulated as lost.
-func smpScan(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result,
+func smpScan(k *sim.Kernel, m *smp.Machine, ds workload.Dataset,
 	cycles int64, outFraction float64, deg *degrade) *sim.Signal {
 	p := m.Cfg.Processors
 	capEach := m.Disks[0].Capacity()
@@ -98,7 +85,6 @@ func smpScan(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result,
 	out := m.NewStripe(allDisks(len(m.Disks)), alignSector(2*capEach/3))
 	q := m.NewBlockQueue("scan", ds.TotalBytes, ioChunk)
 	deg.total = ds.TotalBytes
-	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(p)
 	var outOff int64
 	for i := 0; i < p; i++ {
@@ -131,11 +117,7 @@ func smpScan(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result,
 			wg.Done()
 		})
 	}
-	k.Spawn("coord", func(pr *sim.Proc) {
-		wg.Wait(pr)
-		done.Fire()
-	})
-	return done
+	return coord(k, wg, nil)
 }
 
 // smpGroupBy: shared-queue scan with per-processor partial tables,
@@ -149,7 +131,6 @@ func smpGroupBy(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result)
 	partial := expectedDistinct(perCPU, ds.DistinctGroups) * GroupEntryBytes
 	res.Details["partial_bytes_per_cpu"] = float64(partial)
 	barrier := sim.NewBarrier(k, "gby.merge", p)
-	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(p)
 	for i := 0; i < p; i++ {
 		c := m.CPUs[i]
@@ -173,11 +154,7 @@ func smpGroupBy(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result)
 			wg.Done()
 		})
 	}
-	k.Spawn("coord", func(pr *sim.Proc) {
-		wg.Wait(pr)
-		done.Fire()
-	})
-	return done
+	return coord(k, wg, nil)
 }
 
 // smpSort follows NOW-sort: the disks are split into a read group
@@ -215,14 +192,12 @@ func smpSort(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 
 	q := m.NewBlockQueue("sort.read", ds.TotalBytes, ioChunk)
 	barrier := sim.NewBarrier(k, "sort.phase", p)
-	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(p)
 	var runAlloc int64 // next free offset in the run stripe
 	var cPart, cAppend, cSort, cMerge int64
 	var p1End sim.Time
 
 	for i := 0; i < p; i++ {
-		i := i
 		c := m.CPUs[i]
 		k.Spawn(fmt.Sprintf("sort%d", i), func(pr *sim.Proc) {
 			var fill int64
@@ -306,8 +281,7 @@ func smpSort(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 			wg.Done()
 		})
 	}
-	k.Spawn("coord", func(pr *sim.Proc) {
-		wg.Wait(pr)
+	return coord(k, wg, func(pr *sim.Proc) {
 		// Attribute average per-processor CPU buckets and idle
 		// remainders, mirroring the Active Disk Figure 3 breakdown.
 		total := pr.Now()
@@ -328,9 +302,7 @@ func smpSort(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 		}
 		res.Details["p1_seconds"] = p1End.Seconds()
 		res.Details["p2_seconds"] = (total - p1End).Seconds()
-		done.Fire()
 	})
-	return done
 }
 
 // smpJoin: project both relations off the read group, repartition
@@ -363,7 +335,6 @@ func smpJoin(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 	qBuild := m.NewBlockQueue("join.build", alignSector(int64(float64(rBytes)*projFrac)), ioChunk)
 	qProbe := m.NewBlockQueue("join.probe", alignSector(int64(float64(sBytes)*projFrac)), ioChunk)
 	barrier := sim.NewBarrier(k, "join.phase", p)
-	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(p)
 	var partAlloc, outAlloc int64
 	_ = projTotal
@@ -436,11 +407,7 @@ func smpJoin(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 			wg.Done()
 		})
 	}
-	k.Spawn("coord", func(pr *sim.Proc) {
-		wg.Wait(pr)
-		done.Fire()
-	})
-	return done
+	return coord(k, wg, nil)
 }
 
 // smpCube: PipeHash with the hash tables in the machine's aggregate
@@ -458,7 +425,6 @@ func smpCube(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 	res.Details["passes"] = float64(plan.Passes)
 	interBytes := alignSector(int64(float64(ds.TotalBytes) * CubeIntermediateFraction))
 
-	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(p)
 	barrier := sim.NewBarrier(k, "cube.pass", p)
 	queues := []*smp.BlockQueue{m.NewBlockQueue("cube.p0", ds.TotalBytes, ioChunk)}
@@ -513,11 +479,7 @@ func smpCube(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 			wg.Done()
 		})
 	}
-	k.Spawn("coord", func(pr *sim.Proc) {
-		wg.Wait(pr)
-		done.Fire()
-	})
-	return done
+	return coord(k, wg, nil)
 }
 
 // smpMine: MinePasses shared-queue scans; the candidate counters are
@@ -532,7 +494,6 @@ func smpMine(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 		queues[i] = m.NewBlockQueue(fmt.Sprintf("mine.p%d", i), ds.TotalBytes, ioChunk)
 	}
 	barrier := sim.NewBarrier(k, "mine.pass", p)
-	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(p)
 	for i := 0; i < p; i++ {
 		c := m.CPUs[i]
@@ -556,11 +517,7 @@ func smpMine(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 			wg.Done()
 		})
 	}
-	k.Spawn("coord", func(pr *sim.Proc) {
-		wg.Wait(pr)
-		done.Fire()
-	})
-	return done
+	return coord(k, wg, nil)
 }
 
 // smpMView: scan deltas and base off the stripes, repartition deltas and
@@ -579,7 +536,6 @@ func smpMView(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *
 	qDerived := m.NewBlockQueue("mv.derived", ds.DerivedBytes, ioChunk)
 	updates := ds.DeltaBytes * ViewFanout
 	barrier := sim.NewBarrier(k, "mv.phase", p)
-	done := sim.NewSignal()
 	wg := sim.NewWaitGroup(p)
 	var stageAlloc int64
 	for i := 0; i < p; i++ {
@@ -632,9 +588,5 @@ func smpMView(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *
 			wg.Done()
 		})
 	}
-	k.Spawn("coord", func(pr *sim.Proc) {
-		wg.Wait(pr)
-		done.Fire()
-	})
-	return done
+	return coord(k, wg, nil)
 }

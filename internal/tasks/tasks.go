@@ -41,25 +41,23 @@ func (r *Result) String() string {
 	return fmt.Sprintf("%s on %s: %v", r.Task, r.Config.Name(), r.Elapsed)
 }
 
-// degrade accumulates the byte-level damage a faulted scan absorbed.
-// The kernel is single-threaded, so scan processes update it without
-// locking.
+// degrade accumulates the byte-level damage a faulted scan absorbed,
+// and the background rebuild's record. The kernel is single-threaded,
+// so scan processes update it without locking.
 type degrade struct {
 	total   int64 // bytes the task was asked to process
 	lost    int64 // bytes abandoned after retries and replica attempts
 	replica int64 // bytes recovered by reading a replica copy
+	rebuild rebuildState
 }
 
-// faultEpilogue assembles Result.Fault from the degradation
-// accumulator, the per-disk fault counters, the per-CPU straggler
-// accounting and the background-rebuild record. deadlock carries the
+// faultEpilogue assembles Result.Fault for a run under plan from the
+// degradation accumulator and rebuild record, the per-disk fault
+// counters and the per-CPU straggler accounting. deadlock carries the
 // kernel's (or shard group's) parked-process report when the run did
-// not complete. No-op for fault-free runs.
+// not complete.
 func faultEpilogue(res *Result, plan *fault.Plan, deg *degrade, completed bool,
-	deadlock string, disks []*disk.Disk, cpus []*cpu.CPU, rb *rebuildState) {
-	if plan == nil {
-		return
-	}
+	deadlock string, disks []*disk.Disk, cpus []*cpu.CPU) {
 	fr := &stats.FaultReport{
 		Plan:         plan.String(),
 		Task:         res.Task.String(),
@@ -88,7 +86,7 @@ func faultEpilogue(res *Result, plan *fault.Plan, deg *degrade, completed bool,
 	for _, c := range cpus {
 		fr.StragglerDelaySec += c.SlowdownTime().Seconds()
 	}
-	if rb != nil && rb.ran {
+	if rb := &deg.rebuild; rb.ran {
 		fr.Rebuild = &stats.RebuildStats{
 			Spare:    rb.spare,
 			Bytes:    rb.bytes,
@@ -97,6 +95,19 @@ func faultEpilogue(res *Result, plan *fault.Plan, deg *degrade, completed bool,
 		}
 	}
 	res.Fault = fr
+}
+
+// mediaDetails records the bytes the n disks diskAt returns read from
+// and wrote to their media.
+func mediaDetails(res *Result, n int, diskAt func(i int) *disk.Disk) {
+	var read, written int64
+	for i := 0; i < n; i++ {
+		st := diskAt(i).Stats()
+		read += st.BytesRead
+		written += st.BytesWritten
+	}
+	res.Details["media_read_bytes"] = float64(read)
+	res.Details["media_write_bytes"] = float64(written)
 }
 
 // probeEpilogue emits the task's phase timeline into the kernel's probe
@@ -162,6 +173,20 @@ func probeEpilogue(res *Result, k *sim.Kernel) {
 	if res.Elapsed > start {
 		pr.Span(pr.KindNamed(tail), int64(start), int64(res.Elapsed))
 	}
+}
+
+// coord spawns the task's coordinator on k: it waits for wg, runs then
+// (when non-nil) and fires the returned signal, the task's completion.
+func coord(k *sim.Kernel, wg *sim.WaitGroup, then func(p *sim.Proc)) *sim.Signal {
+	done := sim.NewSignal()
+	k.Spawn("coord", func(p *sim.Proc) {
+		wg.Wait(p)
+		if then != nil {
+			then(p)
+		}
+		done.Fire()
+	})
+	return done
 }
 
 // perNodeBytes splits total across n nodes, rounded up to whole I/O

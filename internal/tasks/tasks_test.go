@@ -43,6 +43,36 @@ func TestAllTasksAllArchitecturesComplete(t *testing.T) {
 	}
 }
 
+// TestOddDiskCountsComplete runs every task on every architecture on
+// disk counts that leave partitions uneven, at scale 0.004. On these
+// counts a Grace join used to split its staged partitions off a sector
+// boundary and panic, on Active Disks and on the cluster alike.
+func TestOddDiskCountsComplete(t *testing.T) {
+	for _, c := range []struct {
+		disks []int
+		tasks []workload.TaskID
+	}{
+		{[]int{3, 15}, workload.AllTasks()},
+		{[]int{5, 7, 43}, []workload.TaskID{workload.Join}},
+	} {
+		for _, task := range c.tasks {
+			ds, err := workload.ForTaskScaled(task, 0.004)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, disks := range c.disks {
+				for _, cfg := range []arch.Config{arch.ActiveDisks(disks), arch.Cluster(disks), arch.SMP(disks)} {
+					t.Run(task.String()+"/"+cfg.Name(), func(t *testing.T) {
+						if res := simulate(cfg, task, ds, nil, ModeEvent); res.Elapsed <= 0 {
+							t.Fatalf("elapsed = %v", res.Elapsed)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 func TestActiveSortShuffleVolume(t *testing.T) {
 	ds := scaled(workload.Sort, 64<<20)
 	res := simulate(arch.ActiveDisks(4), workload.Sort, ds, nil, ModeEvent)
