@@ -70,16 +70,26 @@ func TestProbeTraceModeEquivalence(t *testing.T) {
 
 // TestProbeTraceFaultedEquivalence repeats the golden and cross-mode
 // comparison under a deterministic fault plan, so degraded-run traces (retries,
-// stall spans, recovery rebuilds) are held to the same standard.
+// stall spans, recovery rebuilds) are held to the same standard. The
+// cluster row pins that a cluster scan's failover records no recovery
+// span: only Active Disk traces carry that component.
 func TestProbeTraceFaultedEquivalence(t *testing.T) {
 	plan, err := fault.ParsePlan("seed=42,media=0.002,slow=0.001,fail=3@50ms,replica")
 	if err != nil {
 		t.Fatal(err)
 	}
-	modeCompare(t, "probed faulted select on active disks", func(m tasks.ExecMode) string {
-		out, _, _ := probedRun(arch.ActiveDisks(8), workload.Select, 0.002, plan, m)
-		return out
-	})
+	for _, c := range []struct {
+		name string
+		cfg  arch.Config
+	}{
+		{"active disks", arch.ActiveDisks(8)},
+		{"cluster", arch.Cluster(4)},
+	} {
+		modeCompare(t, "probed faulted select on "+c.name, func(m tasks.ExecMode) string {
+			out, _, _ := probedRun(c.cfg, workload.Select, 0.002, plan, m)
+			return out
+		})
+	}
 }
 
 // TestProbePhaseAccounting checks the breakdown's central claim: the

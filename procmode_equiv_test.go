@@ -105,11 +105,20 @@ func TestExecModeShardedTaskEquivalence(t *testing.T) {
 // plans and compares the rendered fault reports with the goldens. The
 // first plan — media retries, latency spikes, a permanent drive failure
 // with replica recovery — covers the disk retry/backoff path and the
-// closed-queue retirement of the substrate service loops. The outage
-// plans stall a cluster's netsim link and local buses and each SMP bus
-// in windows where each stall moves the elapsed time.
+// closed-queue retirement of the substrate service loops; on a cluster
+// select it also drives the scan's failover to the peer holding the
+// replica and its take-over output region. The replica-less failure
+// loses the rest of a cluster aggregate's partition while the front-end
+// still collects every node's result. The media plan hard-errors at
+// least one chunk of each select (the lost-chunk path) and retries the
+// reads of a cluster's view maintenance and join. The outage plans
+// stall a cluster's netsim link and local buses and each SMP bus in
+// windows where each stall moves the elapsed time.
 func TestExecModeFaultEquivalence(t *testing.T) {
-	const drives = "seed=42,media=0.002,slow=0.001,fail=3@50ms,replica"
+	const (
+		drives = "seed=42,media=0.002,slow=0.001,fail=3@50ms,replica"
+		media  = "seed=8,media=0.5"
+	)
 	for _, c := range []struct {
 		name string
 		cfg  arch.Config
@@ -118,6 +127,12 @@ func TestExecModeFaultEquivalence(t *testing.T) {
 	}{
 		{"faulted select on active disks", arch.ActiveDisks(8), workload.Select, drives},
 		{"faulted sort on cluster", arch.Cluster(4), workload.Sort, drives},
+		{"faulted select on cluster", arch.Cluster(4), workload.Select, drives},
+		{"faulted aggregate on cluster", arch.Cluster(4), workload.Aggregate, "seed=42,fail=3@50ms"},
+		{"hard-errored select on active disks", arch.ActiveDisks(8), workload.Select, media},
+		{"hard-errored select on cluster", arch.Cluster(4), workload.Select, media},
+		{"faulted mview on cluster", arch.Cluster(4), workload.MView, media},
+		{"faulted join on cluster", arch.Cluster(4), workload.Join, media},
 		{"outaged sort on cluster", arch.Cluster(4), workload.Sort,
 			"seed=5,outage=node0.up@40ms+21ms,outage=node2.scsi@240ms+21ms"},
 		{"outaged groupby on cluster", arch.Cluster(4), workload.GroupBy,
