@@ -73,6 +73,26 @@ func TestExecModeSortContentionEquivalence(t *testing.T) {
 	})
 }
 
+// TestExecModeScanFlushEquivalence pins a select large enough that each
+// node's matches fill a flush batch mid-scan, which the Quick-scale
+// figures never do: an Active Disk streams the batch to the front-end,
+// a cluster node writes it to its own disk.
+func TestExecModeScanFlushEquivalence(t *testing.T) {
+	ds := workload.ForTask(workload.Select).Scaled(1 << 29)
+	for _, c := range []struct {
+		name string
+		cfg  arch.Config
+	}{
+		{"active disks", arch.ActiveDisks(4)},
+		{"cluster", arch.Cluster(4)},
+	} {
+		modeCompare(t, "flushing select on "+c.name, func(m tasks.ExecMode) string {
+			r := run(c.cfg, workload.Select, ds, nil, nil, m)
+			return fmt.Sprintf("%v %v", r.Elapsed, r.Details)
+		})
+	}
+}
+
 // TestExecModeShardedTaskEquivalence pins every Active Disk task — the
 // five the parallel mode shards, plus sort, join and mview, which run on
 // one kernel in both modes and keep their golden digests here — at a
