@@ -133,33 +133,36 @@ func TestExecModeShardedTaskEquivalence(t *testing.T) {
 // least one chunk of each select (the lost-chunk path) and retries the
 // reads of a cluster's view maintenance and join. The outage plans
 // stall a cluster's netsim link and local buses and each SMP bus in
-// windows where each stall moves the elapsed time.
+// windows where each stall moves the elapsed time. The rows marked
+// details also render Details: the fault report alone does not show,
+// say, a result message the front-end never got.
 func TestExecModeFaultEquivalence(t *testing.T) {
 	const (
 		drives = "seed=42,media=0.002,slow=0.001,fail=3@50ms,replica"
 		media  = "seed=8,media=0.5"
 	)
 	for _, c := range []struct {
-		name string
-		cfg  arch.Config
-		task workload.TaskID
-		plan string
+		name    string
+		cfg     arch.Config
+		task    workload.TaskID
+		plan    string
+		details bool
 	}{
-		{"faulted select on active disks", arch.ActiveDisks(8), workload.Select, drives},
-		{"faulted sort on cluster", arch.Cluster(4), workload.Sort, drives},
-		{"faulted select on cluster", arch.Cluster(4), workload.Select, drives},
-		{"faulted aggregate on cluster", arch.Cluster(4), workload.Aggregate, "seed=42,fail=3@50ms"},
-		{"hard-errored select on active disks", arch.ActiveDisks(8), workload.Select, media},
-		{"hard-errored select on cluster", arch.Cluster(4), workload.Select, media},
-		{"faulted mview on cluster", arch.Cluster(4), workload.MView, media},
-		{"faulted join on cluster", arch.Cluster(4), workload.Join, media},
+		{"faulted select on active disks", arch.ActiveDisks(8), workload.Select, drives, false},
+		{"faulted sort on cluster", arch.Cluster(4), workload.Sort, drives, false},
+		{"faulted select on cluster", arch.Cluster(4), workload.Select, drives, true},
+		{"faulted aggregate on cluster", arch.Cluster(4), workload.Aggregate, "seed=42,fail=3@50ms", true},
+		{"hard-errored select on active disks", arch.ActiveDisks(8), workload.Select, media, true},
+		{"hard-errored select on cluster", arch.Cluster(4), workload.Select, media, true},
+		{"faulted mview on cluster", arch.Cluster(4), workload.MView, media, true},
+		{"faulted join on cluster", arch.Cluster(4), workload.Join, media, true},
 		{"outaged sort on cluster", arch.Cluster(4), workload.Sort,
-			"seed=5,outage=node0.up@40ms+21ms,outage=node2.scsi@240ms+21ms"},
+			"seed=5,outage=node0.up@40ms+21ms,outage=node2.scsi@240ms+21ms", false},
 		{"outaged groupby on cluster", arch.Cluster(4), workload.GroupBy,
-			"seed=5,outage=node0.up@72ms+5ms,outage=node2.scsi@32ms+5ms"},
+			"seed=5,outage=node0.up@72ms+5ms,outage=node2.scsi@32ms+5ms", false},
 		{"outaged sort on smp", arch.SMP(4), workload.Sort,
-			"seed=5,outage=smp.fc@116ms+30ms,outage=smp.xio@464ms+30ms,outage=smp.ic@58ms+30ms"},
-		{"outaged groupby on smp", arch.SMP(4), workload.GroupBy, "seed=5,outage=smp.fc@60ms+6ms"},
+			"seed=5,outage=smp.fc@116ms+30ms,outage=smp.xio@464ms+30ms,outage=smp.ic@58ms+30ms", false},
+		{"outaged groupby on smp", arch.SMP(4), workload.GroupBy, "seed=5,outage=smp.fc@60ms+6ms", false},
 	} {
 		plan, err := fault.ParsePlan(c.plan)
 		if err != nil {
@@ -168,7 +171,11 @@ func TestExecModeFaultEquivalence(t *testing.T) {
 		modeCompare(t, c.name, func(m tasks.ExecMode) string {
 			ds := workload.ForTask(c.task).Scaled(1 << 22)
 			r := run(c.cfg, c.task, ds, plan, nil, m)
-			return r.Elapsed.String() + "\n" + r.Fault.Render()
+			out := r.Elapsed.String() + "\n" + r.Fault.Render()
+			if c.details {
+				out += fmt.Sprintf("%v\n", r.Details)
+			}
+			return out
 		})
 	}
 }
