@@ -76,19 +76,31 @@ func TestExecModeSortContentionEquivalence(t *testing.T) {
 // TestExecModeScanFlushEquivalence pins a select large enough that each
 // node's matches fill a flush batch mid-scan, which the Quick-scale
 // figures never do: an Active Disk streams the batch to the front-end,
-// a cluster node writes it to its own disk.
+// a cluster node writes it to its own disk. In the faulted row node 3
+// fails after its first batch, so the peer holding its replica writes
+// the rest of its output to a take-over region of its own.
 func TestExecModeScanFlushEquivalence(t *testing.T) {
 	ds := workload.ForTask(workload.Select).Scaled(1 << 29)
 	for _, c := range []struct {
 		name string
 		cfg  arch.Config
+		plan string
 	}{
-		{"active disks", arch.ActiveDisks(4)},
-		{"cluster", arch.Cluster(4)},
+		{"flushing select on active disks", arch.ActiveDisks(4), ""},
+		{"flushing select on cluster", arch.Cluster(4), ""},
+		{"flushing faulted select on cluster", arch.Cluster(4), "seed=42,fail=3@6200ms,replica"},
 	} {
-		modeCompare(t, "flushing select on "+c.name, func(m tasks.ExecMode) string {
-			r := run(c.cfg, workload.Select, ds, nil, nil, m)
-			return fmt.Sprintf("%v %v", r.Elapsed, r.Details)
+		plan, err := fault.ParsePlan(c.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		modeCompare(t, c.name, func(m tasks.ExecMode) string {
+			r := run(c.cfg, workload.Select, ds, plan, nil, m)
+			out := fmt.Sprintf("%v %v", r.Elapsed, r.Details)
+			if r.Fault != nil {
+				out += "\n" + r.Fault.Render()
+			}
+			return out
 		})
 	}
 }
