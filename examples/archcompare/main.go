@@ -9,11 +9,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
 
-	"howsim/internal/core"
+	"howsim/internal/arch"
 	"howsim/internal/cost"
 	"howsim/internal/tasks"
 	"howsim/internal/workload"
@@ -41,18 +42,20 @@ func main() {
 
 	type entry struct {
 		name  string
-		cfg   core.Config
+		cfg   arch.Config
 		price float64
 		res   *tasks.Result
 	}
 	entries := []entry{
-		{"Active Disks", core.ActiveDisks(disks), cost.ActiveDiskTotal(cost.Jul99, disks), nil},
-		{"Cluster", core.Cluster(disks), cost.ClusterTotal(cost.Jul99, disks), nil},
-		{"SMP", core.SMP(disks), cost.SMPTotal(disks), nil},
+		{"Active Disks", arch.ActiveDisks(disks), cost.ActiveDiskTotal(cost.Jul99, disks), nil},
+		{"Cluster", arch.Cluster(disks), cost.ClusterTotal(cost.Jul99, disks), nil},
+		{"SMP", arch.SMP(disks), cost.SMPTotal(disks), nil},
 	}
 	fmt.Printf("%s on %d-disk configurations (full 16-32 GB datasets)\n\n", task, disks)
 	for i := range entries {
-		entries[i].res = core.New(entries[i].cfg, task).Run()
+		// A background context never cancels, so RunCtx never errors.
+		entries[i].res, _ = tasks.RunCtx(context.Background(), entries[i].cfg, task,
+			workload.ForTask(task), nil, nil, tasks.ModeEvent)
 	}
 	base := entries[0].res.Elapsed.Seconds()
 	fmt.Printf("%-14s %10s %10s %12s %14s\n", "architecture", "time", "vs active", "price(7/99)", "price x time")

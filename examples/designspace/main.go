@@ -10,17 +10,23 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
-	"howsim/internal/core"
+	"howsim/internal/arch"
+	"howsim/internal/tasks"
 	"howsim/internal/workload"
 )
 
 const scale = 1.0 / 8
 
-func run(cfg core.Config, task workload.TaskID) float64 {
-	return core.New(cfg, task).WithScale(scale).Run().Elapsed.Seconds()
+func run(cfg arch.Config, task workload.TaskID) float64 {
+	// 1/8 of a Table 2 dataset is far above one byte, and a background
+	// context never cancels, so neither call can fail.
+	ds, _ := workload.ForTaskScaled(task, scale)
+	res, _ := tasks.RunCtx(context.Background(), cfg, task, ds, nil, nil, tasks.ModeEvent)
+	return res.Elapsed.Seconds()
 }
 
 func main() {
@@ -36,20 +42,20 @@ func main() {
 	fmt.Printf("Design-space sweep for %s (dataset at 1/8 scale)\n\n", task)
 
 	fmt.Println("1. Interconnect bandwidth (64 disks):")
-	base := run(core.ActiveDisks(64), task)
-	fast := run(core.ActiveDisks(64).WithFastIO(), task)
+	base := run(arch.ActiveDisks(64), task)
+	fast := run(arch.ActiveDisks(64).WithFastIO(), task)
 	fmt.Printf("   200 MB/s: %7.1fs\n   400 MB/s: %7.1fs  (%.2fx)\n\n", base, fast, base/fast)
 
 	fmt.Println("2. Per-disk memory (16 disks):")
 	for _, mb := range []int64{32, 64, 128} {
-		t := run(core.ActiveDisks(16).WithDiskMemory(mb<<20), task)
+		t := run(arch.ActiveDisks(16).WithDiskMemory(mb<<20), task)
 		fmt.Printf("   %3d MB:   %7.1fs\n", mb, t)
 	}
 	fmt.Println()
 
 	fmt.Println("3. Communication architecture (64 disks):")
-	direct := run(core.ActiveDisks(64), task)
-	relay := run(core.ActiveDisks(64).WithFrontEndOnly(), task)
+	direct := run(arch.ActiveDisks(64), task)
+	relay := run(arch.ActiveDisks(64).WithFrontEndOnly(), task)
 	fmt.Printf("   disk-to-disk:   %7.1fs\n   front-end only: %7.1fs  (%.2fx slowdown)\n",
 		direct, relay, relay/direct)
 }

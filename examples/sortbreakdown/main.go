@@ -10,12 +10,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
 
-	"howsim/internal/core"
+	"howsim/internal/arch"
 	"howsim/internal/tasks"
+	"howsim/internal/workload"
 )
 
 func main() {
@@ -30,18 +32,21 @@ func main() {
 	}
 	variants := []struct {
 		name string
-		cfg  core.Config
+		cfg  arch.Config
 	}{
-		{"base (Cheetah 9LP, 200 MB/s)", core.ActiveDisks(disks)},
-		{"Fast Disk (Hitachi DK3E1T-91)", core.ActiveDisks(disks).WithFastDisk()},
-		{"Fast I/O (400 MB/s loop)", core.ActiveDisks(disks).WithFastIO()},
+		{"base (Cheetah 9LP, 200 MB/s)", arch.ActiveDisks(disks)},
+		{"Fast Disk (Hitachi DK3E1T-91)", arch.ActiveDisks(disks).WithFastDisk()},
+		{"Fast I/O (400 MB/s loop)", arch.ActiveDisks(disks).WithFastIO()},
 	}
 	buckets := []string{"P1:Partitioner", "P1:Append", "P1:Sort", "P1:Idle", "P2:Merge", "P2:Idle"}
 
 	fmt.Printf("External sort of 16 GB on %d Active Disks\n\n", disks)
 	var results []*tasks.Result
 	for _, v := range variants {
-		results = append(results, core.New(v.cfg, core.Sort).Run())
+		// A background context never cancels, so RunCtx never errors.
+		r, _ := tasks.RunCtx(context.Background(), v.cfg, workload.Sort,
+			workload.ForTask(workload.Sort), nil, nil, tasks.ModeEvent)
+		results = append(results, r)
 	}
 	fmt.Printf("%-30s %10s", "variant", "elapsed")
 	for _, b := range buckets {

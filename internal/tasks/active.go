@@ -7,7 +7,6 @@ import (
 	"howsim/internal/disk"
 	"howsim/internal/diskos"
 	"howsim/internal/fault"
-	"howsim/internal/probe"
 	"howsim/internal/relational"
 	"howsim/internal/sim"
 	"howsim/internal/workload"
@@ -24,22 +23,20 @@ func (a activeMachine) start(task workload.TaskID, pl *placement, ds workload.Da
 	s := a.System
 	spawnRebuild(pl.hub(), s, ds, plan, &deg.rebuild)
 	switch task {
-	case workload.Select:
-		return activeScan(pl, s, ds, SelectCycles, ds.Selectivity, 0, plan, deg)
-	case workload.Aggregate:
-		return activeScan(pl, s, ds, AggregateCycles, 0, 512, plan, deg)
+	case workload.Select, workload.Aggregate:
+		return recoveringScan(pl, activeExchanges(pl, s, plan), len(s.Disks), s.Disks[0].Disk.Capacity(), task, ds, plan, deg)
 	case workload.GroupBy:
 		return activeGroupBy(pl, s, ds, res)
 	case workload.Sort:
-		return activeSort(pl.k, s, ds, res)
+		return activeSort(pl, s, ds, res)
 	case workload.DataCube:
 		return activeCube(pl, s, ds, res)
 	case workload.Join:
-		return activeJoin(pl.k, s, ds, res)
+		return activeJoin(pl, s, ds, res)
 	case workload.DataMine:
 		return activeMine(pl, s, ds, res)
 	case workload.MView:
-		return activeMView(pl.k, s, ds, res)
+		return activeMView(pl, s, ds, res)
 	}
 	panic(fmt.Sprintf("tasks: unknown task %v", task))
 }
@@ -72,99 +69,6 @@ func (a activeMachine) units() ([]*disk.Disk, []*cpu.CPU) {
 // the tasks carve out of the lower two-thirds).
 func replicaRegionOf(capEach int64) int64 { return alignSector(5 * capEach / 6) }
 
-// activeScan is the shared scan skeleton for select and aggregate: every
-// disk scans its partition with the disklet, forwarding outFraction of
-// the bytes scanned to the front-end in batches and finalBytes once at
-// the end.
-//
-// Recovery: a hard media error loses just that chunk; a failed drive
-// either hands the rest of the partition to the replica copy on the next
-// disk (when the plan declares replicas — that disklet then does double
-// duty; such plans never shard) or abandons the remainder, which is
-// reported as lost bytes. Lost and replica bytes accumulate proc-local
-// and fold into the degrade accumulator in the disklet's final
-// crossing. The fault-free path issues exactly the same simulated
-// events as before the fault plumbing existed.
-func activeScan(pl *placement, s *diskos.System, ds workload.Dataset,
-	cycles int64, outFraction float64, finalBytes int64,
-	plan *fault.Plan, deg *degrade) *sim.Signal {
-	d := len(s.Disks)
-	per := perNodeBytes(ds.TotalBytes, d)
-	deg.total = per * int64(d)
-	replicaRegion := replicaRegionOf(s.Disks[0].Disk.Capacity())
-	wg := sim.NewWaitGroup(d)
-	for i := range s.Disks {
-		k := pl.kernel(i)
-		// The recovery ref lives on the disk's own kernel sink and exists
-		// only under a plan, so that fault-free traces stay byte-identical
-		// to runs built before the fault plumbing.
-		var skipRef probe.Ref
-		var skipKind probe.Kind
-		if plan != nil {
-			skipRef = k.Probe().Register("recovery", "scan")
-			skipKind = skipRef.KindNamed("degraded_skip")
-		}
-		k.Spawn(fmt.Sprintf("scan%d", i), func(p *sim.Proc) {
-			src, base := s.Disks[i], int64(0)
-			var pend, lost, replica int64
-			for off := int64(0); off < per; {
-				n := int64(ioChunk)
-				if per-off < n {
-					n = alignSector(per - off)
-				}
-				err := src.ReadLocal(p, base+off, n)
-				if err == disk.ErrDiskFailed {
-					if plan != nil && plan.Replica && d > 1 && base == 0 {
-						// Fail over to the replica copy on the next disk and
-						// retry the same chunk there.
-						src, base = s.Disks[(i+1)%d], replicaRegion
-						continue
-					}
-					lost += per - off
-					if skipRef.On() {
-						skipRef.SpanArg(skipKind, int64(p.Now()), int64(p.Now()), per-off)
-					}
-					break
-				}
-				if err != nil {
-					// Unrecoverable sector: this chunk is lost, the scan
-					// continues.
-					lost += n
-					if skipRef.On() {
-						skipRef.SpanArg(skipKind, int64(p.Now()), int64(p.Now()), n)
-					}
-				} else {
-					if base != 0 {
-						replica += n
-					}
-					t := tuplesIn(n, ds.TupleBytes)
-					src.Compute(p, t*cycles)
-					pend += int64(float64(n) * outFraction)
-					if pend >= flushBatch {
-						pl.sendFE(p, src, pend)
-						pend = 0
-					}
-				}
-				off += n
-			}
-			// The tail flushes, loss accounting and the completion mark are
-			// all hub work at one instant: one crossing.
-			pl.cross(p, i, func(hp *sim.Proc) {
-				if pend > 0 {
-					src.SendToFrontEnd(hp, pend, nil)
-				}
-				if finalBytes > 0 {
-					src.SendToFrontEnd(hp, finalBytes, nil)
-				}
-				deg.lost += lost
-				deg.replica += replica
-				wg.Done()
-			})
-		})
-	}
-	return coord(pl.hub(), wg, nil)
-}
-
 // feMerger drains the front-end inbox, charging the front-end CPU a
 // merge cost per table entry, until the inbox closes.
 func feMerger(k *sim.Kernel, s *diskos.System, entryBytes, cyclesPerEntry int64) *sim.Signal {
@@ -184,6 +88,22 @@ func feMerger(k *sim.Kernel, s *diskos.System, entryBytes, cyclesPerEntry int64)
 		sig.Fire()
 	})
 	return sig
+}
+
+// drainInbox passes the size of each chunk that reaches ad to fn until
+// the inbox closes, releasing each chunk's credit just before the next
+// Recv.
+func drainInbox(p *sim.Proc, ad *diskos.ActiveDisk, fn func(bytes int64)) {
+	for {
+		c, ok := ad.Recv(p)
+		if !ok {
+			return
+		}
+		fn(c.Bytes)
+		if c.Bytes > 0 {
+			ad.Release(c.Bytes)
+		}
+	}
 }
 
 // activeGroupBy: each disklet hash-aggregates its local partition
@@ -237,8 +157,8 @@ func activeGroupBy(pl *placement, s *diskos.System, ds workload.Dataset, res *Re
 // phase 2 merges the runs and writes the sorted output. The breakdown
 // buckets match Figure 3's legend. Each disk runs two disklets, so sort
 // never shards: it runs on one kernel in both exec modes.
-func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
-	d := len(s.Disks)
+func activeSort(pl *placement, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+	k, d := pl.k, len(s.Disks)
 	per := perNodeBytes(ds.TotalBytes, d)
 	runRegion, outRegion := regions(s.Disks[0].Disk.Capacity())
 
@@ -288,43 +208,18 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 	barrier := sim.NewBarrier(k, "sort.p1", d)
 	readers := sim.NewWaitGroup(d)
 	sorters := sim.NewWaitGroup(d)
+	x := activeExchanges(pl, s, nil, readers)
 
 	for i := range s.Disks {
 		ad := s.Disks[i]
-		peers := peersOf(i, d)
 		// Partitioner disklet: scan local input, keep the local share,
 		// stream the rest to peer disks in rotating batches.
 		k.Spawn(fmt.Sprintf("part%d", i), func(p *sim.Proc) {
-			rot := 0
-			chunksOf(per, func(off, n int64) {
-				ad.ReadLocal(p, off, n)
-				t := tuplesIn(n, ds.TupleBytes)
-				ad.Compute(p, t*PartitionCycles)
-				cPart += t * PartitionCycles
-				remote := n * int64(d-1) / int64(d)
-				if remote > 0 && len(peers) > 0 {
-					ad.Send(p, peers[rot], remote, nil)
-					rot = (rot + 1) % len(peers)
-				}
-				absorb(p, i, n-remote)
-			})
-			readers.Done()
+			cPart += partitionRuns(p, x, i, d, per, ds.TupleBytes, func(local int64) { absorb(p, i, local) })
 		})
 		// Sorter disklet: absorb arriving tuples into runs, then merge.
-		// Each chunk's credit is released just before the next Recv.
 		k.Spawn(fmt.Sprintf("sort%d", i), func(p *sim.Proc) {
-			var rel int64
-			for {
-				if rel > 0 {
-					ad.Release(rel)
-				}
-				c, ok := ad.Recv(p)
-				if !ok {
-					break
-				}
-				absorb(p, i, c.Bytes)
-				rel = c.Bytes
-			}
+			drainInbox(p, ad, func(bytes int64) { absorb(p, i, bytes) })
 			st := states[i]
 			st.spillTail(p, ad)
 			barrier.Wait(p)
@@ -336,51 +231,14 @@ func activeSort(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 		})
 	}
 	// Close inboxes once every partitioner has finished sending.
-	k.Spawn("closer", func(p *sim.Proc) {
-		readers.Wait(p)
-		for _, ad := range s.Disks {
-			ad.CloseInbox()
-		}
-	})
+	spawnCloser(k, s, readers)
 	return coord(k, sorters, func(p *sim.Proc) {
-		// Attribute CPU buckets (average per disk) and idle remainders,
-		// matching Figure 3's legend.
-		total := p.Now()
 		var cSort int64
 		for _, st := range states {
 			cSort += st.cycles
 		}
-		toTime := func(cycles int64) sim.Time {
-			return sim.Time(float64(cycles) / hz / float64(d) * float64(sim.Second))
-		}
-		bd := res.Breakdown
-		bd.Add("P1:Partitioner", toTime(cPart))
-		bd.Add("P1:Append", toTime(cAppend))
-		bd.Add("P1:Sort", toTime(cSort))
-		p1CPU := toTime(cPart + cAppend + cSort)
-		if p1End > p1CPU {
-			bd.Add("P1:Idle", p1End-p1CPU)
-		}
-		bd.Add("P2:Merge", toTime(cMerge))
-		p2 := total - p1End
-		if p2 > toTime(cMerge) {
-			bd.Add("P2:Idle", p2-toTime(cMerge))
-		}
-		res.Details["p1_seconds"] = p1End.Seconds()
-		res.Details["p2_seconds"] = (total - p1End).Seconds()
+		sortBreakdown(res, hz, d, cPart, cAppend, cSort, cMerge, p1End, p.Now())
 	})
-}
-
-// peersOf lists every disk but i, in ascending order: the rotation a
-// repartitioning disklet streams its remote share through.
-func peersOf(i, d int) []int {
-	peers := make([]int, 0, d-1)
-	for j := 0; j < d; j++ {
-		if j != i {
-			peers = append(peers, j)
-		}
-	}
-	return peers
 }
 
 // activeCube runs PipeHash: the pass/spill plan comes from
@@ -443,56 +301,29 @@ func activeCube(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 // disks; each disk then joins its partitions locally (build + probe per
 // Grace partition) and writes the output. Each disk runs two disklets,
 // so join never shards.
-func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
-	d := len(s.Disks)
-	rBytes := ds.TotalBytes / 2
-	sBytes := ds.TotalBytes - rBytes
-	perR := perNodeBytes(rBytes, d)
-	perS := perNodeBytes(sBytes, d)
-	projFrac := float64(ds.ProjectedTupleBytes) / float64(ds.TupleBytes)
+func activeJoin(pl *placement, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+	k, d := pl.k, len(s.Disks)
+	perR, perS, projR, projS, projFrac := joinShares(ds, d)
 	partRegion, outRegion := regions(s.Disks[0].Disk.Capacity())
-
-	projR := alignSector(int64(float64(perR) * projFrac))
-	projS := alignSector(int64(float64(perS) * projFrac))
 	gp := relational.PlanGraceJoin(projR, s.ScratchBytes()-2<<20)
 	res.Details["grace_partitions"] = float64(gp.Partitions)
 
-	var phase [2]*sim.Barrier
-	phase[0] = sim.NewBarrier(k, "join.p1", d)
-	phase[1] = sim.NewBarrier(k, "join.p2", d)
+	phase := [2]*sim.Barrier{sim.NewBarrier(k, "join.p1", d), sim.NewBarrier(k, "join.p2", d)}
 	readersR := sim.NewWaitGroup(d)
 	readersS := sim.NewWaitGroup(d)
 	workers := sim.NewWaitGroup(d)
+	x := activeExchanges(pl, s, nil, readersR, readersS)
 
 	for i := range s.Disks {
 		ad := s.Disks[i]
-		peers := peersOf(i, d)
-		// shuffle scans a local relation partition, projects it and
-		// streams the remote share to peers.
-		shuffle := func(p *sim.Proc, per int64) {
-			rot := 0
-			chunksOf(per, func(off, n int64) {
-				ad.ReadLocal(p, off, n)
-				t := tuplesIn(n, ds.TupleBytes)
-				ad.Compute(p, t*ProjectCycles)
-				proj := int64(float64(n) * projFrac)
-				remote := proj * int64(d-1) / int64(d)
-				if remote > 0 && len(peers) > 0 {
-					ad.Send(p, peers[rot], remote, nil)
-					rot = (rot + 1) % len(peers)
-				}
-			})
-		}
 		// Scanner disklet: project+shuffle R, barrier, then S.
 		k.Spawn(fmt.Sprintf("jscan%d", i), func(p *sim.Proc) {
-			shuffle(p, perR)
-			readersR.Done()
+			shuffleProjected(p, x, i, d, perR, ds.TupleBytes, projFrac)
 			phase[0].Wait(p)
 			if i == 0 {
 				res.Details["p1_seconds"] = p.Now().Seconds()
 			}
-			shuffle(p, perS)
-			readersS.Done()
+			shuffleProjected(p, x, i, d, perS, ds.TupleBytes, projFrac)
 		})
 		// Writer disklet: receive projected tuples (both relations,
 		// locally retained share accounted analytically), write the
@@ -521,13 +352,7 @@ func activeJoin(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Resul
 			workers.Done()
 		})
 	}
-	k.Spawn("closer", func(p *sim.Proc) {
-		readersR.Wait(p)
-		readersS.Wait(p)
-		for _, ad := range s.Disks {
-			ad.CloseInbox()
-		}
-	})
+	spawnCloser(k, s, readersR, readersS)
 	return coord(k, workers, nil)
 }
 
@@ -614,90 +439,37 @@ func activeMine(pl *placement, s *diskos.System, ds workload.Dataset, res *Resul
 // updates are repartitioned again to the disks owning the view
 // partitions, and the derived relations are read, updated and written
 // back. Each disk runs two disklets, so mview never shards.
-func activeMView(k *sim.Kernel, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
-	d := len(s.Disks)
-	base := perNodeBytes(baseBytes(ds), d)
-	deltas := perNodeBytes(ds.DeltaBytes, d)
-	derived := perNodeBytes(ds.DerivedBytes, d)
-	updates := deltas * ViewFanout // derived updates produced per disk
-	deltaTupB := ds.TupleBytes
-
+func activeMView(pl *placement, s *diskos.System, ds workload.Dataset, res *Result) *sim.Signal {
+	k, d := pl.k, len(s.Disks)
+	base, deltas, derived, updates := viewShares(ds, d)
 	stageRegion, derivedRegion := regions(s.Disks[0].Disk.Capacity())
 
 	senders := sim.NewWaitGroup(d)
 	workers := sim.NewWaitGroup(d)
 	applyPhase := sim.NewBarrier(k, "mview.apply", d)
+	x := activeExchanges(pl, s, nil, senders)
 
 	for i := range s.Disks {
 		ad := s.Disks[i]
-		peers := peersOf(i, d)
 		// Producer disklet: shuffle deltas, scan base + join, shuffle
 		// the derived updates.
 		k.Spawn(fmt.Sprintf("mvprod%d", i), func(p *sim.Proc) {
-			rot := 0
-			chunksOf(deltas, func(off, n int64) {
-				ad.ReadLocal(p, off, n)
-				t := tuplesIn(n, deltaTupB)
-				ad.Compute(p, t*PartitionCycles/3)
-				remote := n * int64(d-1) / int64(d)
-				if remote > 0 && len(peers) > 0 {
-					ad.Send(p, peers[rot], remote, nil)
-					rot = (rot + 1) % len(peers)
-				}
-			})
-			// Scan base, probing the (repartitioned) delta table and
-			// producing derived updates that are shuffled to the view
-			// owners.
-			baseStart := alignSector(deltas) // base follows the deltas in the input region
-			perChunkUpd := float64(updates) / float64(base)
-			var pendUpd float64
-			chunksOf(base, func(off, n int64) {
-				ad.ReadLocal(p, baseStart+off, n)
-				t := tuplesIn(n, deltaTupB)
-				ad.Compute(p, t*ViewProbeCycles)
-				pendUpd += float64(n) * perChunkUpd
-				if int64(pendUpd) >= flushBatch && len(peers) > 0 {
-					remote := int64(pendUpd) * int64(d-1) / int64(d)
-					ad.Send(p, peers[rot], remote, nil)
-					rot = (rot + 1) % len(peers)
-					pendUpd = 0
-				}
-			})
-			if int64(pendUpd) > 0 && len(peers) > 0 {
-				ad.Send(p, peers[rot], int64(pendUpd)*int64(d-1)/int64(d), nil)
-			}
-			senders.Done()
+			produceViews(p, x, i, d, deltas, base, updates, ds.TupleBytes)
 		})
 		// Consumer disklet: absorb shuffled deltas and updates, then
-		// apply updates to the local derived relations. Each chunk's
-		// credit is released just before the next Recv.
+		// apply updates to the local derived relations.
 		k.Spawn(fmt.Sprintf("mvapply%d", i), func(p *sim.Proc) {
-			var rel int64
-			for {
-				if rel > 0 {
-					ad.Release(rel)
-				}
-				c, ok := ad.Recv(p)
-				if !ok {
-					break
-				}
-				t := tuplesIn(c.Bytes, deltaTupB)
-				ad.Compute(p, t*AppendCycles/4)
-				rel = c.Bytes
-			}
+			drainInbox(p, ad, func(bytes int64) {
+				ad.Compute(p, tuplesIn(bytes, ds.TupleBytes)*AppendCycles/4)
+			})
 			applyPhase.Wait(p)
 			if i == 0 {
 				res.Details["shuffle_seconds"] = p.Now().Seconds()
 			}
-			applyViews(p, ad, derived, updates, derivedRegion, stageRegion, deltaTupB)
+			applyViews(p, ad, derived, updates, derivedRegion, stageRegion, ds.TupleBytes)
 			workers.Done()
 		})
 	}
-	k.Spawn("closer", func(p *sim.Proc) {
-		senders.Wait(p)
-		for _, ad := range s.Disks {
-			ad.CloseInbox()
-		}
-	})
+	spawnCloser(k, s, senders)
 	return coord(k, workers, nil)
 }

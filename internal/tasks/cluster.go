@@ -33,13 +33,11 @@ func (c clusterMachine) start(task workload.TaskID, pl *placement, ds workload.D
 	plan *fault.Plan, deg *degrade) *sim.Signal {
 	k, m := pl.k, c.Machine
 	switch task {
-	case workload.Select:
-		// The tuned cluster select materializes matches on the local
-		// disk rather than pushing 1% of 16 GB through the front-end's
-		// 100 Mb/s link.
-		return clusterScan(k, m, ds, SelectCycles, ds.Selectivity, 0, plan, deg)
-	case workload.Aggregate:
-		return clusterScan(k, m, ds, AggregateCycles, 0, 512, plan, deg)
+	case workload.Select, workload.Aggregate:
+		if task == workload.Aggregate {
+			feCollect(k, m, "fe.collect", tagResult, 0, 0) // before the scans
+		}
+		return recoveringScan(pl, &clusterExchange{m: m}, len(m.Nodes), m.Nodes[0].Disk.Capacity(), task, ds, plan, deg)
 	case workload.GroupBy:
 		return clusterGroupBy(k, m, ds, res)
 	case workload.Sort:
@@ -92,95 +90,18 @@ func receive(k *sim.Kernel, name string, ep *mpi.Endpoint, dones int,
 	return fired
 }
 
-// finishSends waits out node i's sends in flight in w, then tells each
-// of its d-1 peers that it is done.
-func finishSends(p *sim.Proc, ep *mpi.Endpoint, w *mpi.Window, i, d int) {
-	w.Drain(p)
-	for j := 0; j < d; j++ {
-		if j != i {
-			ep.Send(p, j, tagDone, 0, nil)
+// feCollect spawns name on the front-end to take one tag message per
+// node, merging entryBytes entries at cyclesPerEntry each (none for a
+// scalar, when cyclesPerEntry is 0).
+func feCollect(k *sim.Kernel, m *cluster.Machine, name string, tag int, entryBytes, cyclesPerEntry int64) {
+	k.Spawn(name, func(p *sim.Proc) {
+		for range m.Nodes {
+			msg := m.FE.Endpoint().Recv(p, mpi.AnySource, tag)
+			if cyclesPerEntry > 0 {
+				m.FE.CPU.Compute(p, msg.Bytes/entryBytes*cyclesPerEntry)
+			}
 		}
-	}
-}
-
-// clusterScan: every node scans its local partition; outFraction of the
-// bytes scanned is written back to the local disk (select's result
-// relation); finalBytes go to the front-end (aggregate's scalar).
-//
-// Recovery: cluster hosts can only address their own disk, so when a
-// node's drive fails and the plan declares replicas, the peer node
-// holding the replica copy takes over the rest of the partition — its
-// CPU, disk and buses are charged, and the failed node's remaining
-// output lands in a spare region of the peer's disk. Without a replica
-// the remainder of the partition is reported lost. A hard media error
-// loses just its chunk.
-func clusterScan(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset,
-	cycles int64, outFraction float64, finalBytes int64,
-	plan *fault.Plan, deg *degrade) *sim.Signal {
-	d := len(m.Nodes)
-	per := perNodeBytes(ds.TotalBytes, d)
-	deg.total = per * int64(d)
-	capEach := m.Nodes[0].Disk.Capacity()
-	outRegion := alignSector(2 * capEach / 3)
-	replicaRegion := replicaRegionOf(capEach)
-	// The take-over output region sits above the replica copy so it never
-	// collides with the peer's own output range.
-	replicaOut := alignSector(11 * capEach / 12)
-	wg := sim.NewWaitGroup(d)
-	if finalBytes > 0 {
-		k.Spawn("fe.collect", func(p *sim.Proc) {
-			for i := 0; i < d; i++ {
-				m.FE.Endpoint().Recv(p, mpi.AnySource, tagResult)
-			}
-		})
-	}
-	for i := range m.Nodes {
-		n := m.Nodes[i]
-		k.Spawn(fmt.Sprintf("scan%d", i), func(p *sim.Proc) {
-			src, base, outBase := n, int64(0), outRegion
-			var pend, outOff int64
-			for off := int64(0); off < per; {
-				sz := int64(ioChunk)
-				if per-off < sz {
-					sz = alignSector(per - off)
-				}
-				err := src.ReadLocal(p, base+off, sz)
-				if err == disk.ErrDiskFailed {
-					if plan != nil && plan.Replica && d > 1 && base == 0 {
-						src, base, outBase = m.Nodes[(i+1)%d], replicaRegion, replicaOut
-						outOff = 0
-						continue
-					}
-					deg.lost += per - off
-					break
-				}
-				if err != nil {
-					deg.lost += sz
-				} else {
-					if base != 0 {
-						deg.replica += sz
-					}
-					t := tuplesIn(sz, ds.TupleBytes)
-					src.Compute(p, t*cycles)
-					pend += int64(float64(sz) * outFraction)
-					if pend >= flushBatch {
-						src.WriteLocal(p, outBase+outOff, alignSector(pend))
-						outOff += alignSector(pend)
-						pend = 0
-					}
-				}
-				off += sz
-			}
-			if pend > 0 {
-				src.WriteLocal(p, outBase+outOff, alignSector(pend))
-			}
-			if finalBytes > 0 {
-				n.Endpoint().Send(p, m.FERank, tagResult, finalBytes, nil)
-			}
-			wg.Done()
-		})
-	}
-	return coord(k, wg, nil)
+	})
 }
 
 // clusterGroupBy: local hash aggregation, a hash repartition of the
@@ -198,12 +119,7 @@ func clusterGroupBy(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res 
 	res.Details["fe_result_bytes"] = float64(resultShare * int64(d))
 
 	wg := sim.NewWaitGroup(d)
-	k.Spawn("fe.collect", func(p *sim.Proc) {
-		for i := 0; i < d; i++ {
-			msg := m.FE.Endpoint().Recv(p, mpi.AnySource, tagResult)
-			m.FE.CPU.Compute(p, msg.Bytes/GroupResultTupleBytes*GroupMergeCycles)
-		}
-	})
+	feCollect(k, m, "fe.collect", tagResult, GroupResultTupleBytes, GroupMergeCycles)
 	for i := range m.Nodes {
 		n := m.Nodes[i]
 		k.Spawn(fmt.Sprintf("gby%d", i), func(p *sim.Proc) {
@@ -246,38 +162,24 @@ func clusterSort(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 	res.Details["runs"] = float64(plan.Runs)
 
 	workers := sim.NewWaitGroup(d)
+	x := &clusterExchange{m: m, peers: make([]clusterPeers, d)}
 	var p1End sim.Time // latest shuffle/run-formation finish across nodes
 	for i := range m.Nodes {
 		n := m.Nodes[i]
 		k.Spawn(fmt.Sprintf("sort%d", i), func(p *sim.Proc) {
-			ep := n.Endpoint()
-			w := mpi.NewWindow(sendWindow)
 			runs := sortRuns{region: runRegion, size: runBytes, tupleBytes: ds.TupleBytes}
 			// Interleave scan/partition/send with receive processing:
 			// receives are drained opportunistically between chunks via a
 			// receiver goroutine per node.
-			recvDone := receive(k, fmt.Sprintf("recv%d", i), ep, d-1, func(rp *sim.Proc, bytes int64) {
+			recvDone := receive(k, fmt.Sprintf("recv%d", i), n.Endpoint(), d-1, func(rp *sim.Proc, bytes int64) {
 				n.Compute(rp, tuplesIn(bytes, ds.TupleBytes)*AppendCycles)
 				runs.fill += bytes
 				runs.spillFull(rp, n)
 			})
-			rot := 0
-			chunksOf(per, func(off, sz int64) {
-				n.ReadLocal(p, off, sz)
-				t := tuplesIn(sz, ds.TupleBytes)
-				n.Compute(p, t*PartitionCycles)
-				remote := sz * int64(d-1) / int64(d)
-				if remote > 0 && d > 1 {
-					dst := (i + 1 + rot) % d
-					rot = (rot + 1) % (d - 1)
-					w.Add(p, ep.Isend(p, dst, tagData, remote, nil))
-				}
-				local := sz - remote
-				t = tuplesIn(local, ds.TupleBytes)
-				n.Compute(p, t*AppendCycles)
+			partitionRuns(p, x, i, d, per, ds.TupleBytes, func(local int64) {
+				n.Compute(p, tuplesIn(local, ds.TupleBytes)*AppendCycles)
 				runs.fill += local
 			})
-			finishSends(p, ep, w, i, d)
 			recvDone.Wait(p)
 			runs.spillTail(p, n)
 			// Merge phase on the local disk.
@@ -310,12 +212,7 @@ func clusterCube(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 
 	wg := sim.NewWaitGroup(d)
 	if plan.SpillBytes > 0 {
-		k.Spawn("fe.spill", func(p *sim.Proc) {
-			for i := 0; i < d; i++ {
-				msg := m.FE.Endpoint().Recv(p, mpi.AnySource, tagData)
-				m.FE.CPU.Compute(p, msg.Bytes/32*GroupMergeCycles)
-			}
-		})
+		feCollect(k, m, "fe.spill", tagData, 32, GroupMergeCycles)
 	}
 	for i := range m.Nodes {
 		n := m.Nodes[i]
@@ -336,45 +233,22 @@ func clusterCube(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 // Grace join.
 func clusterJoin(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(m.Nodes)
-	rBytes := ds.TotalBytes / 2
-	sBytes := ds.TotalBytes - rBytes
-	perR := perNodeBytes(rBytes, d)
-	perS := perNodeBytes(sBytes, d)
-	projFrac := float64(ds.ProjectedTupleBytes) / float64(ds.TupleBytes)
+	perR, perS, projR, projS, projFrac := joinShares(ds, d)
 	partRegion, outRegion := regions(m.Nodes[0].Disk.Capacity())
-	projR := alignSector(int64(float64(perR) * projFrac))
-	projS := alignSector(int64(float64(perS) * projFrac))
 
 	workers := sim.NewWaitGroup(d)
+	x := &clusterExchange{m: m, peers: make([]clusterPeers, d)}
 	for i := range m.Nodes {
 		n := m.Nodes[i]
 		k.Spawn(fmt.Sprintf("join%d", i), func(p *sim.Proc) {
-			ep := n.Endpoint()
 			js := joinStage{region: partRegion}
 			// A done per peer per relation.
-			recvDone := receive(k, fmt.Sprintf("jrecv%d", i), ep, 2*(d-1), func(rp *sim.Proc, bytes int64) {
+			recvDone := receive(k, fmt.Sprintf("jrecv%d", i), n.Endpoint(), 2*(d-1), func(rp *sim.Proc, bytes int64) {
 				n.Compute(rp, tuplesIn(bytes, ds.ProjectedTupleBytes)*AppendCycles/4)
 				js.stage(rp, n, bytes, false)
 			})
-			shuffle := func(per int64) {
-				w := mpi.NewWindow(sendWindow)
-				rot := 0
-				chunksOf(per, func(off, sz int64) {
-					n.ReadLocal(p, off, sz)
-					t := tuplesIn(sz, ds.TupleBytes)
-					n.Compute(p, t*ProjectCycles)
-					proj := int64(float64(sz) * projFrac)
-					remote := proj * int64(d-1) / int64(d)
-					if remote > 0 && d > 1 {
-						dst := (i + 1 + rot) % d
-						rot = (rot + 1) % (d - 1)
-						w.Add(p, ep.Isend(p, dst, tagData, remote, nil))
-					}
-				})
-				finishSends(p, ep, w, i, d)
-			}
-			shuffle(perR)
-			shuffle(perS)
+			shuffleProjected(p, x, i, d, perR, ds.TupleBytes, projFrac)
+			shuffleProjected(p, x, i, d, perS, ds.TupleBytes, projFrac)
 			recvDone.Wait(p)
 			js.stage(p, n, (projR+projS)/int64(d), true) // locally retained share
 			js.join(p, n, outRegion, projR, projS, ds.ProjectedTupleBytes)
@@ -426,54 +300,18 @@ func clusterMine(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Re
 // owners, read-modify-write the derived relations.
 func clusterMView(k *sim.Kernel, m *cluster.Machine, ds workload.Dataset, res *Result) *sim.Signal {
 	d := len(m.Nodes)
-	base := perNodeBytes(baseBytes(ds), d)
-	deltas := perNodeBytes(ds.DeltaBytes, d)
-	derived := perNodeBytes(ds.DerivedBytes, d)
-	updates := deltas * ViewFanout
-
+	base, deltas, derived, updates := viewShares(ds, d)
 	stageRegion, derivedRegion := regions(m.Nodes[0].Disk.Capacity())
 
 	workers := sim.NewWaitGroup(d)
+	x := &clusterExchange{m: m, peers: make([]clusterPeers, d)}
 	for i := range m.Nodes {
 		n := m.Nodes[i]
 		k.Spawn(fmt.Sprintf("mview%d", i), func(p *sim.Proc) {
-			ep := n.Endpoint()
-			recvDone := receive(k, fmt.Sprintf("mvrecv%d", i), ep, d-1, func(rp *sim.Proc, bytes int64) {
+			recvDone := receive(k, fmt.Sprintf("mvrecv%d", i), n.Endpoint(), d-1, func(rp *sim.Proc, bytes int64) {
 				n.Compute(rp, tuplesIn(bytes, ds.TupleBytes)*AppendCycles/4)
 			})
-			w := mpi.NewWindow(sendWindow)
-			rot := 0
-			sendRemote := func(bytes int64) {
-				if bytes <= 0 || d == 1 {
-					return
-				}
-				dst := (i + 1 + rot) % d
-				rot = (rot + 1) % (d - 1)
-				w.Add(p, ep.Isend(p, dst, tagData, bytes, nil))
-			}
-			chunksOf(deltas, func(off, sz int64) {
-				n.ReadLocal(p, off, sz)
-				t := tuplesIn(sz, ds.TupleBytes)
-				n.Compute(p, t*PartitionCycles/3)
-				sendRemote(sz * int64(d-1) / int64(d))
-			})
-			baseStart := alignSector(deltas)
-			perChunkUpd := float64(updates) / float64(base)
-			var pendUpd float64
-			chunksOf(base, func(off, sz int64) {
-				n.ReadLocal(p, baseStart+off, sz)
-				t := tuplesIn(sz, ds.TupleBytes)
-				n.Compute(p, t*ViewProbeCycles)
-				pendUpd += float64(sz) * perChunkUpd
-				if int64(pendUpd) >= flushBatch {
-					sendRemote(int64(pendUpd) * int64(d-1) / int64(d))
-					pendUpd = 0
-				}
-			})
-			if int64(pendUpd) > 0 {
-				sendRemote(int64(pendUpd) * int64(d-1) / int64(d))
-			}
-			finishSends(p, ep, w, i, d)
+			produceViews(p, x, i, d, deltas, base, updates, ds.TupleBytes)
 			recvDone.Wait(p)
 			applyViews(p, n, derived, updates, derivedRegion, stageRegion, ds.TupleBytes)
 			workers.Done()

@@ -41,7 +41,8 @@ type sortRuns struct {
 	tupleBytes int
 	fill       int64   // bytes in the run buffer
 	written    int64   // bytes of the runs written so far
-	sizes      []int64 // every run written, in order
+	starts     []int64 // where each run written starts, in order
+	sizes      []int64 // and its size
 	cycles     int64   // sort cycles charged
 }
 
@@ -66,6 +67,7 @@ func (r *sortRuns) spill(p *sim.Proc, nd node, n int64) {
 	r.cycles += c
 	sz := alignSector(n)
 	nd.WriteLocal(p, r.region+r.written, sz)
+	r.starts = append(r.starts, r.region+r.written)
 	r.written += sz
 	r.sizes = append(r.sizes, sz)
 	r.fill -= n
@@ -76,15 +78,13 @@ func (r *sortRuns) spill(p *sim.Proc, nd node, n int64) {
 // writes the sorted output sequentially from outRegion, and returns the
 // merge cycles charged.
 func (r *sortRuns) merge(p *sim.Proc, nd node, outRegion int64) (cycles int64) {
-	sizes := r.sizes
+	starts, sizes := r.starts, r.sizes
 	if len(sizes) == 0 {
 		return 0
 	}
 	const visit = 512 << 10
-	starts := make([]int64, len(sizes))
 	var total int64
-	for i, sz := range sizes {
-		starts[i] = r.region + total
+	for _, sz := range sizes {
 		total += sz
 	}
 	consumed := make([]int64, len(sizes))

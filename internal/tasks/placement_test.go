@@ -8,10 +8,11 @@ import (
 )
 
 // TestPlacementInlineStreamTouchesDoNotAllocate pins the single-kernel
-// path of the typed stream helpers: a send to the front-end and a recv
+// path of the typed stream helpers: a send to the front-end, the same
+// send as a scan's output batch through the exchange seam, and a recv
 // followed by its release must allocate nothing beyond what the direct
 // diskos calls do (a recv from a stocked inbox allocates nothing at
-// all), so the seam adds no per-chunk allocation. Routing them through
+// all), so the seams add no per-chunk allocation. Routing them through
 // cross instead allocates the escaping closure, and for recv its
 // captured results, on every call.
 func TestPlacementInlineStreamTouchesDoNotAllocate(t *testing.T) {
@@ -23,6 +24,7 @@ func TestPlacementInlineStreamTouchesDoNotAllocate(t *testing.T) {
 	k, s := mp.k, mp.m.(activeMachine)
 	pl := &placement{k: k}
 	ad0, ad1 := s.Disks[0], s.Disks[1]
+	x := activeExchanges(pl, s.System, nil)
 	// Stock disk 0's inbox with every chunk the recv measurements take,
 	// so no recv blocks and lets other processes run inside a
 	// measurement; drain the front-end's inbox.
@@ -50,6 +52,9 @@ func TestPlacementInlineStreamTouchesDoNotAllocate(t *testing.T) {
 			{"sendFE",
 				func() { ad0.SendToFrontEnd(p, n, nil) },
 				func() { pl.sendFE(p, ad0, n) }},
+			{"exchange emit",
+				func() { ad0.SendToFrontEnd(p, n, nil) },
+				func() { x.emit(p, 0, ad0, n, n) }},
 			{"recv with release",
 				func() { c, _ := ad0.Recv(p); ad0.Release(c.Bytes) },
 				func() { c, _ := pl.recv(p, ad0); pl.release(p, ad0, c.Bytes) }},

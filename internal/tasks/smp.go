@@ -61,6 +61,47 @@ func allDisks(n int) []int {
 	return out
 }
 
+// readWriteGroups splits n disks NOW-sort style: the first half reads
+// the input (and later takes the output), the rest takes the runs or
+// partitions. A one-disk machine does both on its one disk.
+func readWriteGroups(n int) (read, write []int) {
+	half := max(n/2, 1)
+	all := allDisks(n)
+	read, write = all[:half], all[half:]
+	if len(write) == 0 {
+		write = read
+	}
+	return read, write
+}
+
+// eachBlock takes blocks off the shared queue q for processor c until
+// it is empty, calling fn with each block's offset and length.
+func eachBlock(pr *sim.Proc, q *smp.BlockQueue, c *cpu.CPU, fn func(off, n int64)) {
+	for {
+		off, n, ok := q.Next(pr, c)
+		if !ok {
+			return
+		}
+		fn(off, n)
+	}
+}
+
+// appender writes whole sectors to the end of a stripe that every
+// processor appends to: next is the shared cursor.
+type appender struct {
+	s    *smp.Stripe
+	next int64
+}
+
+// add writes n bytes, rounded up to whole sectors, at the cursor from
+// processor c, and returns the bytes the stripe could not write.
+func (a *appender) add(pr *sim.Proc, c *cpu.CPU, n int64) (lost int64) {
+	w := alignSector(n)
+	o := a.next
+	a.next += w
+	return a.s.Write(pr, c, o, w)
+}
+
 // smpMemReserve is the aggregate memory reserved for the OS, code and
 // I/O buffers.
 func smpMemReserve(m *smp.Machine) int64 {
@@ -82,37 +123,25 @@ func smpScan(k *sim.Kernel, m *smp.Machine, ds workload.Dataset,
 	p := m.Cfg.Processors
 	capEach := m.Disks[0].Capacity()
 	in := m.NewStripe(allDisks(len(m.Disks)), 0)
-	out := m.NewStripe(allDisks(len(m.Disks)), alignSector(2*capEach/3))
+	out := &appender{s: m.NewStripe(allDisks(len(m.Disks)), alignSector(2*capEach/3))}
 	q := m.NewBlockQueue("scan", ds.TotalBytes, ioChunk)
 	deg.total = ds.TotalBytes
 	wg := sim.NewWaitGroup(p)
-	var outOff int64
 	for i := 0; i < p; i++ {
 		c := m.CPUs[i]
 		k.Spawn(fmt.Sprintf("scan%d", i), func(pr *sim.Proc) {
 			var pend int64
-			for {
-				off, n, ok := q.Next(pr, c)
-				if !ok {
-					break
-				}
+			eachBlock(pr, q, c, func(off, n int64) {
 				deg.lost += in.Read(pr, c, off, n)
-				t := tuplesIn(n, ds.TupleBytes)
-				c.Compute(pr, t*cycles)
+				c.Compute(pr, tuplesIn(n, ds.TupleBytes)*cycles)
 				pend += int64(float64(n) * outFraction)
 				if pend >= flushBatch {
-					w := alignSector(pend)
-					o := outOff
-					outOff += w
-					deg.lost += out.Write(pr, c, o, w)
+					deg.lost += out.add(pr, c, pend)
 					pend = 0
 				}
-			}
+			})
 			if pend > 0 {
-				w := alignSector(pend)
-				o := outOff
-				outOff += w
-				deg.lost += out.Write(pr, c, o, w)
+				deg.lost += out.add(pr, c, pend)
 			}
 			wg.Done()
 		})
@@ -135,15 +164,10 @@ func smpGroupBy(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result)
 	for i := 0; i < p; i++ {
 		c := m.CPUs[i]
 		k.Spawn(fmt.Sprintf("gby%d", i), func(pr *sim.Proc) {
-			for {
-				off, n, ok := q.Next(pr, c)
-				if !ok {
-					break
-				}
+			eachBlock(pr, q, c, func(off, n int64) {
 				in.Read(pr, c, off, n)
-				t := tuplesIn(n, ds.TupleBytes)
-				c.Compute(pr, t*GroupByCycles)
-			}
+				c.Compute(pr, tuplesIn(n, ds.TupleBytes)*GroupByCycles)
+			})
 			barrier.Wait(pr)
 			// Hash-repartition the partial tables between processors and
 			// fold the received share.
@@ -164,19 +188,10 @@ func smpGroupBy(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result)
 // forms, sorts, writes and later merges its own runs.
 func smpSort(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *sim.Signal {
 	p := m.Cfg.Processors
-	nd := len(m.Disks)
-	half := nd / 2
-	if half < 1 {
-		half = 1
-	}
-	readGroup := allDisks(nd)[:half]
-	writeGroup := allDisks(nd)[half:]
-	if len(writeGroup) == 0 {
-		writeGroup = readGroup
-	}
+	readGroup, writeGroup := readWriteGroups(len(m.Disks))
 	capEach := m.Disks[0].Capacity()
 	in := m.NewStripe(readGroup, 0)
-	runs := m.NewStripe(writeGroup, 0)
+	runs := &appender{s: m.NewStripe(writeGroup, 0)}
 	out := m.NewStripe(readGroup, alignSector(capEach/3))
 
 	runBytes := alignSector((m.TotalMemoryBytes() - smpMemReserve(m)) / int64(p))
@@ -193,7 +208,6 @@ func smpSort(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 	q := m.NewBlockQueue("sort.read", ds.TotalBytes, ioChunk)
 	barrier := sim.NewBarrier(k, "sort.phase", p)
 	wg := sim.NewWaitGroup(p)
-	var runAlloc int64 // next free offset in the run stripe
 	var cPart, cAppend, cSort, cMerge int64
 	var p1End sim.Time
 
@@ -206,18 +220,11 @@ func smpSort(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 				t := tuplesIn(bytes, ds.TupleBytes)
 				c.Compute(pr, t*RunSortCycles)
 				cSort += t * RunSortCycles
-				sz := alignSector(bytes)
-				o := runAlloc
-				runAlloc += sz
-				runs.Write(pr, c, o, sz)
-				runOffs = append(runOffs, o)
-				runSizes = append(runSizes, sz)
+				runOffs = append(runOffs, runs.next)
+				runSizes = append(runSizes, alignSector(bytes))
+				runs.add(pr, c, bytes)
 			}
-			for {
-				off, n, ok := q.Next(pr, c)
-				if !ok {
-					break
-				}
+			eachBlock(pr, q, c, func(off, n int64) {
 				in.Read(pr, c, off, n)
 				t := tuplesIn(n, ds.TupleBytes)
 				c.Compute(pr, t*PartitionCycles)
@@ -233,7 +240,7 @@ func smpSort(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 					flushRun(runBytes)
 					fill -= runBytes
 				}
-			}
+			})
 			if fill > 0 {
 				flushRun(fill)
 			}
@@ -241,135 +248,80 @@ func smpSort(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 				p1End = pr.Now()
 			}
 			barrier.Wait(pr)
-			// Merge phase: read this processor's runs (512 KB per run
-			// visit), write its output range.
-			const visit = 512 << 10
-			var total int64
-			for _, sz := range runSizes {
-				total += sz
-			}
-			consumed := make([]int64, len(runSizes))
-			lvl := log2Ceil(len(runSizes))
-			outBase := int64(i) * perCPU
-			var outPend, outOff, readTotal int64
-			r := 0
-			for readTotal < total {
-				for consumed[r] >= runSizes[r] {
-					r = (r + 1) % len(runSizes)
-				}
-				n := int64(visit)
-				if rem := runSizes[r] - consumed[r]; rem < n {
-					n = rem
-				}
-				runs.Read(pr, c, runOffs[r]+consumed[r], n)
-				consumed[r] += n
-				readTotal += n
-				t := tuplesIn(n, ds.TupleBytes)
-				c.Compute(pr, t*(MergeCyclesBase+MergeCyclesPerLevel*lvl))
-				cMerge += t * (MergeCyclesBase + MergeCyclesPerLevel*lvl)
-				outPend += n
-				if outPend >= flushBatch {
-					out.Write(pr, c, outBase+outOff, outPend)
-					outOff += outPend
-					outPend = 0
-				}
-				r = (r + 1) % len(runSizes)
-			}
-			if outPend > 0 {
-				out.Write(pr, c, outBase+outOff, alignSector(outPend))
-			}
+			// Merge phase: read this processor's runs, write its output
+			// range.
+			merged := sortRuns{tupleBytes: ds.TupleBytes, starts: runOffs, sizes: runSizes}
+			cMerge += merged.merge(pr, stripeIO{runs.s, out, c}, int64(i)*perCPU)
 			wg.Done()
 		})
 	}
 	return coord(k, wg, func(pr *sim.Proc) {
-		// Attribute average per-processor CPU buckets and idle
-		// remainders, mirroring the Active Disk Figure 3 breakdown.
-		total := pr.Now()
-		toTime := func(cycles int64) sim.Time {
-			return sim.Time(float64(cycles) / m.Cfg.CPUHz / float64(p) * float64(sim.Second))
-		}
-		bd := res.Breakdown
-		bd.Add("P1:Partitioner", toTime(cPart))
-		bd.Add("P1:Append", toTime(cAppend))
-		bd.Add("P1:Sort", toTime(cSort))
-		p1CPU := toTime(cPart + cAppend + cSort)
-		if p1End > p1CPU {
-			bd.Add("P1:Idle", p1End-p1CPU)
-		}
-		bd.Add("P2:Merge", toTime(cMerge))
-		if p2 := total - p1End; p2 > toTime(cMerge) {
-			bd.Add("P2:Idle", p2-toTime(cMerge))
-		}
-		res.Details["p1_seconds"] = p1End.Seconds()
-		res.Details["p2_seconds"] = (total - p1End).Seconds()
+		sortBreakdown(res, m.Cfg.CPUHz, p, cPart, cAppend, cSort, cMerge, p1End, pr.Now())
 	})
 }
+
+// stripeIO is processor c's side of an SMP sort's merge: it reads the
+// runs from one stripe and writes the output to another.
+type stripeIO struct {
+	in, out *smp.Stripe
+	c       *cpu.CPU
+}
+
+func (s stripeIO) ReadLocal(p *sim.Proc, off, n int64) error {
+	s.in.Read(p, s.c, off, n)
+	return nil
+}
+
+func (s stripeIO) WriteLocal(p *sim.Proc, off, n int64) error {
+	s.out.Write(p, s.c, off, n)
+	return nil
+}
+
+func (s stripeIO) Compute(p *sim.Proc, cycles int64) { s.c.Compute(p, cycles) }
 
 // smpJoin: project both relations off the read group, repartition
 // between processors via block transfers, stage the projected
 // partitions on the write group, then build+probe and write the output.
 func smpJoin(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *sim.Signal {
 	p := m.Cfg.Processors
-	nd := len(m.Disks)
-	half := nd / 2
-	if half < 1 {
-		half = 1
-	}
-	readGroup := allDisks(nd)[:half]
-	writeGroup := allDisks(nd)[half:]
-	if len(writeGroup) == 0 {
-		writeGroup = readGroup
-	}
+	readGroup, writeGroup := readWriteGroups(len(m.Disks))
 	capEach := m.Disks[0].Capacity()
 	in := m.NewStripe(readGroup, 0)
-	parts := m.NewStripe(writeGroup, 0)
-	out := m.NewStripe(readGroup, alignSector(capEach/3))
+	parts := &appender{s: m.NewStripe(writeGroup, 0)}
+	out := &appender{s: m.NewStripe(readGroup, alignSector(capEach/3))}
 
 	rBytes := ds.TotalBytes / 2
 	sBytes := ds.TotalBytes - rBytes
 	projFrac := float64(ds.ProjectedTupleBytes) / float64(ds.TupleBytes)
-	projTotal := alignSector(int64(float64(ds.TotalBytes) * projFrac))
+	buildTotal := alignSector(int64(float64(rBytes) * projFrac))
 
 	qR := m.NewBlockQueue("join.r", rBytes, ioChunk)
 	qS := m.NewBlockQueue("join.s", sBytes, ioChunk)
-	qBuild := m.NewBlockQueue("join.build", alignSector(int64(float64(rBytes)*projFrac)), ioChunk)
+	qBuild := m.NewBlockQueue("join.build", buildTotal, ioChunk)
 	qProbe := m.NewBlockQueue("join.probe", alignSector(int64(float64(sBytes)*projFrac)), ioChunk)
 	barrier := sim.NewBarrier(k, "join.phase", p)
 	wg := sim.NewWaitGroup(p)
-	var partAlloc, outAlloc int64
-	_ = projTotal
 
 	for i := 0; i < p; i++ {
 		c := m.CPUs[i]
 		k.Spawn(fmt.Sprintf("join%d", i), func(pr *sim.Proc) {
 			shuffle := func(q *smp.BlockQueue, srcBase int64) {
 				var pend int64
-				for {
-					off, n, ok := q.Next(pr, c)
-					if !ok {
-						break
-					}
+				eachBlock(pr, q, c, func(off, n int64) {
 					in.Read(pr, c, srcBase+off, n)
-					t := tuplesIn(n, ds.TupleBytes)
-					c.Compute(pr, t*ProjectCycles)
+					c.Compute(pr, tuplesIn(n, ds.TupleBytes)*ProjectCycles)
 					proj := int64(float64(n) * projFrac)
 					if p > 1 {
 						m.BlockTransfer(pr, proj*int64(p-1)/int64(p))
 					}
 					pend += proj
 					if pend >= flushBatch {
-						w := alignSector(pend)
-						o := partAlloc
-						partAlloc += w
-						parts.Write(pr, c, o, w)
+						parts.add(pr, c, pend)
 						pend = 0
 					}
-				}
+				})
 				if pend > 0 {
-					w := alignSector(pend)
-					o := partAlloc
-					partAlloc += w
-					parts.Write(pr, c, o, w)
+					parts.add(pr, c, pend)
 				}
 			}
 			shuffle(qR, 0)
@@ -377,33 +329,18 @@ func smpJoin(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 			shuffle(qS, alignSector(rBytes))
 			barrier.Wait(pr)
 			// Build + probe over the staged partitions.
-			for {
-				off, n, ok := qBuild.Next(pr, c)
-				if !ok {
-					break
-				}
-				parts.Read(pr, c, off, n)
-				t := tuplesIn(n, ds.ProjectedTupleBytes)
-				c.Compute(pr, t*BuildCycles)
-			}
+			eachBlock(pr, qBuild, c, func(off, n int64) {
+				parts.s.Read(pr, c, off, n)
+				c.Compute(pr, tuplesIn(n, ds.ProjectedTupleBytes)*BuildCycles)
+			})
 			barrier.Wait(pr)
-			buildTotal := alignSector(int64(float64(rBytes) * projFrac))
-			for {
-				off, n, ok := qProbe.Next(pr, c)
-				if !ok {
-					break
+			eachBlock(pr, qProbe, c, func(off, n int64) {
+				parts.s.Read(pr, c, buildTotal+off, n)
+				c.Compute(pr, tuplesIn(n, ds.ProjectedTupleBytes)*ProbeCycles)
+				if o := int64(float64(n) * JoinOutputFraction); o > 0 {
+					out.add(pr, c, o)
 				}
-				parts.Read(pr, c, buildTotal+off, n)
-				t := tuplesIn(n, ds.ProjectedTupleBytes)
-				c.Compute(pr, t*ProbeCycles)
-				o := int64(float64(n) * JoinOutputFraction)
-				if o > 0 {
-					w := alignSector(o)
-					oo := outAlloc
-					outAlloc += w
-					out.Write(pr, c, oo, w)
-				}
-			}
+			})
 			wg.Done()
 		})
 	}
@@ -417,7 +354,7 @@ func smpCube(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 	p := m.Cfg.Processors
 	capEach := m.Disks[0].Capacity()
 	in := m.NewStripe(allDisks(len(m.Disks)), 0)
-	inter := m.NewStripe(allDisks(len(m.Disks)), alignSector(capEach/3))
+	inter := &appender{s: m.NewStripe(allDisks(len(m.Disks)), alignSector(capEach/3))}
 	tables := m.NewStripe(allDisks(len(m.Disks)), alignSector(2*capEach/3))
 
 	shape, tablesTotal := cubeShape(ds)
@@ -432,50 +369,34 @@ func smpCube(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 		queues = append(queues, m.NewBlockQueue(fmt.Sprintf("cube.p%d", pass), interBytes, ioChunk))
 	}
 	qTables := m.NewBlockQueue("cube.tables", alignSector(tablesTotal), ioChunk)
-	var interAlloc int64
 	for i := 0; i < p; i++ {
 		c := m.CPUs[i]
 		k.Spawn(fmt.Sprintf("cube%d", i), func(pr *sim.Proc) {
 			for pass := 0; pass < plan.Passes; pass++ {
 				stripe := in
 				if pass > 0 {
-					stripe = inter
+					stripe = inter.s
 				}
 				var pend int64
-				for {
-					off, n, ok := queues[pass].Next(pr, c)
-					if !ok {
-						break
-					}
+				eachBlock(pr, queues[pass], c, func(off, n int64) {
 					stripe.Read(pr, c, off, n)
-					t := tuplesIn(n, ds.TupleBytes)
-					c.Compute(pr, t*CubeCycles)
+					c.Compute(pr, tuplesIn(n, ds.TupleBytes)*CubeCycles)
 					if pass == 0 {
 						pend += int64(float64(n) * CubeIntermediateFraction)
 						if pend >= flushBatch {
-							w := alignSector(pend)
-							o := interAlloc
-							interAlloc += w
-							inter.Write(pr, c, o, w)
+							inter.add(pr, c, pend)
 							pend = 0
 						}
 					}
-				}
+				})
 				if pend > 0 {
-					w := alignSector(pend)
-					o := interAlloc
-					interAlloc += w
-					inter.Write(pr, c, o, w)
+					inter.add(pr, c, pend)
 				}
 				barrier.Wait(pr)
 			}
-			for {
-				off, n, ok := qTables.Next(pr, c)
-				if !ok {
-					break
-				}
+			eachBlock(pr, qTables, c, func(off, n int64) {
 				tables.Write(pr, c, off, n)
-			}
+			})
 			wg.Done()
 		})
 	}
@@ -499,15 +420,10 @@ func smpMine(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *s
 		c := m.CPUs[i]
 		k.Spawn(fmt.Sprintf("mine%d", i), func(pr *sim.Proc) {
 			for pass := 0; pass < MinePasses; pass++ {
-				for {
-					off, n, ok := queues[pass].Next(pr, c)
-					if !ok {
-						break
-					}
+				eachBlock(pr, queues[pass], c, func(off, n int64) {
 					in.Read(pr, c, off, n)
-					txns := tuplesIn(n, ds.TupleBytes)
-					c.Compute(pr, txns*MineCycles)
-				}
+					c.Compute(pr, tuplesIn(n, ds.TupleBytes)*MineCycles)
+				})
 				if p > 1 {
 					m.BlockTransfer(pr, counters)
 				}
@@ -528,7 +444,7 @@ func smpMView(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *
 	capEach := m.Disks[0].Capacity()
 	in := m.NewStripe(allDisks(len(m.Disks)), 0)
 	derived := m.NewStripe(allDisks(len(m.Disks)), alignSector(capEach/3))
-	stage := m.NewStripe(allDisks(len(m.Disks)), alignSector(2*capEach/3))
+	stage := &appender{s: m.NewStripe(allDisks(len(m.Disks)), alignSector(2*capEach/3))}
 
 	base := baseBytes(ds)
 	qDelta := m.NewBlockQueue("mv.delta", ds.DeltaBytes, ioChunk)
@@ -537,54 +453,34 @@ func smpMView(k *sim.Kernel, m *smp.Machine, ds workload.Dataset, res *Result) *
 	updates := ds.DeltaBytes * ViewFanout
 	barrier := sim.NewBarrier(k, "mv.phase", p)
 	wg := sim.NewWaitGroup(p)
-	var stageAlloc int64
 	for i := 0; i < p; i++ {
 		c := m.CPUs[i]
 		k.Spawn(fmt.Sprintf("mview%d", i), func(pr *sim.Proc) {
-			for {
-				off, n, ok := qDelta.Next(pr, c)
-				if !ok {
-					break
-				}
+			eachBlock(pr, qDelta, c, func(off, n int64) {
 				in.Read(pr, c, off, n)
-				t := tuplesIn(n, ds.TupleBytes)
-				c.Compute(pr, t*PartitionCycles/3)
+				c.Compute(pr, tuplesIn(n, ds.TupleBytes)*PartitionCycles/3)
 				if p > 1 {
 					m.BlockTransfer(pr, n*int64(p-1)/int64(p))
 				}
-			}
+			})
 			barrier.Wait(pr)
 			baseStart := alignSector(ds.DeltaBytes)
 			updPerByte := float64(updates) / float64(base)
-			for {
-				off, n, ok := qBase.Next(pr, c)
-				if !ok {
-					break
-				}
+			eachBlock(pr, qBase, c, func(off, n int64) {
 				in.Read(pr, c, baseStart+off, n)
-				t := tuplesIn(n, ds.TupleBytes)
-				c.Compute(pr, t*ViewProbeCycles)
-				upd := int64(float64(n) * updPerByte)
-				if p > 1 && upd > 0 {
+				c.Compute(pr, tuplesIn(n, ds.TupleBytes)*ViewProbeCycles)
+				if upd := int64(float64(n) * updPerByte); p > 1 && upd > 0 {
 					m.BlockTransfer(pr, upd*int64(p-1)/int64(p))
 				}
-			}
+			})
 			barrier.Wait(pr)
 			updPerDerived := float64(updates) / float64(ds.DerivedBytes)
-			for {
-				off, n, ok := qDerived.Next(pr, c)
-				if !ok {
-					break
-				}
+			eachBlock(pr, qDerived, c, func(off, n int64) {
 				derived.Read(pr, c, off, n)
-				t := tuplesIn(n, ds.TupleBytes)
 				upd := int64(float64(n) * updPerDerived / float64(ds.TupleBytes))
-				c.Compute(pr, t*ViewScanCycles+upd*ViewDeltaCycles)
-				w := alignSector(n)
-				o := stageAlloc
-				stageAlloc += w
-				stage.Write(pr, c, o, w)
-			}
+				c.Compute(pr, tuplesIn(n, ds.TupleBytes)*ViewScanCycles+upd*ViewDeltaCycles)
+				stage.add(pr, c, n)
+			})
 			wg.Done()
 		})
 	}

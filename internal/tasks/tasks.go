@@ -189,6 +189,29 @@ func coord(k *sim.Kernel, wg *sim.WaitGroup, then func(p *sim.Proc)) *sim.Signal
 	return done
 }
 
+// sortBreakdown attributes a two-phase sort's time to Figure 3's
+// buckets: the cycles of each CPU bucket, averaged over units processors
+// of hz, and each phase's idle remainder. Phase 1 ended at p1End and
+// the sort at total.
+func sortBreakdown(res *Result, hz float64, units int, cPart, cAppend, cSort, cMerge int64, p1End, total sim.Time) {
+	toTime := func(cycles int64) sim.Time {
+		return sim.Time(float64(cycles) / hz / float64(units) * float64(sim.Second))
+	}
+	bd := res.Breakdown
+	bd.Add("P1:Partitioner", toTime(cPart))
+	bd.Add("P1:Append", toTime(cAppend))
+	bd.Add("P1:Sort", toTime(cSort))
+	if p1CPU := toTime(cPart + cAppend + cSort); p1End > p1CPU {
+		bd.Add("P1:Idle", p1End-p1CPU)
+	}
+	bd.Add("P2:Merge", toTime(cMerge))
+	if p2 := total - p1End; p2 > toTime(cMerge) {
+		bd.Add("P2:Idle", p2-toTime(cMerge))
+	}
+	res.Details["p1_seconds"] = p1End.Seconds()
+	res.Details["p2_seconds"] = (total - p1End).Seconds()
+}
+
 // perNodeBytes splits total across n nodes, rounded up to whole I/O
 // chunks so every node's partition is request-aligned.
 func perNodeBytes(total int64, n int) int64 {

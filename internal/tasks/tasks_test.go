@@ -140,6 +140,23 @@ func TestRestrictedCommSlowsShuffleTasks(t *testing.T) {
 	}
 }
 
+// TestDesignKnobsCompose: the paper's three Active Disk knobs apply
+// together, and the front-end-only one still relays.
+func TestDesignKnobsCompose(t *testing.T) {
+	cfg := arch.ActiveDisks(8).WithFastIO().WithDiskMemory(64 << 20).WithFrontEndOnly()
+	ds, err := workload.ForTaskScaled(workload.Sort, 1.0/256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := simulate(cfg, workload.Sort, ds, nil, ModeEvent)
+	if res.Elapsed <= 0 {
+		t.Fatal("composed configuration failed to run")
+	}
+	if res.Details["fe_relay_bytes"] == 0 {
+		t.Error("front-end-only knob not applied")
+	}
+}
+
 func TestRestrictedCommDoesNotAffectScanTasks(t *testing.T) {
 	ds := scaled(workload.Select, 64<<20)
 	direct := simulate(arch.ActiveDisks(4), workload.Select, ds, nil, ModeEvent)
