@@ -49,20 +49,25 @@ func TestProbeTraceRepeatable(t *testing.T) {
 
 // TestProbeTraceModeEquivalence requires the trace and report to match
 // their golden digests and the parallel-mode output, on all three
-// architectures.
+// architectures. The cluster join's report shows which peer each node
+// sends to: its link occupancy histograms move with the peer rotation,
+// while the elapsed time and Details do not (at scale 0.004; at 0.005
+// the histograms come out the same for either order).
 func TestProbeTraceModeEquivalence(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  arch.Config
-		task workload.TaskID
+		name  string
+		cfg   arch.Config
+		task  workload.TaskID
+		scale float64
 	}{
-		{"sort on active disks", arch.ActiveDisks(8), workload.Sort},
-		{"select on cluster", arch.Cluster(4), workload.Select},
-		{"aggregate on smp", arch.SMP(4), workload.Aggregate},
+		{"sort on active disks", arch.ActiveDisks(8), workload.Sort, 0.005},
+		{"select on cluster", arch.Cluster(4), workload.Select, 0.005},
+		{"aggregate on smp", arch.SMP(4), workload.Aggregate, 0.005},
+		{"join on cluster", arch.Cluster(8), workload.Join, 0.004},
 	}
 	for _, c := range cases {
 		modeCompare(t, "probed "+c.name, func(m tasks.ExecMode) string {
-			out, _, _ := probedRun(c.cfg, c.task, 0.005, nil, m)
+			out, _, _ := probedRun(c.cfg, c.task, c.scale, nil, m)
 			return out
 		})
 	}

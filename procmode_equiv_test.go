@@ -44,17 +44,44 @@ func modeCompare(t *testing.T, name string, fn func(tasks.ExecMode) string) {
 	}
 }
 
-// TestExecModeFigureEquivalence renders figures at Quick scale. Figure 1 exercises all three architectures (active disks,
-// cluster with netsim links, SMP); Figure 5 adds the restricted
-// front-end relay path of the stream pump.
+// TestExecModeFigureEquivalence renders every artifact of
+// `experiments -only all` that runs a simulation, at Quick scale.
+// Figure 1 exercises all three architectures (active disks, cluster
+// with netsim links, SMP); Figure 2 the 400 MB/s loops; Figure 3 the
+// Fast Disk drive; Figure 4 the 64 MB disk memory; Figure 5 the
+// restricted front-end relay path of the stream pump; the extension
+// studies the FibreSwitch fabrics, both clocks and a derated drive.
 func TestExecModeFigureEquivalence(t *testing.T) {
 	opts := func(m tasks.ExecMode) experiments.Options {
 		o := experiments.Quick()
 		o.Mode = m
 		return o
 	}
-	modeCompare(t, "figure1", func(m tasks.ExecMode) string { return experiments.RunFigure1(opts(m)).Render() })
-	modeCompare(t, "figure5", func(m tasks.ExecMode) string { return experiments.RunFigure5(opts(m)).Render() })
+	for _, c := range []struct {
+		name   string
+		render func(experiments.Options) string
+	}{
+		{"figure1", func(o experiments.Options) string { return experiments.RunFigure1(o).Render() }},
+		{"figure2", func(o experiments.Options) string { return experiments.RunFigure2(o).Render() }},
+		{"figure3", func(o experiments.Options) string { return experiments.RunFigure3(o).Render() }},
+		{"figure4", func(o experiments.Options) string { return experiments.RunFigure4(o).Render() }},
+		{"figure5", func(o experiments.Options) string { return experiments.RunFigure5(o).Render() }},
+		{"priceperf", func(o experiments.Options) string {
+			f := experiments.RunFigure1(o)
+			size := f.Sizes[len(f.Sizes)-1]
+			return experiments.PricePerformance(f, size, workload.Select) +
+				experiments.PricePerformance(f, size, workload.Sort)
+		}},
+		{"fibreswitch", func(o experiments.Options) string { return experiments.RunExtensionFibreSwitch(o).Render() }},
+		{"frontend", func(o experiments.Options) string { return experiments.RunExtensionFrontEnd(o).Render() }},
+		{"embedded", func(o experiments.Options) string { return experiments.RunExtensionEmbeddedCPU(o).Render() }},
+		{"straggler", func(o experiments.Options) string { return experiments.RunExtensionStraggler(o).Render() }},
+		{"conclusions", func(o experiments.Options) string {
+			return experiments.RenderConclusions(experiments.VerifyConclusions(o))
+		}},
+	} {
+		modeCompare(t, c.name, func(m tasks.ExecMode) string { return c.render(opts(m)) })
+	}
 }
 
 // TestExecModeSortContentionEquivalence pins a case the Quick-scale
@@ -69,6 +96,18 @@ func TestExecModeSortContentionEquivalence(t *testing.T) {
 		ds := workload.ForTask(workload.Sort)
 		ds = ds.Scaled(int64(float64(ds.TotalBytes) * 0.01))
 		r := run(arch.ActiveDisks(8), workload.Sort, ds, nil, nil, m)
+		return fmt.Sprintf("%v %v", r.Elapsed, r.Details)
+	})
+}
+
+// TestExecModeSMPSelectEquivalence pins an SMP select's Details. Its
+// fc_bytes count every striped output write at its sector-aligned
+// size, which neither the elapsed time nor any figure shows.
+func TestExecModeSMPSelectEquivalence(t *testing.T) {
+	modeCompare(t, "select on smp", func(m tasks.ExecMode) string {
+		ds := workload.ForTask(workload.Select)
+		ds = ds.Scaled(int64(float64(ds.TotalBytes) * 0.004))
+		r := run(arch.SMP(4), workload.Select, ds, nil, nil, m)
 		return fmt.Sprintf("%v %v", r.Elapsed, r.Details)
 	})
 }
