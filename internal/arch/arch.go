@@ -174,6 +174,8 @@ func (c Config) spec() *disk.Spec {
 }
 
 // Name returns a compact label, e.g. "active-64" or "smp-128-fastio".
+// Each knob that differs from the baseline adds a suffix, so the
+// configurations the experiments build have distinct names.
 func (c Config) Name() string {
 	name := fmt.Sprintf("%s-%d", c.Kind, c.Disks)
 	if c.LoopBytesPerSec == 200e6 {
@@ -192,6 +194,15 @@ func (c Config) Name() string {
 		if c.SwitchedLoops > 1 {
 			name += fmt.Sprintf("-fsw%d", c.SwitchedLoops)
 		}
+		if c.FrontEndHz != 450e6 {
+			name += fmt.Sprintf("-fe%gmhz", c.FrontEndHz/1e6)
+		}
+		if c.EmbeddedHz != 200e6 {
+			name += fmt.Sprintf("-emb%gmhz", c.EmbeddedHz/1e6)
+		}
+	}
+	if c.DegradedDisks > 0 {
+		name += fmt.Sprintf("-deg%dx%g", c.DegradedDisks, c.DegradeFactor)
 	}
 	return name
 }

@@ -52,10 +52,38 @@ func TestNames(t *testing.T) {
 		{ActiveDisks(64).WithFrontEndOnly(), "active-64-feonly"},
 		{Cluster(128), "cluster-128"},
 		{SMP(16).WithFastDisk(), "smp-16-fastdisk"},
+		{ActiveDisks(16).WithFrontEnd(1e9), "active-16-fe1000mhz"},
+		{ActiveDisks(16).WithEmbeddedCPU(400e6), "active-16-emb400mhz"},
+		{Cluster(8).WithDegradedDisks(1, 0.5), "cluster-8-deg1x0.5"},
 	}
 	for _, c := range cases {
 		if got := c.cfg.Name(); got != c.want {
 			t.Errorf("Name() = %q, want %q", got, c.want)
+		}
+	}
+}
+
+// TestDistinctConfigsHaveDistinctNames: cmd/experiments names each
+// run's trace file after its config, so two configs built from the
+// knobs the experiments vary must never share a name.
+func TestDistinctConfigsHaveDistinctNames(t *testing.T) {
+	seen := map[string]Config{}
+	for _, n := range []int{4, 8, 16, 32, 64, 128, 256} {
+		ad := ActiveDisks(n)
+		cfgs := []Config{
+			ad, ad.WithFastIO(), ad.WithFastDisk(), ad.WithDiskMemory(64 << 20),
+			ad.WithFrontEndOnly(), ad.WithFibreSwitch(4), ad.WithFibreSwitch(8),
+			ad.WithFrontEnd(1e9), ad.WithEmbeddedCPU(400e6), ad.WithEmbeddedCPU(600e6),
+			Cluster(n), Cluster(n).WithFastDisk(), SMP(n), SMP(n).WithFastIO(), SMP(n).WithFastDisk(),
+		}
+		for _, c := range cfgs {
+			cfgs = append(cfgs, c.WithDegradedDisks(1, 0.5))
+		}
+		for _, c := range cfgs {
+			if prev, ok := seen[c.Name()]; ok && prev != c {
+				t.Errorf("%+v and %+v are both named %q", prev, c, c.Name())
+			}
+			seen[c.Name()] = c
 		}
 	}
 }
