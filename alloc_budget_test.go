@@ -32,7 +32,7 @@ func TestFigure1AllocBudget(t *testing.T) {
 	o := experiments.Options{Scale: 0.05, Sizes: []int{16, 64}, Parallel: 1}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	experiments.RunFigure1(o)
+	experiments.RunFigure1(experiments.NewSweep(o))
 	runtime.ReadMemStats(&after)
 	kb := (after.TotalAlloc - before.TotalAlloc) / 1024
 	t.Logf("one Figure 1 pass allocated %d kB (budget %d kB)", kb, figure1AllocBudgetKB)

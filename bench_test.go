@@ -1,7 +1,7 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation, plus ablation benches for the design choices called out in
 // DESIGN.md. Each figure benchmark runs the full experiment (every
-// simulation it needs) once per iteration and reports the headline
+// simulation it needs, on a fresh sweep) once per iteration and reports the headline
 // numbers the paper reports as custom metrics, so
 //
 //	go test -bench=. -benchmem
@@ -58,17 +58,15 @@ func BenchmarkFigure1(b *testing.B) {
 	o := benchOptions()
 	var f *experiments.Figure1
 	for i := 0; i < b.N; i++ {
-		f = experiments.RunFigure1(o)
+		f = experiments.RunFigure1(experiments.NewSweep(o))
 	}
 	large := f.Sizes[len(f.Sizes)-1]
-	sel := f.Results[large][workload.Select]
-	srt := f.Results[large][workload.Sort]
-	b.ReportMetric(sel[arch.KindSMP].Elapsed.Seconds()/sel[arch.KindActiveDisk].Elapsed.Seconds(),
-		"smp/active-select")
-	b.ReportMetric(srt[arch.KindSMP].Elapsed.Seconds()/srt[arch.KindActiveDisk].Elapsed.Seconds(),
-		"smp/active-sort")
-	b.ReportMetric(sel[arch.KindCluster].Elapsed.Seconds()/sel[arch.KindActiveDisk].Elapsed.Seconds(),
-		"cluster/active-select")
+	ratio := func(t workload.TaskID, k arch.Kind) float64 {
+		return f.Result(large, t, k).Elapsed.Seconds() / f.Result(large, t, arch.KindActiveDisk).Elapsed.Seconds()
+	}
+	b.ReportMetric(ratio(workload.Select, arch.KindSMP), "smp/active-select")
+	b.ReportMetric(ratio(workload.Sort, arch.KindSMP), "smp/active-sort")
+	b.ReportMetric(ratio(workload.Select, arch.KindCluster), "cluster/active-select")
 	if b.N > 0 {
 		b.Log("\n" + f.Render())
 	}
@@ -80,14 +78,15 @@ func BenchmarkFigure2(b *testing.B) {
 	o := benchOptions()
 	var f *experiments.Figure2
 	for i := 0; i < b.N; i++ {
-		f = experiments.RunFigure2(o)
+		f = experiments.RunFigure2(experiments.NewSweep(o))
 	}
 	n := f.Sizes[len(f.Sizes)-1]
-	agg := f.Results[n][workload.Aggregate]
-	srt := f.Results[n][workload.Sort]
-	b.ReportMetric(agg["200MB(S)"].Elapsed.Seconds()/agg["400MB(S)"].Elapsed.Seconds(), "smp-fastio-speedup-agg")
-	b.ReportMetric(srt["200MB(A)"].Elapsed.Seconds()/srt["400MB(A)"].Elapsed.Seconds(), "active-fastio-speedup-sort")
-	b.ReportMetric(srt["400MB(S)"].Elapsed.Seconds()/srt["200MB(A)"].Elapsed.Seconds(), "smp400/active200-sort")
+	ratio := func(t workload.TaskID, a, c string) float64 {
+		return f.Result(n, t, a).Elapsed.Seconds() / f.Result(n, t, c).Elapsed.Seconds()
+	}
+	b.ReportMetric(ratio(workload.Aggregate, "200MB(S)", "400MB(S)"), "smp-fastio-speedup-agg")
+	b.ReportMetric(ratio(workload.Sort, "200MB(A)", "400MB(A)"), "active-fastio-speedup-sort")
+	b.ReportMetric(ratio(workload.Sort, "400MB(S)", "200MB(A)"), "smp400/active200-sort")
 	if b.N > 0 {
 		b.Log("\n" + f.Render())
 	}
@@ -100,18 +99,18 @@ func BenchmarkFigure3(b *testing.B) {
 	o := benchOptions()
 	var f *experiments.Figure3
 	for i := 0; i < b.N; i++ {
-		f = experiments.RunFigure3(o)
+		f = experiments.RunFigure3(experiments.NewSweep(o))
 	}
 	small, large := f.Sizes[0], f.Sizes[len(f.Sizes)-1]
 	idle := func(n int) float64 {
-		r := f.Results[n]["base"]
+		r := f.Result(n, "base")
 		return r.Breakdown.Fraction("P1:Idle") + r.Breakdown.Fraction("P2:Idle")
 	}
 	b.ReportMetric(idle(small), "idle-frac-small")
 	b.ReportMetric(idle(large), "idle-frac-large")
-	base := f.Results[large]["base"].Elapsed.Seconds()
-	b.ReportMetric(base/f.Results[large]["Fast Disk"].Elapsed.Seconds(), "fastdisk-speedup-large")
-	b.ReportMetric(base/f.Results[large]["Fast I/O"].Elapsed.Seconds(), "fastio-speedup-large")
+	base := f.Result(large, "base").Elapsed.Seconds()
+	b.ReportMetric(base/f.Result(large, "Fast Disk").Elapsed.Seconds(), "fastdisk-speedup-large")
+	b.ReportMetric(base/f.Result(large, "Fast I/O").Elapsed.Seconds(), "fastio-speedup-large")
 	if b.N > 0 {
 		b.Log("\n" + f.Render())
 	}
@@ -123,7 +122,7 @@ func BenchmarkFigure4(b *testing.B) {
 	o := benchOptions()
 	var f *experiments.Figure4
 	for i := 0; i < b.N; i++ {
-		f = experiments.RunFigure4(o)
+		f = experiments.RunFigure4(experiments.NewSweep(o))
 	}
 	small := f.Sizes[0]
 	b.ReportMetric(f.ImprovementPct(small, workload.DataCube), "dcube-improvement-small-%")
@@ -139,7 +138,7 @@ func BenchmarkFigure5(b *testing.B) {
 	o := benchOptions()
 	var f *experiments.Figure5
 	for i := 0; i < b.N; i++ {
-		f = experiments.RunFigure5(o)
+		f = experiments.RunFigure5(experiments.NewSweep(o))
 	}
 	n := f.Sizes[len(f.Sizes)-1]
 	b.ReportMetric(f.Slowdown(n, workload.Sort), "sort-slowdown")
@@ -387,7 +386,7 @@ func BenchmarkExtensionFibreSwitch(b *testing.B) {
 	o := benchOptions()
 	var f *experiments.ExtensionFibreSwitch
 	for i := 0; i < b.N; i++ {
-		f = experiments.RunExtensionFibreSwitch(o)
+		f = experiments.RunExtensionFibreSwitch(experiments.NewSweep(o))
 	}
 	n := f.Sizes[len(f.Sizes)-1]
 	b.ReportMetric(f.Speedup(n, workload.Sort, 8), "sort-8loop-speedup")

@@ -10,9 +10,12 @@
 //	experiments -only fig1 -cpuprofile cpu.out -memprofile mem.out
 //	experiments -only fig3 -trace out.json -breakdown
 //
-// -trace and -breakdown probe every simulation a figure runs. One run
-// of one task on one architecture, with or without a fault plan, is
-// cmd/howsim's job.
+// Each distinct (machine, task) simulation runs once per invocation,
+// however many artifacts ask for it; stderr reports how many ran.
+// -trace and -breakdown probe every simulation: each writes one trace
+// file, and each artifact prints the breakdown of every run it uses.
+// One run of one task on one architecture, with or without a fault
+// plan, is cmd/howsim's job.
 package main
 
 import (
@@ -67,6 +70,10 @@ func main() {
 	stop := profiling.Start()
 	defer stop()
 
+	// One run table for every artifact: a (machine, task) cell that
+	// several figures ask for runs once.
+	sw := experiments.NewSweep(opt)
+
 	want := func(name string) bool { return *only == "all" || *only == name }
 	start := time.Now()
 
@@ -78,7 +85,7 @@ func main() {
 	}
 	var fig1 *experiments.Figure1
 	if want("fig1") || want("priceperf") {
-		fig1 = experiments.RunFigure1(opt)
+		fig1 = experiments.RunFigure1(sw)
 	}
 	if want("fig1") {
 		fmt.Println(fig1.Render())
@@ -90,31 +97,32 @@ func main() {
 		}
 	}
 	if want("fig2") {
-		fmt.Println(experiments.RunFigure2(opt).Render())
+		fmt.Println(experiments.RunFigure2(sw).Render())
 	}
 	if want("fig3") {
-		fmt.Println(experiments.RunFigure3(opt).Render())
+		fmt.Println(experiments.RunFigure3(sw).Render())
 	}
 	if want("fig4") {
-		fmt.Println(experiments.RunFigure4(opt).Render())
+		fmt.Println(experiments.RunFigure4(sw).Render())
 	}
 	if want("fig5") {
-		fmt.Println(experiments.RunFigure5(opt).Render())
+		fmt.Println(experiments.RunFigure5(sw).Render())
 	}
 	if want("conclusions") {
-		fmt.Println(experiments.RenderConclusions(experiments.VerifyConclusions(opt)))
+		fmt.Println(experiments.RenderConclusions(experiments.VerifyConclusions(sw)))
 	}
 	if want("straggler") {
-		fmt.Println(experiments.RunExtensionStraggler(opt).Render())
+		fmt.Println(experiments.RunExtensionStraggler(sw).Render())
 	}
 	if want("embedded") {
-		fmt.Println(experiments.RunExtensionEmbeddedCPU(opt).Render())
+		fmt.Println(experiments.RunExtensionEmbeddedCPU(sw).Render())
 	}
 	if want("frontend") {
-		fmt.Println(experiments.RunExtensionFrontEnd(opt).Render())
+		fmt.Println(experiments.RunExtensionFrontEnd(sw).Render())
 	}
 	if want("fibreswitch") {
-		fmt.Println(experiments.RunExtensionFibreSwitch(opt).Render())
+		fmt.Println(experiments.RunExtensionFibreSwitch(sw).Render())
 	}
+	fmt.Fprintf(os.Stderr, "ran %d simulations\n", sw.Runs())
 	fmt.Fprintf(os.Stderr, "total wall time %v\n", time.Since(start).Round(time.Millisecond))
 }

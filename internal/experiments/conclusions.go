@@ -20,26 +20,26 @@ type Conclusion struct {
 // VerifyConclusions re-derives the paper's four concluding claims from
 // simulation. It runs Figure 1 (for the price/performance claims),
 // Figure 3 (interconnect sufficiency), Figure 4 (memory) and Figure 5
-// (communication architecture) at the given options and evaluates each
-// claim programmatically.
-func VerifyConclusions(o Options) []Conclusion {
-	f1 := RunFigure1(o)
-	f3 := RunFigure3(o)
-	f4 := RunFigure4(o)
-	f5 := RunFigure5(o)
+// (communication architecture) on the sweep and evaluates each claim
+// programmatically.
+func VerifyConclusions(s *Sweep) []Conclusion {
+	f1 := RunFigure1(s)
+	f3 := RunFigure3(s)
+	f4 := RunFigure4(s)
+	f5 := RunFigure5(s)
 	large := f1.Sizes[len(f1.Sizes)-1]
 	small := f1.Sizes[0]
 
 	var out []Conclusion
 
 	// 1. Better price/performance than both SMP and cluster.
-	sel := f1.Results[large][workload.Select]
+	sel := func(k arch.Kind) float64 { return f1.Result(large, workload.Select, k).Elapsed.Seconds() }
 	adPrice := cost.ActiveDiskTotal(cost.Jul99, large)
 	clPrice := cost.ClusterTotal(cost.Jul99, large)
 	smpPrice := cost.SMPTotal(large)
-	adPP := cost.PricePerformance(adPrice, sel[arch.KindActiveDisk].Elapsed.Seconds())
-	clPP := cost.PricePerformance(clPrice, sel[arch.KindCluster].Elapsed.Seconds())
-	smpPP := cost.PricePerformance(smpPrice, sel[arch.KindSMP].Elapsed.Seconds())
+	adPP := cost.PricePerformance(adPrice, sel(arch.KindActiveDisk))
+	clPP := cost.PricePerformance(clPrice, sel(arch.KindCluster))
+	smpPP := cost.PricePerformance(smpPrice, sel(arch.KindSMP))
 	out = append(out, Conclusion{
 		Claim: "Active Disks provide better price/performance than both SMP disk farms and commodity clusters",
 		Evidence: fmt.Sprintf("select at %d disks: $x s = %.2e (Active) vs %.2e (cluster) vs %.2e (SMP)",
@@ -48,7 +48,7 @@ func VerifyConclusions(o Options) []Conclusion {
 	})
 
 	// 2. SMPs outperformed by up to an order of magnitude at >10x price.
-	ratio := sel[arch.KindSMP].Elapsed.Seconds() / sel[arch.KindActiveDisk].Elapsed.Seconds()
+	ratio := sel(arch.KindSMP) / sel(arch.KindActiveDisk)
 	out = append(out, Conclusion{
 		Claim: "Active Disks outperform SMP-based disk farms by up to an order of magnitude at >10x lower price",
 		Evidence: fmt.Sprintf("select at %d disks: SMP/Active = %.1fx; SMP price %.0fx the Active price",
@@ -58,12 +58,12 @@ func VerifyConclusions(o Options) []Conclusion {
 
 	// 3. The dual loop suffices up to ~64 disks; the bottleneck appears
 	// at 128 (Fast I/O recovers it); most tasks need little disk memory.
-	idleSmall := f3.Results[small]["base"].Breakdown.Fraction("P1:Idle") +
-		f3.Results[small]["base"].Breakdown.Fraction("P2:Idle")
-	idleLarge := f3.Results[large]["base"].Breakdown.Fraction("P1:Idle") +
-		f3.Results[large]["base"].Breakdown.Fraction("P2:Idle")
-	fastIO := f3.Results[large]["base"].Elapsed.Seconds() /
-		f3.Results[large]["Fast I/O"].Elapsed.Seconds()
+	idle := func(n int) float64 {
+		b := f3.Result(n, "base").Breakdown
+		return b.Fraction("P1:Idle") + b.Fraction("P2:Idle")
+	}
+	idleSmall, idleLarge := idle(small), idle(large)
+	fastIO := f3.Result(large, "base").Elapsed.Seconds() / f3.Result(large, "Fast I/O").Elapsed.Seconds()
 	out = append(out, Conclusion{
 		Claim: "The serial interconnect saturates only at the largest configurations, where upgrading it (not the disks) helps",
 		Evidence: fmt.Sprintf("sort idle fraction %.0f%% at %d disks vs %.0f%% at %d; Fast I/O speedup %.2fx at %d",

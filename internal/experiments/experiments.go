@@ -2,8 +2,10 @@
 // evaluation: Table 1 (cost evolution), Table 2 (datasets), Figure 1
 // (architecture comparison), Figure 2 (interconnect bandwidth), Figure 3
 // (sort breakdown), Figure 4 (disk memory) and Figure 5 (communication
-// architecture). Each driver runs the needed simulations (in parallel —
-// every run owns its kernel) and renders the result as text.
+// architecture). Each driver lists the (machine, task) cells it needs
+// and runs them on a Sweep, which simulates each distinct cell once (in
+// parallel — every run owns its kernel); the driver then renders the
+// results as text.
 package experiments
 
 import (
@@ -34,11 +36,12 @@ type Options struct {
 	// Mode is every simulation's execution mode (zero: ModeEvent).
 	Mode tasks.ExecMode
 	// Trace, when non-empty, attaches an observability sink to every
-	// simulation a driver runs and writes one Chrome trace per run,
+	// simulation a sweep runs and writes one Chrome trace per run,
 	// with ".<config>.<task>" inserted before the path's extension.
 	Trace string
-	// Breakdown attaches a sink to every simulation and prints each
-	// run's utilization/phase breakdown report to stdout.
+	// Breakdown attaches a sink to every simulation and prints the
+	// utilization/phase breakdown report of every run a driver asks
+	// for to stdout.
 	Breakdown bool
 	// RingSpans multiplies each sink's span-ring capacity relative to
 	// probe.DefaultRingSpans (values below 1 mean the default). Full
@@ -101,16 +104,6 @@ func (o Options) dataset(task workload.TaskID) workload.Dataset {
 	return ds
 }
 
-// job is one simulation to run.
-type job struct {
-	cfg  arch.Config
-	task workload.TaskID
-	out  **tasks.Result
-}
-
-// probed reports whether the options request per-run observability.
-func (o Options) probed() bool { return o.Trace != "" || o.Breakdown }
-
 // ringSpans returns the span-ring capacity each run's sink is created
 // with.
 func (o Options) ringSpans() int {
@@ -121,58 +114,114 @@ func (o Options) ringSpans() int {
 	return m * probe.DefaultRingSpans
 }
 
-// runAll executes jobs with bounded parallelism. Each simulation is
-// fully independent (own kernel — and, when probed, its own sink), so
-// results are deterministic regardless of scheduling; probed outputs
-// are emitted in job order only after every run has finished.
-func (o Options) runAll(jobs []job) {
-	sem := make(chan struct{}, o.parallel())
+// cell is one simulation. Once a sweep has fixed the scale and mode,
+// the machine and the task are everything that determines it.
+type cell struct {
+	cfg  arch.Config
+	task workload.TaskID
+}
+
+// run is what a sweep keeps of one cell's simulation. When probed it
+// keeps the trace file's line for stderr and the rendered breakdown for
+// stdout, not the sink.
+type run struct {
+	res            *tasks.Result
+	stderr, stdout string
+}
+
+// Sweep is a run table: it simulates each distinct cell the drivers
+// ask for once and hands every driver that asks for the cell the same
+// result, which nothing writes after the run. A Sweep is not safe for
+// concurrent use.
+type Sweep struct {
+	opt  Options
+	runs map[cell]*run
+}
+
+// NewSweep returns an empty run table for the options.
+func NewSweep(o Options) *Sweep {
+	return &Sweep{opt: o, runs: map[cell]*run{}}
+}
+
+// Runs returns how many simulations the sweep has run.
+func (s *Sweep) Runs() int { return len(s.runs) }
+
+// run simulates the listed cells the table lacks, with bounded
+// parallelism. Each simulation is fully independent (own kernel and,
+// when probed, its own sink), so results do not depend on scheduling.
+// A probed sweep then prints every listed cell's trace line and
+// breakdown in list order, whether the cell ran now or for an earlier
+// driver.
+func (s *Sweep) run(cells []cell) {
+	sem := make(chan struct{}, s.opt.parallel())
 	var wg sync.WaitGroup
-	var sinks []*probe.Sink
-	if o.probed() {
-		sinks = make([]*probe.Sink, len(jobs))
-	}
-	for i, j := range jobs {
-		i, j := i, j
+	for _, c := range cells {
+		if s.runs[c] != nil {
+			continue
+		}
+		r := new(run)
+		s.runs[c] = r
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			var sink *probe.Sink
-			if sinks != nil {
-				sink = probe.NewSinkCap(o.ringSpans())
-				sinks[i] = sink
-			}
-			// context.TODO never cancels, so RunCtx never errors.
-			*j.out, _ = tasks.RunCtx(context.TODO(), j.cfg, j.task, o.dataset(j.task), nil, sink, o.Mode)
+			*r = s.opt.simulate(c)
 		}()
 	}
 	wg.Wait()
-	if sinks != nil {
-		o.emitProbed(jobs, sinks)
+	for _, c := range cells {
+		fmt.Fprint(os.Stderr, s.runs[c].stderr)
+		fmt.Print(s.runs[c].stdout)
 	}
 }
 
-// emitProbed writes each probed run's trace file and prints its
-// breakdown report, in job order.
-func (o Options) emitProbed(jobs []job, sinks []*probe.Sink) {
-	for i, j := range jobs {
-		sink := sinks[i]
-		if o.Trace != "" {
-			path := suffixed(o.Trace, j.cfg.Name()+"."+j.task.String())
-			if err := sink.WriteTraceFile(path); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "trace written to %s (%d spans, %d dropped)\n",
-				path, sink.SpansRecorded(), sink.Dropped())
+// simulate runs one cell. When probed it writes the cell's trace file
+// and renders what the sweep prints for the cell.
+func (o Options) simulate(c cell) (r run) {
+	var sink *probe.Sink
+	if o.Trace != "" || o.Breakdown {
+		sink = probe.NewSinkCap(o.ringSpans())
+	}
+	// context.TODO never cancels, so RunCtx never errors.
+	r.res, _ = tasks.RunCtx(context.TODO(), c.cfg, c.task, o.dataset(c.task), nil, sink, o.Mode)
+	if o.Trace != "" {
+		path := suffixed(o.Trace, c.cfg.Name()+"."+c.task.String())
+		if err := sink.WriteTraceFile(path); err != nil {
+			r.stderr = err.Error() + "\n"
+			return r
 		}
-		if o.Breakdown {
-			fmt.Print(sink.BuildReport(j.task.String(), j.cfg.Name(), int64((*j.out).Elapsed)).Render())
-			fmt.Println()
+		r.stderr = fmt.Sprintf("trace written to %s (%d spans, %d dropped)\n",
+			path, sink.SpansRecorded(), sink.Dropped())
+	}
+	if o.Breakdown {
+		r.stdout = sink.BuildReport(c.task.String(), c.cfg.Name(), int64(r.res.Elapsed)).Render() + "\n"
+	}
+	return r
+}
+
+// result returns a cell's result; the caller must have run the cell.
+func (s *Sweep) result(cfg arch.Config, task workload.TaskID) *tasks.Result {
+	return s.runs[cell{cfg, task}].res
+}
+
+// seconds returns a run cell's simulated elapsed time in seconds.
+func (s *Sweep) seconds(cfg arch.Config, task workload.TaskID) float64 {
+	return s.result(cfg, task).Elapsed.Seconds()
+}
+
+// grid lists one cell per size, task and machine, nested in that
+// order: the order a driver's probed output follows.
+func grid(sizes []int, ts []workload.TaskID, machines func(n int) []arch.Config) []cell {
+	var cells []cell
+	for _, n := range sizes {
+		for _, t := range ts {
+			for _, cfg := range machines(n) {
+				cells = append(cells, cell{cfg, t})
+			}
 		}
 	}
+	return cells
 }
 
 // suffixed inserts a label before the path's extension:

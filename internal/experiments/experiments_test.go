@@ -9,14 +9,14 @@ import (
 )
 
 func TestFigure1QuickShapes(t *testing.T) {
-	f := RunFigure1(Quick())
+	f := RunFigure1(NewSweep(Quick()))
 	small := f.Sizes[0]
 	large := f.Sizes[len(f.Sizes)-1]
 	// Every cell must be populated.
 	for _, n := range f.Sizes {
 		for _, task := range f.Tasks {
 			for _, kind := range []arch.Kind{arch.KindActiveDisk, arch.KindCluster, arch.KindSMP} {
-				if f.Results[n][task][kind] == nil {
+				if f.Result(n, task, kind) == nil {
 					t.Fatalf("missing result for %v/%v/%d", task, kind, n)
 				}
 			}
@@ -24,8 +24,8 @@ func TestFigure1QuickShapes(t *testing.T) {
 	}
 	// The SMP/Active gap for the scan tasks grows with size.
 	gap := func(n int, task workload.TaskID) float64 {
-		return f.Results[n][task][arch.KindSMP].Elapsed.Seconds() /
-			f.Results[n][task][arch.KindActiveDisk].Elapsed.Seconds()
+		return f.Result(n, task, arch.KindSMP).Elapsed.Seconds() /
+			f.Result(n, task, arch.KindActiveDisk).Elapsed.Seconds()
 	}
 	if gap(large, workload.Select) <= gap(small, workload.Select) {
 		t.Errorf("select SMP/Active: %.2f at %d disks vs %.2f at %d; should grow",
@@ -38,16 +38,16 @@ func TestFigure1QuickShapes(t *testing.T) {
 }
 
 func TestFigure2Quick(t *testing.T) {
-	f := RunFigure2(Quick())
+	f := RunFigure2(NewSweep(Quick()))
 	n := f.Sizes[len(f.Sizes)-1]
 	// Doubling SMP bandwidth must help the aggregate scan.
-	base := f.Results[n][workload.Aggregate]["200MB(S)"].Elapsed
-	fast := f.Results[n][workload.Aggregate]["400MB(S)"].Elapsed
+	base := f.Result(n, workload.Aggregate, "200MB(S)").Elapsed
+	fast := f.Result(n, workload.Aggregate, "400MB(S)").Elapsed
 	if fast >= base {
 		t.Errorf("SMP 400 MB/s aggregate (%v) should beat 200 MB/s (%v)", fast, base)
 	}
 	// Active at 200 MB/s still beats SMP at 400 MB/s.
-	a200 := f.Results[n][workload.Aggregate]["200MB(A)"].Elapsed
+	a200 := f.Result(n, workload.Aggregate, "200MB(A)").Elapsed
 	if a200 >= fast {
 		t.Errorf("Active@200 (%v) should beat SMP@400 (%v)", a200, fast)
 	}
@@ -57,7 +57,7 @@ func TestFigure2Quick(t *testing.T) {
 }
 
 func TestFigure3Quick(t *testing.T) {
-	f := RunFigure3(Quick())
+	f := RunFigure3(NewSweep(Quick()))
 	for _, n := range f.Sizes {
 		for _, v := range f.Variants {
 			fr := f.Fractions(n, v)
@@ -77,7 +77,7 @@ func TestFigure3Quick(t *testing.T) {
 }
 
 func TestFigure4Quick(t *testing.T) {
-	f := RunFigure4(Quick())
+	f := RunFigure4(NewSweep(Quick()))
 	for _, n := range f.Sizes {
 		// Select never benefits from disk memory.
 		if v := f.ImprovementPct(n, workload.Select); v > 1 || v < -1 {
@@ -90,7 +90,7 @@ func TestFigure4Quick(t *testing.T) {
 }
 
 func TestFigure5Quick(t *testing.T) {
-	f := RunFigure5(Quick())
+	f := RunFigure5(NewSweep(Quick()))
 	n := f.Sizes[len(f.Sizes)-1]
 	// At the tiny test scale the relay penalty is muted (full scale
 	// shows ~3x; see EXPERIMENTS.md) but must still be visible.
@@ -121,7 +121,7 @@ func TestTablesRender(t *testing.T) {
 }
 
 func TestPricePerformanceReport(t *testing.T) {
-	f := RunFigure1(Options{Scale: 1.0 / 256, Sizes: []int{4}})
+	f := RunFigure1(NewSweep(Options{Scale: 1.0 / 256, Sizes: []int{4}}))
 	out := PricePerformance(f, 4, workload.Select)
 	for _, want := range []string{"Price/performance", "Active Disks", "Cluster", "SMP", "$"} {
 		if !strings.Contains(out, want) {
@@ -142,7 +142,7 @@ func TestQuickOptions(t *testing.T) {
 }
 
 func TestExtensionFibreSwitchQuick(t *testing.T) {
-	f := RunExtensionFibreSwitch(Quick())
+	f := RunExtensionFibreSwitch(NewSweep(Quick()))
 	n := f.Sizes[len(f.Sizes)-1]
 	// More switched loops never hurt a shuffle-heavy task.
 	for _, task := range f.Tasks {
@@ -156,7 +156,7 @@ func TestExtensionFibreSwitchQuick(t *testing.T) {
 }
 
 func TestExtensionFrontEndQuick(t *testing.T) {
-	f := RunExtensionFrontEnd(Quick())
+	f := RunExtensionFrontEnd(NewSweep(Quick()))
 	for _, n := range f.Sizes {
 		for _, task := range f.Tasks {
 			// A faster front-end never slows anything down.
@@ -172,7 +172,7 @@ func TestExtensionFrontEndQuick(t *testing.T) {
 }
 
 func TestExtensionEmbeddedCPUQuick(t *testing.T) {
-	f := RunExtensionEmbeddedCPU(Quick())
+	f := RunExtensionEmbeddedCPU(NewSweep(Quick()))
 	n := f.Sizes[0]
 	// A faster embedded processor helps the compute-heavy sort at small
 	// configurations and never hurts.
@@ -190,7 +190,7 @@ func TestExtensionEmbeddedCPUQuick(t *testing.T) {
 }
 
 func TestExtensionStragglerQuick(t *testing.T) {
-	f := RunExtensionStraggler(Quick())
+	f := RunExtensionStraggler(NewSweep(Quick()))
 	// A straggler always costs something on statically partitioned
 	// architectures and costs the self-scheduling SMP less on scans.
 	adHit := f.SlowdownPct(workload.Select, arch.KindActiveDisk)
@@ -210,7 +210,7 @@ func TestConclusionsStructure(t *testing.T) {
 	// At test scale the quantitative thresholds need not hold; verify
 	// the verifier produces all five conclusions with evidence, and that
 	// the rendering carries the verdicts.
-	cs := VerifyConclusions(Quick())
+	cs := VerifyConclusions(NewSweep(Quick()))
 	if len(cs) != 5 {
 		t.Fatalf("got %d conclusions, want 5", len(cs))
 	}
@@ -225,26 +225,6 @@ func TestConclusionsStructure(t *testing.T) {
 	}
 	if !strings.Contains(out, "HOLDS") {
 		t.Error("render missing verdicts")
-	}
-}
-
-func TestParallelExecutionDeterministic(t *testing.T) {
-	// Each simulation owns its kernel, so results are identical whether
-	// the experiment driver runs them serially or concurrently.
-	serial := Options{Scale: 1.0 / 256, Sizes: []int{4, 8}, Parallel: 1}
-	parallel := Options{Scale: 1.0 / 256, Sizes: []int{4, 8}, Parallel: 8}
-	a := RunFigure1(serial)
-	b := RunFigure1(parallel)
-	for _, n := range a.Sizes {
-		for _, task := range a.Tasks {
-			for _, kind := range []arch.Kind{arch.KindActiveDisk, arch.KindCluster, arch.KindSMP} {
-				x := a.Results[n][task][kind].Elapsed
-				y := b.Results[n][task][kind].Elapsed
-				if x != y {
-					t.Fatalf("%v/%v/%d: serial %v vs parallel %v", task, kind, n, x, y)
-				}
-			}
-		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"howsim/internal/arch"
 	"howsim/internal/stats"
-	"howsim/internal/tasks"
 	"howsim/internal/workload"
 )
 
@@ -20,118 +19,45 @@ type ExtensionFibreSwitch struct {
 	Sizes   []int
 	Tasks   []workload.TaskID
 	Fabrics []int // switched loop counts; 1 = baseline
-	Results map[int]map[workload.TaskID]map[int]*tasks.Result
+	s       *Sweep
+}
+
+// fabric returns the Active Disk farm on the given number of switched
+// loops (1: the baseline single loop).
+func fabric(n, loops int) arch.Config {
+	if loops > 1 {
+		return arch.ActiveDisks(n).WithFibreSwitch(loops)
+	}
+	return arch.ActiveDisks(n)
 }
 
 // RunExtensionFibreSwitch executes the interconnect-scaling study on
 // 128- and 256-disk farms (the latter beyond the paper's range).
-func RunExtensionFibreSwitch(o Options) *ExtensionFibreSwitch {
+func RunExtensionFibreSwitch(s *Sweep) *ExtensionFibreSwitch {
 	sizes := []int{128, 256}
-	if o.sizes()[len(o.sizes())-1] < 64 {
+	if s.opt.sizes()[len(s.opt.sizes())-1] < 64 {
 		// Test-scale runs use the caller's (small) sizes.
-		sizes = o.sizes()
+		sizes = s.opt.sizes()
 	}
 	f := &ExtensionFibreSwitch{
 		Sizes:   sizes,
 		Tasks:   []workload.TaskID{workload.Sort, workload.Join, workload.MView},
 		Fabrics: []int{1, 4, 8},
-		Results: map[int]map[workload.TaskID]map[int]*tasks.Result{},
+		s:       s,
 	}
-	var jobs []job
-	var refs []func()
-	for _, n := range f.Sizes {
-		f.Results[n] = map[workload.TaskID]map[int]*tasks.Result{}
-		for _, t := range f.Tasks {
-			f.Results[n][t] = map[int]*tasks.Result{}
-			for _, loops := range f.Fabrics {
-				cfg := arch.ActiveDisks(n)
-				if loops > 1 {
-					cfg = cfg.WithFibreSwitch(loops)
-				}
-				h := new(*tasks.Result)
-				jobs = append(jobs, job{cfg: cfg, task: t, out: h})
-				n, t, loops := n, t, loops
-				refs = append(refs, func() { f.Results[n][t][loops] = *h })
-			}
+	s.run(grid(f.Sizes, f.Tasks, func(n int) []arch.Config {
+		var cfgs []arch.Config
+		for _, loops := range f.Fabrics {
+			cfgs = append(cfgs, fabric(n, loops))
 		}
-	}
-	o.runAll(jobs)
-	for _, fn := range refs {
-		fn()
-	}
+		return cfgs
+	}))
 	return f
 }
 
 // Speedup returns baseline time / switched time for one cell.
 func (f *ExtensionFibreSwitch) Speedup(size int, t workload.TaskID, loops int) float64 {
-	return f.Results[size][t][1].Elapsed.Seconds() / f.Results[size][t][loops].Elapsed.Seconds()
-}
-
-// ExtensionFrontEnd evaluates the paper's second configuration variant:
-// scaling "the speed of the processor in the front-end host to 1 GHz".
-// It runs the tasks whose critical path touches the front-end (group-by
-// merging, data-mining candidate reductions, select result delivery) at
-// both front-end clocks.
-type ExtensionFrontEnd struct {
-	Sizes  []int
-	Tasks  []workload.TaskID
-	Base   map[int]map[workload.TaskID]*tasks.Result // 450 MHz
-	Faster map[int]map[workload.TaskID]*tasks.Result // 1 GHz
-}
-
-// RunExtensionFrontEnd executes the front-end clock sweep.
-func RunExtensionFrontEnd(o Options) *ExtensionFrontEnd {
-	f := &ExtensionFrontEnd{
-		Sizes:  o.sizes(),
-		Tasks:  []workload.TaskID{workload.Select, workload.GroupBy, workload.DataMine},
-		Base:   map[int]map[workload.TaskID]*tasks.Result{},
-		Faster: map[int]map[workload.TaskID]*tasks.Result{},
-	}
-	var jobs []job
-	var refs []func()
-	for _, n := range f.Sizes {
-		f.Base[n] = map[workload.TaskID]*tasks.Result{}
-		f.Faster[n] = map[workload.TaskID]*tasks.Result{}
-		for _, t := range f.Tasks {
-			hb := new(*tasks.Result)
-			hf := new(*tasks.Result)
-			jobs = append(jobs,
-				job{cfg: arch.ActiveDisks(n), task: t, out: hb},
-				job{cfg: arch.ActiveDisks(n).WithFrontEnd(1e9), task: t, out: hf})
-			n, t := n, t
-			refs = append(refs, func() { f.Base[n][t] = *hb; f.Faster[n][t] = *hf })
-		}
-	}
-	o.runAll(jobs)
-	for _, fn := range refs {
-		fn()
-	}
-	return f
-}
-
-// ImprovementPct returns the percentage improvement from the 1 GHz
-// front-end.
-func (f *ExtensionFrontEnd) ImprovementPct(size int, t workload.TaskID) float64 {
-	b := f.Base[size][t].Elapsed.Seconds()
-	g := f.Faster[size][t].Elapsed.Seconds()
-	return (b - g) / b * 100
-}
-
-// Render prints the front-end scaling study.
-func (f *ExtensionFrontEnd) Render() string {
-	tb := &stats.Table{
-		Title: "Extension: 1 GHz front-end host (% improvement over 450 MHz)",
-		Cols:  []string{"Task", "Disks", "450 MHz", "1 GHz", "Improvement"},
-	}
-	for _, t := range f.Tasks {
-		for _, n := range f.Sizes {
-			tb.AddRow(strings.ToUpper(t.String()), fmt.Sprintf("%d", n),
-				fmt.Sprintf("%.1fs", f.Base[n][t].Elapsed.Seconds()),
-				fmt.Sprintf("%.1fs", f.Faster[n][t].Elapsed.Seconds()),
-				fmt.Sprintf("%.1f%%", f.ImprovementPct(n, t)))
-		}
-	}
-	return tb.String()
+	return f.s.seconds(fabric(size, 1), t) / f.s.seconds(fabric(size, loops), t)
 }
 
 // Render prints the scaling study.
@@ -143,12 +69,64 @@ func (f *ExtensionFibreSwitch) Render() string {
 	for _, t := range f.Tasks {
 		for _, n := range f.Sizes {
 			row := []string{strings.ToUpper(t.String()), fmt.Sprintf("%d", n),
-				fmt.Sprintf("%.1fs", f.Results[n][t][1].Elapsed.Seconds())}
+				fmt.Sprintf("%.1fs", f.s.seconds(fabric(n, 1), t))}
 			for _, loops := range f.Fabrics[1:] {
-				row = append(row, fmt.Sprintf("%.1fs (%.2fx)",
-					f.Results[n][t][loops].Elapsed.Seconds(), f.Speedup(n, t, loops)))
+				row = append(row, fmt.Sprintf("%.1fs (%.2fx)", f.s.seconds(fabric(n, loops), t), f.Speedup(n, t, loops)))
 			}
 			tb.AddRow(row...)
+		}
+	}
+	return tb.String()
+}
+
+// ExtensionFrontEnd evaluates the paper's second configuration variant:
+// scaling "the speed of the processor in the front-end host to 1 GHz".
+// It runs the tasks whose critical path touches the front-end (group-by
+// merging, data-mining candidate reductions, select result delivery) at
+// both front-end clocks.
+type ExtensionFrontEnd struct {
+	Sizes []int
+	Tasks []workload.TaskID
+	s     *Sweep
+}
+
+// frontEnds returns the Active Disk farm with the 450 MHz and the
+// 1 GHz front-end.
+func frontEnds(n int) []arch.Config {
+	return []arch.Config{arch.ActiveDisks(n), arch.ActiveDisks(n).WithFrontEnd(1e9)}
+}
+
+// RunExtensionFrontEnd executes the front-end clock sweep.
+func RunExtensionFrontEnd(s *Sweep) *ExtensionFrontEnd {
+	f := &ExtensionFrontEnd{
+		Sizes: s.opt.sizes(),
+		Tasks: []workload.TaskID{workload.Select, workload.GroupBy, workload.DataMine},
+		s:     s,
+	}
+	s.run(grid(f.Sizes, f.Tasks, frontEnds))
+	return f
+}
+
+// ImprovementPct returns the percentage improvement from the 1 GHz
+// front-end.
+func (f *ExtensionFrontEnd) ImprovementPct(size int, t workload.TaskID) float64 {
+	m := frontEnds(size)
+	return improvementPct(f.s.seconds(m[0], t), f.s.seconds(m[1], t))
+}
+
+// Render prints the front-end scaling study.
+func (f *ExtensionFrontEnd) Render() string {
+	tb := &stats.Table{
+		Title: "Extension: 1 GHz front-end host (% improvement over 450 MHz)",
+		Cols:  []string{"Task", "Disks", "450 MHz", "1 GHz", "Improvement"},
+	}
+	for _, t := range f.Tasks {
+		for _, n := range f.Sizes {
+			m := frontEnds(n)
+			tb.AddRow(strings.ToUpper(t.String()), fmt.Sprintf("%d", n),
+				fmt.Sprintf("%.1fs", f.s.seconds(m[0], t)),
+				fmt.Sprintf("%.1fs", f.s.seconds(m[1], t)),
+				fmt.Sprintf("%.1f%%", f.ImprovementPct(n, t)))
 		}
 	}
 	return tb.String()
@@ -160,48 +138,42 @@ func (f *ExtensionFibreSwitch) Render() string {
 // compute-heaviest tasks at small configurations (where the embedded
 // CPU, not I/O, is the constraint).
 type ExtensionEmbeddedCPU struct {
-	Sizes   []int
-	Tasks   []workload.TaskID
-	Clocks  []float64
-	Results map[int]map[workload.TaskID]map[float64]*tasks.Result
+	Sizes  []int
+	Tasks  []workload.TaskID
+	Clocks []float64
+	s      *Sweep
 }
 
 // RunExtensionEmbeddedCPU executes the embedded-clock sweep.
-func RunExtensionEmbeddedCPU(o Options) *ExtensionEmbeddedCPU {
-	sizes := o.sizes()
+func RunExtensionEmbeddedCPU(s *Sweep) *ExtensionEmbeddedCPU {
+	sizes := s.opt.sizes()
 	if len(sizes) > 2 {
 		sizes = sizes[:2] // CPU-bound at small farms; 16 and 32 disks
 	}
 	f := &ExtensionEmbeddedCPU{
-		Sizes:   sizes,
-		Tasks:   []workload.TaskID{workload.Sort, workload.DataCube, workload.DataMine},
-		Clocks:  []float64{200e6, 400e6, 600e6},
-		Results: map[int]map[workload.TaskID]map[float64]*tasks.Result{},
+		Sizes:  sizes,
+		Tasks:  []workload.TaskID{workload.Sort, workload.DataCube, workload.DataMine},
+		Clocks: []float64{200e6, 400e6, 600e6},
+		s:      s,
 	}
-	var jobs []job
-	var refs []func()
-	for _, n := range f.Sizes {
-		f.Results[n] = map[workload.TaskID]map[float64]*tasks.Result{}
-		for _, t := range f.Tasks {
-			f.Results[n][t] = map[float64]*tasks.Result{}
-			for _, hz := range f.Clocks {
-				h := new(*tasks.Result)
-				jobs = append(jobs, job{cfg: arch.ActiveDisks(n).WithEmbeddedCPU(hz), task: t, out: h})
-				n, t, hz := n, t, hz
-				refs = append(refs, func() { f.Results[n][t][hz] = *h })
-			}
+	s.run(grid(f.Sizes, f.Tasks, func(n int) []arch.Config {
+		var cfgs []arch.Config
+		for _, hz := range f.Clocks {
+			cfgs = append(cfgs, arch.ActiveDisks(n).WithEmbeddedCPU(hz))
 		}
-	}
-	o.runAll(jobs)
-	for _, fn := range refs {
-		fn()
-	}
+		return cfgs
+	}))
 	return f
+}
+
+// seconds returns one cell's time at an embedded clock.
+func (f *ExtensionEmbeddedCPU) seconds(size int, t workload.TaskID, hz float64) float64 {
+	return f.s.seconds(arch.ActiveDisks(size).WithEmbeddedCPU(hz), t)
 }
 
 // Speedup returns the 200 MHz time divided by the time at hz.
 func (f *ExtensionEmbeddedCPU) Speedup(size int, t workload.TaskID, hz float64) float64 {
-	return f.Results[size][t][200e6].Elapsed.Seconds() / f.Results[size][t][hz].Elapsed.Seconds()
+	return f.seconds(size, t, 200e6) / f.seconds(size, t, hz)
 }
 
 // Render prints the embedded-clock study.
@@ -213,9 +185,9 @@ func (f *ExtensionEmbeddedCPU) Render() string {
 	for _, t := range f.Tasks {
 		for _, n := range f.Sizes {
 			tb.AddRow(strings.ToUpper(t.String()), fmt.Sprintf("%d", n),
-				fmt.Sprintf("%.1fs", f.Results[n][t][200e6].Elapsed.Seconds()),
-				fmt.Sprintf("%.1fs (%.2fx)", f.Results[n][t][400e6].Elapsed.Seconds(), f.Speedup(n, t, 400e6)),
-				fmt.Sprintf("%.1fs (%.2fx)", f.Results[n][t][600e6].Elapsed.Seconds(), f.Speedup(n, t, 600e6)))
+				fmt.Sprintf("%.1fs", f.seconds(n, t, 200e6)),
+				fmt.Sprintf("%.1fs (%.2fx)", f.seconds(n, t, 400e6), f.Speedup(n, t, 400e6)),
+				fmt.Sprintf("%.1fs (%.2fx)", f.seconds(n, t, 600e6), f.Speedup(n, t, 600e6)))
 		}
 	}
 	return tb.String()
@@ -226,48 +198,37 @@ func (f *ExtensionEmbeddedCPU) Render() string {
 // partition work across disks (Active Disks, cluster) are bound by the
 // straggler; the SMP's shared self-scheduling block queue absorbs it.
 type ExtensionStraggler struct {
-	Size    int
-	Tasks   []workload.TaskID
-	Healthy map[workload.TaskID]map[arch.Kind]*tasks.Result
-	Injured map[workload.TaskID]map[arch.Kind]*tasks.Result
+	Size  int
+	Tasks []workload.TaskID
+	s     *Sweep
 }
+
+// injured returns the machine with one drive derated to half speed.
+func injured(cfg arch.Config) arch.Config { return cfg.WithDegradedDisks(1, 0.5) }
 
 // RunExtensionStraggler executes the degraded-disk study at the largest
 // configured size.
-func RunExtensionStraggler(o Options) *ExtensionStraggler {
-	size := o.sizes()[len(o.sizes())-1]
+func RunExtensionStraggler(s *Sweep) *ExtensionStraggler {
+	size := s.opt.sizes()[len(s.opt.sizes())-1]
 	f := &ExtensionStraggler{
-		Size:    size,
-		Tasks:   []workload.TaskID{workload.Select, workload.Sort},
-		Healthy: map[workload.TaskID]map[arch.Kind]*tasks.Result{},
-		Injured: map[workload.TaskID]map[arch.Kind]*tasks.Result{},
+		Size:  size,
+		Tasks: []workload.TaskID{workload.Select, workload.Sort},
+		s:     s,
 	}
-	var jobs []job
-	var refs []func()
-	for _, t := range f.Tasks {
-		f.Healthy[t] = map[arch.Kind]*tasks.Result{}
-		f.Injured[t] = map[arch.Kind]*tasks.Result{}
-		for _, base := range []arch.Config{arch.ActiveDisks(size), arch.Cluster(size), arch.SMP(size)} {
-			hh := new(*tasks.Result)
-			hi := new(*tasks.Result)
-			jobs = append(jobs,
-				job{cfg: base, task: t, out: hh},
-				job{cfg: base.WithDegradedDisks(1, 0.5), task: t, out: hi})
-			t, kind := t, base.Kind
-			refs = append(refs, func() { f.Healthy[t][kind] = *hh; f.Injured[t][kind] = *hi })
+	s.run(grid([]int{size}, f.Tasks, func(n int) []arch.Config {
+		var cfgs []arch.Config
+		for _, base := range baselines(n) {
+			cfgs = append(cfgs, base, injured(base))
 		}
-	}
-	o.runAll(jobs)
-	for _, fn := range refs {
-		fn()
-	}
+		return cfgs
+	}))
 	return f
 }
 
 // SlowdownPct returns the percentage slowdown one straggler causes.
 func (f *ExtensionStraggler) SlowdownPct(t workload.TaskID, k arch.Kind) float64 {
-	h := f.Healthy[t][k].Elapsed.Seconds()
-	i := f.Injured[t][k].Elapsed.Seconds()
+	base := baselines(f.Size)[k]
+	h, i := f.s.seconds(base, t), f.s.seconds(injured(base), t)
 	return (i - h) / h * 100
 }
 
@@ -278,11 +239,11 @@ func (f *ExtensionStraggler) Render() string {
 		Cols:  []string{"Task", "Architecture", "healthy", "1 straggler", "slowdown"},
 	}
 	for _, t := range f.Tasks {
-		for _, k := range []arch.Kind{arch.KindActiveDisk, arch.KindCluster, arch.KindSMP} {
-			tb.AddRow(strings.ToUpper(t.String()), k.String(),
-				fmt.Sprintf("%.1fs", f.Healthy[t][k].Elapsed.Seconds()),
-				fmt.Sprintf("%.1fs", f.Injured[t][k].Elapsed.Seconds()),
-				fmt.Sprintf("%.1f%%", f.SlowdownPct(t, k)))
+		for k, base := range baselines(f.Size) {
+			tb.AddRow(strings.ToUpper(t.String()), arch.Kind(k).String(),
+				fmt.Sprintf("%.1fs", f.s.seconds(base, t)),
+				fmt.Sprintf("%.1fs", f.s.seconds(injured(base), t)),
+				fmt.Sprintf("%.1f%%", f.SlowdownPct(t, arch.Kind(k))))
 		}
 	}
 	return tb.String()

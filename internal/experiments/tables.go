@@ -84,28 +84,19 @@ func PricePerformance(f *Figure1, size int, task workload.TaskID) string {
 		Title: fmt.Sprintf("Price/performance for %s at %d disks (7/99 prices; lower is better)", task, size),
 		Cols:  []string{"Architecture", "Price", "Time", "$x s"},
 	}
-	type rowT struct {
+	for k, r := range []struct {
 		name  string
 		price float64
-	}
-	rows := []rowT{
+	}{
 		{"Active Disks", cost.ActiveDiskTotal(cost.Jul99, size)},
 		{"Cluster", cost.ClusterTotal(cost.Jul99, size)},
 		{"SMP", cost.SMPTotal(size)},
-	}
-	kinds := []struct {
-		name string
-		sec  float64
-	}{
-		{"Active Disks", f.Results[size][task][arch.KindActiveDisk].Elapsed.Seconds()},
-		{"Cluster", f.Results[size][task][arch.KindCluster].Elapsed.Seconds()},
-		{"SMP", f.Results[size][task][arch.KindSMP].Elapsed.Seconds()},
-	}
-	for i, r := range rows {
+	} {
+		sec := f.Result(size, task, arch.Kind(k)).Elapsed.Seconds()
 		t.AddRow(r.name,
 			fmt.Sprintf("$%.0f", r.price),
-			fmt.Sprintf("%.1fs", kinds[i].sec),
-			fmt.Sprintf("%.2e", cost.PricePerformance(r.price, kinds[i].sec)))
+			fmt.Sprintf("%.1fs", sec),
+			fmt.Sprintf("%.2e", cost.PricePerformance(r.price, sec)))
 	}
 	return t.String()
 }

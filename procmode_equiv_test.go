@@ -45,42 +45,45 @@ func modeCompare(t *testing.T, name string, fn func(tasks.ExecMode) string) {
 }
 
 // TestExecModeFigureEquivalence renders every artifact of
-// `experiments -only all` that runs a simulation, at Quick scale.
-// Figure 1 exercises all three architectures (active disks, cluster
-// with netsim links, SMP); Figure 2 the 400 MB/s loops; Figure 3 the
-// Fast Disk drive; Figure 4 the 64 MB disk memory; Figure 5 the
-// restricted front-end relay path of the stream pump; the extension
-// studies the FibreSwitch fabrics, both clocks and a derated drive.
+// `experiments -only all` that runs a simulation, at Quick scale, from
+// one sweep per mode, so the artifacts share their common runs as
+// cmd/experiments does. Figure 1 exercises all three architectures
+// (active disks, cluster with netsim links, SMP); Figure 2 the
+// 400 MB/s loops; Figure 3 the Fast Disk drive; Figure 4 the 64 MB
+// disk memory; Figure 5 the restricted front-end relay path of the
+// stream pump; the extension studies the FibreSwitch fabrics, both
+// clocks and a derated drive.
 func TestExecModeFigureEquivalence(t *testing.T) {
-	opts := func(m tasks.ExecMode) experiments.Options {
+	sweeps := map[tasks.ExecMode]*experiments.Sweep{}
+	for _, m := range []tasks.ExecMode{tasks.ModeEvent, tasks.ModeParallel} {
 		o := experiments.Quick()
 		o.Mode = m
-		return o
+		sweeps[m] = experiments.NewSweep(o)
 	}
 	for _, c := range []struct {
 		name   string
-		render func(experiments.Options) string
+		render func(*experiments.Sweep) string
 	}{
-		{"figure1", func(o experiments.Options) string { return experiments.RunFigure1(o).Render() }},
-		{"figure2", func(o experiments.Options) string { return experiments.RunFigure2(o).Render() }},
-		{"figure3", func(o experiments.Options) string { return experiments.RunFigure3(o).Render() }},
-		{"figure4", func(o experiments.Options) string { return experiments.RunFigure4(o).Render() }},
-		{"figure5", func(o experiments.Options) string { return experiments.RunFigure5(o).Render() }},
-		{"priceperf", func(o experiments.Options) string {
-			f := experiments.RunFigure1(o)
+		{"figure1", func(s *experiments.Sweep) string { return experiments.RunFigure1(s).Render() }},
+		{"figure2", func(s *experiments.Sweep) string { return experiments.RunFigure2(s).Render() }},
+		{"figure3", func(s *experiments.Sweep) string { return experiments.RunFigure3(s).Render() }},
+		{"figure4", func(s *experiments.Sweep) string { return experiments.RunFigure4(s).Render() }},
+		{"figure5", func(s *experiments.Sweep) string { return experiments.RunFigure5(s).Render() }},
+		{"priceperf", func(s *experiments.Sweep) string {
+			f := experiments.RunFigure1(s)
 			size := f.Sizes[len(f.Sizes)-1]
 			return experiments.PricePerformance(f, size, workload.Select) +
 				experiments.PricePerformance(f, size, workload.Sort)
 		}},
-		{"fibreswitch", func(o experiments.Options) string { return experiments.RunExtensionFibreSwitch(o).Render() }},
-		{"frontend", func(o experiments.Options) string { return experiments.RunExtensionFrontEnd(o).Render() }},
-		{"embedded", func(o experiments.Options) string { return experiments.RunExtensionEmbeddedCPU(o).Render() }},
-		{"straggler", func(o experiments.Options) string { return experiments.RunExtensionStraggler(o).Render() }},
-		{"conclusions", func(o experiments.Options) string {
-			return experiments.RenderConclusions(experiments.VerifyConclusions(o))
+		{"fibreswitch", func(s *experiments.Sweep) string { return experiments.RunExtensionFibreSwitch(s).Render() }},
+		{"frontend", func(s *experiments.Sweep) string { return experiments.RunExtensionFrontEnd(s).Render() }},
+		{"embedded", func(s *experiments.Sweep) string { return experiments.RunExtensionEmbeddedCPU(s).Render() }},
+		{"straggler", func(s *experiments.Sweep) string { return experiments.RunExtensionStraggler(s).Render() }},
+		{"conclusions", func(s *experiments.Sweep) string {
+			return experiments.RenderConclusions(experiments.VerifyConclusions(s))
 		}},
 	} {
-		modeCompare(t, c.name, func(m tasks.ExecMode) string { return c.render(opts(m)) })
+		modeCompare(t, c.name, func(m tasks.ExecMode) string { return c.render(sweeps[m]) })
 	}
 }
 
