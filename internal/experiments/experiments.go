@@ -19,6 +19,7 @@ import (
 
 	"howsim/internal/arch"
 	"howsim/internal/probe"
+	"howsim/internal/runconfig"
 	"howsim/internal/tasks"
 	"howsim/internal/workload"
 )
@@ -44,9 +45,10 @@ type Options struct {
 	// for to stdout.
 	Breakdown bool
 	// RingSpans multiplies each sink's span-ring capacity relative to
-	// probe.DefaultRingSpans (values below 1 mean the default). Full
-	// Table 2 scale runs overflow the default ring; raising the
-	// multiplier trades memory for complete timelines.
+	// probe.DefaultRingSpans (0 means the default; Validate rejects
+	// values outside [0, runconfig.MaxRingSpans]). Full Table 2 scale
+	// runs overflow the default ring; raising the multiplier trades
+	// memory for complete timelines.
 	RingSpans int
 }
 
@@ -76,9 +78,12 @@ func (o Options) parallel() int {
 }
 
 // Validate reports an error when Scale would shrink some task's
-// dataset below one byte. Drivers run the datasets unchecked, so call
-// it before running anything.
+// dataset below one byte, or when RingSpans is out of range. Drivers
+// run the datasets unchecked, so call it before running anything.
 func (o Options) Validate() error {
+	if o.RingSpans < 0 || o.RingSpans > runconfig.MaxRingSpans {
+		return fmt.Errorf("experiments: ring spans %d out of range [0, %d]", o.RingSpans, runconfig.MaxRingSpans)
+	}
 	for _, task := range AllTasks() {
 		if _, err := o.scaled(task); err != nil {
 			return err

@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"howsim/internal/runconfig"
+)
 
 // TestSweepSharesCells runs, on one sweep, figures that share cells
 // (Figures 4 and 5 reuse Figure 1's Active Disk runs) and renders each
@@ -57,5 +61,28 @@ func TestSweepRunsEachCellOnce(t *testing.T) {
 			t.Errorf("%+v and %+v share the trace name %s", prev, c, name)
 		}
 		names[name] = c
+	}
+}
+
+// TestValidateRingSpans: 0 keeps the default ring, and a multiplier
+// outside [0, runconfig.MaxRingSpans] is refused before any sink is
+// allocated.
+func TestValidateRingSpans(t *testing.T) {
+	for _, c := range []struct {
+		spans int
+		ok    bool
+	}{
+		{-1, false},
+		{0, true},
+		{1, true},
+		{runconfig.MaxRingSpans, true},
+		{runconfig.MaxRingSpans + 1, false},
+		{1 << 40, false},
+	} {
+		o := Quick()
+		o.RingSpans = c.spans
+		if err := o.Validate(); (err == nil) != c.ok {
+			t.Errorf("RingSpans %d: Validate() = %v, want ok=%v", c.spans, err, c.ok)
+		}
 	}
 }
