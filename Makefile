@@ -107,7 +107,7 @@ alloc-profile:
 # Full-scale record: run every artifact at scale 1 and require the
 # output to match docs/experiments_full_scale.txt byte for byte. A
 # change that moves simulated output regenerates the file (same command,
-# redirected there) and says why in CHANGES.md. About 85 s on 2 cores.
+# redirected there) and says why in CHANGES.md. About 40 s on 2 cores.
 full-scale-check:
 	$(GO) build -o /tmp/howsim-experiments ./cmd/experiments
 	/tmp/howsim-experiments -only all -parallel 2 > /tmp/howsim-full-scale.txt
@@ -136,7 +136,11 @@ chaos-smoke:
 # Observability smoke: run one probed sort on each architecture, write
 # the Chrome traces plus a breakdown report, and validate every trace
 # with tracecheck (parses, has spans, carries the thread metadata).
-# CI uploads /tmp/howsim-traces as an artifact.
+# CI uploads /tmp/howsim-traces as an artifact. Then probe every
+# artifact of experiments at quick scale into SWEEP_TRACES (about 70 MB,
+# not uploaded): each trace must pass tracecheck, and there must be one
+# file per simulation the sweep reports on stderr.
+SWEEP_TRACES ?= /tmp/howsim-sweep-traces
 trace-smoke:
 	mkdir -p /tmp/howsim-traces
 	for arch in active cluster smp; do \
@@ -146,6 +150,14 @@ trace-smoke:
 	$(GO) run ./scripts/tracecheck /tmp/howsim-traces/sort.active.json \
 		/tmp/howsim-traces/sort.cluster.json /tmp/howsim-traces/sort.smp.json
 	grep -q "accounted" /tmp/howsim-traces/breakdown.txt
+	rm -rf $(SWEEP_TRACES) && mkdir -p $(SWEEP_TRACES)/t
+	$(GO) run ./cmd/experiments -only all -scale 0.00390625 -sizes 4,8 -parallel 2 \
+		-trace $(SWEEP_TRACES)/t/t.json -breakdown > $(SWEEP_TRACES)/out.txt 2> $(SWEEP_TRACES)/err.txt
+	$(GO) run ./scripts/tracecheck $(SWEEP_TRACES)/t/*.json
+	runs=$$(sed -n 's/^ran \([0-9]*\) simulations$$/\1/p' $(SWEEP_TRACES)/err.txt); \
+	files=$$(ls $(SWEEP_TRACES)/t | wc -l); \
+	echo "$$files trace files for $$runs simulations"; \
+	test -n "$$runs" && test "$$files" -eq "$$runs"
 
 # Service smoke: build howsimd, start it, simulate the same config
 # twice (repeat must be a byte-identical cache hit), sweep, check
