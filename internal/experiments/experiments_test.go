@@ -228,6 +228,26 @@ func TestConclusionsStructure(t *testing.T) {
 	}
 }
 
+func TestParallelExecutionDeterministic(t *testing.T) {
+	// Each simulation owns its kernel, so results are identical whether
+	// the sweep runs them serially or concurrently.
+	serial := Options{Scale: 1.0 / 256, Sizes: []int{4, 8}, Parallel: 1}
+	parallel := Options{Scale: 1.0 / 256, Sizes: []int{4, 8}, Parallel: 8}
+	a := RunFigure1(NewSweep(serial))
+	b := RunFigure1(NewSweep(parallel))
+	for _, n := range a.Sizes {
+		for _, task := range a.Tasks {
+			for _, kind := range []arch.Kind{arch.KindActiveDisk, arch.KindCluster, arch.KindSMP} {
+				x := a.Result(n, task, kind).Elapsed
+				y := b.Result(n, task, kind).Elapsed
+				if x != y {
+					t.Fatalf("%v/%v/%d: serial %v vs parallel %v", task, kind, n, x, y)
+				}
+			}
+		}
+	}
+}
+
 // TestTinyScaleRejected: a scale whose byte count rounds to zero used
 // to run the full Table 2 dataset; Validate must reject it and the
 // drivers must refuse to run it.
