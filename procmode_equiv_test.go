@@ -234,6 +234,36 @@ func TestExecModeFaultEquivalence(t *testing.T) {
 	}
 }
 
+// TestExecModeRebuildEquivalence pins the spare rebuild of a select on
+// 8 Active Disks: once disk 3 fails, disk 4 reads its replica region
+// and streams the lost partition to the spare, chunk by chunk, through
+// the loop the failed disk sat on, contending with the foreground scan.
+// Behind a FibreSwitch, disks 3 and 4 sit on different loops, so each
+// chunk crosses both. The row without the switch also caps the rebuild
+// rate, low enough that some chunks wait out the cap and others do not.
+// Both plans fail a disk, so both modes run on one kernel.
+func TestExecModeRebuildEquivalence(t *testing.T) {
+	ds := workload.ForTask(workload.Select)
+	ds = ds.Scaled(int64(float64(ds.TotalBytes) * 0.01))
+	for _, c := range []struct {
+		name string
+		cfg  arch.Config
+		plan string
+	}{
+		{"spare rebuild on active disks", arch.ActiveDisks(8), "seed=42,fail=3@50ms,replica,spare,rebuild-rate=4"},
+		{"spare rebuild behind a fibre switch", arch.ActiveDisks(8).WithFibreSwitch(2), "seed=42,fail=3@50ms,replica,spare"},
+	} {
+		plan, err := fault.ParsePlan(c.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		modeCompare(t, c.name, func(m tasks.ExecMode) string {
+			r := run(c.cfg, workload.Select, ds, plan, nil, m)
+			return fmt.Sprintf("%v %v\n%s", r.Elapsed, r.Details, r.Fault.Render())
+		})
+	}
+}
+
 // TestExecModeShardedFaultEquivalence pins faulted runs of the tasks
 // the parallel mode shards: fault plans without a drive failure do not
 // fall back to the single-kernel path, so the sharded execution of
