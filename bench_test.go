@@ -21,7 +21,6 @@ import (
 
 	"howsim/internal/arch"
 	"howsim/internal/cost"
-	"howsim/internal/disk"
 	"howsim/internal/diskos"
 	"howsim/internal/experiments"
 	"howsim/internal/sim"
@@ -394,45 +393,4 @@ func BenchmarkExtensionFibreSwitch(b *testing.B) {
 	if b.N > 0 {
 		b.Log("\n" + f.Render())
 	}
-}
-
-// BenchmarkAblationDiskScheduling contrasts FCFS with elevator (SCAN)
-// scheduling on a seek-heavy queue of scattered requests from many
-// concurrent streams.
-func BenchmarkAblationDiskScheduling(b *testing.B) {
-	run := func(policy disk.SchedulingPolicy) sim.Time {
-		k := sim.NewKernel()
-		defer k.Close()
-		d := disk.New(k, "d", disk.Cheetah9LP())
-		d.SetScheduler(policy)
-		capacity := d.Capacity()
-		for s := 0; s < 8; s++ {
-			s := s
-			k.Spawn("stream", func(p *sim.Proc) {
-				// Random scattered reads, 4 outstanding (lio_listio
-				// style) so the scheduler has a deep queue to reorder.
-				slots := capacity / (256 << 10)
-				for i := int64(0); i < 64; i += 4 {
-					var reqs []*disk.Request
-					for j := int64(0); j < 4; j++ {
-						slot := (int64(s)*64 + i + j) * 2654435761 % slots
-						reqs = append(reqs, d.Submit(&disk.Request{
-							Offset: slot * (256 << 10), Length: 256 << 10}))
-					}
-					for _, r := range reqs {
-						r.Wait(p)
-					}
-				}
-			})
-		}
-		return k.Run()
-	}
-	var fcfs, elev sim.Time
-	for i := 0; i < b.N; i++ {
-		fcfs = run(disk.FCFS)
-		elev = run(disk.Elevator)
-	}
-	b.ReportMetric(fcfs.Seconds(), "fcfs-s")
-	b.ReportMetric(elev.Seconds(), "elevator-s")
-	b.ReportMetric(fcfs.Seconds()/elev.Seconds(), "fcfs/elevator")
 }

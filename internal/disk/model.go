@@ -153,8 +153,8 @@ type Disk struct {
 	idleSince sim.Time
 	stats     Stats
 
-	// pending is the scheduler's list of requests in arrival order.
-	// FCFS takes its head; the elevator takes its pick from further in.
+	// pending is the scheduler's list of requests in arrival order;
+	// requests are served from its head.
 	pending sim.Ring[*Request]
 
 	// Service loop state: the callback task that runs the loop, the
@@ -176,33 +176,12 @@ type Disk struct {
 	inj    FaultInjector
 	reqSeq int64
 
-	policy  SchedulingPolicy
-	sweepUp bool
-	failed  bool
+	failed bool
 
 	// free holds the completed requests of synchronous Read/Write calls
 	// for reuse, so a steady-state I/O allocates nothing.
 	free []*Request
 }
-
-// SchedulingPolicy selects how queued requests are ordered for service.
-type SchedulingPolicy uint8
-
-// The supported request schedulers.
-const (
-	// FCFS serves requests strictly in arrival order — the paper's
-	// tasks issue deep streams of near-sequential requests, for which
-	// this is the natural choice.
-	FCFS SchedulingPolicy = iota
-	// Elevator (SCAN) sweeps the arm across the cylinders, serving the
-	// nearest request in the sweep direction and reversing at the ends —
-	// DiskSim's classic alternative for seek-heavy multi-stream queues.
-	Elevator
-)
-
-// SetScheduler selects the request scheduling policy (default FCFS).
-// Call before issuing requests.
-func (d *Disk) SetScheduler(p SchedulingPolicy) { d.policy = p }
 
 // Model is what a drive's service times derive from its Spec: the
 // zone geometry, both seek curves, the rotation period and the cache
@@ -600,44 +579,9 @@ func (d *Disk) hardError(req *Request) {
 	}
 }
 
-// nextRequest removes and returns the next request to serve under the
-// active policy: the head of the pending queue in constant time under
-// FCFS, the elevator's pick from anywhere in it otherwise.
-func (d *Disk) nextRequest() *Request {
-	best := 0
-	if d.policy == Elevator && d.pending.Len() > 1 {
-		best = d.elevatorPick()
-	}
-	return d.pending.Take(best)
-}
-
-// elevatorPick returns the index of the pending request nearest to the
-// arm in the current sweep direction, reversing when the sweep is
-// exhausted.
-func (d *Disk) elevatorPick() int {
-	pick := func(up bool) (int, bool) {
-		best, bestDist := -1, int(^uint(0)>>1)
-		for i := range d.pending.Len() {
-			cyl := d.m.geom.locate((*d.pending.At(i)).Offset / SectorSize).cylinder
-			dist := cyl - d.curCyl
-			if !up {
-				dist = -dist
-			}
-			if dist >= 0 && dist < bestDist {
-				best, bestDist = i, dist
-			}
-		}
-		return best, best >= 0
-	}
-	if i, ok := pick(d.sweepUp); ok {
-		return i
-	}
-	d.sweepUp = !d.sweepUp
-	if i, ok := pick(d.sweepUp); ok {
-		return i
-	}
-	return 0
-}
+// nextRequest removes and returns the next request to serve: the head
+// of the pending queue, in arrival order (FCFS).
+func (d *Disk) nextRequest() *Request { return d.pending.Pop() }
 
 // accrueIdlePrefetch credits read-ahead to the stream the arm was left
 // on, for the idle gap since the previous request completed.
