@@ -93,7 +93,8 @@ type Chunk struct {
 	Payload any
 }
 
-// FromFrontEnd is the Chunk.Src value for data sent by the front-end.
+// FromFrontEnd is the Chunk.Src value for data sent by the front-end,
+// and the front-end's place as either end of a route.
 const FromFrontEnd = -1
 
 // inbox is a chunk mailbox with a free list of the *Chunk boxes that
@@ -373,7 +374,7 @@ func (s *System) InstallFaults(plan *fault.Plan) {
 // the source loop and, behind a FibreSwitch, the failed disk's loop —
 // contending with every foreground transfer on the way.
 func (s *System) RebuildTransfer(p *sim.Proc, src, failed int, n int64) {
-	s.diskToDisk(p, src, failed, n)
+	s.stream(p, rebuild, src, failed, n, nil)
 }
 
 // groupOf returns the loop group a disk belongs to.
@@ -385,31 +386,6 @@ func (s *System) loopOf(diskID int) *bus.Bus { return s.loops[s.groupOf(diskID)]
 // Loops returns the number of FC loops (1 in the baseline; more with a
 // FibreSwitch).
 func (s *System) Loops() int { return len(s.loops) }
-
-// diskToDisk moves one chunk between two disks: once over a shared
-// loop, or across the FibreSwitch (source loop, then destination loop)
-// when the disks sit on different loops.
-func (s *System) diskToDisk(p *sim.Proc, src, dst int, n int64) {
-	sl, dl := s.loopOf(src), s.loopOf(dst)
-	sl.Transfer(p, n)
-	if dl != sl {
-		dl.Transfer(p, n)
-	}
-}
-
-// diskToFE moves one chunk from a disk's loop to the front-end's
-// adaptor (the adaptor hangs off the switch in FibreSwitch mode, off
-// the loop otherwise — either way the source loop is crossed once).
-func (s *System) diskToFE(p *sim.Proc, src int, n int64) {
-	s.loopOf(src).Transfer(p, n)
-	s.FE.Adaptor.Transfer(p, n)
-}
-
-// feToDisk moves one chunk from the front-end to a disk's loop.
-func (s *System) feToDisk(p *sim.Proc, dst int, n int64) {
-	s.FE.Adaptor.Transfer(p, n)
-	s.loopOf(dst).Transfer(p, n)
-}
 
 // LoopBytesMoved returns payload bytes summed over all loops.
 func (s *System) LoopBytesMoved() int64 {
@@ -462,26 +438,15 @@ func (ad *ActiveDisk) Compute(p *sim.Proc, cycles int64) {
 // The transfer is chunked; each chunk consumes receive-buffer credit at
 // the destination until the receiving disklet consumes it.
 func (ad *ActiveDisk) Send(p *sim.Proc, dst int, bytes int64, payload any) {
-	ad.sys.stream(p, ad.ID, dst, bytes, payload)
+	ad.sys.stream(p, toDisk, ad.ID, dst, bytes, payload)
 }
 
 // SendToFrontEnd streams bytes to the front-end host (results, partial
-// aggregates). The data crosses the loop, the FE adaptor and its PCI
-// bus.
+// aggregates). Each chunk crosses the loop, the FE adaptor and its PCI
+// bus and interrupts the host; the front-end's inbox gets the whole
+// stream, with its payload, as one Chunk after the last.
 func (ad *ActiveDisk) SendToFrontEnd(p *sim.Proc, bytes int64, payload any) {
-	s := ad.sys
-	remaining := bytes
-	for remaining > 0 {
-		n := min(remaining, chunkBytes)
-		remaining -= n
-		s.diskToFE(p, ad.ID, n)
-		s.FE.PCI.Transfer(p, n)
-		s.FE.CPU.Busy(p, s.FE.OS.Interrupt)
-		s.FE.receivedBytes += n
-	}
-	if !s.FE.inbox.put(Chunk{Src: ad.ID, Bytes: bytes, Payload: payload}) {
-		panic("diskos: front-end inbox rejected chunk")
-	}
+	ad.sys.stream(p, toFrontEnd, ad.ID, FromFrontEnd, bytes, payload)
 }
 
 // Recv blocks until a stream chunk arrives for this disk and returns it.
@@ -498,13 +463,70 @@ func (ad *ActiveDisk) Release(bytes int64) {
 // CloseInbox signals receivers that no more chunks will arrive.
 func (ad *ActiveDisk) CloseInbox() { ad.inbox.mb.Close() }
 
-// stream moves bytes from disk src to disk dst chunk by chunk. The
-// chunk loop runs as a chain (sim.Proc.Chain) on p: a pooled state
-// machine walks every chunk's steps as kernel callbacks on p's Task,
-// and the last chunk's delivery ends the chain, so p sleeps once and
-// continues at exactly the event position a blocking loop would have.
-func (s *System) stream(p *sim.Proc, src, dst int, bytes int64, payload any) {
-	if bytes <= 0 {
+// FrontEndSend streams bytes from the front-end host to a disk
+// (candidate broadcasts, control tables): the host's message send, PCI
+// out of host memory, the FE adaptor, the loop, and the destination's
+// receive buffers.
+func (s *System) FrontEndSend(p *sim.Proc, dst int, bytes int64, payload any) {
+	s.stream(p, toDisk, FromFrontEnd, dst, bytes, payload)
+}
+
+// hop is one leg of a chunk's route: a crossing of bus, or, when bus is
+// nil, a charge of cost on the front-end CPU, plus the host memory copy
+// of the chunk when copies is set.
+type hop struct {
+	bus    *bus.Bus
+	cost   sim.Time
+	copies bool
+}
+
+// route appends to hops, and returns, the hops a chunk crosses from
+// src to dst, either of which may be FromFrontEnd: the one place a
+// chunk's path is spelled out. A disk-to-disk chunk crosses the source
+// loop, then the destination loop when a FibreSwitch puts the disks on
+// different loops. Relayed through the front-end instead, it crosses
+// the loop to the FE adaptor, enters host memory over PCI, is taken by
+// the host CPU (an interrupt and a memory copy), and leaves over PCI,
+// the adaptor and the destination loop. A chunk to the front-end
+// crosses the source loop, the adaptor (off the switch behind a
+// FibreSwitch, off the loop otherwise) and PCI, and interrupts the
+// host; one from the front-end costs the host a message send, then
+// crosses PCI, the adaptor and the destination loop.
+func (s *System) route(hops []hop, src, dst int, relay bool) []hop {
+	fe := s.FE
+	switch {
+	case src == FromFrontEnd:
+		return append(hops, hop{cost: fe.OS.MessageSend}, hop{bus: fe.PCI}, hop{bus: fe.Adaptor}, hop{bus: s.loopOf(dst)})
+	case dst == FromFrontEnd:
+		return append(hops, hop{bus: s.loopOf(src)}, hop{bus: fe.Adaptor}, hop{bus: fe.PCI}, hop{cost: fe.OS.Interrupt})
+	case relay:
+		return append(hops, hop{bus: s.loopOf(src)}, hop{bus: fe.Adaptor}, hop{bus: fe.PCI},
+			hop{cost: fe.OS.Interrupt, copies: true}, hop{bus: fe.PCI}, hop{bus: fe.Adaptor}, hop{bus: s.loopOf(dst)})
+	}
+	hops = append(hops, hop{bus: s.loopOf(src)})
+	if dl := s.loopOf(dst); dl != hops[0].bus {
+		hops = append(hops, hop{bus: dl})
+	}
+	return hops
+}
+
+// streamKind is what a stream's pump does around each chunk's hops.
+type streamKind uint8
+
+const (
+	toDisk     streamKind = iota // credit before the hops, a delivery per chunk, the payload on the last
+	toFrontEnd                   // received bytes per chunk, one delivery of the whole stream after the last
+	rebuild                      // one chunk as large as the transfer, onto the spare; no delivery
+)
+
+// stream moves bytes from src to dst (either may be FromFrontEnd) along
+// route's hops, chunk by chunk. The chunk loop runs as a chain
+// (sim.Proc.Chain) on p: a pooled state machine walks every chunk's
+// steps as kernel callbacks on p's Task, and the last chunk's arrival
+// ends the chain, so p sleeps once and continues at exactly the event
+// position a blocking loop would have.
+func (s *System) stream(p *sim.Proc, kind streamKind, src, dst int, bytes int64, payload any) {
+	if bytes <= 0 && kind != toFrontEnd {
 		return
 	}
 	var op *streamOp
@@ -518,33 +540,44 @@ func (s *System) stream(p *sim.Proc, src, dst int, bytes int64, payload any) {
 		op.acqFn = op.acquired
 		op.hopFn = op.advance
 	}
-	op.t, op.src, op.dst, op.remaining, op.payload = &p.Task, src, dst, bytes, payload
+	op.relayed = kind == toDisk && src != FromFrontEnd && !s.Cfg.DirectComm
+	op.hops = s.route(op.hops[:0], src, dst, op.relayed)
+	op.chunk = chunkBytes
+	if kind == rebuild {
+		op.chunk = bytes
+	}
+	op.t, op.kind, op.src, op.dst, op.bytes, op.remaining, op.payload = &p.Task, kind, src, dst, bytes, bytes, payload
 	p.Chain(op.stepFn)
 	op.t, op.payload = nil, nil
 	s.pumpFree = append(s.pumpFree, op)
 }
 
-// streamOp is one stream pump: a state machine that acquires
-// receive-buffer credit (backpressure), walks the chunk's bus hops,
-// delivers it to the destination inbox and loops, ending the caller's
-// chain after the last chunk. Ops are pooled per system and their
-// continuations bound once, so the direct-communication path performs
-// no allocation per chunk.
+// streamOp is one stream pump: a state machine that carves a chunk,
+// acquires receive-buffer credit when a disk receives it
+// (backpressure), walks the chunk's hops, lands it at the destination
+// and loops, ending the caller's chain after the last chunk. Ops are
+// pooled per system and their continuations bound once, so a stream
+// performs no allocation per chunk.
 type streamOp struct {
 	s         *System
 	t         *sim.Task // the caller's, while it sleeps in the chain
+	kind      streamKind
+	relayed   bool
 	src, dst  int
+	bytes     int64 // the whole stream
 	remaining int64
+	chunk     int64 // chunk size
 	n         int64 // current chunk size
 	payload   any
-	stage     int // progress through the current chunk's hops
+	hops      []hop // the route
+	stage     int   // hops crossed by the current chunk
 	stepFn    func()
 	acqFn     func()
 	hopFn     func()
 }
 
-// step starts the next chunk (or finishes the stream): carve the chunk
-// and wait for receive-buffer credit at the destination.
+// step starts the next chunk, or finishes the stream: a stream to the
+// front-end lands there whole, and the caller's chain ends.
 //
 // EndChain resumes the caller inside the final hop's completion event —
 // the position a caller walking the hops itself would resume at —
@@ -553,111 +586,72 @@ type streamOp struct {
 // before EndChain returns; nothing after it may touch op's fields.
 func (op *streamOp) step() {
 	if op.remaining <= 0 {
+		if op.kind == toFrontEnd {
+			if !op.s.FE.inbox.put(Chunk{Src: op.src, Bytes: op.bytes, Payload: op.payload}) {
+				panic("diskos: front-end inbox rejected chunk")
+			}
+		}
 		op.t.EndChain()
 		return
 	}
-	n := min(op.remaining, chunkBytes)
-	op.remaining -= n
-	op.n = n
-	op.s.Disks[op.dst].commBuf.AcquireFunc(op.t, n, op.acqFn)
+	op.n = min(op.remaining, op.chunk)
+	op.remaining -= op.n
+	op.stage = 0
+	if op.kind == toDisk {
+		op.s.Disks[op.dst].commBuf.AcquireFunc(op.t, op.n, op.acqFn)
+		return
+	}
+	op.advance()
 }
 
 // acquired holds the chunk's buffer credit; start its first hop.
 func (op *streamOp) acquired() {
 	op.s.Disks[op.dst].sampleBuf()
-	op.stage = 0
 	op.advance()
 }
 
-// advance walks the chunk through its hop sequence, delivering it after
-// the last hop. Direct communication crosses the source loop, then the
-// destination loop when it differs (through the FibreSwitch). The
-// restricted path relays through the front-end: the chunk crosses the
-// loop to the front-end, enters host memory over PCI, is copied by the
-// host CPU, leaves over PCI and crosses the loop again.
+// advance starts the chunk's next hop, or lands the chunk after the
+// last one.
 func (op *streamOp) advance() {
-	s := op.s
-	if s.Cfg.DirectComm {
-		sl, dl := s.loopOf(op.src), s.loopOf(op.dst)
-		switch op.stage {
-		case 0:
-			op.stage = 1
-			sl.TransferFunc(op.t, op.n, op.hopFn)
-		case 1:
-			if dl != sl {
-				op.stage = 2
-				dl.TransferFunc(op.t, op.n, op.hopFn)
-				return
-			}
-			op.deliver()
-		default:
-			op.deliver()
-		}
+	if op.stage == len(op.hops) {
+		op.arrived()
 		return
 	}
-	fe := s.FE
+	h := &op.hops[op.stage]
 	op.stage++
-	switch op.stage {
-	case 1:
-		s.loopOf(op.src).TransferFunc(op.t, op.n, op.hopFn)
-	case 2:
-		fe.Adaptor.TransferFunc(op.t, op.n, op.hopFn)
-	case 3:
-		fe.PCI.TransferFunc(op.t, op.n, op.hopFn)
-	case 4:
-		fe.CPU.BusyFunc(op.t, fe.OS.Interrupt+sim.TransferTime(op.n, fe.OS.MemoryCopyBytesPerSec), op.hopFn)
-	case 5:
-		fe.PCI.TransferFunc(op.t, op.n, op.hopFn)
-	case 6:
-		fe.Adaptor.TransferFunc(op.t, op.n, op.hopFn)
-	case 7:
-		s.loopOf(op.dst).TransferFunc(op.t, op.n, op.hopFn)
-	default:
-		fe.relayedBytes += op.n
-		op.deliver()
+	if h.bus != nil {
+		h.bus.TransferFunc(op.t, op.n, op.hopFn)
+		return
 	}
+	fe := op.s.FE
+	d := h.cost
+	if h.copies {
+		d += sim.TransferTime(op.n, fe.OS.MemoryCopyBytesPerSec)
+	}
+	fe.CPU.BusyFunc(op.t, d, op.hopFn)
 }
 
-// deliver hands the chunk to the destination inbox and loops to step.
-func (op *streamOp) deliver() {
-	last := op.remaining == 0
-	var pl any
-	if last {
-		pl = op.payload
-	}
-	d := op.s.Disks[op.dst]
-	if !d.inbox.put(Chunk{Src: op.src, Bytes: op.n, Payload: pl}) {
-		panic("diskos: disk inbox rejected chunk")
-	}
-	d.pr.Count(probe.KindChunk, 1)
-	op.step()
-}
-
-// FrontEndSend streams bytes from the front-end host to a disk
-// (candidate broadcasts, control tables): PCI out of host memory, the
-// FE adaptor, the loop, and the destination's receive buffers.
-func (s *System) FrontEndSend(p *sim.Proc, dst int, bytes int64, payload any) {
-	fe := s.FE
-	d := s.Disks[dst]
-	remaining := bytes
-	for remaining > 0 {
-		n := min(remaining, chunkBytes)
-		remaining -= n
-		d.commBuf.Acquire(p, n)
-		d.sampleBuf()
-		fe.CPU.Busy(p, fe.OS.MessageSend)
-		fe.PCI.Transfer(p, n)
-		s.feToDisk(p, dst, n)
-		last := remaining == 0
-		var pl any
-		if last {
-			pl = payload
+// arrived lands the chunk at its destination and loops to step.
+func (op *streamOp) arrived() {
+	s := op.s
+	switch op.kind {
+	case toDisk:
+		if op.relayed {
+			s.FE.relayedBytes += op.n
 		}
-		if !d.inbox.put(Chunk{Src: FromFrontEnd, Bytes: n, Payload: pl}) {
-			panic("diskos: disk inbox rejected front-end chunk")
+		var pl any
+		if op.remaining == 0 {
+			pl = op.payload
+		}
+		d := s.Disks[op.dst]
+		if !d.inbox.put(Chunk{Src: op.src, Bytes: op.n, Payload: pl}) {
+			panic("diskos: disk inbox rejected chunk")
 		}
 		d.pr.Count(probe.KindChunk, 1)
+	case toFrontEnd:
+		s.FE.receivedBytes += op.n
 	}
+	op.step()
 }
 
 // RelayedBytes reports the volume relayed through the front-end (zero in
