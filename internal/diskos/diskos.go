@@ -16,6 +16,7 @@ package diskos
 
 import (
 	"fmt"
+	"sync"
 
 	"howsim/internal/bus"
 	"howsim/internal/cpu"
@@ -196,10 +197,6 @@ type System struct {
 	loops    []*bus.Bus
 	perGroup int
 
-	// pumpFree holds the recycled stream pumps. A pump holds no task
-	// between streams, so a rebuild keeps them.
-	pumpFree []*streamOp
-
 	models disk.Models // the drive models of Cfg's specs, kept by a rebuild
 }
 
@@ -270,7 +267,6 @@ func (s *System) init(cfg Config, hub *sim.Kernel, leaf func(int) *sim.Kernel) *
 		loops:    sim.Resized(s.loops, groups),
 		Disks:    sim.Resized(s.Disks, cfg.Disks),
 		FE:       s.FE,
-		pumpFree: s.pumpFree,
 		models:   s.models,
 	}
 	for g, l := range s.loops {
@@ -431,12 +427,10 @@ func (ad *ActiveDisk) Compute(p *sim.Proc, cycles int64) {
 	ad.CPU.Compute(p, cycles)
 }
 
-// Send streams bytes to the peer disk dst. In the direct architecture
-// the transfer crosses the loop once; in the restricted architecture it
-// is relayed through the front-end host (loop to the FE's adaptor, PCI
-// into host memory, a host memory copy, PCI out, and the loop again).
-// The transfer is chunked; each chunk consumes receive-buffer credit at
-// the destination until the receiving disklet consumes it.
+// Send streams bytes to the peer disk dst: directly, or relayed through
+// the front-end host in the restricted architecture (see route). The
+// transfer is chunked; each chunk consumes receive-buffer credit at the
+// destination until the receiving disklet consumes it.
 func (ad *ActiveDisk) Send(p *sim.Proc, dst int, bytes int64, payload any) {
 	ad.sys.stream(p, toDisk, ad.ID, dst, bytes, payload)
 }
@@ -482,16 +476,11 @@ type hop struct {
 
 // route appends to hops, and returns, the hops a chunk crosses from
 // src to dst, either of which may be FromFrontEnd: the one place a
-// chunk's path is spelled out. A disk-to-disk chunk crosses the source
+// chunk's path is spelled out. Disk to disk, it crosses the source
 // loop, then the destination loop when a FibreSwitch puts the disks on
-// different loops. Relayed through the front-end instead, it crosses
-// the loop to the FE adaptor, enters host memory over PCI, is taken by
-// the host CPU (an interrupt and a memory copy), and leaves over PCI,
-// the adaptor and the destination loop. A chunk to the front-end
-// crosses the source loop, the adaptor (off the switch behind a
-// FibreSwitch, off the loop otherwise) and PCI, and interrupts the
-// host; one from the front-end costs the host a message send, then
-// crosses PCI, the adaptor and the destination loop.
+// different loops; relayed, it goes to the host and back, whose CPU
+// takes an interrupt and copies it. The front-end's adaptor hangs off
+// the switch behind a FibreSwitch, off the loop otherwise.
 func (s *System) route(hops []hop, src, dst int, relay bool) []hop {
 	fe := s.FE
 	switch {
@@ -530,15 +519,14 @@ func (s *System) stream(p *sim.Proc, kind streamKind, src, dst int, bytes int64,
 		return
 	}
 	var op *streamOp
-	if n := len(s.pumpFree); n > 0 {
-		op = s.pumpFree[n-1]
-		s.pumpFree[n-1] = nil
-		s.pumpFree = s.pumpFree[:n-1]
-	} else {
-		op = &streamOp{s: s}
-		op.stepFn = op.step
-		op.acqFn = op.acquired
-		op.hopFn = op.advance
+	pumps.mu.Lock()
+	if n := len(pumps.free); n > 0 {
+		op, pumps.free = pumps.free[n-1], pumps.free[:n-1]
+	}
+	pumps.mu.Unlock()
+	if op == nil {
+		op = new(streamOp)
+		op.stepFn, op.acqFn, op.hopFn = op.step, op.acquired, op.advance
 	}
 	op.relayed = kind == toDisk && src != FromFrontEnd && !s.Cfg.DirectComm
 	op.hops = s.route(op.hops[:0], src, dst, op.relayed)
@@ -546,17 +534,30 @@ func (s *System) stream(p *sim.Proc, kind streamKind, src, dst int, bytes int64,
 	if kind == rebuild {
 		op.chunk = bytes
 	}
-	op.t, op.kind, op.src, op.dst, op.bytes, op.remaining, op.payload = &p.Task, kind, src, dst, bytes, bytes, payload
+	op.s, op.t, op.kind, op.src, op.dst, op.bytes, op.remaining, op.payload = s, &p.Task, kind, src, dst, bytes, bytes, payload
 	p.Chain(op.stepFn)
-	op.t, op.payload = nil, nil
-	s.pumpFree = append(s.pumpFree, op)
+	clear(op.hops)
+	op.s, op.t, op.payload = nil, nil, nil
+	pumps.mu.Lock()
+	pumps.free = append(pumps.free, op)
+	pumps.mu.Unlock()
+}
+
+// pumps holds the idle stream pumps of every system. An idle pump keeps
+// nothing of its last stream, so a sharded system, built anew for each
+// run, takes the pumps of earlier runs instead of making its own.
+var pumps pumpPool
+
+type pumpPool struct {
+	mu   sync.Mutex
+	free []*streamOp // guarded by mu
 }
 
 // streamOp is one stream pump: a state machine that carves a chunk,
 // acquires receive-buffer credit when a disk receives it
 // (backpressure), walks the chunk's hops, lands it at the destination
 // and loops, ending the caller's chain after the last chunk. Ops are
-// pooled per system and their continuations bound once, so a stream
+// pooled (pumps) and their continuations bound once, so a stream
 // performs no allocation per chunk.
 type streamOp struct {
 	s         *System
@@ -582,8 +583,9 @@ type streamOp struct {
 // EndChain resumes the caller inside the final hop's completion event —
 // the position a caller walking the hops itself would resume at —
 // which is the event order the golden digests pin. The caller may
-// return this op to the pool (and even start a new stream on it)
-// before EndChain returns; nothing after it may touch op's fields.
+// return this op to the pool (and it, or another run, may start a new
+// stream on it) before EndChain returns; nothing after it may touch
+// op's fields.
 func (op *streamOp) step() {
 	if op.remaining <= 0 {
 		if op.kind == toFrontEnd {
