@@ -12,7 +12,8 @@ import (
 // hold a resource for hold, wait for a signal, move bytes over a
 // segmented pipe, then hold the resource again for final (skipped when
 // final is 0). blocking runs the steps with the blocking primitives,
-// run as a chain.
+// the transfer frame by frame (refTransferSegmented); run runs them as
+// a chain.
 type chainJob struct {
 	k     *Kernel
 	r     *Resource
@@ -30,7 +31,7 @@ func (j chainJob) blocking(p *Proc) {
 	p.Delay(j.hold)
 	j.r.Release(1)
 	j.sig.Wait(p)
-	j.pp.Transfer(p, j.bytes)
+	refTransferSegmented(j.pp, p, j.bytes)
 	if j.final > 0 {
 		j.r.Acquire(p, 1)
 		p.Delay(j.final)

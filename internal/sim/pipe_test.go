@@ -119,19 +119,43 @@ func TestPipeTransferDuration(t *testing.T) {
 	}
 }
 
+// refTransferFrame is the blocking single-frame transfer Transfer ran
+// before every transfer became a chain: it waits out any outage
+// covering now, parks for a channel, holds it for the frame's duration
+// and books the frame in the process's body.
+func refTransferFrame(pp *Pipe, p *Proc, bytes int64) {
+	for d := pp.stall(); d > 0; d = pp.stall() {
+		p.Delay(d)
+	}
+	if pp.pr.On() {
+		pp.pr.Sample(probe.KindQueue, int64(pp.res.QueueLen()))
+	}
+	pp.res.Acquire(p, 1)
+	dur := pp.TransferDuration(bytes)
+	p.Delay(dur)
+	pp.res.Release(1)
+	pp.bytesMoved += bytes
+	pp.transfers++
+	if pp.pr.On() {
+		end := p.Now()
+		pp.pr.SpanArg(probe.KindXfer, int64(end-dur), int64(end), bytes)
+		pp.pr.Count(probe.KindBytes, bytes)
+	}
+}
+
 // refTransferSegmented is the per-frame loop a multi-frame Transfer
-// replaced: one single-frame Transfer per frame, the process parking at
-// the end of every frame (and at every outage stall, which each
-// single-frame Transfer waits out first). The tests and
-// FuzzPipeSegmented use it as the oracle.
+// replaced: one blocking single-frame transfer per frame, the process
+// parking at the end of every frame (and at every outage stall, which
+// each frame waits out first). The tests and FuzzPipeSegmented use it
+// as the oracle.
 func refTransferSegmented(pp *Pipe, p *Proc, bytes int64) {
 	if pp.Frame <= 0 || bytes <= pp.Frame {
-		pp.Transfer(p, bytes)
+		refTransferFrame(pp, p, bytes)
 		return
 	}
 	for remaining := bytes; remaining > 0; {
 		n := min(pp.Frame, remaining)
-		pp.Transfer(p, n)
+		refTransferFrame(pp, p, n)
 		remaining -= n
 	}
 }

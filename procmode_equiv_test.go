@@ -115,6 +115,24 @@ func TestExecModeSMPSelectEquivalence(t *testing.T) {
 	})
 }
 
+// TestExecModeSMPFailoverEquivalence pins an SMP select whose disk 2
+// fails mid-scan with replicas declared: every striped chunk bound for
+// the failed drive is re-read from the replica on its neighbour, so the
+// fault report books those bytes as recovered, not lost. A drive
+// failure runs on one kernel in both modes.
+func TestExecModeSMPFailoverEquivalence(t *testing.T) {
+	plan, err := fault.ParsePlan("seed=42,fail=2@20ms,replica")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := workload.ForTask(workload.Select)
+	ds = ds.Scaled(int64(float64(ds.TotalBytes) * 0.01))
+	modeCompare(t, "faulted select on smp", func(m tasks.ExecMode) string {
+		r := run(arch.SMP(4), workload.Select, ds, plan, nil, m)
+		return fmt.Sprintf("%v %v\n%s", r.Elapsed, r.Details, r.Fault.Render())
+	})
+}
+
 // TestExecModeScanFlushEquivalence pins a select large enough that each
 // node's matches fill a flush batch mid-scan, which the Quick-scale
 // figures never do: an Active Disk streams the batch to the front-end,
