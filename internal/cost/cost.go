@@ -66,9 +66,6 @@ var table1 = map[Date]Components{
 		ClusterNode: 1150, NetworkPort: 0, ClusterFrontEnd: 4200},
 }
 
-// At returns the component prices at a snapshot.
-func At(d Date) Components { return table1[d] }
-
 // ActiveDiskTotal prices an n-disk Active Disk configuration: per disk,
 // the drive, embedded processor, memory, interconnect port and premium;
 // plus the FC host adaptor and the front-end host.

@@ -242,13 +242,6 @@ func (h *hold) end() {
 	}
 }
 
-// ScaledBusy executes time that was measured at refHz, scaled to this
-// processor's clock (the trace-replay mechanism: "it models variation in
-// processor speed by scaling these processing times").
-func (c *CPU) ScaledBusy(p *sim.Proc, d sim.Time, refHz float64) {
-	c.Busy(p, sim.Time(float64(d)*refHz/c.hz))
-}
-
 // BusyTime returns the total time this CPU has spent executing.
 func (c *CPU) BusyTime() sim.Time { return c.busy }
 

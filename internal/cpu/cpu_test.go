@@ -57,22 +57,6 @@ func TestCPUSerializesSharers(t *testing.T) {
 	}
 }
 
-func TestScaledBusy(t *testing.T) {
-	k := sim.NewKernel()
-	c := New(k, "cpu", 600e6)
-	var el sim.Time
-	k.Spawn("w", func(p *sim.Proc) {
-		t0 := p.Now()
-		// 3ms measured on a 300 MHz machine takes 1.5ms at 600 MHz.
-		c.ScaledBusy(p, 3*sim.Millisecond, 300e6)
-		el = p.Now() - t0
-	})
-	k.Run()
-	if el != 1500*sim.Microsecond {
-		t.Errorf("scaled busy = %v, want 1.5ms", el)
-	}
-}
-
 func TestZeroWorkIsFree(t *testing.T) {
 	k := sim.NewKernel()
 	c := New(k, "cpu", 100e6)

@@ -6,51 +6,62 @@ import (
 	"howsim/internal/sim"
 )
 
-// selectDisklet is the canonical example: filter tuples, emit the
-// selected fraction.
-func selectDisklet(tupleBytes int64, selectivity float64, cyclesPerTuple int64) Disklet {
-	return Disklet{
-		Name:         "select",
-		ScratchBytes: 1 << 20,
-		Process: func(n int64) (int64, int64) {
-			t := n / tupleBytes
-			return int64(float64(n) * selectivity), t * cyclesPerTuple
-		},
+// scanDisklet is a disklet as the tasks write one: a process body that
+// reads length bytes of its drive's media in 256 KB requests, charges
+// cyclesPerKB per KB read, and streams keepPct percent of what it
+// reads to send in 1 MB batches. It returns the bytes it sent.
+func scanDisklet(p *sim.Proc, ad *ActiveDisk, length, cyclesPerKB, keepPct int64,
+	send func(p *sim.Proc, n int64)) int64 {
+	const ioChunk, batch = 256 << 10, 1 << 20
+	var pend, sent int64
+	for off := int64(0); off < length; off += ioChunk {
+		ad.ReadLocal(p, off, ioChunk)
+		ad.Compute(p, ioChunk>>10*cyclesPerKB)
+		if pend += ioChunk * keepPct / 100; pend >= batch {
+			send(p, pend)
+			sent += pend
+			pend = 0
+		}
 	}
+	if pend > 0 {
+		send(p, pend)
+		sent += pend
+	}
+	return sent
 }
 
 func TestDiskletSelectStreamsToFrontEnd(t *testing.T) {
 	k := sim.NewKernel()
 	s := NewSystem(k, DefaultConfig(2))
 	const input = 16 << 20
-	var st DiskletStats
+	ad := s.Disks[0]
+	var sent int64
 	k.Spawn("disklet", func(p *sim.Proc) {
-		st = s.Disks[0].RunDisklet(p, selectDisklet(64, 0.01, 60),
-			Region{Offset: 0, Length: input}, Sink{ToFrontEnd: true})
+		sent = scanDisklet(p, ad, input, 1000, 1, func(p *sim.Proc, n int64) { ad.SendToFrontEnd(p, n, nil) })
 	})
+	var got int64
 	k.Spawn("fe", func(p *sim.Proc) {
 		for {
-			if _, ok := s.FE.Recv(p); !ok {
+			c, ok := s.FE.Recv(p)
+			if !ok {
 				return
 			}
+			got += c.Bytes
 		}
 	})
 	k.Run()
-	if st.BytesIn != input {
-		t.Errorf("BytesIn = %d, want %d", st.BytesIn, input)
+	if want := int64(input) / 100; sent < want*9/10 || sent > want*11/10 {
+		t.Errorf("sent %d bytes, want ~%d (1%% selectivity)", sent, want)
 	}
-	want := int64(input) / 100
-	if st.BytesOut < want*9/10 || st.BytesOut > want*11/10 {
-		t.Errorf("BytesOut = %d, want ~%d (1%% selectivity)", st.BytesOut, want)
+	if got != sent || s.FE.ReceivedBytes() != sent {
+		t.Errorf("front-end got %d (ReceivedBytes %d), disklet sent %d", got, s.FE.ReceivedBytes(), sent)
 	}
-	if s.FE.ReceivedBytes() != st.BytesOut {
-		t.Errorf("front-end received %d, disklet emitted %d", s.FE.ReceivedBytes(), st.BytesOut)
+	// The scan stays at the drive: only the matches cross the loop.
+	if s.LoopBytesMoved() != sent {
+		t.Errorf("loop moved %d bytes, want the %d sent", s.LoopBytesMoved(), sent)
 	}
-	if st.Cycles != input/64*60 {
-		t.Errorf("Cycles = %d, want %d", st.Cycles, input/64*60)
-	}
-	if st.Elapsed <= 0 {
-		t.Error("no elapsed time recorded")
+	if ad.CPU.Cycles() != input>>10*1000 {
+		t.Errorf("embedded CPU ran %d cycles, want %d", ad.CPU.Cycles(), input>>10*1000)
 	}
 }
 
@@ -58,11 +69,6 @@ func TestDiskletStreamsToPeer(t *testing.T) {
 	k := sim.NewKernel()
 	s := NewSystem(k, DefaultConfig(2))
 	const input = 8 << 20
-	passthrough := Disklet{
-		Name:         "forward",
-		ScratchBytes: 1 << 20,
-		Process:      func(n int64) (int64, int64) { return n, n / 100 * 10 },
-	}
 	var got int64
 	k.Spawn("recv", func(p *sim.Proc) {
 		for got < input {
@@ -75,8 +81,7 @@ func TestDiskletStreamsToPeer(t *testing.T) {
 		}
 	})
 	k.Spawn("disklet", func(p *sim.Proc) {
-		s.Disks[0].RunDisklet(p, passthrough,
-			Region{Offset: 0, Length: input}, Sink{PeerID: 1})
+		scanDisklet(p, s.Disks[0], input, 100, 100, func(p *sim.Proc, n int64) { s.Disks[0].Send(p, 1, n, nil) })
 	})
 	k.Run()
 	if got != input {
@@ -84,68 +89,5 @@ func TestDiskletStreamsToPeer(t *testing.T) {
 	}
 	if s.LoopBytesMoved() != input {
 		t.Errorf("loop moved %d bytes, want %d", s.LoopBytesMoved(), input)
-	}
-}
-
-func TestDiskletFlushEmitsFinalResult(t *testing.T) {
-	k := sim.NewKernel()
-	s := NewSystem(k, DefaultConfig(1))
-	agg := Disklet{
-		Name:         "aggregate",
-		ScratchBytes: 1 << 20,
-		Process:      func(n int64) (int64, int64) { return 0, n / 64 * 40 },
-		Flush:        func() (int64, int64) { return 512, 1000 },
-	}
-	k.Spawn("fe", func(p *sim.Proc) {
-		s.FE.Recv(p)
-	})
-	var st DiskletStats
-	k.Spawn("disklet", func(p *sim.Proc) {
-		st = s.Disks[0].RunDisklet(p, agg,
-			Region{Offset: 0, Length: 4 << 20}, Sink{ToFrontEnd: true})
-	})
-	k.Run()
-	if st.BytesOut != 512 {
-		t.Errorf("aggregate emitted %d bytes, want the 512-byte result", st.BytesOut)
-	}
-}
-
-func TestDiskletScratchSandbox(t *testing.T) {
-	// A disklet asking for more memory than the drive has is rejected;
-	// two disklets whose combined scratch exceeds the drive serialize.
-	k := sim.NewKernel()
-	s := NewSystem(k, DefaultConfig(1))
-	scratch := s.ScratchBytes()
-	k.Spawn("greedy", func(p *sim.Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("oversized scratch request should panic")
-			}
-		}()
-		s.Disks[0].RunDisklet(p, Disklet{
-			Name: "greedy", ScratchBytes: scratch + 1,
-			Process: func(int64) (int64, int64) { return 0, 0 },
-		}, Region{Offset: 0, Length: 1 << 20}, Sink{ToFrontEnd: true})
-	})
-	k.Run()
-
-	k2 := sim.NewKernel()
-	s2 := NewSystem(k2, DefaultConfig(1))
-	half := s2.ScratchBytes()*2/3 + 1 // two of these cannot coexist
-	var first, second sim.Time
-	mk := func(done *sim.Time) func(*sim.Proc) {
-		return func(p *sim.Proc) {
-			s2.Disks[0].RunDisklet(p, Disklet{
-				Name: "d", ScratchBytes: half,
-				Process: func(n int64) (int64, int64) { return 0, n },
-			}, Region{Offset: 0, Length: 4 << 20}, Sink{ToFrontEnd: true})
-			*done = p.Now()
-		}
-	}
-	k2.Spawn("d1", mk(&first))
-	k2.Spawn("d2", mk(&second))
-	k2.Run()
-	if first == second {
-		t.Error("two disklets exceeding memory together should serialize")
 	}
 }

@@ -148,9 +148,6 @@ type ActiveDisk struct {
 	ID   int
 	Disk *disk.Disk
 	CPU  *cpu.CPU
-	// Scratch is the disklet working memory (run buffers, hash tables):
-	// total SDRAM minus communication buffers.
-	Scratch *sim.Resource
 
 	sys     *System
 	commBuf *sim.Resource // receive-side communication buffer credits
@@ -196,6 +193,9 @@ type System struct {
 	Spare    *disk.Disk
 	loops    []*bus.Bus
 	perGroup int
+	// scratch is each drive's disklet working memory (run buffers, hash
+	// tables): its SDRAM minus the communication buffers.
+	scratch int64
 
 	models disk.Models // the drive models of Cfg's specs, kept by a rebuild
 }
@@ -216,9 +216,8 @@ func (s *System) Rebuild(k *sim.Kernel) {
 // NewSystemSharded builds the same system partitioned across a
 // ShardGroup: the loops, the front-end, and every disk's communication
 // endpoints (receive-buffer credits, inbox, diskos probe) live on the
-// hub kernel, while disk i's private components (media, embedded CPU,
-// scratch) live on shard i's kernel. g must have exactly cfg.Disks
-// shards.
+// hub kernel, while disk i's private components (media, embedded CPU)
+// live on shard i's kernel. g must have exactly cfg.Disks shards.
 //
 // On a sharded system only the leaf-local operations (ReadLocal,
 // WriteLocal, Compute) may be called from disklet processes directly;
@@ -264,6 +263,7 @@ func (s *System) init(cfg Config, hub *sim.Kernel, leaf func(int) *sim.Kernel) *
 		K:        hub,
 		Cfg:      cfg,
 		perGroup: (cfg.Disks + groups - 1) / groups,
+		scratch:  scratch,
 		loops:    sim.Resized(s.loops, groups),
 		Disks:    sim.Resized(s.Disks, cfg.Disks),
 		FE:       s.FE,
@@ -281,7 +281,7 @@ func (s *System) init(cfg Config, hub *sim.Kernel, leaf func(int) *sim.Kernel) *
 				spec = s
 			}
 		}
-		s.Disks[i] = ad.init(s, i, leaf(i), s.models.Of(spec), scratch, commBuf)
+		s.Disks[i] = ad.init(s, i, leaf(i), s.models.Of(spec), commBuf)
 	}
 	return s
 }
@@ -306,10 +306,10 @@ func (fe *FrontEnd) init(k *sim.Kernel, cfg Config) *FrontEnd {
 	return fe
 }
 
-// init builds ad in place as disk i of s, its media, embedded CPU and
-// scratch memory on lk and its communication endpoints on s's hub, and
-// returns it; a nil ad is allocated first.
-func (ad *ActiveDisk) init(s *System, i int, lk *sim.Kernel, m *disk.Model, scratch, commBuf int64) *ActiveDisk {
+// init builds ad in place as disk i of s, its media and embedded CPU on
+// lk and its communication endpoints on s's hub, and returns it; a nil
+// ad is allocated first.
+func (ad *ActiveDisk) init(s *System, i int, lk *sim.Kernel, m *disk.Model, commBuf int64) *ActiveDisk {
 	if ad == nil {
 		ad = new(ActiveDisk)
 	}
@@ -328,7 +328,6 @@ func (ad *ActiveDisk) init(s *System, i int, lk *sim.Kernel, m *disk.Model, scra
 		ID:      i,
 		Disk:    ad.Disk.Init(lk, name, m),
 		CPU:     ad.CPU.Init(lk, name+".cpu", s.Cfg.EmbeddedHz),
-		Scratch: ad.Scratch.Init(lk, name+".scratch", scratch),
 		sys:     s,
 		commBuf: ad.commBuf.Init(hub, name+".commbuf", commBuf),
 		inbox:   ad.inbox.init(hub, name+".inbox"),
@@ -402,7 +401,7 @@ func (s *System) LoopUtilization() float64 {
 }
 
 // ScratchBytes returns the per-disk disklet working memory.
-func (s *System) ScratchBytes() int64 { return s.Disks[0].Scratch.Capacity() }
+func (s *System) ScratchBytes() int64 { return s.scratch }
 
 // ChunkBytes returns the stream transfer granularity.
 func (s *System) ChunkBytes() int64 { return chunkBytes }

@@ -93,7 +93,6 @@ type pathCase struct {
 	nilCPU         bool  // the last rank charges no CPU (an infrastructure rank)
 	procs          []pathProc
 	outages        map[string][]fault.Window
-	closeAt        map[string]sim.Time // links taken down, and when
 	// until, when positive, stops the run there once with RunUntil and
 	// records the state before running to the end.
 	until sim.Time
@@ -101,7 +100,7 @@ type pathCase struct {
 
 // runPathCase runs c on the callback path, or on refPath when ref is
 // set, and renders everything observable: the (Now, label) trace, the
-// network's delivery counts, every link's bytes, frames, drops, stall
+// network's delivery counts, every link's bytes, frames, stall
 // and utilization, every endpoint's counters and queues, the kernel's
 // Live and Blocked counts (Live without refPath's own processes), its
 // deadlock report, and every probe cell and span — the scheduler
@@ -122,9 +121,6 @@ func runPathCase(tb testing.TB, c pathCase, ref bool) string {
 	ft.EachLink(func(l *netsim.Link) {
 		links = append(links, l)
 		l.SetOutages(c.outages[l.Name()])
-		if at, ok := c.closeAt[l.Name()]; ok {
-			k.At(at, l.Close)
-		}
 	})
 	cpus := make([]*cpu.CPU, c.nodes)
 	for i := range cpus {
@@ -189,8 +185,8 @@ func runPathCase(tb testing.TB, c pathCase, ref bool) string {
 		rec("%s: live=%d blocked=%d delivered=%d/%d", label, k.Live()-rp.live, k.Blocked(),
 			n.BytesDelivered(), n.MessagesDelivered())
 		for _, l := range links {
-			rec("  %s bytes=%d frames=%d dropped=%d stall=%v util=%v", l.Name(), l.BytesMoved(), l.Frames(),
-				l.DroppedFrames(), l.StallTime(), l.Utilization())
+			rec("  %s bytes=%d frames=%d stall=%v util=%v", l.Name(), l.BytesMoved(), l.Frames(),
+				l.StallTime(), l.Utilization())
 		}
 		for r := 0; r < w.Size(); r++ {
 			ep := w.Rank(r)
@@ -319,24 +315,6 @@ func TestMessagePathMatchesReference(t *testing.T) {
 			}
 			return c
 		}()},
-		{"closed hops", func() pathCase {
-			c := small(6,
-				pathProc{rank: 0, ops: []pathOp{isend(1, 1, 64<<10), isend(4, 1, 128<<10), send(2, 1, 40<<10)}},
-				pathProc{rank: 5, ops: []pathOp{send(3, 1, 32<<10)}},
-				pathProc{rank: 3, start: 2 * sim.Millisecond, ops: []pathOp{send(0, 1, 32<<10)}},
-				pathProc{rank: 4, ops: []pathOp{recv(0, 1)}},
-				pathProc{rank: 1, ops: []pathOp{recv(0, 1)}},
-				pathProc{rank: 2, ops: []pathOp{recv(-1, -1)}},
-				pathProc{rank: 3, ops: []pathOp{recv(-1, -1)}},
-			)
-			c.closeAt = map[string]sim.Time{
-				"node4.down": 0,                    // next hop closed: frames dropped on the trunk
-				"node1.down": 2 * sim.Millisecond,  // closed mid-message
-				"node3.up":   2 * sim.Millisecond,  // first hop closed: frames dropped at injection
-				"leaf0.up":   15 * sim.Millisecond, // trunk closed under traffic
-			}
-			return c
-		}()},
 		{"many-to-one fan-in", fanIn},
 		{"windowed sends", windowed},
 		{"recv before and after arrival", small(4,
@@ -386,8 +364,6 @@ func FuzzMessagePath(f *testing.F) {
 				"leaf0.up": {{Start: 0, End: sim.Millisecond}, {Start: 2 * sim.Millisecond, End: 8 * sim.Millisecond}},
 			}
 		},
-		func(c *pathCase) { c.closeAt = map[string]sim.Time{"node1.down": 2 * sim.Millisecond} },
-		func(c *pathCase) { c.closeAt = map[string]sim.Time{"node2.up": 0, "leaf1.down": sim.Millisecond} },
 	}
 	f.Fuzz(func(t *testing.T, nodes, mode uint8, until uint16, raw []byte) {
 		c := small(int(nodes%7) + 2)

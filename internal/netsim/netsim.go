@@ -108,11 +108,10 @@ type Link struct {
 
 	bytesMoved int64
 	frames     int64
-	dropped    int64 // frames dropped on a closed next-hop queue
 
 	// pr is the same probe instance the link's pipe registered (Register
-	// dedupes): frame drops and input-queue depth samples join the pipe's
-	// occupancy and stall spans under one instance.
+	// dedupes): input-queue depth samples join the pipe's occupancy and
+	// stall spans under one instance.
 	pr probe.Ref
 
 	txs []*linkTx // the transmit servers, one per channel
@@ -178,32 +177,13 @@ func (l *Link) Frames() int64 { return l.frames }
 // StallTime returns the total channel-time spent stalled in outages.
 func (l *Link) StallTime() sim.Time { return l.pipe.StallTime() }
 
-// DroppedFrames returns the frames this link discarded because the next
-// hop's queue had been closed (a downed endpoint).
-func (l *Link) DroppedFrames() int64 { return l.dropped }
-
-// Close takes the link down for good, like a dead port: its input
-// queue closes, so every frame bound for it is dropped and counted —
-// by the hop before it, or by the link itself when the sender injects
-// into it as a first hop — and its transmit servers retire once the
-// frames already queued are sent.
-func (l *Link) Close() { l.queue.Close() }
-
-// drop discards a frame that could not enter this link's closed queue.
-func (l *Link) drop(f *frame) {
-	l.dropped++
-	l.pr.Count(probe.KindDrop, 1)
-	l.net.freeFrame(f)
-}
-
 // linkTx is one transmit channel's server loop: pull a frame, serialize
-// it onto the wire (the link's pipe waits out outages first), then hand it to the next hop (waiting if that hop's
-// queue is full — backpressure) or deliver it. A frame bound for a
-// closed next-hop queue is dropped and counted, like a packet sent to a
-// dead port: the network stays up, the loss is observable. The loop is
-// a state machine whose step continuations are bound once at
-// construction, so forwarding a frame performs no process handoff and
-// no allocation.
+// it onto the wire (the link's pipe waits out outages first), then hand
+// it to the next hop (waiting if that hop's queue is full —
+// backpressure) or deliver it. No link queue ever closes, so every
+// frame is forwarded or delivered. The loop is a state machine whose
+// step continuations are bound once at construction, so forwarding a
+// frame performs no process handoff and no allocation.
 type linkTx struct {
 	l       *Link
 	t       *sim.Task
@@ -231,11 +211,7 @@ func (tx *linkTx) init(l *Link, name string) *linkTx {
 
 func (tx *linkTx) next() { tx.l.queue.GetFunc(tx.t, tx.frameFn) }
 
-func (tx *linkTx) onFrame(v any, ok bool) {
-	if !ok {
-		tx.t.Finish() // queue closed: this channel's server retires
-		return
-	}
+func (tx *linkTx) onFrame(v any, _ bool) {
 	tx.f = v.(*frame)
 	tx.l.pipe.TransferFunc(tx.t, tx.f.bytes, tx.sentFn)
 }
@@ -258,10 +234,7 @@ func (tx *linkTx) onSent() {
 	tx.next()
 }
 
-func (tx *linkTx) onPut(err error) {
-	if err != nil {
-		tx.l.drop(tx.f)
-	}
+func (tx *linkTx) onPut(error) {
 	tx.f = nil
 	tx.next()
 }
@@ -299,7 +272,7 @@ type Network struct {
 	bytesDelivered int64
 	msgsDelivered  int64
 
-	frameFree []*frame   // recycled frames: delivered or dropped
+	frameFree []*frame   // recycled delivered frames
 	msgFree   []*Message // recycled SendFunc messages
 }
 
@@ -369,12 +342,7 @@ func (n *Network) Send(p *sim.Proc, src, dst, tag int, bytes int64, payload any)
 		if first.pr.On() {
 			first.pr.Sample(probe.KindQueue, int64(first.queue.Len()))
 		}
-		if err := first.queue.Put(p, f); err != nil {
-			// First hop is down: the frame is lost at injection. The
-			// message will never be delivered; timeout-aware receivers
-			// observe the loss.
-			first.drop(f)
-		}
+		first.queue.Put(p, f)
 	}
 	return m
 }
@@ -434,10 +402,7 @@ func (m *Message) inject() {
 }
 
 // onPut is the put continuation of inject.
-func (m *Message) onPut(err error) {
-	if err != nil {
-		m.route[0].drop(m.cur) // first hop is down, as in Send
-	}
+func (m *Message) onPut(error) {
 	m.cur = nil
 	if m.inPut {
 		m.putDone = true
@@ -515,18 +480,12 @@ func (n *Network) newFrame(bytes int64, route *Route, m *Message) *frame {
 	return f
 }
 
-// freeFrame returns a frame that left the network — delivered or
-// dropped — to the free list. Nothing may hold it afterwards.
-func (n *Network) freeFrame(f *frame) {
-	f.msg = nil
-	n.frameFree = append(n.frameFree, f)
-}
-
-// deliver finalizes a frame's arrival at its destination and recycles
-// the frame.
+// deliver finalizes a frame's arrival at its destination and returns
+// the frame to the free list. Nothing may hold it afterwards.
 func (n *Network) deliver(f *frame) {
 	m := f.msg
-	n.freeFrame(f)
+	f.msg = nil
+	n.frameFree = append(n.frameFree, f)
 	m.framesLeft--
 	if m.framesLeft > 0 {
 		return

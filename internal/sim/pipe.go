@@ -106,7 +106,7 @@ func (pp *Pipe) stall() Time {
 func (pp *Pipe) Name() string { return pp.name }
 
 // Channels returns the number of concurrent transfers the pipe admits.
-func (pp *Pipe) Channels() int { return int(pp.res.Capacity()) }
+func (pp *Pipe) Channels() int { return int(pp.res.capacity) }
 
 // BytesMoved returns the total payload bytes transferred so far.
 func (pp *Pipe) BytesMoved() int64 { return pp.bytesMoved }
@@ -134,35 +134,16 @@ func (pp *Pipe) TransferDuration(bytes int64) Time {
 // is allocation-free in steady state, so bus/loop models can issue
 // millions of transfers without GC pressure.
 //
-// A transfer of more than one frame runs as a chain (Proc.Chain) of
-// TransferFunc's steps: every frame but the last ends in a kernel
-// callback that books it and arbitrates for the next, and p wakes at
-// the end of the last one and books it itself. So p's coroutine
-// switches once per transfer instead of once per frame, and the result
-// — event order, clock, statistics, probe emissions and scheduler
-// counters — is that of one single-frame Transfer per frame.
+// Every transfer runs as a chain (Proc.Chain) of TransferFunc's steps,
+// whose state lives in p's Task: every frame but the last ends in a
+// kernel callback that books it and arbitrates for the next, and p
+// wakes at the end of the last one and books it itself. So p's
+// coroutine switches once per transfer instead of once per frame, and
+// the result — event order, clock, statistics, probe emissions and
+// scheduler counters — is that of one blocking single-frame transfer
+// per frame.
 func (pp *Pipe) Transfer(p *Proc, bytes int64) {
-	if pp.Frame > 0 && bytes > pp.Frame {
-		p.Chain(func() { pp.TransferFunc(&p.Task, bytes, nil) })
-		return
-	}
-	for d := pp.stall(); d > 0; d = pp.stall() {
-		p.Delay(d)
-	}
-	if pp.pr.On() {
-		pp.pr.Sample(probe.KindQueue, int64(pp.res.QueueLen()))
-	}
-	pp.res.Acquire(p, 1)
-	dur := pp.TransferDuration(bytes)
-	p.Delay(dur)
-	pp.res.Release(1)
-	pp.bytesMoved += bytes
-	pp.transfers++
-	if pp.pr.On() {
-		end := p.Now()
-		pp.pr.SpanArg(probe.KindXfer, int64(end-dur), int64(end), bytes)
-		pp.pr.Count(probe.KindBytes, bytes)
-	}
+	p.Chain(func() { pp.TransferFunc(&p.Task, bytes, nil) })
 }
 
 // TransferFunc is Transfer for callback tasks: frame by frame it waits

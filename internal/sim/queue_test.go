@@ -264,7 +264,7 @@ func TestEventModeKeepsNoKeys(t *testing.T) {
 				return
 			}
 			res.AcquireFunc(holder, 1, func() { k.After(2, func() { res.Release(1) }) })
-			p.Yield()
+			p.Delay(0)
 		}
 	})
 	k.Run()

@@ -54,9 +54,6 @@ func (r *Resource) Init(k *Kernel, name string, capacity int64) *Resource {
 // Name returns the resource's name.
 func (r *Resource) Name() string { return r.name }
 
-// Capacity returns the total capacity.
-func (r *Resource) Capacity() int64 { return r.capacity }
-
 // InUse returns the units currently held.
 func (r *Resource) InUse() int64 { return r.inUse }
 
@@ -86,16 +83,7 @@ func (r *Resource) Utilization() float64 {
 // them. Requests exceeding total capacity panic, since they could never
 // be satisfied.
 func (r *Resource) Acquire(p *Proc, amount int64) {
-	if amount <= 0 {
-		return
-	}
-	if amount > r.capacity {
-		panic(fmt.Sprintf("sim: acquire %d exceeds capacity %d of %s", amount, r.capacity, r.name))
-	}
-	if r.waiters.Len() == 0 && r.inUse+amount <= r.capacity {
-		r.account()
-		r.inUse += amount
-		r.grants++
+	if r.tryAcquire(amount) {
 		return
 	}
 	r.enqueue(&p.Task, amount)
@@ -121,21 +109,32 @@ func (r *Resource) AcquireFunc(t *Task, amount int64, fn func()) {
 // in the waiter queue and reports false; the release that admits t
 // wakes it, and dispatch continues by kind.
 func (r *Resource) acquireTask(t *Task, amount int64, kind taskWait) bool {
+	if r.tryAcquire(amount) {
+		return true
+	}
+	t.parkWait(kind, r.name, "acquire")
+	r.enqueue(t, amount)
+	return false
+}
+
+// tryAcquire claims amount units and reports true when they are free
+// and no earlier waiter is queued; a non-positive amount is free. It
+// panics on a request exceeding total capacity, which could never be
+// satisfied.
+func (r *Resource) tryAcquire(amount int64) bool {
 	if amount <= 0 {
 		return true
 	}
 	if amount > r.capacity {
 		panic(fmt.Sprintf("sim: acquire %d exceeds capacity %d of %s", amount, r.capacity, r.name))
 	}
-	if r.waiters.Len() == 0 && r.inUse+amount <= r.capacity {
-		r.account()
-		r.inUse += amount
-		r.grants++
-		return true
+	if r.waiters.Len() > 0 || r.inUse+amount > r.capacity {
+		return false
 	}
-	t.parkWait(kind, r.name, "acquire")
-	r.enqueue(t, amount)
-	return false
+	r.account()
+	r.inUse += amount
+	r.grants++
+	return true
 }
 
 // enqueue queues t for amount units behind the current waiters; admit

@@ -133,7 +133,7 @@ func TestAcquireFuncSerializes(t *testing.T) {
 		r.Release(1)
 	})
 	k.Spawn("kick", func(p *Proc) {
-		p.Yield() // let the holder grab the resource first
+		p.Delay(0) // let the holder grab the resource first
 		r.AcquireFunc(tk, 1, func() {
 			grantAt = k.Now()
 			r.Release(1)

@@ -8,6 +8,8 @@ package repro_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -38,12 +40,25 @@ func probedRun(cfg arch.Config, task workload.TaskID, scale float64, plan *fault
 }
 
 // TestProbeTraceRepeatable runs the same probed simulation twice in the
-// same mode and requires byte-identical trace+report output.
+// same mode and requires byte-identical trace+report output. The second
+// run's trace also goes through WriteTraceFile, as the CLIs write it:
+// the file must hold the same trace bytes.
 func TestProbeTraceRepeatable(t *testing.T) {
 	a, _, _ := probedRun(arch.ActiveDisks(8), workload.Sort, 0.005, nil, tasks.ModeEvent)
-	b, _, _ := probedRun(arch.ActiveDisks(8), workload.Sort, 0.005, nil, tasks.ModeEvent)
+	b, sink, _ := probedRun(arch.ActiveDisks(8), workload.Sort, 0.005, nil, tasks.ModeEvent)
 	if a != b {
 		t.Fatal("two identical probed runs produced different trace/report bytes")
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := sink.WriteTraceFile(path); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(file) == 0 || !strings.HasPrefix(a, string(file)) {
+		t.Fatal("the trace file differs from the trace written to a buffer")
 	}
 }
 
