@@ -342,7 +342,7 @@ func (n *Network) Send(p *sim.Proc, src, dst, tag int, bytes int64, payload any)
 		if first.pr.On() {
 			first.pr.Sample(probe.KindQueue, int64(first.queue.Len()))
 		}
-		first.queue.Put(p, f)
+		_ = first.queue.Put(p, f) // a link queue never closes, so the put cannot fail
 	}
 	return m
 }
@@ -401,7 +401,8 @@ func (m *Message) inject() {
 	done()
 }
 
-// onPut is the put continuation of inject.
+// onPut is the put continuation of inject. A link queue never closes,
+// so the put cannot fail.
 func (m *Message) onPut(error) {
 	m.cur = nil
 	if m.inPut {
