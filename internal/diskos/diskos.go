@@ -230,10 +230,23 @@ func (s *System) Rebuild(k *sim.Kernel) {
 // that merging the leaf probe sinks into the hub's reproduces
 // NewSystem's instance numbering.
 func NewSystemSharded(g *sim.ShardGroup, cfg Config) *System {
+	return new(System).initSharded(g, cfg)
+}
+
+// RebuildSharded builds the system again across g from its own
+// configuration, as NewSystemSharded would, keeping only storage. g
+// must be new or recycled (sim.ShardGroup.Recycle), with its kernels'
+// probes attached.
+func (s *System) RebuildSharded(g *sim.ShardGroup) {
+	s.initSharded(g, s.Cfg)
+}
+
+// initSharded builds s in place across g.
+func (s *System) initSharded(g *sim.ShardGroup, cfg Config) *System {
 	if g.Shards() != cfg.Disks {
 		panic(fmt.Sprintf("diskos: %d shards for %d disks", g.Shards(), cfg.Disks))
 	}
-	return new(System).init(cfg, g.Hub(), func(i int) *sim.Kernel { return g.Shard(i).Kernel() })
+	return s.init(cfg, g.Hub(), func(i int) *sim.Kernel { return g.Shard(i).Kernel() })
 }
 
 // init builds s in place with the shared interconnect and front-end on
@@ -315,6 +328,7 @@ func (ad *ActiveDisk) init(s *System, i int, lk *sim.Kernel, m *disk.Model, comm
 	}
 	hub := s.K
 	name := fmt.Sprintf("ad%d", i)
+	cpuName := name + ".cpu"
 	if lk != hub {
 		// The communication endpoints below register on the hub sink,
 		// but the media and embedded CPU register on the leaf's. Claim
@@ -322,12 +336,12 @@ func (ad *ActiveDisk) init(s *System, i int, lk *sim.Kernel, m *disk.Model, comm
 		// the hub sink's instance order matches the single-kernel
 		// build order and merged traces stay byte-identical.
 		hub.Probe().Register("disk", name)
-		hub.Probe().Register("cpu", name+".cpu")
+		hub.Probe().Register("cpu", cpuName)
 	}
 	*ad = ActiveDisk{
 		ID:      i,
 		Disk:    ad.Disk.Init(lk, name, m),
-		CPU:     ad.CPU.Init(lk, name+".cpu", s.Cfg.EmbeddedHz),
+		CPU:     ad.CPU.Init(lk, cpuName, s.Cfg.EmbeddedHz),
 		sys:     s,
 		commBuf: ad.commBuf.Init(hub, name+".commbuf", commBuf),
 		inbox:   ad.inbox.init(hub, name+".inbox"),

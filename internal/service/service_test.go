@@ -248,6 +248,21 @@ func TestCancellationFreesWorker(t *testing.T) {
 	if err := <-errc; err == nil {
 		t.Fatalf("cancelled request returned without error")
 	}
+	// The client returns as soon as it cancels, but the server sees the
+	// closed connection a moment later; until then the call is still
+	// joinable, and the fresh request below would wait on it as a
+	// follower. Wait until no call is in flight.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.flight.mu.Lock()
+		n := len(s.flight.m)
+		s.flight.mu.Unlock()
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the cancelled call is still in flight")
+		}
+	}
 
 	// The worker must come free: a fresh identical request gets its own
 	// run (the abandoned call is not joinable) and completes.

@@ -32,12 +32,12 @@ func onInlineStack() bool {
 	}
 }
 
-// kernelEvents returns the kernel's KindEvents count from sink.
-func kernelEvents(t *testing.T, s *probe.Sink) int64 {
+// kernelCount returns the kernel's count of kind k from sink.
+func kernelCount(t *testing.T, s *probe.Sink, k probe.Kind) int64 {
 	t.Helper()
 	for i := 0; i < s.Instances(); i++ {
 		if comp, name := s.Instance(i); comp == probe.SchedComponent && name == "kernel" {
-			_, n, _ := s.Cell(i, probe.KindEvents)
+			_, n, _ := s.Cell(i, k)
 			return n
 		}
 	}
@@ -126,7 +126,7 @@ func inlineModel(t *testing.T, dormant bool) (trace []string, events int64, inli
 	if k.Live() != wantLive {
 		t.Fatalf("Live() = %d after run, want %d", k.Live(), wantLive)
 	}
-	return trace, kernelEvents(t, sink), inlined
+	return trace, kernelCount(t, sink, probe.KindEvents), inlined
 }
 
 // TestInlineMatchesSwitching runs the same single-process model with

@@ -467,10 +467,12 @@ func (k *Kernel) Close() {
 	}
 }
 
-// Recycle returns a shut-down kernel to the state NewKernel returns, so
-// that a new run can reuse its storage: the event slab, its free list
-// and the timer heap keep their capacity, and every bare task and
-// process record stays pooled. Nothing else survives — the clock,
+// Recycle returns a shut-down kernel to the state it was built in —
+// NewKernel's, or a ShardGroup's hub or leaf — so that a new run can
+// reuse its storage: the event slab, its free list, the timer heap and
+// a sharded kernel's keys keep their capacity, and every bare task and
+// process record stays pooled. A group's kernel stays sharded and a
+// leaf keeps its publish hook. Nothing else survives — the clock,
 // sequence numbers and task IDs restart from zero, pending events are
 // dropped, the registries are emptied, the probe is detached and no
 // pooled record keeps a reference into the previous run's model — so a
@@ -479,7 +481,7 @@ func (k *Kernel) Close() {
 func (k *Kernel) Recycle() {
 	q := &k.events
 	clear(q.slab)
-	q.slab, q.keys, q.free, q.heap = q.slab[:0], nil, q.free[:0], q.heap[:0]
+	q.slab, q.free, q.heap = q.slab[:0], q.free[:0], q.heap[:0]
 	q.fast.head, q.fast.n = 0, 0
 	// Every bare task is in the registry, the free pool or both. Clearing
 	// the pooled ones also unmarks them as registered, so the registered
@@ -503,6 +505,8 @@ func (k *Kernel) Recycle() {
 	clear(k.procs)
 	*k = Kernel{
 		events:   *q,
+		sharded:  k.sharded,
+		publish:  k.publish,
 		procs:    k.procs[:0],
 		procFree: k.procFree,
 		tasks:    k.tasks[:0],

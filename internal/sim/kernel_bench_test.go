@@ -27,7 +27,7 @@ func BenchmarkKernelEventThroughput(b *testing.B) {
 // allocs/op, so the keys array can never start allocating per event.
 func BenchmarkKernelEventThroughputSharded(b *testing.B) {
 	g := NewShardGroup(1)
-	defer g.Close()
+	defer g.Recycle()
 	benchTimers(b, g.Hub())
 }
 

@@ -290,7 +290,7 @@ func TestEventModeKeepsNoKeys(t *testing.T) {
 	}
 
 	g := NewShardGroup(1)
-	defer g.Close()
+	defer g.Recycle()
 	hub := g.Hub()
 	var got eventKey
 	hub.At(5, func() {

@@ -232,6 +232,9 @@ type Shard struct {
 	// request of the shard is with the hub.
 	call    xcall
 	pending bool
+	// proxy is the body of the hub process that serves the shard's
+	// requests (runProxy), built once with the shard.
+	proxy func(*Proc)
 }
 
 // Kernel returns the shard's kernel. Build the shard's model components
@@ -402,6 +405,7 @@ func NewShardGroup(n int) *ShardGroup {
 			replies: make(chan leafStatus),
 		}
 		sh.horizon.Store(horizonInfinity)
+		sh.proxy = func(p *Proc) { g.serve(sh, p) }
 		sh.k.setPublish(func(t Time) {
 			// Wake the hub only when this horizon crosses want. The hub
 			// stores want before reading horizons and the leaf swaps
@@ -620,13 +624,34 @@ func (g *ShardGroup) Run() Time {
 	return final
 }
 
-// Close stops the pooled process coroutines of every kernel in the
-// group. Call once after Run.
-func (g *ShardGroup) Close() {
-	g.hub.Close()
+// Recycle returns the group to the state NewShardGroup returns, so a
+// new run can reuse it: every kernel is shut down, which unwinds its
+// parked processes and stops its pooled coroutines, and recycled, and
+// the group and every shard forget the last run's synchronization
+// state. The channels, the publish hooks, the proxy bodies and each
+// kernel's storage stay, and no goroutine of the group's outlives
+// Recycle. Call it once Run has returned, or before any Run, and not
+// after a Run that panicked: its leaves may still be running.
+func (g *ShardGroup) Recycle() {
+	g.hub.Shutdown()
+	g.hub.Recycle()
 	for _, sh := range g.shards {
-		sh.k.Close()
+		sh.k.Shutdown()
+		sh.k.Recycle()
 	}
+	g.mu.Lock()
+	for _, sh := range g.shards {
+		sh.horizon.Store(horizonInfinity)
+		sh.state.Store(int32(leafRunning))
+		sh.hasNext, sh.nextKey = false, eventKey{}
+		sh.call, sh.pending = xcall{}, false
+	}
+	clear(g.inbox.q)
+	g.inbox.q = g.inbox.q[:0]
+	g.mu.Unlock()
+	g.want.Store(horizonInfinity)
+	g.deliverSeq = 0
+	g.ran, g.stall = false, ""
 }
 
 // runProxy starts the hub process that executes one cross-shard
@@ -638,32 +663,35 @@ func (g *ShardGroup) Close() {
 // every hub event already pending at this time. runProxy returns when
 // the proxy chain finishes or parks on a hub primitive.
 func (g *ShardGroup) runProxy(rq *xcall) {
-	sh := g.shards[rq.src]
-	g.hub.spawnInline("xshard.proxy", func(p *Proc) {
-		for {
-			// The request stands in for its issuing leaf event: hub events
-			// it schedules must carry that event's lineage, exactly as the
-			// closure running inline in a single kernel would.
-			g.hub.cur = rq.key
-			rq.fn(p)
-			next := g.respond(sh, rq.caller)
-			if next == nil {
-				return
-			}
-			rq = next
+	g.hub.spawnInline("xshard.proxy", g.shards[rq.src].proxy)
+}
+
+// serve is the proxy body of shard sh: it runs the request the shard
+// has with the hub, then each same-instant follow-on the resumed caller
+// issues. The leaf is parked while its request is with the hub, so
+// sh.call holds still while serve reads it.
+func (g *ShardGroup) serve(sh *Shard, p *Proc) {
+	for {
+		// The request stands in for its issuing leaf event: hub events
+		// it schedules must carry that event's lineage, exactly as the
+		// closure running inline in a single kernel would.
+		g.hub.cur = sh.call.key
+		sh.call.fn(p)
+		if !g.respond(sh, sh.call.caller) {
+			return
 		}
-	})
+	}
 }
 
 // respond completes a call: it resumes the shard's parked caller at the
 // hub's current time and waits while the leaf drains that instant. A
 // follow-on call the resumed caller issues during the drain is at that
-// same instant, since edges carry no latency, and is returned for
-// inline execution at the proxy's event position. Otherwise the shard
+// same instant, since edges carry no latency; respond reports it, and
+// the proxy runs it inline at its event position. Otherwise the shard
 // goes back to free running, or is marked finished when it has no local
 // events left; a free-running shard may inject work at its next event,
 // so the hub's run window is tightened below it.
-func (g *ShardGroup) respond(sh *Shard, caller *Proc) *xcall {
+func (g *ShardGroup) respond(sh *Shard, caller *Proc) bool {
 	at := g.hub.now
 	// Stamp the caller with this delivery's rank before it resumes: the
 	// hub order of deliveries at an instant (a barrier's FIFO wake order,
@@ -691,7 +719,7 @@ func (g *ShardGroup) respond(sh *Shard, caller *Proc) *xcall {
 		// Execute it inline at the proxy's event position, exactly where
 		// the single-kernel instant would have run its closure. The shard
 		// stays parked.
-		return c
+		return true
 	}
 	if st.hasNext {
 		sh.state.Store(int32(leafRunning))
@@ -705,7 +733,7 @@ func (g *ShardGroup) respond(sh *Shard, caller *Proc) *xcall {
 		}
 		sh.cmds <- leafCmd{kind: cmdFree}
 	}
-	return nil
+	return false
 }
 
 // waitHorizon blocks until every shard's horizon clears target or the

@@ -2,10 +2,13 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"howsim/internal/probe"
 )
 
 // TestHorizonQueueOrdering exercises the inbound-request queue: peek
@@ -96,7 +99,7 @@ func mustPanic(t *testing.T, what string, fn func()) {
 // group terminates without deadlock.
 func TestShardGroupEmptyLeaves(t *testing.T) {
 	g := NewShardGroup(4)
-	defer g.Close()
+	defer g.Recycle()
 	var hubRan bool
 	g.Hub().At(10, func() { hubRan = true })
 	if end := g.Run(); end != 10 {
@@ -115,7 +118,7 @@ func TestShardGroupEmptyLeaves(t *testing.T) {
 // clears t, and leaf-local work proceeds in parallel regardless.
 func TestShardGroupLookaheadAdvance(t *testing.T) {
 	g := NewShardGroup(2)
-	defer g.Close()
+	defer g.Recycle()
 	// Each leaf ticks to time 100 in steps of 10; the hub records the
 	// minimum leaf horizon observed by each of its own events.
 	for i := 0; i < 2; i++ {
@@ -152,7 +155,7 @@ func TestShardGroupLookaheadAdvance(t *testing.T) {
 // hang, and leave the parked work unrun.
 func TestShardGroupParkedLeafLocalWorkStalls(t *testing.T) {
 	g := NewShardGroup(2)
-	defer g.Close()
+	defer g.Recycle()
 	sh := g.Shard(1)
 	sig := NewSignal()
 	var timerRan, hubRan, resumed bool
@@ -193,7 +196,7 @@ func TestShardGroupParkedLeafLocalWorkStalls(t *testing.T) {
 // observable.
 func TestShardCallSecondConcurrentCallPanics(t *testing.T) {
 	g := NewShardGroup(3)
-	defer g.Close()
+	defer g.Recycle()
 	sh := g.Shard(2)
 	k := sh.Kernel()
 	for _, name := range []string{"first", "second"} {
@@ -219,7 +222,7 @@ func TestShardCallSecondConcurrentCallPanics(t *testing.T) {
 func TestShardGroupContendedCallDeterminism(t *testing.T) {
 	workload := func() []Time {
 		g := NewShardGroup(3)
-		defer g.Close()
+		defer g.Recycle()
 		res := NewResource(g.Hub(), "shared", 1)
 		var hist []Time
 		for i := 0; i < 3; i++ {
@@ -290,7 +293,7 @@ func TestShardCallEquivalence(t *testing.T) {
 			return log
 		}
 		g := NewShardGroup(n)
-		defer g.Close()
+		defer g.Recycle()
 		for i := 0; i < n; i++ {
 			i := i
 			sh := g.Shard(i)
@@ -324,7 +327,7 @@ func TestShardCallEquivalence(t *testing.T) {
 // virtual instant.
 func TestShardCallSameInstantChain(t *testing.T) {
 	g := NewShardGroup(1)
-	defer g.Close()
+	defer g.Recycle()
 	sh := g.Shard(0)
 	var order []string
 	var at []Time
@@ -351,7 +354,7 @@ func TestShardCallSameInstantChain(t *testing.T) {
 // virtual time accordingly.
 func TestShardCallHubBlocking(t *testing.T) {
 	g := NewShardGroup(2)
-	defer g.Close()
+	defer g.Recycle()
 	res := NewResource(g.Hub(), "shared", 1)
 	var grants []Time
 	var ends []Time
@@ -385,7 +388,7 @@ func TestShardCallHubBlocking(t *testing.T) {
 func TestShardGroupDeterminism(t *testing.T) {
 	workload := func() []Time {
 		g := NewShardGroup(4)
-		defer g.Close()
+		defer g.Recycle()
 		res := NewResource(g.Hub(), "shared", 1)
 		var hist []Time
 		for i := 0; i < 4; i++ {
@@ -428,7 +431,7 @@ func TestShardGroupDeterminism(t *testing.T) {
 // real contention (run with -race in CI).
 func TestShardGroupManyCallers(t *testing.T) {
 	g := NewShardGroup(16)
-	defer g.Close()
+	defer g.Recycle()
 	// total needs no lock: every Call closure executes on the hub side,
 	// one at a time — the race detector job verifies exactly this.
 	var total int
@@ -458,7 +461,7 @@ func TestShardGroupManyCallers(t *testing.T) {
 // and they execute (in order) once the response arrives.
 func TestShardGroupCallDoesNotRunLeafFuture(t *testing.T) {
 	g := NewShardGroup(1)
-	defer g.Close()
+	defer g.Recycle()
 	sh := g.Shard(0)
 	var order []string
 	// An independent leaf timer at t=50 must not run before the caller's
@@ -481,7 +484,7 @@ func TestShardGroupCallDoesNotRunLeafFuture(t *testing.T) {
 // hang the test suite.
 func TestShardGroupStallDetection(t *testing.T) {
 	g := NewShardGroup(2)
-	defer g.Close()
+	defer g.Recycle()
 	sig := NewSignal()
 	g.Hub().Spawn("waiter", func(p *Proc) { sig.Wait(p) })
 	g.Run()
@@ -490,10 +493,151 @@ func TestShardGroupStallDetection(t *testing.T) {
 	}
 }
 
-// TestShardGroupRunTwicePanics pins the single-use contract.
+// shardRun is what a sharded fixture run shows: its final time, its
+// hub-side grant history and each kernel's events and parks, hub first.
+type shardRun struct {
+	end           Time
+	hist          []Time
+	events, parks []int64
+}
+
+// shardFixture runs a small simulation on g's three shards: contended
+// Calls on a hub resource, each followed by a same-instant follow-on,
+// leaf-local timers and a hub timer.
+func shardFixture(t *testing.T, g *ShardGroup) shardRun {
+	ks := []*Kernel{g.Hub()}
+	for i := range g.Shards() {
+		ks = append(ks, g.Shard(i).Kernel())
+	}
+	sinks := make([]*probe.Sink, len(ks))
+	for i, k := range ks {
+		sinks[i] = probe.NewSink()
+		k.SetProbe(sinks[i])
+	}
+	var r shardRun
+	res := NewResource(g.Hub(), "shared", 1)
+	grab := func(hp *Proc) {
+		res.Acquire(hp, 1)
+		r.hist = append(r.hist, hp.Now())
+		hp.Delay(2)
+		res.Release(1)
+	}
+	for i := range g.Shards() {
+		sh := g.Shard(i)
+		sh.Kernel().At(Time(100+i), func() {})
+		sh.Kernel().Spawn(fmt.Sprintf("u%d", i), func(p *Proc) {
+			for range 3 {
+				p.Delay(Time(4 + i))
+				sh.Call(p, grab)
+				sh.Call(p, grab)
+			}
+		})
+	}
+	g.Hub().At(17, func() {})
+	r.end = g.Run()
+	if g.Stall() != "" {
+		t.Fatalf("fixture stalled: %s", g.Stall())
+	}
+	for _, s := range sinks {
+		r.events = append(r.events, kernelCount(t, s, probe.KindEvents))
+		r.parks = append(r.parks, kernelCount(t, s, probe.KindParks))
+	}
+	return r
+}
+
+// TestShardGroupRecycleRerunsAsNew ends a group's run clean, stalled
+// or with service loops parked, recycles the group and checks that it
+// then runs a fixture exactly as a new group does, twice over, and that
+// the recycled group reads clean and holds no goroutine.
+func TestShardGroupRecycleRerunsAsNew(t *testing.T) {
+	fresh := NewShardGroup(3)
+	want := shardFixture(t, fresh)
+	fresh.Recycle()
+	if len(want.hist) != 18 {
+		t.Fatalf("test setup: %d grants, want 18", len(want.hist))
+	}
+	for _, prev := range []struct {
+		name string
+		run  func(t *testing.T, g *ShardGroup)
+	}{
+		{"clean", func(t *testing.T, g *ShardGroup) { shardFixture(t, g) }},
+		{"stalled", func(t *testing.T, g *ShardGroup) {
+			// TestShardGroupParkedLeafLocalWorkStalls's fixture.
+			sh := g.Shard(1)
+			sig := NewSignal()
+			sh.Kernel().At(20, func() {})
+			sh.Kernel().Spawn("caller", func(p *Proc) {
+				p.Delay(10)
+				sh.Call(p, func(hp *Proc) { sig.Wait(hp) })
+			})
+			g.Hub().At(30, sig.Fire)
+			g.Run()
+			if g.Stall() == "" {
+				t.Fatal("the stall fixture did not stall")
+			}
+		}},
+		{"service loops parked", func(t *testing.T, g *ShardGroup) {
+			hubBox := NewMailbox(g.Hub(), "hub.queue", 0)
+			g.Hub().Spawn("server", func(p *Proc) {
+				for {
+					hubBox.Get(p)
+				}
+			})
+			for i := range g.Shards() {
+				sh := g.Shard(i)
+				leafBox := NewMailbox(sh.Kernel(), "leaf.queue", 0)
+				sh.Kernel().Spawn("svc", func(p *Proc) { leafBox.Get(p) })
+				sh.Kernel().Spawn("client", func(p *Proc) {
+					p.Delay(Time(3 + i))
+					sh.Call(p, func(hp *Proc) { hubBox.Put(hp, i) })
+				})
+			}
+			g.Run()
+			if g.Stall() != "" || g.DeadlockReport() == "" {
+				t.Fatalf("service fixture: stall %q, deadlock report %q; want no stall and parked loops",
+					g.Stall(), g.DeadlockReport())
+			}
+		}},
+	} {
+		t.Run(prev.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			g := NewShardGroup(3)
+			prev.run(t, g)
+			for round := range 2 {
+				g.Recycle()
+				if g.Stall() != "" || g.DeadlockReport() != "" {
+					t.Fatalf("round %d: recycled group reads stall %q, deadlock report %q",
+						round, g.Stall(), g.DeadlockReport())
+				}
+				if n := settledGoroutines(base); n > base {
+					t.Errorf("round %d: %d goroutines after Recycle, want %d", round, n, base)
+				}
+				if got := shardFixture(t, g); !reflect.DeepEqual(got, want) {
+					t.Errorf("round %d: recycled group ran %+v, a new group %+v", round, got, want)
+				}
+			}
+			g.Recycle()
+		})
+	}
+}
+
+// settledGoroutines waits up to two seconds for the goroutine count to
+// fall to base and returns the last count seen: a goroutine that has
+// returned may take a moment to leave the count.
+func settledGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestShardGroupRunTwicePanics pins the single-use contract: a second
+// Run needs a Recycle in between.
 func TestShardGroupRunTwicePanics(t *testing.T) {
 	g := NewShardGroup(1)
-	defer g.Close()
+	defer g.Recycle()
 	g.Run()
 	mustPanic(t, "second Run", func() { g.Run() })
 }
@@ -503,7 +647,7 @@ func TestShardGroupRunTwicePanics(t *testing.T) {
 // prefixed with the kernel it came from.
 func TestShardGroupDeadlockReportNaming(t *testing.T) {
 	g := NewShardGroup(2)
-	defer g.Close()
+	defer g.Recycle()
 	hubBox := NewMailbox(g.Hub(), "hub.queue", 0)
 	g.Hub().Spawn("hubreader", func(p *Proc) {
 		hubBox.Get(p) // never satisfied
@@ -533,7 +677,7 @@ func TestShardGroupDeadlockReportNaming(t *testing.T) {
 // produce an empty group report.
 func TestShardGroupDeadlockReportEmptyWhenClean(t *testing.T) {
 	g := NewShardGroup(2)
-	defer g.Close()
+	defer g.Recycle()
 	for i := 0; i < 2; i++ {
 		g.Shard(i).Kernel().Spawn("fine", func(p *Proc) { p.Delay(Millisecond) })
 	}

@@ -26,18 +26,23 @@ var poolShapes = []arch.Config{arch.ActiveDisks(4), arch.Cluster(4), arch.SMP(4)
 const poolFaults = "seed=5,media=0.002,fail=1@20ms,replica,spare,straggler=2@10ms+40ms*3," +
 	"outage=fcal0@5ms+10ms,outage=node1.scsi@5ms+10ms,outage=smp.fc@5ms+10ms"
 
-// job is one RunCtx call of the machine-pool tests: a task, an optional
-// fault plan, whether a sink is attached, and after how many context
-// polls the run is cancelled (0: never).
+// poolShardFaults is poolFaults without the failed disk, so that the
+// runs it faults still shard under ModeParallel.
+const poolShardFaults = "seed=5,media=0.002,straggler=2@10ms+40ms*3,outage=fcal0@5ms+10ms"
+
+// job is one RunCtx call of the machine-pool tests: a task, its exec
+// mode, an optional fault plan, whether a sink is attached, and after
+// how many context polls the run is cancelled (0: never).
 type job struct {
 	task        workload.TaskID
+	mode        ExecMode
 	plan        *fault.Plan
 	probed      bool
 	cancelAfter int
 }
 
 func (j job) String() string {
-	return fmt.Sprintf("%v/faulted=%v/probed=%v/cancel=%d", j.task, j.plan != nil, j.probed, j.cancelAfter)
+	return fmt.Sprintf("%v/%v/faulted=%v/probed=%v/cancel=%d", j.task, j.mode, j.plan != nil, j.probed, j.cancelAfter)
 }
 
 // run executes j on cfg and renders what it shows a caller: the
@@ -52,7 +57,7 @@ func (j job) run(cfg arch.Config, bytes int64) string {
 	if j.probed {
 		sink = probe.NewSink()
 	}
-	res, err := RunCtx(ctx, cfg, j.task, scaled(j.task, bytes), j.plan, sink, ModeEvent)
+	res, err := RunCtx(ctx, cfg, j.task, scaled(j.task, bytes), j.plan, sink, j.mode)
 	if err != nil {
 		return "error: " + err.Error()
 	}
@@ -71,7 +76,7 @@ func (j job) run(cfg arch.Config, bytes int64) string {
 	return b.String()
 }
 
-// fresh runs j on cfg on a pair no run has used.
+// fresh runs j on cfg on a pair, kernel or group, no run has used.
 func (j job) fresh(cfg arch.Config, bytes int64) string {
 	defer emptyPools()()
 	return j.run(cfg, bytes)
@@ -80,51 +85,66 @@ func (j job) fresh(cfg arch.Config, bytes int64) string {
 // TestRecycledMachineIsFresh runs task A and then task B on one pooled
 // kernel and machine of each architecture and checks that B's run is
 // the run B makes on a new pair, whether A ran plain, faulted, probed
-// or was cancelled mid-run. Counting the pairs made shows that B did
-// reuse A's.
+// or was cancelled mid-run. On Active Disks it does the same under
+// ModeParallel with the shardable tasks, on one pooled shard group and
+// its sharded system. Counting the kernels and groups made shows that
+// B did reuse A's.
 func TestRecycledMachineIsFresh(t *testing.T) {
-	faults, err := fault.ParsePlan(poolFaults)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const bytes = 16 << 20
-	tasks := workload.AllTasks()
 	for _, cfg := range poolShapes {
-		want := map[workload.TaskID]string{}
-		for _, task := range tasks {
-			want[task] = job{task: task}.fresh(cfg, bytes)
+		checkRecycledRuns(t, cfg, ModeEvent, workload.AllTasks(), mustPlan(t, poolFaults), bytes)
+		if cfg.Kind != arch.KindActiveDisk {
+			continue
 		}
-		for i, b := range tasks {
-			a := tasks[(i+3)%len(tasks)]
-			for _, prev := range []job{
-				{task: a},
-				{task: a, plan: faults},
-				{task: a, probed: true},
-				{task: a, cancelAfter: 3},
-			} {
-				var built int
-				restorePools, restoreCount := emptyPools(), countPairs(&built)
-				prev.run(cfg, bytes)
-				got := job{task: b}.run(cfg, bytes)
-				restoreCount()
-				restorePools()
-				if got != want[b] {
-					t.Errorf("%s: %v after %v differs from %v on a new pair:\n got  %s\n want %s",
-						cfg.Name(), b, prev, b, got, want[b])
-				}
-				if built != 1 {
-					t.Errorf("%s: %v after %v made %d pairs, want 1", cfg.Name(), b, prev, built)
-				}
+		var sharded []workload.TaskID
+		for _, task := range workload.AllTasks() {
+			if shardable(task, cfg, nil) {
+				sharded = append(sharded, task)
+			}
+		}
+		checkRecycledRuns(t, cfg, ModeParallel, sharded, mustPlan(t, poolShardFaults), bytes)
+	}
+}
+
+// checkRecycledRuns runs each task of tasks in mode on cfg after every
+// kind of earlier run of another task on the same pooled pair, and
+// checks it against its run on a new pair.
+func checkRecycledRuns(t *testing.T, cfg arch.Config, mode ExecMode, tasks []workload.TaskID, faults *fault.Plan, bytes int64) {
+	t.Helper()
+	want := map[workload.TaskID]string{}
+	for _, task := range tasks {
+		want[task] = job{task: task, mode: mode}.fresh(cfg, bytes)
+	}
+	for i, b := range tasks {
+		a := tasks[(i+3)%len(tasks)]
+		for _, prev := range []job{
+			{task: a, mode: mode},
+			{task: a, mode: mode, plan: faults},
+			{task: a, mode: mode, probed: true},
+			{task: a, mode: mode, cancelAfter: 3},
+		} {
+			var built int
+			restorePools, restoreCount := emptyPools(), countPairs(&built)
+			prev.run(cfg, bytes)
+			got := job{task: b, mode: mode}.run(cfg, bytes)
+			restoreCount()
+			restorePools()
+			if got != want[b] {
+				t.Errorf("%s: %v/%v after %v differs from %v on a new pair:\n got  %s\n want %s",
+					cfg.Name(), b, mode, prev, b, got, want[b])
+			}
+			if built != 1 {
+				t.Errorf("%s: %v/%v after %v made %d pairs, want 1", cfg.Name(), b, mode, prev, built)
 			}
 		}
 	}
 }
 
-// idlePairs returns the idle pairs of cfg's shape.
-func idlePairs(cfg arch.Config) []*pair {
+// idlePairs returns the idle pairs of key's shape.
+func idlePairs(key poolKey) []*pair {
 	pairPools.Lock()
 	defer pairPools.Unlock()
-	return append([]*pair(nil), pairPools.m[cfg]...)
+	return append([]*pair(nil), pairPools.m[key]...)
 }
 
 // collected reports whether every flag is set, running GC cycles (and
@@ -145,34 +165,74 @@ func collected(flags ...*atomic.Bool) bool {
 }
 
 // TestPooledPairKeepsNoRunReferences runs a probed, faulted run on each
-// architecture and checks, with finalizers, that the Result, the sink
+// architecture, and a probed sharded run under a media-error plan, and
+// checks, with finalizers, that the Result, the sink, every leaf sink
 // and the plan are freed while the idle pair the run left is still
-// held.
+// held, and that no goroutine of the run's outlives it.
 func TestPooledPairKeepsNoRunReferences(t *testing.T) {
 	defer emptyPools()()
+	var leafSinks []*probe.Sink
+	defer func(saved func(int) *probe.Sink) { newLeafSink = saved }(newLeafSink)
+	newLeafSink = func(spans int) *probe.Sink {
+		s := probe.NewSinkCap(spans)
+		leafSinks = append(leafSinks, s)
+		return s
+	}
+	type run struct {
+		cfg  arch.Config
+		mode ExecMode
+		task workload.TaskID
+		plan string
+	}
+	runs := []run{{arch.ActiveDisks(4), ModeParallel, workload.Select, "seed=5,media=0.002"}}
 	for _, cfg := range poolShapes {
+		runs = append(runs, run{cfg, ModeEvent, workload.Sort, poolFaults})
+	}
+	for _, r := range runs {
+		name := fmt.Sprintf("%s/%v/%v", r.cfg.Name(), r.task, r.mode)
 		var res, sink, plan atomic.Bool
+		var leafs []atomic.Bool
+		if r.mode == ModeParallel {
+			leafs = make([]atomic.Bool, r.cfg.Disks)
+		}
+		base := runtime.NumGoroutine()
 		func() {
-			p, err := fault.ParsePlan(poolFaults)
-			if err != nil {
-				t.Fatal(err)
-			}
+			leafSinks = nil
+			p := mustPlan(t, r.plan)
 			s := probe.NewSink()
-			r, err := RunCtx(context.Background(), cfg, workload.Sort, scaled(workload.Sort, 16<<20), p, s, ModeEvent)
+			res0, err := RunCtx(context.Background(), r.cfg, r.task, scaled(r.task, 16<<20), p, s, r.mode)
 			if err != nil {
 				t.Fatal(err)
 			}
-			runtime.SetFinalizer(r, func(*Result) { res.Store(true) })
+			if len(leafSinks) != len(leafs) {
+				t.Fatalf("%s: %d leaf sinks made, want %d", name, len(leafSinks), len(leafs))
+			}
+			runtime.SetFinalizer(res0, func(*Result) { res.Store(true) })
 			runtime.SetFinalizer(s, func(*probe.Sink) { sink.Store(true) })
 			runtime.SetFinalizer(p, func(*fault.Plan) { plan.Store(true) })
+			for i, ls := range leafSinks {
+				runtime.SetFinalizer(ls, func(*probe.Sink) { leafs[i].Store(true) })
+			}
+			leafSinks = nil
 		}()
-		held := idlePairs(cfg)
-		if len(held) != 1 {
-			t.Fatalf("%s: %d idle pairs after one run, want 1", cfg.Name(), len(held))
+		if n := settledGoroutines(base); n > base {
+			t.Errorf("%s: %d goroutines after the run, want %d", name, n, base)
 		}
-		if !collected(&res, &sink, &plan) {
-			t.Errorf("%s: the idle pair keeps the last run's objects alive: result freed %v, sink freed %v, plan freed %v",
-				cfg.Name(), res.Load(), sink.Load(), plan.Load())
+		held := idlePairs(poolKey{r.cfg, r.mode == ModeParallel})
+		if len(held) != 1 {
+			t.Fatalf("%s: %d idle pairs after one run, want 1", name, len(held))
+		}
+		flags := []*atomic.Bool{&res, &sink, &plan}
+		for i := range leafs {
+			flags = append(flags, &leafs[i])
+		}
+		if !collected(flags...) {
+			freed := make([]bool, len(leafs))
+			for i := range leafs {
+				freed[i] = leafs[i].Load()
+			}
+			t.Errorf("%s: the idle pair keeps the last run's objects alive: result freed %v, sink freed %v, plan freed %v, leaf sinks freed %v",
+				name, res.Load(), sink.Load(), plan.Load(), freed)
 		}
 		runtime.KeepAlive(held)
 	}
@@ -197,7 +257,7 @@ func TestPooledPairKeepsNoPayloads(t *testing.T) {
 		{arch.ActiveDisks(4), func(mp *pair, p *sim.Proc, v any) { mp.m.(activeMachine).Disks[0].Send(p, 1, 1<<10, v) }},
 	} {
 		var freed atomic.Bool
-		mp := takePair(c.cfg, nil)
+		mp, _ := takePair(c.cfg, false, nil)
 		func() {
 			v := new(payload)
 			runtime.SetFinalizer(v, func(*payload) { freed.Store(true) })
@@ -259,14 +319,16 @@ func fuzzPlan(seed uint64, disks int) *fault.Plan {
 
 // FuzzRecycledMachine draws a short sequence of runs on one shape — an
 // architecture and 2 to 16 disks — each byte of seq one run: its task
-// (low three bits), a fault plan drawn chaossweep-style (bit 3) and a
-// sink (bit 4). Each run on the pooled kernel and machine must render
-// what the same job renders on a new pair.
+// (low three bits), a fault plan drawn chaossweep-style (bit 3), a
+// sink (bit 4) and ModeParallel (bit 5), which shards the shardable
+// Active Disk runs. Each run on the pooled kernel or group and its
+// machine must render what the same job renders on a new one.
 func FuzzRecycledMachine(f *testing.F) {
 	f.Add(uint8(0), uint8(2), []byte{0x01, 0x8a, 0x33})
 	f.Add(uint8(1), uint8(14), []byte{0x9c, 0x05, 0x1e})
 	f.Add(uint8(2), uint8(0), []byte{0x47, 0xd6, 0x20, 0x1b})
-	f.Add(uint8(0), uint8(43), []byte("%000")) // join on 15 Active Disks: an unaligned Grace split
+	f.Add(uint8(0), uint8(43), []byte("%000"))          // join on 15 Active Disks: an unaligned Grace split
+	f.Add(uint8(0), uint8(6), []byte{0x20, 0x3a, 0x21}) // sharded select, faulted probed groupby, aggregate
 	builders := []func(int) arch.Config{arch.ActiveDisks, arch.Cluster, arch.SMP}
 	tasks := workload.AllTasks()
 	f.Fuzz(func(t *testing.T, archSel, disks uint8, seq []byte) {
@@ -275,6 +337,9 @@ func FuzzRecycledMachine(f *testing.F) {
 		for i := range jobs {
 			b := seq[i]
 			jobs[i] = job{task: tasks[b&7], probed: b&16 != 0}
+			if b&32 != 0 {
+				jobs[i].mode = ModeParallel
+			}
 			if b&8 != 0 {
 				jobs[i].plan = fuzzPlan(uint64(b)<<8|uint64(i), cfg.Disks)
 			}

@@ -68,18 +68,13 @@ func shardable(task workload.TaskID, cfg arch.Config, plan *fault.Plan) bool {
 // placement places an Active Disk run on one kernel (g == nil) or on a
 // shard group, disk i on shard i.
 type placement struct {
-	k *sim.Kernel     // the single kernel; nil when sharded
+	k *sim.Kernel     // the single kernel, or the group's hub
 	g *sim.ShardGroup // the shard group; nil on one kernel
 }
 
 // hub returns the kernel the interconnect, front-end and coordinators
 // live on.
-func (pl *placement) hub() *sim.Kernel {
-	if pl.g != nil {
-		return pl.g.Hub()
-	}
-	return pl.k
-}
+func (pl *placement) hub() *sim.Kernel { return pl.k }
 
 // kernel returns the kernel disk i's disklets run on.
 func (pl *placement) kernel(i int) *sim.Kernel {

@@ -19,7 +19,7 @@ func TestPlacementInlineStreamTouchesDoNotAllocate(t *testing.T) {
 	const runs = 400
 	const n = 64 << 10 // front-end send size
 	const m = 512      // recv chunk size: every recv chunk fits disk 0's credit at once
-	mp := takePair(arch.ActiveDisks(2), nil)
+	mp, _ := takePair(arch.ActiveDisks(2), false, nil)
 	defer mp.release()
 	k, s := mp.k, mp.m.(activeMachine)
 	pl := &placement{k: k}

@@ -17,15 +17,16 @@ import (
 )
 
 // recycleCase is one run of the recycling tests: a task on a
-// configuration, with or without a fault plan.
+// configuration in an exec mode, with or without a fault plan.
 type recycleCase struct {
 	task workload.TaskID
 	cfg  arch.Config
+	mode ExecMode
 	plan *fault.Plan
 }
 
 func (c recycleCase) String() string {
-	return fmt.Sprintf("%v/%s/faulted=%v", c.task, c.cfg.Name(), c.plan != nil)
+	return fmt.Sprintf("%v/%s/%v/faulted=%v", c.task, c.cfg.Name(), c.mode, c.plan != nil)
 }
 
 // run executes the case with a probe sink attached and returns what
@@ -34,7 +35,7 @@ func (c recycleCase) String() string {
 // the fault report, and the -breakdown report built from the sink.
 func (c recycleCase) run(ctx context.Context) (*Result, string, error) {
 	sink := probe.NewSink()
-	res, err := RunCtx(ctx, c.cfg, c.task, scaled(c.task, 16<<20), c.plan, sink, ModeEvent)
+	res, err := RunCtx(ctx, c.cfg, c.task, scaled(c.task, 16<<20), c.plan, sink, c.mode)
 	if err != nil {
 		return nil, "", err
 	}
@@ -76,12 +77,14 @@ func emptyPools() (restore func()) {
 	}
 }
 
-// countPairs counts the pairs takePair makes, each with a new kernel,
-// until the returned function restores newKernel.
+// countPairs counts the pairs takePair makes, each with a new kernel
+// or shard group, until the returned function restores newKernel and
+// newShardGroup.
 func countPairs(n *int) (restore func()) {
-	saved := newKernel
+	savedK, savedG := newKernel, newShardGroup
 	newKernel = func() *sim.Kernel { *n++; return sim.NewKernel() }
-	return func() { newKernel = saved }
+	newShardGroup = func(shards int) *sim.ShardGroup { *n++; return sim.NewShardGroup(shards) }
+	return func() { newKernel, newShardGroup = savedK, savedG }
 }
 
 // onNewKernel runs c on a kernel and machine no run has used: an empty
@@ -150,8 +153,10 @@ func TestRunCtxRecycledKernelByteIdentical(t *testing.T) {
 
 // TestRunCtxRecycledKernelsConcurrent runs mixed configurations from
 // four goroutines at once, all drawing pairs from the shared pools, and
-// checks every result against the same run made alone on a new pair.
-// The CI race job covers the hand-over of pairs between goroutines.
+// then sharded runs of one shape from two goroutines at once, and
+// checks every result against the same run made alone on a new pair or
+// group. The CI race job covers the hand-over of pairs and groups
+// between goroutines.
 func TestRunCtxRecycledKernelsConcurrent(t *testing.T) {
 	faults, err := fault.ParsePlan("seed=3,fail=1@30ms,replica")
 	if err != nil {
@@ -191,6 +196,34 @@ func TestRunCtxRecycledKernelsConcurrent(t *testing.T) {
 			}
 		}()
 	}
+	wg.Wait()
+	sharded := []recycleCase{
+		{task: workload.Select, cfg: arch.ActiveDisks(4), mode: ModeParallel},
+		{task: workload.GroupBy, cfg: arch.ActiveDisks(4), mode: ModeParallel, plan: mustPlan(t, "seed=3,media=0.002")},
+		{task: workload.DataMine, cfg: arch.ActiveDisks(4), mode: ModeParallel},
+	}
+	wantSharded := make([]string, len(sharded))
+	for i, c := range sharded {
+		_, wantSharded[i] = onNewKernel(t, c)
+	}
+	start := make(chan struct{})
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for j := range 3 * len(sharded) {
+				i := (j + w) % len(sharded)
+				if _, got, err := sharded[i].run(context.Background()); err != nil {
+					errs[w] = append(errs[w], fmt.Sprintf("%v: %v", sharded[i], err))
+				} else if got != wantSharded[i] {
+					errs[w] = append(errs[w], fmt.Sprintf("%v differs from its solo run:\n got  %s\n want %s",
+						sharded[i], got, wantSharded[i]))
+				}
+			}
+		}()
+	}
+	close(start)
 	wg.Wait()
 	for _, es := range errs {
 		for _, e := range es {

@@ -94,31 +94,43 @@ func newMachine(cfg arch.Config, k *sim.Kernel) machine {
 	panic(fmt.Sprintf("tasks: unknown architecture %v", cfg.Kind))
 }
 
-// pair is a kernel and the machine of one shape last built on it.
-// Single-kernel runs take pairs from a pool per shape. An idle pair
-// holds no goroutine, no simulated state and no reference to the run
-// that last used it, only the storage that run grew — the kernel's
-// event slab, task pool and process records, and the machine's
-// components with their queues, free lists and pooled records — which
-// the next run of that shape reuses instead of allocating it again.
+// pair is a kernel, or a shard group, and the machine of one shape
+// last built on it. Runs take pairs from a pool per shape: a
+// single-kernel run a kernel, a sharded one a group with its sharded
+// Active Disk system. An idle pair holds no goroutine, no simulated
+// state and no reference to the run that last used it, only the
+// storage that run grew — each kernel's event slab, task pool and
+// process records, and the machine's components with their queues,
+// free lists and pooled records — which the next run of that shape
+// reuses instead of allocating it again.
 type pair struct {
-	cfg  arch.Config
-	k    *sim.Kernel
-	m    machine
-	aged bool // idle through a whole GC cycle: the next sweep drops it
+	key poolKey
+	k   *sim.Kernel     // the single kernel, or the group's hub
+	g   *sim.ShardGroup // the shard group; nil on one kernel
+	m   machine
+	// running is set while the simulation runs: a group whose Run
+	// panics may leave leaves running, so release drops it.
+	running bool
+	aged    bool // idle through a whole GC cycle: the next sweep drops it
 }
 
-// pairPools holds each shape's idle pairs, keyed by the full
-// arch.Config. A pair is in at most one pool and taken by one run at a
-// time. Every GC cycle sweeps the pools, dropping the pairs that sat
-// idle since the previous cycle (as sync.Pool drops its victims), so the
-// pairs of shapes no longer run are freed. sync.Pool itself keeps a
-// returned object in the returning P's private slot, where a run on
-// another P cannot reach it; with a pair or two per shape that missed
-// about half the reuses on two cores.
+// poolKey is a pool's shape: the full arch.Config, and whether its
+// pairs are shard groups.
+type poolKey struct {
+	cfg     arch.Config
+	sharded bool
+}
+
+// pairPools holds each shape's idle pairs. A pair is in at most one
+// pool and taken by one run at a time. Every GC cycle sweeps the pools,
+// dropping the pairs that sat idle since the previous cycle (as
+// sync.Pool drops its victims), so the pairs of shapes no longer run
+// are freed. sync.Pool itself keeps a returned object in the returning
+// P's private slot, where a run on another P cannot reach it; with a
+// pair or two per shape that missed about half the reuses on two cores.
 var pairPools struct {
 	sync.Mutex
-	m map[arch.Config][]*pair
+	m map[poolKey][]*pair
 }
 
 // gcTick's finalizer runs once per GC cycle: it sweeps the pools and
@@ -131,11 +143,11 @@ func init() { runtime.SetFinalizer(&gcTick{}, sweepPairs) }
 // forgets shapes left with no pair.
 func sweepPairs(t *gcTick) {
 	pairPools.Lock()
-	for cfg, ps := range pairPools.m {
+	for key, ps := range pairPools.m {
 		if ps = sweep(ps); len(ps) == 0 {
-			delete(pairPools.m, cfg)
+			delete(pairPools.m, key)
 		} else {
-			pairPools.m[cfg] = ps
+			pairPools.m[key] = ps
 		}
 	}
 	pairPools.Unlock()
@@ -156,44 +168,77 @@ func sweep(ps []*pair) []*pair {
 	return ps[:n]
 }
 
-// newKernel makes the kernel of a new pair.
-var newKernel = sim.NewKernel
+// newKernel and newShardGroup make the kernel or group of a new pair,
+// and newLeafSink a leaf's sink for one sharded run.
+var (
+	newKernel     = sim.NewKernel
+	newShardGroup = sim.NewShardGroup
+	newLeafSink   = probe.NewSinkCap
+)
 
-// takePair takes an idle pair of cfg's shape, or makes one with a new
-// kernel, attaches sink to the kernel and builds the machine on it, so
-// that every component registers with sink in build order. Pass it to
-// release when the run is over.
-func takePair(cfg arch.Config, sink *probe.Sink) *pair {
+// takePair takes an idle pair of cfg's shape, a shard group when
+// sharded, or makes one. It attaches sink to the kernel, or to the
+// group's hub with a leaf sink of the same ring capacity and enable
+// state on each leaf (sinks are single-threaded), and builds the
+// machine, so that every component registers in build order. It
+// returns the leaf sinks, which the caller merges into sink after the
+// run. Pass the pair to release when the run is over.
+func takePair(cfg arch.Config, sharded bool, sink *probe.Sink) (*pair, []*probe.Sink) {
+	key := poolKey{cfg, sharded}
 	pairPools.Lock()
 	var p *pair
-	if ps := pairPools.m[cfg]; len(ps) > 0 {
+	if ps := pairPools.m[key]; len(ps) > 0 {
 		p = ps[len(ps)-1]
 		ps[len(ps)-1] = nil
-		pairPools.m[cfg] = ps[:len(ps)-1]
+		pairPools.m[key] = ps[:len(ps)-1]
 	}
 	pairPools.Unlock()
-	if p == nil {
-		p = &pair{cfg: cfg, k: newKernel()}
+	switch {
+	case p != nil:
+	case sharded:
+		g := newShardGroup(cfg.Disks)
+		p = &pair{key: key, k: g.Hub(), g: g}
+	default:
+		p = &pair{key: key, k: newKernel()}
 	}
 	p.k.SetProbe(sink)
+	var leafSinks []*probe.Sink
+	if p.g != nil && sink != nil {
+		leafSinks = make([]*probe.Sink, p.g.Shards())
+		for i := range leafSinks {
+			ls := newLeafSink(sink.RingCap())
+			ls.SetEnabled(sink.Enabled())
+			leafSinks[i] = ls
+			p.g.Shard(i).Kernel().SetProbe(ls)
+		}
+	}
 	p.build()
-	return p
+	return p, leafSinks
 }
 
-// build builds the pair's machine on its kernel: New the first time,
-// Rebuild (the same constructor, in place) after that.
+// build builds the pair's machine on its kernel or group: New the first
+// time, Rebuild (the same constructor, in place) after that.
 func (p *pair) build() {
-	if p.m == nil {
-		p.m = newMachine(p.cfg, p.k)
-	} else {
+	switch {
+	case p.m == nil && p.g != nil:
+		p.m = activeMachine{p.key.cfg.BuildActiveSharded(p.g)}
+	case p.m == nil:
+		p.m = newMachine(p.key.cfg, p.k)
+	case p.g != nil:
+		p.m.(activeMachine).RebuildSharded(p.g)
+	default:
 		p.m.Rebuild(p.k)
 	}
 }
 
-// recycle unwinds every process still parked on the pair's kernel (a
+// recycle unwinds every process still parked on the pair's kernels (a
 // cluster's MPI dispatchers after a completed run, any process of an
-// abandoned one), releases their coroutines and recycles the kernel.
+// abandoned one), releases their coroutines and recycles the kernels.
 func (p *pair) recycle() {
+	if p.g != nil {
+		p.g.Recycle()
+		return
+	}
 	p.k.Shutdown()
 	p.k.Recycle()
 }
@@ -203,12 +248,16 @@ func (p *pair) recycle() {
 // simulation resources as it returns. Probe recording is suppressed for
 // the teardown so unwinding defers cannot emit into the caller's sink:
 // a completed run's trace is the same as without it. The machine is
-// then rebuilt bare on the recycled kernel, with no probe and no fault
+// then rebuilt bare on the recycled kernels, with no probe and no fault
 // plan, which drops every reference it held into the run: its probe
-// handles into the sink, its fault state into the plan, the records
+// handles into the sinks, its fault state into the plan, the records
 // left in its queues. That rebuild's own tasks and events are recycled
-// too.
+// too. A group whose Run panicked is dropped instead: its leaves may
+// still be running.
 func (p *pair) release() {
+	if p.g != nil && p.running {
+		return
+	}
 	if s := p.k.Probe(); s.Enabled() {
 		s.SetEnabled(false)
 		defer s.SetEnabled(true)
@@ -216,12 +265,12 @@ func (p *pair) release() {
 	p.recycle()
 	p.build()
 	p.recycle()
-	p.aged = false
+	p.running, p.aged = false, false
 	pairPools.Lock()
 	if pairPools.m == nil {
-		pairPools.m = map[arch.Config][]*pair{}
+		pairPools.m = map[poolKey][]*pair{}
 	}
-	pairPools.m[p.cfg] = append(pairPools.m[p.cfg], p)
+	pairPools.m[p.key] = append(pairPools.m[p.key], p)
 	pairPools.Unlock()
 }
 
@@ -235,10 +284,10 @@ func (p *pair) release() {
 // model component registers with (and, when the sink is enabled,
 // emits into) it, and the task's phase timeline is recorded at
 // completion. The mode is explicit, so concurrent callers may run
-// different -procmode settings side by side. A single-kernel run takes
-// an idle pair of its shape — a kernel and the machine last built on it
-// — and rebuilds the machine in place on the kernel through the
-// constructor New runs. An idle pair holds no goroutine and no
+// different -procmode settings side by side. A run takes an idle pair
+// of its shape — a kernel, or for a sharded run a shard group, and the
+// machine last built on it — and rebuilds the machine in place through
+// the constructor New runs. An idle pair holds no goroutine and no
 // simulated state, only storage, so a run's bytes do not depend on
 // which runs came before it.
 //
@@ -276,42 +325,23 @@ func RunCtx(ctx context.Context, cfg arch.Config, task workload.TaskID, ds workl
 	return res, nil
 }
 
-// runTask executes one task on any architecture: on a pooled pair, or,
-// for a shardable Active Disk run under ModeParallel, on a shard group
-// whose kernels each record into their own sink. It installs the plan's
-// faults, starts the machine's body for the task, runs it, and fills
-// res with the machine's Details, the fault report and the phase
-// timeline.
+// runTask executes one task on any architecture on a pooled pair: a
+// kernel, or, for a shardable Active Disk run under ModeParallel, a
+// shard group whose kernels each record into their own sink. It
+// installs the plan's faults, starts the machine's body for the task,
+// runs it, and fills res with the machine's Details, the fault report
+// and the phase timeline.
 func runTask(cfg arch.Config, task workload.TaskID, ds workload.Dataset, res *Result,
 	plan *fault.Plan, sink *probe.Sink, rc *runCtl) {
-	var pl placement
-	var m machine
-	var leafSinks []*probe.Sink
-	if rc.mode == ModeParallel && shardable(task, cfg, plan) {
-		g := sim.NewShardGroup(cfg.Disks)
-		defer g.Close()
-		g.Hub().SetProbe(sink)
-		// Sinks are single-threaded, so each leaf records into its own;
-		// the leaves' recordings are merged into the hub's after the run.
-		if sink != nil {
-			leafSinks = make([]*probe.Sink, cfg.Disks)
-			for i := range leafSinks {
-				ls := probe.NewSinkCap(sink.RingCap())
-				ls.SetEnabled(sink.Enabled())
-				leafSinks[i] = ls
-				g.Shard(i).Kernel().SetProbe(ls)
-			}
-		}
-		pl.g, m = g, activeMachine{cfg.BuildActiveSharded(g)}
-	} else {
-		mp := takePair(cfg, sink)
-		defer mp.release()
-		pl.k, m = mp.k, mp.m
-	}
+	mp, leafSinks := takePair(cfg, rc.mode == ModeParallel && shardable(task, cfg, plan), sink)
+	defer mp.release()
+	pl, m := placement{k: mp.k, g: mp.g}, mp.m
 	m.InstallFaults(plan)
 	deg := &degrade{}
 	done := m.start(task, &pl, ds, res, plan, deg)
+	mp.running = true
 	res.Elapsed = pl.run(rc)
+	mp.running = false
 	if rc.cancelled {
 		return
 	}
